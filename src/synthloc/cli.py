@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DataError, DegenerateWorldError, SynthlocError
+from .errors import ConfigError, DegenerateWorldError, SynthlocError
 from .experiment import (
     cmd_ablate,
     cmd_evaluate,
@@ -69,9 +69,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DegenerateWorldError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
     except SynthlocError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

@@ -1,7 +1,14 @@
 """Linear retrieval model: norm-weighted aggregation of projected local
 descriptors into a unit global descriptor, contrastive losses over real and
 synthetic tuples, exact analytic gradients, hard-negative mining, tuple
-sampling and the episodic training loop."""
+sampling and the episodic training loop.
+
+Each loss has one implementation, which returns the value and the gradient
+together: `multi_value_and_grad` for `multi_k` and
+`aggregated_value_and_grad` for `aggregated_k`. `baseline` and `swap_pi`
+train through `aggregated_value_and_grad` on a one-tuple family, which is
+the plain contrastive loss exactly, because the mean of a single member
+descriptor is passed through untouched in both directions."""
 
 from __future__ import annotations
 
@@ -74,10 +81,6 @@ class TrainConfig:
     sampling: str = "uniform"  # uniform | geometry_aware
     embedding_dim: int = 16
     seed: int = 0
-    sample_with_replacement: bool = True
-    # unevaluated loss extensions, off by default
-    weight_negatives: bool = False
-    cap_negatives: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.swap_probability <= 1.0:
@@ -170,84 +173,16 @@ def _pair_term(fq: np.ndarray, fp: np.ndarray) -> float:
     return float(np.dot(d, d))
 
 
-def loss_contrastive(
-    t: TrainingTuple, resolver: ViewResolver, model: EmbeddingModel, margin: float
-) -> float:
-    q, p, ns = resolver.tuple_views(t)
-    fq = aggregate(q, model)
-    fp = aggregate(p, model)
-    loss = _pair_term(fq, fp)
-    for n in ns:
-        fn = aggregate(n, model)
-        loss += max(0.0, margin - _pair_term(fq, fn))
-    return loss
-
-
-def contrastive_value_and_grad(
-    t: TrainingTuple, resolver: ViewResolver, model: EmbeddingModel, margin: float
-) -> tuple[float, np.ndarray]:
-    W = model.projection
-    q, p, ns = resolver.tuple_views(t)
-    cq = _forward(q.descriptors(), W)
-    cp = _forward(p.descriptors(), W)
-    fq, fp = cq["f"], cp["f"]
-    loss = _pair_term(fq, fp)
-    gq = 2.0 * (fq - fp)
-    gp = -2.0 * (fq - fp)
-    dW = _backward(cp, gp)
-    for n in ns:
-        cn = _forward(n.descriptors(), W)
-        fn = cn["f"]
-        h = margin - _pair_term(fq, fn)
-        if h > 0.0:
-            loss += h
-            gq += -2.0 * (fq - fn)
-            dW += _backward(cn, 2.0 * (fq - fn))
-    dW += _backward(cq, gq)
-    return loss, dW
-
-
-def loss_multi(
-    tuples: list[TrainingTuple],
-    resolver: ViewResolver,
-    model: EmbeddingModel,
-    margin: float,
-    weight_negatives: bool = False,
-    cap_negatives: int | None = None,
-) -> float:
-    if not tuples:
-        raise EmptyTupleSetError("empty tuple set")
-    total = 0.0
-    used = 0
-    for t in tuples:
-        q, p, ns = resolver.tuple_views(t)
-        fq = aggregate(q, model)
-        fp = aggregate(p, model)
-        term = t.weight * _pair_term(fq, fp)
-        for n in ns:
-            if cap_negatives is not None and used >= cap_negatives:
-                break
-            used += 1
-            hinge = max(0.0, margin - _pair_term(fq, aggregate(n, model)))
-            term += t.weight * hinge if weight_negatives else hinge
-        total += term
-    return total / len(tuples)
-
-
 def multi_value_and_grad(
-    tuples: list[TrainingTuple],
-    resolver: ViewResolver,
-    model: EmbeddingModel,
-    margin: float,
-    weight_negatives: bool = False,
-    cap_negatives: int | None = None,
+    tuples: list[TrainingTuple], resolver: ViewResolver, model: EmbeddingModel, margin: float
 ) -> tuple[float, np.ndarray]:
+    """Mean over the tuples of the weighted contrastive loss: each positive
+    term scaled by the tuple weight, hinges unweighted; and its dLoss/dW."""
     if not tuples:
         raise EmptyTupleSetError("empty tuple set")
     W = model.projection
     k = len(tuples)
     total = 0.0
-    used = 0
     dW = np.zeros_like(W)
     for t in tuples:
         q, p, ns = resolver.tuple_views(t)
@@ -258,17 +193,13 @@ def multi_value_and_grad(
         gq = t.weight * 2.0 * (fq - fp)
         dW += _backward(cp, -t.weight * 2.0 * (fq - fp) / k)
         for n in ns:
-            if cap_negatives is not None and used >= cap_negatives:
-                break
-            used += 1
             cn = _forward(n.descriptors(), W)
             fn = cn["f"]
             h = margin - _pair_term(fq, fn)
             if h > 0.0:
-                nw = t.weight if weight_negatives else 1.0
-                term += nw * h
-                gq += -nw * 2.0 * (fq - fn)
-                dW += _backward(cn, nw * 2.0 * (fq - fn) / k)
+                term += h
+                gq += -2.0 * (fq - fn)
+                dW += _backward(cn, 2.0 * (fq - fn) / k)
         total += term
         dW += _backward(cq, gq / k)
     return total / k, dW
@@ -327,23 +258,14 @@ def _phi_backward(pc: dict, g: np.ndarray) -> np.ndarray:
     return dW
 
 
-def loss_aggregated(
-    family: list[TrainingTuple], resolver: ViewResolver, model: EmbeddingModel, margin: float
-) -> float:
-    queries, positives, negatives = _family_views(family, resolver)
-    W = model.projection
-    phi_q = _phi_forward([_forward(v.descriptors(), W) for v in queries])["phi"]
-    phi_p = _phi_forward([_forward(v.descriptors(), W) for v in positives])["phi"]
-    loss = _pair_term(phi_q, phi_p)
-    for slot_views in negatives:
-        phi_n = _phi_forward([_forward(v.descriptors(), W) for v in slot_views])["phi"]
-        loss += max(0.0, margin - _pair_term(phi_q, phi_n))
-    return loss
-
-
 def aggregated_value_and_grad(
     family: list[TrainingTuple], resolver: ViewResolver, model: EmbeddingModel, margin: float
 ) -> tuple[float, np.ndarray]:
+    """Contrastive loss over the family-mean descriptors of each role, and
+    its dLoss/dW. `baseline` and `swap_pi` train through a one-tuple family:
+    a singleton mean is the member's own descriptor and its backward is the
+    member's own backward, so the loss and gradient are exactly those of the
+    plain contrastive loss, bit for bit."""
     queries, positives, negatives = _family_views(family, resolver)
     W = model.projection
     pc_q = _phi_forward([_forward(v.descriptors(), W) for v in queries])
@@ -362,23 +284,6 @@ def aggregated_value_and_grad(
             dW += _phi_backward(pc_n, 2.0 * (phi_q - phi_n))
     dW += _phi_backward(pc_q, gq)
     return loss, dW
-
-
-def gradient(
-    loss_kind: str,
-    tuples: list[TrainingTuple],
-    resolver: ViewResolver,
-    model: EmbeddingModel,
-    margin: float,
-) -> np.ndarray:
-    """Analytic dLoss/dW for any of the three loss kinds."""
-    if loss_kind == "contrastive":
-        return contrastive_value_and_grad(tuples[0], resolver, model, margin)[1]
-    if loss_kind == "multi":
-        return multi_value_and_grad(tuples, resolver, model, margin)[1]
-    if loss_kind == "aggregated":
-        return aggregated_value_and_grad(tuples, resolver, model, margin)[1]
-    raise ValueError(f"unknown loss kind {loss_kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +437,6 @@ def train(
     a fixed (world, config) including the seed."""
     if not world.matching_pairs:
         raise ValueError("world has no matching pairs")
-    if not config.sample_with_replacement and len(world.matching_pairs) < config.pairs_per_episode:
-        raise ValueError("too few matching pairs for sampling without replacement")
     if config.mode != "baseline" and (variants is None or scores is None):
         raise ValueError(f"mode {config.mode!r} needs variants and scores")
 
@@ -553,10 +456,7 @@ def train(
         pool_ids = sorted(int(i) for i in rng.choice(map_ids, size=pool_size, replace=False))
         pool_emb = np.array([aggregate(views[vid], model) for vid in pool_ids])
 
-        if config.sample_with_replacement:
-            pair_idx = rng.integers(len(world.matching_pairs), size=config.pairs_per_episode)
-        else:
-            pair_idx = rng.permutation(len(world.matching_pairs))[: config.pairs_per_episode]
+        pair_idx = rng.integers(len(world.matching_pairs), size=config.pairs_per_episode)
 
         losses = []
         synth_used = 0
@@ -581,15 +481,10 @@ def train(
             synth_used += sum(1 for c in chosen if c.prompt is not None)
             tuples_used += len(chosen)
 
-            if config.mode == "multi_k":
-                loss, dW = multi_value_and_grad(
-                    chosen, resolver, model, config.margin,
-                    config.weight_negatives, config.cap_negatives,
-                )
-            elif config.mode == "aggregated_k":
-                loss, dW = aggregated_value_and_grad(chosen, resolver, model, config.margin)
-            else:
-                loss, dW = contrastive_value_and_grad(chosen[0], resolver, model, config.margin)
+            value_and_grad = (
+                multi_value_and_grad if config.mode == "multi_k" else aggregated_value_and_grad
+            )
+            loss, dW = value_and_grad(chosen, resolver, model, config.margin)
             if not np.isfinite(loss):
                 raise DivergedError("diverged")
             model.projection = (1.0 - lr * config.weight_decay) * model.projection - lr * dW

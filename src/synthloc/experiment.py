@@ -115,13 +115,9 @@ def _reference_lines(cls, path: str) -> list[str]:
     for f in dataclasses.fields(cls):
         if f.name.startswith("_"):
             continue
-        if f.name in _NESTED and f.name != "noise":
+        if f.name in _NESTED:
             lines.append(f"[{path}{f.name}]")
             lines.extend(_reference_lines(_NESTED[f.name], f"{path}{f.name}."))
-            continue
-        if f.name == "noise":
-            lines.append(f"[{path}noise]")
-            lines.extend(_reference_lines(RenderNoise, f"{path}noise."))
             continue
         if f.default is not dataclasses.MISSING:
             default = f.default
@@ -307,21 +303,20 @@ def cmd_evaluate(
 ABLATION_METHODS = ("baseline", "synth_uniform", "synth_filtered", "synth_geometry")
 
 
-def _method_train_config(config: ExperimentConfig, method: str, seed: int) -> tuple[TrainConfig, float]:
+def _method_train_config(config: ExperimentConfig, method: str, seed: int) -> TrainConfig:
     synth_mode = config.train.mode if config.train.mode != "baseline" else "swap_pi"
     if method == "baseline":
-        tc = replace(config.train, mode="baseline", seed=seed)
-        return tc, config.c_tau
+        return replace(config.train, mode="baseline", seed=seed)
     if method == "synth_uniform":
-        return replace(config.train, mode=synth_mode, sampling="uniform", c_tau=0.0, seed=seed), 0.0
+        return replace(config.train, mode=synth_mode, sampling="uniform", c_tau=0.0, seed=seed)
     if method == "synth_filtered":
-        tc = replace(config.train, mode=synth_mode, sampling="uniform", c_tau=config.c_tau, seed=seed)
-        return tc, config.c_tau
+        return replace(
+            config.train, mode=synth_mode, sampling="uniform", c_tau=config.c_tau, seed=seed
+        )
     if method == "synth_geometry":
-        tc = replace(
+        return replace(
             config.train, mode=synth_mode, sampling="geometry_aware", c_tau=config.c_tau, seed=seed
         )
-        return tc, config.c_tau
     raise ConfigError(f"unknown ablation method {method!r}")
 
 
@@ -356,7 +351,7 @@ def cmd_ablate(
             run_dir = out / "runs" / method / f"seed_{seed}"
             done = run_dir / "done"
             if not done.exists():
-                tc, c_tau = _method_train_config(config, method, seed)
+                tc = _method_train_config(config, method, seed)
                 use_variants = variants if tc.mode != "baseline" else None
                 use_scores = scores if tc.mode != "baseline" else None
                 model, trace = train(world, use_variants, use_scores, tc)

@@ -96,6 +96,22 @@ def area_of_interest(corrs: Correspondences, a: ViewImage, b: ViewImage) -> Corr
     return Correspondences(pairs=kept, method=corrs.method)
 
 
+def _survival(
+    c_qp: Correspondences, c_vp: Correspondences, kp_p: np.ndarray, pixel_tol: float
+) -> ConsistencyScore:
+    """Survival count shared by both scorers. A (q, p) correspondence
+    survives when some (variant, p) correspondence has its p-side keypoint
+    within `pixel_tol` of its own. `c_qp` must not be empty."""
+    original = len(c_qp)
+    if not c_vp.pairs:
+        return ConsistencyScore(value=0.0, kept=0, original=original)
+    kp_qp = kp_p[[j for (_, j) in c_qp.pairs]]
+    kp_vp = kp_p[[j for (_, j) in c_vp.pairs]]
+    dist = np.linalg.norm(kp_vp[None, :, :] - kp_qp[:, None, :], axis=2)  # |c_qp| x |c_vp|
+    kept = int(np.count_nonzero(dist.min(axis=1) <= pixel_tol))
+    return ConsistencyScore(value=kept / original, kept=kept, original=original)
+
+
 def consistency_score(
     q: ViewImage, p: ViewImage, q_variant: ViewImage, params: MatchParams
 ) -> ConsistencyScore:
@@ -104,19 +120,10 @@ def consistency_score(
     identified through their p-side keypoints (p is the unaltered view in
     both)."""
     c_qp = area_of_interest(match_features(q, p, params), q, p)
-    original = len(c_qp)
-    if original == 0:
+    if not c_qp.pairs:
         return ConsistencyScore(value=0.0, kept=0, original=0)
     c_vp = area_of_interest(match_features(q_variant, p, params), q_variant, p)
-    kp_p = p.keypoints()
-    variant_keys = np.array([kp_p[j] for (_, j) in c_vp.pairs]) if c_vp.pairs else np.empty((0, 2))
-    kept = 0
-    for (_, j) in c_qp.pairs:
-        if variant_keys.shape[0] == 0:
-            break
-        if np.min(np.linalg.norm(variant_keys - kp_p[j], axis=1)) <= params.pixel_tol:
-            kept += 1
-    return ConsistencyScore(value=kept / original, kept=kept, original=original)
+    return _survival(c_qp, c_vp, p.keypoints(), params.pixel_tol)
 
 
 def validate_pair(score: ConsistencyScore, c_tau: float, mode: str = "relative") -> bool:
@@ -187,23 +194,14 @@ def score_world_variants(
             q, p = by_id[q_id], by_id[p_id]
             c_qp = area_of_interest(match_features(q, p, params), q, p)
             kp_p = p.keypoints()
-            original = len(c_qp)
             for variant in variants.get(q_id, []):
                 prompt = variant.condition
                 if prompt_names is not None and prompt not in prompt_names:
                     continue
-                if original == 0:
-                    store.add(q_id, p_id, prompt, ConsistencyScore(0.0, 0, 0))
-                    continue
-                c_vp = area_of_interest(match_features(variant, p, params), variant, p)
-                if c_vp.pairs:
-                    vk = np.array([kp_p[j] for (_, j) in c_vp.pairs])
-                    kept = sum(
-                        1
-                        for (_, j) in c_qp.pairs
-                        if np.min(np.linalg.norm(vk - kp_p[j], axis=1)) <= params.pixel_tol
-                    )
+                if not c_qp.pairs:
+                    score = ConsistencyScore(0.0, 0, 0)
                 else:
-                    kept = 0
-                store.add(q_id, p_id, prompt, ConsistencyScore(kept / original, kept, original))
+                    c_vp = area_of_interest(match_features(variant, p, params), variant, p)
+                    score = _survival(c_qp, c_vp, kp_p, params.pixel_tol)
+                store.add(q_id, p_id, prompt, score)
     return store

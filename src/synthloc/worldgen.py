@@ -159,9 +159,6 @@ class World:
     def landmark_positions(self) -> np.ndarray:
         return np.array([lm.position for lm in self.landmarks], dtype=float)
 
-    def view_by_id(self) -> dict[int, ViewImage]:
-        return {v.id: v for v in list(self.map_views) + list(self.query_views)}
-
 
 NEAR_PLANE = 0.1
 

@@ -16,11 +16,7 @@ from synthloc.embed import (
     ViewResolver,
     aggregate,
     aggregated_value_and_grad,
-    contrastive_value_and_grad,
     init_model,
-    loss_aggregated,
-    loss_contrastive,
-    loss_multi,
     multi_value_and_grad,
     sample_tuples,
     train,
@@ -146,22 +142,25 @@ def test_criterion_1_gradients_match_finite_differences():
         resolver, original, synth, W = _random_instance(rng, margin=margin)
         model = EmbeddingModel(W.copy())
 
-        _, g = contrastive_value_and_grad(original, resolver, model, margin)
+        # the contrastive loss is the one-tuple family that baseline and
+        # swap_pi train through
+        single = [original]
+        _, g = aggregated_value_and_grad(single, resolver, model, margin)
         gfd = _finite_difference(
-            lambda Wx: loss_contrastive(original, resolver, EmbeddingModel(Wx), margin), W
+            lambda Wx: aggregated_value_and_grad(single, resolver, EmbeddingModel(Wx), margin)[0], W
         )
         worst["contrastive"] = max(worst["contrastive"], _rel_err(g, gfd))
 
         fam = [original, synth]
         _, g = multi_value_and_grad(fam, resolver, model, margin)
         gfd = _finite_difference(
-            lambda Wx: loss_multi(fam, resolver, EmbeddingModel(Wx), margin), W
+            lambda Wx: multi_value_and_grad(fam, resolver, EmbeddingModel(Wx), margin)[0], W
         )
         worst["multi"] = max(worst["multi"], _rel_err(g, gfd))
 
         _, g = aggregated_value_and_grad(fam, resolver, model, margin)
         gfd = _finite_difference(
-            lambda Wx: loss_aggregated(fam, resolver, EmbeddingModel(Wx), margin), W
+            lambda Wx: aggregated_value_and_grad(fam, resolver, EmbeddingModel(Wx), margin)[0], W
         )
         worst["aggregated"] = max(worst["aggregated"], _rel_err(g, gfd))
     elapsed = time.time() - t0
@@ -172,15 +171,17 @@ def test_criterion_1_gradients_match_finite_differences():
 
 
 def test_criterion_2_loss_reductions_bitwise():
-    """loss_multi(k=1, w=1) == loss_contrastive and loss_aggregated(K=0) ==
-    loss_contrastive, bit for bit, on 50 random tuples."""
+    """The multi loss at k=1, w=1 and the aggregated loss at K=0 both reduce
+    to the contrastive loss: equal values and gradients, bit for bit, on 50
+    random tuples."""
     rng = np.random.default_rng(202)
     for _ in range(50):
         resolver, original, _, W = _random_instance(rng)
         model = EmbeddingModel(W)
-        base = loss_contrastive(original, resolver, model, 0.7)
-        assert loss_multi([original], resolver, model, 0.7) == base
-        assert loss_aggregated([original], resolver, model, 0.7) == base
+        loss_m, grad_m = multi_value_and_grad([original], resolver, model, 0.7)
+        loss_a, grad_a = aggregated_value_and_grad([original], resolver, model, 0.7)
+        assert loss_m == loss_a
+        assert np.array_equal(grad_m, grad_a)
 
 
 def test_criterion_3_consistency_extremes_and_oracle():

@@ -8,12 +8,7 @@ from synthloc.embed import (
     aggregate,
     aggregated_value_and_grad,
     average_models,
-    contrastive_value_and_grad,
     feature_diagnostics,
-    gradient,
-    loss_aggregated,
-    loss_contrastive,
-    loss_multi,
     multi_value_and_grad,
 )
 from synthloc.errors import EmptyTupleSetError, MismatchedTupleFamilyError
@@ -110,6 +105,18 @@ def test_aggregate_scale_invariance():
 # ---------------------------------------------------------------- losses
 
 
+def contrastive_oracle(t, res, model, margin):
+    """The plain contrastive loss written out from `aggregate`, in the
+    kernels' summation order, as an independent reference."""
+    q, p, ns = res.tuple_views(t)
+    fq, fp = aggregate(q, model), aggregate(p, model)
+    loss = float(np.dot(fq - fp, fq - fp))
+    for n in ns:
+        fn = aggregate(n, model)
+        loss += max(0.0, margin - float(np.dot(fq - fn, fq - fn)))
+    return loss
+
+
 class FixedEmbeddingResolver:
     """Resolver stub producing views whose aggregate equals a fixed vector:
     a single-feature view with descriptor = embedding and W = identity."""
@@ -144,15 +151,17 @@ def test_loss_contrastive_hand_value():
     res = FixedEmbeddingResolver(emb)
     t = TrainingTuple(0, 1, [2])
     model = EmbeddingModel(np.eye(2))
-    loss = loss_contrastive(t, res, model, 0.7)
-    assert abs(loss - 2.7) < 1e-12
+    for value_and_grad in (multi_value_and_grad, aggregated_value_and_grad):
+        loss = value_and_grad([t], res, model, 0.7)[0]
+        assert abs(loss - 2.7) < 1e-12
 
 
 def test_loss_contrastive_zero_when_satisfied():
     emb = {0: [1.0, 0.0], 1: [1.0, 0.0], 2: [-1.0, 0.0]}  # negative at distance^2=4
     res = FixedEmbeddingResolver(emb)
     t = TrainingTuple(0, 1, [2])
-    assert loss_contrastive(t, res, EmbeddingModel(np.eye(2)), 0.7) == 0.0
+    for value_and_grad in (multi_value_and_grad, aggregated_value_and_grad):
+        assert value_and_grad([t], res, EmbeddingModel(np.eye(2)), 0.7)[0] == 0.0
 
 
 def test_loss_nonnegative_random():
@@ -161,7 +170,7 @@ def test_loss_nonnegative_random():
         res = make_store(rng, 6, 8)
         t = TrainingTuple(0, 1, [2, 3, 4])
         model = EmbeddingModel(rng.standard_normal((4, 8)))
-        assert loss_contrastive(t, res, model, 0.7) >= 0.0
+        assert aggregated_value_and_grad([t], res, model, 0.7)[0] >= 0.0
 
 
 def test_loss_multi_reduces_to_contrastive_bitwise():
@@ -170,7 +179,10 @@ def test_loss_multi_reduces_to_contrastive_bitwise():
         res = make_store(rng, 6, 8)
         t = TrainingTuple(0, 1, [2, 3], weight=1.0)
         model = EmbeddingModel(rng.standard_normal((4, 8)))
-        assert loss_multi([t], res, model, 0.7) == loss_contrastive(t, res, model, 0.7)
+        loss_m, grad_m = multi_value_and_grad([t], res, model, 0.7)
+        loss_a, grad_a = aggregated_value_and_grad([t], res, model, 0.7)
+        assert loss_m == loss_a == contrastive_oracle(t, res, model, 0.7)
+        assert np.array_equal(grad_m, grad_a)
 
 
 def test_loss_multi_zero_weight():
@@ -178,7 +190,7 @@ def test_loss_multi_zero_weight():
     res = FixedEmbeddingResolver(emb)
     t = TrainingTuple(0, 1, [2], weight=0.0)
     t.weight = 0.0
-    assert loss_multi([t], res, EmbeddingModel(np.eye(2)), 0.7) == 0.0
+    assert multi_value_and_grad([t], res, EmbeddingModel(np.eye(2)), 0.7)[0] == 0.0
 
 
 def test_loss_multi_hand_summed_k2():
@@ -191,13 +203,13 @@ def test_loss_multi_hand_summed_k2():
     # tuple 2: d(q,p)^2 = (0.6)^2+(0.2)^2 = 0.4 -> 0.5*0.4 = 0.2
     #          d(q,n)^2 = (0.4)^2+(0.8)^2 = 0.8 -> hinge 0 ... wait: (0.6-1)^2+(0.8-0)^2 = 0.16+0.64 = 0.8 -> 0
     # total = (2.7 + 0.2) / 2 = 1.45
-    got = loss_multi([t1, t2], res, model, 0.7)
+    got = multi_value_and_grad([t1, t2], res, model, 0.7)[0]
     assert abs(got - 1.45) < 1e-12
 
 
 def test_loss_multi_empty_set():
     with pytest.raises(EmptyTupleSetError):
-        loss_multi([], None, EmbeddingModel(np.eye(2)), 0.7)
+        multi_value_and_grad([], None, EmbeddingModel(np.eye(2)), 0.7)
 
 
 def test_loss_aggregated_k0_reduces_bitwise():
@@ -206,7 +218,8 @@ def test_loss_aggregated_k0_reduces_bitwise():
         res = make_store(rng, 6, 8)
         t = TrainingTuple(0, 1, [2, 3])
         model = EmbeddingModel(rng.standard_normal((4, 8)))
-        assert loss_aggregated([t], res, model, 0.7) == loss_contrastive(t, res, model, 0.7)
+        loss = aggregated_value_and_grad([t], res, model, 0.7)[0]
+        assert loss == contrastive_oracle(t, res, model, 0.7)
 
 
 def test_loss_aggregated_identity_variants_equal_contrastive():
@@ -219,8 +232,8 @@ def test_loss_aggregated_identity_variants_equal_contrastive():
     t0 = TrainingTuple(0, 1, [2, 3])
     t1 = TrainingTuple(0, 1, [2, 3], prompt="same", weight=1.0)
     model = EmbeddingModel(rng.standard_normal((4, 8)))
-    agg = loss_aggregated([t0, t1], res, model, 0.7)
-    single = loss_contrastive(t0, res, model, 0.7)
+    agg = aggregated_value_and_grad([t0, t1], res, model, 0.7)[0]
+    single = aggregated_value_and_grad([t0], res, model, 0.7)[0]
     assert abs(agg - single) < 1e-9
 
 
@@ -244,7 +257,7 @@ def test_loss_aggregated_k1_hand_computed():
     d_qp = (s - 0) ** 2 + (s - 1) ** 2
     d_qn = (s - 1) ** 2 + (s - 0) ** 2
     expected = d_qp + max(0.0, 0.7 - d_qn)
-    got = loss_aggregated([t0, t1], res, model, 0.7)
+    got = aggregated_value_and_grad([t0, t1], res, model, 0.7)[0]
     assert abs(got - expected) < 1e-12
 
 
@@ -254,7 +267,7 @@ def test_loss_aggregated_mismatched_family():
     t0 = TrainingTuple(0, 1, [2, 3])
     bad = TrainingTuple(0, 4, [2, 3], prompt="shiftA")
     with pytest.raises(MismatchedTupleFamilyError):
-        loss_aggregated([t0, bad], res, EmbeddingModel(np.eye(4, 8)), 0.7)
+        aggregated_value_and_grad([t0, bad], res, EmbeddingModel(np.eye(4, 8)), 0.7)
 
 
 # ---------------------------------------------------------------- gradients
@@ -284,8 +297,8 @@ def test_gradient_contrastive_finite_difference():
         res = make_store(rng, 6, 6)
         t = TrainingTuple(0, 1, [2, 3])
         W = rng.standard_normal((3, 6))
-        _, g = contrastive_value_and_grad(t, res, EmbeddingModel(W.copy()), 0.7)
-        gfd = finite_difference(lambda Wx: loss_contrastive(t, res, EmbeddingModel(Wx), 0.7), W)
+        _, g = aggregated_value_and_grad([t], res, EmbeddingModel(W.copy()), 0.7)
+        gfd = finite_difference(lambda Wx: contrastive_oracle(t, res, EmbeddingModel(Wx), 0.7), W)
         worst = max(worst, rel_error(g, gfd))
     assert worst < 1e-4
 
@@ -300,7 +313,7 @@ def test_gradient_multi_finite_difference():
         W = rng.standard_normal((3, 6))
         _, g = multi_value_and_grad([t0, t1], res, EmbeddingModel(W.copy()), 0.7)
         gfd = finite_difference(
-            lambda Wx: loss_multi([t0, t1], res, EmbeddingModel(Wx), 0.7), W
+            lambda Wx: multi_value_and_grad([t0, t1], res, EmbeddingModel(Wx), 0.7)[0], W
         )
         worst = max(worst, rel_error(g, gfd))
     assert worst < 1e-4
@@ -316,7 +329,7 @@ def test_gradient_aggregated_finite_difference():
         W = rng.standard_normal((3, 6))
         _, g = aggregated_value_and_grad([t0, t1], res, EmbeddingModel(W.copy()), 0.7)
         gfd = finite_difference(
-            lambda Wx: loss_aggregated([t0, t1], res, EmbeddingModel(Wx), 0.7), W
+            lambda Wx: aggregated_value_and_grad([t0, t1], res, EmbeddingModel(Wx), 0.7)[0], W
         )
         worst = max(worst, rel_error(g, gfd))
     assert worst < 1e-4
@@ -333,7 +346,7 @@ def test_gradient_zero_when_loss_flat():
     W = rng.standard_normal((4, 8))
     model = EmbeddingModel(W)
     t = TrainingTuple(0, 1, [2])
-    loss, g = contrastive_value_and_grad(t, res, model, 1e-9)  # hinge surely inactive
+    loss, g = aggregated_value_and_grad([t], res, model, 1e-9)  # hinge surely inactive
     assert loss == 0.0
     assert np.allclose(g, 0.0, atol=1e-12)
 
@@ -344,42 +357,8 @@ def test_gradient_orthogonal_to_scaling_direction():
     res = make_store(rng, 6, 8)
     t = TrainingTuple(0, 1, [2, 3])
     W = rng.standard_normal((4, 8))
-    _, g = contrastive_value_and_grad(t, res, EmbeddingModel(W.copy()), 0.7)
+    _, g = aggregated_value_and_grad([t], res, EmbeddingModel(W.copy()), 0.7)
     assert abs(float(np.sum(g * W))) < 1e-9
-
-
-def test_gradient_dispatcher():
-    rng = np.random.default_rng(16)
-    res = make_store(rng, 6, 6, with_variants=True)
-    t0 = TrainingTuple(0, 1, [2])
-    t1 = TrainingTuple(0, 1, [2], prompt="shiftA", weight=0.5)
-    model = EmbeddingModel(rng.standard_normal((3, 6)))
-    for kind, tuples in [("contrastive", [t0]), ("multi", [t0, t1]), ("aggregated", [t0, t1])]:
-        g = gradient(kind, tuples, res, model, 0.7)
-        assert g.shape == (3, 6)
-    with pytest.raises(ValueError):
-        gradient("hinge", [t0], res, model, 0.7)
-
-
-def test_loss_multi_extension_flags():
-    """Off-by-default extensions: negative weighting and negative capping."""
-    rng = np.random.default_rng(40)
-    res = make_store(rng, 6, 8, with_variants=True)
-    t0 = TrainingTuple(0, 1, [2, 3])
-    t1 = TrainingTuple(0, 1, [2, 3], prompt="shiftA", weight=0.5)
-    W = rng.standard_normal((4, 8))
-    model = EmbeddingModel(W.copy())
-    plain = loss_multi([t0, t1], res, model, 0.7)
-    weighted = loss_multi([t0, t1], res, model, 0.7, weight_negatives=True)
-    assert weighted <= plain  # weights are <= 1, hinges shrink
-    capped = loss_multi([t0, t1], res, model, 0.7, cap_negatives=2)
-    assert capped <= plain + 1e-12
-    # gradient stays consistent with the flagged loss
-    _, g = multi_value_and_grad([t0, t1], res, model, 0.7, True, 3)
-    gfd = finite_difference(
-        lambda Wx: loss_multi([t0, t1], res, EmbeddingModel(Wx), 0.7, True, 3), W
-    )
-    assert rel_error(g, gfd) < 1e-4
 
 
 # ---------------------------------------------------------------- averaging and diagnostics

@@ -179,13 +179,18 @@ def test_cli_reruns_are_byte_identical(pipeline, tmp_path):
         assert dir_digest(out) == dir_digest(ref), f"stage {stage} not reproducible"
 
 
-def test_cli_config_error_names_key(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "section,key,value",
+    [("world", "nmu_landmarks", 10), ("train", "weight_negatives", True)],
+    ids=["world.nmu_landmarks", "train.weight_negatives"],
+)
+def test_cli_config_error_names_key(tmp_path, capsys, section, key, value):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"world": {"nmu_landmarks": 10}}))
+    bad.write_text(json.dumps({section: {key: value}}))
     rc = main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "nmu_landmarks" in err
+    assert key in err
 
 
 def test_cli_parse_error(tmp_path):

@@ -224,6 +224,21 @@ def test_score_bounds(small_world, small_scores):
             assert s.value == s.kept / s.original
 
 
+def test_world_scores_equal_per_pair_scores(small_world, small_variants, small_scores):
+    """Every entry of the batch scorer equals the per-pair scorer, which
+    criterion 3 pins to a brute-force oracle, for the same (q, p, prompt)."""
+    by_id = {v.id: v for v in small_world.map_views}
+    prompts = {v.condition for vs in small_variants.values() for v in vs}
+    assert len(small_scores) == 2 * len(small_world.matching_pairs) * len(prompts)
+    partial = 0
+    for (q_id, p_id, prompt), got in small_scores.items():
+        (variant,) = [v for v in small_variants[q_id] if v.condition == prompt]
+        want = consistency_score(by_id[q_id], by_id[p_id], variant, MatchParams())
+        assert (got.kept, got.original, got.value) == (want.kept, want.original, want.value)
+        partial += 0 < got.kept < got.original
+    assert partial > 0
+
+
 def test_consistency_of_pair_with_itself_relabeled():
     rng = np.random.default_rng(10)
     q, p = _paired_views(rng, 30, 16)

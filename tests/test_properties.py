@@ -8,9 +8,8 @@ from synthloc.embed import (
     TrainingTuple,
     ViewResolver,
     aggregate,
-    loss_aggregated,
-    loss_contrastive,
-    loss_multi,
+    aggregated_value_and_grad,
+    multi_value_and_grad,
 )
 from synthloc.geometry import MatchParams, match_features, verify_identity
 from synthloc.index import AsmkSignature, asmk_score
@@ -35,9 +34,8 @@ def test_losses_nonnegative(seed):
     res = ViewResolver(views)
     t = TrainingTuple(0, 1, [2, 3])
     model = EmbeddingModel(np.random.default_rng(seed).standard_normal((3, 6)))
-    assert loss_contrastive(t, res, model, 0.7) >= 0.0
-    assert loss_multi([t], res, model, 0.7) >= 0.0
-    assert loss_aggregated([t], res, model, 0.7) >= 0.0
+    assert multi_value_and_grad([t], res, model, 0.7)[0] >= 0.0
+    assert aggregated_value_and_grad([t], res, model, 0.7)[0] >= 0.0
 
 
 @settings(max_examples=40, deadline=None)
