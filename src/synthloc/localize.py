@@ -4,6 +4,7 @@ accuracy metrics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,22 @@ class RansacParams:
     seed: int = 0
     confidence: float = 0.99
 
+    def __post_init__(self) -> None:
+        def integer(x) -> bool:
+            return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+        def real(x) -> bool:
+            return integer(x) or (isinstance(x, (float, np.floating)) and math.isfinite(x))
+
+        if not (integer(self.iterations) and self.iterations >= 1):
+            raise ValueError("iterations must be an integer >= 1")
+        if not (real(self.inlier_px) and self.inlier_px > 0):
+            raise ValueError("inlier_px must be a finite number > 0")
+        if not (integer(self.min_inliers) and self.min_inliers >= 0):
+            raise ValueError("min_inliers must be an integer >= 0")
+        if not (real(self.confidence) and 0 < self.confidence < 1):
+            raise ValueError("confidence must be in (0, 1)")
+
 
 def ewb_pose(ranked: RankedList, poses: dict[int, CameraPose], k: int) -> CameraPose:
     """Equal-weighted barycenter of the top-k poses: arithmetic mean of the
@@ -73,63 +90,90 @@ def ewb_pose(ranked: RankedList, poses: dict[int, CameraPose], k: int) -> Camera
 
 
 def _dlt_rt(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direct linear transform for [R|t] from >= 6 points in normalized image
-    coordinates, followed by projection to the nearest rotation. Returns the
-    world-to-camera rotation matrix and the camera center."""
-    n = points3d.shape[0]
-    centroid = points3d.mean(axis=0)
-    spread = float(np.mean(np.linalg.norm(points3d - centroid, axis=1)))
-    scale = np.sqrt(3.0) / spread if spread > 0 else 1.0
-    Xh = np.hstack([(points3d - centroid) * scale, np.ones((n, 1))])
+    """Stacked direct linear transform for [R|t]: `b` problems of `m >= 6`
+    points each, as (b, m, 3) points and (b, m, 2) normalized image
+    coordinates, each followed by projection to the nearest rotation. Returns
+    the (b, 3, 3) world-to-camera rotations and the (b, 3) camera centers.
+    Each problem gets the same floating-point operations as a solve of its
+    own, so a result does not depend on the other problems in the stack.
+    Raises LinAlgError if any SVD in the stack fails."""
+    b, m, _ = points3d.shape
+    centroid = points3d.mean(axis=1)
+    spread = np.mean(np.linalg.norm(points3d - centroid[:, None], axis=2), axis=1)
+    with np.errstate(divide="ignore"):
+        scale = np.where(spread > 0, np.sqrt(3.0) / spread, 1.0)
+    Xh = np.concatenate(
+        [(points3d - centroid[:, None]) * scale[:, None, None], np.ones((b, m, 1))], axis=2
+    )
 
-    A = np.zeros((2 * n, 12))
-    A[0::2, 0:4] = Xh
-    A[0::2, 8:12] = -norm_xy[:, 0:1] * Xh
-    A[1::2, 4:8] = Xh
-    A[1::2, 8:12] = -norm_xy[:, 1:2] * Xh
+    A = np.zeros((b, 2 * m, 12))
+    A[:, 0::2, 0:4] = Xh
+    A[:, 0::2, 8:12] = -norm_xy[:, :, 0:1] * Xh
+    A[:, 1::2, 4:8] = Xh
+    A[:, 1::2, 8:12] = -norm_xy[:, :, 1:2] * Xh
     _, _, vt = np.linalg.svd(A, full_matrices=False)
-    P = vt[-1].reshape(3, 4)
+    P = vt[:, -1].reshape(b, 3, 4)
 
     # undo the 3D normalization: X' = scale * (X - centroid)
-    T = np.eye(4)
-    T[:3, :3] *= scale
-    T[:3, 3] = -scale * centroid
+    T = np.zeros((b, 4, 4))
+    T[:, [0, 1, 2], [0, 1, 2]] = scale[:, None]
+    T[:, :3, 3] = -scale[:, None] * centroid
+    T[:, 3, 3] = 1.0
     P = P @ T
 
-    M = P[:, :3]
-    if np.linalg.det(M) < 0:
-        P = -P
-        M = -M
-    U, s, Vt = np.linalg.svd(M)
-    R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
-    sigma = float(np.mean(s))
-    t = P[:, 3] / sigma
-    return R, -R.T @ t
+    P = np.where((np.linalg.det(P[:, :, :3]) < 0)[:, None, None], -P, P)
+    U, s, Vt = np.linalg.svd(P[:, :, :3])
+    D = np.zeros((b, 3, 3))
+    D[:, 0, 0] = D[:, 1, 1] = 1.0
+    D[:, 2, 2] = np.linalg.det(U @ Vt)
+    R = U @ D @ Vt
+    sigma = np.mean(s, axis=1)
+    t = P[:, :, 3] / sigma[:, None]
+    return R, (-R.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
 
 
-def _dlt_pose(points3d: np.ndarray, norm_xy: np.ndarray) -> CameraPose:
-    R, center = _dlt_rt(points3d, norm_xy)
-    return CameraPose(rotation=quats.from_matrix(R), position=center)
-
-
-def _residuals_rc(
+def _residuals(
     R: np.ndarray, center: np.ndarray, points3d: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics
 ) -> np.ndarray:
-    cam = (points3d - center) @ R.T
-    z = cam[:, 2]
-    res = np.full(points3d.shape[0], np.inf)
+    """Reprojection errors in pixels of all n correspondences under each of
+    `b` poses, given as (b, 3, 3) rotations and (b, 3) centers: a (b, n)
+    array, inf where a point is not in front of the near plane."""
+    cam = (points3d - center[:, None]) @ R.transpose(0, 2, 1)
+    z = cam[:, :, 2]
     front = z > NEAR_PLANE
-    if np.any(front):
-        u = intr.focal * cam[front, 0] / z[front] + intr.principal_point[0]
-        v = intr.focal * cam[front, 1] / z[front] + intr.principal_point[1]
-        res[front] = np.hypot(u - pixels[front, 0], v - pixels[front, 1])
-    return res
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intr.focal * cam[:, :, 0] / z + intr.principal_point[0]
+        v = intr.focal * cam[:, :, 1] / z + intr.principal_point[1]
+        res = np.hypot(u - pixels[:, 0], v - pixels[:, 1])
+    return np.where(front, res, np.inf)
 
 
-def _reprojection_residuals(
-    pose: CameraPose, points3d: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics
-) -> np.ndarray:
-    return _residuals_rc(pose.matrix(), pose.position, points3d, pixels, intr)
+# Hypotheses solved per stacked DLT: large enough to amortize numpy's
+# per-call overhead, small enough that a solve stopping early wastes little.
+_CHUNK = 32
+
+
+def _hypothesis_masks(
+    samples: np.ndarray,
+    points: np.ndarray,
+    norm_xy: np.ndarray,
+    pixels: np.ndarray,
+    intr: CameraIntrinsics,
+    inlier_px: float,
+) -> list[np.ndarray | None]:
+    """Inlier masks of the (b, 6) sampled hypotheses, in order; None for a
+    hypothesis whose DLT fails. A failing stack is redone one at a time."""
+    try:
+        R, center = _dlt_rt(points[samples], norm_xy[samples])
+    except np.linalg.LinAlgError:
+        if len(samples) == 1:
+            return [None]
+        return [
+            mask
+            for sample in samples
+            for mask in _hypothesis_masks(sample[None], points, norm_xy, pixels, intr, inlier_px)
+        ]
+    return list(_residuals(R, center, points, pixels, intr) <= inlier_px)
 
 
 def pnp_ransac(
@@ -143,6 +187,15 @@ def pnp_ransac(
     InsufficientCorrespondencesError below 6 points and NoConsensusError when
     no hypothesis reaches min_inliers. Deterministic per seed; iterations are
     an upper bound, with standard adaptive early termination.
+
+    Hypotheses are drawn and solved in chunks of at most _CHUNK, never more
+    than the remaining budget, but the result is that of drawing, solving and
+    scoring them one at a time: each is one `rng.choice(n, 6)` call of the
+    same sequence, and the chunk is walked in draw order with the strict
+    best-count update and the adaptive stop. Hypotheses drawn past the
+    stopping point are discarded; the generator is local to the call. If a
+    chunk's stacked SVD fails, its hypotheses are solved one at a time, and
+    each one that fails still counts as an iteration.
     """
     n = len(corr_2d3d)
     if n < 6:
@@ -157,31 +210,31 @@ def pnp_ransac(
     needed = params.iterations
     it = 0
     while it < min(needed, params.iterations):
-        it += 1
-        sample = rng.choice(n, size=6, replace=False)
-        try:
-            R, center = _dlt_rt(points[sample], norm_xy[sample])
-        except np.linalg.LinAlgError:
-            continue
-        res = _residuals_rc(R, center, points, pixels, intrinsics)
-        mask = res <= params.inlier_px
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            w = count / n
-            if w >= 1.0:
+        b = min(_CHUNK, min(needed, params.iterations) - it)
+        samples = np.array([rng.choice(n, size=6, replace=False) for _ in range(b)])
+        for mask in _hypothesis_masks(samples, points, norm_xy, pixels, intrinsics, params.inlier_px):
+            it += 1
+            if mask is not None and (count := int(mask.sum())) > best_count:
+                best_count = count
+                best_mask = mask
+                w = count / n
+                if w >= 1.0:
+                    needed = 0  # every correspondence agrees: stop
+                else:
+                    denom = np.log(max(1.0 - w**6, 1e-12))
+                    needed = min(
+                        params.iterations,
+                        int(np.ceil(np.log(max(1.0 - params.confidence, 1e-12)) / denom)),
+                    )
+            if it >= min(needed, params.iterations):
                 break
-            denom = np.log(max(1.0 - w**6, 1e-12))
-            needed = min(
-                params.iterations, int(np.ceil(np.log(max(1.0 - params.confidence, 1e-12)) / denom))
-            )
     if best_mask is None or best_count < max(params.min_inliers, 6):
         raise NoConsensusError("no consensus")
 
     idx = np.nonzero(best_mask)[0]
-    pose = _dlt_pose(points[idx], norm_xy[idx])
-    res = _reprojection_residuals(pose, points, pixels, intrinsics)
+    R, center = _dlt_rt(points[idx][None], norm_xy[idx][None])
+    pose = CameraPose(rotation=quats.from_matrix(R[0]), position=center[0])
+    res = _residuals(pose.matrix()[None], pose.position[None], points, pixels, intrinsics)[0]
     final = np.nonzero(res <= params.inlier_px)[0]
     if final.size < max(params.min_inliers, 6):
         raise NoConsensusError("no consensus")
@@ -207,16 +260,17 @@ def sfm_localize(
     positions = {lm.id: lm.position for lm in landmarks}
     for vid, _score in ranked[:k]:
         view = map_views[vid]
-        pairs = match_features(query, view, match_params).pairs
-        dv = view.descriptors()
-        lids = view.landmark_ids()
-        for (iq, iv) in pairs:
-            lid = int(lids[iv])
-            if lid < 0:
-                continue
-            dist = float(np.linalg.norm(dq[iq] - dv[iv]))
+        pairs = np.array(match_features(query, view, match_params).pairs, dtype=int).reshape(-1, 2)
+        lids = view.landmark_ids()[pairs[:, 1]]
+        mapped = lids >= 0
+        iq, iv = pairs[mapped].T
+        diff = dq[iq] - view.descriptors()[iv]
+        # one dot product per row, the same as np.linalg.norm of each row on
+        # its own; a reduction over axis 1 can differ in the last bit
+        dists = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        for q, lid, dist in zip(iq.tolist(), lids[mapped].tolist(), dists.tolist()):
             if lid not in corr or dist < corr[lid][0]:
-                corr[lid] = (dist, kq[iq], positions[lid])
+                corr[lid] = (dist, kq[q], positions[lid])
     corr_2d3d = [(corr[lid][1], corr[lid][2]) for lid in sorted(corr)]
     pose, _ = pnp_ransac(corr_2d3d, query.intrinsics, ransac_params)
     return pose

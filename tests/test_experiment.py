@@ -181,8 +181,13 @@ def test_cli_reruns_are_byte_identical(pipeline, tmp_path):
 
 @pytest.mark.parametrize(
     "section,key,value",
-    [("world", "nmu_landmarks", 10), ("train", "weight_negatives", True)],
-    ids=["world.nmu_landmarks", "train.weight_negatives"],
+    [
+        ("world", "nmu_landmarks", 10),
+        ("train", "weight_negatives", True),
+        ("ransac", "iterations", "1000"),
+        ("ransac", "iterations", 0),
+    ],
+    ids=["world.nmu_landmarks", "train.weight_negatives", "ransac.iterations-str", "ransac.iterations-0"],
 )
 def test_cli_config_error_names_key(tmp_path, capsys, section, key, value):
     bad = tmp_path / "bad.json"
@@ -190,6 +195,7 @@ def test_cli_config_error_names_key(tmp_path, capsys, section, key, value):
     rc = main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")])
     assert rc == 2
     err = capsys.readouterr().err
+    assert section in err
     assert key in err
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synthloc import quats
+from synthloc import localize, quats
 from synthloc.embed import init_model
 from synthloc.errors import (
     EmptyRankingError,
@@ -167,6 +167,210 @@ def test_pnp_recovers_render_pose_from_view_features(small_world):
     assert err.translation < 1e-6
     assert err.rotation < 1e-5
     assert len(inliers) == len(corr)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("iterations", 0),
+        ("iterations", "1000"),
+        ("iterations", True),
+        ("iterations", 10.0),
+        ("inlier_px", 0.0),
+        ("inlier_px", float("nan")),
+        ("inlier_px", float("inf")),
+        ("inlier_px", "3"),
+        ("min_inliers", -1),
+        ("min_inliers", 8.0),
+        ("confidence", 0.0),
+        ("confidence", 1.0),
+        ("confidence", float("nan")),
+    ],
+)
+def test_ransac_params_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RansacParams(**{field: value})
+
+
+# ---------------------------------------------------------------- pnp oracle
+#
+# pnp_ransac solves its hypotheses in stacked chunks. The reference below
+# draws, solves and scores them one at a time, as a plain RANSAC loop does;
+# both must pick the same hypothesis and return the same bytes.
+
+
+def dlt_oracle(points3d, norm_xy):
+    n = points3d.shape[0]
+    centroid = points3d.mean(axis=0)
+    spread = float(np.mean(np.linalg.norm(points3d - centroid, axis=1)))
+    scale = np.sqrt(3.0) / spread if spread > 0 else 1.0
+    Xh = np.hstack([(points3d - centroid) * scale, np.ones((n, 1))])
+    A = np.zeros((2 * n, 12))
+    A[0::2, 0:4] = Xh
+    A[0::2, 8:12] = -norm_xy[:, 0:1] * Xh
+    A[1::2, 4:8] = Xh
+    A[1::2, 8:12] = -norm_xy[:, 1:2] * Xh
+    _, _, vt = np.linalg.svd(A, full_matrices=False)
+    P = vt[-1].reshape(3, 4)
+    T = np.eye(4)
+    T[:3, :3] *= scale
+    T[:3, 3] = -scale * centroid
+    P = P @ T
+    M = P[:, :3]
+    if np.linalg.det(M) < 0:
+        P = -P
+        M = -M
+    U, s, Vt = np.linalg.svd(M)
+    R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
+    t = P[:, 3] / float(np.mean(s))
+    return R, -R.T @ t
+
+
+def residuals_oracle(R, center, points3d, pixels, intr):
+    cam = (points3d - center) @ R.T
+    z = cam[:, 2]
+    res = np.full(points3d.shape[0], np.inf)
+    front = z > 0.1
+    if np.any(front):
+        u = intr.focal * cam[front, 0] / z[front] + intr.principal_point[0]
+        v = intr.focal * cam[front, 1] / z[front] + intr.principal_point[1]
+        res[front] = np.hypot(u - pixels[front, 0], v - pixels[front, 1])
+    return res
+
+
+def pnp_oracle(corr, intr, params):
+    n = len(corr)
+    if n < 6:
+        raise InsufficientCorrespondencesError("insufficient correspondences")
+    pixels = np.array([c[0] for c in corr], dtype=float)
+    points = np.array([c[1] for c in corr], dtype=float)
+    norm_xy = (pixels - intr.principal_point) / intr.focal
+    rng = np.random.default_rng(params.seed)
+    best_count, best_mask = 0, None
+    needed = params.iterations
+    it = 0
+    while it < min(needed, params.iterations):
+        it += 1
+        sample = rng.choice(n, size=6, replace=False)
+        try:
+            R, center = dlt_oracle(points[sample], norm_xy[sample])
+        except np.linalg.LinAlgError:
+            continue
+        mask = residuals_oracle(R, center, points, pixels, intr) <= params.inlier_px
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask = count, mask
+            w = count / n
+            if w >= 1.0:
+                break
+            denom = np.log(max(1.0 - w**6, 1e-12))
+            needed = min(
+                params.iterations, int(np.ceil(np.log(max(1.0 - params.confidence, 1e-12)) / denom))
+            )
+    if best_mask is None or best_count < max(params.min_inliers, 6):
+        raise NoConsensusError("no consensus")
+    idx = np.nonzero(best_mask)[0]
+    R, center = dlt_oracle(points[idx], norm_xy[idx])
+    pose = CameraPose(rotation=quats.from_matrix(R), position=center)
+    res = residuals_oracle(pose.matrix(), pose.position, points, pixels, intr)
+    final = np.nonzero(res <= params.inlier_px)[0]
+    if final.size < max(params.min_inliers, 6):
+        raise NoConsensusError("no consensus")
+    return pose, [int(i) for i in final]
+
+
+def outcome(solver, corr, params):
+    try:
+        pose, inliers = solver(corr, INTR, params)
+    except (InsufficientCorrespondencesError, NoConsensusError) as exc:
+        return type(exc)
+    return pose.rotation.tobytes(), pose.position.tobytes(), inliers
+
+
+def criterion_6_instances(count):
+    """The first `count` clean and 50%-outlier instances of criterion 6."""
+    rng = np.random.default_rng(606)
+    for trial in range(count):
+        pose = CameraPose(
+            quats.from_axis_angle(rng.standard_normal(3), rng.uniform(0, 0.5)),
+            rng.uniform(-2, 2, 3),
+        )
+        corr = synth_correspondences(rng, pose, 20)
+        bad_pts = (
+            np.column_stack([rng.uniform(-3, 3, 20), rng.uniform(-2, 2, 20), rng.uniform(5, 15, 20)])
+            @ pose.matrix()
+            + pose.position
+        )
+        bad_uv = rng.uniform([0, 0], [640, 480], (20, 2))
+        yield trial, corr, corr + [(bad_uv[i], bad_pts[i]) for i in range(20)]
+
+
+def test_pnp_matches_oracle_on_criterion_6_instances():
+    for trial, clean, noisy in criterion_6_instances(20):
+        for corr, params in (
+            (clean, RansacParams(seed=trial)),
+            (noisy, RansacParams(inlier_px=2.0, seed=trial)),
+        ):
+            assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
+
+
+def test_pnp_matches_oracle_on_no_consensus():
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-5, 5, (12, 3)) + np.array([0, 0, 10.0])
+    uv = rng.uniform([0, 0], [640, 480], (12, 2))
+    corr = [(uv[i], pts[i]) for i in range(12)]
+    params = RansacParams(inlier_px=0.5, min_inliers=8, iterations=200, seed=0)
+    assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params) == NoConsensusError
+
+
+@pytest.mark.parametrize("iterations", [1, 7, 33, 65])
+def test_pnp_matches_oracle_on_odd_budgets(iterations):
+    """Budgets that are not a multiple of the chunk size end mid-chunk."""
+    for trial, _clean, noisy in criterion_6_instances(5):
+        params = RansacParams(iterations=iterations, inlier_px=2.0, seed=trial)
+        assert outcome(pnp_ransac, noisy, params) == outcome(pnp_oracle, noisy, params)
+
+
+def jittered(corr, seed, sigma=0.05):
+    rng = np.random.default_rng(seed)
+    return [(uv + rng.normal(0.0, sigma, 2), xyz) for uv, xyz in corr]
+
+
+# Pixel noise spreads the inlier counts, and a low confidence stops the loop
+# after a few hypotheses: later draws of the same chunk, which may count more
+# inliers, must then be discarded.
+STOPS_EARLY = dict(inlier_px=1.0, min_inliers=6, confidence=0.5)
+
+
+def test_pnp_matches_oracle_when_stopping_mid_chunk():
+    for trial, clean, _noisy in criterion_6_instances(10):
+        corr = jittered(clean, trial)
+        params = RansacParams(seed=trial, **STOPS_EARLY)
+        assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
+
+
+def test_pnp_matches_oracle_when_svd_fails(monkeypatch):
+    """A NaN pixel makes every sample that draws it fail in the SVD. The
+    stacked chunk then fails as a whole and is redone one at a time; the
+    failing hypotheses count as iterations but never win."""
+    stacks = []
+    dlt = localize._dlt_rt
+
+    def spy(points3d, norm_xy):
+        stacks.append(points3d.shape[0])
+        return dlt(points3d, norm_xy)
+
+    monkeypatch.setattr(localize, "_dlt_rt", spy)
+    nan = (np.array([np.nan, 240.0]), np.array([0.0, 0.0, 10.0]))
+    for trial, clean, _noisy in criterion_6_instances(10):
+        for corr, params in (
+            (clean + [nan], RansacParams(seed=trial)),
+            (jittered(clean, trial) + [nan], RansacParams(seed=trial, **STOPS_EARLY)),
+        ):
+            stacks.clear()
+            assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
+            assert stacks[0] > 1 and stacks[1] == 1  # the first chunk fell back
+        assert outcome(pnp_ransac, clean + [nan], RansacParams(seed=trial))[2] == list(range(20))
 
 
 # ---------------------------------------------------------------- sfm localization
