@@ -8,7 +8,9 @@ together: `multi_value_and_grad` for `multi_k` and
 `aggregated_value_and_grad` for `aggregated_k`. `baseline` and `swap_pi`
 train through `aggregated_value_and_grad` on a one-tuple family, which is
 the plain contrastive loss exactly, because the mean of a single member
-descriptor is passed through untouched in both directions."""
+descriptor is passed through untouched in both directions. Every loss and
+`aggregate` run on one per-view kernel, `_forward`/`_backward`; within a
+training step each view object is projected once (`_Forwards`)."""
 
 from __future__ import annotations
 
@@ -18,13 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DivergedError,
     EmptyTupleSetError,
     InsufficientNegativesError,
-    InvalidSyntheticPairError,
     MismatchedTupleFamilyError,
+    is_finite_number,
+    is_integer,
 )
-from .geometry import ConsistencyScore, ScoreStore, validate_pair
+from .geometry import THRESHOLD_MODES, ScoreStore, validate_pair
 from .variants import VariantStore
 from .worldgen import ViewImage, World, derive_seed
 
@@ -64,6 +68,10 @@ class TrainingTuple:
             raise ValueError("a tuple needs at least one negative")
 
 
+MODES = ("baseline", "swap_pi", "multi_k", "aggregated_k")
+SAMPLINGS = ("uniform", "geometry_aware")
+
+
 @dataclass
 class TrainConfig:
     margin: float = 0.7
@@ -83,12 +91,31 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.swap_probability <= 1.0:
-            raise ValueError("swap probability must be in [0, 1]")
+        for name in ("episodes", "num_variants", "seed"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
+        for name in ("pairs_per_episode", "negative_pool_size", "num_negatives", "embedding_dim"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+        for name in ("margin", "learning_rate"):
+            value = getattr(self, name)
+            if not (is_finite_number(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
+        if not (is_finite_number(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be a finite number >= 0, not {self.weight_decay!r}")
+        if not is_finite_number(self.c_tau):
+            raise ValueError(f"c_tau must be a finite number, not {self.c_tau!r}")
+        for name, known in (
+            ("mode", MODES), ("sampling", SAMPLINGS), ("threshold_mode", THRESHOLD_MODES)
+        ):
+            if getattr(self, name) not in known:
+                raise ValueError(f"{name} must be one of {', '.join(known)}, not {getattr(self, name)!r}")
+        if not (is_finite_number(self.swap_probability) and 0.0 <= self.swap_probability <= 1.0):
+            raise ValueError(f"swap_probability must be a number in [0, 1], not {self.swap_probability!r}")
         if self.num_variants < 1 and self.mode in ("multi_k", "aggregated_k"):
             raise ValueError("K must be >= 1 for multi/aggregated modes")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
         if self.sampling == "geometry_aware" and self.c_tau <= 0 and self.threshold_mode == "relative":
             raise ValueError("geometry-aware sampling requires tuple filtering (c_tau > 0)")
 
@@ -125,42 +152,85 @@ def init_model(d: int, e: int, seed: int) -> EmbeddingModel:
 # ---------------------------------------------------------------------------
 
 
-def _forward(X: np.ndarray, W: np.ndarray) -> dict:
-    """Norm-weighted mean of projected descriptors, l2-normalized."""
+class _Forward:
+    """One view's forward pass, kept for its backward."""
+
+    __slots__ = ("X", "Z", "w", "S", "u", "r", "f", "degenerate")
+
+    def __init__(self, X, Z, w, S, u, r, f, degenerate):
+        self.X, self.Z, self.w, self.S = X, Z, w, S
+        self.u, self.r, self.f, self.degenerate = u, r, f, degenerate
+
+
+def _first_basis(e: int) -> np.ndarray:
+    f = np.zeros(e)
+    f[0] = 1.0
+    return f
+
+
+def _forward(X: np.ndarray, W: np.ndarray) -> _Forward:
+    """Norm-weighted mean of projected descriptors, l2-normalized.
+
+    The row norms are `np.sqrt(np.add.reduce(Z * Z, axis=1))`, which is what
+    `np.linalg.norm(Z, axis=1)` computes, without its wrapper."""
     Z = X @ W.T  # (n, e)
-    w = np.linalg.norm(Z, axis=1)  # (n,)
-    S = float(np.sum(w))
+    w = np.sqrt(np.add.reduce(Z * Z, axis=1))  # (n,)
+    S = float(np.add.reduce(w))
     if S == 0.0:
-        f = np.zeros(W.shape[0])
-        f[0] = 1.0
-        return {"X": X, "Z": Z, "w": w, "S": S, "u": np.zeros(W.shape[0]), "r": 0.0, "f": f, "degenerate": True}
-    u = (w[:, None] * Z).sum(axis=0) / S
-    r = float(np.linalg.norm(u))
+        return _Forward(X, Z, w, S, np.zeros(W.shape[0]), 0.0, _first_basis(W.shape[0]), True)
+    u = np.add.reduce(w[:, None] * Z, axis=0) / S
+    r = math.sqrt(float(u.dot(u)))
     if r == 0.0:
-        f = np.zeros(W.shape[0])
-        f[0] = 1.0
-        return {"X": X, "Z": Z, "w": w, "S": S, "u": u, "r": r, "f": f, "degenerate": True}
-    return {"X": X, "Z": Z, "w": w, "S": S, "u": u, "r": r, "f": u / r, "degenerate": False}
+        return _Forward(X, Z, w, S, u, r, _first_basis(W.shape[0]), True)
+    return _Forward(X, Z, w, S, u, r, u / r, False)
 
 
-def _backward(cache: dict, g: np.ndarray) -> np.ndarray:
+def _backward(c: _Forward, g: np.ndarray) -> np.ndarray:
     """dL/dW given dL/df, chaining the normalization and norm weighting."""
-    if cache["degenerate"]:
-        return np.zeros((g.shape[0], cache["X"].shape[1]))
-    f, r, u, S = cache["f"], cache["r"], cache["u"], cache["S"]
-    Z, w, X = cache["Z"], cache["w"], cache["X"]
-    h = (g - f * float(np.dot(f, g))) / r  # dL/du
+    if c.degenerate:
+        return np.zeros((g.shape[0], c.X.shape[1]))
+    f, r, u, S, Z, w = c.f, c.r, c.u, c.S, c.Z, c.w
+    h = (g - f * float(f.dot(g))) / r  # dL/du
     zh = Z @ h  # (n,)
-    uh = float(np.dot(u, h))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zhat = np.where(w[:, None] > 0, Z / np.where(w[:, None] > 0, w[:, None], 1.0), 0.0)
+    uh = float(u.dot(h))
+    if np.minimum.reduce(w) > 0.0:
+        zhat = Z / w[:, None]
+    else:  # zero rows have no direction; their zhat is 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zhat = np.where(w[:, None] > 0, Z / np.where(w[:, None] > 0, w[:, None], 1.0), 0.0)
     dZ = (w[:, None] * h[None, :] + zhat * (zh - uh)[:, None]) / S
-    return dZ.T @ X  # (e, d)
+    return dZ.T @ c.X  # (e, d)
+
+
+class _Forwards:
+    """Forward passes under one projection, one per view object, so that a
+    view occurring several times in a step is projected once. The memo holds
+    each view, so its id cannot be reused while the memo lives."""
+
+    __slots__ = ("W", "_memo")
+
+    def __init__(self, W: np.ndarray):
+        self.W = W
+        self._memo: dict[int, tuple[ViewImage, _Forward]] = {}
+
+    def __call__(self, view: ViewImage) -> _Forward:
+        hit = self._memo.get(id(view))
+        if hit is None:
+            hit = self._memo[id(view)] = (view, _forward(view.descriptors(), self.W))
+        return hit[1]
+
+    @classmethod
+    def of(cls, model: EmbeddingModel, forwards: _Forwards | None) -> _Forwards:
+        if forwards is None:
+            return cls(model.projection)
+        if forwards.W is not model.projection:
+            raise ValueError("forward passes belong to another projection")
+        return forwards
 
 
 def aggregate(view: ViewImage, model: EmbeddingModel) -> np.ndarray:
     """Unit global descriptor of a view (first basis vector when degenerate)."""
-    return _forward(view.descriptors(), model.projection)["f"]
+    return _forward(view.descriptors(), model.projection).f
 
 
 # ---------------------------------------------------------------------------
@@ -170,31 +240,36 @@ def aggregate(view: ViewImage, model: EmbeddingModel) -> np.ndarray:
 
 def _pair_term(fq: np.ndarray, fp: np.ndarray) -> float:
     d = fq - fp
-    return float(np.dot(d, d))
+    return float(d.dot(d))
 
 
 def multi_value_and_grad(
-    tuples: list[TrainingTuple], resolver: ViewResolver, model: EmbeddingModel, margin: float
+    tuples: list[TrainingTuple],
+    resolver: ViewResolver,
+    model: EmbeddingModel,
+    margin: float,
+    forwards: _Forwards | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean over the tuples of the weighted contrastive loss: each positive
-    term scaled by the tuple weight, hinges unweighted; and its dLoss/dW."""
+    term scaled by the tuple weight, hinges unweighted; and its dLoss/dW.
+    `forwards` may carry passes already made under `model.projection`."""
     if not tuples:
         raise EmptyTupleSetError("empty tuple set")
-    W = model.projection
+    fwd = _Forwards.of(model, forwards)
     k = len(tuples)
     total = 0.0
-    dW = np.zeros_like(W)
+    dW = np.zeros_like(model.projection)
     for t in tuples:
         q, p, ns = resolver.tuple_views(t)
-        cq = _forward(q.descriptors(), W)
-        cp = _forward(p.descriptors(), W)
-        fq, fp = cq["f"], cp["f"]
+        cq = fwd(q)
+        cp = fwd(p)
+        fq, fp = cq.f, cp.f
         term = t.weight * _pair_term(fq, fp)
         gq = t.weight * 2.0 * (fq - fp)
         dW += _backward(cp, -t.weight * 2.0 * (fq - fp) / k)
         for n in ns:
-            cn = _forward(n.descriptors(), W)
-            fn = cn["f"]
+            cn = fwd(n)
+            fn = cn.f
             h = margin - _pair_term(fq, fn)
             if h > 0.0:
                 term += h
@@ -228,55 +303,66 @@ def _family_views(
     return queries, positives, negatives
 
 
-def _phi_forward(caches: list[dict]) -> dict:
+class _Phi:
+    """Family-mean descriptor of one role, kept for its backward."""
+
+    __slots__ = ("members", "phi", "r", "degenerate")
+
+    def __init__(self, members, phi, r, degenerate):
+        self.members, self.phi, self.r, self.degenerate = members, phi, r, degenerate
+
+
+def _phi_forward(members: list[_Forward]) -> _Phi:
     """Mean of member descriptors, renormalized; a singleton passes through
     untouched so K=0 reduces exactly to the plain contrastive loss."""
-    if len(caches) == 1:
-        return {"caches": caches, "phi": caches[0]["f"], "singleton": True, "degenerate": False}
-    m = np.mean([c["f"] for c in caches], axis=0)
-    r = float(np.linalg.norm(m))
+    if len(members) == 1:
+        return _Phi(members, members[0].f, None, False)
+    m = np.add.reduce(np.array([c.f for c in members]), axis=0) / len(members)  # np.mean
+    r = math.sqrt(float(m.dot(m)))
     if r == 0.0:
-        phi = np.zeros_like(m)
-        phi[0] = 1.0
-        return {"caches": caches, "phi": phi, "singleton": False, "degenerate": True, "m": m, "r": r}
-    return {"caches": caches, "phi": m / r, "singleton": False, "degenerate": False, "m": m, "r": r}
+        return _Phi(members, _first_basis(m.shape[0]), r, True)
+    return _Phi(members, m / r, r, False)
 
 
-def _phi_backward(pc: dict, g: np.ndarray) -> np.ndarray:
-    if pc["singleton"]:
-        return _backward(pc["caches"][0], g)
-    if pc["degenerate"]:
-        c0 = pc["caches"][0]
-        return np.zeros((g.shape[0], c0["X"].shape[1]))
-    phi, r = pc["phi"], pc["r"]
-    gm = (g - phi * float(np.dot(phi, g))) / r
-    per_member = gm / len(pc["caches"])
-    dW = None
-    for c in pc["caches"]:
-        contrib = _backward(c, per_member)
-        dW = contrib if dW is None else dW + contrib
+def _phi_backward(pc: _Phi, g: np.ndarray) -> np.ndarray:
+    """dL/dW given dL/dphi, one member backward per occurrence, in order."""
+    if len(pc.members) == 1:
+        return _backward(pc.members[0], g)
+    if pc.degenerate:
+        return np.zeros((g.shape[0], pc.members[0].X.shape[1]))
+    phi, r = pc.phi, pc.r
+    gm = (g - phi * float(phi.dot(g))) / r
+    per_member = gm / len(pc.members)
+    dW = _backward(pc.members[0], per_member)
+    for c in pc.members[1:]:
+        dW = dW + _backward(c, per_member)
     return dW
 
 
 def aggregated_value_and_grad(
-    family: list[TrainingTuple], resolver: ViewResolver, model: EmbeddingModel, margin: float
+    family: list[TrainingTuple],
+    resolver: ViewResolver,
+    model: EmbeddingModel,
+    margin: float,
+    forwards: _Forwards | None = None,
 ) -> tuple[float, np.ndarray]:
     """Contrastive loss over the family-mean descriptors of each role, and
     its dLoss/dW. `baseline` and `swap_pi` train through a one-tuple family:
     a singleton mean is the member's own descriptor and its backward is the
     member's own backward, so the loss and gradient are exactly those of the
-    plain contrastive loss, bit for bit."""
+    plain contrastive loss, bit for bit. `forwards` may carry passes already
+    made under `model.projection`."""
     queries, positives, negatives = _family_views(family, resolver)
-    W = model.projection
-    pc_q = _phi_forward([_forward(v.descriptors(), W) for v in queries])
-    pc_p = _phi_forward([_forward(v.descriptors(), W) for v in positives])
-    phi_q, phi_p = pc_q["phi"], pc_p["phi"]
+    fwd = _Forwards.of(model, forwards)
+    pc_q = _phi_forward([fwd(v) for v in queries])
+    pc_p = _phi_forward([fwd(v) for v in positives])
+    phi_q, phi_p = pc_q.phi, pc_p.phi
     loss = _pair_term(phi_q, phi_p)
     gq = 2.0 * (phi_q - phi_p)
     dW = _phi_backward(pc_p, -2.0 * (phi_q - phi_p))
     for slot_views in negatives:
-        pc_n = _phi_forward([_forward(v.descriptors(), W) for v in slot_views])
-        phi_n = pc_n["phi"]
+        pc_n = _phi_forward([fwd(v) for v in slot_views])
+        phi_n = pc_n.phi
         h = margin - _pair_term(phi_q, phi_n)
         if h > 0.0:
             loss += h
@@ -291,64 +377,57 @@ def aggregated_value_and_grad(
 # ---------------------------------------------------------------------------
 
 
+def co_observers(landmark_sets: dict[int, frozenset[int]]) -> dict[int, frozenset[int]]:
+    """For each view id, the ids of the views whose landmark set meets its
+    own: itself included when it sees any landmark."""
+    by_landmark: dict[int, list[int]] = {}
+    for vid, landmarks in landmark_sets.items():
+        for lm in landmarks:
+            by_landmark.setdefault(lm, []).append(vid)
+    return {
+        vid: frozenset(other for lm in landmarks for other in by_landmark[lm])
+        for vid, landmarks in landmark_sets.items()
+    }
+
+
 def mine_negatives(
     query_id: int,
     positive_id: int,
     pool_ids: list[int],
-    resolver: ViewResolver,
-    model: EmbeddingModel,
+    pool_embeddings: np.ndarray,
+    query_embedding: np.ndarray,
     m: int,
-    coobs: dict[int, frozenset[int]],
-    pool_embeddings: np.ndarray | None = None,
-    query_embedding: np.ndarray | None = None,
+    observers: dict[int, frozenset[int]],
 ) -> list[int]:
     """The M pool views most similar to the query that share no landmark with
-    the query or the positive. Ties break to the lower view id."""
-    q_set = coobs[query_id]
-    p_set = coobs[positive_id]
+    the query or the positive, per the `co_observers` lookup `observers`.
+    Similarity is the dot product of a row of `pool_embeddings` (one per
+    pool id) with `query_embedding`. Ties break to the lower view id."""
+    near_q = observers[query_id]
+    near_p = observers[positive_id]
     eligible = [
         (idx, vid)
         for idx, vid in enumerate(pool_ids)
-        if not (coobs[vid] & q_set) and not (coobs[vid] & p_set)
+        if vid not in near_q and vid not in near_p
     ]
     if len(eligible) < m:
         raise InsufficientNegativesError(
             f"insufficient negatives: {len(eligible)} eligible, {m} requested"
         )
-    fq = (
-        query_embedding
-        if query_embedding is not None
-        else aggregate(resolver.view(query_id), model)
-    )
-    if pool_embeddings is None:
-        sims = [float(np.dot(aggregate(resolver.view(vid), model), fq)) for _, vid in eligible]
-    else:
-        sims = [float(np.dot(pool_embeddings[idx], fq)) for idx, _ in eligible]
+    sims = [float(pool_embeddings[idx].dot(query_embedding)) for idx, _ in eligible]
     order = sorted(range(len(eligible)), key=lambda i: (-sims[i], eligible[i][1]))
     return [eligible[i][1] for i in order[:m]]
 
 
-def build_synthetic_tuple(
-    t: TrainingTuple,
-    prompt: str,
-    variants: VariantStore,
-    score: ConsistencyScore,
-    c_tau: float,
-    threshold_mode: str = "relative",
-) -> TrainingTuple:
+def build_synthetic_tuple(t: TrainingTuple, prompt: str, weight: float) -> TrainingTuple:
     """Same-prompt substitution of the query and every negative; the positive
     is kept original and the tuple weight becomes the consistency score."""
-    if not validate_pair(score, c_tau, threshold_mode):
-        raise InvalidSyntheticPairError("invalid synthetic pair")
-    variants.get(t.query_id, prompt)  # raises MissingVariantError
-    for n in t.negative_ids:
-        variants.get(n, prompt)
     return TrainingTuple(
         query_id=t.query_id,
         positive_id=t.positive_id,
         negative_ids=list(t.negative_ids),
         prompt=prompt,
-        weight=score.value,
+        weight=weight,
     )
 
 
@@ -358,9 +437,11 @@ def synthetic_family(
     scores: ScoreStore,
     c_tau: float,
     threshold_mode: str = "relative",
-) -> list[tuple[TrainingTuple, float]]:
-    """All valid synthetic tuples for an original tuple, with their scores,
-    in prompt order."""
+) -> list[tuple[str, float]]:
+    """The prompts with a valid synthetic tuple for an original tuple, with
+    their score values, in prompt order: the pair passes `c_tau` and the
+    query and every negative have a variant under the prompt. The tuples
+    themselves are built by `sample_tuples`, only for the prompts it draws."""
     out = []
     for prompt, score in scores.for_pair(t.query_id, t.positive_id):
         if not validate_pair(score, c_tau, threshold_mode):
@@ -369,13 +450,11 @@ def synthetic_family(
             continue
         if any(not variants.has(n, prompt) for n in t.negative_ids):
             continue
-        out.append(
-            (build_synthetic_tuple(t, prompt, variants, score, c_tau, threshold_mode), score.value)
-        )
+        out.append((prompt, score.value))
     return out
 
 
-def _draw(rng: np.random.Generator, family: list[tuple[TrainingTuple, float]], sampling: str) -> int:
+def _draw(rng: np.random.Generator, family: list[tuple[str, float]], sampling: str) -> int:
     if sampling == "geometry_aware":
         inv = np.array([1.0 / max(s, 1e-12) for _, s in family])
         probs = inv / inv.sum()
@@ -385,7 +464,7 @@ def _draw(rng: np.random.Generator, family: list[tuple[TrainingTuple, float]], s
 
 def sample_tuples(
     t: TrainingTuple,
-    family: list[tuple[TrainingTuple, float]],
+    family: list[tuple[str, float]],
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> list[TrainingTuple]:
@@ -395,22 +474,21 @@ def sample_tuples(
     multi_k / aggregated_k: the original plus up to K synthetic tuples drawn
     without replacement. geometry_aware sampling draws prompts with
     probability proportional to 1/score. Falls back to the original alone
-    when no valid synthetic tuple exists.
+    when no valid synthetic tuple exists. `family` is `synthetic_family`'s
+    (prompt, score) list; a tuple is built only for each prompt drawn.
     """
     if config.mode == "baseline" or not family:
         return [t]
     if config.mode == "swap_pi":
         if rng.random() < config.swap_probability:
-            return [family[_draw(rng, family, config.sampling)][0]]
+            return [build_synthetic_tuple(t, *family[_draw(rng, family, config.sampling)])]
         return [t]
-    if config.mode in ("multi_k", "aggregated_k"):
-        chosen = [t]
-        remaining = list(family)
-        for _ in range(min(config.num_variants, len(remaining))):
-            idx = _draw(rng, remaining, config.sampling)
-            chosen.append(remaining.pop(idx)[0])
-        return chosen
-    raise ValueError(f"unknown mode {config.mode!r}")
+    chosen = [t]  # multi_k / aggregated_k
+    remaining = list(family)
+    for _ in range(min(config.num_variants, len(remaining))):
+        idx = _draw(rng, remaining, config.sampling)
+        chosen.append(build_synthetic_tuple(t, *remaining.pop(idx)))
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -432,22 +510,28 @@ def train(
     config: TrainConfig,
 ) -> tuple[EmbeddingModel, list[TraceRow]]:
     """Episodic training: per episode, sample matching pairs and a mining
-    pool, mine hard negatives with the episode-start model, build the
-    configured tuples and take one gradient step per pair. Deterministic for
-    a fixed (world, config) including the seed."""
+    pool and embed the pool with the episode-start model. Per pair, embed the
+    query with the current model, mine hard negatives against the pool
+    embeddings, build the configured tuples and take one gradient step.
+    Deterministic for a fixed (world, config) including the seed."""
     if not world.matching_pairs:
         raise ValueError("world has no matching pairs")
     if config.mode != "baseline" and (variants is None or scores is None):
         raise ValueError(f"mode {config.mode!r} needs variants and scores")
+    d = world.landmarks[0].base_descriptor.shape[0]
+    if config.embedding_dim > d:
+        raise ConfigError(
+            f"train.embedding_dim {config.embedding_dim} exceeds the descriptor dim {d}"
+        )
 
     views = {v.id: v for v in world.map_views}
     resolver = ViewResolver(views, variants)
-    coobs = {vid: v.visible_landmark_set() for vid, v in views.items()}
-    d = world.landmarks[0].base_descriptor.shape[0]
+    observers = co_observers({vid: v.visible_landmark_set() for vid, v in views.items()})
     model = init_model(d, config.embedding_dim, derive_seed(config.seed, 201))
     rng = np.random.default_rng(derive_seed(config.seed, 202))
     map_ids = sorted(views)
     use_synth = config.mode != "baseline"
+    value_and_grad = multi_value_and_grad if config.mode == "multi_k" else aggregated_value_and_grad
 
     trace: list[TraceRow] = []
     for episode in range(config.episodes):
@@ -464,10 +548,12 @@ def train(
         for pi in pair_idx:
             a, b, _ = world.matching_pairs[int(pi)]
             q_id, p_id = (a, b) if rng.random() < 0.5 else (b, a)
+            # the query's pass serves both the mining and the step below
+            forwards = _Forwards(model.projection)
             try:
                 negs = mine_negatives(
-                    q_id, p_id, pool_ids, resolver, model, config.num_negatives, coobs,
-                    pool_embeddings=pool_emb,
+                    q_id, p_id, pool_ids, pool_emb, forwards(views[q_id]).f,
+                    config.num_negatives, observers,
                 )
             except InsufficientNegativesError:
                 continue
@@ -481,10 +567,7 @@ def train(
             synth_used += sum(1 for c in chosen if c.prompt is not None)
             tuples_used += len(chosen)
 
-            value_and_grad = (
-                multi_value_and_grad if config.mode == "multi_k" else aggregated_value_and_grad
-            )
-            loss, dW = value_and_grad(chosen, resolver, model, config.margin)
+            loss, dW = value_and_grad(chosen, resolver, model, config.margin, forwards)
             if not np.isfinite(loss):
                 raise DivergedError("diverged")
             model.projection = (1.0 - lr * config.weight_decay) * model.projection - lr * dW

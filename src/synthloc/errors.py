@@ -1,4 +1,20 @@
-"""Exception types shared across the pipeline stages."""
+"""Exception types shared across the pipeline stages, and the value checks
+that config dataclasses use before raising the ValueError which the config
+loader reports as a `ConfigError`."""
+
+import math
+
+import numpy as np
+
+
+def is_integer(x) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_finite_number(x) -> bool:
+    """An integer (see `is_integer`) or a finite float."""
+    return is_integer(x) or (isinstance(x, (float, np.floating)) and math.isfinite(x))
 
 
 class SynthlocError(Exception):
@@ -27,10 +43,6 @@ class AlreadySyntheticError(SynthlocError):
 
 class InsufficientNegativesError(SynthlocError):
     """The mining pool has fewer eligible views than negatives requested."""
-
-
-class InvalidSyntheticPairError(SynthlocError):
-    """A synthetic tuple was requested for a pair that failed validation."""
 
 
 class MissingVariantError(SynthlocError):

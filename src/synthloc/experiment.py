@@ -14,7 +14,7 @@ import numpy as np
 
 from . import storage
 from .embed import EmbeddingModel, TrainConfig, average_models, train
-from .errors import ConfigError, DataError, SynthlocError
+from .errors import ConfigError, DataError, SynthlocError, is_integer
 from .geometry import MatchParams, score_world_variants
 from .index import build_index, retrieve, train_codebook
 from .localize import (
@@ -53,6 +53,17 @@ class ExperimentConfig:
     thresholds: dict = field(
         default_factory=lambda: {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
     )
+
+    def __post_init__(self) -> None:
+        if not (
+            isinstance(self.seeds, list)
+            and self.seeds
+            and all(is_integer(s) and s >= 0 for s in self.seeds)
+        ):
+            raise ValueError(f"seeds must be a non-empty list of integers >= 0, not {self.seeds!r}")
+        # cmd_train trains with the root c_tau and threshold_mode, so the
+        # train section must be valid with them too
+        replace(self.train, c_tau=self.c_tau, threshold_mode=self.threshold_mode)
 
     def accuracy_thresholds(self) -> AccuracyThresholds:
         if sorted(self.thresholds) != ["high", "low", "mid"]:

@@ -126,6 +126,9 @@ def consistency_score(
     return _survival(c_qp, c_vp, p.keypoints(), params.pixel_tol)
 
 
+THRESHOLD_MODES = ("relative", "absolute")
+
+
 def validate_pair(score: ConsistencyScore, c_tau: float, mode: str = "relative") -> bool:
     """Accept a synthetic pair when enough correspondences survive.
 

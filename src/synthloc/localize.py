@@ -4,7 +4,6 @@ accuracy metrics."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +14,8 @@ from .errors import (
     EmptyRankingError,
     InsufficientCorrespondencesError,
     NoConsensusError,
+    is_finite_number,
+    is_integer,
 )
 from .geometry import MatchParams, match_features
 from .index import RankedList
@@ -54,19 +55,13 @@ class RansacParams:
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
-        def integer(x) -> bool:
-            return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-        def real(x) -> bool:
-            return integer(x) or (isinstance(x, (float, np.floating)) and math.isfinite(x))
-
-        if not (integer(self.iterations) and self.iterations >= 1):
+        if not (is_integer(self.iterations) and self.iterations >= 1):
             raise ValueError("iterations must be an integer >= 1")
-        if not (real(self.inlier_px) and self.inlier_px > 0):
+        if not (is_finite_number(self.inlier_px) and self.inlier_px > 0):
             raise ValueError("inlier_px must be a finite number > 0")
-        if not (integer(self.min_inliers) and self.min_inliers >= 0):
+        if not (is_integer(self.min_inliers) and self.min_inliers >= 0):
             raise ValueError("min_inliers must be an integer >= 0")
-        if not (real(self.confidence) and 0 < self.confidence < 1):
+        if not (is_finite_number(self.confidence) and 0 < self.confidence < 1):
             raise ValueError("confidence must be in (0, 1)")
 
 

@@ -7,17 +7,14 @@ from synthloc.embed import (
     ViewResolver,
     aggregate,
     build_synthetic_tuple,
+    co_observers,
     init_model,
     mine_negatives,
     sample_tuples,
     synthetic_family,
     train,
 )
-from synthloc.errors import (
-    InsufficientNegativesError,
-    InvalidSyntheticPairError,
-    MissingVariantError,
-)
+from synthloc.errors import InsufficientNegativesError
 from synthloc.geometry import ConsistencyScore, ScoreStore
 from synthloc.variants import VariantStore, apply_variant, identity_shift
 
@@ -31,17 +28,20 @@ def _world_views(world):
     return {v.id: v for v in world.map_views}
 
 
+def _embed(views, ids, model):
+    return np.array([aggregate(views[vid], model) for vid in ids])
+
+
 def test_mine_negatives_brute_force(small_world):
     views = _world_views(small_world)
     coobs = {vid: v.visible_landmark_set() for vid, v in views.items()}
-    resolver = ViewResolver(views)
     model = init_model(16, 8, seed=0)
     q_id, p_id, _ = small_world.matching_pairs[0]  # pair at one street end
     pool = sorted(views)
     m = 3
-    got = mine_negatives(q_id, p_id, pool, resolver, model, m, coobs)
-
     fq = aggregate(views[q_id], model)
+    got = mine_negatives(q_id, p_id, pool, _embed(views, pool, model), fq, m, co_observers(coobs))
+
     eligible = [
         vid
         for vid in pool
@@ -55,10 +55,13 @@ def test_mine_negatives_brute_force(small_world):
 def test_mine_negatives_excludes_coobservers(small_world):
     views = _world_views(small_world)
     coobs = {vid: v.visible_landmark_set() for vid, v in views.items()}
-    resolver = ViewResolver(views)
     model = init_model(16, 8, seed=0)
     q_id, p_id, _ = small_world.matching_pairs[0]
-    negs = mine_negatives(q_id, p_id, sorted(views), resolver, model, 3, coobs)
+    pool = sorted(views)
+    negs = mine_negatives(
+        q_id, p_id, pool, _embed(views, pool, model), aggregate(views[q_id], model), 3,
+        co_observers(coobs),
+    )
     for n in negs:
         assert not (coobs[n] & coobs[q_id])
         assert not (coobs[n] & coobs[p_id])
@@ -66,16 +69,28 @@ def test_mine_negatives_excludes_coobservers(small_world):
 
 
 def test_mine_negatives_pool_exactly_m():
-    rng = np.random.default_rng(0)
     views = {i: make_view(np.random.default_rng(i), 4, 8, view_id=i) for i in range(5)}
     # disjoint landmark sets via distinct id ranges
     coobs = {0: frozenset({0, 1}), 1: frozenset({2, 3}), 2: frozenset({10}), 3: frozenset({11}), 4: frozenset({12})}
-    resolver = ViewResolver(views)
+    observers = co_observers(coobs)
     model = init_model(8, 4, seed=1)
-    got = mine_negatives(0, 1, [2, 3, 4], resolver, model, 3, coobs)
+    pool_emb, fq = _embed(views, [2, 3, 4], model), aggregate(views[0], model)
+    got = mine_negatives(0, 1, [2, 3, 4], pool_emb, fq, 3, observers)
     assert sorted(got) == [2, 3, 4]
     with pytest.raises(InsufficientNegativesError):
-        mine_negatives(0, 1, [2, 3, 4], resolver, model, 4, coobs)
+        mine_negatives(0, 1, [2, 3, 4], pool_emb, fq, 4, observers)
+
+
+def test_co_observers_equal_pairwise_intersections(small_world):
+    """The lookup holds exactly the views whose visible landmark sets meet."""
+    views = _world_views(small_world)
+    coobs = {vid: v.visible_landmark_set() for vid, v in views.items()}
+    observers = co_observers(coobs)
+    assert sorted(observers) == sorted(views)
+    for a in views:
+        assert observers[a] == frozenset(b for b in views if coobs[a] & coobs[b])
+    # a view without landmarks shares none, not even with itself
+    assert co_observers({0: frozenset(), 1: frozenset({5})}) == {0: frozenset(), 1: frozenset({1})}
 
 
 # ---------------------------------------------------------------- synthetic tuples
@@ -91,27 +106,32 @@ def _toy_setup():
 
 
 def test_build_synthetic_tuple():
-    views, variants, _ = _toy_setup()
     t = TrainingTuple(0, 1, [2, 3])
-    score = ConsistencyScore(0.85, 17, 20)
-    out = build_synthetic_tuple(t, "mild", variants, score, c_tau=0.2)
+    out = build_synthetic_tuple(t, "mild", 0.85)
     assert out.prompt == "mild"
     assert out.weight == 0.85
     assert out.query_id == 0 and out.positive_id == 1 and out.negative_ids == [2, 3]
+    assert out.negative_ids is not t.negative_ids
 
 
-def test_build_synthetic_tuple_rejects_invalid():
-    views, variants, _ = _toy_setup()
+def test_synthetic_family_rejects_invalid_score():
+    views, variants, scores = _toy_setup()
+    scores.add(0, 1, "mild", ConsistencyScore(0.0, 0, 20))
     t = TrainingTuple(0, 1, [2, 3])
-    with pytest.raises(InvalidSyntheticPairError):
-        build_synthetic_tuple(t, "mild", variants, ConsistencyScore(0.0, 0, 20), c_tau=0.2)
+    assert synthetic_family(t, variants, scores, c_tau=0.2) == []
+    assert synthetic_family(t, variants, scores, c_tau=1, threshold_mode="absolute") == []
+    assert synthetic_family(t, variants, scores, c_tau=0.0) == [("mild", 0.0)]
 
 
-def test_build_synthetic_tuple_missing_variant():
-    views, variants, _ = _toy_setup()
+def test_synthetic_family_skips_missing_variant():
+    views, variants, scores = _toy_setup()
+    scores.add(0, 1, "unknown prompt", ConsistencyScore(0.9, 18, 20))
+    scores.add(0, 1, "mild", ConsistencyScore(0.9, 18, 20))
     t = TrainingTuple(0, 1, [2, 3])
-    with pytest.raises(MissingVariantError):
-        build_synthetic_tuple(t, "unknown prompt", variants, ConsistencyScore(0.9, 18, 20), c_tau=0.2)
+    assert synthetic_family(t, variants, scores, c_tau=0.2) == [("mild", 0.9)]
+    # a negative without a variant under the prompt drops the prompt too
+    partial = VariantStore({key: v for key, v in variants.items() if key != (3, "mild")})
+    assert synthetic_family(t, partial, scores, c_tau=0.2) == []
 
 
 def test_synthetic_family_filters_by_score():
@@ -122,9 +142,9 @@ def test_synthetic_family_filters_by_score():
     scores.add(0, 1, "harsh", ConsistencyScore(0.1, 2, 20))
     t = TrainingTuple(0, 1, [2, 3])
     fam = synthetic_family(t, variants, scores, c_tau=0.2)
-    assert [f[0].prompt for f in fam] == ["mild"]
+    assert fam == [("mild", 0.9)]
     fam0 = synthetic_family(t, variants, scores, c_tau=0.0)
-    assert [f[0].prompt for f in fam0] == ["harsh", "mild"]
+    assert fam0 == [("harsh", 0.1), ("mild", 0.9)]
 
 
 def test_negative_variants_map_one_to_one(small_world, small_prompts, small_variant_store, small_scores):
@@ -133,8 +153,10 @@ def test_negative_variants_map_one_to_one(small_world, small_prompts, small_vari
     others = [v.id for v in small_world.map_views if v.id not in (a, b)][:3]
     t = TrainingTuple(a, b, others)
     prompt = "in winter"
-    score = small_scores.get(a, b, prompt)
-    out = build_synthetic_tuple(t, prompt, small_variant_store, score, c_tau=0.0)
+    assert (prompt, small_scores.get(a, b, prompt).value) in synthetic_family(
+        t, small_variant_store, small_scores, c_tau=0.0
+    )
+    out = build_synthetic_tuple(t, prompt, small_scores.get(a, b, prompt).value)
     resolver = ViewResolver(_world_views(small_world), small_variant_store)
     q, p, ns = resolver.tuple_views(out)
     assert q.condition == prompt
@@ -148,12 +170,7 @@ def test_negative_variants_map_one_to_one(small_world, small_prompts, small_vari
 
 
 def _family_with_scores(values):
-    views, variants, _ = _toy_setup()
-    fam = []
-    for i, s in enumerate(values):
-        t = TrainingTuple(0, 1, [2, 3], prompt=f"p{i}", weight=s)
-        fam.append((t, s))
-    return fam
+    return [(f"p{i}", s) for i, s in enumerate(values)]
 
 
 def test_sample_geometry_aware_probabilities():
@@ -207,6 +224,8 @@ def test_sample_multi_k_without_replacement():
         prompts = [c.prompt for c in chosen[1:]]
         assert len(prompts) == 2
         assert len(set(prompts)) == 2
+        # each drawn tuple is built with its prompt's score as weight
+        assert all(c.weight == dict(fam)[c.prompt] for c in chosen[1:])
     # K larger than family: everything used once
     cfg_big = TrainConfig(mode="multi_k", num_variants=10, c_tau=0.2)
     chosen = sample_tuples(orig, fam, cfg_big, rng)

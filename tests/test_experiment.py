@@ -179,23 +179,47 @@ def test_cli_reruns_are_byte_identical(pipeline, tmp_path):
         assert dir_digest(out) == dir_digest(ref), f"stage {stage} not reproducible"
 
 
-@pytest.mark.parametrize(
-    "section,key,value",
-    [
-        ("world", "nmu_landmarks", 10),
-        ("train", "weight_negatives", True),
-        ("ransac", "iterations", "1000"),
-        ("ransac", "iterations", 0),
-    ],
-    ids=["world.nmu_landmarks", "train.weight_negatives", "ransac.iterations-str", "ransac.iterations-0"],
-)
-def test_cli_config_error_names_key(tmp_path, capsys, section, key, value):
+BAD_VALUES = {
+    "world.nmu_landmarks": ("world", "nmu_landmarks", 10),
+    "train.weight_negatives": ("train", "weight_negatives", True),
+    "ransac.iterations-str": ("ransac", "iterations", "1000"),
+    "ransac.iterations-0": ("ransac", "iterations", 0),
+    "train.episodes-str": ("train", "episodes", "2"),
+    "train.episodes-bool": ("train", "episodes", True),
+    "train.episodes-negative": ("train", "episodes", -1),
+    "train.pairs_per_episode-0": ("train", "pairs_per_episode", 0),
+    "train.negative_pool_size-float": ("train", "negative_pool_size", 16.0),
+    "train.num_negatives-0": ("train", "num_negatives", 0),
+    "train.embedding_dim-0": ("train", "embedding_dim", 0),
+    "train.embedding_dim-above-descriptor-dim": ("train", "embedding_dim", 64),
+    "train.margin-0": ("train", "margin", 0.0),
+    "train.learning_rate-str": ("train", "learning_rate", "nan"),
+    "train.learning_rate-nan": ("train", "learning_rate", float("nan")),
+    "train.weight_decay-negative": ("train", "weight_decay", -1e-4),
+    "train.weight_decay-inf": ("train", "weight_decay", float("inf")),
+    "train.mode": ("train", "mode", "bogus"),
+    "train.sampling": ("train", "sampling", "bogus"),
+    "train.threshold_mode": ("train", "threshold_mode", "bogus"),
+    "train.c_tau-str": ("train", "c_tau", "0.2"),
+    "train.swap_probability-nan": ("train", "swap_probability", float("nan")),
+    "train.seed-negative": ("train", "seed", -1),
+    "root.threshold_mode": (None, "threshold_mode", "bogus"),
+    "root.c_tau-str": (None, "c_tau", "0.2"),
+    "root.seeds-str": (None, "seeds", ["1"]),
+    "root.seeds-empty": (None, "seeds", []),
+}
+
+
+@pytest.mark.parametrize("section,key,value", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
+def test_cli_config_error_names_key(pipeline, tmp_path, capsys, section, key, value):
+    """A bad config value exits 2 and names its key, also where only `train`
+    can see it (an embedding wider than the world's descriptors)."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({section: {key: value}}))
-    rc = main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")])
+    bad.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
+    rc = main(["train", "--config", str(bad), "--world", str(pipeline["world"]), "--out", str(tmp_path / "m")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert section in err
+    assert (section or "root") in err
     assert key in err
 
 
