@@ -15,6 +15,7 @@ training step each view object is projected once (`_Forwards`)."""
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,6 +432,31 @@ def build_synthetic_tuple(t: TrainingTuple, prompt: str, weight: float) -> Train
     )
 
 
+def synthetic_families(
+    variants: VariantStore, scores: ScoreStore, c_tau: float, threshold_mode: str = "relative"
+) -> Callable[[TrainingTuple], list[tuple[str, float]]]:
+    """`synthetic_family` for any tuple, with everything that does not depend
+    on the negatives worked out once: each (query, positive) pair's entries
+    that pass `c_tau` and have a query variant, and each view's prompts."""
+    prompts_of: dict[int, set[str]] = {}
+    for (view_id, prompt), _ in variants.items():
+        prompts_of.setdefault(view_id, set()).add(prompt)
+    by_pair: dict[tuple[int, int], list[tuple[str, float]]] = {}
+    for (q, p, prompt), score in sorted(scores.items()):
+        if prompt in prompts_of.get(q, ()) and validate_pair(score, c_tau, threshold_mode):
+            by_pair.setdefault((q, p), []).append((prompt, score.value))
+
+    def family(t: TrainingTuple) -> list[tuple[str, float]]:
+        negatives = [prompts_of.get(n, ()) for n in t.negative_ids]
+        return [
+            entry
+            for entry in by_pair.get((t.query_id, t.positive_id), [])
+            if all(entry[0] in prompts for prompts in negatives)
+        ]
+
+    return family
+
+
 def synthetic_family(
     t: TrainingTuple,
     variants: VariantStore,
@@ -442,16 +468,7 @@ def synthetic_family(
     their score values, in prompt order: the pair passes `c_tau` and the
     query and every negative have a variant under the prompt. The tuples
     themselves are built by `sample_tuples`, only for the prompts it draws."""
-    out = []
-    for prompt, score in scores.for_pair(t.query_id, t.positive_id):
-        if not validate_pair(score, c_tau, threshold_mode):
-            continue
-        if not variants.has(t.query_id, prompt):
-            continue
-        if any(not variants.has(n, prompt) for n in t.negative_ids):
-            continue
-        out.append((prompt, score.value))
-    return out
+    return synthetic_families(variants, scores, c_tau, threshold_mode)(t)
 
 
 def _draw(rng: np.random.Generator, family: list[tuple[str, float]], sampling: str) -> int:
@@ -530,7 +547,11 @@ def train(
     model = init_model(d, config.embedding_dim, derive_seed(config.seed, 201))
     rng = np.random.default_rng(derive_seed(config.seed, 202))
     map_ids = sorted(views)
-    use_synth = config.mode != "baseline"
+    families = (
+        synthetic_families(variants, scores, config.c_tau, config.threshold_mode)
+        if config.mode != "baseline"
+        else None
+    )
     value_and_grad = multi_value_and_grad if config.mode == "multi_k" else aggregated_value_and_grad
 
     trace: list[TraceRow] = []
@@ -558,11 +579,7 @@ def train(
             except InsufficientNegativesError:
                 continue
             original = TrainingTuple(query_id=q_id, positive_id=p_id, negative_ids=negs)
-            family = (
-                synthetic_family(original, variants, scores, config.c_tau, config.threshold_mode)
-                if use_synth
-                else []
-            )
+            family = families(original) if families is not None else []
             chosen = sample_tuples(original, family, config, rng)
             synth_used += sum(1 for c in chosen if c.prompt is not None)
             tuples_used += len(chosen)

@@ -1,9 +1,16 @@
 """Feature correspondence, identity-transform verification, and the geometric
-consistency score that drives variant filtering and sampling."""
+consistency score that drives variant filtering and sampling.
+
+Scoring works on arrays. Within one `score_world_variants` call the `p`-side
+arrays (descriptors, squared norms, landmark mask, keypoint neighbourhood
+matrix) are computed once per view, and each variant is matched against `p`
+with its own matmul: a GEMM stacked over the variants rounds differently, so
+the scores would no longer equal `consistency_score` bit for bit."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +38,32 @@ class ConsistencyScore:
     kept: int
     original: int
 
-    @property
-    def degenerate(self) -> bool:
-        """True when the original pair had no correspondences at all."""
-        return self.original == 0
+
+def _mutual_matches(
+    da: np.ndarray, sa: np.ndarray, db: np.ndarray, sb: np.ndarray, ratio: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (ia, ib) of the mutual-nearest-neighbour matches between
+    descriptor rows `da` and `db` that pass the two-sided ratio test; `sa`
+    and `sb` are the rows' squared norms. ia is ascending."""
+    # squared distances are enough for ordering; ratio test uses true distances
+    dist = np.sqrt(np.maximum(sa[:, None] + sb[None, :] - 2.0 * (da @ db.T), 0.0))
+    na, nb = dist.shape
+    nn_ab = dist.argmin(axis=1)
+    ia = np.flatnonzero(dist.argmin(axis=0)[nn_ab] == np.arange(na))
+    ib = nn_ab[ia]
+    # a mutual match is the minimum of its row and of its column; the
+    # runner-up of each is the minimum once the match itself is masked
+    best = dist[ia, ib]
+    keep = np.ones(ia.size, dtype=bool)
+    if nb >= 2:
+        rows = dist[ia]
+        rows[np.arange(ia.size), ib] = np.inf
+        keep &= best <= ratio * rows.min(axis=1)
+    if na >= 2:
+        cols = dist[:, ib]
+        cols[ia, np.arange(ia.size)] = np.inf
+        keep &= best <= ratio * cols.min(axis=0)
+    return ia[keep], ib[keep]
 
 
 def match_features(a: ViewImage, b: ViewImage, params: MatchParams) -> Correspondences:
@@ -46,32 +75,10 @@ def match_features(a: ViewImage, b: ViewImage, params: MatchParams) -> Correspon
     da, db = a.descriptors(), b.descriptors()
     if da.shape[0] == 0 or db.shape[0] == 0:
         raise ValueError("cannot match an empty view")
-    # squared distances are enough for ordering; ratio test uses true distances
-    d2 = np.maximum(
-        np.sum(da * da, axis=1)[:, None] + np.sum(db * db, axis=1)[None, :] - 2.0 * (da @ db.T),
-        0.0,
+    ia, ib = _mutual_matches(
+        da, np.sum(da * da, axis=1), db, np.sum(db * db, axis=1), params.ratio
     )
-    dist = np.sqrt(d2)
-
-    nn_ab = np.argmin(dist, axis=1)
-    nn_ba = np.argmin(dist, axis=0)
-
-    na, nb = dist.shape
-    if nb >= 2:
-        two = np.partition(dist, 1, axis=1)[:, :2]
-        ratio_a = two[:, 0] <= params.ratio * two[:, 1]
-    else:
-        ratio_a = np.ones(na, dtype=bool)
-    if na >= 2:
-        two = np.partition(dist, 1, axis=0)[:2, :]
-        ratio_b = two[0, :] <= params.ratio * two[1, :]
-    else:
-        ratio_b = np.ones(nb, dtype=bool)
-
-    mutual = nn_ba[nn_ab] == np.arange(na)
-    keep = mutual & ratio_a & ratio_b[nn_ab]
-    pairs = [(int(i), int(nn_ab[i])) for i in np.nonzero(keep)[0]]
-    return Correspondences(pairs=pairs)
+    return Correspondences(pairs=list(zip(ia.tolist(), ib.tolist())))
 
 
 def verify_identity(
@@ -96,20 +103,52 @@ def area_of_interest(corrs: Correspondences, a: ViewImage, b: ViewImage) -> Corr
     return Correspondences(pairs=kept, method=corrs.method)
 
 
-def _survival(
-    c_qp: Correspondences, c_vp: Correspondences, kp_p: np.ndarray, pixel_tol: float
-) -> ConsistencyScore:
-    """Survival count shared by both scorers. A (q, p) correspondence
-    survives when some (variant, p) correspondence has its p-side keypoint
-    within `pixel_tol` of its own. `c_qp` must not be empty."""
-    original = len(c_qp)
-    if not c_vp.pairs:
-        return ConsistencyScore(value=0.0, kept=0, original=original)
-    kp_qp = kp_p[[j for (_, j) in c_qp.pairs]]
-    kp_vp = kp_p[[j for (_, j) in c_vp.pairs]]
-    dist = np.linalg.norm(kp_vp[None, :, :] - kp_qp[:, None, :], axis=2)  # |c_qp| x |c_vp|
-    kept = int(np.count_nonzero(dist.min(axis=1) <= pixel_tol))
-    return ConsistencyScore(value=kept / original, kept=kept, original=original)
+class _Side(NamedTuple):
+    """What the scorer reads from a view it matches: descriptors, their
+    squared norms, the area-of-interest (landmark) mask and, for a `p` view,
+    the neighbourhood matrix, whose entry (j, k) is True when keypoints j
+    and k lie within `pixel_tol` of each other."""
+
+    desc: np.ndarray
+    sq: np.ndarray
+    aoi: np.ndarray
+    near: np.ndarray | None = None
+
+
+def _side(view: ViewImage) -> _Side:
+    desc = view.descriptors()
+    return _Side(desc, np.sum(desc * desc, axis=1), view.landmark_ids() >= 0)
+
+
+def _p_side(view: ViewImage, pixel_tol: float) -> _Side:
+    kp = view.keypoints()
+    near = np.linalg.norm(kp[None, :, :] - kp[:, None, :], axis=2) <= pixel_tol
+    return _side(view)._replace(near=near)
+
+
+def _aoi_targets(a: _Side, b: _Side, ratio: float) -> np.ndarray:
+    """b-side indices of the (a, b) matches with a landmark at both ends."""
+    ia, ib = _mutual_matches(a.desc, a.sq, b.desc, b.sq, ratio)
+    return ib[a.aoi[ia] & b.aoi[ib]]
+
+
+def _pair_scores(q: _Side, p: _Side, q_variants: list[_Side], ratio: float) -> list[ConsistencyScore]:
+    """Consistency scores of one oriented pair, one per variant of q.
+
+    The (q, p) area-of-interest correspondences are matched once. A
+    correspondence survives a variant when some (variant, p) one has its
+    p-side keypoint within `pixel_tol` of its own, read off p's
+    neighbourhood matrix."""
+    targets = _aoi_targets(q, p, ratio)
+    original = targets.size
+    if original == 0:
+        return [ConsistencyScore(value=0.0, kept=0, original=0) for _ in q_variants]
+    near = p.near[targets]
+    scores = []
+    for v in q_variants:
+        kept = int(np.count_nonzero(near[:, _aoi_targets(v, p, ratio)].any(axis=1)))
+        scores.append(ConsistencyScore(value=kept / original, kept=kept, original=original))
+    return scores
 
 
 def consistency_score(
@@ -119,11 +158,10 @@ def consistency_score(
     replacing q by its variant. Correspondences from the two matchings are
     identified through their p-side keypoints (p is the unaltered view in
     both)."""
-    c_qp = area_of_interest(match_features(q, p, params), q, p)
-    if not c_qp.pairs:
-        return ConsistencyScore(value=0.0, kept=0, original=0)
-    c_vp = area_of_interest(match_features(q_variant, p, params), q_variant, p)
-    return _survival(c_qp, c_vp, p.keypoints(), params.pixel_tol)
+    (score,) = _pair_scores(
+        _side(q), _p_side(p, params.pixel_tol), [_side(q_variant)], params.ratio
+    )
+    return score
 
 
 THRESHOLD_MODES = ("relative", "absolute")
@@ -157,22 +195,12 @@ class ScoreStore:
 
     def __init__(self) -> None:
         self._scores: dict[tuple[int, int, str], ConsistencyScore] = {}
-        self._by_pair: dict[tuple[int, int], list[str]] | None = None
 
     def add(self, query_id: int, positive_id: int, prompt: str, score: ConsistencyScore) -> None:
         self._scores[(query_id, positive_id, prompt)] = score
-        self._by_pair = None
 
     def get(self, query_id: int, positive_id: int, prompt: str) -> ConsistencyScore | None:
         return self._scores.get((query_id, positive_id, prompt))
-
-    def for_pair(self, query_id: int, positive_id: int) -> list[tuple[str, ConsistencyScore]]:
-        if self._by_pair is None:
-            self._by_pair = {}
-            for (q, p, prompt) in sorted(self._scores):
-                self._by_pair.setdefault((q, p), []).append(prompt)
-        prompts = self._by_pair.get((query_id, positive_id), [])
-        return [(prompt, self._scores[(query_id, positive_id, prompt)]) for prompt in prompts]
 
     def items(self):
         return self._scores.items()
@@ -188,23 +216,22 @@ def score_world_variants(
     prompt_names: list[str] | None = None,
 ) -> ScoreStore:
     """Consistency scores for every matching pair, both orientations, and
-    every prompt. The (q, p) correspondences are computed once per oriented
-    pair and reused across prompts."""
+    every prompt, as `consistency_score` gives them. Each view's and each
+    variant's arrays are computed once per call, and the (q, p)
+    correspondences once per oriented pair."""
     store = ScoreStore()
-    by_id = {v.id: v for v in world.map_views}
+    sides = {v.id: _p_side(v, params.pixel_tol) for v in world.map_views}
+    chosen: dict[int, tuple[list[str], list[_Side]]] = {}
     for a, b, _ in world.matching_pairs:
         for q_id, p_id in ((a, b), (b, a)):
-            q, p = by_id[q_id], by_id[p_id]
-            c_qp = area_of_interest(match_features(q, p, params), q, p)
-            kp_p = p.keypoints()
-            for variant in variants.get(q_id, []):
-                prompt = variant.condition
-                if prompt_names is not None and prompt not in prompt_names:
-                    continue
-                if not c_qp.pairs:
-                    score = ConsistencyScore(0.0, 0, 0)
-                else:
-                    c_vp = area_of_interest(match_features(variant, p, params), variant, p)
-                    score = _survival(c_qp, c_vp, kp_p, params.pixel_tol)
+            if q_id not in chosen:
+                kept = [
+                    v for v in variants.get(q_id, [])
+                    if prompt_names is None or v.condition in prompt_names
+                ]
+                chosen[q_id] = ([v.condition for v in kept], [_side(v) for v in kept])
+            prompts, q_variants = chosen[q_id]
+            scores = _pair_scores(sides[q_id], sides[p_id], q_variants, params.ratio)
+            for prompt, score in zip(prompts, scores):
                 store.add(q_id, p_id, prompt, score)
     return store

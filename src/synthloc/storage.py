@@ -53,32 +53,56 @@ def _read_lines(path: Path) -> list[str]:
 
 
 def _feature_lines(view: ViewImage) -> list[str]:
-    d = view.features[0].descriptor.shape[0]
+    d = view.descriptors().shape[1]
+    # one `%` per row: the same "%.9g" and int conversions as `fmt` and `str`
+    row = f"{F9},{F9},%d," + ",".join([F9] * d)
     lines = ["u,v,landmark_id," + ",".join(f"desc{i}" for i in range(d))]
-    for f in view.features:
-        lid = -1 if f.landmark_id is None else f.landmark_id
-        lines.append(
-            ",".join(
-                [fmt(f.keypoint[0]), fmt(f.keypoint[1]), str(lid)]
-                + [fmt(x) for x in f.descriptor]
-            )
-        )
+    for (u, v), lid, desc in zip(
+        view.keypoints().tolist(), view.landmark_ids().tolist(), view.descriptors().tolist()
+    ):
+        lines.append(row % (u, v, lid, *desc))
     return lines
 
 
-def _parse_features(lines: list[str]) -> list[LocalFeature]:
-    feats = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        lid = int(parts[2])
-        feats.append(
-            LocalFeature(
-                keypoint=np.array([float(parts[0]), float(parts[1])]),
-                descriptor=np.array([float(x) for x in parts[3:]]),
-                landmark_id=None if lid < 0 else lid,
-            )
+def _parse_features(lines: list[str], path: str | os.PathLike) -> list[LocalFeature]:
+    """Features of one `_feature_lines` file. Every row must have the
+    header's column count and finite values, and the landmark id must be an
+    integer; anything else raises DataError naming the file and line."""
+    if not lines or lines[0].count(",") < 3:
+        raise DataError(f"{path}: missing or short feature header")
+    body = lines[1:]
+    if not body:
+        raise DataError(f"{path}: no features")
+    width = lines[0].count(",") + 1
+    for lineno, ln in enumerate(body, start=2):
+        if ln.count(",") + 1 != width:
+            raise DataError(f"{path}:{lineno}: {ln.count(',') + 1} columns, header has {width}")
+    # every row has `width` values, so value k sits on line k // width + 2
+    values = ",".join(body).split(",")
+    try:
+        table = np.fromiter(map(float, values), float, len(values)).reshape(len(body), width)
+    except ValueError:
+        for k, x in enumerate(values):
+            try:
+                float(x)
+            except ValueError:
+                raise DataError(f"{path}:{k // width + 2}: {x!r} is not a number") from None
+        raise
+    for bad, what in (
+        (~np.isfinite(table).all(axis=1), "a value is not finite"),
+        (table[:, 2] != np.round(table[:, 2]), "the landmark id is not an integer"),
+    ):
+        if bad.any():
+            raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: {what}")
+    keypoints, descriptors = table[:, :2].copy(), table[:, 3:].copy()
+    return [
+        LocalFeature(
+            keypoint=keypoints[i],
+            descriptor=descriptors[i],
+            landmark_id=None if lid < 0 else lid,
         )
-    return feats
+        for i, lid in enumerate(map(int, table[:, 2].tolist()))
+    ]
 
 
 def _view_line(view: ViewImage) -> str:
@@ -162,7 +186,8 @@ def load_world(in_dir: str | os.PathLike) -> World:
             position=np.array([float(x) for x in parts[5:8]]),
         )
         condition = parts[8]
-        feats = _parse_features(_read_lines(src / "features" / f"{vid}.csv"))
+        path = src / "features" / f"{vid}.csv"
+        feats = _parse_features(_read_lines(path), path)
         view = ViewImage(id=vid, pose=pose, intrinsics=intr, features=feats, condition=condition)
         (map_views if row < n_map else query_views).append(view)
 
@@ -249,7 +274,7 @@ def load_variants(
         row = []
         for shift in prompts.shifts:
             path = src / prompt_slug(shift.name) / f"{vid}.csv"
-            feats = _parse_features(_read_lines(path))
+            feats = _parse_features(_read_lines(path), path)
             base = by_id[vid]
             row.append(
                 ViewImage(

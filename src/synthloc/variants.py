@@ -116,23 +116,27 @@ def apply_variant(view: ViewImage, shift: DomainShift, seed: int) -> ViewImage:
         raise AlreadySyntheticError("already synthetic")
     rng = np.random.default_rng(seed)
     n = len(view.features)
-    keep = rng.random(n) >= shift.dropout_rate
+    keep = np.flatnonzero(rng.random(n) >= shift.dropout_rate)
 
     d = view.features[0].descriptor.shape[0]
+    # one block holds every kept feature's draws in the order a per-feature
+    # loop would take them: d descriptor normals, then 2 keypoint normals
+    corrupt = shift.keypoint_corruption_sigma > 0.0
+    noise = rng.standard_normal((keep.size, d + 2 if corrupt else d))
+    desc = (
+        view.descriptors()[keep]
+        + shift.bias_gain * shift.descriptor_bias
+        + shift.descriptor_noise_sigma * noise[:, :d]
+    )
+    # the stacked row dot products round like the 1-D np.linalg.norm
+    desc = desc / np.sqrt(desc[:, None, :] @ desc[:, :, None])[:, 0]
     features: list[LocalFeature] = []
-    for i, feat in enumerate(view.features):
-        if not keep[i]:
-            continue
-        desc = (
-            feat.descriptor
-            + shift.bias_gain * shift.descriptor_bias
-            + shift.descriptor_noise_sigma * rng.standard_normal(d)
-        )
-        desc = desc / np.linalg.norm(desc)
+    for k, i in enumerate(keep.tolist()):
+        feat = view.features[i]
         kp = feat.keypoint
-        if shift.keypoint_corruption_sigma > 0.0:
-            kp = kp + shift.keypoint_corruption_sigma * rng.standard_normal(2)
-        features.append(LocalFeature(keypoint=kp, descriptor=desc, landmark_id=feat.landmark_id))
+        if corrupt:
+            kp = kp + shift.keypoint_corruption_sigma * noise[k, d:]
+        features.append(LocalFeature(keypoint=kp, descriptor=desc[k], landmark_id=feat.landmark_id))
 
     w, h = view.intrinsics.image_size
     for _ in range(math.ceil(shift.clutter_rate * n)):
@@ -173,14 +177,8 @@ class VariantStore:
         except KeyError:
             raise MissingVariantError(f"missing variant ({view_id}, {prompt!r})") from None
 
-    def has(self, view_id: int, prompt: str) -> bool:
-        return (view_id, prompt) in self._views
-
     def items(self):
         return self._views.items()
-
-    def prompts(self) -> list[str]:
-        return sorted({prompt for (_, prompt) in self._views})
 
 
 def generate_all_variants(world: World, prompts: PromptSet, seed: int) -> dict[int, list[ViewImage]]:

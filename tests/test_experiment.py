@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,47 @@ def test_cli_reruns_are_byte_identical(pipeline, tmp_path):
         out = tmp_path / f"rerun_{stage}"
         assert main(args + ["--out", str(out)]) == 0
         assert dir_digest(out) == dir_digest(ref), f"stage {stage} not reproducible"
+
+
+def test_cli_worldgen_and_variants_bytes_are_pinned(pipeline):
+    """Every file `worldgen` and `variants` write for TEST_CONFIG, except
+    config.reference, against sha256 digests recorded from the per-feature
+    implementation of the variants stage (generation, scoring, CSV codec)
+    that the array-at-a-time one replaced."""
+    pinned = json.loads((Path(__file__).parent / "data" / "cli_variants_sha256.json").read_text())
+    got = {}
+    for stage in ("world", "variants"):
+        for rel, digest in dir_digest(pipeline[stage]).items():
+            if Path(rel).name != "config.reference":
+                got[f"{stage}/{rel}"] = digest
+    assert got == pinned
+
+
+MALFORMED_ROWS = {
+    "short-row": (lambda parts: parts[:-1], "columns"),
+    "not-a-number": (lambda parts: parts[:3] + ["0.1x"] + parts[4:], "is not a number"),
+    "not-finite": (lambda parts: parts[:3] + ["nan"] + parts[4:], "not finite"),
+}
+
+
+@pytest.mark.parametrize("edit,reason", list(MALFORMED_ROWS.values()), ids=list(MALFORMED_ROWS))
+def test_cli_malformed_feature_csv_is_data_error(pipeline, tmp_path, capsys, edit, reason):
+    """A feature CSV row with the wrong column count, an unparsable value or
+    a non-finite value exits 3 with a message naming the file and line."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    path = world / "features" / "3.csv"
+    lines = path.read_text().splitlines()
+    lines[4] = ",".join(edit(lines[4].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(
+        ["train", "--config", pipeline["cfg"], "--world", str(world),
+         "--variants", str(pipeline["variants"]), "--out", str(tmp_path / "m")]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{path}:5:" in err
+    assert reason in err
 
 
 BAD_VALUES = {

@@ -120,3 +120,29 @@ def test_summary_roundtrip(tmp_path):
     assert loaded[0]["k"] == 1
     assert loaded[0]["high"] == 12.35  # 2-decimal fixed point
     assert loaded[0]["low"] == 100.0
+
+
+@pytest.mark.parametrize(
+    "lines, reason",
+    [
+        ([], "header"),
+        (["u,v,landmark_id"], "header"),
+        (["u,v,landmark_id,desc0"], "no features"),
+        (["u,v,landmark_id,desc0", "1,2,3,0.5", "1,2,3"], "f.csv:3: 3 columns, header has 4"),
+        (["u,v,landmark_id,desc0", "1,2,3,0.5,7"], "f.csv:2: 5 columns"),
+        (["u,v,landmark_id,desc0", "1,2,3,0.5", "1,2,x,0.5"], "f.csv:3: 'x' is not a number"),
+        (["u,v,landmark_id,desc0", "1,inf,3,0.5"], "f.csv:2: a value is not finite"),
+        (["u,v,landmark_id,desc0", "1,2,3,0.5", "1,2,3.5,0.5"], "f.csv:3: the landmark id"),
+        (["u,v,landmark_id,desc0", "1,2,3,0.5", ""], "f.csv:3: 1 columns"),
+    ],
+)
+def test_parse_features_rejects_malformed_rows(lines, reason):
+    with pytest.raises(DataError, match=reason):
+        storage._parse_features(lines, "f.csv")
+
+
+def test_parse_features_reads_clutter_and_integral_ids():
+    feats = storage._parse_features(["u,v,landmark_id,d0,d1", "1,2,-1,0.5,-0", "3,4,7.0,1e-07,2"], "f.csv")
+    assert [f.landmark_id for f in feats] == [None, 7]
+    assert feats[1].keypoint.tolist() == [3.0, 4.0]
+    assert feats[0].descriptor.tobytes() == np.array([0.5, -0.0]).tobytes()
