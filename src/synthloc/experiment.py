@@ -14,9 +14,9 @@ import numpy as np
 
 from . import storage
 from .embed import EmbeddingModel, TrainConfig, average_models, train
-from .errors import ConfigError, DataError, SynthlocError, is_integer
+from .errors import ConfigError, DataError, SynthlocError, is_finite_number, is_integer
 from .geometry import MatchParams, score_world_variants
-from .index import build_index, retrieve, train_codebook
+from .index import BACKENDS, build_index, retrieve, train_codebook
 from .localize import (
     AccuracyThresholds,
     RansacParams,
@@ -61,6 +61,24 @@ class ExperimentConfig:
             and all(is_integer(s) and s >= 0 for s in self.seeds)
         ):
             raise ValueError(f"seeds must be a non-empty list of integers >= 0, not {self.seeds!r}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {', '.join(BACKENDS)}, not {self.backend!r}")
+        for name, low in (("codebook_size", 1), ("codebook_iters", 1), ("codebook_seed", 0)):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+        if not (is_finite_number(self.asmk_alpha) and self.asmk_alpha > 0):
+            raise ValueError(f"asmk_alpha must be a finite number > 0, not {self.asmk_alpha!r}")
+        if not is_finite_number(self.asmk_sel_threshold):
+            raise ValueError(
+                f"asmk_sel_threshold must be a finite number, not {self.asmk_sel_threshold!r}"
+            )
+        if not (
+            isinstance(self.eval_ks, list)
+            and self.eval_ks
+            and all(is_integer(k) and k >= 1 for k in self.eval_ks)
+        ):
+            raise ValueError(f"eval_ks must be a non-empty list of integers >= 1, not {self.eval_ks!r}")
         # cmd_train trains with the root c_tau and threshold_mode, so the
         # train section must be valid with them too
         replace(self.train, c_tau=self.c_tau, threshold_mode=self.threshold_mode)
@@ -214,19 +232,25 @@ def cmd_evaluate(
     model = storage.load_model(model_path)
     out = Path(out_dir)
     d = world.landmarks[0].base_descriptor.shape[0]
+    if model.d != d:
+        raise DataError(
+            f"{model_path}: the model projects {model.d}-dim descriptors, the world's have {d}"
+        )
     prompts = default_prompt_set(d, config.prompt_seed)
     for cond in config.query_conditions:
         if cond not in prompts.names():
             raise ConfigError(f"unknown query condition {cond!r}")
     queries = shift_queries(world, prompts, config.query_conditions, config.variant_seed)
 
-    local_vectors = np.concatenate(
-        [v.descriptors() @ model.projection.T for v in world.map_views]
-    )
-    cb_size = min(config.codebook_size, local_vectors.shape[0])
-    codebook = train_codebook(
-        local_vectors, cb_size, config.codebook_iters, config.codebook_seed
-    )
+    codebook = None
+    if config.backend == "asmk":
+        local_vectors = np.concatenate(
+            [v.descriptors() @ model.projection.T for v in world.map_views]
+        )
+        cb_size = min(config.codebook_size, local_vectors.shape[0])
+        codebook = train_codebook(
+            local_vectors, cb_size, config.codebook_iters, config.codebook_seed
+        )
     index = build_index(world.map_views, model, codebook)
     map_poses = {v.id: v.pose for v in world.map_views}
     map_views = {v.id: v for v in world.map_views}

@@ -1,6 +1,28 @@
 """Retrieval backends: exhaustive cosine search over aggregated descriptors,
-and a simplified selective match kernel over binarized per-cell residuals of
-projected local features."""
+and a simplified selective match kernel (ASMK) over binarized per-cell
+residuals of projected local features.
+
+ASMK signatures use a dense layout. A view's signature over a C-cell codebook
+at embedding width e is a `(C, e)` int8 matrix of signs in {-1, 0, +1}. A
+cell is occupied when its row is non-zero. `build_index` stacks the map
+views into an `(n, C, e)` sign tensor with an `(n, C)` occupancy mask, the
+`(n, C)` non-zero counts per cell and the `(n,)` occupied-cell counts.
+`retrieve` then scores a query against all n views in one call of
+`_asmk_scores`, and `asmk_score(a, b)` is the same kernel on one pair.
+
+Invariant: every score is bit-identical to the per-cell sequential sum
+
+    total = 0.0
+    for each cell c occupied in both, in ascending order:
+        u = dot_c / sqrt(nnz_a,c * nnz_b,c)
+        total += sign(u) * |u| ** alpha   if u >= sel_threshold, else 0.0
+    score = total / sqrt(|A| * |B|)
+
+with integer dot products and counts, and Python's float `**`. The dot
+products and counts are exact, and `sqrt` and float64 division are
+correctly rounded. So the score is exactly symmetric, and the self-score of
+a non-empty signature is exactly 1 for any `sel_threshold <= 1`.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +35,7 @@ from .errors import CodebookMismatchError, TooFewVectorsError
 from .worldgen import ViewImage
 
 RankedList = list[tuple[int, float]]  # (view_id, score), descending score
+BACKENDS = ("global_cosine", "asmk")
 
 
 @dataclass
@@ -27,8 +50,42 @@ class Codebook:
 
 @dataclass
 class AsmkSignature:
-    cells: dict[int, np.ndarray]  # cell id -> sign vector in {-1, 0, +1}^e
+    cells: dict[int, np.ndarray]  # cell id -> sign vector in {-1, 0, +1}^e, not all zero
     dim: int
+
+    def __post_init__(self) -> None:
+        for cell, signs in self.cells.items():
+            if (
+                np.shape(signs) != (self.dim,)
+                or not np.any(signs)
+                or not np.isin(signs, (-1, 0, 1)).all()
+            ):
+                raise ValueError(f"cell {cell}: need {self.dim} signs in {{-1, 0, 1}}, not all 0")
+
+    def dense(self, cell_ids: list[int]) -> np.ndarray:
+        """`(len(cell_ids), dim)` signs, one row per listed cell."""
+        out = np.zeros((len(cell_ids), self.dim), dtype=np.int8)
+        for row, cell in enumerate(cell_ids):
+            if cell in self.cells:
+                out[row] = self.cells[cell]
+        return out
+
+
+@dataclass(frozen=True)
+class DenseSignatures:
+    """n signatures over one C-cell codebook, stacked in the dense layout."""
+
+    signs: np.ndarray  # (n, C, e) int8
+    occupied: np.ndarray  # (n, C) bool
+    nnz: np.ndarray  # (n, C) non-zero signs per cell
+    cells: np.ndarray  # (n,) occupied cells per signature
+
+    @classmethod
+    def stack(cls, signs: list[np.ndarray]) -> DenseSignatures:
+        stacked = np.stack(signs)
+        nnz = np.count_nonzero(stacked, axis=2)
+        occupied = nnz > 0
+        return cls(stacked, occupied, nnz, np.count_nonzero(occupied, axis=1))
 
 
 def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -86,29 +143,72 @@ def train_codebook(vectors: np.ndarray, c: int, iters: int = 10, seed: int = 0) 
     return Codebook(centroids=centroids, sse_trace=sse_trace)
 
 
-def asmk_aggregate(view: ViewImage, model: EmbeddingModel, codebook: Codebook) -> AsmkSignature:
-    """Per-cell binarized residual signature of a view's projected features.
-
-    Cells whose residual sum cancels to zero are dropped rather than given an
-    arbitrary sign.
-    """
+def _cell_signs(view: ViewImage, model: EmbeddingModel, codebook: Codebook) -> np.ndarray:
+    """`(C, e)` int8 signs of the per-cell residual sums of a view's
+    projected features. Cells without features, and cells whose residual sum
+    cancels to zero, keep a zero row."""
     z = view.descriptors() @ model.projection.T
     labels = _assign(z, codebook.centroids)
-    cells: dict[int, np.ndarray] = {}
+    signs = np.zeros(codebook.centroids.shape, dtype=np.int8)
+    # one residual sum per cell, over its rows in order: a vectorised sum
+    # adds in another order where e == 1, since numpy sums an (m, 1) column
+    # pairwise
     for cell in sorted(set(int(l) for l in labels)):
         residuals = z[labels == cell] - codebook.centroids[cell]
         total = residuals.sum(axis=0)
         norm = float(np.linalg.norm(total))
         if norm == 0.0:
             continue  # degenerate cancellation
-        cells[cell] = np.sign(total / norm).astype(np.int8)
-    return AsmkSignature(cells=cells, dim=model.e)
+        signs[cell] = np.sign(total / norm)
+    return signs
 
 
-def _selectivity(u: float, alpha: float, sel_threshold: float) -> float:
-    if u < sel_threshold:
-        return 0.0
-    return float(np.sign(u) * abs(u) ** alpha)
+def asmk_aggregate(view: ViewImage, model: EmbeddingModel, codebook: Codebook) -> AsmkSignature:
+    """Per-cell binarized residual signature of a view's projected features.
+
+    Cells whose residual sum cancels to zero are dropped rather than given an
+    arbitrary sign.
+    """
+    signs = _cell_signs(view, model, codebook)
+    return AsmkSignature(
+        cells={cell: signs[cell] for cell in np.flatnonzero(signs.any(axis=1)).tolist()},
+        dim=model.e,
+    )
+
+
+def _selectivity(u: np.ndarray, alpha: float, sel_threshold: float) -> np.ndarray:
+    """sign(u)·|u|^alpha where u >= sel_threshold, else 0, elementwise.
+    Python's float `**` runs once per distinct u: `np.power` rounds some
+    |u|^alpha differently."""
+    values, inverse = np.unique(u, return_inverse=True)
+    table = [
+        0.0 if x < sel_threshold else float(np.sign(x) * abs(x) ** alpha)
+        for x in values.tolist()
+    ]
+    return np.array(table, dtype=float)[inverse]
+
+
+def _asmk_scores(
+    query: np.ndarray, db: DenseSignatures, alpha: float, sel_threshold: float
+) -> np.ndarray:
+    """Scores of one `(C, e)` query signature against each signature of
+    `db`: the sum, in ascending cell order, of the selectivity-weighted
+    cosine of the shared cells' sign vectors, normalized by the geometric
+    mean of the occupied-cell counts."""
+    if query.shape != db.signs.shape[1:]:
+        raise CodebookMismatchError("codebook mismatch")
+    q_nnz = np.count_nonzero(query, axis=1)
+    shared = (q_nnz > 0) & db.occupied
+    # int64 dot products of at most e terms of +-1 cannot overflow
+    dot = np.einsum("ce,nce->nc", query, db.signs, dtype=np.int64)[shared]
+    u = dot / np.sqrt((q_nnz * db.nnz)[shared])
+    # column 0 is the 0.0 the sum starts from; cells not shared add an exact
+    # 0.0, and cumsum adds left to right
+    terms = np.zeros((len(db.cells), query.shape[0] + 1))
+    terms[:, 1:][shared] = _selectivity(u, alpha, sel_threshold)
+    total = np.cumsum(terms, axis=1)[:, -1]
+    norm = np.sqrt(np.count_nonzero(q_nnz) * db.cells)
+    return np.divide(total, norm, out=np.zeros_like(total), where=norm > 0)
 
 
 def asmk_score(
@@ -116,27 +216,16 @@ def asmk_score(
 ) -> float:
     """Sum of the selectivity-weighted cosine of shared-cell sign vectors,
     normalized by the geometric mean of the occupied-cell counts."""
-    if a.dim != b.dim:
-        raise CodebookMismatchError("codebook mismatch")
-    if not a.cells or not b.cells:
-        return 0.0
-    total = 0.0
-    # sorted shared cells and integer dot products keep the score exactly
-    # symmetric and the self-score exactly 1
-    for cell in sorted(a.cells.keys() & b.cells.keys()):
-        va, vb = a.cells[cell], b.cells[cell]
-        dot = int(np.dot(va.astype(int), vb.astype(int)))
-        nnz = np.count_nonzero(va) * np.count_nonzero(vb)
-        u = dot / float(np.sqrt(nnz))
-        total += _selectivity(u, alpha, sel_threshold)
-    return total / float(np.sqrt(len(a.cells) * len(b.cells)))
+    cells = sorted(a.cells.keys() | b.cells.keys())
+    db = DenseSignatures.stack([b.dense(cells)])
+    return float(_asmk_scores(a.dense(cells), db, alpha, sel_threshold)[0])
 
 
 @dataclass
 class RetrievalIndex:
     view_ids: list[int]
     embeddings: np.ndarray  # (n, e), unit rows
-    signatures: dict[int, AsmkSignature] | None = None
+    signatures: DenseSignatures | None = None  # in view_ids order
     codebook: Codebook | None = None
 
 
@@ -147,7 +236,7 @@ def build_index(
     emb = np.array([aggregate(v, model) for v in views])
     sigs = None
     if codebook is not None:
-        sigs = {v.id: asmk_aggregate(v, model, codebook) for v in views}
+        sigs = DenseSignatures.stack([_cell_signs(v, model, codebook) for v in views])
     return RetrievalIndex(view_ids=ids, embeddings=emb, signatures=sigs, codebook=codebook)
 
 
@@ -172,10 +261,8 @@ def retrieve(
     elif backend == "asmk":
         if index.signatures is None or index.codebook is None:
             raise ValueError("index has no match-kernel signatures")
-        sig_q = asmk_aggregate(query, model, index.codebook)
-        scores = np.array(
-            [asmk_score(sig_q, index.signatures[vid], alpha, sel_threshold) for vid in index.view_ids]
-        )
+        signs = _cell_signs(query, model, index.codebook)
+        scores = _asmk_scores(signs, index.signatures, alpha, sel_threshold)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     order = sorted(range(len(index.view_ids)), key=lambda i: (-float(scores[i]), index.view_ids[i]))

@@ -105,6 +105,17 @@ def _parse_features(lines: list[str], path: str | os.PathLike) -> list[LocalFeat
     ]
 
 
+def _load_features(path: Path, d: int) -> list[LocalFeature]:
+    """The features of one file, whose descriptors must be d-dimensional like
+    the world's landmarks."""
+    feats = _parse_features(_read_lines(path), path)
+    if feats[0].descriptor.shape[0] != d:
+        raise DataError(
+            f"{path}: {feats[0].descriptor.shape[0]}-dim descriptors, the world's have {d}"
+        )
+    return feats
+
+
 def _view_line(view: ViewImage) -> str:
     q = view.pose.rotation
     p = view.pose.position
@@ -175,6 +186,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
             )
         )
 
+    d = landmarks[0].base_descriptor.shape[0]
     n_map = int(meta["num_map_views"])
     map_views: list[ViewImage] = []
     query_views: list[ViewImage] = []
@@ -186,8 +198,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
             position=np.array([float(x) for x in parts[5:8]]),
         )
         condition = parts[8]
-        path = src / "features" / f"{vid}.csv"
-        feats = _parse_features(_read_lines(path), path)
+        feats = _load_features(src / "features" / f"{vid}.csv", d)
         view = ViewImage(id=vid, pose=pose, intrinsics=intr, features=feats, condition=condition)
         (map_views if row < n_map else query_views).append(view)
 
@@ -269,12 +280,12 @@ def load_variants(
 ) -> dict[int, list[ViewImage]]:
     src = Path(in_dir) / "features_variants"
     by_id = {v.id: v for v in world.map_views}
+    d = world.landmarks[0].base_descriptor.shape[0]
     out: dict[int, list[ViewImage]] = {}
     for vid in sorted(by_id):
         row = []
         for shift in prompts.shifts:
-            path = src / prompt_slug(shift.name) / f"{vid}.csv"
-            feats = _parse_features(_read_lines(path), path)
+            feats = _load_features(src / prompt_slug(shift.name) / f"{vid}.csv", d)
             base = by_id[vid]
             row.append(
                 ViewImage(
@@ -329,11 +340,18 @@ def save_model(model: EmbeddingModel, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> EmbeddingModel:
+    """A `save_model` file: an `e,d` header and e rows of d finite weights.
+    Anything else raises DataError naming the file."""
     lines = _read_lines(Path(path))
-    e, d = (int(x) for x in lines[0].split(","))
-    W = np.array([[float(x) for x in ln.split(",")] for ln in lines[1 : 1 + e]])
+    try:
+        e, d = (int(x) for x in lines[0].split(","))
+        W = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    except (IndexError, ValueError) as exc:
+        raise DataError(f"{path}: not a model file: {exc}") from None
     if W.shape != (e, d):
         raise DataError(f"model shape mismatch in {path}")
+    if not np.all(np.isfinite(W)):
+        raise DataError(f"{path}: model weights are not finite")
     return EmbeddingModel(projection=W)
 
 

@@ -194,6 +194,65 @@ def test_cli_worldgen_and_variants_bytes_are_pinned(pipeline):
     assert got == pinned
 
 
+def test_cli_evaluate_asmk_bytes_are_pinned(pipeline, tmp_path):
+    """rankings.csv, localization.csv and summary.csv of `evaluate` with the
+    ASMK backend for TEST_CONFIG, against sha256 digests recorded from the
+    per-cell loop kernel that the dense one replaced."""
+    cfg = tmp_path / "asmk.json"
+    cfg.write_text(json.dumps({**TEST_CONFIG, "backend": "asmk"}))
+    out = tmp_path / "eval"
+    assert main(
+        ["evaluate", "--config", str(cfg), "--world", str(pipeline["world"]),
+         "--model", str(pipeline["models"] / "model_avg.csv"), "--out", str(out)]
+    ) == 0
+    pinned = json.loads((Path(__file__).parent / "data" / "cli_evaluate_asmk_sha256.json").read_text())
+    got = {rel: digest for rel, digest in dir_digest(out).items() if rel != "config.reference"}
+    assert got == pinned
+
+
+BAD_MODELS = {
+    "not-a-number": "2,3\n1,2,x\n1,2,3\n",
+    "short": "2,3\n1,2,3\n",
+    "long": "1,3\n1,2,3\n1,2,3\n",
+    "not-finite": "2,3\n1,2,nan\n1,2,3\n",
+    "empty": "",
+    # a well-formed model for 8-dim descriptors; the world's are 16-dim
+    "wrong-dim": "2,8\n" + ",".join(["0.5"] * 8) + "\n" + ",".join(["0.25"] * 8) + "\n",
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_MODELS.values()), ids=list(BAD_MODELS))
+def test_cli_bad_model_is_data_error(pipeline, tmp_path, capsys, text):
+    """`evaluate` with a malformed model file, or one whose input dimension
+    is not the world's descriptor dimension, exits 3 naming the file."""
+    model = tmp_path / "model.csv"
+    model.write_text(text)
+    rc = main(
+        ["evaluate", "--config", pipeline["cfg"], "--world", str(pipeline["world"]),
+         "--model", str(model), "--out", str(tmp_path / "eval")]
+    )
+    assert rc == 3
+    assert str(model) in capsys.readouterr().err
+
+
+def test_cli_variants_dimension_mismatch_is_data_error(pipeline, tmp_path, capsys):
+    """A variants file whose descriptors are narrower than the world's exits
+    3 naming the file, where `train` used to fail in a matmul."""
+    variants = tmp_path / "variants"
+    shutil.copytree(pipeline["variants"], variants)
+    path = variants / "features_variants" / "at_night" / "2.csv"
+    lines = [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(
+        ["train", "--config", pipeline["cfg"], "--world", str(pipeline["world"]),
+         "--variants", str(variants), "--out", str(tmp_path / "m")]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "15-dim" in err
+
+
 MALFORMED_ROWS = {
     "short-row": (lambda parts: parts[:-1], "columns"),
     "not-a-number": (lambda parts: parts[:3] + ["0.1x"] + parts[4:], "is not a number"),
@@ -249,6 +308,19 @@ BAD_VALUES = {
     "root.c_tau-str": (None, "c_tau", "0.2"),
     "root.seeds-str": (None, "seeds", ["1"]),
     "root.seeds-empty": (None, "seeds", []),
+    "root.backend": (None, "backend", "bogus"),
+    "root.codebook_size-str": (None, "codebook_size", "3"),
+    "root.codebook_size-0": (None, "codebook_size", 0),
+    "root.codebook_iters-negative": (None, "codebook_iters", -1),
+    "root.codebook_seed-negative": (None, "codebook_seed", -1),
+    "root.asmk_alpha-negative": (None, "asmk_alpha", -1.0),
+    "root.asmk_alpha-0": (None, "asmk_alpha", 0),
+    "root.asmk_alpha-nan": (None, "asmk_alpha", float("nan")),
+    "root.asmk_sel_threshold-str": (None, "asmk_sel_threshold", "x"),
+    "root.asmk_sel_threshold-inf": (None, "asmk_sel_threshold", float("inf")),
+    "root.eval_ks-0": (None, "eval_ks", [0]),
+    "root.eval_ks-empty": (None, "eval_ks", []),
+    "root.eval_ks-str": (None, "eval_ks", "1"),
 }
 
 

@@ -6,6 +6,7 @@ from synthloc.errors import CodebookMismatchError, TooFewVectorsError
 from synthloc.index import (
     AsmkSignature,
     Codebook,
+    _selectivity,
     asmk_aggregate,
     asmk_score,
     build_index,
@@ -274,3 +275,225 @@ def test_retrieve_rejects_bad_backend(small_world):
         retrieve(small_world.map_views[0], index, model, "faiss", k=2)
     with pytest.raises(ValueError):
         retrieve(small_world.map_views[0], index, model, "global_cosine", k=0)
+
+
+# ---------------------------------------------------------------- oracle
+# Reference copies of the per-cell loop implementation that the dense ASMK
+# kernel replaced. The kernel must give the same signatures, score bits and
+# rankings.
+
+
+def ref_assign(vectors, centroids):
+    d2 = (
+        np.sum(vectors * vectors, axis=1)[:, None]
+        + np.sum(centroids * centroids, axis=1)[None, :]
+        - 2.0 * (vectors @ centroids.T)
+    )
+    return np.argmin(d2, axis=1)
+
+
+def ref_train_codebook(vectors, c, iters, seed):
+    vectors = np.asarray(vectors, dtype=float)
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((c, vectors.shape[1]))
+    centroids[0] = vectors[int(rng.integers(vectors.shape[0]))]
+    d2 = np.sum((vectors - centroids[0]) ** 2, axis=1)
+    for i in range(1, c):
+        total = float(d2.sum())
+        if total == 0.0:
+            centroids[i] = vectors[int(rng.integers(vectors.shape[0]))]
+        else:
+            r = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), r)), vectors.shape[0] - 1)
+            centroids[i] = vectors[idx]
+        d2 = np.minimum(d2, np.sum((vectors - centroids[i]) ** 2, axis=1))
+    sse_trace = []
+    for _ in range(iters):
+        labels = ref_assign(vectors, centroids)
+        for k in range(c):
+            members = vectors[labels == k]
+            if members.shape[0] == 0:
+                res = np.sum((vectors - centroids[labels]) ** 2, axis=1)
+                far = int(np.argmax(res))
+                centroids[k] = vectors[far]
+                labels[far] = k
+            else:
+                centroids[k] = members.mean(axis=0)
+        sse_trace.append(float(np.sum((vectors - centroids[ref_assign(vectors, centroids)]) ** 2)))
+    return centroids, sse_trace
+
+
+def ref_asmk_aggregate(view, model, centroids):
+    z = view.descriptors() @ model.projection.T
+    labels = ref_assign(z, centroids)
+    cells = {}
+    for cell in sorted(set(int(l) for l in labels)):
+        total = (z[labels == cell] - centroids[cell]).sum(axis=0)
+        norm = float(np.linalg.norm(total))
+        if norm == 0.0:
+            continue
+        cells[cell] = np.sign(total / norm).astype(np.int8)
+    return cells
+
+
+def ref_selectivity(u, alpha, sel_threshold):
+    if u < sel_threshold:
+        return 0.0
+    return float(np.sign(u) * abs(u) ** alpha)
+
+
+def ref_asmk_score(a, b, alpha, sel_threshold):
+    if not a or not b:
+        return 0.0
+    total = 0.0
+    for cell in sorted(a.keys() & b.keys()):
+        va, vb = a[cell], b[cell]
+        dot = int(np.dot(va.astype(int), vb.astype(int)))
+        nnz = np.count_nonzero(va) * np.count_nonzero(vb)
+        total += ref_selectivity(dot / float(np.sqrt(nnz)), alpha, sel_threshold)
+    return total / float(np.sqrt(len(a) * len(b)))
+
+
+def ref_retrieve(query, views, model, centroids, k, alpha, sel_threshold):
+    sig_q = ref_asmk_aggregate(query, model, centroids)
+    scores = [
+        ref_asmk_score(sig_q, ref_asmk_aggregate(v, model, centroids), alpha, sel_threshold)
+        for v in views
+    ]
+    order = sorted(range(len(views)), key=lambda i: (-scores[i], views[i].id))
+    return [(views[i].id, scores[i]) for i in order[:k]]
+
+
+def bits(ranked):
+    return [(vid, np.float64(s).tobytes()) for vid, s in ranked]
+
+
+def random_cells(rng, n_cells, e, max_occupied, p_zero):
+    cells = {}
+    p = [(1 - p_zero) / 2, p_zero, (1 - p_zero) / 2]
+    for cell in rng.choice(n_cells, size=int(rng.integers(0, max_occupied + 1)), replace=False):
+        vec = np.zeros(e, dtype=np.int8)
+        while not vec.any():
+            vec = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=e, p=p)
+        cells[int(cell)] = vec
+    return cells
+
+
+# alpha 1000 underflows |u|^alpha to a signed zero for every |u| < 1
+KERNEL_PARAMS = [(3.0, 0.0), (1.0, 0.0), (3.0, 0.3), (1.0, -0.4), (3.0, -1.0), (1000.0, -1.0)]
+
+
+def test_train_codebook_matches_reference():
+    rng = np.random.default_rng(20)
+    for n, e, c, iters in ((60, 4, 5, 6), (40, 8, 12, 4), (9, 3, 9, 3), (30, 1, 4, 5)):
+        vectors = rng.standard_normal((n, e))
+        # repeated rows leave clusters empty, which re-seeds them
+        vectors[n // 2 :] = vectors[0]
+        seed = int(rng.integers(100))
+        cb = train_codebook(vectors, c, iters, seed)
+        centroids, sse = ref_train_codebook(vectors, c, iters, seed)
+        assert cb.centroids.tobytes() == centroids.tobytes()
+        assert cb.sse_trace == sse
+
+
+def test_asmk_aggregate_matches_reference():
+    """Signature cells and sign bytes equal the per-cell loop's, including
+    e = 1 and a cell whose residuals cancel."""
+    rng = np.random.default_rng(21)
+    for d, e, c in ((8, 1, 3), (8, 4, 6), (32, 32, 16), (64, 64, 8)):
+        model = init_model(d, e, seed=int(rng.integers(100))) if e < d else EmbeddingModel(np.eye(d))
+        views = [make_view(rng, int(rng.integers(1, 40)), d, view_id=i) for i in range(6)]
+        vectors = np.concatenate([v.descriptors() @ model.projection.T for v in views])
+        cb = train_codebook(vectors, c, iters=4, seed=0)
+        for v in views:
+            sig = asmk_aggregate(v, model, cb)
+            want = ref_asmk_aggregate(v, model, cb.centroids)
+            assert sig.dim == e
+            assert list(sig.cells) == list(want)
+            assert all(sig.cells[k].tobytes() == want[k].tobytes() for k in want)
+
+    model = EmbeddingModel(np.eye(4, 8))
+    desc = np.zeros(8)
+    desc[0] = 1.0
+    base = make_view(rng, 3, 8)
+    feats = [LocalFeature(np.zeros(2), desc.copy()), LocalFeature(np.zeros(2), -desc.copy())]
+    feats += base.features
+    view = ViewImage(id=0, pose=base.pose, intrinsics=base.intrinsics, features=feats)
+    cb = Codebook(centroids=np.vstack([np.zeros(4), 10.0 * np.ones(4)]))
+    want = ref_asmk_aggregate(view, model, cb.centroids)
+    sig = asmk_aggregate(view, model, cb)
+    assert list(sig.cells) == list(want)
+    assert all(sig.cells[k].tobytes() == want[k].tobytes() for k in want)
+
+
+@pytest.mark.parametrize("alpha,sel_threshold", KERNEL_PARAMS)
+def test_asmk_score_matches_reference(alpha, sel_threshold):
+    """Score bits equal the per-cell sequential sum on random signatures:
+    empty, disjoint and overlapping cell sets, zero sign entries, and widths
+    up to e = 130, where an int8 dot product would wrap (an int8 product of
+    the non-zero counts already wraps from e = 12)."""
+    rng = np.random.default_rng(22)
+    for e in (1, 2, 8, 33, 64, 130):
+        for trial in range(40):
+            p_zero = 0.1 if trial % 2 else 0.0
+            a = random_cells(rng, 24, e, 20, p_zero)
+            b = random_cells(rng, 24, e, 20, p_zero)
+            disjoint = {cell + 24: vec for cell, vec in b.items()}
+            for x, y in ((a, b), (a, a), (b, a), (a, disjoint), (a, {}), ({}, {})):
+                got = asmk_score(AsmkSignature(x, e), AsmkSignature(y, e), alpha, sel_threshold)
+                want = ref_asmk_score(x, y, alpha, sel_threshold)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    one = np.ones(3, np.int8)
+    # u = -1/3 weighs -0.0 at alpha 1000, and the sum starts from +0.0
+    a, b = AsmkSignature({0: one, 5: one}, 3), AsmkSignature({5: np.int8([-1, -1, 1])}, 3)
+    assert np.float64(asmk_score(a, b, 1000.0, -1.0)).tobytes() == np.float64(0.0).tobytes()
+
+
+@pytest.mark.parametrize("alpha,sel_threshold", KERNEL_PARAMS)
+def test_retrieve_asmk_matches_reference(alpha, sel_threshold):
+    """Full rankings and score bits equal the per-pair loop's, with tied
+    scores from duplicated views broken by ascending view id."""
+    import dataclasses
+
+    rng = np.random.default_rng(23)
+    for d, e, c in ((16, 8, 12), (64, 64, 24)):
+        model = init_model(d, e, seed=1) if e < d else EmbeddingModel(np.eye(d))
+        views = [make_view(rng, int(rng.integers(3, 30)), d, view_id=i) for i in range(14)]
+        copies = ((2, 99), (5, 96), (5, 95))
+        views += [dataclasses.replace(views[i], id=vid, _arrays=None) for i, vid in copies]
+        vectors = np.concatenate([v.descriptors() @ model.projection.T for v in views])
+        cb = train_codebook(vectors, c, iters=4, seed=0)
+        index = build_index(views, model, cb)
+        queries = [views[5], make_view(rng, 25, d, view_id=500), make_view(rng, 1, d, view_id=501)]
+        for q in queries:
+            got = retrieve(q, index, model, "asmk", len(views), alpha, sel_threshold)
+            want = ref_retrieve(q, views, model, cb.centroids, len(views), alpha, sel_threshold)
+            assert bits(got) == bits(want)
+    assert [vid for vid, _ in retrieve(views[5], index, model, "asmk", 3)] == [5, 95, 96]
+
+
+@pytest.mark.parametrize("e", [8, 16, 32])
+def test_selectivity_equals_python_pow_exhaustively(e):
+    """Every cosine u = dot / sqrt(nnz_a * nnz_b) that e-dim sign vectors can
+    give, computed array-wise as the kernel does, weighted as Python's scalar
+    `**` weights it."""
+    dot, nnz_a, nnz_b = np.meshgrid(
+        np.arange(-e, e + 1), np.arange(1, e + 1), np.arange(1, e + 1), indexing="ij"
+    )
+    dot, nnz = dot.ravel(), (nnz_a * nnz_b).ravel()
+    u = dot / np.sqrt(nnz)
+    for alpha in (1.0, 3.0):
+        got = _selectivity(u, alpha, -1.0)
+        want = np.array(
+            [ref_selectivity(x / float(np.sqrt(n)), alpha, -1.0) for x, n in zip(dot.tolist(), nnz.tolist())]
+        )
+        assert got.tobytes() == want.tobytes()
+
+
+def test_asmk_signature_rejects_cells_that_are_not_sign_vectors():
+    with pytest.raises(ValueError):
+        AsmkSignature(cells={0: np.zeros(3, dtype=np.int8)}, dim=3)
+    with pytest.raises(ValueError):
+        AsmkSignature(cells={0: np.ones(2, dtype=np.int8)}, dim=3)
+    with pytest.raises(ValueError):
+        AsmkSignature(cells={0: np.array([1, 2, -1])}, dim=3)
