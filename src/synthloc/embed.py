@@ -27,7 +27,8 @@ from .errors import (
     InsufficientNegativesError,
     MismatchedTupleFamilyError,
     is_finite_number,
-    is_integer,
+    require_integer,
+    require_number,
 )
 from .geometry import THRESHOLD_MODES, ScoreStore, validate_pair
 from .variants import VariantStore
@@ -93,21 +94,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("episodes", "num_variants", "seed"):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, not {value!r}")
+            require_integer(name, getattr(self, name), 0)
         for name in ("pairs_per_episode", "negative_pool_size", "num_negatives", "embedding_dim"):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+            require_integer(name, getattr(self, name), 1)
         for name in ("margin", "learning_rate"):
-            value = getattr(self, name)
-            if not (is_finite_number(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
-        if not (is_finite_number(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be a finite number >= 0, not {self.weight_decay!r}")
-        if not is_finite_number(self.c_tau):
-            raise ValueError(f"c_tau must be a finite number, not {self.c_tau!r}")
+            require_number(name, getattr(self, name), 0, strict=True)
+        require_number("weight_decay", self.weight_decay, 0)
+        require_number("c_tau", self.c_tau)
         for name, known in (
             ("mode", MODES), ("sampling", SAMPLINGS), ("threshold_mode", THRESHOLD_MODES)
         ):

@@ -17,6 +17,21 @@ def is_finite_number(x) -> bool:
     return is_integer(x) or (isinstance(x, (float, np.floating)) and math.isfinite(x))
 
 
+def require_integer(name: str, value, low: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer >= low."""
+    if not (is_integer(value) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+
+
+def require_number(name: str, value, low: float | None = None, strict: bool = False) -> None:
+    """Raise ValueError naming `name` unless `value` is a finite number that
+    is >= low (> low if `strict`), or any finite number if low is None."""
+    if is_finite_number(value) and (low is None or value > low or (value == low and not strict)):
+        return
+    bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+    raise ValueError(f"{name} must be a finite number{bound}, not {value!r}")
+
+
 class SynthlocError(Exception):
     """Base class for all pipeline errors."""
 

@@ -14,7 +14,15 @@ import numpy as np
 
 from . import storage
 from .embed import EmbeddingModel, TrainConfig, average_models, train
-from .errors import ConfigError, DataError, SynthlocError, is_finite_number, is_integer
+from .errors import (
+    ConfigError,
+    DataError,
+    SynthlocError,
+    is_finite_number,
+    is_integer,
+    require_integer,
+    require_number,
+)
 from .geometry import MatchParams, score_world_variants
 from .index import BACKENDS, build_index, retrieve, train_codebook
 from .localize import (
@@ -27,6 +35,9 @@ from .localize import (
 )
 from .variants import VariantStore, default_prompt_set, generate_all_variants, shift_queries
 from .worldgen import RenderNoise, World, WorldConfig, derive_seed, generate_world
+
+
+LEVELS = ("high", "mid", "low")  # accuracy buckets, strict to loose
 
 
 @dataclass
@@ -55,6 +66,15 @@ class ExperimentConfig:
     )
 
     def __post_init__(self) -> None:
+        for name in ("world_seed", "prompt_seed", "variant_seed"):
+            require_integer(name, getattr(self, name), 0)
+        if not (
+            isinstance(self.query_conditions, list)
+            and all(isinstance(c, str) for c in self.query_conditions)
+        ):
+            raise ValueError(
+                f"query_conditions must be a list of prompt names, not {self.query_conditions!r}"
+            )
         if not (
             isinstance(self.seeds, list)
             and self.seeds
@@ -64,15 +84,9 @@ class ExperimentConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {', '.join(BACKENDS)}, not {self.backend!r}")
         for name, low in (("codebook_size", 1), ("codebook_iters", 1), ("codebook_seed", 0)):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= low):
-                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
-        if not (is_finite_number(self.asmk_alpha) and self.asmk_alpha > 0):
-            raise ValueError(f"asmk_alpha must be a finite number > 0, not {self.asmk_alpha!r}")
-        if not is_finite_number(self.asmk_sel_threshold):
-            raise ValueError(
-                f"asmk_sel_threshold must be a finite number, not {self.asmk_sel_threshold!r}"
-            )
+            require_integer(name, getattr(self, name), low)
+        require_number("asmk_alpha", self.asmk_alpha, 0, strict=True)
+        require_number("asmk_sel_threshold", self.asmk_sel_threshold)
         if not (
             isinstance(self.eval_ks, list)
             and self.eval_ks
@@ -82,16 +96,33 @@ class ExperimentConfig:
         # cmd_train trains with the root c_tau and threshold_mode, so the
         # train section must be valid with them too
         replace(self.train, c_tau=self.c_tau, threshold_mode=self.threshold_mode)
+        if not (
+            isinstance(self.thresholds, dict)
+            and sorted(self.thresholds) == sorted(LEVELS)
+            and all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_finite_number, pair))
+                for pair in self.thresholds.values()
+            )
+        ):
+            raise ValueError(
+                "thresholds must map exactly high, mid and low to [max translation m, "
+                f"max rotation deg] pairs of finite numbers, not {self.thresholds!r}"
+            )
+        self.accuracy_thresholds()  # raises unless strictly increasing
 
     def accuracy_thresholds(self) -> AccuracyThresholds:
-        if sorted(self.thresholds) != ["high", "low", "mid"]:
-            raise ConfigError("thresholds must define exactly high, mid and low")
         return AccuracyThresholds(
             levels=[
                 (name, float(self.thresholds[name][0]), float(self.thresholds[name][1]))
-                for name in ("high", "mid", "low")
+                for name in LEVELS
             ]
         )
+
+    def check_eval_ks(self, world: World) -> None:
+        """eval_ks may not ask for more views than the map holds."""
+        n = len(world.map_views)
+        if max(self.eval_ks) > n:
+            raise ConfigError(f"eval_ks: k = {max(self.eval_ks)} exceeds the map's {n} views")
 
 
 _NESTED = {
@@ -172,6 +203,8 @@ def write_config_reference(out_dir: str | Path) -> None:
 
 
 def cmd_worldgen(config: ExperimentConfig, out_dir: str | Path, seed: int | None = None) -> World:
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, not {seed}")
     world = generate_world(config.world, config.world_seed if seed is None else seed)
     storage.save_world(world, out_dir)
     write_config_reference(out_dir)
@@ -230,6 +263,7 @@ def cmd_evaluate(
 ) -> list[dict]:
     world = storage.load_world(world_dir)
     model = storage.load_model(model_path)
+    config.check_eval_ks(world)
     out = Path(out_dir)
     d = world.landmarks[0].base_descriptor.shape[0]
     if model.d != d:
@@ -369,6 +403,7 @@ def cmd_ablate(
     if not (world_dir / "meta.csv").exists():
         cmd_worldgen(config, world_dir)
     world = storage.load_world(world_dir)
+    config.check_eval_ks(world)
     needs_variants = any(m != "baseline" for m in methods)
     if needs_variants and not (variants_dir / "consistency.csv").exists():
         cmd_variants(world_dir, config, variants_dir)

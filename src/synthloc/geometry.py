@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import is_finite_number, require_number
 from .worldgen import ViewImage, World
 
 
@@ -21,6 +22,11 @@ from .worldgen import ViewImage, World
 class MatchParams:
     ratio: float = 0.9  # Lowe ratio, applied on both match directions
     pixel_tol: float = 2.0  # px, identity verification and score intersection key
+
+    def __post_init__(self) -> None:
+        if not (is_finite_number(self.ratio) and 0 < self.ratio <= 1):
+            raise ValueError(f"ratio must be a number in (0, 1], not {self.ratio!r}")
+        require_number("pixel_tol", self.pixel_tol, 0)
 
 
 @dataclass

@@ -15,7 +15,8 @@ from .errors import (
     InsufficientCorrespondencesError,
     NoConsensusError,
     is_finite_number,
-    is_integer,
+    require_integer,
+    require_number,
 )
 from .geometry import MatchParams, match_features
 from .index import RankedList
@@ -55,12 +56,9 @@ class RansacParams:
     confidence: float = 0.99
 
     def __post_init__(self) -> None:
-        if not (is_integer(self.iterations) and self.iterations >= 1):
-            raise ValueError("iterations must be an integer >= 1")
-        if not (is_finite_number(self.inlier_px) and self.inlier_px > 0):
-            raise ValueError("inlier_px must be a finite number > 0")
-        if not (is_integer(self.min_inliers) and self.min_inliers >= 0):
-            raise ValueError("min_inliers must be an integer >= 0")
+        require_integer("iterations", self.iterations, 1)
+        require_number("inlier_px", self.inlier_px, 0, strict=True)
+        require_integer("min_inliers", self.min_inliers, 0)
         if not (is_finite_number(self.confidence) and 0 < self.confidence < 1):
             raise ValueError("confidence must be in (0, 1)")
 
@@ -180,8 +178,9 @@ def pnp_ransac(
 
     Returns the refit pose and the inlier indices under it. Raises
     InsufficientCorrespondencesError below 6 points and NoConsensusError when
-    no hypothesis reaches min_inliers. Deterministic per seed; iterations are
-    an upper bound, with standard adaptive early termination.
+    no hypothesis reaches min_inliers, without drawing any when there are
+    fewer than min_inliers points. Deterministic per seed; iterations are an
+    upper bound, with standard adaptive early termination.
 
     Hypotheses are drawn and solved in chunks of at most _CHUNK, never more
     than the remaining budget, but the result is that of drawing, solving and
@@ -195,6 +194,8 @@ def pnp_ransac(
     n = len(corr_2d3d)
     if n < 6:
         raise InsufficientCorrespondencesError("insufficient correspondences")
+    if n < params.min_inliers:
+        raise NoConsensusError("no consensus")  # no mask can hold min_inliers
     pixels = np.array([c[0] for c in corr_2d3d], dtype=float)
     points = np.array([c[1] for c in corr_2d3d], dtype=float)
     norm_xy = (pixels - intrinsics.principal_point) / intrinsics.focal

@@ -13,14 +13,7 @@ from .embed import EmbeddingModel, TraceRow
 from .errors import DataError
 from .geometry import ConsistencyScore, ScoreStore
 from .variants import DomainShift, PromptSet
-from .worldgen import (
-    CameraIntrinsics,
-    CameraPose,
-    Landmark,
-    LocalFeature,
-    ViewImage,
-    World,
-)
+from .worldgen import CameraIntrinsics, CameraPose, Landmark, ViewImage, World
 
 F9 = "%.9g"  # world-level floats
 F17 = "%.17g"  # model weights, exact round-trip
@@ -64,15 +57,19 @@ def _feature_lines(view: ViewImage) -> list[str]:
     return lines
 
 
-def _parse_features(lines: list[str], path: str | os.PathLike) -> list[LocalFeature]:
-    """Features of one `_feature_lines` file. Every row must have the
-    header's column count and finite values, and the landmark id must be an
-    integer; anything else raises DataError naming the file and line."""
-    if not lines or lines[0].count(",") < 3:
-        raise DataError(f"{path}: missing or short feature header")
+def _parse_table(
+    lines: list[str], path: str | os.PathLike, what: str, min_width: int, id_col: int
+) -> np.ndarray:
+    """The float table of a CSV file with a header line of at least
+    `min_width` columns and one or more rows of `what`s. Every row must have
+    the header's column count and finite values, and column `id_col` must
+    hold integral landmark ids; anything else raises DataError naming the
+    file and line."""
+    if not lines or lines[0].count(",") + 1 < min_width:
+        raise DataError(f"{path}: missing or short {what} header")
     body = lines[1:]
     if not body:
-        raise DataError(f"{path}: no features")
+        raise DataError(f"{path}: no {what}s")
     width = lines[0].count(",") + 1
     for lineno, ln in enumerate(body, start=2):
         if ln.count(",") + 1 != width:
@@ -88,32 +85,31 @@ def _parse_features(lines: list[str], path: str | os.PathLike) -> list[LocalFeat
             except ValueError:
                 raise DataError(f"{path}:{k // width + 2}: {x!r} is not a number") from None
         raise
-    for bad, what in (
+    for bad, why in (
         (~np.isfinite(table).all(axis=1), "a value is not finite"),
-        (table[:, 2] != np.round(table[:, 2]), "the landmark id is not an integer"),
+        (table[:, id_col] != np.round(table[:, id_col]), "the landmark id is not an integer"),
     ):
         if bad.any():
-            raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: {what}")
-    keypoints, descriptors = table[:, :2].copy(), table[:, 3:].copy()
-    return [
-        LocalFeature(
-            keypoint=keypoints[i],
-            descriptor=descriptors[i],
-            landmark_id=None if lid < 0 else lid,
-        )
-        for i, lid in enumerate(map(int, table[:, 2].tolist()))
-    ]
+            raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: {why}")
+    return table
 
 
-def _load_features(path: Path, d: int) -> list[LocalFeature]:
-    """The features of one file, whose descriptors must be d-dimensional like
-    the world's landmarks."""
-    feats = _parse_features(_read_lines(path), path)
-    if feats[0].descriptor.shape[0] != d:
-        raise DataError(
-            f"{path}: {feats[0].descriptor.shape[0]}-dim descriptors, the world's have {d}"
-        )
-    return feats
+def _parse_features(
+    lines: list[str], path: str | os.PathLike
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keypoints, descriptors and landmark ids (-1 for clutter, as is any
+    negative id) of one `_feature_lines` file, checked by `_parse_table`."""
+    table = _parse_table(lines, path, "feature", min_width=4, id_col=2)
+    return table[:, :2], table[:, 3:], np.maximum(table[:, 2], -1).astype(int)
+
+
+def _load_features(path: Path, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The feature arrays of one file, whose descriptors must be
+    d-dimensional like the world's landmarks."""
+    kp, desc, lid = _parse_features(_read_lines(path), path)
+    if desc.shape[1] != d:
+        raise DataError(f"{path}: {desc.shape[1]}-dim descriptors, the world's have {d}")
+    return kp, desc, lid
 
 
 def _view_line(view: ViewImage) -> str:
@@ -175,16 +171,11 @@ def load_world(in_dir: str | os.PathLike) -> World:
         image_size=(int(meta["width"]), int(meta["height"])),
     )
 
-    landmarks = []
-    for ln in _read_lines(src / "landmarks.csv")[1:]:
-        parts = ln.split(",")
-        landmarks.append(
-            Landmark(
-                id=int(parts[0]),
-                position=np.array([float(x) for x in parts[1:4]]),
-                base_descriptor=np.array([float(x) for x in parts[4:]]),
-            )
-        )
+    path = src / "landmarks.csv"
+    table = _parse_table(_read_lines(path), path, "landmark", min_width=5, id_col=0)
+    landmarks = [
+        Landmark(id=int(row[0]), position=row[1:4], base_descriptor=row[4:]) for row in table
+    ]
 
     d = landmarks[0].base_descriptor.shape[0]
     n_map = int(meta["num_map_views"])
@@ -199,7 +190,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
         )
         condition = parts[8]
         feats = _load_features(src / "features" / f"{vid}.csv", d)
-        view = ViewImage(id=vid, pose=pose, intrinsics=intr, features=feats, condition=condition)
+        view = ViewImage(vid, pose, intr, *feats, condition=condition)
         (map_views if row < n_map else query_views).append(view)
 
     pairs = []
@@ -287,15 +278,7 @@ def load_variants(
         for shift in prompts.shifts:
             feats = _load_features(src / prompt_slug(shift.name) / f"{vid}.csv", d)
             base = by_id[vid]
-            row.append(
-                ViewImage(
-                    id=vid,
-                    pose=base.pose,
-                    intrinsics=base.intrinsics,
-                    features=feats,
-                    condition=shift.name,
-                )
-            )
+            row.append(ViewImage(vid, base.pose, base.intrinsics, *feats, condition=shift.name))
         out[vid] = row
     return out
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlreadySyntheticError, MissingVariantError
-from .worldgen import LocalFeature, ViewImage, World, derive_seed
+from .worldgen import ViewImage, World, derive_seed, fill_clutter
 
 # The 11 weather / season / time-of-day prompts, with severity parameters
 # per prompt: (bias_gain, descriptor_noise_sigma, dropout_rate, clutter_rate).
@@ -115,43 +115,32 @@ def apply_variant(view: ViewImage, shift: DomainShift, seed: int) -> ViewImage:
     if view.condition != "original":
         raise AlreadySyntheticError("already synthetic")
     rng = np.random.default_rng(seed)
-    n = len(view.features)
+    n = view.lid.shape[0]
     keep = np.flatnonzero(rng.random(n) >= shift.dropout_rate)
+    m = keep.size
+    n_out = m + math.ceil(shift.clutter_rate * n)
 
-    d = view.features[0].descriptor.shape[0]
+    d = view.desc.shape[1]
     # one block holds every kept feature's draws in the order a per-feature
     # loop would take them: d descriptor normals, then 2 keypoint normals
     corrupt = shift.keypoint_corruption_sigma > 0.0
-    noise = rng.standard_normal((keep.size, d + 2 if corrupt else d))
-    desc = (
-        view.descriptors()[keep]
+    noise = rng.standard_normal((m, d + 2 if corrupt else d))
+    kp = np.empty((n_out, 2))
+    desc = np.empty((n_out, d))
+    lid = np.full(n_out, -1)
+    kp[:m] = view.kp[keep]
+    if corrupt:
+        kp[:m] += shift.keypoint_corruption_sigma * noise[:, d:]
+    x = (
+        view.desc[keep]
         + shift.bias_gain * shift.descriptor_bias
         + shift.descriptor_noise_sigma * noise[:, :d]
     )
     # the stacked row dot products round like the 1-D np.linalg.norm
-    desc = desc / np.sqrt(desc[:, None, :] @ desc[:, :, None])[:, 0]
-    features: list[LocalFeature] = []
-    for k, i in enumerate(keep.tolist()):
-        feat = view.features[i]
-        kp = feat.keypoint
-        if corrupt:
-            kp = kp + shift.keypoint_corruption_sigma * noise[k, d:]
-        features.append(LocalFeature(keypoint=kp, descriptor=desc[k], landmark_id=feat.landmark_id))
-
-    w, h = view.intrinsics.image_size
-    for _ in range(math.ceil(shift.clutter_rate * n)):
-        kp = rng.uniform(0.0, [w, h])
-        desc = rng.standard_normal(d)
-        desc = desc / np.linalg.norm(desc)
-        features.append(LocalFeature(keypoint=kp, descriptor=desc, landmark_id=None))
-
-    return ViewImage(
-        id=view.id,
-        pose=view.pose,
-        intrinsics=view.intrinsics,
-        features=features,
-        condition=shift.name,
-    )
+    desc[:m] = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    lid[:m] = view.lid[keep]
+    fill_clutter(rng, kp, desc, m, view.intrinsics.image_size)
+    return ViewImage(view.id, view.pose, view.intrinsics, kp, desc, lid, condition=shift.name)
 
 
 class VariantStore:

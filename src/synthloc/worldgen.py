@@ -9,12 +9,12 @@ so the camera's +z axis is the viewing direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quats
-from .errors import DegenerateWorldError, NoVisibleLandmarksError
+from .errors import DegenerateWorldError, NoVisibleLandmarksError, require_integer, require_number
 
 
 @dataclass
@@ -60,50 +60,51 @@ class CameraIntrinsics:
 
 
 @dataclass
-class LocalFeature:
-    keypoint: np.ndarray  # (2,) pixels
-    descriptor: np.ndarray  # (d,)
-    landmark_id: int | None = None  # None for clutter
-
-
-@dataclass
 class ViewImage:
+    """One image as three row-aligned arrays over its n >= 1 features:
+    `kp` (n, 2) float pixel keypoints, `desc` (n, d) float descriptors and
+    `lid` (n,) int landmark ids, -1 for clutter.
+
+    Views are immutable once built: the arrays are made read-only, and
+    producers (rendering, variants, the CSV reader) write them once, so a
+    changed view is a new view."""
+
     id: int
     pose: CameraPose
     intrinsics: CameraIntrinsics
-    features: list[LocalFeature]
+    kp: np.ndarray
+    desc: np.ndarray
+    lid: np.ndarray
     condition: str = "original"
-    _arrays: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.features:
+        self.kp = np.asarray(self.kp, dtype=float)
+        self.desc = np.asarray(self.desc, dtype=float)
+        self.lid = np.asarray(self.lid, dtype=int)
+        n = self.lid.shape[0] if self.lid.ndim == 1 else -1
+        if n == 0:
             raise ValueError("view has no features")
-
-    # Views are treated as immutable once built; array forms are cached.
-    def _cache(self) -> dict:
-        if self._arrays is None:
-            self._arrays = {
-                "kp": np.array([f.keypoint for f in self.features], dtype=float),
-                "desc": np.array([f.descriptor for f in self.features], dtype=float),
-                "lid": np.array(
-                    [-1 if f.landmark_id is None else f.landmark_id for f in self.features],
-                    dtype=int,
-                ),
-            }
-        return self._arrays
+        d = self.desc.shape[1] if self.desc.ndim == 2 and self.desc.shape[0] == n else 0
+        if n < 0 or self.kp.shape != (n, 2) or d == 0:
+            raise ValueError(
+                f"keypoints {self.kp.shape}, descriptors {self.desc.shape} and landmark ids "
+                f"{self.lid.shape} must be (n, 2), (n, d) and (n,) with n, d >= 1"
+            )
+        for a in (self.kp, self.desc, self.lid):
+            a.flags.writeable = False
 
     def keypoints(self) -> np.ndarray:
-        return self._cache()["kp"]
+        return self.kp
 
     def descriptors(self) -> np.ndarray:
-        return self._cache()["desc"]
+        return self.desc
 
     def landmark_ids(self) -> np.ndarray:
         """Per-feature landmark id, -1 for clutter."""
-        return self._cache()["lid"]
+        return self.lid
 
     def visible_landmark_set(self) -> frozenset[int]:
-        return frozenset(int(i) for i in self.landmark_ids() if i >= 0)
+        return frozenset(self.lid[self.lid >= 0].tolist())
 
 
 @dataclass
@@ -113,8 +114,9 @@ class RenderNoise:
     clutter_count: int = 5
 
     def __post_init__(self) -> None:
-        if self.clutter_count < 0:
-            raise ValueError("clutter_count must be >= 0")
+        require_number("keypoint_sigma", self.keypoint_sigma, 0)
+        require_number("descriptor_sigma", self.descriptor_sigma, 0)
+        require_integer("clutter_count", self.clutter_count, 0)
 
 
 @dataclass
@@ -139,6 +141,26 @@ class WorldConfig:
     query_rotation_sigma_deg: float = 2.0
     min_coobs: int = 10
     noise: RenderNoise = field(default_factory=RenderNoise)
+
+    def __post_init__(self) -> None:
+        # sizes too small for a usable world are left to generate_world,
+        # which reports them as a degenerate world
+        for name in ("num_landmarks", "descriptor_dim", "num_map_views", "num_query_views", "min_visible"):
+            require_integer(name, getattr(self, name), 0)
+        for name in ("image_width", "image_height", "min_coobs"):
+            require_integer(name, getattr(self, name), 1)
+        for name in ("street_length", "focal"):
+            require_number(name, getattr(self, name), 0, strict=True)
+        for name in (
+            "lateral_min", "height_max", "heading_jitter_deg",
+            "query_translation_sigma", "query_rotation_sigma_deg",
+        ):
+            require_number(name, getattr(self, name), 0)
+        require_number("lateral_max", self.lateral_max, self.lateral_min)
+        for name in ("bend_angle_deg", "camera_height", "visibility_radius"):
+            require_number(name, getattr(self, name))
+        if not isinstance(self.noise, RenderNoise):
+            raise ValueError(f"noise must be a section of noise keys, not {self.noise!r}")
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics(
@@ -189,6 +211,21 @@ def visible_mask(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics, m
     return ok
 
 
+def fill_clutter(
+    rng: np.random.Generator,
+    kp: np.ndarray,
+    desc: np.ndarray,
+    first: int,
+    image_size: tuple[int, int],
+) -> None:
+    """Fill rows `first`.. of `kp` and `desc` with clutter, one row at a time:
+    a uniform keypoint in the image, then a random unit descriptor."""
+    for row in range(first, kp.shape[0]):
+        kp[row] = rng.uniform(0.0, image_size)
+        x = rng.standard_normal(desc.shape[1])
+        desc[row] = x / np.linalg.norm(x)
+
+
 def render_view(
     world: World,
     pose: CameraPose,
@@ -215,21 +252,18 @@ def render_view(
 
     uv, _ = project_points(points[idx], pose, intrinsics)
     d = world.landmarks[0].base_descriptor.shape[0]
-    features: list[LocalFeature] = []
+    n = idx.size + noise.clutter_count
+    kp = np.empty((n, 2))
+    desc = np.empty((n, d))
+    lid = np.full(n, -1)
+    lid[: idx.size] = idx
     for row, lm_i in enumerate(idx):
-        kp = uv[row] + noise.keypoint_sigma * rng.standard_normal(2)
-        desc = world.landmarks[lm_i].base_descriptor + noise.descriptor_sigma * rng.standard_normal(d)
-        desc = desc / np.linalg.norm(desc)
-        features.append(LocalFeature(keypoint=kp, descriptor=desc, landmark_id=int(lm_i)))
+        kp[row] = uv[row] + noise.keypoint_sigma * rng.standard_normal(2)
+        x = world.landmarks[lm_i].base_descriptor + noise.descriptor_sigma * rng.standard_normal(d)
+        desc[row] = x / np.linalg.norm(x)
 
-    w, h = intrinsics.image_size
-    for _ in range(noise.clutter_count):
-        kp = rng.uniform(0.0, [w, h])
-        desc = rng.standard_normal(d)
-        desc = desc / np.linalg.norm(desc)
-        features.append(LocalFeature(keypoint=kp, descriptor=desc, landmark_id=None))
-
-    return ViewImage(id=view_id, pose=pose, intrinsics=intrinsics, features=features)
+    fill_clutter(rng, kp, desc, idx.size, intrinsics.image_size)
+    return ViewImage(view_id, pose, intrinsics, kp, desc, lid)
 
 
 def _street_frame(config: WorldConfig, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,6 +400,3 @@ def make_matching_pairs(world: World, min_coobs: int) -> list[tuple[int, int, in
                 pairs.append((sets[a][0], sets[b][0], count))
     return pairs
 
-
-def relabel_view(view: ViewImage, view_id: int) -> ViewImage:
-    return replace(view, id=view_id, _arrays=None)

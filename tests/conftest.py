@@ -26,7 +26,6 @@ from synthloc.variants import VariantStore, default_prompt_set, generate_all_var
 from synthloc.worldgen import (
     CameraIntrinsics,
     CameraPose,
-    LocalFeature,
     ViewImage,
     WorldConfig,
     generate_world,
@@ -79,23 +78,22 @@ def make_view(rng, n_features, d, view_id=0, condition="original", n_clutter=0, 
         image_size=image_size,
     )
     pose = CameraPose(rotation=np.array([1.0, 0.0, 0.0, 0.0]), position=np.zeros(3))
-    feats = []
-    for i in range(n_features):
-        desc = rng.standard_normal(d)
-        feats.append(
-            LocalFeature(
-                keypoint=rng.uniform([0, 0], image_size),
-                descriptor=desc / np.linalg.norm(desc),
-                landmark_id=i,
-            )
-        )
-    for _ in range(n_clutter):
-        desc = rng.standard_normal(d)
-        feats.append(
-            LocalFeature(
-                keypoint=rng.uniform([0, 0], image_size),
-                descriptor=desc / np.linalg.norm(desc),
-                landmark_id=None,
-            )
-        )
-    return ViewImage(id=view_id, pose=pose, intrinsics=intr, features=feats, condition=condition)
+    n = n_features + n_clutter
+    kp = np.empty((n, 2))
+    desc = np.empty((n, d))
+    for i in range(n):
+        x = rng.standard_normal(d)
+        kp[i] = rng.uniform([0, 0], image_size)
+        desc[i] = x / np.linalg.norm(x)
+    lid = np.where(np.arange(n) < n_features, np.arange(n), -1)
+    return ViewImage(view_id, pose, intr, kp, desc, lid, condition=condition)
+
+
+def perturbed(rng, desc, sigma):
+    """The rows of `desc` plus N(0, sigma^2) noise, each renormalised to unit
+    norm; drawn and rounded one row at a time."""
+    out = np.empty_like(desc)
+    for i, row in enumerate(desc):
+        x = row + sigma * rng.standard_normal(desc.shape[1])
+        out[i] = x / np.linalg.norm(x)
+    return out

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, each at its stated tolerance.
 A per-criterion PASS/FAIL summary is printed at the end of the session."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -61,7 +62,7 @@ from synthloc.worldgen import (
 )
 from synthloc import quats
 
-from conftest import make_view
+from conftest import make_view, perturbed
 
 
 # ------------------------------------------------------------------ helpers
@@ -192,11 +193,8 @@ def test_criterion_3_consistency_extremes_and_oracle():
     def paired_views(rng, n=50, d=16, noise=0.01):
         q = make_view(rng, n, d, view_id=0, n_clutter=4)
         p = make_view(rng, n, d, view_id=1, n_clutter=4)
-        for i in range(n):
-            desc = q.features[i].descriptor + noise * rng.standard_normal(d)
-            p.features[i].descriptor = desc / np.linalg.norm(desc)
-        p._arrays = None
-        return q, p
+        desc = np.vstack([perturbed(rng, q.desc[:n], noise), p.desc[n:]])
+        return q, dataclasses.replace(p, desc=desc)
 
     rng = np.random.default_rng(303)
     q, p = paired_views(rng)

@@ -15,7 +15,7 @@ from synthloc.embed import (
     multi_value_and_grad,
 )
 from synthloc.variants import VariantStore
-from synthloc.worldgen import LocalFeature, ViewImage
+from synthloc.worldgen import ViewImage
 
 from conftest import make_view
 
@@ -181,13 +181,8 @@ def family_of(rng, k, m):
 
 
 def view_of(view_id, descriptors, condition="original"):
-    return ViewImage(
-        id=view_id,
-        pose=None,
-        intrinsics=None,
-        features=[LocalFeature(np.zeros(2), np.asarray(x, dtype=float)) for x in descriptors],
-        condition=condition,
-    )
+    n = len(descriptors)
+    return ViewImage(view_id, None, None, np.zeros((n, 2)), descriptors, np.full(n, -1), condition=condition)
 
 
 # ---------------------------------------------------------------- tests

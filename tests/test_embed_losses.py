@@ -13,7 +13,7 @@ from synthloc.embed import (
 )
 from synthloc.errors import EmptyTupleSetError, MismatchedTupleFamilyError
 from synthloc.variants import VariantStore, apply_variant, identity_shift
-from synthloc.worldgen import LocalFeature, ViewImage
+from synthloc.worldgen import ViewImage
 
 from conftest import make_view
 
@@ -41,19 +41,14 @@ def test_aggregate_single_feature():
     view = make_view(rng, 1, 8)
     W = rng.standard_normal((4, 8))
     f = aggregate(view, EmbeddingModel(W))
-    expected = unit(W @ view.features[0].descriptor)
+    expected = unit(W @ view.desc[0])
     assert np.allclose(f, expected, atol=1e-12)
 
 
 def test_aggregate_duplicate_features_idempotent():
     rng = np.random.default_rng(1)
     view = make_view(rng, 1, 8)
-    twice = ViewImage(
-        id=9,
-        pose=view.pose,
-        intrinsics=view.intrinsics,
-        features=[view.features[0], view.features[0]],
-    )
+    twice = ViewImage(9, view.pose, view.intrinsics, view.kp[[0, 0]], view.desc[[0, 0]], view.lid[[0, 0]])
     W = rng.standard_normal((4, 8))
     model = EmbeddingModel(W)
     assert np.allclose(aggregate(view, model), aggregate(twice, model), atol=1e-12)
@@ -64,7 +59,7 @@ def test_aggregate_norm_weighted_mean_hand_computed():
     rng = np.random.default_rng(2)
     view = make_view(rng, 5, 6)
     W = np.eye(3, 6)  # identity truncation
-    zs = [W @ f.descriptor for f in view.features]
+    zs = [W @ x for x in view.desc]
     ws = [np.linalg.norm(z) for z in zs]
     u = sum(w * z for w, z in zip(ws, zs)) / sum(ws)
     expected = u / np.linalg.norm(u)
@@ -82,12 +77,7 @@ def test_aggregate_degenerate_zero_matrix():
 def test_aggregate_feature_order_invariance():
     rng = np.random.default_rng(4)
     view = make_view(rng, 8, 8)
-    shuffled = ViewImage(
-        id=10,
-        pose=view.pose,
-        intrinsics=view.intrinsics,
-        features=list(reversed(view.features)),
-    )
+    shuffled = ViewImage(10, view.pose, view.intrinsics, view.kp[::-1], view.desc[::-1], view.lid[::-1])
     W = rng.standard_normal((4, 8))
     model = EmbeddingModel(W)
     assert np.allclose(aggregate(view, model), aggregate(shuffled, model), atol=1e-12)
@@ -126,12 +116,7 @@ class FixedEmbeddingResolver:
 
     def tuple_views(self, t):
         def view_for(vec, vid):
-            return ViewImage(
-                id=vid,
-                pose=None.__class__ and _POSE,
-                intrinsics=_INTR,
-                features=[LocalFeature(keypoint=np.zeros(2), descriptor=np.asarray(vec, float))],
-            )
+            return ViewImage(vid, _POSE, _INTR, np.zeros((1, 2)), [np.asarray(vec, float)], [-1])
 
         q = view_for(self.embeddings[t.query_id], t.query_id)
         p = view_for(self.embeddings[t.positive_id], t.positive_id)
@@ -340,7 +325,7 @@ def test_gradient_zero_when_loss_flat():
     cancels and hinge contributes nothing."""
     rng = np.random.default_rng(14)
     q = make_view(rng, 4, 8, view_id=0)
-    p = ViewImage(id=1, pose=q.pose, intrinsics=q.intrinsics, features=q.features)
+    p = ViewImage(1, q.pose, q.intrinsics, q.kp, q.desc, q.lid)
     n = make_view(rng, 4, 8, view_id=2)
     res = ViewResolver({0: q, 1: p, 2: n})
     W = rng.standard_normal((4, 8))
@@ -383,7 +368,7 @@ def test_diagnostics_identical_embeddings():
 
     rng = np.random.default_rng(18)
     view = make_view(rng, 3, 8, view_id=0)
-    clone = dataclasses.replace(view, condition="same", _arrays=None)
+    clone = dataclasses.replace(view, condition="same")
     variants = VariantStore()
     variants.add(0, clone)
     model = EmbeddingModel(rng.standard_normal((4, 8)))
@@ -396,18 +381,11 @@ def test_diagnostics_antipodal_pair():
     """Two antipodal unit embeddings: uniformity = -t * 4 = -8 for t=2."""
     e1 = np.array([1.0, 0.0])
     views = {}
-    v0 = ViewImage(
-        id=0, pose=_POSE, intrinsics=_INTR,
-        features=[LocalFeature(np.zeros(2), np.array([1.0, 0.0]))],
-    )
+    v0 = ViewImage(0, _POSE, _INTR, np.zeros((1, 2)), [[1.0, 0.0]], [-1])
     variants = VariantStore()
     variants.add(
         0,
-        ViewImage(
-            id=0, pose=_POSE, intrinsics=_INTR,
-            features=[LocalFeature(np.zeros(2), np.array([-1.0, 0.0]))],
-            condition="flip",
-        ),
+        ViewImage(0, _POSE, _INTR, np.zeros((1, 2)), [[-1.0, 0.0]], [-1], condition="flip"),
     )
     model = EmbeddingModel(np.eye(2))
     alignment, uniformity = feature_diagnostics([v0], variants, model)

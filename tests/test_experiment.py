@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,33 @@ def test_cli_evaluate_asmk_bytes_are_pinned(pipeline, tmp_path):
     assert got == pinned
 
 
+def test_cli_train_and_cosine_evaluate_bytes_are_pinned(pipeline, tmp_path):
+    """Every model_*.csv and trace_*.csv that `train` writes for TEST_CONFIG
+    (swap_pi, uniform) and for its multi_k / geometry_aware variant, and the
+    files of the cosine-backend `evaluate`, against sha256 digests recorded
+    from the views built of one object per feature, which array-backed views
+    replaced."""
+    cfg = tmp_path / "multi_k.json"
+    train = {**TEST_CONFIG["train"], "mode": "multi_k", "sampling": "geometry_aware"}
+    cfg.write_text(json.dumps({**TEST_CONFIG, "train": train}))
+    models = tmp_path / "models"
+    assert main(
+        ["train", "--config", str(cfg), "--world", str(pipeline["world"]),
+         "--variants", str(pipeline["variants"]), "--out", str(models)]
+    ) == 0
+    pinned = json.loads((Path(__file__).parent / "data" / "cli_train_evaluate_sha256.json").read_text())
+    got = {}
+    for name, root in (
+        ("train", pipeline["models"]),
+        ("train_multi_k_geometry_aware", models),
+        ("evaluate", pipeline["eval"]),
+    ):
+        for rel, digest in dir_digest(root).items():
+            if rel != "config.reference":
+                got[f"{name}/{rel}"] = digest
+    assert got == pinned
+
+
 BAD_MODELS = {
     "not-a-number": "2,3\n1,2,x\n1,2,3\n",
     "short": "2,3\n1,2,3\n",
@@ -280,6 +308,28 @@ def test_cli_malformed_feature_csv_is_data_error(pipeline, tmp_path, capsys, edi
     assert reason in err
 
 
+@pytest.mark.parametrize("command", ["variants", "evaluate"])
+def test_cli_nan_landmark_is_data_error(pipeline, tmp_path, capsys, command):
+    """A `nan` landmark coordinate exits 3 naming landmarks.csv and the line,
+    where `variants` and `evaluate` used to run on it and exit 0."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    path = world / "landmarks.csv"
+    lines = path.read_text().splitlines()
+    parts = lines[7].split(",")
+    parts[2] = "nan"
+    lines[7] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    args = {
+        "variants": ["--world", str(world)],
+        "evaluate": ["--world", str(world), "--model", str(pipeline["models"] / "model_avg.csv")],
+    }[command]
+    rc = main([command, "--config", pipeline["cfg"], *args, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{path}:8: a value is not finite" in err
+
+
 BAD_VALUES = {
     "world.nmu_landmarks": ("world", "nmu_landmarks", 10),
     "train.weight_negatives": ("train", "weight_negatives", True),
@@ -321,6 +371,48 @@ BAD_VALUES = {
     "root.eval_ks-0": (None, "eval_ks", [0]),
     "root.eval_ks-empty": (None, "eval_ks", []),
     "root.eval_ks-str": (None, "eval_ks", "1"),
+    "root.world_seed-negative": (None, "world_seed", -1),
+    "root.world_seed-str": (None, "world_seed", "7"),
+    "root.prompt_seed-float": (None, "prompt_seed", 1.5),
+    "root.variant_seed-negative": (None, "variant_seed", -2),
+    "root.query_conditions-str": (None, "query_conditions", "at night"),
+    "world.num_landmarks-str": ("world", "num_landmarks", "5"),
+    "world.num_map_views-float": ("world", "num_map_views", 16.0),
+    "world.image_width-0": ("world", "image_width", 0),
+    "world.min_coobs-0": ("world", "min_coobs", 0),
+    "world.focal-0": ("world", "focal", 0.0),
+    "world.street_length-nan": ("world", "street_length", float("nan")),
+    "world.lateral_max-below-lateral_min": ("world", "lateral_max", 5.0),
+    "world.heading_jitter_deg-negative": ("world", "heading_jitter_deg", -1.0),
+    "world.noise-not-a-section": ("world", "noise", 3),
+    "match.pixel_tol-negative": ("match", "pixel_tol", -1),
+    "match.pixel_tol-str": ("match", "pixel_tol", "2"),
+    "match.ratio-0": ("match", "ratio", 0),
+    "match.ratio-above-1": ("match", "ratio", 1.5),
+    "match.ratio-nan": ("match", "ratio", float("nan")),
+    "root.thresholds-short-pair": (
+        None, "thresholds", {"high": [0.25], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
+    ),
+    "root.thresholds-missing-level": (None, "thresholds", {"high": [0.1, 1.0]}),
+    "root.thresholds-extra-level": (
+        None, "thresholds", {"high": [0.25, 2], "mid": [0.5, 5], "low": [5, 10], "top": [1, 1]}
+    ),
+    "root.thresholds-not-finite": (
+        None, "thresholds", {"high": [0.25, float("inf")], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
+    ),
+    "root.thresholds-str": (
+        None, "thresholds", {"high": ["0.25", 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
+    ),
+    "root.thresholds-not-increasing": (
+        None, "thresholds", {"high": [0.25, 2.0], "mid": [0.25, 5.0], "low": [5.0, 10.0]}
+    ),
+}
+
+BAD_NOISE = {
+    "keypoint_sigma-negative": ("keypoint_sigma", -0.1),
+    "descriptor_sigma-str": ("descriptor_sigma", "0.05"),
+    "clutter_count-float": ("clutter_count", 5.0),
+    "clutter_count-negative": ("clutter_count", -1),
 }
 
 
@@ -337,6 +429,45 @@ def test_cli_config_error_names_key(pipeline, tmp_path, capsys, section, key, va
     assert key in err
 
 
+@pytest.mark.parametrize("key,value", list(BAD_NOISE.values()), ids=list(BAD_NOISE))
+def test_cli_noise_config_error_names_key(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"world": {"noise": {key: value}}}))
+    assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert "world.noise" in err
+    assert key in err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"eval_ks": [1, 40]},
+        {"thresholds": {"high": [0.25], "mid": [0.5, 5.0], "low": [5.0, 10.0]}},
+    ],
+    ids=["eval_ks-above-map-size", "thresholds-short-pair"],
+)
+def test_cli_evaluate_config_error_writes_nothing(pipeline, tmp_path, capsys, override):
+    """`evaluate` with k larger than the 16-view map, or with a malformed
+    accuracy threshold, exits 2 naming the key before it writes any file
+    (it used to exit 0 with k=40 rows, or fail with an IndexError after
+    writing rankings.csv)."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**TEST_CONFIG, **override}))
+    out = tmp_path / "eval"
+    rc = main(
+        ["evaluate", "--config", str(cfg), "--world", str(pipeline["world"]),
+         "--model", str(pipeline["models"] / "model_avg.csv"), "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert next(iter(override)) in err
+    if "eval_ks" in override:
+        assert "16 views" in err
+    assert not out.exists()
+
+
 def test_cli_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -347,6 +478,12 @@ def test_cli_missing_world_is_data_error(tmp_path):
     cfg = write_config(tmp_path)
     rc = main(["variants", "--config", cfg, "--world", str(tmp_path / "missing"), "--out", str(tmp_path / "v")])
     assert rc == 3
+
+
+def test_cli_negative_worldgen_seed_is_config_error(tmp_path, capsys):
+    assert main(["worldgen", "--seed", "-1", "--out", str(tmp_path / "w")]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def test_cli_degenerate_world_is_config_error(tmp_path):
@@ -378,9 +515,8 @@ def test_load_config_defaults():
 def test_config_custom_thresholds():
     cfg = config_from_dict({"thresholds": {"high": [0.1, 1.0], "mid": [1.0, 4.0], "low": [8.0, 20.0]}})
     assert cfg.accuracy_thresholds().levels == [("high", 0.1, 1.0), ("mid", 1.0, 4.0), ("low", 8.0, 20.0)]
-    bad = config_from_dict({"thresholds": {"high": [0.1, 1.0]}})
-    with pytest.raises(ConfigError):
-        bad.accuracy_thresholds()
+    with pytest.raises(ConfigError, match="thresholds"):
+        config_from_dict({"thresholds": {"high": [0.1, 1.0]}})
 
 
 def test_ablate_small_grid(tmp_path):
@@ -435,7 +571,7 @@ def test_train_baseline_ignores_variants(tmp_path, pipeline):
 def test_evaluate_self_queries_perfect_sfm(tmp_path):
     """Map views used as zero-noise queries localize at 100% on every level
     under the PnP protocol."""
-    from synthloc.worldgen import RenderNoise, World, WorldConfig, generate_world, relabel_view
+    from synthloc.worldgen import RenderNoise, World, WorldConfig, generate_world
 
     cfg = config_from_dict(TEST_CONFIG)
     wcfg = WorldConfig(
@@ -444,7 +580,7 @@ def test_evaluate_self_queries_perfect_sfm(tmp_path):
     )
     world = generate_world(wcfg, seed=5)
     next_id = max(v.id for v in world.map_views + world.query_views) + 1
-    self_queries = [relabel_view(v, next_id + i) for i, v in enumerate(world.map_views)]
+    self_queries = [replace(v, id=next_id + i) for i, v in enumerate(world.map_views)]
     world = World(
         landmarks=world.landmarks, map_views=world.map_views, query_views=self_queries,
         matching_pairs=world.matching_pairs, seed=world.seed,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from synthloc.geometry import (
 )
 from synthloc.variants import apply_variant, default_prompt_set, identity_shift
 
-from conftest import make_view
+from conftest import make_view, perturbed
 from test_variants import binom_interval
 
 
@@ -80,9 +82,7 @@ def test_verify_identity_trivial_and_shifted():
     assert kept.pairs == corrs.pairs
 
     far = apply_variant(view, identity_shift("far", 8), seed=0)
-    for f in far.features:
-        f.keypoint = f.keypoint + np.array([20.0, 0.0])
-    far._arrays = None
+    far = dataclasses.replace(far, kp=far.kp + np.array([20.0, 0.0]))
     corrs = match_features(view, far, MatchParams())
     assert verify_identity(corrs, view, far, pixel_tol=2.0).pairs == []
 
@@ -92,9 +92,7 @@ def test_verify_identity_mixed_equals_thresholding():
     view = make_view(rng, 30, 8)
     moved = apply_variant(view, identity_shift("mix", 8), seed=0)
     shifts = rng.uniform(0, 4, size=30)
-    for f, s in zip(moved.features, shifts):
-        f.keypoint = f.keypoint + np.array([s, 0.0])
-    moved._arrays = None
+    moved = dataclasses.replace(moved, kp=moved.kp + np.column_stack([shifts, np.zeros(30)]))
     corrs = match_features(view, moved, MatchParams())
     kept = verify_identity(corrs, view, moved, pixel_tol=2.0)
     expected = [
@@ -110,11 +108,7 @@ def _paired_views(rng, n, d, desc_noise=0.01):
     """A (q, p) pair observing the same landmarks with noisy descriptors."""
     q = make_view(rng, n, d, view_id=0)
     p = make_view(rng, n, d, view_id=1)
-    for i, f in enumerate(p.features):
-        f.descriptor = q.features[i].descriptor + desc_noise * rng.standard_normal(d)
-        f.descriptor /= np.linalg.norm(f.descriptor)
-    p._arrays = None
-    return q, p
+    return q, dataclasses.replace(p, desc=perturbed(rng, q.desc, desc_noise))
 
 
 def test_consistency_identity_exact_one():

@@ -13,7 +13,7 @@ from synthloc.index import (
     retrieve,
     train_codebook,
 )
-from synthloc.worldgen import LocalFeature, ViewImage
+from synthloc.worldgen import ViewImage
 
 from conftest import make_view
 
@@ -83,7 +83,7 @@ def test_asmk_single_feature_sign():
     model = _model()
     cb = Codebook(centroids=np.zeros((1, 4)))
     sig = asmk_aggregate(view, model, cb)
-    z = model.projection @ view.features[0].descriptor
+    z = model.projection @ view.desc[0]
     assert list(sig.cells) == [0]
     assert np.array_equal(sig.cells[0], np.sign(z / np.linalg.norm(z)).astype(np.int8))
 
@@ -93,11 +93,7 @@ def test_asmk_cancellation_drops_cell():
     desc = np.zeros(8)
     desc[0] = 1.0
     view = make_view(np.random.default_rng(5), 1, 8)
-    features = [
-        LocalFeature(np.zeros(2), desc.copy()),
-        LocalFeature(np.zeros(2), -desc.copy()),
-    ]
-    v = ViewImage(id=0, pose=view.pose, intrinsics=view.intrinsics, features=features)
+    v = ViewImage(0, view.pose, view.intrinsics, np.zeros((2, 2)), np.stack([desc, -desc]), [-1, -1])
     cb = Codebook(centroids=np.zeros((1, 4)))
     sig = asmk_aggregate(v, model, cb)
     assert sig.cells == {}
@@ -238,7 +234,7 @@ def test_retrieve_ties_break_by_id():
     base = make_view(np.random.default_rng(0), 5, 8, view_id=3)
     import dataclasses
 
-    clones = [dataclasses.replace(base, id=i, _arrays=None) for i in (9, 1, 5)]
+    clones = [dataclasses.replace(base, id=i) for i in (9, 1, 5)]
     index = build_index(clones, model)
     ranked = retrieve(base, index, model, "global_cosine", k=3)
     assert [vid for vid, _ in ranked] == [1, 5, 9]
@@ -249,18 +245,10 @@ def test_global_cosine_invariant_to_database_rescaling():
     positive constant leaves the ranking and scores unchanged."""
     import dataclasses
 
-    from synthloc.worldgen import LocalFeature
-
     model = _model(d=16, e=8, seed=10)
     views = [make_view(np.random.default_rng(200 + i), 10, 16, view_id=i) for i in range(15)]
     query = make_view(np.random.default_rng(299), 10, 16, view_id=50)
-    scaled = []
-    for v in views:
-        feats = [
-            LocalFeature(keypoint=f.keypoint, descriptor=3.7 * f.descriptor, landmark_id=f.landmark_id)
-            for f in v.features
-        ]
-        scaled.append(dataclasses.replace(v, features=feats, _arrays=None))
+    scaled = [dataclasses.replace(v, desc=3.7 * v.desc) for v in views]
     r1 = retrieve(query, build_index(views, model), model, "global_cosine", k=15)
     r2 = retrieve(query, build_index(scaled, model), model, "global_cosine", k=15)
     assert [vid for vid, _ in r1] == [vid for vid, _ in r2]
@@ -416,9 +404,12 @@ def test_asmk_aggregate_matches_reference():
     desc = np.zeros(8)
     desc[0] = 1.0
     base = make_view(rng, 3, 8)
-    feats = [LocalFeature(np.zeros(2), desc.copy()), LocalFeature(np.zeros(2), -desc.copy())]
-    feats += base.features
-    view = ViewImage(id=0, pose=base.pose, intrinsics=base.intrinsics, features=feats)
+    view = ViewImage(
+        0, base.pose, base.intrinsics,
+        np.vstack([np.zeros((2, 2)), base.kp]),
+        np.vstack([desc, -desc, base.desc]),
+        np.concatenate([[-1, -1], base.lid]),
+    )
     cb = Codebook(centroids=np.vstack([np.zeros(4), 10.0 * np.ones(4)]))
     want = ref_asmk_aggregate(view, model, cb.centroids)
     sig = asmk_aggregate(view, model, cb)
@@ -460,7 +451,7 @@ def test_retrieve_asmk_matches_reference(alpha, sel_threshold):
         model = init_model(d, e, seed=1) if e < d else EmbeddingModel(np.eye(d))
         views = [make_view(rng, int(rng.integers(3, 30)), d, view_id=i) for i in range(14)]
         copies = ((2, 99), (5, 96), (5, 95))
-        views += [dataclasses.replace(views[i], id=vid, _arrays=None) for i, vid in copies]
+        views += [dataclasses.replace(views[i], id=vid) for i, vid in copies]
         vectors = np.concatenate([v.descriptors() @ model.projection.T for v in views])
         cb = train_codebook(vectors, c, iters=4, seed=0)
         index = build_index(views, model, cb)

@@ -159,8 +159,8 @@ def test_pnp_recovers_render_pose_from_view_features(small_world):
         max_dist=30.0,
     )
     corr = [
-        (f.keypoint, small_world.landmarks[f.landmark_id].position)
-        for f in clean.features
+        (kp, small_world.landmarks[lid].position)
+        for kp, lid in zip(clean.kp, clean.lid.tolist())
     ]
     est, inliers = pnp_ransac(corr, clean.intrinsics, RansacParams(seed=0))
     err = pose_error(est, view.pose)
@@ -329,6 +329,32 @@ def test_pnp_matches_oracle_on_odd_budgets(iterations):
     for trial, _clean, noisy in criterion_6_instances(5):
         params = RansacParams(iterations=iterations, inlier_px=2.0, seed=trial)
         assert outcome(pnp_ransac, noisy, params) == outcome(pnp_oracle, noisy, params)
+
+
+@pytest.mark.parametrize("min_inliers", [7, 8, 12])
+def test_pnp_below_min_inliers_solves_nothing(monkeypatch, min_inliers):
+    """With one correspondence fewer than min_inliers no mask can reach
+    min_inliers, so the solve fails as the oracle's full loop does, without
+    solving a hypothesis; with exactly min_inliers it runs as before."""
+    calls = []
+    masks = localize._hypothesis_masks
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return masks(*args)
+
+    monkeypatch.setattr(localize, "_hypothesis_masks", spy)
+    for trial, clean, _noisy in criterion_6_instances(3):
+        for corr in (clean, jittered(clean, trial, sigma=1.0)):
+            params = RansacParams(iterations=200, seed=trial, min_inliers=min_inliers)
+            calls.clear()
+            hopeless = outcome(pnp_ransac, corr[: min_inliers - 1], params)
+            assert hopeless == outcome(pnp_oracle, corr[: min_inliers - 1], params)
+            assert hopeless == NoConsensusError and calls == []
+            exact = outcome(pnp_ransac, corr[:min_inliers], params)
+            assert exact == outcome(pnp_oracle, corr[:min_inliers], params)
+            assert calls
+        assert outcome(pnp_ransac, clean[:min_inliers], params)[2] == list(range(min_inliers))
 
 
 def jittered(corr, seed, sigma=0.05):

@@ -141,8 +141,39 @@ def test_parse_features_rejects_malformed_rows(lines, reason):
         storage._parse_features(lines, "f.csv")
 
 
+def _set(row, col, value):
+    def edit(lines):
+        parts = lines[row].split(",")
+        parts[col] = value
+        return lines[:row] + [",".join(parts)] + lines[row + 1:]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (_set(3, 1, "nan"), r"landmarks.csv:4: a value is not finite"),
+        (_set(2, 4, "0.1x"), r"landmarks.csv:3: '0.1x' is not a number"),
+        (_set(5, 0, "4.5"), r"landmarks.csv:6: the landmark id is not an integer"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:], r"landmarks.csv:3: \d+ columns"),
+        (lambda lines: lines[:1], "no landmarks"),
+        (lambda lines: [""], "missing or short landmark header"),
+    ],
+    ids=["nan", "not-a-number", "fractional-id", "short-row", "no-rows", "empty"],
+)
+def test_load_world_rejects_malformed_landmarks(tmp_path, small_world, edit, reason):
+    """landmarks.csv goes through the feature files' table checks."""
+    storage.save_world(small_world, tmp_path)
+    path = tmp_path / "landmarks.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(DataError, match=reason):
+        storage.load_world(tmp_path)
+
+
 def test_parse_features_reads_clutter_and_integral_ids():
-    feats = storage._parse_features(["u,v,landmark_id,d0,d1", "1,2,-1,0.5,-0", "3,4,7.0,1e-07,2"], "f.csv")
-    assert [f.landmark_id for f in feats] == [None, 7]
-    assert feats[1].keypoint.tolist() == [3.0, 4.0]
-    assert feats[0].descriptor.tobytes() == np.array([0.5, -0.0]).tobytes()
+    kp, desc, lid = storage._parse_features(
+        ["u,v,landmark_id,d0,d1", "1,2,-1,0.5,-0", "3,4,7.0,1e-07,2", "5,6,-3,0,0"], "f.csv"
+    )
+    assert lid.tolist() == [-1, 7, -1]
+    assert kp[1].tolist() == [3.0, 4.0]
+    assert desc[0].tobytes() == np.array([0.5, -0.0]).tobytes()

@@ -3,6 +3,7 @@ earlier per-feature form: the consistency scorer (per-variant matching,
 area-of-interest filtering and survival count), `apply_variant` and the
 feature CSV codec must give the same scores, bits and bytes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,9 +18,9 @@ from synthloc.geometry import (
     score_world_variants,
 )
 from synthloc.variants import apply_variant, default_prompt_set, identity_shift
-from synthloc.worldgen import LocalFeature, ViewImage
+from synthloc.worldgen import ViewImage
 
-from conftest import make_view
+from conftest import make_view, perturbed
 
 # ---------------------------------------------------------------- reference
 
@@ -83,68 +84,71 @@ def ref_score_world(world, variants, params, prompt_names=None):
 
 
 def ref_apply_variant(view, shift, seed):
+    """One feature at a time: the dropout draw for all, then each kept
+    feature's descriptor and keypoint draws, then each clutter row."""
     rng = np.random.default_rng(seed)
-    n = len(view.features)
+    n = len(view.lid)
     keep = rng.random(n) >= shift.dropout_rate
-    d = view.features[0].descriptor.shape[0]
-    features = []
-    for i, feat in enumerate(view.features):
+    d = view.desc.shape[1]
+    kps, descs, lids = [], [], []
+    for i in range(n):
         if not keep[i]:
             continue
         desc = (
-            feat.descriptor
+            view.desc[i]
             + shift.bias_gain * shift.descriptor_bias
             + shift.descriptor_noise_sigma * rng.standard_normal(d)
         )
         desc = desc / np.linalg.norm(desc)
-        kp = feat.keypoint
+        kp = view.kp[i]
         if shift.keypoint_corruption_sigma > 0.0:
             kp = kp + shift.keypoint_corruption_sigma * rng.standard_normal(2)
-        features.append(LocalFeature(keypoint=kp, descriptor=desc, landmark_id=feat.landmark_id))
+        kps.append(kp)
+        descs.append(desc)
+        lids.append(int(view.lid[i]))
     w, h = view.intrinsics.image_size
     for _ in range(math.ceil(shift.clutter_rate * n)):
         kp = rng.uniform(0.0, [w, h])
         desc = rng.standard_normal(d)
         desc = desc / np.linalg.norm(desc)
-        features.append(LocalFeature(keypoint=kp, descriptor=desc, landmark_id=None))
-    return ViewImage(view.id, view.pose, view.intrinsics, features, condition=shift.name)
+        kps.append(kp)
+        descs.append(desc)
+        lids.append(-1)
+    return ViewImage(
+        view.id, view.pose, view.intrinsics,
+        np.array(kps, dtype=float).reshape(-1, 2), np.array(descs, dtype=float).reshape(-1, d),
+        np.array(lids, dtype=int), condition=shift.name,
+    )
 
 
 def ref_feature_lines(view):
-    d = view.features[0].descriptor.shape[0]
+    d = view.desc.shape[1]
     lines = ["u,v,landmark_id," + ",".join(f"desc{i}" for i in range(d))]
-    for f in view.features:
-        lid = -1 if f.landmark_id is None else f.landmark_id
+    for i in range(len(view.lid)):
         lines.append(
             ",".join(
-                [storage.fmt(f.keypoint[0]), storage.fmt(f.keypoint[1]), str(lid)]
-                + [storage.fmt(x) for x in f.descriptor]
+                [storage.fmt(view.kp[i][0]), storage.fmt(view.kp[i][1]), str(int(view.lid[i]))]
+                + [storage.fmt(x) for x in view.desc[i]]
             )
         )
     return lines
 
 
 def ref_parse_features(lines):
-    feats = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        lid = int(parts[2])
-        feats.append(
-            LocalFeature(
-                keypoint=np.array([float(parts[0]), float(parts[1])]),
-                descriptor=np.array([float(x) for x in parts[3:]]),
-                landmark_id=None if lid < 0 else lid,
-            )
-        )
-    return feats
+    rows = [ln.split(",") for ln in lines[1:]]
+    return (
+        np.array([[float(r[0]), float(r[1])] for r in rows]),
+        np.array([[float(x) for x in r[3:]] for r in rows]),
+        np.array([max(int(r[2]), -1) for r in rows]),
+    )
+
+
+def array_bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
 def view_bytes(view):
-    return (
-        view.keypoints().tobytes(),
-        view.descriptors().tobytes(),
-        [f.landmark_id for f in view.features],
-    )
+    return array_bytes((view.keypoints(), view.descriptors(), view.landmark_ids()))
 
 
 def score_tuple(s):
@@ -170,12 +174,16 @@ def test_world_scores_prompt_filter_equal_reference(small_world, small_variants)
     assert [(k, score_tuple(s)) for k, s in got.items()] == [(k, score_tuple(s)) for k, s in want]
 
 
+# the smallest ratio MatchParams accepts: only a zero distance passes it
+TINY = float(np.nextafter(0.0, 1.0))
+
+
 def test_match_features_equal_reference():
     for trial in range(30):
         rng = np.random.default_rng(700 + trial)
         a = make_view(rng, int(rng.integers(1, 25)), 8, n_clutter=int(rng.integers(0, 3)))
         b = make_view(rng, int(rng.integers(1, 25)), 8)
-        for ratio in (0.0, 0.8, 1.0):
+        for ratio in (TINY, 0.8, 1.0):
             assert match_features(a, b, MatchParams(ratio=ratio)).pairs == ref_match(a, b, ratio)
 
 
@@ -185,30 +193,26 @@ def test_match_features_ties_equal_reference():
     rng = np.random.default_rng(45)
     a = make_view(rng, 8, 8)
     b = make_view(rng, 8, 8)
-    for i in (1, 4, 5):
-        b.features[i].descriptor = a.features[2].descriptor.copy()
-    b.features[6].descriptor = a.features[3].descriptor.copy()
-    b._arrays = None
+    desc = b.desc.copy()
+    desc[[1, 4, 5]] = a.desc[2]
+    desc[6] = a.desc[3]
+    b = dataclasses.replace(b, desc=desc)
     for x, y in ((a, a), (a, b), (b, a), (b, b)):
-        for ratio in (0.0, 0.9, 1.0):
+        for ratio in (TINY, 0.9, 1.0):
             got = match_features(x, y, MatchParams(ratio=ratio)).pairs
             assert got == ref_match(x, y, ratio)
-    # the duplicated rows tie at distance 0, which passes even a zero ratio
-    assert (2, 1) in match_features(a, b, MatchParams(ratio=0.0)).pairs
+    # the duplicated rows tie at distance 0, which passes even the tiniest ratio
+    assert (2, 1) in match_features(a, b, MatchParams(ratio=TINY)).pairs
     # one feature on both sides: the ratio test does not apply at all
     one_a, one_b = make_view(rng, 1, 8), make_view(rng, 1, 8)
-    assert match_features(one_a, one_b, MatchParams(ratio=0.0)).pairs == [(0, 0)]
-    assert ref_match(one_a, one_b, 0.0) == [(0, 0)]
+    assert match_features(one_a, one_b, MatchParams(ratio=TINY)).pairs == [(0, 0)]
+    assert ref_match(one_a, one_b, TINY) == [(0, 0)]
 
 
 def _pair(rng, n, d=16, noise=0.02):
     q = make_view(rng, n, d, view_id=0)
     p = make_view(rng, n, d, view_id=1)
-    for i, f in enumerate(p.features):
-        f.descriptor = q.features[i].descriptor + noise * rng.standard_normal(d)
-        f.descriptor = f.descriptor / np.linalg.norm(f.descriptor)
-    p._arrays = None
-    return q, p
+    return q, dataclasses.replace(p, desc=perturbed(rng, q.desc, noise))
 
 
 def _check(q, p, variant, params=MatchParams()):
@@ -230,8 +234,7 @@ def test_scorer_edge_cases_equal_reference():
 
     # p with a single feature: the (q, p) and (variant, p) blocks have nb = 1
     single_p = make_view(np.random.default_rng(42), 1, 16, view_id=1)
-    single_p.features[0].descriptor = q.features[0].descriptor.copy()
-    single_p._arrays = None
+    single_p = dataclasses.replace(single_p, desc=q.desc[:1])
     assert _check(q, single_p, apply_variant(q, ps.shifts[0], seed=1)).original == 1
 
     # a variant with a single feature: na = 1 on the variant side
@@ -239,10 +242,10 @@ def test_scorer_edge_cases_equal_reference():
     lone.dropout_rate = 0.97
     variant = apply_variant(q, lone, seed=0)
     for seed in range(1, 200):
-        if len(variant.features) == 1:
+        if len(variant.lid) == 1:
             break
         variant = apply_variant(q, lone, seed=seed)
-    assert len(variant.features) == 1
+    assert len(variant.lid) == 1
     _check(q, p, variant)
 
     # only clutter left in the variant
@@ -250,7 +253,7 @@ def test_scorer_edge_cases_equal_reference():
     dead.dropout_rate = 1.0
     dead.clutter_rate = 0.3
     gone = apply_variant(q, dead, seed=3)
-    assert all(f.landmark_id is None for f in gone.features)
+    assert np.all(gone.lid == -1)
     s = _check(q, p, gone)
     assert s.kept == 0 and s.original > 0
 
@@ -264,10 +267,8 @@ def test_scorer_pixel_tol_boundary_equal_reference():
     """p's keypoints sit exactly `pixel_tol` apart; a variant that keeps every
     other feature still keeps each correspondence through its neighbour."""
     q, p = _pair(np.random.default_rng(46), 6)
-    for j, f in enumerate(p.features):
-        f.keypoint = np.array([10.0 + 2.0 * j, 50.0])
-    p._arrays = None
-    odd = ViewImage(q.id, q.pose, q.intrinsics, q.features[1::2], condition="odd")
+    p = dataclasses.replace(p, kp=[[10.0 + 2.0 * j, 50.0] for j in range(6)])
+    odd = ViewImage(q.id, q.pose, q.intrinsics, q.kp[1::2], q.desc[1::2], q.lid[1::2], condition="odd")
     s = _check(q, p, odd, MatchParams(pixel_tol=2.0))
     assert (s.kept, s.original) == (6, 6)
     s = _check(q, p, odd, MatchParams(pixel_tol=1.999))
@@ -314,14 +315,13 @@ def test_apply_variant_equals_reference_corruption_and_dropout(small_world, smal
 def _awkward_view():
     """Signed zeros, exponent-form values of %.9g and clutter rows."""
     view = make_view(np.random.default_rng(44), 12, 8, n_clutter=3)
-    f = view.features
-    f[0].keypoint = np.array([-0.0, 0.0])
-    f[0].descriptor = np.array([-0.0, 1e-7, -2.5e-9, 1.2345678912e6, 3e5, -7.77e15, 0.5, 1e-300])
-    f[1].keypoint = np.array([123456789.123, 1e-6])
-    f[2].descriptor = f[2].descriptor * 1e12
-    f[3].landmark_id = 0
-    view._arrays = None
-    return view
+    kp, desc, lid = view.kp.copy(), view.desc.copy(), view.lid.copy()
+    kp[0] = [-0.0, 0.0]
+    desc[0] = [-0.0, 1e-7, -2.5e-9, 1.2345678912e6, 3e5, -7.77e15, 0.5, 1e-300]
+    kp[1] = [123456789.123, 1e-6]
+    desc[2] = desc[2] * 1e12
+    lid[3] = 0
+    return dataclasses.replace(view, kp=kp, desc=desc, lid=lid)
 
 
 def test_feature_lines_equal_reference(small_variants):
@@ -330,11 +330,6 @@ def test_feature_lines_equal_reference(small_variants):
         lines = storage._feature_lines(view)
         assert lines == ref_feature_lines(view)
         got = storage._parse_features(lines, "view.csv")
-        want = ref_parse_features(lines)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.keypoint.tobytes() == b.keypoint.tobytes()
-            assert a.descriptor.tobytes() == b.descriptor.tobytes()
-            assert a.landmark_id == b.landmark_id
-    assert any(f.landmark_id is None for f in got)
+        assert array_bytes(got) == array_bytes(ref_parse_features(lines))
+    assert np.any(got[2] == -1)
     assert "-0,0,0,-0,1e-07," in storage._feature_lines(views[0])[1]

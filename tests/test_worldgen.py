@@ -116,9 +116,9 @@ def test_zero_noise_descriptor_equals_base(small_world):
         small_world, view.pose, view.intrinsics, noise, seed=99,
         max_dist=SMALL_WORLD.visibility_radius,
     )
-    for feat in clean.features:
-        base = small_world.landmarks[feat.landmark_id].base_descriptor
-        assert np.allclose(feat.descriptor, base, atol=1e-12)
+    for lid, desc in zip(clean.lid.tolist(), clean.desc):
+        base = small_world.landmarks[lid].base_descriptor
+        assert np.allclose(desc, base, atol=1e-12)
 
 
 def test_facing_away_raises(small_world):
@@ -164,20 +164,20 @@ def test_projection_roundtrip_ray(small_world):
     )
     R = clean.pose.matrix()
     intr = clean.intrinsics
-    for feat in clean.features[:25]:
+    for kp, lid in zip(clean.kp[:25], clean.lid[:25].tolist()):
         ray_cam = np.array(
             [
-                (feat.keypoint[0] - intr.principal_point[0]) / intr.focal,
-                (feat.keypoint[1] - intr.principal_point[1]) / intr.focal,
+                (kp[0] - intr.principal_point[0]) / intr.focal,
+                (kp[1] - intr.principal_point[1]) / intr.focal,
                 1.0,
             ]
         )
         ray_world = R.T @ ray_cam
         ray_world /= np.linalg.norm(ray_world)
-        target = small_world.landmarks[feat.landmark_id].position - clean.pose.position
+        target = small_world.landmarks[lid].position - clean.pose.position
         dist_along = float(np.dot(target, ray_world))
         closest = clean.pose.position + dist_along * ray_world
-        assert np.linalg.norm(closest - small_world.landmarks[feat.landmark_id].position) < 1e-6
+        assert np.linalg.norm(closest - small_world.landmarks[lid].position) < 1e-6
 
 
 def test_clutter_has_no_landmark_id(small_world):
@@ -187,8 +187,7 @@ def test_clutter_has_no_landmark_id(small_world):
         RenderNoise(0.0, 0.0, clutter_count=7), seed=2,
         max_dist=SMALL_WORLD.visibility_radius,
     )
-    clutter = [f for f in noisy.features if f.landmark_id is None]
-    assert len(clutter) == 7
+    assert np.count_nonzero(noisy.lid == -1) == 7
 
 
 def test_min_coobs_validation(small_world):
