@@ -428,9 +428,13 @@ def build_synthetic_tuple(t: TrainingTuple, prompt: str, weight: float) -> Train
 def synthetic_families(
     variants: VariantStore, scores: ScoreStore, c_tau: float, threshold_mode: str = "relative"
 ) -> Callable[[TrainingTuple], list[tuple[str, float]]]:
-    """`synthetic_family` for any tuple, with everything that does not depend
-    on the negatives worked out once: each (query, positive) pair's entries
-    that pass `c_tau` and have a query variant, and each view's prompts."""
+    """A function from an original tuple to its valid synthetic family: the
+    prompts, with their score values and in prompt order, whose pair score
+    passes `c_tau` and under which the query and every negative have a
+    variant. What does not depend on the negatives is worked out once: each
+    (query, positive) pair's entries that pass `c_tau` and have a query
+    variant, and each view's prompts. The tuples themselves are built by
+    `sample_tuples`, only for the prompts it draws."""
     prompts_of: dict[int, set[str]] = {}
     for (view_id, prompt), _ in variants.items():
         prompts_of.setdefault(view_id, set()).add(prompt)
@@ -448,20 +452,6 @@ def synthetic_families(
         ]
 
     return family
-
-
-def synthetic_family(
-    t: TrainingTuple,
-    variants: VariantStore,
-    scores: ScoreStore,
-    c_tau: float,
-    threshold_mode: str = "relative",
-) -> list[tuple[str, float]]:
-    """The prompts with a valid synthetic tuple for an original tuple, with
-    their score values, in prompt order: the pair passes `c_tau` and the
-    query and every negative have a variant under the prompt. The tuples
-    themselves are built by `sample_tuples`, only for the prompts it draws."""
-    return synthetic_families(variants, scores, c_tau, threshold_mode)(t)
 
 
 def _draw(rng: np.random.Generator, family: list[tuple[str, float]], sampling: str) -> int:
@@ -484,7 +474,7 @@ def sample_tuples(
     multi_k / aggregated_k: the original plus up to K synthetic tuples drawn
     without replacement. geometry_aware sampling draws prompts with
     probability proportional to 1/score. Falls back to the original alone
-    when no valid synthetic tuple exists. `family` is `synthetic_family`'s
+    when no valid synthetic tuple exists. `family` is `synthetic_families`'s
     (prompt, score) list; a tuple is built only for each prompt drawn.
     """
     if config.mode == "baseline" or not family:
@@ -602,35 +592,3 @@ def average_models(models: list[EmbeddingModel]) -> EmbeddingModel:
         if m.projection.shape != shape:
             raise ValueError("dimension mismatch")
     return EmbeddingModel(projection=np.mean([m.projection for m in models], axis=0))
-
-
-def feature_diagnostics(
-    views: list[ViewImage],
-    variants: VariantStore,
-    model: EmbeddingModel,
-    alpha: float = 2.0,
-    t: float = 2.0,
-) -> tuple[float, float]:
-    """Alignment over original/variant positive pairs and uniformity over all
-    distinct embedding pairs (lower is better for both)."""
-    by_view: dict[int, list[ViewImage]] = {}
-    for (vid, prompt), variant in sorted(variants.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        by_view.setdefault(vid, []).append(variant)
-    embeddings = []
-    align_terms = []
-    for view in views:
-        f_orig = aggregate(view, model)
-        embeddings.append(f_orig)
-        for variant in by_view.get(view.id, []):
-            f_var = aggregate(variant, model)
-            embeddings.append(f_var)
-            align_terms.append(float(np.linalg.norm(f_orig - f_var) ** alpha))
-    alignment = float(np.mean(align_terms)) if align_terms else 0.0
-    emb = np.array(embeddings)
-    n = emb.shape[0]
-    if n < 2:
-        return alignment, 0.0
-    sq = np.sum((emb[:, None, :] - emb[None, :, :]) ** 2, axis=2)
-    iu = np.triu_indices(n, k=1)
-    uniformity = float(np.log(np.mean(np.exp(-t * sq[iu]))))
-    return alignment, uniformity

@@ -93,9 +93,7 @@ class ExperimentConfig:
             and all(is_integer(k) and k >= 1 for k in self.eval_ks)
         ):
             raise ValueError(f"eval_ks must be a non-empty list of integers >= 1, not {self.eval_ks!r}")
-        # cmd_train trains with the root c_tau and threshold_mode, so the
-        # train section must be valid with them too
-        replace(self.train, c_tau=self.c_tau, threshold_mode=self.threshold_mode)
+        self.train_config(self.seeds[0])  # the train section must be valid with the root keys
         if not (
             isinstance(self.thresholds, dict)
             and sorted(self.thresholds) == sorted(LEVELS)
@@ -109,6 +107,12 @@ class ExperimentConfig:
                 f"max rotation deg] pairs of finite numbers, not {self.thresholds!r}"
             )
         self.accuracy_thresholds()  # raises unless strictly increasing
+
+    def train_config(self, seed: int, **overrides) -> TrainConfig:
+        """The train section with the root `c_tau` and `threshold_mode`, the
+        given seed and `overrides`: every training run's config."""
+        root = {"seed": seed, "c_tau": self.c_tau, "threshold_mode": self.threshold_mode}
+        return replace(self.train, **{**root, **overrides})
 
     def accuracy_thresholds(self) -> AccuracyThresholds:
         return AccuracyThresholds(
@@ -134,10 +138,22 @@ _NESTED = {
 }
 
 
+# Fields of a section whose value has one source elsewhere; a config that
+# sets one is an error naming that source.
+_NOT_KEYS = {
+    "train.seed": "each training run takes its seed from the root seeds",
+    "train.c_tau": "training takes c_tau from the root c_tau",
+    "train.threshold_mode": "training takes threshold_mode from the root threshold_mode",
+    "ransac.seed": "each query's RANSAC seed is derived from the world seed and the query id",
+}
+
+
 def _build_dataclass(cls, data: dict, path: str):
     known = {f.name: f for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
+        if path + key in _NOT_KEYS:
+            raise ConfigError(f"{path}{key} is not a config key: {_NOT_KEYS[path + key]}")
         if key not in known:
             raise ConfigError(f"unknown config key: {path}{key}")
         if key in _NESTED and isinstance(value, dict):
@@ -173,7 +189,7 @@ def load_config(path: str | None) -> ExperimentConfig:
 def _reference_lines(cls, path: str) -> list[str]:
     lines = []
     for f in dataclasses.fields(cls):
-        if f.name.startswith("_"):
+        if f.name.startswith("_") or path + f.name in _NOT_KEYS:
             continue
         if f.name in _NESTED:
             lines.append(f"[{path}{f.name}]")
@@ -242,10 +258,7 @@ def cmd_train(
 
     models = []
     for seed in config.seeds:
-        tc = replace(
-            config.train, seed=seed, c_tau=config.c_tau, threshold_mode=config.threshold_mode
-        )
-        model, trace = train(world, variants, scores, tc)
+        model, trace = train(world, variants, scores, config.train_config(seed))
         storage.save_model(model, out / f"model_{seed}.csv")
         storage.save_trace(trace, out / f"trace_{seed}.csv")
         models.append(model)
@@ -375,17 +388,13 @@ ABLATION_METHODS = ("baseline", "synth_uniform", "synth_filtered", "synth_geomet
 def _method_train_config(config: ExperimentConfig, method: str, seed: int) -> TrainConfig:
     synth_mode = config.train.mode if config.train.mode != "baseline" else "swap_pi"
     if method == "baseline":
-        return replace(config.train, mode="baseline", seed=seed)
+        return config.train_config(seed, mode="baseline")
     if method == "synth_uniform":
-        return replace(config.train, mode=synth_mode, sampling="uniform", c_tau=0.0, seed=seed)
+        return config.train_config(seed, mode=synth_mode, sampling="uniform", c_tau=0.0)
     if method == "synth_filtered":
-        return replace(
-            config.train, mode=synth_mode, sampling="uniform", c_tau=config.c_tau, seed=seed
-        )
+        return config.train_config(seed, mode=synth_mode, sampling="uniform")
     if method == "synth_geometry":
-        return replace(
-            config.train, mode=synth_mode, sampling="geometry_aware", c_tau=config.c_tau, seed=seed
-        )
+        return config.train_config(seed, mode=synth_mode, sampling="geometry_aware")
     raise ConfigError(f"unknown ablation method {method!r}")
 
 

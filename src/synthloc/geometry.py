@@ -1,5 +1,5 @@
-"""Feature correspondence, identity-transform verification, and the geometric
-consistency score that drives variant filtering and sampling.
+"""Feature correspondence and the geometric consistency score that drives
+variant filtering and sampling.
 
 Scoring works on arrays. Within one `score_world_variants` call the `p`-side
 arrays (descriptors, squared norms, landmark mask, keypoint neighbourhood
@@ -21,21 +21,12 @@ from .worldgen import ViewImage, World
 @dataclass
 class MatchParams:
     ratio: float = 0.9  # Lowe ratio, applied on both match directions
-    pixel_tol: float = 2.0  # px, identity verification and score intersection key
+    pixel_tol: float = 2.0  # px, score intersection key
 
     def __post_init__(self) -> None:
         if not (is_finite_number(self.ratio) and 0 < self.ratio <= 1):
             raise ValueError(f"ratio must be a number in (0, 1], not {self.ratio!r}")
         require_number("pixel_tol", self.pixel_tol, 0)
-
-
-@dataclass
-class Correspondences:
-    pairs: list[tuple[int, int]]  # (feature index in a, feature index in b)
-    method: str = "mnn+ratio"
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass
@@ -72,41 +63,22 @@ def _mutual_matches(
     return ia[keep], ib[keep]
 
 
-def match_features(a: ViewImage, b: ViewImage, params: MatchParams) -> Correspondences:
-    """Mutual-nearest-neighbor matches under a two-sided Lowe ratio test.
+def match_features(
+    a: ViewImage, b: ViewImage, params: MatchParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mutual-nearest-neighbor matches under a two-sided Lowe ratio test, as
+    index arrays (ia, ib) into a's and b's features, ia ascending.
 
-    The acceptance predicate is symmetric in (a, b), so pairs(a, b) equals
-    the transpose of pairs(b, a). Ties break to the lowest feature index.
+    The acceptance predicate is symmetric in (a, b), so the matches of
+    (a, b) are those of (b, a) transposed. Ties break to the lowest feature
+    index.
     """
     da, db = a.descriptors(), b.descriptors()
     if da.shape[0] == 0 or db.shape[0] == 0:
         raise ValueError("cannot match an empty view")
-    ia, ib = _mutual_matches(
+    return _mutual_matches(
         da, np.sum(da * da, axis=1), db, np.sum(db * db, axis=1), params.ratio
     )
-    return Correspondences(pairs=list(zip(ia.tolist(), ib.tolist())))
-
-
-def verify_identity(
-    corrs: Correspondences, a: ViewImage, b: ViewImage, pixel_tol: float
-) -> Correspondences:
-    """Keep the matches whose keypoints agree under the identity transform."""
-    kp_a, kp_b = a.keypoints(), b.keypoints()
-    kept = [
-        (i, j)
-        for (i, j) in corrs.pairs
-        if np.linalg.norm(kp_a[i] - kp_b[j]) <= pixel_tol
-    ]
-    return Correspondences(pairs=kept, method=corrs.method + "+identity")
-
-
-def area_of_interest(corrs: Correspondences, a: ViewImage, b: ViewImage) -> Correspondences:
-    """Correspondences whose endpoints both lie in the co-observed scene,
-    i.e. carry landmark ids; clutter matches are outside the area of
-    interest."""
-    la, lb = a.landmark_ids(), b.landmark_ids()
-    kept = [(i, j) for (i, j) in corrs.pairs if la[i] >= 0 and lb[j] >= 0]
-    return Correspondences(pairs=kept, method=corrs.method)
 
 
 class _Side(NamedTuple):
@@ -161,7 +133,7 @@ def consistency_score(
     q: ViewImage, p: ViewImage, q_variant: ViewImage, params: MatchParams
 ) -> ConsistencyScore:
     """Fraction of the (q, p) area-of-interest correspondences that survive
-    replacing q by its variant. Correspondences from the two matchings are
+    replacing q by its variant. The correspondences of the two matchings are
     identified through their p-side keypoints (p is the unaltered view in
     both)."""
     (score,) = _pair_scores(
@@ -183,17 +155,6 @@ def validate_pair(score: ConsistencyScore, c_tau: float, mode: str = "relative")
     if mode == "absolute":
         return score.kept >= c_tau
     raise ValueError(f"unknown threshold mode {mode!r}")
-
-
-def self_consistency(x: ViewImage, x_variant: ViewImage, params: MatchParams) -> ConsistencyScore:
-    """Identity-verified match rate of a view against its own variant,
-    relative to the view's landmark-bearing features (clutter excluded)."""
-    n_landmark = int(np.sum(x.landmark_ids() >= 0))
-    if n_landmark == 0:
-        return ConsistencyScore(value=0.0, kept=0, original=0)
-    corrs = verify_identity(match_features(x, x_variant, params), x, x_variant, params.pixel_tol)
-    kept = len(area_of_interest(corrs, x, x_variant).pairs)
-    return ConsistencyScore(value=kept / n_landmark, kept=kept, original=n_landmark)
 
 
 class ScoreStore:

@@ -256,15 +256,15 @@ def sfm_localize(
     positions = {lm.id: lm.position for lm in landmarks}
     for vid, _score in ranked[:k]:
         view = map_views[vid]
-        pairs = np.array(match_features(query, view, match_params).pairs, dtype=int).reshape(-1, 2)
-        lids = view.landmark_ids()[pairs[:, 1]]
+        iq, iv = match_features(query, view, match_params)
+        lids = view.landmark_ids()[iv]
         mapped = lids >= 0
-        iq, iv = pairs[mapped].T
+        iq, iv, lids = iq[mapped], iv[mapped], lids[mapped]
         diff = dq[iq] - view.descriptors()[iv]
         # one dot product per row, the same as np.linalg.norm of each row on
         # its own; a reduction over axis 1 can differ in the last bit
         dists = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-        for q, lid, dist in zip(iq.tolist(), lids[mapped].tolist(), dists.tolist()):
+        for q, lid, dist in zip(iq.tolist(), lids.tolist(), dists.tolist()):
             if lid not in corr or dist < corr[lid][0]:
                 corr[lid] = (dist, kq[q], positions[lid])
     corr_2d3d = [(corr[lid][1], corr[lid][2]) for lid in sorted(corr)]

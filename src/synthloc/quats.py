@@ -65,19 +65,6 @@ def from_matrix(R: np.ndarray) -> np.ndarray:
     return canonical(q)
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
-
-
 def rotation_angle_deg(R: np.ndarray) -> float:
     """Angle of a rotation matrix in degrees, in [0, 180]."""
     c = (np.trace(R) - 1.0) / 2.0

@@ -58,13 +58,20 @@ def _feature_lines(view: ViewImage) -> list[str]:
 
 
 def _parse_table(
-    lines: list[str], path: str | os.PathLike, what: str, min_width: int, id_col: int
-) -> np.ndarray:
+    lines: list[str],
+    path: str | os.PathLike,
+    what: str,
+    min_width: int,
+    int_cols: dict[int, str] | None = None,
+    text_col: int | None = None,
+) -> np.ndarray | tuple[list[str], np.ndarray]:
     """The float table of a CSV file with a header line of at least
     `min_width` columns and one or more rows of `what`s. Every row must have
-    the header's column count and finite values, and column `id_col` must
-    hold integral landmark ids; anything else raises DataError naming the
-    file and line."""
+    the header's column count and finite values, and each column of
+    `int_cols` (numbered in the float table; the value names it) must hold
+    integers; anything else raises DataError naming the file and line. With
+    `text_col`, that column is read as text and returned first, beside the
+    table of the others."""
     if not lines or lines[0].count(",") + 1 < min_width:
         raise DataError(f"{path}: missing or short {what} header")
     body = lines[1:]
@@ -74,6 +81,11 @@ def _parse_table(
     for lineno, ln in enumerate(body, start=2):
         if ln.count(",") + 1 != width:
             raise DataError(f"{path}:{lineno}: {ln.count(',') + 1} columns, header has {width}")
+    if text_col is not None:
+        rows = [ln.split(",") for ln in body]
+        text = [row.pop(text_col) for row in rows]
+        body = [",".join(row) for row in rows]
+        width -= 1
     # every row has `width` values, so value k sits on line k // width + 2
     values = ",".join(body).split(",")
     try:
@@ -85,13 +97,13 @@ def _parse_table(
             except ValueError:
                 raise DataError(f"{path}:{k // width + 2}: {x!r} is not a number") from None
         raise
-    for bad, why in (
-        (~np.isfinite(table).all(axis=1), "a value is not finite"),
-        (table[:, id_col] != np.round(table[:, id_col]), "the landmark id is not an integer"),
-    ):
+    checks = [(~np.isfinite(table).all(axis=1), "a value is not finite")]
+    for col, name in (int_cols or {}).items():
+        checks.append((table[:, col] != np.round(table[:, col]), f"{name} is not an integer"))
+    for bad, why in checks:
         if bad.any():
             raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: {why}")
-    return table
+    return table if text_col is None else (text, table)
 
 
 def _parse_features(
@@ -99,7 +111,7 @@ def _parse_features(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keypoints, descriptors and landmark ids (-1 for clutter, as is any
     negative id) of one `_feature_lines` file, checked by `_parse_table`."""
-    table = _parse_table(lines, path, "feature", min_width=4, id_col=2)
+    table = _parse_table(lines, path, "feature", 4, {2: "the landmark id"})
     return table[:, :2], table[:, 3:], np.maximum(table[:, 2], -1).astype(int)
 
 
@@ -162,41 +174,71 @@ def save_world(world: World, out_dir: str | os.PathLike) -> None:
     _write_lines(out / "meta.csv", meta)
 
 
+_META_KEYS = ("seed", "num_map_views", "num_query_views", "focal", "cx", "cy", "width", "height")
+_META_INTS = ("seed", "num_map_views", "num_query_views", "width", "height")
+
+
+def _load_meta(path: Path) -> dict[str, float]:
+    """meta.csv's values by key, each a finite number, and an integer where
+    the key counts or seeds something."""
+    keys, table = _parse_table(_read_lines(path), path, "meta entry", 2, text_col=0)
+    meta = dict(zip(keys, table[:, 0].tolist()))
+    for key in _META_KEYS:
+        if key not in meta:
+            raise DataError(f"{path}: no {key} entry")
+        if key in _META_INTS and meta[key] != round(meta[key]):
+            raise DataError(f"{path}:{keys.index(key) + 2}: {key} is not an integer")
+    return meta
+
+
 def load_world(in_dir: str | os.PathLike) -> World:
     src = Path(in_dir)
-    meta = dict(ln.split(",", 1) for ln in _read_lines(src / "meta.csv")[1:])
-    intr = CameraIntrinsics(
-        focal=float(meta["focal"]),
-        principal_point=np.array([float(meta["cx"]), float(meta["cy"])]),
-        image_size=(int(meta["width"]), int(meta["height"])),
-    )
+    path = src / "meta.csv"
+    meta = _load_meta(path)
+    try:
+        intr = CameraIntrinsics(
+            focal=meta["focal"],
+            principal_point=np.array([meta["cx"], meta["cy"]]),
+            image_size=(int(meta["width"]), int(meta["height"])),
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
     path = src / "landmarks.csv"
-    table = _parse_table(_read_lines(path), path, "landmark", min_width=5, id_col=0)
+    table = _parse_table(_read_lines(path), path, "landmark", 5, {0: "the landmark id"})
     landmarks = [
         Landmark(id=int(row[0]), position=row[1:4], base_descriptor=row[4:]) for row in table
     ]
 
     d = landmarks[0].base_descriptor.shape[0]
     n_map = int(meta["num_map_views"])
+    path = src / "views.csv"
+    conditions, table = _parse_table(
+        _read_lines(path), path, "view", 9, {0: "the view id"}, text_col=8
+    )
+    n_query = int(meta["num_query_views"])
+    if len(table) != n_map + n_query:
+        raise DataError(
+            f"{path}: {len(table)} views, meta.csv counts {n_map} map and {n_query} query views"
+        )
     map_views: list[ViewImage] = []
     query_views: list[ViewImage] = []
-    for row, ln in enumerate(_read_lines(src / "views.csv")[1:]):
-        parts = ln.split(",")
-        vid = int(parts[0])
-        pose = CameraPose(
-            rotation=np.array([float(x) for x in parts[1:5]]),
-            position=np.array([float(x) for x in parts[5:8]]),
-        )
-        condition = parts[8]
+    for row, (values, condition) in enumerate(zip(table, conditions)):
+        try:
+            pose = CameraPose(rotation=values[1:5], position=values[5:8])
+        except ValueError as exc:
+            raise DataError(f"{path}:{row + 2}: {exc}") from None
+        vid = int(values[0])
         feats = _load_features(src / "features" / f"{vid}.csv", d)
         view = ViewImage(vid, pose, intr, *feats, condition=condition)
         (map_views if row < n_map else query_views).append(view)
 
-    pairs = []
-    for ln in _read_lines(src / "pairs.csv")[1:]:
-        a, b, c = ln.split(",")
-        pairs.append((int(a), int(b), int(c)))
+    path = src / "pairs.csv"
+    lines = _read_lines(path)
+    ints = {0: "a view id", 1: "a view id", 2: "the count"}
+    # a world may have no matching pairs
+    table = _parse_table(lines, path, "pair", 3, ints) if len(lines) > 1 else []
+    pairs = [(int(a), int(b), int(c)) for a, b, c in table]
 
     return World(
         landmarks=landmarks,
@@ -237,21 +279,20 @@ def save_prompts(prompts: PromptSet, out_dir: str | os.PathLike) -> None:
 
 
 def load_prompts(in_dir: str | os.PathLike) -> PromptSet:
+    path = Path(in_dir) / "prompts.csv"
+    names, table = _parse_table(_read_lines(path), path, "prompt", 7, text_col=0)
     shifts = []
-    for ln in _read_lines(Path(in_dir) / "prompts.csv")[1:]:
-        parts = ln.split(",")
-        shifts.append(
-            DomainShift(
-                name=parts[0],
-                bias_gain=float(parts[1]),
-                descriptor_noise_sigma=float(parts[2]),
-                dropout_rate=float(parts[3]),
-                clutter_rate=float(parts[4]),
-                keypoint_corruption_sigma=float(parts[5]),
-                descriptor_bias=np.array([float(x) for x in parts[6:]]),
-            )
-        )
-    return PromptSet(shifts=shifts)
+    for lineno, (name, row) in enumerate(zip(names, table), start=2):
+        try:
+            # the columns after the name hold DomainShift's fields after
+            # descriptor_bias, in order, and then the bias
+            shifts.append(DomainShift(name, row[5:], *row[:5].tolist()))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    try:
+        return PromptSet(shifts=shifts)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_variants(

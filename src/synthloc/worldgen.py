@@ -31,6 +31,9 @@ class CameraPose:
 
     def __post_init__(self) -> None:
         q = np.asarray(self.rotation, dtype=float)
+        self.position = np.asarray(self.position, dtype=float)
+        if not (np.isfinite(q).all() and np.isfinite(self.position).all()):
+            raise ValueError("rotation and position must be finite")
         if abs(np.linalg.norm(q) - 1.0) > 1e-9:
             raise ValueError("rotation quaternion must have unit norm")
         # canonical sign only; renormalizing here would silently move the
@@ -38,7 +41,6 @@ class CameraPose:
         if q[0] < 0.0 or (q[0] == 0.0 and q[np.nonzero(q)[0][0]] < 0.0):
             q = -q
         self.rotation = q
-        self.position = np.asarray(self.position, dtype=float)
 
     def matrix(self) -> np.ndarray:
         return quats.to_matrix(self.rotation)

@@ -21,7 +21,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if ACCEPTANCE_RESULTS[name] else "FAIL"
         terminalreporter.write_line(f"  {name}: {status}")
 
-from synthloc.geometry import MatchParams, score_world_variants
+from synthloc.geometry import MatchParams, match_features, score_world_variants
 from synthloc.variants import VariantStore, default_prompt_set, generate_all_variants
 from synthloc.worldgen import (
     CameraIntrinsics,
@@ -97,3 +97,9 @@ def perturbed(rng, desc, sigma):
         x = row + sigma * rng.standard_normal(desc.shape[1])
         out[i] = x / np.linalg.norm(x)
     return out
+
+
+def match_pairs(a, b, params):
+    """`match_features`' index arrays as a list of (index in a, index in b)."""
+    ia, ib = match_features(a, b, params)
+    return list(zip(ia.tolist(), ib.tolist()))

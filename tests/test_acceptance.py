@@ -268,7 +268,7 @@ def test_criterion_4_filtering_and_sampling_laws():
     assert valid03 <= valid02
 
     # geometry-aware sampling frequencies: scores {0.5, 0.25} -> {1/3, 2/3}
-    fam = [("a", 0.5), ("b", 0.25)]  # synthetic_family's (prompt, score) entries
+    fam = [("a", 0.5), ("b", 0.25)]  # a synthetic family's (prompt, score) entries
     cfg = TrainConfig(mode="swap_pi", swap_probability=1.0, sampling="geometry_aware", c_tau=0.2)
     rng = np.random.default_rng(404)
     orig = TrainingTuple(0, 1, [2])

@@ -8,7 +8,6 @@ from synthloc.embed import (
     aggregate,
     aggregated_value_and_grad,
     average_models,
-    feature_diagnostics,
     multi_value_and_grad,
 )
 from synthloc.errors import EmptyTupleSetError, MismatchedTupleFamilyError
@@ -361,62 +360,3 @@ def test_average_models():
     assert np.allclose(avg.projection, expected, atol=1e-15)
     with pytest.raises(ValueError):
         average_models([a, EmbeddingModel(np.ones((3, 3)))])
-
-
-def test_diagnostics_identical_embeddings():
-    import dataclasses
-
-    rng = np.random.default_rng(18)
-    view = make_view(rng, 3, 8, view_id=0)
-    clone = dataclasses.replace(view, condition="same")
-    variants = VariantStore()
-    variants.add(0, clone)
-    model = EmbeddingModel(rng.standard_normal((4, 8)))
-    alignment, uniformity = feature_diagnostics([view], variants, model)
-    assert alignment == 0.0
-    assert uniformity == 0.0
-
-
-def test_diagnostics_antipodal_pair():
-    """Two antipodal unit embeddings: uniformity = -t * 4 = -8 for t=2."""
-    e1 = np.array([1.0, 0.0])
-    views = {}
-    v0 = ViewImage(0, _POSE, _INTR, np.zeros((1, 2)), [[1.0, 0.0]], [-1])
-    variants = VariantStore()
-    variants.add(
-        0,
-        ViewImage(0, _POSE, _INTR, np.zeros((1, 2)), [[-1.0, 0.0]], [-1], condition="flip"),
-    )
-    model = EmbeddingModel(np.eye(2))
-    alignment, uniformity = feature_diagnostics([v0], variants, model)
-    assert abs(alignment - 4.0) < 1e-12  # ||f - (-f)||^2 = 4
-    assert abs(uniformity - (-8.0)) < 1e-12
-
-
-def test_diagnostics_brute_force():
-    rng = np.random.default_rng(19)
-    views = [make_view(np.random.default_rng(80 + i), 5, 8, view_id=i) for i in range(6)]
-    variants = VariantStore()
-    for v in views:
-        for prompt in ("a", "b"):
-            var = make_view(np.random.default_rng(hash((v.id, prompt)) % (1 << 30)), 5, 8,
-                            view_id=v.id, condition=prompt)
-            variants.add(v.id, var)
-    model = EmbeddingModel(rng.standard_normal((4, 8)))
-    alignment, uniformity = feature_diagnostics(views, variants, model, alpha=2.0, t=2.0)
-
-    embs = []
-    aligns = []
-    for v in views:
-        f = aggregate(v, model)
-        embs.append(f)
-        for prompt in ("a", "b"):
-            fv = aggregate(variants.get(v.id, prompt), model)
-            embs.append(fv)
-            aligns.append(np.linalg.norm(f - fv) ** 2)
-    assert abs(alignment - np.mean(aligns)) < 1e-12
-    terms = []
-    for i in range(len(embs)):
-        for j in range(i + 1, len(embs)):
-            terms.append(np.exp(-2.0 * np.linalg.norm(embs[i] - embs[j]) ** 2))
-    assert abs(uniformity - np.log(np.mean(terms))) < 1e-12

@@ -11,7 +11,7 @@ from synthloc.embed import (
     init_model,
     mine_negatives,
     sample_tuples,
-    synthetic_family,
+    synthetic_families,
     train,
 )
 from synthloc.errors import InsufficientNegativesError
@@ -118,9 +118,9 @@ def test_synthetic_family_rejects_invalid_score():
     views, variants, scores = _toy_setup()
     scores.add(0, 1, "mild", ConsistencyScore(0.0, 0, 20))
     t = TrainingTuple(0, 1, [2, 3])
-    assert synthetic_family(t, variants, scores, c_tau=0.2) == []
-    assert synthetic_family(t, variants, scores, c_tau=1, threshold_mode="absolute") == []
-    assert synthetic_family(t, variants, scores, c_tau=0.0) == [("mild", 0.0)]
+    assert synthetic_families(variants, scores, c_tau=0.2)(t) == []
+    assert synthetic_families(variants, scores, c_tau=1, threshold_mode="absolute")(t) == []
+    assert synthetic_families(variants, scores, c_tau=0.0)(t) == [("mild", 0.0)]
 
 
 def test_synthetic_family_skips_missing_variant():
@@ -128,10 +128,10 @@ def test_synthetic_family_skips_missing_variant():
     scores.add(0, 1, "unknown prompt", ConsistencyScore(0.9, 18, 20))
     scores.add(0, 1, "mild", ConsistencyScore(0.9, 18, 20))
     t = TrainingTuple(0, 1, [2, 3])
-    assert synthetic_family(t, variants, scores, c_tau=0.2) == [("mild", 0.9)]
+    assert synthetic_families(variants, scores, c_tau=0.2)(t) == [("mild", 0.9)]
     # a negative without a variant under the prompt drops the prompt too
     partial = VariantStore({key: v for key, v in variants.items() if key != (3, "mild")})
-    assert synthetic_family(t, partial, scores, c_tau=0.2) == []
+    assert synthetic_families(partial, scores, c_tau=0.2)(t) == []
 
 
 def test_synthetic_family_filters_by_score():
@@ -141,9 +141,9 @@ def test_synthetic_family_filters_by_score():
     scores.add(0, 1, "mild", ConsistencyScore(0.9, 18, 20))
     scores.add(0, 1, "harsh", ConsistencyScore(0.1, 2, 20))
     t = TrainingTuple(0, 1, [2, 3])
-    fam = synthetic_family(t, variants, scores, c_tau=0.2)
+    fam = synthetic_families(variants, scores, c_tau=0.2)(t)
     assert fam == [("mild", 0.9)]
-    fam0 = synthetic_family(t, variants, scores, c_tau=0.0)
+    fam0 = synthetic_families(variants, scores, c_tau=0.0)(t)
     assert fam0 == [("harsh", 0.1), ("mild", 0.9)]
 
 
@@ -153,9 +153,9 @@ def test_negative_variants_map_one_to_one(small_world, small_prompts, small_vari
     others = [v.id for v in small_world.map_views if v.id not in (a, b)][:3]
     t = TrainingTuple(a, b, others)
     prompt = "in winter"
-    assert (prompt, small_scores.get(a, b, prompt).value) in synthetic_family(
-        t, small_variant_store, small_scores, c_tau=0.0
-    )
+    assert (prompt, small_scores.get(a, b, prompt).value) in synthetic_families(
+        small_variant_store, small_scores, c_tau=0.0
+    )(t)
     out = build_synthetic_tuple(t, prompt, small_scores.get(a, b, prompt).value)
     resolver = ViewResolver(_world_views(small_world), small_variant_store)
     q, p, ns = resolver.tuple_views(out)

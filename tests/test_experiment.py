@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import shutil
@@ -11,11 +12,14 @@ from synthloc import storage
 from synthloc.cli import main
 from synthloc.errors import ConfigError
 from synthloc.experiment import (
+    ABLATION_METHODS,
     ExperimentConfig,
+    _method_train_config,
     cmd_ablate,
     cmd_evaluate,
     config_from_dict,
     load_config,
+    write_config_reference,
 )
 from synthloc.localize import AccuracyThresholds, PoseError, localization_rate
 
@@ -308,6 +312,67 @@ def test_cli_malformed_feature_csv_is_data_error(pipeline, tmp_path, capsys, edi
     assert reason in err
 
 
+def _edit_line(path, lineno, edit):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = ",".join(edit(lines[lineno - 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+MALFORMED_WORLD_TABLES = {
+    "views-nan-qw": ("views.csv", 4, lambda parts: parts[:1] + ["nan"] + parts[2:], "views.csv:4: a value is not finite"),
+    "views-nan-tx": ("views.csv", 3, lambda parts: parts[:5] + ["nan"] + parts[6:], "views.csv:3: a value is not finite"),
+    "views-not-unit": ("views.csv", 5, lambda parts: parts[:1] + ["0.5"] + parts[2:], "views.csv:5: rotation quaternion must have unit norm"),
+    "views-no-condition": ("views.csv", 2, lambda parts: parts[:-1], "views.csv:2: 8 columns, header has 9"),
+    "pairs-two-columns": ("pairs.csv", 3, lambda parts: parts[:2], "pairs.csv:3: 2 columns, header has 3"),
+    "pairs-fractional-id": ("pairs.csv", 2, lambda parts: ["0.5"] + parts[1:], "pairs.csv:2: a view id is not an integer"),
+    "meta-no-focal": ("meta.csv", 6, lambda parts: ["f"] + parts[1:], "meta.csv: no focal entry"),
+    "meta-str-width": ("meta.csv", 9, lambda parts: [parts[0], "wide"], "meta.csv:9: 'wide' is not a number"),
+    "meta-view-count": ("meta.csv", 4, lambda parts: [parts[0], "15"], "views.csv: 22 views, meta.csv counts 15 map and 6"),
+}
+
+
+@pytest.mark.parametrize(
+    "name,lineno,edit,reason", list(MALFORMED_WORLD_TABLES.values()), ids=list(MALFORMED_WORLD_TABLES)
+)
+def test_cli_malformed_world_table_is_data_error(pipeline, tmp_path, capsys, name, lineno, edit, reason):
+    """A views.csv row with a non-finite or non-unit pose or without its
+    condition, a short pairs.csv row, a meta.csv without focal and a meta.csv
+    whose view counts are not views.csv's exit 3 naming the file (and line),
+    where they used to exit 0 or give an IndexError, ValueError or KeyError."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    _edit_line(world / name, lineno, edit)
+    rc = main(["variants", "--config", pipeline["cfg"], "--world", str(world), "--out", str(tmp_path / "v")])
+    assert rc == 3
+    assert f"{world}/{reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit,reason",
+    [
+        (lambda parts: parts[:1] + ["strong"] + parts[2:], "prompts.csv:3: 'strong' is not a number"),
+        (lambda parts: parts[:3] + ["1.5"] + parts[4:], "prompts.csv:3: dropout_rate must be in [0, 1]"),
+        (lambda parts: parts[:-1], "prompts.csv:3: "),
+        (lambda parts: ["at dawn"] + parts[1:], "prompts.csv: prompt names must be distinct"),
+    ],
+    ids=["str-bias_gain", "dropout-above-1", "short-row", "duplicate-name"],
+)
+def test_cli_malformed_prompts_csv_is_data_error(pipeline, tmp_path, capsys, edit, reason):
+    """A prompts.csv row with a non-numeric, out-of-range or missing value
+    makes `train` exit 3 naming the file and line, where a non-numeric
+    bias_gain used to give a ValueError."""
+    variants = tmp_path / "variants"
+    shutil.copytree(pipeline["variants"], variants)
+    path = variants / "prompts.csv"
+    _edit_line(path, 3, edit)
+    rc = main(
+        ["train", "--config", pipeline["cfg"], "--world", str(pipeline["world"]),
+         "--variants", str(variants), "--out", str(tmp_path / "m")]
+    )
+    assert rc == 3
+    assert f"{path.parent}/{reason}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["variants", "evaluate"])
 def test_cli_nan_landmark_is_data_error(pipeline, tmp_path, capsys, command):
     """A `nan` landmark coordinate exits 3 naming landmarks.csv and the line,
@@ -335,6 +400,7 @@ BAD_VALUES = {
     "train.weight_negatives": ("train", "weight_negatives", True),
     "ransac.iterations-str": ("ransac", "iterations", "1000"),
     "ransac.iterations-0": ("ransac", "iterations", 0),
+    "ransac.seed": ("ransac", "seed", 3),
     "train.episodes-str": ("train", "episodes", "2"),
     "train.episodes-bool": ("train", "episodes", True),
     "train.episodes-negative": ("train", "episodes", -1),
@@ -427,6 +493,51 @@ def test_cli_config_error_names_key(pipeline, tmp_path, capsys, section, key, va
     err = capsys.readouterr().err
     assert (section or "root") in err
     assert key in err
+
+
+ONE_SOURCE = {
+    "train.seed": ("train", "seed", 1, "root seeds"),
+    "train.c_tau": ("train", "c_tau", 0.2, "root c_tau"),
+    "train.threshold_mode": ("train", "threshold_mode", "relative", "root threshold_mode"),
+    "ransac.seed": ("ransac", "seed", 0, "derived from the world seed and the query id"),
+}
+
+
+@pytest.mark.parametrize("section,key,value,source", list(ONE_SOURCE.values()), ids=list(ONE_SOURCE))
+def test_cli_key_with_another_source_is_config_error(tmp_path, capsys, section, key, value, source):
+    """A section key whose value comes from a root key or is derived exits 2,
+    even with its default value, naming the key and where the value comes
+    from; it used to be accepted and then overwritten."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({section: {key: value}}))
+    assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err
+    assert source in err
+    assert not (tmp_path / "w").exists()
+
+
+def test_config_reference_lists_every_key_with_its_default(tmp_path):
+    """A nested config built from every line of config.reference loads and
+    equals the default config, and no key with another source is listed."""
+    write_config_reference(tmp_path)
+    data: dict = {}
+    for line in (tmp_path / "config.reference").read_text().splitlines():
+        if line.startswith(("#", "[")):
+            continue
+        dotted, value = line.split(" = ", 1)
+        *sections, key = dotted.split(".")
+        node = data
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = ast.literal_eval(value)
+    assert config_from_dict(data) == ExperimentConfig()
+    listed = {
+        (section, key)
+        for section, sub in data.items() if isinstance(sub, dict)
+        for key in sub
+    }
+    assert listed.isdisjoint((s, k) for s, k, _, _ in ONE_SOURCE.values())
 
 
 @pytest.mark.parametrize("key,value", list(BAD_NOISE.values()), ids=list(BAD_NOISE))
@@ -524,8 +635,11 @@ def test_ablate_small_grid(tmp_path):
     cfg.seeds = [1]
     out = tmp_path / "ablation"
     report = cmd_ablate(cfg, out, methods=("baseline", "synth_geometry"))
-    assert (out / "ablation.csv").exists()
-    assert (out / "ablation_raw.csv").exists()
+    # every output but config.reference, against digests recorded before
+    # the train configs came from one source
+    pinned = json.loads((Path(__file__).parent / "data" / "cli_ablate_sha256.json").read_text())
+    got = {rel: digest for rel, digest in dir_digest(out).items() if Path(rel).name != "config.reference"}
+    assert got == pinned
     methods = {r["method"] for r in report}
     assert methods == {"baseline", "synth_geometry"}
 
@@ -545,6 +659,20 @@ def test_ablate_small_grid(tmp_path):
     (out / "ablation.csv").unlink()
     cmd_ablate(cfg, out, methods=("baseline", "synth_geometry"))
     assert (out / "ablation.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("threshold_mode,c_tau", [("relative", 0.35), ("absolute", 4)])
+def test_ablation_methods_train_with_root_keys(threshold_mode, c_tau):
+    """Every ablation method trains with the root threshold_mode and c_tau
+    (synth_uniform with the filter off) and the run's seed, the values that
+    `variants` writes valid@c_tau with; synth_filtered used to keep the
+    train section's threshold_mode."""
+    cfg = config_from_dict({**TEST_CONFIG, "threshold_mode": threshold_mode, "c_tau": c_tau})
+    for method in ABLATION_METHODS:
+        tc = _method_train_config(cfg, method, seed=5)
+        assert tc.threshold_mode == threshold_mode, method
+        assert tc.c_tau == (0.0 if method == "synth_uniform" else c_tau), method
+        assert tc.seed == 5
 
 
 def test_evaluate_unknown_condition(tmp_path, pipeline):

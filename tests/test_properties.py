@@ -11,12 +11,11 @@ from synthloc.embed import (
     aggregated_value_and_grad,
     multi_value_and_grad,
 )
-from synthloc.geometry import MatchParams, match_features, verify_identity
+from synthloc.geometry import MatchParams
 from synthloc.index import AsmkSignature, asmk_score
 from synthloc.localize import AccuracyThresholds, PoseError, localization_rate
-from synthloc.variants import apply_variant, identity_shift
 
-from conftest import make_view
+from conftest import make_view, match_pairs
 
 
 def _views(seed, n_views=5, n_feats=4, d=6):
@@ -53,20 +52,9 @@ def test_match_transpose_symmetry(seed):
     rng = np.random.default_rng(seed)
     a = make_view(np.random.default_rng(int(rng.integers(1 << 30))), 8, 6)
     b = make_view(np.random.default_rng(int(rng.integers(1 << 30))), 9, 6)
-    ab = match_features(a, b, MatchParams()).pairs
-    ba = match_features(b, a, MatchParams()).pairs
+    ab = match_pairs(a, b, MatchParams())
+    ba = match_pairs(b, a, MatchParams())
     assert sorted((j, i) for (i, j) in ab) == sorted(ba)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 1 << 20), st.floats(0.0, 5.0))
-def test_verify_identity_is_subset(seed, tol):
-    rng = np.random.default_rng(seed)
-    view = make_view(rng, 10, 6)
-    variant = apply_variant(view, identity_shift("v", 6), seed=seed)
-    corrs = match_features(view, variant, MatchParams())
-    kept = verify_identity(corrs, view, variant, tol)
-    assert set(kept.pairs) <= set(corrs.pairs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from synthloc import quats
 
@@ -60,12 +59,3 @@ def test_chordal_mean_halfway():
     q2 = quats.from_axis_angle(np.array([0.0, 0.0, 1.0]), np.pi / 2)
     mean = quats.chordal_mean([q1, q2])
     assert abs(quats.rotation_angle_deg(quats.to_matrix(mean)) - 45.0) < 1e-9
-
-
-@given(st.integers(0, 10_000))
-def test_multiply_matches_matrix_product(seed):
-    rng = np.random.default_rng(seed)
-    a, b = random_quat(rng), random_quat(rng)
-    left = quats.to_matrix(quats.multiply(a, b))
-    right = quats.to_matrix(a) @ quats.to_matrix(b)
-    assert np.allclose(left, right, atol=1e-12)

@@ -14,13 +14,12 @@ from synthloc.geometry import (
     ConsistencyScore,
     MatchParams,
     consistency_score,
-    match_features,
     score_world_variants,
 )
 from synthloc.variants import apply_variant, default_prompt_set, identity_shift
 from synthloc.worldgen import ViewImage
 
-from conftest import make_view, perturbed
+from conftest import make_view, match_pairs, perturbed
 
 # ---------------------------------------------------------------- reference
 
@@ -184,7 +183,7 @@ def test_match_features_equal_reference():
         a = make_view(rng, int(rng.integers(1, 25)), 8, n_clutter=int(rng.integers(0, 3)))
         b = make_view(rng, int(rng.integers(1, 25)), 8)
         for ratio in (TINY, 0.8, 1.0):
-            assert match_features(a, b, MatchParams(ratio=ratio)).pairs == ref_match(a, b, ratio)
+            assert match_pairs(a, b, MatchParams(ratio=ratio)) == ref_match(a, b, ratio)
 
 
 def test_match_features_ties_equal_reference():
@@ -199,13 +198,13 @@ def test_match_features_ties_equal_reference():
     b = dataclasses.replace(b, desc=desc)
     for x, y in ((a, a), (a, b), (b, a), (b, b)):
         for ratio in (TINY, 0.9, 1.0):
-            got = match_features(x, y, MatchParams(ratio=ratio)).pairs
+            got = match_pairs(x, y, MatchParams(ratio=ratio))
             assert got == ref_match(x, y, ratio)
     # the duplicated rows tie at distance 0, which passes even the tiniest ratio
-    assert (2, 1) in match_features(a, b, MatchParams(ratio=TINY)).pairs
+    assert (2, 1) in match_pairs(a, b, MatchParams(ratio=TINY))
     # one feature on both sides: the ratio test does not apply at all
     one_a, one_b = make_view(rng, 1, 8), make_view(rng, 1, 8)
-    assert match_features(one_a, one_b, MatchParams(ratio=TINY)).pairs == [(0, 0)]
+    assert match_pairs(one_a, one_b, MatchParams(ratio=TINY)) == [(0, 0)]
     assert ref_match(one_a, one_b, TINY) == [(0, 0)]
 
 

@@ -121,11 +121,24 @@ def test_zero_noise_descriptor_equals_base(small_world):
         assert np.allclose(desc, base, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rotation,position",
+    [([np.nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), ([1.0, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0])],
+    ids=["nan-rotation", "inf-position"],
+)
+def test_camera_pose_rejects_non_finite(rotation, position):
+    """The unit-norm check alone is False for a NaN quaternion."""
+    with pytest.raises(ValueError, match="finite"):
+        CameraPose(rotation=np.array(rotation), position=np.array(position))
+
+
 def test_facing_away_raises(small_world):
     # camera at the landmark band looking away from the street
     pose = small_world.map_views[0].pose
     flipped = CameraPose(
-        rotation=quats.multiply(quats.from_axis_angle([0, 0, 1], np.pi), pose.rotation),
+        rotation=quats.from_matrix(
+            quats.to_matrix(quats.from_axis_angle([0, 0, 1], np.pi)) @ pose.matrix()
+        ),
         position=pose.position + np.array([0.0, -30.0, 0.0]),
     )
     with pytest.raises(NoVisibleLandmarksError):
