@@ -146,6 +146,30 @@ def _residuals(
 _CHUNK = 32
 
 
+def _draw_samples(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
+    """The (b, 6) array that b calls of `rng.choice(n, 6, replace=False)`
+    stack to, from one `rng.integers` call that leaves `rng` in the same state.
+
+    numpy's `choice` leaves Floyd's sampling (Bentley & Floyd, CACM 1987) only
+    above n = 10,000 and for more than n/50 values, so for six it is Floyd's
+    at every n: column k takes a draw in [0, n-6+k], or n-6+k if an earlier
+    column already holds that draw. A shuffle then swaps column i with
+    a draw in [0, i] for i = 5, ..., 1. Each of those eleven steps takes one
+    bounded draw from the generator, and `integers` over an array of bounds
+    takes the same bounded draws in array order, so one call over b rows of
+    the eleven bounds gives every draw of the b calls. Both steps then run on
+    the columns of all b rows at once."""
+    highs = np.array([*range(n - 6, n), 5, 4, 3, 2, 1])
+    draws = rng.integers(0, highs, size=(b, 11), endpoint=True).T
+    picks = draws[:6].copy()
+    for k in range(1, 6):
+        picks[k][(picks[:k] == picks[k]).any(axis=0)] = n - 6 + k
+    rows = np.arange(b)
+    for i, j in zip(range(5, 0, -1), draws[6:]):
+        picks[i], picks[j, rows] = picks[j, rows], picks[i].copy()
+    return picks.T
+
+
 def _hypothesis_masks(
     samples: np.ndarray,
     points: np.ndarray,
@@ -153,20 +177,21 @@ def _hypothesis_masks(
     pixels: np.ndarray,
     intr: CameraIntrinsics,
     inlier_px: float,
-) -> list[np.ndarray | None]:
-    """Inlier masks of the (b, 6) sampled hypotheses, in order; None for a
-    hypothesis whose DLT fails. A failing stack is redone one at a time."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (b, n) inlier masks of the (b, 6) sampled hypotheses, in order, and
+    their (b,) inlier counts; a hypothesis whose DLT fails counts -1. A failing
+    stack is redone one at a time."""
     try:
         R, center = _dlt_rt(points[samples], norm_xy[samples])
     except np.linalg.LinAlgError:
         if len(samples) == 1:
-            return [None]
-        return [
-            mask
-            for sample in samples
-            for mask in _hypothesis_masks(sample[None], points, norm_xy, pixels, intr, inlier_px)
+            return np.zeros((1, len(points)), dtype=bool), np.array([-1])
+        parts = [
+            _hypothesis_masks(sample[None], points, norm_xy, pixels, intr, inlier_px) for sample in samples
         ]
-    return list(_residuals(R, center, points, pixels, intr) <= inlier_px)
+        return np.concatenate([m for m, _ in parts]), np.concatenate([c for _, c in parts])
+    masks = _residuals(R, center, points, pixels, intr) <= inlier_px
+    return masks, np.count_nonzero(masks, axis=1)
 
 
 def pnp_ransac(
@@ -184,12 +209,16 @@ def pnp_ransac(
 
     Hypotheses are drawn and solved in chunks of at most _CHUNK, never more
     than the remaining budget, but the result is that of drawing, solving and
-    scoring them one at a time: each is one `rng.choice(n, 6)` call of the
-    same sequence, and the chunk is walked in draw order with the strict
-    best-count update and the adaptive stop. Hypotheses drawn past the
-    stopping point are discarded; the generator is local to the call. If a
-    chunk's stacked SVD fails, its hypotheses are solved one at a time, and
-    each one that fails still counts as an iteration.
+    scoring them one at a time with `rng.choice(n, 6, replace=False)`. A
+    chunk's samples come from one `rng.integers` call (`_draw_samples`): each
+    `choice` call is eleven bounded draws (Floyd's sampling, then a shuffle),
+    and one call over the chunk's bounds takes the same draws in the same
+    order, so the samples and the generator's state equal those of the serial
+    calls. The chunk is walked in draw order with the strict best-count
+    update and the adaptive stop. Hypotheses drawn past the stopping point are
+    discarded; the generator is local to the call. If a chunk's stacked SVD
+    fails, its hypotheses are solved one at a time, and each one that fails
+    still counts as an iteration.
     """
     n = len(corr_2d3d)
     if n < 6:
@@ -207,12 +236,13 @@ def pnp_ransac(
     it = 0
     while it < min(needed, params.iterations):
         b = min(_CHUNK, min(needed, params.iterations) - it)
-        samples = np.array([rng.choice(n, size=6, replace=False) for _ in range(b)])
-        for mask in _hypothesis_masks(samples, points, norm_xy, pixels, intrinsics, params.inlier_px):
+        samples = _draw_samples(rng, n, b)
+        masks, counts = _hypothesis_masks(samples, points, norm_xy, pixels, intrinsics, params.inlier_px)
+        for h, count in enumerate(counts.tolist()):
             it += 1
-            if mask is not None and (count := int(mask.sum())) > best_count:
+            if count > best_count:
                 best_count = count
-                best_mask = mask
+                best_mask = masks[h]
                 w = count / n
                 if w >= 1.0:
                     needed = 0  # every correspondence agrees: stop

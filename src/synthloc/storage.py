@@ -63,15 +63,15 @@ def _parse_table(
     what: str,
     min_width: int,
     int_cols: dict[int, str] | None = None,
-    text_col: int | None = None,
-) -> np.ndarray | tuple[list[str], np.ndarray]:
+    text_cols: tuple[int, ...] = (),
+) -> np.ndarray | tuple[list[list[str]], np.ndarray]:
     """The float table of a CSV file with a header line of at least
     `min_width` columns and one or more rows of `what`s. Every row must have
     the header's column count and finite values, and each column of
     `int_cols` (numbered in the float table; the value names it) must hold
     integers; anything else raises DataError naming the file and line. With
-    `text_col`, that column is read as text and returned first, beside the
-    table of the others."""
+    `text_cols`, those columns are read as text and returned first, one list
+    per column in the order given, beside the table of the others."""
     if not lines or lines[0].count(",") + 1 < min_width:
         raise DataError(f"{path}: missing or short {what} header")
     body = lines[1:]
@@ -81,13 +81,12 @@ def _parse_table(
     for lineno, ln in enumerate(body, start=2):
         if ln.count(",") + 1 != width:
             raise DataError(f"{path}:{lineno}: {ln.count(',') + 1} columns, header has {width}")
-    if text_col is not None:
-        rows = [ln.split(",") for ln in body]
-        text = [row.pop(text_col) for row in rows]
-        body = [",".join(row) for row in rows]
+    values = ",".join(body).split(",")
+    text = [values[c::width] for c in text_cols]
+    for c in sorted(text_cols, reverse=True):
+        del values[c::width]
         width -= 1
     # every row has `width` values, so value k sits on line k // width + 2
-    values = ",".join(body).split(",")
     try:
         table = np.fromiter(map(float, values), float, len(values)).reshape(len(body), width)
     except ValueError:
@@ -100,10 +99,16 @@ def _parse_table(
     checks = [(~np.isfinite(table).all(axis=1), "a value is not finite")]
     for col, name in (int_cols or {}).items():
         checks.append((table[:, col] != np.round(table[:, col]), f"{name} is not an integer"))
+    _reject_rows(path, checks)
+    return (text, table) if text_cols else table
+
+
+def _reject_rows(path: str | os.PathLike, checks: list[tuple[np.ndarray, str]]) -> None:
+    """Raise DataError naming the file and the first flagged line of the first
+    check, given as (per-row flags of a table's rows, what is wrong)."""
     for bad, why in checks:
         if bad.any():
             raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: {why}")
-    return table if text_col is None else (text, table)
 
 
 def _parse_features(
@@ -181,7 +186,7 @@ _META_INTS = ("seed", "num_map_views", "num_query_views", "width", "height")
 def _load_meta(path: Path) -> dict[str, float]:
     """meta.csv's values by key, each a finite number, and an integer where
     the key counts or seeds something."""
-    keys, table = _parse_table(_read_lines(path), path, "meta entry", 2, text_col=0)
+    [keys], table = _parse_table(_read_lines(path), path, "meta entry", 2, text_cols=(0,))
     meta = dict(zip(keys, table[:, 0].tolist()))
     for key in _META_KEYS:
         if key not in meta:
@@ -213,8 +218,8 @@ def load_world(in_dir: str | os.PathLike) -> World:
     d = landmarks[0].base_descriptor.shape[0]
     n_map = int(meta["num_map_views"])
     path = src / "views.csv"
-    conditions, table = _parse_table(
-        _read_lines(path), path, "view", 9, {0: "the view id"}, text_col=8
+    [conditions], table = _parse_table(
+        _read_lines(path), path, "view", 9, {0: "the view id"}, text_cols=(8,)
     )
     n_query = int(meta["num_query_views"])
     if len(table) != n_map + n_query:
@@ -280,7 +285,7 @@ def save_prompts(prompts: PromptSet, out_dir: str | os.PathLike) -> None:
 
 def load_prompts(in_dir: str | os.PathLike) -> PromptSet:
     path = Path(in_dir) / "prompts.csv"
-    names, table = _parse_table(_read_lines(path), path, "prompt", 7, text_col=0)
+    [names], table = _parse_table(_read_lines(path), path, "prompt", 7, text_cols=(0,))
     shifts = []
     for lineno, (name, row) in enumerate(zip(names, table), start=2):
         try:
@@ -342,12 +347,26 @@ def save_scores(
 
 
 def load_scores(in_dir: str | os.PathLike) -> ScoreStore:
+    """The scores of a `save_scores` file, checked by `_parse_table`: integer
+    ids, counts and validity, 0 <= s <= 1 and 0 <= kept <= original."""
+    path = Path(in_dir) / "consistency.csv"
+    lines = _read_lines(path)
     store = ScoreStore()
-    for ln in _read_lines(Path(in_dir) / "consistency.csv")[1:]:
-        q, p, prompt, s, kept, original, _valid = ln.split(",")
-        store.add(
-            int(q), int(p), prompt, ConsistencyScore(float(s), int(kept), int(original))
-        )
+    if len(lines) == 1:
+        return store  # a world without matching pairs has no scores
+    ints = {0: "the query id", 1: "the positive id", 3: "kept", 4: "original", 5: "valid@c_tau"}
+    [prompts], table = _parse_table(lines, path, "score", 7, ints, text_cols=(2,))
+    s, kept, original = table[:, 2], table[:, 3], table[:, 4]
+    _reject_rows(
+        path,
+        [
+            ((s < 0) | (s > 1), "s is not in [0, 1]"),
+            ((kept < 0) | (kept > original), "kept is not in [0, original]"),
+        ],
+    )
+    for row, prompt in zip(table, prompts):
+        q, p, value, k, o, _valid = row.tolist()
+        store.add(int(q), int(p), prompt, ConsistencyScore(value, int(k), int(o)))
     return store
 
 
@@ -422,17 +441,20 @@ def save_summary(rows: list[dict], path: str | os.PathLike) -> None:
 
 
 def load_summary(path: str | os.PathLike) -> list[dict]:
-    rows = []
-    for ln in _read_lines(Path(path))[1:]:
-        protocol, k, condition, hi, mid, lo = ln.split(",")
-        rows.append(
-            {
-                "protocol": protocol,
-                "k": int(k),
-                "condition": condition,
-                "high": float(hi),
-                "mid": float(mid),
-                "low": float(lo),
-            }
-        )
-    return rows
+    """The rows of a `save_summary` file, checked by `_parse_table`: k an
+    integer >= 1 and each percentage in [0, 100]."""
+    [protocols, conditions], table = _parse_table(
+        _read_lines(Path(path)), path, "summary row", 6, {0: "k"}, text_cols=(0, 2)
+    )
+    pct = table[:, 1:]
+    _reject_rows(
+        path,
+        [
+            (table[:, 0] < 1, "k is below 1"),
+            (((pct < 0) | (pct > 100)).any(axis=1), "a percentage is not in [0, 100]"),
+        ],
+    )
+    return [
+        {"protocol": protocol, "k": int(k), "condition": condition, "high": hi, "mid": mid, "low": lo}
+        for protocol, condition, (k, hi, mid, lo) in zip(protocols, conditions, table.tolist())
+    ]

@@ -373,6 +373,41 @@ def test_cli_malformed_prompts_csv_is_data_error(pipeline, tmp_path, capsys, edi
     assert f"{path.parent}/{reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit,reason",
+    [
+        (lambda parts: parts[:2], "consistency.csv:3: 2 columns, header has 7"),
+        (lambda parts: parts[:4] + ["x"] + parts[5:], "consistency.csv:3: 'x' is not a number"),
+        (lambda parts: parts[:3] + ["nan"] + parts[4:], "consistency.csv:3: a value is not finite"),
+        (lambda parts: parts[:4] + ["1.5"] + parts[5:], "consistency.csv:3: kept is not an integer"),
+        (lambda parts: ["2.5"] + parts[1:], "consistency.csv:3: the query id is not an integer"),
+        (lambda parts: parts[:3] + ["1.5"] + parts[4:], "consistency.csv:3: s is not in [0, 1]"),
+        (
+            lambda parts: parts[:4] + [str(int(parts[5]) + 1)] + parts[5:],
+            "consistency.csv:3: kept is not in [0, original]",
+        ),
+        (lambda parts: parts[:4] + ["-1"] + parts[5:], "consistency.csv:3: kept is not in [0, original]"),
+    ],
+    ids=["short-row", "str-kept", "nan-s", "fractional-kept", "fractional-id", "s-above-1",
+         "kept-above-original", "negative-kept"],
+)
+def test_cli_malformed_consistency_csv_is_data_error(pipeline, tmp_path, capsys, edit, reason):
+    """A consistency.csv row with a missing, non-numeric, non-finite,
+    fractional or out-of-range value makes `train` exit 3 naming the file and
+    line, where a short row or a non-numeric kept used to give a ValueError
+    and a nan s or kept above original was read as it stood."""
+    variants = tmp_path / "variants"
+    shutil.copytree(pipeline["variants"], variants)
+    path = variants / "consistency.csv"
+    _edit_line(path, 3, edit)
+    rc = main(
+        ["train", "--config", pipeline["cfg"], "--world", str(pipeline["world"]),
+         "--variants", str(variants), "--out", str(tmp_path / "m")]
+    )
+    assert rc == 3
+    assert f"{path.parent}/{reason}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["variants", "evaluate"])
 def test_cli_nan_landmark_is_data_error(pipeline, tmp_path, capsys, command):
     """A `nan` landmark coordinate exits 3 naming landmarks.csv and the line,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from synthloc import localize, quats
-from synthloc.embed import init_model
+from synthloc.embed import EmbeddingModel, init_model
 from synthloc.errors import (
     EmptyRankingError,
     InsufficientCorrespondencesError,
@@ -21,7 +21,8 @@ from synthloc.localize import (
     recall_at_k,
     sfm_localize,
 )
-from synthloc.worldgen import CameraIntrinsics, CameraPose, project_points
+from synthloc.variants import default_prompt_set, shift_queries
+from synthloc.worldgen import CameraIntrinsics, CameraPose, derive_seed, project_points
 
 INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
 
@@ -279,9 +280,9 @@ def pnp_oracle(corr, intr, params):
     return pose, [int(i) for i in final]
 
 
-def outcome(solver, corr, params):
+def outcome(solver, corr, params, intr=INTR):
     try:
-        pose, inliers = solver(corr, INTR, params)
+        pose, inliers = solver(corr, intr, params)
     except (InsufficientCorrespondencesError, NoConsensusError) as exc:
         return type(exc)
     return pose.rotation.tobytes(), pose.position.tobytes(), inliers
@@ -397,6 +398,77 @@ def test_pnp_matches_oracle_when_svd_fails(monkeypatch):
             assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
             assert stacks[0] > 1 and stacks[1] == 1  # the first chunk fell back
         assert outcome(pnp_ransac, clean + [nan], RansacParams(seed=trial))[2] == list(range(20))
+
+
+def assert_draw_is_choice(serial, chunked, n, b):
+    expected = np.array([serial.choice(n, size=6, replace=False) for _ in range(b)])
+    got = localize._draw_samples(chunked, n, b)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected), (n, b)
+    assert chunked.bit_generator.state == serial.bit_generator.state, (n, b)
+
+
+def test_draw_samples_equals_serial_choice():
+    """One chunk's draw gives the samples and the generator state of b
+    stacked `rng.choice(n, 6, replace=False)` calls: chunk after chunk from
+    one generator, as pnp_ransac draws them, and from fresh generators. If a
+    numpy release changes `choice`, this test names the cause before the
+    pinned digests fail."""
+    for n in [*range(6, 131), 9_999, 10_000, 10_001, 20_000]:
+        serial, chunked = np.random.default_rng(n), np.random.default_rng(n)
+        for b in range(1, localize._CHUNK + 1):
+            assert_draw_is_choice(serial, chunked, n, b)
+    for n in (6, 7, 40, 130, 20_000):
+        for b in range(1, localize._CHUNK + 1):
+            assert_draw_is_choice(np.random.default_rng([n, b]), np.random.default_rng([n, b]), n, b)
+
+
+class Recorded(Exception):
+    """Raised in place of a solve once its inputs are recorded."""
+
+
+def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, default_world):
+    """Real solves: the correspondences sfm_localize hands to pnp_ransac for
+    the default world's 20 clean and 20 `at dawn` queries at k = 1 and 5,
+    after cosine top-5 retrieval, with the benchmark's RANSAC seeds for seed
+    7. Among them are solves that run to the 1000-iteration cap and end
+    without consensus."""
+    d = default_world.landmarks[0].base_descriptor.shape[0]
+    queries = shift_queries(default_world, default_prompt_set(d, seed=0), ["at dawn"], seed=7)
+    model = EmbeddingModel(np.eye(d))
+    index = build_index(default_world.map_views, model)
+    map_views = {v.id: v for v in default_world.map_views}
+    solves = []
+
+    def record(corr, intr, params):
+        solves.append((corr, intr, params))
+        raise Recorded
+
+    monkeypatch.setattr(localize, "pnp_ransac", record)
+    for q in queries:
+        ranked = retrieve(q, index, model, "global_cosine", k=5)
+        for k in (1, 5):
+            with pytest.raises(Recorded):
+                sfm_localize(
+                    q, ranked, map_views, default_world.landmarks, model, k, MatchParams(),
+                    RansacParams(seed=derive_seed(7, q.id)),
+                )
+    monkeypatch.undo()
+
+    hypotheses = []
+    masks = localize._hypothesis_masks
+
+    def spy(*args):
+        hypotheses[-1] += len(args[0])
+        return masks(*args)
+
+    monkeypatch.setattr(localize, "_hypothesis_masks", spy)
+    outcomes = []
+    for corr, intr, params in solves:
+        hypotheses.append(0)
+        outcomes.append(outcome(pnp_ransac, corr, params, intr))
+        assert outcomes[-1] == outcome(pnp_oracle, corr, params, intr)
+    assert len(solves) == 80
+    assert NoConsensusError in outcomes and 1000 in hypotheses
 
 
 # ---------------------------------------------------------------- sfm localization
