@@ -254,7 +254,7 @@ def cmd_train(
             raise DataError("training mode needs a variants directory")
         prompts = storage.load_prompts(variants_dir)
         variants = VariantStore.from_mapping(storage.load_variants(variants_dir, world, prompts))
-        scores = storage.load_scores(variants_dir)
+        scores = storage.load_scores(variants_dir, world, prompts)
 
     models = []
     for seed in config.seeds:
@@ -417,12 +417,12 @@ def cmd_ablate(
     if needs_variants and not (variants_dir / "consistency.csv").exists():
         cmd_variants(world_dir, config, variants_dir)
 
-    prompts = None
     variants = None
+    scores = None
     if needs_variants:
         prompts = storage.load_prompts(variants_dir)
         variants = VariantStore.from_mapping(storage.load_variants(variants_dir, world, prompts))
-    scores = storage.load_scores(variants_dir) if needs_variants else None
+        scores = storage.load_scores(variants_dir, world, prompts)
 
     raw_rows = []
     for method in methods:

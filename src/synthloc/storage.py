@@ -111,6 +111,19 @@ def _reject_rows(path: str | os.PathLike, checks: list[tuple[np.ndarray, str]]) 
             raise DataError(f"{path}:{int(np.argmax(bad)) + 2}: {why}")
 
 
+# Id checks use Python sets: np.isin on these arrays sorts through
+# np.unique, whose first call imports numpy.ma, about 1 MB more in every
+# process that loads a world.
+def _repeated(keys: list) -> np.ndarray:
+    """Per-row flags of the rows whose key an earlier row already has."""
+    seen: set = set()
+    flags = np.zeros(len(keys), dtype=bool)
+    for row, key in enumerate(keys):
+        flags[row] = key in seen
+        seen.add(key)
+    return flags
+
+
 def _parse_features(
     lines: list[str], path: str | os.PathLike
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,12 +133,17 @@ def _parse_features(
     return table[:, :2], table[:, 3:], np.maximum(table[:, 2], -1).astype(int)
 
 
-def _load_features(path: Path, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _load_features(
+    path: Path, d: int, landmark_ids: set
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The feature arrays of one file, whose descriptors must be
-    d-dimensional like the world's landmarks."""
+    d-dimensional like the world's landmarks, and whose landmark ids must be
+    -1 or one of the world's `landmark_ids`."""
     kp, desc, lid = _parse_features(_read_lines(path), path)
     if desc.shape[1] != d:
         raise DataError(f"{path}: {desc.shape[1]}-dim descriptors, the world's have {d}")
+    unknown = np.array([i >= 0 and i not in landmark_ids for i in lid.tolist()], dtype=bool)
+    _reject_rows(path, [(unknown, "the landmark id is not in landmarks.csv")])
     return kp, desc, lid
 
 
@@ -211,6 +229,8 @@ def load_world(in_dir: str | os.PathLike) -> World:
 
     path = src / "landmarks.csv"
     table = _parse_table(_read_lines(path), path, "landmark", 5, {0: "the landmark id"})
+    _reject_rows(path, [(_repeated(table[:, 0].tolist()), "the landmark id is repeated")])
+    landmark_ids = set(table[:, 0].tolist())
     landmarks = [
         Landmark(id=int(row[0]), position=row[1:4], base_descriptor=row[4:]) for row in table
     ]
@@ -226,6 +246,8 @@ def load_world(in_dir: str | os.PathLike) -> World:
         raise DataError(
             f"{path}: {len(table)} views, meta.csv counts {n_map} map and {n_query} query views"
         )
+    view_ids = table[:, 0].tolist()
+    _reject_rows(path, [(_repeated(view_ids), "the view id is repeated")])
     map_views: list[ViewImage] = []
     query_views: list[ViewImage] = []
     for row, (values, condition) in enumerate(zip(table, conditions)):
@@ -234,7 +256,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
         except ValueError as exc:
             raise DataError(f"{path}:{row + 2}: {exc}") from None
         vid = int(values[0])
-        feats = _load_features(src / "features" / f"{vid}.csv", d)
+        feats = _load_features(src / "features" / f"{vid}.csv", d, landmark_ids)
         view = ViewImage(vid, pose, intr, *feats, condition=condition)
         (map_views if row < n_map else query_views).append(view)
 
@@ -242,7 +264,17 @@ def load_world(in_dir: str | os.PathLike) -> World:
     lines = _read_lines(path)
     ints = {0: "a view id", 1: "a view id", 2: "the count"}
     # a world may have no matching pairs
-    table = _parse_table(lines, path, "pair", 3, ints) if len(lines) > 1 else []
+    table = _parse_table(lines, path, "pair", 3, ints) if len(lines) > 1 else np.empty((0, 3))
+    ends = table[:, :2]
+    map_ids = set(view_ids[:n_map])
+    _reject_rows(
+        path,
+        [
+            (np.array([a not in map_ids or b not in map_ids for a, b in ends.tolist()], dtype=bool),
+             "a view id is not a map view's"),
+            (ends[:, 0] == ends[:, 1], "the two view ids are equal"),
+        ],
+    )
     pairs = [(int(a), int(b), int(c)) for a, b, c in table]
 
     return World(
@@ -318,11 +350,12 @@ def load_variants(
     src = Path(in_dir) / "features_variants"
     by_id = {v.id: v for v in world.map_views}
     d = world.landmarks[0].base_descriptor.shape[0]
+    landmark_ids = {lm.id for lm in world.landmarks}
     out: dict[int, list[ViewImage]] = {}
     for vid in sorted(by_id):
         row = []
         for shift in prompts.shifts:
-            feats = _load_features(src / prompt_slug(shift.name) / f"{vid}.csv", d)
+            feats = _load_features(src / prompt_slug(shift.name) / f"{vid}.csv", d, landmark_ids)
             base = by_id[vid]
             row.append(ViewImage(vid, base.pose, base.intrinsics, *feats, condition=shift.name))
         out[vid] = row
@@ -346,25 +379,35 @@ def save_scores(
     _write_lines(Path(out_dir) / "consistency.csv", lines)
 
 
-def load_scores(in_dir: str | os.PathLike) -> ScoreStore:
+def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> ScoreStore:
     """The scores of a `save_scores` file, checked by `_parse_table`: integer
-    ids, counts and validity, 0 <= s <= 1 and 0 <= kept <= original."""
+    ids, counts and validity, 0 <= s <= 1 and 0 <= kept <= original, one row
+    per (query id, positive id, prompt) key, ids of `world`'s map views and
+    prompts of `prompts`."""
     path = Path(in_dir) / "consistency.csv"
     lines = _read_lines(path)
     store = ScoreStore()
     if len(lines) == 1:
         return store  # a world without matching pairs has no scores
     ints = {0: "the query id", 1: "the positive id", 3: "kept", 4: "original", 5: "valid@c_tau"}
-    [prompts], table = _parse_table(lines, path, "score", 7, ints, text_cols=(2,))
+    [names], table = _parse_table(lines, path, "score", 7, ints, text_cols=(2,))
     s, kept, original = table[:, 2], table[:, 3], table[:, 4]
+    map_ids = {v.id for v in world.map_views}
+    prompt_names = set(prompts.names())
+    keys = list(zip(*table[:, :2].T.tolist(), names))
     _reject_rows(
         path,
         [
             ((s < 0) | (s > 1), "s is not in [0, 1]"),
             ((kept < 0) | (kept > original), "kept is not in [0, original]"),
+            (np.array([q not in map_ids or p not in map_ids for q, p, _ in keys], dtype=bool),
+             "a view id is not a map view's"),
+            (np.array([name not in prompt_names for name in names], dtype=bool),
+             "the prompt is not in prompts.csv"),
+            (_repeated(keys), "the (query, positive, prompt) key is repeated"),
         ],
     )
-    for row, prompt in zip(table, prompts):
+    for row, prompt in zip(table, names):
         q, p, value, k, o, _valid = row.tolist()
         store.add(int(q), int(p), prompt, ConsistencyScore(value, int(k), int(o)))
     return store

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlreadySyntheticError, MissingVariantError
-from .worldgen import ViewImage, World, derive_seed, fill_clutter
+from .worldgen import ViewImage, World, derive_seed, fill_clutter, unit_rows
 
 # The 11 weather / season / time-of-day prompts, with severity parameters
 # per prompt: (bias_gain, descriptor_noise_sigma, dropout_rate, clutter_rate).
@@ -136,8 +136,7 @@ def apply_variant(view: ViewImage, shift: DomainShift, seed: int) -> ViewImage:
         + shift.bias_gain * shift.descriptor_bias
         + shift.descriptor_noise_sigma * noise[:, :d]
     )
-    # the stacked row dot products round like the 1-D np.linalg.norm
-    desc[:m] = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    desc[:m] = unit_rows(x)
     lid[:m] = view.lid[keep]
     fill_clutter(rng, kp, desc, m, view.intrinsics.image_size)
     return ViewImage(view.id, view.pose, view.intrinsics, kp, desc, lid, condition=shift.name)

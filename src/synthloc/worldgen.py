@@ -9,6 +9,7 @@ so the camera's +z axis is the viewing direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,6 +214,14 @@ def visible_mask(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics, m
     return ok
 
 
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of the (m, d) array `x`, each divided by its length. The
+    stacked row dot products round like the 1-D `np.linalg.norm` of each row
+    (`sqrt(x.dot(x))`), so every row equals the per-row normalisation bit for
+    bit."""
+    return x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+
+
 def fill_clutter(
     rng: np.random.Generator,
     kp: np.ndarray,
@@ -221,11 +230,19 @@ def fill_clutter(
     image_size: tuple[int, int],
 ) -> None:
     """Fill rows `first`.. of `kp` and `desc` with clutter, one row at a time:
-    a uniform keypoint in the image, then a random unit descriptor."""
+    a uniform keypoint in the image, then a random unit descriptor.
+
+    The rows cannot share one draw: each standard normal is a ziggurat draw
+    that takes a variable number of raw 64-bit values, so the uniforms and
+    normals of later rows sit at stream offsets known only after the earlier
+    draws. `rng.random(2) * high` is what `rng.uniform(0.0, image_size)`
+    computes (`0.0 + high * U`), and `x / sqrt(x.dot(x))` is the 1-D
+    `np.linalg.norm` normalisation, both without numpy's per-call overhead."""
+    high = np.array(image_size, dtype=float)
     for row in range(first, kp.shape[0]):
-        kp[row] = rng.uniform(0.0, image_size)
+        kp[row] = rng.random(2) * high
         x = rng.standard_normal(desc.shape[1])
-        desc[row] = x / np.linalg.norm(x)
+        desc[row] = x / math.sqrt(x.dot(x))
 
 
 def render_view(
@@ -243,6 +260,13 @@ def render_view(
     descriptors are renormalized noisy copies of the landmark descriptors.
     `clutter_count` extra features carry random unit descriptors and no
     landmark id. Raises NoVisibleLandmarksError when the frustum is empty.
+
+    The visible rows are rendered array-at-a-time from one (m, 2 + d) block
+    of normals. A block is filled in row-major order, so its row i holds the
+    2 keypoint normals and then the d descriptor normals that a per-row loop
+    would draw for visible landmark i, and the clutter rows then continue
+    the same stream: the generator's draws, and so every array, are those of
+    rendering one row at a time, bit for bit.
     """
     rng = np.random.default_rng(seed)
     points = world.landmark_positions()
@@ -259,10 +283,10 @@ def render_view(
     desc = np.empty((n, d))
     lid = np.full(n, -1)
     lid[: idx.size] = idx
-    for row, lm_i in enumerate(idx):
-        kp[row] = uv[row] + noise.keypoint_sigma * rng.standard_normal(2)
-        x = world.landmarks[lm_i].base_descriptor + noise.descriptor_sigma * rng.standard_normal(d)
-        desc[row] = x / np.linalg.norm(x)
+    block = rng.standard_normal((idx.size, 2 + d))
+    kp[: idx.size] = uv + noise.keypoint_sigma * block[:, :2]
+    base = np.array([world.landmarks[i].base_descriptor for i in idx])
+    desc[: idx.size] = unit_rows(base + noise.descriptor_sigma * block[:, 2:])
 
     fill_clutter(rng, kp, desc, idx.size, intrinsics.image_size)
     return ViewImage(view_id, pose, intrinsics, kp, desc, lid)
@@ -303,6 +327,10 @@ def generate_world(config: WorldConfig, seed: int) -> World:
 
     Raises DegenerateWorldError for configs that cannot support pose
     estimation (too few landmarks, views seeing fewer than 4 of them, ...).
+    The landmark descriptors come from one (L, d) block of normals, whose
+    row i is what a per-landmark loop would draw for landmark i, and each
+    view is rendered by `render_view`, so the world is bit for bit the one a
+    row-at-a-time generator makes.
     """
     if config.num_landmarks < 10:
         raise DegenerateWorldError("degenerate world: num_landmarks < 10")
@@ -323,13 +351,12 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     xy = pos2 + lateral[:, None] * left + along[:, None] * tangent
     z = rng.uniform(0.0, config.height_max, config.num_landmarks)
 
-    landmarks = []
-    for i in range(config.num_landmarks):
-        desc = rng.standard_normal(config.descriptor_dim)
-        desc = desc / np.linalg.norm(desc)
-        landmarks.append(
-            Landmark(id=i, position=np.array([xy[i, 0], xy[i, 1], z[i]]), base_descriptor=desc)
-        )
+    descs = unit_rows(rng.standard_normal((config.num_landmarks, config.descriptor_dim)))
+    positions = np.column_stack([xy, z])
+    landmarks = [
+        Landmark(id=i, position=positions[i], base_descriptor=descs[i])
+        for i in range(config.num_landmarks)
+    ]
 
     world = World(landmarks=landmarks, map_views=[], query_views=[], matching_pairs=[], seed=seed)
     intr = config.intrinsics()

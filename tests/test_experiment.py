@@ -102,7 +102,8 @@ def test_variants_outputs(pipeline):
 
 def test_variants_validity_monotone_in_tau(pipeline):
     """valid@0.3 is a subset of valid@0.2."""
-    scores = storage.load_scores(pipeline["variants"])
+    world = storage.load_world(pipeline["world"])
+    scores = storage.load_scores(pipeline["variants"], world, storage.load_prompts(pipeline["variants"]))
     valid02 = {k for k, s in scores.items() if s.value >= 0.2}
     valid03 = {k for k, s in scores.items() if s.value >= 0.3}
     assert valid03 <= valid02
@@ -196,6 +197,18 @@ def test_cli_worldgen_and_variants_bytes_are_pinned(pipeline):
         for rel, digest in dir_digest(pipeline[stage]).items():
             if Path(rel).name != "config.reference":
                 got[f"{stage}/{rel}"] = digest
+    assert got == pinned
+
+
+def test_cli_default_worldgen_bytes_are_pinned(tmp_path):
+    """Every file `worldgen` writes for the default config at world seed 7
+    (the benchmark's world), except config.reference, against sha256 digests
+    recorded from the per-row renderer that the array-at-a-time one
+    replaced."""
+    out = tmp_path / "world"
+    assert main(["worldgen", "--seed", "7", "--out", str(out)]) == 0
+    pinned = json.loads((Path(__file__).parent / "data" / "cli_worldgen_default_sha256.json").read_text())
+    got = {rel: digest for rel, digest in dir_digest(out).items() if rel != "config.reference"}
     assert got == pinned
 
 
@@ -312,6 +325,78 @@ def test_cli_malformed_feature_csv_is_data_error(pipeline, tmp_path, capsys, edi
     assert reason in err
 
 
+def _shift_feature_landmark_ids(world):
+    """Move every feature file's landmark ids 100000 past landmarks.csv's."""
+    for path in sorted((world / "features").iterdir()):
+        lines = path.read_text().splitlines()
+        for i, ln in enumerate(lines[1:], start=1):
+            parts = ln.split(",")
+            if int(parts[2]) >= 0:
+                parts[2] = str(int(parts[2]) + 100000)
+            lines[i] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+
+
+def _set_line(name, lineno, text):
+    def edit(world):
+        path = world / name
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = text(lines)
+        path.write_text("\n".join(lines) + "\n")
+
+    return edit
+
+
+def _repeat_id(lines, lineno):
+    """Line `lineno` with the id of the line above it."""
+    return ",".join(lines[lineno - 2].split(",")[:1] + lines[lineno - 1].split(",")[1:])
+
+
+BAD_WORLD_IDS = {
+    "feature-landmark-missing": (
+        "evaluate", _shift_feature_landmark_ids, "features/0.csv:2: the landmark id is not in landmarks.csv"
+    ),
+    "pair-view-missing": (
+        "train", _set_line("pairs.csv", 2, lambda lines: "0,77,12"), "pairs.csv:2: a view id is not a map view's"
+    ),
+    # TEST_CONFIG has 16 map views, so view 16 is the first query view
+    "pair-query-view": (
+        "train", _set_line("pairs.csv", 3, lambda lines: "16,1,12"), "pairs.csv:3: a view id is not a map view's"
+    ),
+    "pair-same-view": (
+        "train", _set_line("pairs.csv", 2, lambda lines: "3,3,12"), "pairs.csv:2: the two view ids are equal"
+    ),
+    "landmark-id-repeated": (
+        "evaluate", _set_line("landmarks.csv", 4, lambda lines: _repeat_id(lines, 4)),
+        "landmarks.csv:4: the landmark id is repeated",
+    ),
+    "view-id-repeated": (
+        "evaluate", _set_line("views.csv", 5, lambda lines: _repeat_id(lines, 5)),
+        "views.csv:5: the view id is repeated",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,edit,reason", list(BAD_WORLD_IDS.values()), ids=list(BAD_WORLD_IDS))
+def test_cli_bad_world_ids_is_data_error(pipeline, tmp_path, capsys, command, edit, reason):
+    """Feature landmark ids missing from landmarks.csv, a pair that does not
+    name two distinct map views, and a repeated landmark or view id exit 3
+    naming the file and line. They used to give a KeyError traceback in
+    `sfm_localize` or `train`, or to exit 0 having dropped a landmark or
+    mixed up two views."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    edit(world)
+    args = ["--variants", str(pipeline["variants"])] if command == "train" else [
+        "--model", str(pipeline["models"] / "model_avg.csv")
+    ]
+    rc = main([command, "--config", pipeline["cfg"], "--world", str(world), *args, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{world}/{reason}" in err
+    assert "Traceback" not in err
+
+
 def _edit_line(path, lineno, edit):
     lines = path.read_text().splitlines()
     lines[lineno - 1] = ",".join(edit(lines[lineno - 1].split(",")))
@@ -406,6 +491,51 @@ def test_cli_malformed_consistency_csv_is_data_error(pipeline, tmp_path, capsys,
     )
     assert rc == 3
     assert f"{path.parent}/{reason}" in capsys.readouterr().err
+
+
+BAD_SCORE_KEYS = {
+    "repeated-key": (lambda lines: lines[1], "consistency.csv:3: the (query, positive, prompt) key is repeated"),
+    "unknown-view": (
+        lambda lines: ",".join(["999"] + lines[2].split(",")[1:]), "consistency.csv:3: a view id is not a map view's"
+    ),
+    # TEST_CONFIG has 16 map views, so view 16 is the first query view
+    "query-view": (
+        lambda lines: ",".join(lines[2].split(",")[:1] + ["16"] + lines[2].split(",")[2:]),
+        "consistency.csv:3: a view id is not a map view's",
+    ),
+    "unknown-prompt": (
+        lambda lines: ",".join(lines[2].split(",")[:2] + ["at teatime"] + lines[2].split(",")[3:]),
+        "consistency.csv:3: the prompt is not in prompts.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("edit,reason", list(BAD_SCORE_KEYS.values()), ids=list(BAD_SCORE_KEYS))
+def test_cli_bad_consistency_keys_is_data_error(pipeline, tmp_path, capsys, command, edit, reason):
+    """A consistency.csv row that repeats an earlier row's (query, positive,
+    prompt) key, names a view that is not a map view or a prompt that is not
+    in prompts.csv makes `train` and `ablate` exit 3 naming the file and
+    line, where the repeat used to replace the earlier score and the others
+    were kept as they stood."""
+    variants = tmp_path / "variants"
+    shutil.copytree(pipeline["world"], tmp_path / "world")
+    shutil.copytree(pipeline["variants"], variants)
+    path = variants / "consistency.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    if command == "train":
+        argv = ["train", "--config", pipeline["cfg"], "--world", str(tmp_path / "world"),
+                "--variants", str(variants), "--out", str(tmp_path / "m")]
+    else:
+        argv = ["ablate", "--config", pipeline["cfg"], "--out", str(tmp_path)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{variants}/{reason}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("command", ["variants", "evaluate"])

@@ -74,9 +74,9 @@ def test_variants_roundtrip(tmp_path, small_world, small_prompts, small_variants
             assert np.array_equal(va.landmark_ids(), vb.landmark_ids())
 
 
-def test_scores_roundtrip(tmp_path, small_scores):
+def test_scores_roundtrip(tmp_path, small_world, small_prompts, small_scores):
     storage.save_scores(small_scores, 0.2, "relative", tmp_path)
-    loaded = storage.load_scores(tmp_path)
+    loaded = storage.load_scores(tmp_path, small_world, small_prompts)
     assert len(loaded) == len(small_scores)
     for key, s in small_scores.items():
         got = loaded.get(*key)

@@ -1,0 +1,215 @@
+"""The array-at-a-time world renderer against reference copies of its
+earlier per-row form: `render_view`, the landmark descriptors of
+`generate_world` and `fill_clutter` must give the same arrays, bit for bit,
+and leave their generators in the same state."""
+
+import numpy as np
+import pytest
+
+from synthloc import worldgen
+from synthloc.worldgen import (
+    CameraIntrinsics,
+    CameraPose,
+    Landmark,
+    RenderNoise,
+    World,
+    WorldConfig,
+    derive_seed,
+    fill_clutter,
+    generate_world,
+    project_points,
+    render_view,
+    visible_mask,
+)
+
+# ---------------------------------------------------------------- reference
+
+
+def ref_generator(seed):
+    """What np.random.default_rng(seed) makes, without calling it, so that
+    the `made` fixture sees only the generators the code under test makes."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+def ref_fill_clutter(rng, kp, desc, first, image_size):
+    for row in range(first, kp.shape[0]):
+        kp[row] = rng.uniform(0.0, image_size)
+        x = rng.standard_normal(desc.shape[1])
+        desc[row] = x / np.linalg.norm(x)
+
+
+def ref_render_view(world, pose, intrinsics, noise, seed, max_dist=None):
+    """One visible row at a time: 2 keypoint normals, then d descriptor
+    normals, then the clutter rows. Returns the arrays and the generator."""
+    rng = ref_generator(seed)
+    points = world.landmark_positions()
+    radius = max_dist if max_dist is not None else np.inf
+    idx = np.nonzero(visible_mask(points, pose, intrinsics, radius))[0]
+    uv, _ = project_points(points[idx], pose, intrinsics)
+    d = world.landmarks[0].base_descriptor.shape[0]
+    n = idx.size + noise.clutter_count
+    kp = np.empty((n, 2))
+    desc = np.empty((n, d))
+    lid = np.full(n, -1)
+    lid[: idx.size] = idx
+    for row, lm_i in enumerate(idx):
+        kp[row] = uv[row] + noise.keypoint_sigma * rng.standard_normal(2)
+        x = world.landmarks[lm_i].base_descriptor + noise.descriptor_sigma * rng.standard_normal(d)
+        desc[row] = x / np.linalg.norm(x)
+    ref_fill_clutter(rng, kp, desc, idx.size, intrinsics.image_size)
+    return (kp, desc, lid), rng
+
+
+def ref_landmarks(config, seed):
+    """`generate_world`'s landmarks, one descriptor draw per landmark."""
+    rng = ref_generator(derive_seed(seed, 0))
+    margin = 0.05 * config.street_length
+    s_lm = rng.uniform(-margin, config.street_length + margin, config.num_landmarks)
+    pos2, left = worldgen._street_frame(config, np.clip(s_lm, 0.0, config.street_length))
+    lateral = rng.uniform(config.lateral_min, config.lateral_max, config.num_landmarks)
+    along = s_lm - np.clip(s_lm, 0.0, config.street_length)
+    tangent = np.stack([left[:, 1], -left[:, 0]], axis=1)
+    xy = pos2 + lateral[:, None] * left + along[:, None] * tangent
+    z = rng.uniform(0.0, config.height_max, config.num_landmarks)
+    positions, descs = [], []
+    for i in range(config.num_landmarks):
+        desc = rng.standard_normal(config.descriptor_dim)
+        descs.append(desc / np.linalg.norm(desc))
+        positions.append(np.array([xy[i, 0], xy[i, 1], z[i]]))
+    return (np.array(positions), np.array(descs)), rng
+
+
+def array_bytes(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Every generator np.random.default_rng makes during the test, in order."""
+    generators = []
+    real = np.random.default_rng
+
+    def default_rng(seed=None):
+        generators.append(real(seed))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return generators
+
+
+# ---------------------------------------------------------------- worlds
+
+
+def _config(d, clutter, width=640, height=480, noise=None):
+    return WorldConfig(
+        num_landmarks=150,
+        descriptor_dim=d,
+        num_map_views=6,
+        num_query_views=3,
+        street_length=60.0,
+        image_width=width,
+        image_height=height,
+        noise=noise or RenderNoise(clutter_count=clutter),
+    )
+
+
+WORLDS = {
+    "d32-clutter5": _config(32, 5),
+    "d4-clutter0": _config(4, 0),
+    "d32-clutter7-odd-image": _config(32, 7, width=641, height=479),
+    "d4-clutter7-odd-image": _config(4, 7, width=481, height=359),
+    "zero-noise": _config(16, 7, noise=RenderNoise(0.0, 0.0, 7)),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 11, 3])
+@pytest.mark.parametrize("config", list(WORLDS.values()), ids=list(WORLDS))
+def test_generate_world_equals_reference(made, config, seed):
+    world = generate_world(config, seed)
+    (positions, descs), rng = ref_landmarks(config, seed)
+    got = (
+        np.array([lm.position for lm in world.landmarks]),
+        np.array([lm.base_descriptor for lm in world.landmarks]),
+    )
+    assert array_bytes(got) == array_bytes((positions, descs))
+    assert made[0].bit_generator.state == rng.bit_generator.state
+
+    # every view of the world, rendered again per row from its own pose
+    intr = config.intrinsics()
+    for i, view in enumerate(world.map_views):
+        want, _ = ref_render_view(
+            world, view.pose, intr, config.noise, derive_seed(seed, 2, i), config.visibility_radius
+        )
+        assert array_bytes((view.kp, view.desc, view.lid)) == array_bytes(want)
+    for i, view in enumerate(world.query_views):
+        want, _ = ref_render_view(
+            world, view.pose, intr, config.noise, derive_seed(seed, 4, i), config.visibility_radius
+        )
+        assert array_bytes((view.kp, view.desc, view.lid)) == array_bytes(want)
+
+
+NOISES = {
+    "default": RenderNoise(),
+    "zero-noise": RenderNoise(0.0, 0.0, 5),
+    "clutter0": RenderNoise(0.5, 0.2, 0),
+    "clutter7": RenderNoise(2.0, 0.6, 7),
+}
+
+
+@pytest.mark.parametrize("noise", list(NOISES.values()), ids=list(NOISES))
+def test_render_view_equals_reference(made, small_world, noise):
+    for i, view in enumerate(small_world.map_views[:5] + small_world.query_views[:2]):
+        for seed in (0, 1000 + i, derive_seed(9, i)):
+            got = render_view(small_world, view.pose, view.intrinsics, noise, seed, max_dist=30.0)
+            want, rng = ref_render_view(small_world, view.pose, view.intrinsics, noise, seed, 30.0)
+            assert array_bytes((got.kp, got.desc, got.lid)) == array_bytes(want)
+            assert made[-1].bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("clutter", [0, 7])
+def test_render_view_of_one_landmark_equals_reference(made, clutter):
+    """A camera at the origin looking along +z sees one of three landmarks."""
+    rng = np.random.default_rng(5)
+    landmarks = [
+        Landmark(i, np.array(p, dtype=float), d / np.linalg.norm(d))
+        for i, (p, d) in enumerate(
+            zip([[0.5, -0.2, 5.0], [0.0, 0.0, -5.0], [400.0, 0.0, 1.0]], rng.standard_normal((3, 4)))
+        )
+    ]
+    world = World(landmarks, [], [], [], seed=0)
+    pose = CameraPose(rotation=np.array([1.0, 0.0, 0.0, 0.0]), position=np.zeros(3))
+    intr = CameraIntrinsics(focal=400.0, principal_point=np.array([160.5, 120.5]), image_size=(321, 241))
+    noise = RenderNoise(0.3, 0.05, clutter)
+    for seed in range(5):
+        got = render_view(world, pose, intr, noise, seed)
+        want, gen = ref_render_view(world, pose, intr, noise, seed)
+        assert got.lid.tolist() == [0] + [-1] * clutter
+        assert array_bytes((got.kp, got.desc, got.lid)) == array_bytes(want)
+        assert made[-1].bit_generator.state == gen.bit_generator.state
+
+
+# ---------------------------------------------------------------- clutter
+
+
+@pytest.mark.parametrize("image_size", [(640, 480), (641, 479), (1, 3)])
+@pytest.mark.parametrize("d", [4, 32])
+def test_fill_clutter_equals_reference(d, image_size):
+    for seed in range(40):
+        n = 3 + seed % 9
+        first = seed % 4
+        start = np.random.default_rng(1000 + seed)
+        kp, desc = start.standard_normal((n, 2)), start.standard_normal((n, d))
+        want_kp, want_desc = kp.copy(), desc.copy()
+        rng, ref_rng = ref_generator(seed), ref_generator(seed)
+        fill_clutter(rng, kp, desc, first, image_size)
+        ref_fill_clutter(ref_rng, want_kp, want_desc, first, image_size)
+        assert array_bytes((kp, desc)) == array_bytes((want_kp, want_desc))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_fill_clutter_no_rows_draws_nothing():
+    rng = ref_generator(3)
+    kp, desc = np.zeros((4, 2)), np.zeros((4, 8))
+    fill_clutter(rng, kp, desc, 4, (640, 480))
+    assert rng.bit_generator.state == ref_generator(3).bit_generator.state
+    assert not kp.any() and not desc.any()
