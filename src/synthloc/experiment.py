@@ -6,7 +6,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import pickle
+import signal
 import statistics
+import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -34,7 +39,7 @@ from .localize import (
     sfm_localize,
 )
 from .variants import VariantStore, default_prompt_set, generate_all_variants, shift_queries
-from .worldgen import RenderNoise, World, WorldConfig, derive_seed, generate_world
+from .worldgen import RenderNoise, ViewImage, World, WorldConfig, derive_seed, generate_world
 
 
 LEVELS = ("high", "mid", "low")  # accuracy buckets, strict to loose
@@ -214,6 +219,116 @@ def write_config_reference(out_dir: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# fan-out over the CPUs
+# ---------------------------------------------------------------------------
+
+# True while this process computes a share of a `_fan_out` call, so that a
+# call made from inside a share runs serially instead of forking again.
+_in_share = False
+
+
+def _fan_out(fn: Callable, items: Sequence) -> list:
+    """`[fn(item) for item in items]`, computed by up to one process per CPU
+    in this process's affinity mask.
+
+    Ordering: the items are cut into n = min(CPUs, len(items)) contiguous
+    shares. This process computes the first share and each of n - 1 forked
+    children one other share; the results are joined in item order, so what
+    the caller does with them does not depend on n. The call runs serially
+    at n = 1, from inside a share of another call (calls never nest forks),
+    and where the platform has no `os.fork` or `os.sched_getaffinity`.
+    `fn` and the items reach the children through the fork's copy of memory;
+    only the results travel back, pickled through a pipe.
+
+    Errors: the first exception in item order is raised here. One raised in
+    a child's share is pickled back and re-raised with its type kept, so a
+    SynthlocError still reaches the CLI as one. A child that exits without
+    sending a result raises RuntimeError naming its exit status.
+
+    Reaping: every child is waited for before the call returns or raises;
+    if this process's own share, or a child's, raises, the children still
+    running are killed first. No child outlives the call, so none can still
+    be writing files after it.
+    """
+    global _in_share
+    if _in_share or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return [fn(item) for item in items]
+    n = min(len(os.sched_getaffinity(0)), len(items))
+    if n <= 1:
+        return [fn(item) for item in items]
+    size, extra = divmod(len(items), n)
+    cuts = [i * size + min(i, extra) for i in range(n + 1)]
+    shares = [items[cuts[i]: cuts[i + 1]] for i in range(n)]
+
+    children: dict[int, int | None] = {}  # pid -> read end of its pipe (None once read)
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns when a process with threads forks. The
+                # only other threads here are BLAS's pool, which OpenBLAS
+                # stops before a fork and restarts after it.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _run_share(fn, share, write_fd)  # never returns
+            os.close(write_fd)
+            children[pid] = read_fd
+        _in_share = True
+        try:
+            results = [fn(item) for item in shares[0]]
+        finally:
+            _in_share = False
+        for pid, read_fd in list(children.items()):
+            pipe = os.fdopen(read_fd, "rb")
+            children[pid] = None
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status != 0 or not data:
+                raise RuntimeError(
+                    f"fan-out child {pid} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} without sending a result"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        for pid, read_fd in children.items():
+            os.kill(pid, signal.SIGKILL)
+            if read_fd is not None:
+                os.close(read_fd)
+            os.waitpid(pid, 0)
+
+
+def _run_share(fn: Callable, share: Sequence, write_fd: int) -> None:
+    """A forked child's part of `_fan_out`: compute `share`, pickle
+    (True, results) or (False, exception) into `write_fd`, and leave through
+    `os._exit`, never returning into the caller's code."""
+    global _in_share
+    _in_share = True
+    status = 1
+    try:
+        try:
+            message = (True, [fn(item) for item in share])
+        except BaseException as exc:  # sent to the parent, which re-raises it
+            message = (False, exc)
+        try:
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # an unpicklable result or exception
+            data = pickle.dumps((False, RuntimeError(f"fan-out result cannot be sent: {exc!r}")))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -228,13 +343,20 @@ def cmd_worldgen(config: ExperimentConfig, out_dir: str | Path, seed: int | None
 
 
 def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str | Path) -> None:
+    """Scoring and writing the variant files do not depend on each other,
+    so `_fan_out` runs them side by side."""
     world = storage.load_world(world_dir)
     d = world.landmarks[0].base_descriptor.shape[0]
     prompts = default_prompt_set(d, config.prompt_seed)
     variants = generate_all_variants(world, prompts, config.variant_seed)
     storage.save_prompts(prompts, out_dir)
-    storage.save_variants(variants, out_dir)
-    scores = score_world_variants(world, variants, config.match)
+    scores, _ = _fan_out(
+        lambda task: task(),
+        [
+            lambda: score_world_variants(world, variants, config.match),
+            lambda: storage.save_variants(variants, out_dir),
+        ],
+    )
     storage.save_scores(scores, config.c_tau, config.threshold_mode, out_dir)
     write_config_reference(out_dir)
 
@@ -256,39 +378,39 @@ def cmd_train(
         variants = VariantStore.from_mapping(storage.load_variants(variants_dir, world, prompts))
         scores = storage.load_scores(variants_dir, world, prompts)
 
-    models = []
-    for seed in config.seeds:
+    def run(seed: int) -> EmbeddingModel:
         model, trace = train(world, variants, scores, config.train_config(seed))
         storage.save_model(model, out / f"model_{seed}.csv")
         storage.save_trace(trace, out / f"trace_{seed}.csv")
-        models.append(model)
-    averaged = average_models(models)
+        return model
+
+    averaged = average_models(_fan_out(run, config.seeds))
     storage.save_model(averaged, out / "model_avg.csv")
     write_config_reference(out_dir)
     return averaged
 
 
-def cmd_evaluate(
-    world_dir: str | Path,
-    model_path: str | Path,
-    config: ExperimentConfig,
-    out_dir: str | Path,
-) -> list[dict]:
-    world = storage.load_world(world_dir)
-    model = storage.load_model(model_path)
-    config.check_eval_ks(world)
-    out = Path(out_dir)
+def _evaluation_queries(world: World, config: ExperimentConfig) -> list[ViewImage]:
+    """The world's query views, then their shifts under each of the config's
+    `query_conditions`, which must name prompts of the default prompt set."""
     d = world.landmarks[0].base_descriptor.shape[0]
-    if model.d != d:
-        raise DataError(
-            f"{model_path}: the model projects {model.d}-dim descriptors, the world's have {d}"
-        )
     prompts = default_prompt_set(d, config.prompt_seed)
     for cond in config.query_conditions:
         if cond not in prompts.names():
             raise ConfigError(f"unknown query condition {cond!r}")
-    queries = shift_queries(world, prompts, config.query_conditions, config.variant_seed)
+    return shift_queries(world, prompts, config.query_conditions, config.variant_seed)
 
+
+def evaluate_model(
+    world: World, queries: list[ViewImage], model: EmbeddingModel, config: ExperimentConfig
+) -> tuple[dict[int, list[tuple[int, float]]], list[dict], list[dict]]:
+    """Retrieve each query's top max(eval_ks) map views with `model`, then
+    estimate its pose at every k by the barycenter (ewb) and by PnP + RANSAC
+    (sfm). Returns the rankings by query id, the localization rows (a failed
+    sfm solve is a row whose status is the error) and the summary rows: the
+    percentage localized at each accuracy level per protocol, k and
+    condition. Writes nothing. Each query has its own RANSAC seed, so the
+    queries are fanned out over the CPUs with `_fan_out`."""
     codebook = None
     if config.backend == "asmk":
         local_vectors = np.concatenate(
@@ -301,57 +423,50 @@ def cmd_evaluate(
     index = build_index(world.map_views, model, codebook)
     map_poses = {v.id: v.pose for v in world.map_views}
     map_views = {v.id: v for v in world.map_views}
-
     k_max = max(config.eval_ks)
-    rankings = {}
-    for q in queries:
-        rankings[q.id] = retrieve(
+
+    def localize_query(q: ViewImage) -> tuple[list, list[dict], list[tuple]]:
+        ranked = retrieve(
             q, index, model, config.backend, k_max, config.asmk_alpha, config.asmk_sel_threshold
         )
-    storage.save_rankings(rankings, out / "rankings.csv")
+        rows = []
+        errors = []  # ((protocol, k, condition), PoseError, or None if sfm failed)
 
-    rows = []
-    errors: dict[tuple[str, int, str], list] = {}
-    for q in queries:
-        ranked = rankings[q.id]
-        for k in config.eval_ks:
-            est = ewb_pose(ranked, map_poses, k)
-            err = pose_error(est, q.pose)
+        def localized(protocol: str, k: int, err) -> None:
             rows.append(
                 {
                     "query_id": q.id,
-                    "protocol": "ewb",
+                    "protocol": protocol,
                     "k": k,
                     "tx_err": err.translation,
                     "rot_err": err.rotation,
                     "status": "ok",
                 }
             )
-            errors.setdefault(("ewb", k, q.condition), []).append(err)
+            errors.append(((protocol, k, q.condition), err))
 
+        for k in config.eval_ks:
+            localized("ewb", k, pose_error(ewb_pose(ranked, map_poses, k), q.pose))
             rp = replace(config.ransac, seed=derive_seed(world.seed, q.id))
             try:
                 est = sfm_localize(
                     q, ranked, map_views, world.landmarks, model, k, config.match, rp
                 )
-                err = pose_error(est, q.pose)
-                rows.append(
-                    {
-                        "query_id": q.id,
-                        "protocol": "sfm",
-                        "k": k,
-                        "tx_err": err.translation,
-                        "rot_err": err.rotation,
-                        "status": "ok",
-                    }
-                )
-                errors.setdefault(("sfm", k, q.condition), []).append(err)
             except SynthlocError as exc:
-                rows.append(
-                    {"query_id": q.id, "protocol": "sfm", "k": k, "status": str(exc)}
-                )
-                errors.setdefault(("sfm", k, q.condition), []).append(None)
-    storage.save_localization(rows, out / "localization.csv")
+                rows.append({"query_id": q.id, "protocol": "sfm", "k": k, "status": str(exc)})
+                errors.append((("sfm", k, q.condition), None))
+                continue
+            localized("sfm", k, pose_error(est, q.pose))
+        return ranked, rows, errors
+
+    rankings = {}
+    rows = []
+    errors: dict[tuple[str, int, str], list] = {}
+    for q, (ranked, q_rows, q_errors) in zip(queries, _fan_out(localize_query, queries)):
+        rankings[q.id] = ranked
+        rows.extend(q_rows)
+        for key, err in q_errors:
+            errors.setdefault(key, []).append(err)
 
     thresholds = config.accuracy_thresholds()
     conditions = ["all"] + ["original"] + [c for c in config.query_conditions]
@@ -377,9 +492,37 @@ def cmd_evaluate(
                         "low": rates["low"],
                     }
                 )
+    return rankings, rows, summary
+
+
+def _save_evaluation(
+    evaluation: tuple[dict, list[dict], list[dict]], out_dir: str | Path
+) -> list[dict]:
+    rankings, rows, summary = evaluation
+    out = Path(out_dir)
+    storage.save_rankings(rankings, out / "rankings.csv")
+    storage.save_localization(rows, out / "localization.csv")
     storage.save_summary(summary, out / "summary.csv")
     write_config_reference(out_dir)
     return summary
+
+
+def cmd_evaluate(
+    world_dir: str | Path,
+    model_path: str | Path,
+    config: ExperimentConfig,
+    out_dir: str | Path,
+) -> list[dict]:
+    world = storage.load_world(world_dir)
+    model = storage.load_model(model_path)
+    config.check_eval_ks(world)
+    d = world.landmarks[0].base_descriptor.shape[0]
+    if model.d != d:
+        raise DataError(
+            f"{model_path}: the model projects {model.d}-dim descriptors, the world's have {d}"
+        )
+    queries = _evaluation_queries(world, config)
+    return _save_evaluation(evaluate_model(world, queries, model, config), out_dir)
 
 
 ABLATION_METHODS = ("baseline", "synth_uniform", "synth_filtered", "synth_geometry")
@@ -405,7 +548,9 @@ def cmd_ablate(
 ) -> list[dict]:
     """Run the method grid over all seeds, evaluating each trained model, and
     tabulate per-condition medians with min/max across seeds. Completed runs
-    (marked by a `done` file) are reused."""
+    (marked by a `done` file) are reused. The world, variants, scores and
+    shifted queries are read or built once, and the runs left to do are
+    fanned out over the CPUs with `_fan_out`."""
     out = Path(out_dir)
     world_dir = out / "world"
     variants_dir = out / "variants"
@@ -424,22 +569,35 @@ def cmd_ablate(
         variants = VariantStore.from_mapping(storage.load_variants(variants_dir, world, prompts))
         scores = storage.load_scores(variants_dir, world, prompts)
 
+    def run_dir(method: str, seed: int) -> Path:
+        return out / "runs" / method / f"seed_{seed}"
+
+    pending = [
+        (run_dir(method, seed), _method_train_config(config, method, seed))
+        for method in methods
+        for seed in config.seeds
+        if not (run_dir(method, seed) / "done").exists()
+    ]
+    if pending:
+        queries = _evaluation_queries(world, config)
+
+        def run(job: tuple[Path, TrainConfig]) -> None:
+            path, tc = job
+            synthetic = tc.mode != "baseline"
+            model, trace = train(
+                world, variants if synthetic else None, scores if synthetic else None, tc
+            )
+            storage.save_model(model, path / "model.csv")
+            storage.save_trace(trace, path / "trace.csv")
+            _save_evaluation(evaluate_model(world, queries, model, config), path)
+            storage._write_lines(path / "done", ["ok"])
+
+        _fan_out(run, pending)
+
     raw_rows = []
     for method in methods:
         for seed in config.seeds:
-            run_dir = out / "runs" / method / f"seed_{seed}"
-            done = run_dir / "done"
-            if not done.exists():
-                tc = _method_train_config(config, method, seed)
-                use_variants = variants if tc.mode != "baseline" else None
-                use_scores = scores if tc.mode != "baseline" else None
-                model, trace = train(world, use_variants, use_scores, tc)
-                storage.save_model(model, run_dir / "model.csv")
-                storage.save_trace(trace, run_dir / "trace.csv")
-                run_cfg = replace(config, seeds=[seed])
-                cmd_evaluate(world_dir, run_dir / "model.csv", run_cfg, run_dir)
-                storage._write_lines(done, ["ok"])
-            for row in storage.load_summary(run_dir / "summary.csv"):
+            for row in storage.load_summary(run_dir(method, seed) / "summary.csv"):
                 raw_rows.append({"method": method, "seed": seed, **row})
 
     lines = ["method,seed,protocol,k,condition,pct_high,pct_mid,pct_low"]

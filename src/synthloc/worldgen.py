@@ -9,6 +9,7 @@ so the camera's +z axis is the viewing direction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -181,8 +182,23 @@ class World:
     matching_pairs: list[tuple[int, int, int]]  # (view_id, view_id, co-observations), i < j
     seed: int
 
+    @functools.cached_property
+    def _landmark_stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The landmark positions and base descriptors as read-only arrays,
+        stacked once per world: a world's landmarks never change after it is
+        built, and every `render_view` of it reads them."""
+        positions = np.array([lm.position for lm in self.landmarks], dtype=float)
+        descriptors = np.array([lm.base_descriptor for lm in self.landmarks])
+        positions.flags.writeable = descriptors.flags.writeable = False
+        return positions, descriptors
+
     def landmark_positions(self) -> np.ndarray:
-        return np.array([lm.position for lm in self.landmarks], dtype=float)
+        """(L, 3)"""
+        return self._landmark_stacks[0]
+
+    def landmark_descriptors(self) -> np.ndarray:
+        """(L, d)"""
+        return self._landmark_stacks[1]
 
 
 NEAR_PLANE = 0.1
@@ -285,7 +301,7 @@ def render_view(
     lid[: idx.size] = idx
     block = rng.standard_normal((idx.size, 2 + d))
     kp[: idx.size] = uv + noise.keypoint_sigma * block[:, :2]
-    base = np.array([world.landmarks[i].base_descriptor for i in idx])
+    base = world.landmark_descriptors()[idx]
     desc[: idx.size] = unit_rows(base + noise.descriptor_sigma * block[:, 2:])
 
     fill_clutter(rng, kp, desc, idx.size, intrinsics.image_size)

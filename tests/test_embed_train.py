@@ -3,6 +3,7 @@ import pytest
 
 from synthloc.embed import (
     TrainConfig,
+    _draw,
     TrainingTuple,
     ViewResolver,
     aggregate,
@@ -186,6 +187,25 @@ def test_sample_geometry_aware_probabilities():
         counts[chosen.prompt] += 1
     assert abs(counts["p0"] / n - 1 / 3) < 0.01
     assert abs(counts["p1"] / n - 2 / 3) < 0.01
+
+
+def test_geometry_aware_draw_equals_rng_choice():
+    """`_draw` takes `rng.choice(len(family), p=probs)`'s steps itself: the
+    same index and the same generator state after every draw, over family
+    sizes 1-12, scores down to the 1e-12 clamp and 300 generator seeds."""
+    scores_rng = np.random.default_rng(11)
+    for seed in range(300):
+        size = 1 + seed % 12
+        values = scores_rng.uniform(0.0, 1.0, size)
+        values[seed % size] = [0.0, 1e-13, 1.0, 0.2][seed % 4]
+        fam = _family_with_scores(values)
+        inv = np.array([1.0 / max(s, 1e-12) for s in values])
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            got = _draw(got_rng, fam, "geometry_aware")
+            want = int(want_rng.choice(size, p=inv / inv.sum()))
+            assert got == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_sample_pi_zero_always_original():

@@ -1,19 +1,22 @@
 import ast
 import hashlib
 import json
+import os
 import shutil
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from synthloc import storage
+from synthloc import experiment, storage
 from synthloc.cli import main
-from synthloc.errors import ConfigError
+from synthloc.errors import ConfigError, DataError
 from synthloc.experiment import (
     ABLATION_METHODS,
     ExperimentConfig,
+    _fan_out,
     _method_train_config,
     cmd_ablate,
     cmd_evaluate,
@@ -890,3 +893,175 @@ def test_evaluate_self_queries_perfect_sfm(tmp_path):
     assert sfm_rows
     for r in sfm_rows:
         assert r["high"] == 100.0 and r["mid"] == 100.0 and r["low"] == 100.0
+
+
+# ---------------------------------------------------------------------------
+# fan-out over the CPUs
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the os.fork calls made in this process."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            calls.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_cli_bytes_do_not_depend_on_cpu_count(pipeline, tmp_path, monkeypatch, forks, cpus):
+    """`variants`, `train` (two seeds, both configs of the train guard),
+    `evaluate` with both backends and `ablate` write the pinned bytes
+    whether their work runs on 1, 2 or 3 CPUs."""
+    set_cpus(monkeypatch, cpus)
+    data = Path(__file__).parent / "data"
+    cfg = pipeline["cfg"]
+    world = str(pipeline["world"])
+    variants = tmp_path / "variants"
+    assert main(["variants", "--config", cfg, "--world", world, "--out", str(variants)]) == 0
+    got = {f"world/{rel}": d for rel, d in dir_digest(pipeline["world"]).items()}
+    got |= {f"variants/{rel}": d for rel, d in dir_digest(variants).items()}
+    assert {k: v for k, v in got.items() if Path(k).name != "config.reference"} == json.loads(
+        (data / "cli_variants_sha256.json").read_text()
+    )
+
+    multi_k = tmp_path / "multi_k.json"
+    train = {**TEST_CONFIG["train"], "mode": "multi_k", "sampling": "geometry_aware"}
+    multi_k.write_text(json.dumps({**TEST_CONFIG, "train": train}))
+    asmk = tmp_path / "asmk.json"
+    asmk.write_text(json.dumps({**TEST_CONFIG, "backend": "asmk"}))
+    dirs = {name: tmp_path / name for name in ("train", "train_multi_k", "evaluate", "asmk")}
+    for config, out in ((cfg, dirs["train"]), (str(multi_k), dirs["train_multi_k"])):
+        assert main(
+            ["train", "--config", config, "--world", world, "--variants", str(variants),
+             "--out", str(out)]
+        ) == 0
+    model = str(dirs["train"] / "model_avg.csv")
+    for config, out in ((cfg, dirs["evaluate"]), (str(asmk), dirs["asmk"])):
+        assert main(
+            ["evaluate", "--config", config, "--world", world, "--model", model, "--out", str(out)]
+        ) == 0
+    got = {}
+    for name, root in (
+        ("train", dirs["train"]),
+        ("train_multi_k_geometry_aware", dirs["train_multi_k"]),
+        ("evaluate", dirs["evaluate"]),
+    ):
+        got |= {f"{name}/{rel}": d for rel, d in dir_digest(root).items() if rel != "config.reference"}
+    assert got == json.loads((data / "cli_train_evaluate_sha256.json").read_text())
+    got = {rel: d for rel, d in dir_digest(dirs["asmk"]).items() if rel != "config.reference"}
+    assert got == json.loads((data / "cli_evaluate_asmk_sha256.json").read_text())
+
+    ablate_cfg = config_from_dict({**TEST_CONFIG, "seeds": [1]})
+    out = tmp_path / "ablation"
+    cmd_ablate(ablate_cfg, out, methods=("baseline", "synth_geometry"))
+    got = {rel: d for rel, d in dir_digest(out).items() if Path(rel).name != "config.reference"}
+    assert got == json.loads((data / "cli_ablate_sha256.json").read_text())
+
+    assert (len(forks) > 0) == (cpus > 1)
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("count", [0, 1, 2, 7])
+def test_fan_out_keeps_item_order(monkeypatch, cpus, count):
+    set_cpus(monkeypatch, cpus)
+    assert _fan_out(lambda x: (x, x * x), list(range(count))) == [(x, x * x) for x in range(count)]
+    assert no_child_left()
+
+
+def test_fan_out_runs_shares_in_children_and_nested_calls_serially(monkeypatch, forks):
+    """Each outer item after the first share runs in a forked child; a
+    `_fan_out` call made inside a share, in the parent or in a child, runs
+    in that same process and forks nothing."""
+    set_cpus(monkeypatch, 2)
+
+    def outer(item):
+        return os.getpid(), _fan_out(lambda _: os.getpid(), range(4))
+
+    (pid0, inner0), (pid1, inner1) = _fan_out(outer, [0, 1])
+    assert pid0 == os.getpid() != pid1
+    assert inner0 == [pid0] * 4 and inner1 == [pid1] * 4
+    assert len(forks) == 1
+    assert no_child_left()
+
+
+def test_fan_out_reraises_a_child_error_with_its_type(monkeypatch):
+    set_cpus(monkeypatch, 2)
+
+    def fail_in_child(item):
+        if item == 1:
+            raise DataError(f"bad item in {os.getpid()}")
+        return item
+
+    with pytest.raises(DataError, match="bad item in") as info:
+        _fan_out(fail_in_child, [0, 1])
+    assert str(os.getpid()) not in str(info.value)
+    assert no_child_left()
+
+
+def test_fan_out_names_the_status_of_a_child_that_sends_nothing(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="status 7"):
+        _fan_out(lambda item: os._exit(7) if item else item, [0, 1])
+    assert no_child_left()
+
+
+def test_fan_out_kills_and_reaps_children_when_the_parent_share_raises(monkeypatch):
+    """A raise in the parent's own share ends the call at once: the children,
+    which would run for a minute, are killed and reaped before it returns."""
+    set_cpus(monkeypatch, 3)
+
+    def work(item):
+        if item == 0:
+            raise ValueError("parent share")
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="parent share"):
+        _fan_out(work, [0, 1, 2])
+    assert time.perf_counter() - start < 30
+    assert no_child_left()
+
+
+def test_cli_data_error_in_a_child_share_exits_3(pipeline, tmp_path, monkeypatch, capsys):
+    """A DataError raised while a forked child trains seed 2 reaches the CLI
+    as a DataError: exit code 3, one line on stderr, no traceback."""
+    set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real_train = experiment.train
+
+    def train(world, variants, scores, config):
+        if config.seed == 2:
+            raise DataError(f"seed 2 trained in a child: {os.getpid() != parent}")
+        return real_train(world, variants, scores, config)
+
+    monkeypatch.setattr(experiment, "train", train)
+    rc = main(
+        ["train", "--config", pipeline["cfg"], "--world", str(pipeline["world"]),
+         "--variants", str(pipeline["variants"]), "--out", str(tmp_path / "models")]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "data error: seed 2 trained in a child: True\n"
+    assert no_child_left()
