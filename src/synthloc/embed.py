@@ -30,7 +30,7 @@ from .errors import (
     require_integer,
     require_number,
 )
-from .geometry import THRESHOLD_MODES, ScoreStore, validate_pair
+from .geometry import THRESHOLD_MODES, Scores, validate_pair
 from .variants import VariantStore
 from .worldgen import ViewImage, World, derive_seed
 
@@ -426,7 +426,7 @@ def build_synthetic_tuple(t: TrainingTuple, prompt: str, weight: float) -> Train
 
 
 def synthetic_families(
-    variants: VariantStore, scores: ScoreStore, c_tau: float, threshold_mode: str = "relative"
+    variants: VariantStore, scores: Scores, c_tau: float, threshold_mode: str = "relative"
 ) -> Callable[[TrainingTuple], list[tuple[str, float]]]:
     """A function from an original tuple to its valid synthetic family: the
     prompts, with their score values and in prompt order, whose pair score
@@ -510,7 +510,7 @@ class TraceRow:
 def train(
     world: World,
     variants: VariantStore | None,
-    scores: ScoreStore | None,
+    scores: Scores | None,
     config: TrainConfig,
 ) -> tuple[EmbeddingModel, list[TraceRow]]:
     """Episodic training: per episode, sample matching pairs and a mining
@@ -522,7 +522,7 @@ def train(
         raise ValueError("world has no matching pairs")
     if config.mode != "baseline" and (variants is None or scores is None):
         raise ValueError(f"mode {config.mode!r} needs variants and scores")
-    d = world.landmarks[0].base_descriptor.shape[0]
+    d = world.landmarks.descriptors.shape[1]
     if config.embedding_dim > d:
         raise ConfigError(
             f"train.embedding_dim {config.embedding_dim} exceeds the descriptor dim {d}"

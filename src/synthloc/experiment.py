@@ -42,7 +42,7 @@ from .variants import VariantStore, default_prompt_set, generate_all_variants, s
 from .worldgen import RenderNoise, ViewImage, World, WorldConfig, derive_seed, generate_world
 
 
-LEVELS = ("high", "mid", "low")  # accuracy buckets, strict to loose
+LEVELS = tuple(name for name, _, _ in AccuracyThresholds().levels)  # strict to loose
 
 
 @dataclass
@@ -67,7 +67,7 @@ class ExperimentConfig:
     query_conditions: list[str] = field(default_factory=lambda: ["at night"])
     # accuracy buckets: {level: [max translation m, max rotation deg]}
     thresholds: dict = field(
-        default_factory=lambda: {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
+        default_factory=lambda: {name: [t, r] for name, t, r in AccuracyThresholds().levels}
     )
 
     def __post_init__(self) -> None:
@@ -346,7 +346,7 @@ def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str |
     """Scoring and writing the variant files do not depend on each other,
     so `_fan_out` runs them side by side."""
     world = storage.load_world(world_dir)
-    d = world.landmarks[0].base_descriptor.shape[0]
+    d = world.landmarks.descriptors.shape[1]
     prompts = default_prompt_set(d, config.prompt_seed)
     variants = generate_all_variants(world, prompts, config.variant_seed)
     storage.save_prompts(prompts, out_dir)
@@ -393,7 +393,7 @@ def cmd_train(
 def _evaluation_queries(world: World, config: ExperimentConfig) -> list[ViewImage]:
     """The world's query views, then their shifts under each of the config's
     `query_conditions`, which must name prompts of the default prompt set."""
-    d = world.landmarks[0].base_descriptor.shape[0]
+    d = world.landmarks.descriptors.shape[1]
     prompts = default_prompt_set(d, config.prompt_seed)
     for cond in config.query_conditions:
         if cond not in prompts.names():
@@ -516,7 +516,7 @@ def cmd_evaluate(
     world = storage.load_world(world_dir)
     model = storage.load_model(model_path)
     config.check_eval_ks(world)
-    d = world.landmarks[0].base_descriptor.shape[0]
+    d = world.landmarks.descriptors.shape[1]
     if model.d != d:
         raise DataError(
             f"{model_path}: the model projects {model.d}-dim descriptors, the world's have {d}"
@@ -621,7 +621,7 @@ def cmd_ablate(
             == (method, protocol, k, condition)
         ]
         entry = {"method": method, "protocol": protocol, "k": k, "condition": condition}
-        for level in ("high", "mid", "low"):
+        for level in LEVELS:
             vals = [g[level] for g in group]
             entry[f"{level}_median"] = statistics.median(vals)
             entry[f"{level}_min"] = min(vals)
@@ -637,7 +637,7 @@ def cmd_ablate(
             f"{r['method']},{r['protocol']},{r['k']},{r['condition']},"
             + ",".join(
                 f"{r[f'{level}_{stat}']:.2f}"
-                for level in ("high", "mid", "low")
+                for level in LEVELS
                 for stat in ("median", "min", "max")
             )
         )

@@ -157,48 +157,27 @@ def validate_pair(score: ConsistencyScore, c_tau: float, mode: str = "relative")
     raise ValueError(f"unknown threshold mode {mode!r}")
 
 
-class ScoreStore:
-    """Consistency scores keyed by (query id, positive id, prompt)."""
-
-    def __init__(self) -> None:
-        self._scores: dict[tuple[int, int, str], ConsistencyScore] = {}
-
-    def add(self, query_id: int, positive_id: int, prompt: str, score: ConsistencyScore) -> None:
-        self._scores[(query_id, positive_id, prompt)] = score
-
-    def get(self, query_id: int, positive_id: int, prompt: str) -> ConsistencyScore | None:
-        return self._scores.get((query_id, positive_id, prompt))
-
-    def items(self):
-        return self._scores.items()
-
-    def __len__(self) -> int:
-        return len(self._scores)
+# Consistency scores keyed by (query id, positive id, prompt).
+Scores = dict[tuple[int, int, str], ConsistencyScore]
 
 
 def score_world_variants(
-    world: World,
-    variants: dict[int, list[ViewImage]],
-    params: MatchParams,
-    prompt_names: list[str] | None = None,
-) -> ScoreStore:
+    world: World, variants: dict[int, list[ViewImage]], params: MatchParams
+) -> Scores:
     """Consistency scores for every matching pair, both orientations, and
     every prompt, as `consistency_score` gives them. Each view's and each
     variant's arrays are computed once per call, and the (q, p)
     correspondences once per oriented pair."""
-    store = ScoreStore()
+    scores: Scores = {}
     sides = {v.id: _p_side(v, params.pixel_tol) for v in world.map_views}
     chosen: dict[int, tuple[list[str], list[_Side]]] = {}
     for a, b, _ in world.matching_pairs:
         for q_id, p_id in ((a, b), (b, a)):
             if q_id not in chosen:
-                kept = [
-                    v for v in variants.get(q_id, [])
-                    if prompt_names is None or v.condition in prompt_names
-                ]
-                chosen[q_id] = ([v.condition for v in kept], [_side(v) for v in kept])
+                q_views = variants.get(q_id, [])
+                chosen[q_id] = ([v.condition for v in q_views], [_side(v) for v in q_views])
             prompts, q_variants = chosen[q_id]
-            scores = _pair_scores(sides[q_id], sides[p_id], q_variants, params.ratio)
-            for prompt, score in zip(prompts, scores):
-                store.add(q_id, p_id, prompt, score)
-    return store
+            pair = _pair_scores(sides[q_id], sides[p_id], q_variants, params.ratio)
+            for prompt, score in zip(prompts, pair):
+                scores[(q_id, p_id, prompt)] = score
+    return scores

@@ -8,7 +8,8 @@ cell is occupied when its row is non-zero. `build_index` stacks the map
 views into an `(n, C, e)` sign tensor with an `(n, C)` occupancy mask, the
 `(n, C)` non-zero counts per cell and the `(n,)` occupied-cell counts.
 `retrieve` then scores a query against all n views in one call of
-`_asmk_scores`, and `asmk_score(a, b)` is the same kernel on one pair.
+`_asmk_scores`. `asmk_signs` gives a view's `(C, e)` signature, and
+`asmk_score(a, b)` is the same kernel on one pair of such arrays.
 
 Invariant: every score is bit-identical to the per-cell sequential sum
 
@@ -46,29 +47,6 @@ class Codebook:
     @property
     def size(self) -> int:
         return self.centroids.shape[0]
-
-
-@dataclass
-class AsmkSignature:
-    cells: dict[int, np.ndarray]  # cell id -> sign vector in {-1, 0, +1}^e, not all zero
-    dim: int
-
-    def __post_init__(self) -> None:
-        for cell, signs in self.cells.items():
-            if (
-                np.shape(signs) != (self.dim,)
-                or not np.any(signs)
-                or not np.isin(signs, (-1, 0, 1)).all()
-            ):
-                raise ValueError(f"cell {cell}: need {self.dim} signs in {{-1, 0, 1}}, not all 0")
-
-    def dense(self, cell_ids: list[int]) -> np.ndarray:
-        """`(len(cell_ids), dim)` signs, one row per listed cell."""
-        out = np.zeros((len(cell_ids), self.dim), dtype=np.int8)
-        for row, cell in enumerate(cell_ids):
-            if cell in self.cells:
-                out[row] = self.cells[cell]
-        return out
 
 
 @dataclass(frozen=True)
@@ -143,7 +121,7 @@ def train_codebook(vectors: np.ndarray, c: int, iters: int = 10, seed: int = 0) 
     return Codebook(centroids=centroids, sse_trace=sse_trace)
 
 
-def _cell_signs(view: ViewImage, model: EmbeddingModel, codebook: Codebook) -> np.ndarray:
+def asmk_signs(view: ViewImage, model: EmbeddingModel, codebook: Codebook) -> np.ndarray:
     """`(C, e)` int8 signs of the per-cell residual sums of a view's
     projected features. Cells without features, and cells whose residual sum
     cancels to zero, keep a zero row."""
@@ -161,19 +139,6 @@ def _cell_signs(view: ViewImage, model: EmbeddingModel, codebook: Codebook) -> n
             continue  # degenerate cancellation
         signs[cell] = np.sign(total / norm)
     return signs
-
-
-def asmk_aggregate(view: ViewImage, model: EmbeddingModel, codebook: Codebook) -> AsmkSignature:
-    """Per-cell binarized residual signature of a view's projected features.
-
-    Cells whose residual sum cancels to zero are dropped rather than given an
-    arbitrary sign.
-    """
-    signs = _cell_signs(view, model, codebook)
-    return AsmkSignature(
-        cells={cell: signs[cell] for cell in np.flatnonzero(signs.any(axis=1)).tolist()},
-        dim=model.e,
-    )
 
 
 def _selectivity(u: np.ndarray, alpha: float, sel_threshold: float) -> np.ndarray:
@@ -212,13 +177,12 @@ def _asmk_scores(
 
 
 def asmk_score(
-    a: AsmkSignature, b: AsmkSignature, alpha: float = 3.0, sel_threshold: float = 0.0
+    a: np.ndarray, b: np.ndarray, alpha: float = 3.0, sel_threshold: float = 0.0
 ) -> float:
-    """Sum of the selectivity-weighted cosine of shared-cell sign vectors,
-    normalized by the geometric mean of the occupied-cell counts."""
-    cells = sorted(a.cells.keys() | b.cells.keys())
-    db = DenseSignatures.stack([b.dense(cells)])
-    return float(_asmk_scores(a.dense(cells), db, alpha, sel_threshold)[0])
+    """Sum of the selectivity-weighted cosine of the shared-cell sign vectors
+    of two `(C, e)` signatures, normalized by the geometric mean of the
+    occupied-cell counts."""
+    return float(_asmk_scores(a, DenseSignatures.stack([b]), alpha, sel_threshold)[0])
 
 
 @dataclass
@@ -236,7 +200,7 @@ def build_index(
     emb = np.array([aggregate(v, model) for v in views])
     sigs = None
     if codebook is not None:
-        sigs = DenseSignatures.stack([_cell_signs(v, model, codebook) for v in views])
+        sigs = DenseSignatures.stack([asmk_signs(v, model, codebook) for v in views])
     return RetrievalIndex(view_ids=ids, embeddings=emb, signatures=sigs, codebook=codebook)
 
 
@@ -261,7 +225,7 @@ def retrieve(
     elif backend == "asmk":
         if index.signatures is None or index.codebook is None:
             raise ValueError("index has no match-kernel signatures")
-        signs = _cell_signs(query, model, index.codebook)
+        signs = asmk_signs(query, model, index.codebook)
         scores = _asmk_scores(signs, index.signatures, alpha, sel_threshold)
     else:
         raise ValueError(f"unknown backend {backend!r}")

@@ -20,9 +20,7 @@ from .errors import (
 )
 from .geometry import MatchParams, match_features
 from .index import RankedList
-from .worldgen import CameraIntrinsics, CameraPose, Landmark, ViewImage
-
-NEAR_PLANE = 0.1
+from .worldgen import NEAR_PLANE, CameraIntrinsics, CameraPose, Landmarks, ViewImage
 
 
 @dataclass
@@ -271,7 +269,7 @@ def sfm_localize(
     query: ViewImage,
     ranked: RankedList,
     map_views: dict[int, ViewImage],
-    landmarks: list[Landmark],
+    landmarks: Landmarks,
     model: EmbeddingModel,
     k: int,
     match_params: MatchParams,
@@ -283,7 +281,6 @@ def sfm_localize(
     corr: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
     dq = query.descriptors()
     kq = query.keypoints()
-    positions = {lm.id: lm.position for lm in landmarks}
     for vid, _score in ranked[:k]:
         view = map_views[vid]
         iq, iv = match_features(query, view, match_params)
@@ -296,7 +293,7 @@ def sfm_localize(
         dists = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
         for q, lid, dist in zip(iq.tolist(), lids.tolist(), dists.tolist()):
             if lid not in corr or dist < corr[lid][0]:
-                corr[lid] = (dist, kq[q], positions[lid])
+                corr[lid] = (dist, kq[q], landmarks.positions[lid])
     corr_2d3d = [(corr[lid][1], corr[lid][2]) for lid in sorted(corr)]
     pose, _ = pnp_ransac(corr_2d3d, query.intrinsics, ransac_params)
     return pose

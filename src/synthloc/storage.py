@@ -11,9 +11,9 @@ import numpy as np
 
 from .embed import EmbeddingModel, TraceRow
 from .errors import DataError
-from .geometry import ConsistencyScore, ScoreStore
+from .geometry import ConsistencyScore, Scores, validate_pair
 from .variants import DomainShift, PromptSet
-from .worldgen import CameraIntrinsics, CameraPose, Landmark, ViewImage, World
+from .worldgen import CameraIntrinsics, CameraPose, Landmarks, ViewImage, World
 
 F9 = "%.9g"  # world-level floats
 F17 = "%.17g"  # model weights, exact round-trip
@@ -128,22 +128,21 @@ def _parse_features(
     lines: list[str], path: str | os.PathLike
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Keypoints, descriptors and landmark ids (-1 for clutter, as is any
-    negative id) of one `_feature_lines` file, checked by `_parse_table`."""
+    negative id, and 2**62, which no world has, for any id past it) of one
+    `_feature_lines` file, checked by `_parse_table`."""
     table = _parse_table(lines, path, "feature", 4, {2: "the landmark id"})
-    return table[:, :2], table[:, 3:], np.maximum(table[:, 2], -1).astype(int)
+    return table[:, :2], table[:, 3:], np.clip(table[:, 2], -1, 2**62).astype(int)
 
 
-def _load_features(
-    path: Path, d: int, landmark_ids: set
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _load_features(path: Path, landmarks: Landmarks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The feature arrays of one file, whose descriptors must be
-    d-dimensional like the world's landmarks, and whose landmark ids must be
-    -1 or one of the world's `landmark_ids`."""
+    d-dimensional like the world's `landmarks`, and whose landmark ids must
+    be -1 or the id of one of them."""
     kp, desc, lid = _parse_features(_read_lines(path), path)
+    n, d = landmarks.descriptors.shape
     if desc.shape[1] != d:
         raise DataError(f"{path}: {desc.shape[1]}-dim descriptors, the world's have {d}")
-    unknown = np.array([i >= 0 and i not in landmark_ids for i in lid.tolist()], dtype=bool)
-    _reject_rows(path, [(unknown, "the landmark id is not in landmarks.csv")])
+    _reject_rows(path, [(lid >= n, "the landmark id is not in landmarks.csv")])
     return kp, desc, lid
 
 
@@ -159,13 +158,11 @@ def _view_line(view: ViewImage) -> str:
 
 def save_world(world: World, out_dir: str | os.PathLike) -> None:
     out = Path(out_dir)
-    d = world.landmarks[0].base_descriptor.shape[0]
+    d = world.landmarks.descriptors.shape[1]
 
     lines = ["id,x,y,z," + ",".join(f"desc{i}" for i in range(d))]
-    for lm in world.landmarks:
-        lines.append(
-            ",".join([str(lm.id)] + [fmt(x) for x in lm.position] + [fmt(x) for x in lm.base_descriptor])
-        )
+    for i, (position, desc) in enumerate(zip(world.landmarks.positions, world.landmarks.descriptors)):
+        lines.append(",".join([str(i)] + [fmt(x) for x in position] + [fmt(x) for x in desc]))
     _write_lines(out / "landmarks.csv", lines)
 
     lines = ["id,qw,qx,qy,qz,tx,ty,tz,condition"]
@@ -229,13 +226,11 @@ def load_world(in_dir: str | os.PathLike) -> World:
 
     path = src / "landmarks.csv"
     table = _parse_table(_read_lines(path), path, "landmark", 5, {0: "the landmark id"})
-    _reject_rows(path, [(_repeated(table[:, 0].tolist()), "the landmark id is repeated")])
-    landmark_ids = set(table[:, 0].tolist())
-    landmarks = [
-        Landmark(id=int(row[0]), position=row[1:4], base_descriptor=row[4:]) for row in table
-    ]
+    _reject_rows(
+        path, [(table[:, 0] != np.arange(len(table)), "landmark ids must be 0 to L - 1 in row order")]
+    )
+    landmarks = Landmarks(table[:, 1:4], table[:, 4:])
 
-    d = landmarks[0].base_descriptor.shape[0]
     n_map = int(meta["num_map_views"])
     path = src / "views.csv"
     [conditions], table = _parse_table(
@@ -256,7 +251,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
         except ValueError as exc:
             raise DataError(f"{path}:{row + 2}: {exc}") from None
         vid = int(values[0])
-        feats = _load_features(src / "features" / f"{vid}.csv", d, landmark_ids)
+        feats = _load_features(src / "features" / f"{vid}.csv", landmarks)
         view = ViewImage(vid, pose, intr, *feats, condition=condition)
         (map_views if row < n_map else query_views).append(view)
 
@@ -349,13 +344,11 @@ def load_variants(
 ) -> dict[int, list[ViewImage]]:
     src = Path(in_dir) / "features_variants"
     by_id = {v.id: v for v in world.map_views}
-    d = world.landmarks[0].base_descriptor.shape[0]
-    landmark_ids = {lm.id for lm in world.landmarks}
     out: dict[int, list[ViewImage]] = {}
     for vid in sorted(by_id):
         row = []
         for shift in prompts.shifts:
-            feats = _load_features(src / prompt_slug(shift.name) / f"{vid}.csv", d, landmark_ids)
+            feats = _load_features(src / prompt_slug(shift.name) / f"{vid}.csv", world.landmarks)
             base = by_id[vid]
             row.append(ViewImage(vid, base.pose, base.intrinsics, *feats, condition=shift.name))
         out[vid] = row
@@ -368,10 +361,8 @@ def load_variants(
 
 
 def save_scores(
-    scores: ScoreStore, c_tau: float, threshold_mode: str, out_dir: str | os.PathLike
+    scores: Scores, c_tau: float, threshold_mode: str, out_dir: str | os.PathLike
 ) -> None:
-    from .geometry import validate_pair
-
     lines = ["query_id,positive_id,prompt,s,kept,original,valid@c_tau"]
     for (q, p, prompt), s in sorted(scores.items()):
         valid = int(validate_pair(s, c_tau, threshold_mode))
@@ -379,16 +370,16 @@ def save_scores(
     _write_lines(Path(out_dir) / "consistency.csv", lines)
 
 
-def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> ScoreStore:
+def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> Scores:
     """The scores of a `save_scores` file, checked by `_parse_table`: integer
     ids, counts and validity, 0 <= s <= 1 and 0 <= kept <= original, one row
     per (query id, positive id, prompt) key, ids of `world`'s map views and
     prompts of `prompts`."""
     path = Path(in_dir) / "consistency.csv"
     lines = _read_lines(path)
-    store = ScoreStore()
+    scores: Scores = {}
     if len(lines) == 1:
-        return store  # a world without matching pairs has no scores
+        return scores  # a world without matching pairs has no scores
     ints = {0: "the query id", 1: "the positive id", 3: "kept", 4: "original", 5: "valid@c_tau"}
     [names], table = _parse_table(lines, path, "score", 7, ints, text_cols=(2,))
     s, kept, original = table[:, 2], table[:, 3], table[:, 4]
@@ -409,8 +400,8 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
     )
     for row, prompt in zip(table, names):
         q, p, value, k, o, _valid = row.tolist()
-        store.add(int(q), int(p), prompt, ConsistencyScore(value, int(k), int(o)))
-    return store
+        scores[(int(q), int(p), prompt)] = ConsistencyScore(value, int(k), int(o))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +417,8 @@ def save_model(model: EmbeddingModel, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> EmbeddingModel:
-    """A `save_model` file: an `e,d` header and e rows of d finite weights.
-    Anything else raises DataError naming the file."""
+    """A `save_model` file: an `e,d` header and e <= d rows of d finite
+    weights. Anything else raises DataError naming the file."""
     lines = _read_lines(Path(path))
     try:
         e, d = (int(x) for x in lines[0].split(","))
@@ -436,9 +427,10 @@ def load_model(path: str | os.PathLike) -> EmbeddingModel:
         raise DataError(f"{path}: not a model file: {exc}") from None
     if W.shape != (e, d):
         raise DataError(f"model shape mismatch in {path}")
-    if not np.all(np.isfinite(W)):
-        raise DataError(f"{path}: model weights are not finite")
-    return EmbeddingModel(projection=W)
+    try:
+        return EmbeddingModel(projection=W)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_trace(trace: list[TraceRow], path: str | os.PathLike) -> None:

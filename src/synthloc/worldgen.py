@@ -9,7 +9,6 @@ so the camera's +z axis is the viewing direction.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -19,11 +18,20 @@ from . import quats
 from .errors import DegenerateWorldError, NoVisibleLandmarksError, require_integer, require_number
 
 
-@dataclass
-class Landmark:
-    id: int
-    position: np.ndarray  # (3,) meters
-    base_descriptor: np.ndarray  # (d,) unit norm
+@dataclass(frozen=True)
+class Landmarks:
+    """A world's L landmarks as two read-only row-aligned arrays: row i of
+    `positions` (L, 3, meters) and of `descriptors` (L, d, unit norm) is
+    landmark i, whose id is i."""
+
+    positions: np.ndarray
+    descriptors: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("positions", "descriptors"):
+            rows = np.asarray(getattr(self, name), dtype=float)
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
 
 @dataclass
@@ -176,29 +184,11 @@ class WorldConfig:
 
 @dataclass
 class World:
-    landmarks: list[Landmark]
+    landmarks: Landmarks
     map_views: list[ViewImage]
     query_views: list[ViewImage]
     matching_pairs: list[tuple[int, int, int]]  # (view_id, view_id, co-observations), i < j
     seed: int
-
-    @functools.cached_property
-    def _landmark_stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The landmark positions and base descriptors as read-only arrays,
-        stacked once per world: a world's landmarks never change after it is
-        built, and every `render_view` of it reads them."""
-        positions = np.array([lm.position for lm in self.landmarks], dtype=float)
-        descriptors = np.array([lm.base_descriptor for lm in self.landmarks])
-        positions.flags.writeable = descriptors.flags.writeable = False
-        return positions, descriptors
-
-    def landmark_positions(self) -> np.ndarray:
-        """(L, 3)"""
-        return self._landmark_stacks[0]
-
-    def landmark_descriptors(self) -> np.ndarray:
-        """(L, d)"""
-        return self._landmark_stacks[1]
 
 
 NEAR_PLANE = 0.1
@@ -285,7 +275,7 @@ def render_view(
     rendering one row at a time, bit for bit.
     """
     rng = np.random.default_rng(seed)
-    points = world.landmark_positions()
+    points = world.landmarks.positions
     radius = max_dist if max_dist is not None else np.inf
     mask = visible_mask(points, pose, intrinsics, radius)
     idx = np.nonzero(mask)[0]
@@ -293,7 +283,7 @@ def render_view(
         raise NoVisibleLandmarksError("no visible landmarks")
 
     uv, _ = project_points(points[idx], pose, intrinsics)
-    d = world.landmarks[0].base_descriptor.shape[0]
+    d = world.landmarks.descriptors.shape[1]
     n = idx.size + noise.clutter_count
     kp = np.empty((n, 2))
     desc = np.empty((n, d))
@@ -301,7 +291,7 @@ def render_view(
     lid[: idx.size] = idx
     block = rng.standard_normal((idx.size, 2 + d))
     kp[: idx.size] = uv + noise.keypoint_sigma * block[:, :2]
-    base = world.landmark_descriptors()[idx]
+    base = world.landmarks.descriptors[idx]
     desc[: idx.size] = unit_rows(base + noise.descriptor_sigma * block[:, 2:])
 
     fill_clutter(rng, kp, desc, idx.size, intrinsics.image_size)
@@ -368,11 +358,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     z = rng.uniform(0.0, config.height_max, config.num_landmarks)
 
     descs = unit_rows(rng.standard_normal((config.num_landmarks, config.descriptor_dim)))
-    positions = np.column_stack([xy, z])
-    landmarks = [
-        Landmark(id=i, position=positions[i], base_descriptor=descs[i])
-        for i in range(config.num_landmarks)
-    ]
+    landmarks = Landmarks(np.column_stack([xy, z]), descs)
 
     world = World(landmarks=landmarks, map_views=[], query_views=[], matching_pairs=[], seed=seed)
     intr = config.intrinsics()

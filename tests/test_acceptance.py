@@ -29,7 +29,6 @@ from synthloc.geometry import (
     score_world_variants,
 )
 from synthloc.index import (
-    AsmkSignature,
     asmk_score,
     build_index,
     retrieve,
@@ -371,11 +370,10 @@ def test_criterion_7_retrieval_sanity():
     rng = np.random.default_rng(707)
     for _ in range(50):
         def random_sig():
-            cells = {}
+            sig = np.zeros((12, 8), dtype=np.int8)
             for cell in rng.choice(12, size=int(rng.integers(2, 7)), replace=False):
-                vec = rng.choice([-1, 1], size=8).astype(np.int8)
-                cells[int(cell)] = vec
-            return AsmkSignature(cells=cells, dim=8)
+                sig[cell] = rng.choice([-1, 1], size=8)
+            return sig
 
         a, b = random_sig(), random_sig()
         assert asmk_score(a, b) == asmk_score(b, a)

@@ -16,7 +16,7 @@ from synthloc.embed import (
     train,
 )
 from synthloc.errors import InsufficientNegativesError
-from synthloc.geometry import ConsistencyScore, ScoreStore
+from synthloc.geometry import ConsistencyScore
 from synthloc.variants import VariantStore, apply_variant, identity_shift
 
 from conftest import make_view
@@ -102,7 +102,7 @@ def _toy_setup():
     variants = VariantStore()
     for i, v in views.items():
         variants.add(i, apply_variant(v, identity_shift("mild", 8), seed=i))
-    scores = ScoreStore()
+    scores = {}
     return views, variants, scores
 
 
@@ -117,7 +117,7 @@ def test_build_synthetic_tuple():
 
 def test_synthetic_family_rejects_invalid_score():
     views, variants, scores = _toy_setup()
-    scores.add(0, 1, "mild", ConsistencyScore(0.0, 0, 20))
+    scores[(0, 1, "mild")] = ConsistencyScore(0.0, 0, 20)
     t = TrainingTuple(0, 1, [2, 3])
     assert synthetic_families(variants, scores, c_tau=0.2)(t) == []
     assert synthetic_families(variants, scores, c_tau=1, threshold_mode="absolute")(t) == []
@@ -126,8 +126,8 @@ def test_synthetic_family_rejects_invalid_score():
 
 def test_synthetic_family_skips_missing_variant():
     views, variants, scores = _toy_setup()
-    scores.add(0, 1, "unknown prompt", ConsistencyScore(0.9, 18, 20))
-    scores.add(0, 1, "mild", ConsistencyScore(0.9, 18, 20))
+    scores[(0, 1, "unknown prompt")] = ConsistencyScore(0.9, 18, 20)
+    scores[(0, 1, "mild")] = ConsistencyScore(0.9, 18, 20)
     t = TrainingTuple(0, 1, [2, 3])
     assert synthetic_families(variants, scores, c_tau=0.2)(t) == [("mild", 0.9)]
     # a negative without a variant under the prompt drops the prompt too
@@ -139,8 +139,8 @@ def test_synthetic_family_filters_by_score():
     views, variants, scores = _toy_setup()
     for i, v in views.items():
         variants.add(i, apply_variant(v, identity_shift("harsh", 8), seed=100 + i))
-    scores.add(0, 1, "mild", ConsistencyScore(0.9, 18, 20))
-    scores.add(0, 1, "harsh", ConsistencyScore(0.1, 2, 20))
+    scores[(0, 1, "mild")] = ConsistencyScore(0.9, 18, 20)
+    scores[(0, 1, "harsh")] = ConsistencyScore(0.1, 2, 20)
     t = TrainingTuple(0, 1, [2, 3])
     fam = synthetic_families(variants, scores, c_tau=0.2)(t)
     assert fam == [("mild", 0.9)]
@@ -154,10 +154,10 @@ def test_negative_variants_map_one_to_one(small_world, small_prompts, small_vari
     others = [v.id for v in small_world.map_views if v.id not in (a, b)][:3]
     t = TrainingTuple(a, b, others)
     prompt = "in winter"
-    assert (prompt, small_scores.get(a, b, prompt).value) in synthetic_families(
+    assert (prompt, small_scores[(a, b, prompt)].value) in synthetic_families(
         small_variant_store, small_scores, c_tau=0.0
     )(t)
-    out = build_synthetic_tuple(t, prompt, small_scores.get(a, b, prompt).value)
+    out = build_synthetic_tuple(t, prompt, small_scores[(a, b, prompt)].value)
     resolver = ViewResolver(_world_views(small_world), small_variant_store)
     q, p, ns = resolver.tuple_views(out)
     assert q.condition == prompt

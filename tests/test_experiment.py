@@ -263,6 +263,7 @@ BAD_MODELS = {
     "short": "2,3\n1,2,3\n",
     "long": "1,3\n1,2,3\n1,2,3\n",
     "not-finite": "2,3\n1,2,nan\n1,2,3\n",
+    "more-rows-than-columns": "3,2\n1,0\n0,1\n1,1\n",
     "empty": "",
     # a well-formed model for 8-dim descriptors; the world's are 16-dim
     "wrong-dim": "2,8\n" + ",".join(["0.5"] * 8) + "\n" + ",".join(["0.25"] * 8) + "\n",
@@ -350,6 +351,27 @@ def _set_line(name, lineno, text):
     return edit
 
 
+def _swap_lines(name, a, b):
+    """Swap lines `a` and `b` of a world file, ids and all."""
+    def edit(world):
+        path = world / name
+        lines = path.read_text().splitlines()
+        lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+        path.write_text("\n".join(lines) + "\n")
+
+    return edit
+
+
+def _shift_landmark_ids(world):
+    """Number landmarks.csv's rows from 1 instead of 0."""
+    path = world / "landmarks.csv"
+    lines = path.read_text().splitlines()
+    for i, ln in enumerate(lines[1:], start=1):
+        lid, rest = ln.split(",", 1)
+        lines[i] = f"{int(lid) + 1},{rest}"
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _repeat_id(lines, lineno):
     """Line `lineno` with the id of the line above it."""
     return ",".join(lines[lineno - 2].split(",")[:1] + lines[lineno - 1].split(",")[1:])
@@ -371,7 +393,15 @@ BAD_WORLD_IDS = {
     ),
     "landmark-id-repeated": (
         "evaluate", _set_line("landmarks.csv", 4, lambda lines: _repeat_id(lines, 4)),
-        "landmarks.csv:4: the landmark id is repeated",
+        "landmarks.csv:4: landmark ids must be 0 to L - 1 in row order",
+    ),
+    "landmark-ids-swapped": (
+        "train", _swap_lines("landmarks.csv", 6, 9),
+        "landmarks.csv:6: landmark ids must be 0 to L - 1 in row order",
+    ),
+    "landmark-ids-from-one": (
+        "evaluate", _shift_landmark_ids,
+        "landmarks.csv:2: landmark ids must be 0 to L - 1 in row order",
     ),
     "view-id-repeated": (
         "evaluate", _set_line("views.csv", 5, lambda lines: _repeat_id(lines, 5)),
@@ -383,10 +413,10 @@ BAD_WORLD_IDS = {
 @pytest.mark.parametrize("command,edit,reason", list(BAD_WORLD_IDS.values()), ids=list(BAD_WORLD_IDS))
 def test_cli_bad_world_ids_is_data_error(pipeline, tmp_path, capsys, command, edit, reason):
     """Feature landmark ids missing from landmarks.csv, a pair that does not
-    name two distinct map views, and a repeated landmark or view id exit 3
-    naming the file and line. They used to give a KeyError traceback in
-    `sfm_localize` or `train`, or to exit 0 having dropped a landmark or
-    mixed up two views."""
+    name two distinct map views, landmark ids that are not 0 to L - 1 in row
+    order and a repeated view id exit 3 naming the file and the first bad
+    line. They used to give a KeyError traceback in `sfm_localize` or
+    `train`, or to exit 0 having dropped a landmark or mixed up two views."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
     edit(world)

@@ -4,11 +4,10 @@ import pytest
 from synthloc.embed import EmbeddingModel, aggregate, init_model
 from synthloc.errors import CodebookMismatchError, TooFewVectorsError
 from synthloc.index import (
-    AsmkSignature,
     Codebook,
     _selectivity,
-    asmk_aggregate,
     asmk_score,
+    asmk_signs,
     build_index,
     retrieve,
     train_codebook,
@@ -77,15 +76,29 @@ def _model(d=8, e=4, seed=0):
     return init_model(d, e, seed)
 
 
+def dense(cells, n_cells, e):
+    """The (n_cells, e) int8 signature whose rows are `cells` by cell id and
+    zero elsewhere."""
+    signs = np.zeros((n_cells, e), dtype=np.int8)
+    for cell, vec in cells.items():
+        signs[cell] = vec
+    return signs
+
+
+def cells_of(signs):
+    """The non-zero rows of a signature, by cell id in ascending order."""
+    return {int(cell): signs[cell] for cell in np.flatnonzero(signs.any(axis=1))}
+
+
 def test_asmk_single_feature_sign():
     rng = np.random.default_rng(4)
     view = make_view(rng, 1, 8)
     model = _model()
     cb = Codebook(centroids=np.zeros((1, 4)))
-    sig = asmk_aggregate(view, model, cb)
+    sig = asmk_signs(view, model, cb)
     z = model.projection @ view.desc[0]
-    assert list(sig.cells) == [0]
-    assert np.array_equal(sig.cells[0], np.sign(z / np.linalg.norm(z)).astype(np.int8))
+    assert sig.dtype == np.int8 and sig.shape == (1, 4)
+    assert np.array_equal(sig[0], np.sign(z / np.linalg.norm(z)).astype(np.int8))
 
 
 def test_asmk_cancellation_drops_cell():
@@ -95,17 +108,17 @@ def test_asmk_cancellation_drops_cell():
     view = make_view(np.random.default_rng(5), 1, 8)
     v = ViewImage(0, view.pose, view.intrinsics, np.zeros((2, 2)), np.stack([desc, -desc]), [-1, -1])
     cb = Codebook(centroids=np.zeros((1, 4)))
-    sig = asmk_aggregate(v, model, cb)
-    assert sig.cells == {}
+    sig = asmk_signs(v, model, cb)
+    assert sig.shape == (1, 4) and not sig.any()
 
 
-def test_asmk_aggregate_step_by_step_oracle():
+def test_asmk_signs_step_by_step_oracle():
     rng = np.random.default_rng(6)
     view = make_view(rng, 12, 8)
     model = _model(seed=2)
     vectors = view.descriptors() @ model.projection.T
     cb = train_codebook(vectors, c=3, iters=5, seed=0)
-    sig = asmk_aggregate(view, model, cb)
+    sig = cells_of(asmk_signs(view, model, cb))
 
     d2 = ((vectors[:, None, :] - cb.centroids[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
@@ -115,9 +128,9 @@ def test_asmk_aggregate_step_by_step_oracle():
         n = np.linalg.norm(total)
         if n > 0:
             expected[int(cell)] = np.sign(total / n).astype(np.int8)
-    assert set(sig.cells) == set(expected)
+    assert set(sig) == set(expected)
     for cell in expected:
-        assert np.array_equal(sig.cells[cell], expected[cell])
+        assert np.array_equal(sig[cell], expected[cell])
 
 
 def test_asmk_self_score_is_one():
@@ -126,26 +139,20 @@ def test_asmk_self_score_is_one():
     model = _model(seed=3)
     vectors = view.descriptors() @ model.projection.T
     cb = train_codebook(vectors, c=4, iters=5, seed=0)
-    sig = asmk_aggregate(view, model, cb)
+    sig = asmk_signs(view, model, cb)
     assert asmk_score(sig, sig) == 1.0
 
 
 def test_asmk_disjoint_cells_score_zero():
-    a = AsmkSignature(cells={0: np.array([1, -1], dtype=np.int8)}, dim=2)
-    b = AsmkSignature(cells={1: np.array([1, 1], dtype=np.int8)}, dim=2)
+    a = dense({0: [1, -1]}, 2, 2)
+    b = dense({1: [1, 1]}, 2, 2)
     assert asmk_score(a, b) == 0.0
 
 
 def test_asmk_score_brute_force_oracle():
     """Hand-evaluated kernel on two toy signatures, alpha=3, threshold=0."""
-    a = AsmkSignature(
-        cells={0: np.array([1, 1, -1], dtype=np.int8), 1: np.array([1, -1, 1], dtype=np.int8)},
-        dim=3,
-    )
-    b = AsmkSignature(
-        cells={0: np.array([1, -1, -1], dtype=np.int8), 2: np.array([1, 1, 1], dtype=np.int8)},
-        dim=3,
-    )
+    a = dense({0: [1, 1, -1], 1: [1, -1, 1]}, 3, 3)
+    b = dense({0: [1, -1, -1], 2: [1, 1, 1]}, 3, 3)
     # shared cell 0: u = (1 -1 +1)/3 = 1/3 ; sigma = (1/3)^3
     expected = ((1.0 / 3.0) ** 3) / np.sqrt(2 * 2)
     assert abs(asmk_score(a, b, alpha=3.0, sel_threshold=0.0) - expected) < 1e-12
@@ -157,7 +164,7 @@ def test_asmk_score_symmetric_and_self_maximal():
     views = [make_view(np.random.default_rng(900 + i), 12, 8, view_id=i) for i in range(10)]
     all_vectors = np.concatenate([v.descriptors() @ model.projection.T for v in views])
     cb = train_codebook(all_vectors, c=6, iters=5, seed=0)
-    sigs = [asmk_aggregate(v, model, cb) for v in views]
+    sigs = [asmk_signs(v, model, cb) for v in views]
     for i in range(len(sigs)):
         for j in range(len(sigs)):
             sij = asmk_score(sigs[i], sigs[j])
@@ -174,7 +181,7 @@ def test_asmk_threshold_monotone():
     b = make_view(np.random.default_rng(31), 12, 8)
     vectors = np.concatenate([a.descriptors() @ model.projection.T, b.descriptors() @ model.projection.T])
     cb = train_codebook(vectors, c=4, iters=5, seed=0)
-    sa, sb = asmk_aggregate(a, model, cb), asmk_aggregate(b, model, cb)
+    sa, sb = asmk_signs(a, model, cb), asmk_signs(b, model, cb)
     # with non-negative thresholds every retained term is >= 0, so raising
     # the threshold can only drop mass
     prev = asmk_score(sa, sb, sel_threshold=0.0)
@@ -185,10 +192,11 @@ def test_asmk_threshold_monotone():
 
 
 def test_asmk_dim_mismatch():
-    a = AsmkSignature(cells={0: np.array([1, 1], dtype=np.int8)}, dim=2)
-    b = AsmkSignature(cells={0: np.array([1, 1, 1], dtype=np.int8)}, dim=3)
+    a = dense({0: [1, 1]}, 1, 2)
     with pytest.raises(CodebookMismatchError):
-        asmk_score(a, b)
+        asmk_score(a, dense({0: [1, 1, 1]}, 1, 3))
+    with pytest.raises(CodebookMismatchError):
+        asmk_score(a, dense({0: [1, 1]}, 2, 2))
 
 
 # ---------------------------------------------------------------- retrieval
@@ -311,7 +319,7 @@ def ref_train_codebook(vectors, c, iters, seed):
     return centroids, sse_trace
 
 
-def ref_asmk_aggregate(view, model, centroids):
+def ref_asmk_signs(view, model, centroids):
     z = view.descriptors() @ model.projection.T
     labels = ref_assign(z, centroids)
     cells = {}
@@ -343,9 +351,9 @@ def ref_asmk_score(a, b, alpha, sel_threshold):
 
 
 def ref_retrieve(query, views, model, centroids, k, alpha, sel_threshold):
-    sig_q = ref_asmk_aggregate(query, model, centroids)
+    sig_q = ref_asmk_signs(query, model, centroids)
     scores = [
-        ref_asmk_score(sig_q, ref_asmk_aggregate(v, model, centroids), alpha, sel_threshold)
+        ref_asmk_score(sig_q, ref_asmk_signs(v, model, centroids), alpha, sel_threshold)
         for v in views
     ]
     order = sorted(range(len(views)), key=lambda i: (-scores[i], views[i].id))
@@ -384,7 +392,7 @@ def test_train_codebook_matches_reference():
         assert cb.sse_trace == sse
 
 
-def test_asmk_aggregate_matches_reference():
+def test_asmk_signs_matches_reference():
     """Signature cells and sign bytes equal the per-cell loop's, including
     e = 1 and a cell whose residuals cancel."""
     rng = np.random.default_rng(21)
@@ -394,11 +402,10 @@ def test_asmk_aggregate_matches_reference():
         vectors = np.concatenate([v.descriptors() @ model.projection.T for v in views])
         cb = train_codebook(vectors, c, iters=4, seed=0)
         for v in views:
-            sig = asmk_aggregate(v, model, cb)
-            want = ref_asmk_aggregate(v, model, cb.centroids)
-            assert sig.dim == e
-            assert list(sig.cells) == list(want)
-            assert all(sig.cells[k].tobytes() == want[k].tobytes() for k in want)
+            sig = asmk_signs(v, model, cb)
+            want = ref_asmk_signs(v, model, cb.centroids)
+            assert sig.dtype == np.int8 and sig.shape == (c, e)
+            assert sig.tobytes() == dense(want, c, e).tobytes()
 
     model = EmbeddingModel(np.eye(4, 8))
     desc = np.zeros(8)
@@ -411,10 +418,8 @@ def test_asmk_aggregate_matches_reference():
         np.concatenate([[-1, -1], base.lid]),
     )
     cb = Codebook(centroids=np.vstack([np.zeros(4), 10.0 * np.ones(4)]))
-    want = ref_asmk_aggregate(view, model, cb.centroids)
-    sig = asmk_aggregate(view, model, cb)
-    assert list(sig.cells) == list(want)
-    assert all(sig.cells[k].tobytes() == want[k].tobytes() for k in want)
+    want = ref_asmk_signs(view, model, cb.centroids)
+    assert asmk_signs(view, model, cb).tobytes() == dense(want, 2, 4).tobytes()
 
 
 @pytest.mark.parametrize("alpha,sel_threshold", KERNEL_PARAMS)
@@ -431,12 +436,12 @@ def test_asmk_score_matches_reference(alpha, sel_threshold):
             b = random_cells(rng, 24, e, 20, p_zero)
             disjoint = {cell + 24: vec for cell, vec in b.items()}
             for x, y in ((a, b), (a, a), (b, a), (a, disjoint), (a, {}), ({}, {})):
-                got = asmk_score(AsmkSignature(x, e), AsmkSignature(y, e), alpha, sel_threshold)
+                got = asmk_score(dense(x, 48, e), dense(y, 48, e), alpha, sel_threshold)
                 want = ref_asmk_score(x, y, alpha, sel_threshold)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
     one = np.ones(3, np.int8)
     # u = -1/3 weighs -0.0 at alpha 1000, and the sum starts from +0.0
-    a, b = AsmkSignature({0: one, 5: one}, 3), AsmkSignature({5: np.int8([-1, -1, 1])}, 3)
+    a, b = dense({0: one, 5: one}, 6, 3), dense({5: [-1, -1, 1]}, 6, 3)
     assert np.float64(asmk_score(a, b, 1000.0, -1.0)).tobytes() == np.float64(0.0).tobytes()
 
 
@@ -479,12 +484,3 @@ def test_selectivity_equals_python_pow_exhaustively(e):
             [ref_selectivity(x / float(np.sqrt(n)), alpha, -1.0) for x, n in zip(dot.tolist(), nnz.tolist())]
         )
         assert got.tobytes() == want.tobytes()
-
-
-def test_asmk_signature_rejects_cells_that_are_not_sign_vectors():
-    with pytest.raises(ValueError):
-        AsmkSignature(cells={0: np.zeros(3, dtype=np.int8)}, dim=3)
-    with pytest.raises(ValueError):
-        AsmkSignature(cells={0: np.ones(2, dtype=np.int8)}, dim=3)
-    with pytest.raises(ValueError):
-        AsmkSignature(cells={0: np.array([1, 2, -1])}, dim=3)

@@ -160,7 +160,7 @@ def test_pnp_recovers_render_pose_from_view_features(small_world):
         max_dist=30.0,
     )
     corr = [
-        (kp, small_world.landmarks[lid].position)
+        (kp, small_world.landmarks.positions[lid])
         for kp, lid in zip(clean.kp, clean.lid.tolist())
     ]
     est, inliers = pnp_ransac(corr, clean.intrinsics, RansacParams(seed=0))
@@ -432,7 +432,7 @@ def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, default_world):
     after cosine top-5 retrieval, with the benchmark's RANSAC seeds for seed
     7. Among them are solves that run to the 1000-iteration cap and end
     without consensus."""
-    d = default_world.landmarks[0].base_descriptor.shape[0]
+    d = default_world.landmarks.descriptors.shape[1]
     queries = shift_queries(default_world, default_prompt_set(d, seed=0), ["at dawn"], seed=7)
     model = EmbeddingModel(np.eye(d))
     index = build_index(default_world.map_views, model)

@@ -12,7 +12,7 @@ from synthloc.embed import (
     multi_value_and_grad,
 )
 from synthloc.geometry import MatchParams
-from synthloc.index import AsmkSignature, asmk_score
+from synthloc.index import asmk_score
 from synthloc.localize import AccuracyThresholds, PoseError, localization_rate
 
 from conftest import make_view, match_pairs
@@ -63,11 +63,10 @@ def test_asmk_symmetry_random_signatures(seed):
     rng = np.random.default_rng(seed)
 
     def sig():
-        cells = {
-            int(c): rng.choice([-1, 1], size=6).astype(np.int8)
-            for c in rng.choice(10, size=int(rng.integers(1, 6)), replace=False)
-        }
-        return AsmkSignature(cells=cells, dim=6)
+        signs = np.zeros((10, 6), dtype=np.int8)
+        for c in rng.choice(10, size=int(rng.integers(1, 6)), replace=False):
+            signs[c] = rng.choice([-1, 1], size=6)
+        return signs
 
     a, b = sig(), sig()
     assert asmk_score(a, b) == asmk_score(b, a)

@@ -4,21 +4,19 @@ import pytest
 from synthloc import storage
 from synthloc.embed import TraceRow, init_model
 from synthloc.errors import DataError
-from synthloc.geometry import ConsistencyScore, ScoreStore
+from synthloc.geometry import ConsistencyScore
 
 
 def test_world_roundtrip(tmp_path, small_world):
     storage.save_world(small_world, tmp_path)
     loaded = storage.load_world(tmp_path)
     assert loaded.seed == small_world.seed
-    assert len(loaded.landmarks) == len(small_world.landmarks)
     assert len(loaded.map_views) == len(small_world.map_views)
     assert len(loaded.query_views) == len(small_world.query_views)
     assert loaded.matching_pairs == small_world.matching_pairs
-    for a, b in zip(loaded.landmarks, small_world.landmarks):
-        assert a.id == b.id
-        assert np.allclose(a.position, b.position, atol=1e-8)
-        assert np.allclose(a.base_descriptor, b.base_descriptor, atol=1e-8)
+    assert loaded.landmarks.positions.shape == small_world.landmarks.positions.shape
+    assert np.allclose(loaded.landmarks.positions, small_world.landmarks.positions, atol=1e-8)
+    assert np.allclose(loaded.landmarks.descriptors, small_world.landmarks.descriptors, atol=1e-8)
     for va, vb in zip(loaded.map_views, small_world.map_views):
         assert va.id == vb.id
         assert va.condition == vb.condition
@@ -79,17 +77,15 @@ def test_scores_roundtrip(tmp_path, small_world, small_prompts, small_scores):
     loaded = storage.load_scores(tmp_path, small_world, small_prompts)
     assert len(loaded) == len(small_scores)
     for key, s in small_scores.items():
-        got = loaded.get(*key)
+        got = loaded[key]
         assert got.kept == s.kept
         assert got.original == s.original
         assert abs(got.value - s.value) < 1e-6
 
 
 def test_scores_csv_validity_column(tmp_path):
-    store = ScoreStore()
-    store.add(0, 1, "a", ConsistencyScore(0.5, 10, 20))
-    store.add(0, 1, "b", ConsistencyScore(0.1, 2, 20))
-    storage.save_scores(store, 0.2, "relative", tmp_path)
+    scores = {(0, 1, "a"): ConsistencyScore(0.5, 10, 20), (0, 1, "b"): ConsistencyScore(0.1, 2, 20)}
+    storage.save_scores(scores, 0.2, "relative", tmp_path)
     lines = (tmp_path / "consistency.csv").read_text().splitlines()
     assert lines[0] == "query_id,positive_id,prompt,s,kept,original,valid@c_tau"
     rows = {ln.split(",")[2]: ln.split(",") for ln in lines[1:]}
@@ -205,6 +201,20 @@ def test_load_world_rejects_malformed_landmarks(tmp_path, small_world, edit, rea
     path = tmp_path / "landmarks.csv"
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(DataError, match=reason):
+        storage.load_world(tmp_path)
+
+
+def test_load_world_rejects_a_landmark_id_past_the_int_range(tmp_path, small_world):
+    """A feature's landmark id too large for an int is out of range, not
+    clutter."""
+    storage.save_world(small_world, tmp_path)
+    path = tmp_path / "features" / "0.csv"
+    lines = path.read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[2] = "1e19"
+    lines[1] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="0.csv:2: the landmark id is not in landmarks.csv"):
         storage.load_world(tmp_path)
 
 

@@ -69,14 +69,12 @@ def ref_consistency(q, p, variant, params):
     return ConsistencyScore(kept / original, kept, original)
 
 
-def ref_score_world(world, variants, params, prompt_names=None):
+def ref_score_world(world, variants, params):
     by_id = {v.id: v for v in world.map_views}
     out = []
     for a, b, _ in world.matching_pairs:
         for q_id, p_id in ((a, b), (b, a)):
             for variant in variants.get(q_id, []):
-                if prompt_names is not None and variant.condition not in prompt_names:
-                    continue
                 score = ref_consistency(by_id[q_id], by_id[p_id], variant, params)
                 out.append(((q_id, p_id, variant.condition), score))
     return out
@@ -161,14 +159,15 @@ def test_world_scores_equal_reference(small_world, small_variants, small_scores)
     want = ref_score_world(small_world, small_variants, MatchParams())
     assert [key for key, _ in small_scores.items()] == [key for key, _ in want]
     for key, s in want:
-        assert score_tuple(small_scores.get(*key)) == score_tuple(s), key
+        assert score_tuple(small_scores[key]) == score_tuple(s), key
 
 
 def test_world_scores_prompt_filter_equal_reference(small_world, small_variants):
     names = ["at sunset", "at night", "not a prompt"]
     params = MatchParams(ratio=0.8, pixel_tol=1.0)
-    got = score_world_variants(small_world, small_variants, params, prompt_names=names)
-    want = ref_score_world(small_world, small_variants, params, prompt_names=names)
+    kept = {vid: [v for v in row if v.condition in names] for vid, row in small_variants.items()}
+    got = score_world_variants(small_world, kept, params)
+    want = ref_score_world(small_world, kept, params)
     assert len(got) == len(want) == 2 * len(small_world.matching_pairs) * 2
     assert [(k, score_tuple(s)) for k, s in got.items()] == [(k, score_tuple(s)) for k, s in want]
 

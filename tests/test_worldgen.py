@@ -46,10 +46,15 @@ def test_tiny_descriptor_degenerate():
 
 
 def test_landmark_invariants(small_world):
-    ids = [lm.id for lm in small_world.landmarks]
-    assert ids == list(range(len(ids)))
-    for lm in small_world.landmarks:
-        assert abs(np.linalg.norm(lm.base_descriptor) - 1.0) < 1e-9
+    """Row i of both read-only arrays is landmark i; the pair is not a
+    sequence, so code written for a landmark list fails loudly."""
+    positions, descs = small_world.landmarks.positions, small_world.landmarks.descriptors
+    assert positions.shape == (SMALL_WORLD.num_landmarks, 3)
+    assert descs.shape == (SMALL_WORLD.num_landmarks, SMALL_WORLD.descriptor_dim)
+    assert not positions.flags.writeable and not descs.flags.writeable
+    assert np.all(np.abs(np.linalg.norm(descs, axis=1) - 1.0) < 1e-9)
+    with pytest.raises(TypeError):
+        len(small_world.landmarks)
 
 
 def test_pose_invariants(small_world):
@@ -103,7 +108,7 @@ def test_zero_noise_exact_projection(small_world):
         small_world, view.pose, view.intrinsics, noise, seed=99, view_id=0,
         max_dist=SMALL_WORLD.visibility_radius,
     )
-    pts = np.array([small_world.landmarks[i].position for i in clean.landmark_ids()])
+    pts = small_world.landmarks.positions[clean.landmark_ids()]
     uv, z = project_points(pts, clean.pose, clean.intrinsics)
     assert np.all(z > 0)
     assert np.max(np.abs(uv - clean.keypoints())) < 1e-9
@@ -117,7 +122,7 @@ def test_zero_noise_descriptor_equals_base(small_world):
         max_dist=SMALL_WORLD.visibility_radius,
     )
     for lid, desc in zip(clean.lid.tolist(), clean.desc):
-        base = small_world.landmarks[lid].base_descriptor
+        base = small_world.landmarks.descriptors[lid]
         assert np.allclose(desc, base, atol=1e-12)
 
 
@@ -158,7 +163,7 @@ def test_keypoint_noise_statistics(default_world):
             default_world, view.pose, view.intrinsics, noise, seed=1000 + i,
             max_dist=WorldConfig().visibility_radius,
         )
-        pts = np.array([default_world.landmarks[j].position for j in noisy.landmark_ids()])
+        pts = default_world.landmarks.positions[noisy.landmark_ids()]
         uv, _ = project_points(pts, view.pose, view.intrinsics)
         residuals.extend((noisy.keypoints() - uv).ravel())
     residuals = np.array(residuals)
@@ -187,10 +192,10 @@ def test_projection_roundtrip_ray(small_world):
         )
         ray_world = R.T @ ray_cam
         ray_world /= np.linalg.norm(ray_world)
-        target = small_world.landmarks[lid].position - clean.pose.position
+        target = small_world.landmarks.positions[lid] - clean.pose.position
         dist_along = float(np.dot(target, ray_world))
         closest = clean.pose.position + dist_along * ray_world
-        assert np.linalg.norm(closest - small_world.landmarks[lid].position) < 1e-6
+        assert np.linalg.norm(closest - small_world.landmarks.positions[lid]) < 1e-6
 
 
 def test_clutter_has_no_landmark_id(small_world):

@@ -10,7 +10,7 @@ from synthloc import worldgen
 from synthloc.worldgen import (
     CameraIntrinsics,
     CameraPose,
-    Landmark,
+    Landmarks,
     RenderNoise,
     World,
     WorldConfig,
@@ -42,11 +42,11 @@ def ref_render_view(world, pose, intrinsics, noise, seed, max_dist=None):
     """One visible row at a time: 2 keypoint normals, then d descriptor
     normals, then the clutter rows. Returns the arrays and the generator."""
     rng = ref_generator(seed)
-    points = world.landmark_positions()
+    points = world.landmarks.positions
     radius = max_dist if max_dist is not None else np.inf
     idx = np.nonzero(visible_mask(points, pose, intrinsics, radius))[0]
     uv, _ = project_points(points[idx], pose, intrinsics)
-    d = world.landmarks[0].base_descriptor.shape[0]
+    d = world.landmarks.descriptors.shape[1]
     n = idx.size + noise.clutter_count
     kp = np.empty((n, 2))
     desc = np.empty((n, d))
@@ -54,7 +54,7 @@ def ref_render_view(world, pose, intrinsics, noise, seed, max_dist=None):
     lid[: idx.size] = idx
     for row, lm_i in enumerate(idx):
         kp[row] = uv[row] + noise.keypoint_sigma * rng.standard_normal(2)
-        x = world.landmarks[lm_i].base_descriptor + noise.descriptor_sigma * rng.standard_normal(d)
+        x = world.landmarks.descriptors[lm_i] + noise.descriptor_sigma * rng.standard_normal(d)
         desc[row] = x / np.linalg.norm(x)
     ref_fill_clutter(rng, kp, desc, idx.size, intrinsics.image_size)
     return (kp, desc, lid), rng
@@ -127,10 +127,7 @@ WORLDS = {
 def test_generate_world_equals_reference(made, config, seed):
     world = generate_world(config, seed)
     (positions, descs), rng = ref_landmarks(config, seed)
-    got = (
-        np.array([lm.position for lm in world.landmarks]),
-        np.array([lm.base_descriptor for lm in world.landmarks]),
-    )
+    got = (world.landmarks.positions, world.landmarks.descriptors)
     assert array_bytes(got) == array_bytes((positions, descs))
     assert made[0].bit_generator.state == rng.bit_generator.state
 
@@ -170,12 +167,10 @@ def test_render_view_equals_reference(made, small_world, noise):
 def test_render_view_of_one_landmark_equals_reference(made, clutter):
     """A camera at the origin looking along +z sees one of three landmarks."""
     rng = np.random.default_rng(5)
-    landmarks = [
-        Landmark(i, np.array(p, dtype=float), d / np.linalg.norm(d))
-        for i, (p, d) in enumerate(
-            zip([[0.5, -0.2, 5.0], [0.0, 0.0, -5.0], [400.0, 0.0, 1.0]], rng.standard_normal((3, 4)))
-        )
-    ]
+    landmarks = Landmarks(
+        np.array([[0.5, -0.2, 5.0], [0.0, 0.0, -5.0], [400.0, 0.0, 1.0]]),
+        [d / np.linalg.norm(d) for d in rng.standard_normal((3, 4))],
+    )
     world = World(landmarks, [], [], [], seed=0)
     pose = CameraPose(rotation=np.array([1.0, 0.0, 0.0, 0.0]), position=np.zeros(3))
     intr = CameraIntrinsics(focal=400.0, principal_point=np.array([160.5, 120.5]), image_size=(321, 241))
