@@ -319,7 +319,10 @@ def _phi_forward(members: list[_Forward]) -> _Phi:
 
 
 def _phi_backward(pc: _Phi, g: np.ndarray) -> np.ndarray:
-    """dL/dW given dL/dphi, one member backward per occurrence, in order."""
+    """dL/dW given dL/dphi: the member backwards added once per occurrence,
+    in order. Every member gets the same gradient, so a forward pass that
+    occurs several times (the positive role is one view K+1 times) has its
+    backward computed once and added at each occurrence."""
     if len(pc.members) == 1:
         return _backward(pc.members[0], g)
     if pc.degenerate:
@@ -327,9 +330,13 @@ def _phi_backward(pc: _Phi, g: np.ndarray) -> np.ndarray:
     phi, r = pc.phi, pc.r
     gm = (g - phi * float(phi.dot(g))) / r
     per_member = gm / len(pc.members)
-    dW = _backward(pc.members[0], per_member)
+    grads: dict[int, np.ndarray] = {}
+    for c in pc.members:
+        if id(c) not in grads:
+            grads[id(c)] = _backward(c, per_member)
+    dW = grads[id(pc.members[0])]
     for c in pc.members[1:]:
-        dW = dW + _backward(c, per_member)
+        dW = dW + grads[id(c)]
     return dW
 
 

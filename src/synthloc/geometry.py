@@ -5,7 +5,10 @@ Scoring works on arrays. Within one `score_world_variants` call the `p`-side
 arrays (descriptors, squared norms, landmark mask, keypoint neighbourhood
 matrix) are computed once per view, and each variant is matched against `p`
 with its own matmul: a GEMM stacked over the variants rounds differently, so
-the scores would no longer equal `consistency_score` bit for bit."""
+the scores would no longer equal `consistency_score` bit for bit. The
+oriented pairs are fanned out over the CPUs (`fanout._fan_out`): each pair
+is scored whole in one process, by the same code as on one CPU, so the
+scores are the same bits at any CPU count."""
 
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import is_finite_number, require_number
+from .fanout import _fan_out
 from .worldgen import ViewImage, World
 
 
@@ -165,19 +169,27 @@ def score_world_variants(
     world: World, variants: dict[int, list[ViewImage]], params: MatchParams
 ) -> Scores:
     """Consistency scores for every matching pair, both orientations, and
-    every prompt, as `consistency_score` gives them. Each view's and each
-    variant's arrays are computed once per call, and the (q, p)
-    correspondences once per oriented pair."""
-    scores: Scores = {}
+    every prompt, as `consistency_score` gives them.
+
+    The `p`-side arrays of every map view are computed once, before the
+    oriented pairs are fanned out over the CPUs with `_fan_out`; each
+    process computes the variant arrays of the query views in its own share
+    once, and the (q, p) correspondences once per oriented pair. The dict
+    is built in the serial loop's order, so its items do not depend on the
+    CPU count. Called from inside another `_fan_out` share (the `variants`
+    verb scores beside the variant writer), it runs serially."""
     sides = {v.id: _p_side(v, params.pixel_tol) for v in world.map_views}
-    chosen: dict[int, tuple[list[str], list[_Side]]] = {}
-    for a, b, _ in world.matching_pairs:
-        for q_id, p_id in ((a, b), (b, a)):
-            if q_id not in chosen:
-                q_views = variants.get(q_id, [])
-                chosen[q_id] = ([v.condition for v in q_views], [_side(v) for v in q_views])
-            prompts, q_variants = chosen[q_id]
-            pair = _pair_scores(sides[q_id], sides[p_id], q_variants, params.ratio)
-            for prompt, score in zip(prompts, pair):
-                scores[(q_id, p_id, prompt)] = score
+    chosen: dict[int, list[_Side]] = {}
+
+    def score_pair(pair: tuple[int, int]) -> list[ConsistencyScore]:
+        q_id, p_id = pair
+        if q_id not in chosen:
+            chosen[q_id] = [_side(v) for v in variants.get(q_id, [])]
+        return _pair_scores(sides[q_id], sides[p_id], chosen[q_id], params.ratio)
+
+    pairs = [(q, p) for a, b, _ in world.matching_pairs for q, p in ((a, b), (b, a))]
+    scores: Scores = {}
+    for (q_id, p_id), pair in zip(pairs, _fan_out(score_pair, pairs)):
+        for v, score in zip(variants.get(q_id, []), pair):
+            scores[(q_id, p_id, v.condition)] = score
     return scores

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,40 @@ SMALL_WORLD = WorldConfig(
     num_query_views=8,
     street_length=80.0,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails any test that leaves a child process unreaped. Library calls and
+    fixtures fork (`fanout._fan_out`), and every call must wait for each
+    child it starts before it returns or raises."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped ({'running' if pid == 0 else f'pid {pid}'})")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the os.fork calls made in this process."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            calls.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Makes the affinity mask, and so `_fan_out`, see `n` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 @pytest.fixture(scope="session")

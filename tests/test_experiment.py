@@ -26,6 +26,8 @@ from synthloc.experiment import (
 )
 from synthloc.localize import AccuracyThresholds, PoseError, localization_rate
 
+from conftest import set_cpus
+
 TEST_CONFIG = {
     "world": {
         "num_landmarks": 250,
@@ -930,34 +932,6 @@ def test_evaluate_self_queries_perfect_sfm(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the os.fork calls made in this process."""
-    calls = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            calls.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
-def set_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_cli_bytes_do_not_depend_on_cpu_count(pipeline, tmp_path, monkeypatch, forks, cpus):
     """`variants`, `train` (two seeds, both configs of the train guard),
@@ -1009,7 +983,6 @@ def test_cli_bytes_do_not_depend_on_cpu_count(pipeline, tmp_path, monkeypatch, f
     assert got == json.loads((data / "cli_ablate_sha256.json").read_text())
 
     assert (len(forks) > 0) == (cpus > 1)
-    assert no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
@@ -1017,7 +990,6 @@ def test_cli_bytes_do_not_depend_on_cpu_count(pipeline, tmp_path, monkeypatch, f
 def test_fan_out_keeps_item_order(monkeypatch, cpus, count):
     set_cpus(monkeypatch, cpus)
     assert _fan_out(lambda x: (x, x * x), list(range(count))) == [(x, x * x) for x in range(count)]
-    assert no_child_left()
 
 
 def test_fan_out_runs_shares_in_children_and_nested_calls_serially(monkeypatch, forks):
@@ -1033,7 +1005,6 @@ def test_fan_out_runs_shares_in_children_and_nested_calls_serially(monkeypatch, 
     assert pid0 == os.getpid() != pid1
     assert inner0 == [pid0] * 4 and inner1 == [pid1] * 4
     assert len(forks) == 1
-    assert no_child_left()
 
 
 def test_fan_out_reraises_a_child_error_with_its_type(monkeypatch):
@@ -1047,14 +1018,12 @@ def test_fan_out_reraises_a_child_error_with_its_type(monkeypatch):
     with pytest.raises(DataError, match="bad item in") as info:
         _fan_out(fail_in_child, [0, 1])
     assert str(os.getpid()) not in str(info.value)
-    assert no_child_left()
 
 
 def test_fan_out_names_the_status_of_a_child_that_sends_nothing(monkeypatch):
     set_cpus(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="status 7"):
         _fan_out(lambda item: os._exit(7) if item else item, [0, 1])
-    assert no_child_left()
 
 
 def test_fan_out_kills_and_reaps_children_when_the_parent_share_raises(monkeypatch):
@@ -1071,7 +1040,6 @@ def test_fan_out_kills_and_reaps_children_when_the_parent_share_raises(monkeypat
     with pytest.raises(ValueError, match="parent share"):
         _fan_out(work, [0, 1, 2])
     assert time.perf_counter() - start < 30
-    assert no_child_left()
 
 
 def test_cli_data_error_in_a_child_share_exits_3(pipeline, tmp_path, monkeypatch, capsys):
@@ -1094,4 +1062,3 @@ def test_cli_data_error_in_a_child_share_exits_3(pipeline, tmp_path, monkeypatch
     assert rc == 3
     err = capsys.readouterr().err
     assert err == "data error: seed 2 trained in a child: True\n"
-    assert no_child_left()

@@ -1,17 +1,22 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
+from synthloc import geometry
+from synthloc.errors import DataError
+from synthloc.fanout import _fan_out
 from synthloc.geometry import (
     ConsistencyScore,
     MatchParams,
     consistency_score,
+    score_world_variants,
     validate_pair,
 )
 from synthloc.variants import apply_variant, default_prompt_set, identity_shift
 
-from conftest import make_view, match_pairs, perturbed
+from conftest import make_view, match_pairs, perturbed, set_cpus
 
 
 def brute_force_mutual_nn(a, b, ratio):
@@ -164,6 +169,53 @@ def test_world_scores_equal_per_pair_scores(small_world, small_variants, small_s
         assert (got.kept, got.original, got.value) == (want.kept, want.original, want.value)
         partial += 0 < got.kept < got.original
     assert partial > 0
+
+
+def as_items(scores):
+    """A scores dict as its items in order, each score as a plain tuple."""
+    return [(key, (s.value, s.kept, s.original)) for key, s in scores.items()]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_world_scores_do_not_depend_on_cpu_count(small_world, small_variants, monkeypatch, forks, cpus):
+    """Fanned out over 1, 2 or 3 CPUs, the scorer gives the 1-CPU items in
+    the 1-CPU order, and forks one child per CPU past the first."""
+    set_cpus(monkeypatch, 1)
+    want = as_items(score_world_variants(small_world, small_variants, MatchParams()))
+    assert not forks
+    set_cpus(monkeypatch, cpus)
+    got = as_items(score_world_variants(small_world, small_variants, MatchParams()))
+    assert got == want
+    assert len(forks) == cpus - 1
+
+
+def test_world_scores_fork_nothing_inside_a_fan_out_share(small_world, small_variants, monkeypatch, forks):
+    """Inside a share of an outer `_fan_out` call, in the parent or in a
+    child, the scorer runs serially: the outer call's one fork is the only
+    one."""
+    set_cpus(monkeypatch, 1)
+    want = as_items(score_world_variants(small_world, small_variants, MatchParams()))
+    set_cpus(monkeypatch, 2)
+    got = _fan_out(
+        lambda _: as_items(score_world_variants(small_world, small_variants, MatchParams())), [0, 1]
+    )
+    assert got == [want, want]
+    assert len(forks) == 1
+
+
+def test_world_scores_reraise_a_child_error_with_its_type(small_world, small_variants, monkeypatch):
+    set_cpus(monkeypatch, 2)
+    parent = os.getpid()
+    real_pair_scores = geometry._pair_scores
+
+    def pair_scores(*args):
+        if os.getpid() != parent:
+            raise DataError(f"scored in a child: {os.getpid() != parent}")
+        return real_pair_scores(*args)
+
+    monkeypatch.setattr(geometry, "_pair_scores", pair_scores)
+    with pytest.raises(DataError, match="scored in a child: True"):
+        score_world_variants(small_world, small_variants, MatchParams())
 
 
 def test_consistency_of_pair_with_itself_relabeled():
