@@ -3,13 +3,15 @@ descriptors into a unit global descriptor, contrastive losses over real and
 synthetic tuples, exact analytic gradients, hard-negative mining, tuple
 sampling and the episodic training loop.
 
-Each loss has one implementation, which returns the value and the gradient
-together: `multi_value_and_grad` for `multi_k` and
-`aggregated_value_and_grad` for `aggregated_k`. `baseline` and `swap_pi`
-train through `aggregated_value_and_grad` on a one-tuple family, which is
-the plain contrastive loss exactly, because the mean of a single member
-descriptor is passed through untouched in both directions. Every loss and
-`aggregate` run on one per-view kernel, `_forward`/`_backward`; within a
+The contrastive loss has one body, `_contrastive`, which returns the value
+and adds the gradient, over the role descriptors that `_family_views` builds
+for a tuple family. `aggregated_value_and_grad` (`aggregated_k`) calls it
+once for the whole family; `multi_value_and_grad` (`multi_k`) calls it once
+per tuple, each tuple a one-tuple family with its own weight. `baseline` and
+`swap_pi` train through `aggregated_value_and_grad` on a one-tuple family,
+which is the plain contrastive loss exactly, because the mean of a single
+member descriptor is passed through untouched in both directions. Every loss
+and `aggregate` run on one per-view kernel, `_forward`/`_backward`; within a
 training step each view object is projected once (`_Forwards`)."""
 
 from __future__ import annotations
@@ -237,66 +239,6 @@ def _pair_term(fq: np.ndarray, fp: np.ndarray) -> float:
     return float(d.dot(d))
 
 
-def multi_value_and_grad(
-    tuples: list[TrainingTuple],
-    resolver: ViewResolver,
-    model: EmbeddingModel,
-    margin: float,
-    forwards: _Forwards | None = None,
-) -> tuple[float, np.ndarray]:
-    """Mean over the tuples of the weighted contrastive loss: each positive
-    term scaled by the tuple weight, hinges unweighted; and its dLoss/dW.
-    `forwards` may carry passes already made under `model.projection`."""
-    if not tuples:
-        raise EmptyTupleSetError("empty tuple set")
-    fwd = _Forwards.of(model, forwards)
-    k = len(tuples)
-    total = 0.0
-    dW = np.zeros_like(model.projection)
-    for t in tuples:
-        q, p, ns = resolver.tuple_views(t)
-        cq = fwd(q)
-        cp = fwd(p)
-        fq, fp = cq.f, cp.f
-        term = t.weight * _pair_term(fq, fp)
-        gq = t.weight * 2.0 * (fq - fp)
-        dW += _backward(cp, -t.weight * 2.0 * (fq - fp) / k)
-        for n in ns:
-            cn = fwd(n)
-            fn = cn.f
-            h = margin - _pair_term(fq, fn)
-            if h > 0.0:
-                term += h
-                gq += -2.0 * (fq - fn)
-                dW += _backward(cn, 2.0 * (fq - fn) / k)
-        total += term
-        dW += _backward(cq, gq / k)
-    return total / k, dW
-
-
-def _family_views(
-    family: list[TrainingTuple], resolver: ViewResolver
-) -> tuple[list[ViewImage], list[ViewImage], list[list[ViewImage]]]:
-    """Member views of an original-plus-synthetics tuple family, grouped by
-    role: queries, positives (one per tuple), negatives per slot."""
-    if not family:
-        raise EmptyTupleSetError("empty tuple set")
-    base = family[0]
-    m = len(base.negative_ids)
-    for t in family[1:]:
-        if t.positive_id != base.positive_id or len(t.negative_ids) != m:
-            raise MismatchedTupleFamilyError("mismatched tuple family")
-    queries, positives = [], []
-    negatives: list[list[ViewImage]] = [[] for _ in range(m)]
-    for t in family:
-        q, p, ns = resolver.tuple_views(t)
-        queries.append(q)
-        positives.append(p)
-        for slot, n in enumerate(ns):
-            negatives[slot].append(n)
-    return queries, positives, negatives
-
-
 class _Phi:
     """Family-mean descriptor of one role, kept for its backward."""
 
@@ -306,7 +248,7 @@ class _Phi:
         self.members, self.phi, self.r, self.degenerate = members, phi, r, degenerate
 
 
-def _phi_forward(members: list[_Forward]) -> _Phi:
+def _phi_forward(members: tuple[_Forward, ...]) -> _Phi:
     """Mean of member descriptors, renormalized; a singleton passes through
     untouched so K=0 reduces exactly to the plain contrastive loss."""
     if len(members) == 1:
@@ -340,6 +282,65 @@ def _phi_backward(pc: _Phi, g: np.ndarray) -> np.ndarray:
     return dW
 
 
+def _family_views(
+    family: list[TrainingTuple], resolver: ViewResolver, fwd: _Forwards
+) -> list[_Phi]:
+    """Role descriptors of an original-plus-synthetics tuple family: the
+    family means of its queries, of its positives (one per tuple) and of
+    each negative slot, in that order."""
+    if not family:
+        raise EmptyTupleSetError("empty tuple set")
+    base = family[0]
+    for t in family[1:]:
+        if t.positive_id != base.positive_id or len(t.negative_ids) != len(base.negative_ids):
+            raise MismatchedTupleFamilyError("mismatched tuple family")
+    members = [[fwd(v) for v in (q, p, *ns)] for q, p, ns in map(resolver.tuple_views, family)]
+    return [_phi_forward(role) for role in zip(*members)]
+
+
+def _contrastive(dW: np.ndarray, roles: list[_Phi], margin: float, weight: float, k: int) -> float:
+    """Contrastive loss of one family's role descriptors (`_family_views`):
+    the positive term scaled by `weight`, the hinge of each negative slot
+    unweighted. Adds dLoss/dW / k into `dW`, dividing each backward's
+    argument by k."""
+    pc_q, pc_p, *pc_ns = roles
+    phi_q, phi_p = pc_q.phi, pc_p.phi
+    term = weight * _pair_term(phi_q, phi_p)
+    gq = weight * 2.0 * (phi_q - phi_p)
+    dW += _phi_backward(pc_p, -weight * 2.0 * (phi_q - phi_p) / k)
+    for pc_n in pc_ns:
+        phi_n = pc_n.phi
+        h = margin - _pair_term(phi_q, phi_n)
+        if h > 0.0:
+            term += h
+            gq += -2.0 * (phi_q - phi_n)
+            dW += _phi_backward(pc_n, 2.0 * (phi_q - phi_n) / k)
+    dW += _phi_backward(pc_q, gq / k)
+    return term
+
+
+def multi_value_and_grad(
+    tuples: list[TrainingTuple],
+    resolver: ViewResolver,
+    model: EmbeddingModel,
+    margin: float,
+    forwards: _Forwards | None = None,
+) -> tuple[float, np.ndarray]:
+    """Mean over the tuples of the weighted contrastive loss: each positive
+    term scaled by the tuple weight, hinges unweighted; and its dLoss/dW.
+    Each tuple is a one-tuple family. `forwards` may carry passes already
+    made under `model.projection`."""
+    if not tuples:
+        raise EmptyTupleSetError("empty tuple set")
+    fwd = _Forwards.of(model, forwards)
+    k = len(tuples)
+    total = 0.0
+    dW = np.zeros_like(model.projection)
+    for t in tuples:
+        total += _contrastive(dW, _family_views([t], resolver, fwd), margin, t.weight, k)
+    return total / k, dW
+
+
 def aggregated_value_and_grad(
     family: list[TrainingTuple],
     resolver: ViewResolver,
@@ -353,24 +354,9 @@ def aggregated_value_and_grad(
     member's own backward, so the loss and gradient are exactly those of the
     plain contrastive loss, bit for bit. `forwards` may carry passes already
     made under `model.projection`."""
-    queries, positives, negatives = _family_views(family, resolver)
     fwd = _Forwards.of(model, forwards)
-    pc_q = _phi_forward([fwd(v) for v in queries])
-    pc_p = _phi_forward([fwd(v) for v in positives])
-    phi_q, phi_p = pc_q.phi, pc_p.phi
-    loss = _pair_term(phi_q, phi_p)
-    gq = 2.0 * (phi_q - phi_p)
-    dW = _phi_backward(pc_p, -2.0 * (phi_q - phi_p))
-    for slot_views in negatives:
-        pc_n = _phi_forward([fwd(v) for v in slot_views])
-        phi_n = pc_n.phi
-        h = margin - _pair_term(phi_q, phi_n)
-        if h > 0.0:
-            loss += h
-            gq += -2.0 * (phi_q - phi_n)
-            dW += _phi_backward(pc_n, 2.0 * (phi_q - phi_n))
-    dW += _phi_backward(pc_q, gq)
-    return loss, dW
+    dW = np.zeros_like(model.projection)
+    return _contrastive(dW, _family_views(family, resolver, fwd), margin, 1.0, 1), dW
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ from .errors import (
     require_number,
 )
 from .fanout import _fan_out
-from .geometry import MatchParams, score_world_variants
+from .geometry import MatchParams, Scores, score_world_variants
 from .index import BACKENDS, build_index, retrieve, train_codebook
 from .localize import (
     AccuracyThresholds,
+    PoseError,
     RansacParams,
     ewb_pose,
     localization_rate,
@@ -76,6 +77,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"query_conditions must be a list of prompt names, not {self.query_conditions!r}"
             )
+        if len(set(self.query_conditions)) != len(self.query_conditions):
+            raise ValueError(f"query_conditions must be distinct, not {self.query_conditions!r}")
         if not (
             isinstance(self.seeds, list)
             and self.seeds
@@ -247,6 +250,30 @@ def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str |
     write_config_reference(out_dir)
 
 
+def _load_variants_dir(variants_dir: str | Path, world: World) -> tuple[VariantStore, Scores]:
+    """The variants and scores of a `variants` output directory, read with its
+    prompts."""
+    prompts = storage.load_prompts(variants_dir)
+    variants = VariantStore.from_mapping(storage.load_variants(variants_dir, world, prompts))
+    return variants, storage.load_scores(variants_dir, world, prompts)
+
+
+def _train_and_save(
+    world: World,
+    variants: VariantStore | None,
+    scores: Scores | None,
+    tc: TrainConfig,
+    out: Path,
+    suffix: str,
+) -> EmbeddingModel:
+    """Train one model and write it and its trace to `out` as
+    `model<suffix>.csv` and `trace<suffix>.csv`."""
+    model, trace = train(world, variants, scores, tc)
+    storage.save_model(model, out / f"model{suffix}.csv")
+    storage.save_trace(trace, out / f"trace{suffix}.csv")
+    return model
+
+
 def cmd_train(
     world_dir: str | Path,
     variants_dir: str | Path | None,
@@ -260,15 +287,10 @@ def cmd_train(
     if config.train.mode != "baseline":
         if variants_dir is None:
             raise DataError("training mode needs a variants directory")
-        prompts = storage.load_prompts(variants_dir)
-        variants = VariantStore.from_mapping(storage.load_variants(variants_dir, world, prompts))
-        scores = storage.load_scores(variants_dir, world, prompts)
+        variants, scores = _load_variants_dir(variants_dir, world)
 
     def run(seed: int) -> EmbeddingModel:
-        model, trace = train(world, variants, scores, config.train_config(seed))
-        storage.save_model(model, out / f"model_{seed}.csv")
-        storage.save_trace(trace, out / f"trace_{seed}.csv")
-        return model
+        return _train_and_save(world, variants, scores, config.train_config(seed), out, f"_{seed}")
 
     averaged = average_models(_fan_out(run, config.seeds))
     storage.save_model(averaged, out / "model_avg.csv")
@@ -293,10 +315,12 @@ def evaluate_model(
     """Retrieve each query's top max(eval_ks) map views with `model`, then
     estimate its pose at every k by the barycenter (ewb) and by PnP + RANSAC
     (sfm). Returns the rankings by query id, the localization rows (a failed
-    sfm solve is a row whose status is the error) and the summary rows: the
-    percentage localized at each accuracy level per protocol, k and
-    condition. Writes nothing. Each query has its own RANSAC seed, so the
-    queries are fanned out over the CPUs with `_fan_out`."""
+    sfm solve is a row whose status is the error) and the summary rows read
+    off them: the percentage localized at each accuracy level per protocol,
+    k and condition (all queries, then each condition, taken from the query
+    id), a failed row counting as not localized. Writes nothing. Each query
+    has its own RANSAC seed, so the queries are fanned out over the CPUs
+    with `_fan_out`."""
     codebook = None
     if config.backend == "asmk":
         local_vectors = np.concatenate(
@@ -311,28 +335,24 @@ def evaluate_model(
     map_views = {v.id: v for v in world.map_views}
     k_max = max(config.eval_ks)
 
-    def localize_query(q: ViewImage) -> tuple[list, list[dict], list[tuple]]:
+    def localize_query(q: ViewImage) -> tuple[list, list[dict]]:
         ranked = retrieve(
             q, index, model, config.backend, k_max, config.asmk_alpha, config.asmk_sel_threshold
         )
         rows = []
-        errors = []  # ((protocol, k, condition), PoseError, or None if sfm failed)
 
-        def localized(protocol: str, k: int, err) -> None:
-            rows.append(
-                {
-                    "query_id": q.id,
-                    "protocol": protocol,
-                    "k": k,
-                    "tx_err": err.translation,
-                    "rot_err": err.rotation,
-                    "status": "ok",
-                }
-            )
-            errors.append(((protocol, k, q.condition), err))
+        def row(protocol: str, k: int, err: PoseError) -> dict:
+            return {
+                "query_id": q.id,
+                "protocol": protocol,
+                "k": k,
+                "tx_err": err.translation,
+                "rot_err": err.rotation,
+                "status": "ok",
+            }
 
         for k in config.eval_ks:
-            localized("ewb", k, pose_error(ewb_pose(ranked, map_poses, k), q.pose))
+            rows.append(row("ewb", k, pose_error(ewb_pose(ranked, map_poses, k), q.pose)))
             rp = replace(config.ransac, seed=derive_seed(world.seed, q.id))
             try:
                 est = sfm_localize(
@@ -340,44 +360,30 @@ def evaluate_model(
                 )
             except SynthlocError as exc:
                 rows.append({"query_id": q.id, "protocol": "sfm", "k": k, "status": str(exc)})
-                errors.append((("sfm", k, q.condition), None))
                 continue
-            localized("sfm", k, pose_error(est, q.pose))
-        return ranked, rows, errors
+            rows.append(row("sfm", k, pose_error(est, q.pose)))
+        return ranked, rows
 
     rankings = {}
     rows = []
-    errors: dict[tuple[str, int, str], list] = {}
-    for q, (ranked, q_rows, q_errors) in zip(queries, _fan_out(localize_query, queries)):
+    for q, (ranked, q_rows) in zip(queries, _fan_out(localize_query, queries)):
         rankings[q.id] = ranked
         rows.extend(q_rows)
-        for key, err in q_errors:
-            errors.setdefault(key, []).append(err)
+
+    condition = {q.id: q.condition for q in queries}
+    grouped: dict[tuple[str, int, str], list[PoseError | None]] = {}
+    for r in rows:
+        err = PoseError(r["tx_err"], r["rot_err"]) if r["status"] == "ok" else None
+        for cond in ("all", condition[r["query_id"]]):
+            grouped.setdefault((r["protocol"], r["k"], cond), []).append(err)
 
     thresholds = config.accuracy_thresholds()
-    conditions = ["all"] + ["original"] + [c for c in config.query_conditions]
     summary = []
     for protocol in ("ewb", "sfm"):
         for k in config.eval_ks:
-            for cond in conditions:
-                if cond == "all":
-                    errs = sum(
-                        (errors.get((protocol, k, c), []) for c in ["original"] + config.query_conditions),
-                        [],
-                    )
-                else:
-                    errs = errors.get((protocol, k, cond), [])
-                rates = localization_rate(errs, thresholds)
-                summary.append(
-                    {
-                        "protocol": protocol,
-                        "k": k,
-                        "condition": cond,
-                        "high": rates["high"],
-                        "mid": rates["mid"],
-                        "low": rates["low"],
-                    }
-                )
+            for cond in ["all", "original", *config.query_conditions]:
+                rates = localization_rate(grouped.get((protocol, k, cond), []), thresholds)
+                summary.append({"protocol": protocol, "k": k, "condition": cond, **rates})
     return rankings, rows, summary
 
 
@@ -448,12 +454,7 @@ def cmd_ablate(
     if needs_variants and not (variants_dir / "consistency.csv").exists():
         cmd_variants(world_dir, config, variants_dir)
 
-    variants = None
-    scores = None
-    if needs_variants:
-        prompts = storage.load_prompts(variants_dir)
-        variants = VariantStore.from_mapping(storage.load_variants(variants_dir, world, prompts))
-        scores = storage.load_scores(variants_dir, world, prompts)
+    variants, scores = _load_variants_dir(variants_dir, world) if needs_variants else (None, None)
 
     def run_dir(method: str, seed: int) -> Path:
         return out / "runs" / method / f"seed_{seed}"
@@ -469,12 +470,7 @@ def cmd_ablate(
 
         def run(job: tuple[Path, TrainConfig]) -> None:
             path, tc = job
-            synthetic = tc.mode != "baseline"
-            model, trace = train(
-                world, variants if synthetic else None, scores if synthetic else None, tc
-            )
-            storage.save_model(model, path / "model.csv")
-            storage.save_trace(trace, path / "trace.csv")
+            model = _train_and_save(world, variants, scores, tc, path, "")
             _save_evaluation(evaluate_model(world, queries, model, config), path)
             storage._write_lines(path / "done", ["ok"])
 
@@ -494,18 +490,13 @@ def cmd_ablate(
         )
     storage._write_lines(out / "ablation_raw.csv", lines)
 
+    groups: dict[tuple, list[dict]] = {}
+    for r in raw_rows:
+        groups.setdefault((r["method"], r["protocol"], r["k"], r["condition"]), []).append(r)
     report = []
-    keys = sorted(
-        {(r["method"], r["protocol"], r["k"], r["condition"]) for r in raw_rows},
-        key=lambda t: (methods.index(t[0]), t[1], t[2], t[3]),
-    )
-    for method, protocol, k, condition in keys:
-        group = [
-            r
-            for r in raw_rows
-            if (r["method"], r["protocol"], r["k"], r["condition"])
-            == (method, protocol, k, condition)
-        ]
+    for (method, protocol, k, condition), group in sorted(
+        groups.items(), key=lambda item: (methods.index(item[0][0]), *item[0][1:])
+    ):
         entry = {"method": method, "protocol": protocol, "k": k, "condition": condition}
         for level in LEVELS:
             vals = [g[level] for g in group]

@@ -232,8 +232,8 @@ def pnp_ransac(
     best_mask: np.ndarray | None = None
     needed = params.iterations
     it = 0
-    while it < min(needed, params.iterations):
-        b = min(_CHUNK, min(needed, params.iterations) - it)
+    while it < needed:
+        b = min(_CHUNK, needed - it)
         samples = _draw_samples(rng, n, b)
         masks, counts = _hypothesis_masks(samples, points, norm_xy, pixels, intrinsics, params.inlier_px)
         for h, count in enumerate(counts.tolist()):
@@ -250,7 +250,7 @@ def pnp_ransac(
                         params.iterations,
                         int(np.ceil(np.log(max(1.0 - params.confidence, 1e-12)) / denom)),
                     )
-            if it >= min(needed, params.iterations):
+            if it >= needed:
                 break
     if best_mask is None or best_count < max(params.min_inliers, 6):
         raise NoConsensusError("no consensus")

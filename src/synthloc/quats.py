@@ -5,16 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 
+def canonical_sign(q: np.ndarray) -> np.ndarray:
+    """`q` or `-q`, whichever has w > 0, or where w == 0 its first nonzero
+    component > 0; `q` must not be zero."""
+    if q[0] < 0.0 or (q[0] == 0.0 and q[np.nonzero(q)[0][0]] < 0.0):
+        return -q
+    return q
+
+
 def canonical(q: np.ndarray) -> np.ndarray:
     """Normalize to unit length and flip sign so that w >= 0."""
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q)
     if n == 0.0:
         raise ValueError("zero quaternion")
-    q = q / n
-    if q[0] < 0.0 or (q[0] == 0.0 and q[np.nonzero(q)[0][0]] < 0.0):
-        q = -q
-    return q
+    return canonical_sign(q / n)
 
 
 def from_axis_angle(axis: np.ndarray, angle_rad: float) -> np.ndarray:

@@ -199,15 +199,15 @@ _META_INTS = ("seed", "num_map_views", "num_query_views", "width", "height")
 
 
 def _load_meta(path: Path) -> dict[str, float]:
-    """meta.csv's values by key, each a finite number, and an integer where
-    the key counts or seeds something."""
+    """meta.csv's values by key, each a finite number, and an integer >= 0
+    where the key counts or seeds something."""
     [keys], table = _parse_table(_read_lines(path), path, "meta entry", 2, text_cols=(0,))
     meta = dict(zip(keys, table[:, 0].tolist()))
     for key in _META_KEYS:
         if key not in meta:
             raise DataError(f"{path}: no {key} entry")
-        if key in _META_INTS and meta[key] != round(meta[key]):
-            raise DataError(f"{path}:{keys.index(key) + 2}: {key} is not an integer")
+        if key in _META_INTS and not (meta[key] == round(meta[key]) and meta[key] >= 0):
+            raise DataError(f"{path}:{keys.index(key) + 2}: {key} is not an integer >= 0")
     return meta
 
 
@@ -268,6 +268,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
             (np.array([a not in map_ids or b not in map_ids for a, b in ends.tolist()], dtype=bool),
              "a view id is not a map view's"),
             (ends[:, 0] == ends[:, 1], "the two view ids are equal"),
+            (_repeated([frozenset(pair) for pair in ends.tolist()]), "the pair is repeated"),
         ],
     )
     pairs = [(int(a), int(b), int(c)) for a, b, c in table]
@@ -360,10 +361,13 @@ def load_variants(
 # ---------------------------------------------------------------------------
 
 
+_SCORES_HEADER = "query_id,positive_id,prompt,s,kept,original,valid@c_tau"
+
+
 def save_scores(
     scores: Scores, c_tau: float, threshold_mode: str, out_dir: str | os.PathLike
 ) -> None:
-    lines = ["query_id,positive_id,prompt,s,kept,original,valid@c_tau"]
+    lines = [_SCORES_HEADER]
     for (q, p, prompt), s in sorted(scores.items()):
         valid = int(validate_pair(s, c_tau, threshold_mode))
         lines.append(f"{q},{p},{prompt},{s.value:.6f},{s.kept},{s.original},{valid}")
@@ -371,20 +375,24 @@ def save_scores(
 
 
 def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> Scores:
-    """The scores of a `save_scores` file, checked by `_parse_table`: integer
-    ids, counts and validity, 0 <= s <= 1 and 0 <= kept <= original, one row
-    per (query id, positive id, prompt) key, ids of `world`'s map views and
-    prompts of `prompts`."""
+    """The scores of a `save_scores` file, checked by `_parse_table`: its
+    exact header, integer ids, counts and validity, 0 <= s <= 1 and
+    0 <= kept <= original, ids of `world`'s map views and prompts of
+    `prompts`, and one row for each (query id, positive id, prompt) key of
+    the world's matching pairs, in both orientations, and the prompts."""
     path = Path(in_dir) / "consistency.csv"
     lines = _read_lines(path)
     scores: Scores = {}
-    if len(lines) == 1:
-        return scores  # a world without matching pairs has no scores
+    if lines[:1] != [_SCORES_HEADER]:
+        raise DataError(f"{path}:1: the header is not {_SCORES_HEADER}")
+    if len(lines) == 1 and not world.matching_pairs:
+        return scores
     ints = {0: "the query id", 1: "the positive id", 3: "kept", 4: "original", 5: "valid@c_tau"}
     [names], table = _parse_table(lines, path, "score", 7, ints, text_cols=(2,))
     s, kept, original = table[:, 2], table[:, 3], table[:, 4]
     map_ids = {v.id for v in world.map_views}
     prompt_names = set(prompts.names())
+    oriented = {pair for a, b, _ in world.matching_pairs for pair in ((a, b), (b, a))}
     keys = list(zip(*table[:, :2].T.tolist(), names))
     _reject_rows(
         path,
@@ -396,8 +404,14 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
             (np.array([name not in prompt_names for name in names], dtype=bool),
              "the prompt is not in prompts.csv"),
             (_repeated(keys), "the (query, positive, prompt) key is repeated"),
+            (np.array([(q, p) not in oriented for q, p, _ in keys], dtype=bool),
+             "the (query, positive) pair is not in pairs.csv"),
         ],
     )
+    # the keys are distinct and each is one of the world's, so any fewer means one is missing
+    expected = len(oriented) * len(prompt_names)
+    if len(keys) != expected:
+        raise DataError(f"{path}: {len(keys)} scores, the world has {expected} keys")
     for row, prompt in zip(table, names):
         q, p, value, k, o, _valid = row.tolist()
         scores[(int(q), int(p), prompt)] = ConsistencyScore(value, int(k), int(o))

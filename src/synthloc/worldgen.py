@@ -48,9 +48,7 @@ class CameraPose:
             raise ValueError("rotation quaternion must have unit norm")
         # canonical sign only; renormalizing here would silently move the
         # stored value away from what serialization round-trips
-        if q[0] < 0.0 or (q[0] == 0.0 and q[np.nonzero(q)[0][0]] < 0.0):
-            q = -q
-        self.rotation = q
+        self.rotation = quats.canonical_sign(q)
 
     def matrix(self) -> np.ndarray:
         return quats.to_matrix(self.rotation)

@@ -445,9 +445,12 @@ MALFORMED_WORLD_TABLES = {
     "views-no-condition": ("views.csv", 2, lambda parts: parts[:-1], "views.csv:2: 8 columns, header has 9"),
     "pairs-two-columns": ("pairs.csv", 3, lambda parts: parts[:2], "pairs.csv:3: 2 columns, header has 3"),
     "pairs-fractional-id": ("pairs.csv", 2, lambda parts: ["0.5"] + parts[1:], "pairs.csv:2: a view id is not an integer"),
+    # line 2 is the pair (0, 1)
+    "pairs-repeated": ("pairs.csv", 3, lambda parts: ["1", "0", parts[2]], "pairs.csv:3: the pair is repeated"),
     "meta-no-focal": ("meta.csv", 6, lambda parts: ["f"] + parts[1:], "meta.csv: no focal entry"),
     "meta-str-width": ("meta.csv", 9, lambda parts: [parts[0], "wide"], "meta.csv:9: 'wide' is not a number"),
     "meta-view-count": ("meta.csv", 4, lambda parts: [parts[0], "15"], "views.csv: 22 views, meta.csv counts 15 map and 6"),
+    "meta-negative-seed": ("meta.csv", 2, lambda parts: [parts[0], "-1"], "meta.csv:2: seed is not an integer >= 0"),
 }
 
 
@@ -456,9 +459,10 @@ MALFORMED_WORLD_TABLES = {
 )
 def test_cli_malformed_world_table_is_data_error(pipeline, tmp_path, capsys, name, lineno, edit, reason):
     """A views.csv row with a non-finite or non-unit pose or without its
-    condition, a short pairs.csv row, a meta.csv without focal and a meta.csv
-    whose view counts are not views.csv's exit 3 naming the file (and line),
-    where they used to exit 0 or give an IndexError, ValueError or KeyError."""
+    condition, a short or repeated pairs.csv row, a meta.csv without focal,
+    a meta.csv whose view counts are not views.csv's and a negative world
+    seed exit 3 naming the file (and line), where they used to exit 0 or
+    give an IndexError, ValueError or KeyError."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
     _edit_line(world / name, lineno, edit)
@@ -573,6 +577,46 @@ def test_cli_bad_consistency_keys_is_data_error(pipeline, tmp_path, capsys, comm
     assert not (tmp_path / "runs").exists()
 
 
+SCORES_HEADER = "query_id,positive_id,prompt,s,kept,original,valid@c_tau"
+
+NOT_THE_WORLDS_SCORES = {
+    "lone-line": (lambda lines: ["x"], f"consistency.csv:1: the header is not {SCORES_HEADER}"),
+    "renamed-column": (
+        lambda lines: [lines[0].replace("kept", "kapt")] + lines[1:],
+        f"consistency.csv:1: the header is not {SCORES_HEADER}",
+    ),
+    "header-alone": (lambda lines: lines[:1], "consistency.csv: no scores"),
+    # views 0 and 6 are map views of TEST_CONFIG's world, but not a matching pair
+    "foreign-pair": (
+        lambda lines: lines[:1] + ["0,6,at night,0.5,1,2,1"],
+        "consistency.csv:2: the (query, positive) pair is not in pairs.csv",
+    ),
+    "row-dropped": (lambda lines: lines[:-1], "scores, the world has"),
+}
+
+
+@pytest.mark.parametrize("edit,reason", list(NOT_THE_WORLDS_SCORES.values()), ids=list(NOT_THE_WORLDS_SCORES))
+def test_cli_consistency_csv_without_the_worlds_keys_is_data_error(pipeline, tmp_path, capsys, edit, reason):
+    """A consistency.csv whose header is not the exact one, or whose rows are
+    not one for each of the world's (query, positive, prompt) keys, makes
+    `train` exit 3 naming the file, where a lone line was read as a world
+    without scores and a foreign or missing pair was trained on as it
+    stood."""
+    variants = tmp_path / "variants"
+    shutil.copytree(pipeline["variants"], variants)
+    path = variants / "consistency.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    rc = main(
+        ["train", "--config", pipeline["cfg"], "--world", str(pipeline["world"]),
+         "--variants", str(variants), "--out", str(tmp_path / "m")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{variants}/consistency.csv" in err
+    assert reason in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["variants", "evaluate"])
 def test_cli_nan_landmark_is_data_error(pipeline, tmp_path, capsys, command):
     """A `nan` landmark coordinate exits 3 naming landmarks.csv and the line,
@@ -642,6 +686,7 @@ BAD_VALUES = {
     "root.prompt_seed-float": (None, "prompt_seed", 1.5),
     "root.variant_seed-negative": (None, "variant_seed", -2),
     "root.query_conditions-str": (None, "query_conditions", "at night"),
+    "root.query_conditions-repeated": (None, "query_conditions", ["at night", "at night"]),
     "world.num_landmarks-str": ("world", "num_landmarks", "5"),
     "world.num_map_views-float": ("world", "num_map_views", 16.0),
     "world.image_width-0": ("world", "image_width", 0),

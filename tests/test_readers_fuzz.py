@@ -1,17 +1,20 @@
-"""Fuzzing the score and variant readers with mutated copies of real files:
-whatever the mutation, a reader returns or raises a SynthlocError, never
-another exception.
+"""Fuzzing the file readers with mutated copies of real files: whatever the
+mutation, a reader returns or raises a SynthlocError (the config reader a
+ConfigError), never another exception.
 
 Each run draws new examples, and hypothesis replays the ones that failed
 before; raise `max_examples` to search further."""
 
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from synthloc import storage
-from synthloc.errors import SynthlocError
+from synthloc.embed import init_model
+from synthloc.errors import ConfigError, SynthlocError
+from synthloc.experiment import load_config
 from synthloc.variants import PromptSet
 
 # What a mutation may write in place of a token: ids of other rows, numbers
@@ -86,15 +89,15 @@ def saved(tmp_path_factory, small_world, small_prompts, small_variants, small_sc
     return out
 
 
-def load_mutated(path: Path, mutations, load) -> None:
-    """Calls `load()` with `path` holding a mutated copy of its text; a
-    SynthlocError is the one exception it may raise. The file is restored
+def load_mutated(path: Path, mutations, load, allowed: type[Exception] = SynthlocError) -> None:
+    """Calls `load()` with `path` holding a mutated copy of its text;
+    `allowed` is the one exception it may raise. The file is restored
     afterwards."""
     original = path.read_text()
     path.write_text(mutate(original, mutations))
     try:
         load()
-    except SynthlocError:
+    except allowed:
         pass
     finally:
         path.write_text(original)
@@ -126,6 +129,86 @@ def test_load_variants_raises_only_synthloc_errors(
     load_mutated(
         path, mutations, lambda: storage.load_variants(saved, small_world, PromptSet([shift]))
     )
+
+
+# A world load reads every file of the world, so each file gets fewer examples.
+WORLD_FUZZ = settings(FUZZ, max_examples=25)
+
+# views 0 and 16 of the small world are its first map and first query view
+WORLD_FILES = ["meta.csv", "landmarks.csv", "views.csv", "pairs.csv", "features/0.csv", "features/16.csv"]
+
+
+@pytest.fixture(scope="module")
+def world_dir(tmp_path_factory, small_world):
+    out = tmp_path_factory.mktemp("world")
+    storage.save_world(small_world, out)
+    return out
+
+
+@pytest.mark.parametrize("name", WORLD_FILES)
+@WORLD_FUZZ
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_load_world_raises_only_synthloc_errors(world_dir, name, mutations):
+    load_mutated(world_dir / name, mutations, lambda: storage.load_world(world_dir))
+
+
+@FUZZ
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_load_prompts_raises_only_synthloc_errors(saved, mutations):
+    load_mutated(saved / "prompts.csv", mutations, lambda: storage.load_prompts(saved))
+
+
+@pytest.fixture(scope="module")
+def other_files(tmp_path_factory):
+    """A model file, a summary file and a config file with a key of every
+    section."""
+    out = tmp_path_factory.mktemp("other")
+    storage.save_model(init_model(16, 8, 0), out / "model.csv")
+    storage.save_summary(
+        [
+            {"protocol": protocol, "k": k, "condition": condition, "high": 12.5, "mid": 50.0, "low": 100.0}
+            for protocol in ("ewb", "sfm")
+            for k in (1, 5)
+            for condition in ("all", "original", "at night")
+        ],
+        out / "summary.csv",
+    )
+    config = {
+        "world": {"num_landmarks": 250, "descriptor_dim": 16, "noise": {"keypoint_sigma": 0.5}},
+        "match": {"ratio": 0.8},
+        "train": {"mode": "multi_k", "episodes": 2, "embedding_dim": 8, "sampling": "geometry_aware"},
+        "ransac": {"iterations": 100, "min_inliers": 8},
+        "world_seed": 3,
+        "c_tau": 0.2,
+        "seeds": [1, 2],
+        "backend": "asmk",
+        "eval_ks": [1, 5],
+        "query_conditions": ["at night", "with rain"],
+        "thresholds": {"high": [0.25, 2], "mid": [0.5, 5], "low": [5, 10]},
+    }
+    (out / "config.json").write_text(json.dumps(config, indent=1) + "\n")
+    return out
+
+
+@FUZZ
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_load_model_raises_only_synthloc_errors(other_files, mutations):
+    path = other_files / "model.csv"
+    load_mutated(path, mutations, lambda: storage.load_model(path))
+
+
+@FUZZ
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_load_summary_raises_only_synthloc_errors(other_files, mutations):
+    path = other_files / "summary.csv"
+    load_mutated(path, mutations, lambda: storage.load_summary(path))
+
+
+@FUZZ
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_load_config_raises_only_config_errors(other_files, mutations):
+    path = other_files / "config.json"
+    load_mutated(path, mutations, lambda: load_config(str(path)), ConfigError)
 
 
 def test_mutate_applies_each_kind():

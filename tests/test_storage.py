@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,15 @@ def test_scores_roundtrip(tmp_path, small_world, small_prompts, small_scores):
         assert got.kept == s.kept
         assert got.original == s.original
         assert abs(got.value - s.value) < 1e-6
+
+
+def test_load_scores_takes_a_lone_header_only_for_a_world_without_pairs(
+    tmp_path, small_world, small_prompts
+):
+    storage.save_scores({}, 0.2, "relative", tmp_path)
+    assert storage.load_scores(tmp_path, replace(small_world, matching_pairs=[]), small_prompts) == {}
+    with pytest.raises(DataError, match="no scores"):
+        storage.load_scores(tmp_path, small_world, small_prompts)
 
 
 def test_scores_csv_validity_column(tmp_path):
