@@ -3,6 +3,10 @@ descriptors into a unit global descriptor, contrastive losses over real and
 synthetic tuples, exact analytic gradients, hard-negative mining, tuple
 sampling and the episodic training loop.
 
+Training reads every view through one dict keyed by (view id, prompt),
+which `train` builds once from the map views (prompt None) and the
+`generate_all_variants` mapping (`_training_views`).
+
 The contrastive loss has one body, `_contrastive`, which returns the value
 and adds the gradient, over the role descriptors that `_family_views` builds
 for a tuple family. `aggregated_value_and_grad` (`aggregated_k`) calls it
@@ -33,7 +37,6 @@ from .errors import (
     require_number,
 )
 from .geometry import THRESHOLD_MODES, Scores, validate_pair
-from .variants import VariantStore
 from .worldgen import ViewImage, World, derive_seed
 
 
@@ -116,26 +119,24 @@ class TrainConfig:
             raise ValueError("geometry-aware sampling requires tuple filtering (c_tau > 0)")
 
 
-class ViewResolver:
-    """Resolves tuple member ids to views; synthetic tuples pull the query and
-    negatives from the variant store while the positive stays original."""
+Views = dict[tuple[int, str | None], ViewImage]  # (view id, prompt); None for an original
 
-    def __init__(self, originals: dict[int, ViewImage], variants: VariantStore | None = None):
-        self.originals = originals
-        self.variants = variants
 
-    def view(self, view_id: int, prompt: str | None = None) -> ViewImage:
-        if prompt is None:
-            return self.originals[view_id]
-        if self.variants is None:
-            raise KeyError("no variant store attached")
-        return self.variants.get(view_id, prompt)
+def _training_views(world: World, variants: dict[int, list[ViewImage]] | None) -> Views:
+    """The world's map views under prompt None and each of `variants`, a
+    `generate_all_variants` mapping, under its prompt."""
+    views: Views = {(v.id, None): v for v in world.map_views}
+    for view_id, row in (variants or {}).items():
+        views.update(((view_id, v.condition), v) for v in row)
+    return views
 
-    def tuple_views(self, t: TrainingTuple) -> tuple[ViewImage, ViewImage, list[ViewImage]]:
-        q = self.view(t.query_id, t.prompt)
-        p = self.view(t.positive_id, None)
-        ns = [self.view(n, t.prompt) for n in t.negative_ids]
-        return q, p, ns
+
+def _tuple_views(views: Views, t: TrainingTuple) -> list[ViewImage]:
+    """The views of `t` in role order, query, positive, then each negative:
+    the query and the negatives under the tuple's prompt, the positive
+    original."""
+    q = views[(t.query_id, t.prompt)]
+    return [q, views[(t.positive_id, None)], *(views[(n, t.prompt)] for n in t.negative_ids)]
 
 
 def init_model(d: int, e: int, seed: int) -> EmbeddingModel:
@@ -212,7 +213,7 @@ class _Forwards:
     def __call__(self, view: ViewImage) -> _Forward:
         hit = self._memo.get(id(view))
         if hit is None:
-            hit = self._memo[id(view)] = (view, _forward(view.descriptors(), self.W))
+            hit = self._memo[id(view)] = (view, _forward(view.desc, self.W))
         return hit[1]
 
     @classmethod
@@ -226,7 +227,7 @@ class _Forwards:
 
 def aggregate(view: ViewImage, model: EmbeddingModel) -> np.ndarray:
     """Unit global descriptor of a view (first basis vector when degenerate)."""
-    return _forward(view.descriptors(), model.projection).f
+    return _forward(view.desc, model.projection).f
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +283,7 @@ def _phi_backward(pc: _Phi, g: np.ndarray) -> np.ndarray:
     return dW
 
 
-def _family_views(
-    family: list[TrainingTuple], resolver: ViewResolver, fwd: _Forwards
-) -> list[_Phi]:
+def _family_views(family: list[TrainingTuple], views: Views, fwd: _Forwards) -> list[_Phi]:
     """Role descriptors of an original-plus-synthetics tuple family: the
     family means of its queries, of its positives (one per tuple) and of
     each negative slot, in that order."""
@@ -294,7 +293,7 @@ def _family_views(
     for t in family[1:]:
         if t.positive_id != base.positive_id or len(t.negative_ids) != len(base.negative_ids):
             raise MismatchedTupleFamilyError("mismatched tuple family")
-    members = [[fwd(v) for v in (q, p, *ns)] for q, p, ns in map(resolver.tuple_views, family)]
+    members = [[fwd(v) for v in _tuple_views(views, t)] for t in family]
     return [_phi_forward(role) for role in zip(*members)]
 
 
@@ -321,7 +320,7 @@ def _contrastive(dW: np.ndarray, roles: list[_Phi], margin: float, weight: float
 
 def multi_value_and_grad(
     tuples: list[TrainingTuple],
-    resolver: ViewResolver,
+    views: Views,
     model: EmbeddingModel,
     margin: float,
     forwards: _Forwards | None = None,
@@ -337,13 +336,13 @@ def multi_value_and_grad(
     total = 0.0
     dW = np.zeros_like(model.projection)
     for t in tuples:
-        total += _contrastive(dW, _family_views([t], resolver, fwd), margin, t.weight, k)
+        total += _contrastive(dW, _family_views([t], views, fwd), margin, t.weight, k)
     return total / k, dW
 
 
 def aggregated_value_and_grad(
     family: list[TrainingTuple],
-    resolver: ViewResolver,
+    views: Views,
     model: EmbeddingModel,
     margin: float,
     forwards: _Forwards | None = None,
@@ -356,7 +355,7 @@ def aggregated_value_and_grad(
     made under `model.projection`."""
     fwd = _Forwards.of(model, forwards)
     dW = np.zeros_like(model.projection)
-    return _contrastive(dW, _family_views(family, resolver, fwd), margin, 1.0, 1), dW
+    return _contrastive(dW, _family_views(family, views, fwd), margin, 1.0, 1), dW
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +418,19 @@ def build_synthetic_tuple(t: TrainingTuple, prompt: str, weight: float) -> Train
 
 
 def synthetic_families(
-    variants: VariantStore, scores: Scores, c_tau: float, threshold_mode: str = "relative"
+    views: Views, scores: Scores, c_tau: float, threshold_mode: str = "relative"
 ) -> Callable[[TrainingTuple], list[tuple[str, float]]]:
     """A function from an original tuple to its valid synthetic family: the
     prompts, with their score values and in prompt order, whose pair score
     passes `c_tau` and under which the query and every negative have a
-    variant. What does not depend on the negatives is worked out once: each
-    (query, positive) pair's entries that pass `c_tau` and have a query
-    variant, and each view's prompts. The tuples themselves are built by
+    variant in `views`. What does not depend on the negatives is worked out
+    once: each (query, positive) pair's entries that pass `c_tau` and have a
+    query variant, and each view's prompts. The tuples themselves are built by
     `sample_tuples`, only for the prompts it draws."""
     prompts_of: dict[int, set[str]] = {}
-    for (view_id, prompt), _ in variants.items():
-        prompts_of.setdefault(view_id, set()).add(prompt)
+    for view_id, prompt in views:
+        if prompt is not None:
+            prompts_of.setdefault(view_id, set()).add(prompt)
     by_pair: dict[tuple[int, int], list[tuple[str, float]]] = {}
     for (q, p, prompt), score in sorted(scores.items()):
         if prompt in prompts_of.get(q, ()) and validate_pair(score, c_tau, threshold_mode):
@@ -502,7 +502,7 @@ class TraceRow:
 
 def train(
     world: World,
-    variants: VariantStore | None,
+    variants: dict[int, list[ViewImage]] | None,
     scores: Scores | None,
     config: TrainConfig,
 ) -> tuple[EmbeddingModel, list[TraceRow]]:
@@ -521,14 +521,13 @@ def train(
             f"train.embedding_dim {config.embedding_dim} exceeds the descriptor dim {d}"
         )
 
-    views = {v.id: v for v in world.map_views}
-    resolver = ViewResolver(views, variants)
-    observers = co_observers({vid: v.visible_landmark_set() for vid, v in views.items()})
+    views = _training_views(world, variants)
+    observers = co_observers({v.id: v.visible_landmark_set() for v in world.map_views})
     model = init_model(d, config.embedding_dim, derive_seed(config.seed, 201))
     rng = np.random.default_rng(derive_seed(config.seed, 202))
-    map_ids = sorted(views)
+    map_ids = sorted(v.id for v in world.map_views)
     families = (
-        synthetic_families(variants, scores, config.c_tau, config.threshold_mode)
+        synthetic_families(views, scores, config.c_tau, config.threshold_mode)
         if config.mode != "baseline"
         else None
     )
@@ -539,7 +538,7 @@ def train(
         lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * episode / max(config.episodes, 1)))
         pool_size = min(config.negative_pool_size, len(map_ids))
         pool_ids = sorted(int(i) for i in rng.choice(map_ids, size=pool_size, replace=False))
-        pool_emb = np.array([aggregate(views[vid], model) for vid in pool_ids])
+        pool_emb = np.array([aggregate(views[(vid, None)], model) for vid in pool_ids])
 
         pair_idx = rng.integers(len(world.matching_pairs), size=config.pairs_per_episode)
 
@@ -553,7 +552,7 @@ def train(
             forwards = _Forwards(model.projection)
             try:
                 negs = mine_negatives(
-                    q_id, p_id, pool_ids, pool_emb, forwards(views[q_id]).f,
+                    q_id, p_id, pool_ids, pool_emb, forwards(views[(q_id, None)]).f,
                     config.num_negatives, observers,
                 )
             except InsufficientNegativesError:
@@ -564,7 +563,7 @@ def train(
             synth_used += sum(1 for c in chosen if c.prompt is not None)
             tuples_used += len(chosen)
 
-            loss, dW = value_and_grad(chosen, resolver, model, config.margin, forwards)
+            loss, dW = value_and_grad(chosen, views, model, config.margin, forwards)
             if not np.isfinite(loss):
                 raise DivergedError("diverged")
             model.projection = (1.0 - lr * config.weight_decay) * model.projection - lr * dW

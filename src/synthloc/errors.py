@@ -60,10 +60,6 @@ class InsufficientNegativesError(SynthlocError):
     """The mining pool has fewer eligible views than negatives requested."""
 
 
-class MissingVariantError(SynthlocError):
-    """No stored variant for the requested (view, prompt) combination."""
-
-
 class EmptyTupleSetError(SynthlocError):
     """A multi-pair loss was evaluated on an empty tuple set."""
 
@@ -77,7 +73,7 @@ class DivergedError(SynthlocError):
 
 
 class TooFewVectorsError(SynthlocError):
-    """Codebook training got fewer vectors than clusters."""
+    """k-means codebook training got fewer vectors than clusters."""
 
 
 class CodebookMismatchError(SynthlocError):

@@ -35,7 +35,7 @@ from .localize import (
     pose_error,
     sfm_localize,
 )
-from .variants import VariantStore, default_prompt_set, generate_all_variants, shift_queries
+from .variants import default_prompt_set, generate_all_variants, shift_queries
 from .worldgen import RenderNoise, ViewImage, World, WorldConfig, derive_seed, generate_world
 
 
@@ -179,7 +179,7 @@ def load_config(path: str | None) -> ExperimentConfig:
         return ExperimentConfig()
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -250,17 +250,17 @@ def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str |
     write_config_reference(out_dir)
 
 
-def _load_variants_dir(variants_dir: str | Path, world: World) -> tuple[VariantStore, Scores]:
+def _load_variants_dir(variants_dir: str | Path, world: World) -> tuple[dict[int, list[ViewImage]], Scores]:
     """The variants and scores of a `variants` output directory, read with its
     prompts."""
     prompts = storage.load_prompts(variants_dir)
-    variants = VariantStore.from_mapping(storage.load_variants(variants_dir, world, prompts))
+    variants = storage.load_variants(variants_dir, world, prompts)
     return variants, storage.load_scores(variants_dir, world, prompts)
 
 
 def _train_and_save(
     world: World,
-    variants: VariantStore | None,
+    variants: dict[int, list[ViewImage]] | None,
     scores: Scores | None,
     tc: TrainConfig,
     out: Path,
@@ -300,7 +300,10 @@ def cmd_train(
 
 def _evaluation_queries(world: World, config: ExperimentConfig) -> list[ViewImage]:
     """The world's query views, then their shifts under each of the config's
-    `query_conditions`, which must name prompts of the default prompt set."""
+    `query_conditions`, which must name prompts of the default prompt set.
+    A world without query views has nothing to evaluate: DataError."""
+    if not world.query_views:
+        raise DataError("the world has no query views")
     d = world.landmarks.descriptors.shape[1]
     prompts = default_prompt_set(d, config.prompt_seed)
     for cond in config.query_conditions:
@@ -323,9 +326,7 @@ def evaluate_model(
     with `_fan_out`."""
     codebook = None
     if config.backend == "asmk":
-        local_vectors = np.concatenate(
-            [v.descriptors() @ model.projection.T for v in world.map_views]
-        )
+        local_vectors = np.concatenate([v.desc @ model.projection.T for v in world.map_views])
         cb_size = min(config.codebook_size, local_vectors.shape[0])
         codebook = train_codebook(
             local_vectors, cb_size, config.codebook_iters, config.codebook_seed

@@ -77,7 +77,7 @@ def match_features(
     (a, b) are those of (b, a) transposed. Ties break to the lowest feature
     index.
     """
-    da, db = a.descriptors(), b.descriptors()
+    da, db = a.desc, b.desc
     if da.shape[0] == 0 or db.shape[0] == 0:
         raise ValueError("cannot match an empty view")
     return _mutual_matches(
@@ -98,12 +98,12 @@ class _Side(NamedTuple):
 
 
 def _side(view: ViewImage) -> _Side:
-    desc = view.descriptors()
-    return _Side(desc, np.sum(desc * desc, axis=1), view.landmark_ids() >= 0)
+    desc = view.desc
+    return _Side(desc, np.sum(desc * desc, axis=1), view.lid >= 0)
 
 
 def _p_side(view: ViewImage, pixel_tol: float) -> _Side:
-    kp = view.keypoints()
+    kp = view.kp
     near = np.linalg.norm(kp[None, :, :] - kp[:, None, :], axis=2) <= pixel_tol
     return _side(view)._replace(near=near)
 

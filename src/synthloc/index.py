@@ -27,7 +27,7 @@ a non-empty signature is exactly 1 for any `sel_threshold <= 1`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +37,6 @@ from .worldgen import ViewImage
 
 RankedList = list[tuple[int, float]]  # (view_id, score), descending score
 BACKENDS = ("global_cosine", "asmk")
-
-
-@dataclass
-class Codebook:
-    centroids: np.ndarray  # (C, e)
-    sse_trace: list[float] = field(default_factory=list, compare=False)
-
-    @property
-    def size(self) -> int:
-        return self.centroids.shape[0]
 
 
 @dataclass(frozen=True)
@@ -75,8 +65,10 @@ def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def train_codebook(vectors: np.ndarray, c: int, iters: int = 10, seed: int = 0) -> Codebook:
-    """k-means with k-means++ seeding and a fixed iteration count.
+def train_codebook(vectors: np.ndarray, c: int, iters: int = 10, seed: int = 0) -> np.ndarray:
+    """The `(C, e)` centroids of k-means with k-means++ seeding and a fixed
+    iteration count. A run of `iters` iterations continues the run of
+    `iters - 1`.
 
     Empty clusters are re-seeded from the point farthest from its centroid,
     which cannot increase the within-cluster SSE.
@@ -104,7 +96,6 @@ def train_codebook(vectors: np.ndarray, c: int, iters: int = 10, seed: int = 0) 
             centroids[i] = vectors[idx]
         d2 = np.minimum(d2, np.sum((vectors - centroids[i]) ** 2, axis=1))
 
-    sse_trace = []
     for _ in range(iters):
         labels = _assign(vectors, centroids)
         for k in range(c):
@@ -116,23 +107,22 @@ def train_codebook(vectors: np.ndarray, c: int, iters: int = 10, seed: int = 0) 
                 labels[far] = k
             else:
                 centroids[k] = members.mean(axis=0)
-        sse = float(np.sum((vectors - centroids[_assign(vectors, centroids)]) ** 2))
-        sse_trace.append(sse)
-    return Codebook(centroids=centroids, sse_trace=sse_trace)
+    return centroids
 
 
-def asmk_signs(view: ViewImage, model: EmbeddingModel, codebook: Codebook) -> np.ndarray:
+def asmk_signs(view: ViewImage, model: EmbeddingModel, codebook: np.ndarray) -> np.ndarray:
     """`(C, e)` int8 signs of the per-cell residual sums of a view's
-    projected features. Cells without features, and cells whose residual sum
-    cancels to zero, keep a zero row."""
-    z = view.descriptors() @ model.projection.T
-    labels = _assign(z, codebook.centroids)
-    signs = np.zeros(codebook.centroids.shape, dtype=np.int8)
+    projected features over the `(C, e)` centroids `codebook`. Cells without
+    features, and cells whose residual sum cancels to zero, keep a zero
+    row."""
+    z = view.desc @ model.projection.T
+    labels = _assign(z, codebook)
+    signs = np.zeros(codebook.shape, dtype=np.int8)
     # one residual sum per cell, over its rows in order: a vectorised sum
     # adds in another order where e == 1, since numpy sums an (m, 1) column
     # pairwise
     for cell in sorted(set(int(l) for l in labels)):
-        residuals = z[labels == cell] - codebook.centroids[cell]
+        residuals = z[labels == cell] - codebook[cell]
         total = residuals.sum(axis=0)
         norm = float(np.linalg.norm(total))
         if norm == 0.0:
@@ -190,11 +180,11 @@ class RetrievalIndex:
     view_ids: list[int]
     embeddings: np.ndarray  # (n, e), unit rows
     signatures: DenseSignatures | None = None  # in view_ids order
-    codebook: Codebook | None = None
+    codebook: np.ndarray | None = None  # (C, e) centroids
 
 
 def build_index(
-    views: list[ViewImage], model: EmbeddingModel, codebook: Codebook | None = None
+    views: list[ViewImage], model: EmbeddingModel, codebook: np.ndarray | None = None
 ) -> RetrievalIndex:
     ids = [v.id for v in views]
     emb = np.array([aggregate(v, model) for v in views])

@@ -279,15 +279,15 @@ def sfm_localize(
     to their landmarks' 3D positions (deduplicated per landmark by descriptor
     distance), and solve PnP+RANSAC."""
     corr: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
-    dq = query.descriptors()
-    kq = query.keypoints()
+    dq = query.desc
+    kq = query.kp
     for vid, _score in ranked[:k]:
         view = map_views[vid]
         iq, iv = match_features(query, view, match_params)
-        lids = view.landmark_ids()[iv]
+        lids = view.lid[iv]
         mapped = lids >= 0
         iq, iv, lids = iq[mapped], iv[mapped], lids[mapped]
-        diff = dq[iq] - view.descriptors()[iv]
+        diff = dq[iq] - view.desc[iv]
         # one dot product per row, the same as np.linalg.norm of each row on
         # its own; a reduction over axis 1 can differ in the last bit
         dists = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]

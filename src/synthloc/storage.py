@@ -34,10 +34,16 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def _read_lines(path: Path) -> list[str]:
+    """The file's lines without their newlines. A file that is missing, that
+    cannot be read (a directory, say) or that is not text raises DataError
+    naming it."""
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    with open(path) as fh:
-        return [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path) as fh:
+            return [ln.rstrip("\n") for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +52,12 @@ def _read_lines(path: Path) -> list[str]:
 
 
 def _feature_lines(view: ViewImage) -> list[str]:
-    d = view.descriptors().shape[1]
+    d = view.desc.shape[1]
     # one `%` per row: the same "%.9g" and int conversions as `fmt` and `str`
     row = f"{F9},{F9},%d," + ",".join([F9] * d)
     lines = ["u,v,landmark_id," + ",".join(f"desc{i}" for i in range(d))]
     for (u, v), lid, desc in zip(
-        view.keypoints().tolist(), view.landmark_ids().tolist(), view.descriptors().tolist()
+        view.kp.tolist(), view.lid.tolist(), view.desc.tolist()
     ):
         lines.append(row % (u, v, lid, *desc))
     return lines

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlreadySyntheticError, MissingVariantError
+from .errors import AlreadySyntheticError
 from .worldgen import ViewImage, World, derive_seed, fill_clutter, unit_rows
 
 # The 11 weather / season / time-of-day prompts, with severity parameters
@@ -143,30 +143,14 @@ def apply_variant(view: ViewImage, shift: DomainShift, seed: int) -> ViewImage:
 
 
 class VariantStore:
-    """Lookup of synthetic views keyed by (original view id, prompt name)."""
+    """Kept only for the benchmark's `bench/workloads.py:118`, which calls
+    `from_mapping`. synthloc holds the variants in one form, the
+    `generate_all_variants` mapping."""
 
-    def __init__(self, views: dict[tuple[int, str], ViewImage] | None = None):
-        self._views: dict[tuple[int, str], ViewImage] = dict(views or {})
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[int, list[ViewImage]]) -> "VariantStore":
-        store = cls()
-        for view_id, variant_list in mapping.items():
-            for v in variant_list:
-                store.add(view_id, v)
-        return store
-
-    def add(self, view_id: int, variant: ViewImage) -> None:
-        self._views[(view_id, variant.condition)] = variant
-
-    def get(self, view_id: int, prompt: str) -> ViewImage:
-        try:
-            return self._views[(view_id, prompt)]
-        except KeyError:
-            raise MissingVariantError(f"missing variant ({view_id}, {prompt!r})") from None
-
-    def items(self):
-        return self._views.items()
+    @staticmethod
+    def from_mapping(mapping: dict[int, list[ViewImage]]) -> dict[int, list[ViewImage]]:
+        """`mapping` itself."""
+        return mapping
 
 
 def generate_all_variants(world: World, prompts: PromptSet, seed: int) -> dict[int, list[ViewImage]]:

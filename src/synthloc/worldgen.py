@@ -103,15 +103,10 @@ class ViewImage:
         for a in (self.kp, self.desc, self.lid):
             a.flags.writeable = False
 
-    def keypoints(self) -> np.ndarray:
-        return self.kp
-
     def descriptors(self) -> np.ndarray:
+        """`desc`, under the name the benchmark's `bench/workloads.py:193`
+        reads; synthloc itself reads `desc`."""
         return self.desc
-
-    def landmark_ids(self) -> np.ndarray:
-        """Per-feature landmark id, -1 for clutter."""
-        return self.lid
 
     def visible_landmark_set(self) -> frozenset[int]:
         return frozenset(self.lid[self.lid >= 0].tolist())
@@ -375,7 +370,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
             view_id=i,
             max_dist=config.visibility_radius,
         )
-        n_lm = int(np.sum(view.landmark_ids() >= 0))
+        n_lm = int(np.sum(view.lid >= 0))
         if n_lm < max(4, config.min_visible):
             raise DegenerateWorldError(
                 f"degenerate world: map view {i} sees only {n_lm} landmarks"
@@ -404,7 +399,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
                 )
             except NoVisibleLandmarksError:
                 continue
-            if int(np.sum(candidate.landmark_ids() >= 0)) >= 4:
+            if int(np.sum(candidate.lid >= 0)) >= 4:
                 view = candidate
                 break
         if view is None:

@@ -24,7 +24,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"  {name}: {status}")
 
 from synthloc.geometry import MatchParams, match_features, score_world_variants
-from synthloc.variants import VariantStore, default_prompt_set, generate_all_variants
+from synthloc.variants import default_prompt_set, generate_all_variants
 from synthloc.worldgen import (
     CameraIntrinsics,
     CameraPose,
@@ -94,11 +94,6 @@ def small_prompts():
 @pytest.fixture(scope="session")
 def small_variants(small_world, small_prompts):
     return generate_all_variants(small_world, small_prompts, seed=0)
-
-
-@pytest.fixture(scope="session")
-def small_variant_store(small_variants):
-    return VariantStore.from_mapping(small_variants)
 
 
 @pytest.fixture(scope="session")

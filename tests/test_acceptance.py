@@ -14,7 +14,7 @@ from synthloc.embed import (
     EmbeddingModel,
     TrainConfig,
     TrainingTuple,
-    ViewResolver,
+    _tuple_views,
     aggregate,
     aggregated_value_and_grad,
     init_model,
@@ -45,7 +45,6 @@ from synthloc.localize import (
     recall_at_k,
 )
 from synthloc.variants import (
-    VariantStore,
     apply_variant,
     default_prompt_set,
     generate_all_variants,
@@ -70,27 +69,20 @@ from conftest import make_view, perturbed
 def _random_instance(rng, d=6, e=3, margin=0.7, with_variant=True, kink_gap=1e-3):
     """Random small tuple family whose hinges are safely away from the kink
     (central differences cannot straddle max(0, .) there)."""
-    from synthloc.variants import VariantStore
-
     while True:
         n_views = 6
         views = {
-            i: make_view(np.random.default_rng(int(rng.integers(1 << 30))), int(rng.integers(1, 6)), d, view_id=i)
+            (i, None): make_view(np.random.default_rng(int(rng.integers(1 << 30))), int(rng.integers(1, 6)), d, view_id=i)
             for i in range(n_views)
         }
-        variants = VariantStore()
         for i in range(n_views):
-            variants.add(
-                i,
-                make_view(
-                    np.random.default_rng(int(rng.integers(1 << 30))),
-                    int(rng.integers(1, 6)),
-                    d,
-                    view_id=i,
-                    condition="shift",
-                ),
+            views[(i, "shift")] = make_view(
+                np.random.default_rng(int(rng.integers(1 << 30))),
+                int(rng.integers(1, 6)),
+                d,
+                view_id=i,
+                condition="shift",
             )
-        resolver = ViewResolver(views, variants)
         m = int(rng.integers(1, 4))
         negatives = list(range(2, 2 + m))
         original = TrainingTuple(0, 1, negatives)
@@ -101,14 +93,14 @@ def _random_instance(rng, d=6, e=3, margin=0.7, with_variant=True, kink_gap=1e-3
         safe = True
         for fam in ([original], [original, synth]):
             for t in fam:
-                q, _, ns = resolver.tuple_views(t)
+                q, _, *ns = _tuple_views(views, t)
                 fq = aggregate(q, model)
                 for n in ns:
                     gap = abs(margin - float(np.sum((fq - aggregate(n, model)) ** 2)))
                     if gap < kink_gap:
                         safe = False
         if safe:
-            return resolver, original, synth, W
+            return views, original, synth, W
 
 
 def _finite_difference(fn, W, h=1e-5):
@@ -139,28 +131,28 @@ def test_criterion_1_gradients_match_finite_differences():
     margin = 0.7
     worst = {"contrastive": 0.0, "multi": 0.0, "aggregated": 0.0}
     for _ in range(100):
-        resolver, original, synth, W = _random_instance(rng, margin=margin)
+        views, original, synth, W = _random_instance(rng, margin=margin)
         model = EmbeddingModel(W.copy())
 
         # the contrastive loss is the one-tuple family that baseline and
         # swap_pi train through
         single = [original]
-        _, g = aggregated_value_and_grad(single, resolver, model, margin)
+        _, g = aggregated_value_and_grad(single, views, model, margin)
         gfd = _finite_difference(
-            lambda Wx: aggregated_value_and_grad(single, resolver, EmbeddingModel(Wx), margin)[0], W
+            lambda Wx: aggregated_value_and_grad(single, views, EmbeddingModel(Wx), margin)[0], W
         )
         worst["contrastive"] = max(worst["contrastive"], _rel_err(g, gfd))
 
         fam = [original, synth]
-        _, g = multi_value_and_grad(fam, resolver, model, margin)
+        _, g = multi_value_and_grad(fam, views, model, margin)
         gfd = _finite_difference(
-            lambda Wx: multi_value_and_grad(fam, resolver, EmbeddingModel(Wx), margin)[0], W
+            lambda Wx: multi_value_and_grad(fam, views, EmbeddingModel(Wx), margin)[0], W
         )
         worst["multi"] = max(worst["multi"], _rel_err(g, gfd))
 
-        _, g = aggregated_value_and_grad(fam, resolver, model, margin)
+        _, g = aggregated_value_and_grad(fam, views, model, margin)
         gfd = _finite_difference(
-            lambda Wx: aggregated_value_and_grad(fam, resolver, EmbeddingModel(Wx), margin)[0], W
+            lambda Wx: aggregated_value_and_grad(fam, views, EmbeddingModel(Wx), margin)[0], W
         )
         worst["aggregated"] = max(worst["aggregated"], _rel_err(g, gfd))
     elapsed = time.time() - t0
@@ -227,14 +219,14 @@ def test_criterion_3_consistency_extremes_and_oracle():
             return pairs
 
         def aoi(pairs, a, b):
-            la, lb = a.landmark_ids(), b.landmark_ids()
+            la, lb = a.lid, b.lid
             return [(i, j) for (i, j) in pairs if la[i] >= 0 and lb[j] >= 0]
 
         c_qp = aoi(mutual_nn(q, p), q, p)
         c_vp = aoi(mutual_nn(variant, p), variant, p)
         if not c_qp:
             return ConsistencyScore(0.0, 0, 0)
-        kp = p.keypoints()
+        kp = p.kp
         kept = sum(
             1
             for (_, j) in c_qp
@@ -390,7 +382,6 @@ def test_criterion_8_end_to_end_directional():
     world = generate_world(WorldConfig(), seed=7)  # 500 landmarks, 40+20 views
     prompts = default_prompt_set(32, 0)
     vmap = generate_all_variants(world, prompts, 0)
-    variants = VariantStore.from_mapping(vmap)
     scores = score_world_variants(world, vmap, MatchParams())
     queries = shift_queries(world, prompts, ["at night"], 0)
     night_q = [q for q in queries if q.condition == "at night"]
@@ -420,7 +411,7 @@ def test_criterion_8_end_to_end_directional():
             )
             model, trace = train(
                 world,
-                variants if mode != "baseline" else None,
+                vmap if mode != "baseline" else None,
                 scores if mode != "baseline" else None,
                 cfg,
             )

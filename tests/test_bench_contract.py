@@ -11,9 +11,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from synthloc import geometry
+from synthloc import embed, geometry, index
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = WORLD_SEED = 7  # the benchmark's default workload and world seeds
@@ -32,6 +33,11 @@ def workloads():
     return _load("workloads")
 
 
+@pytest.fixture(scope="module")
+def train_grid_inputs(workloads, tmp_path_factory):
+    return workloads.setup_train_grid(SEED, WORLD_SEED, tmp_path_factory.mktemp("train_grid"))
+
+
 def test_traced_targets_are_callables():
     for module_name, names in _load("spans").TARGETS.items():
         module = importlib.import_module(f"synthloc.{module_name}")
@@ -48,12 +54,34 @@ def test_localize_sfm_runs_without_failures(workloads, tmp_path):
     assert out.tries == 4 * len(workloads.SFM_KS)
 
 
-def test_train_grid_inputs_fit_what_the_benchmark_reads(workloads, tmp_path):
+def test_train_grid_inputs_fit_what_the_benchmark_reads(workloads, train_grid_inputs):
     """The set-up builds its inputs, and its scores offer what
     `bench/layers.py` reads of them: a length and (key, score) items."""
-    inputs = workloads.setup_train_grid(SEED, WORLD_SEED, tmp_path)
+    inputs = train_grid_inputs
     scores = inputs["scores"]
     assert len(scores) > 0
     valid = [geometry.validate_pair(s, workloads.C_TAU) for _, s in scores.items()]
     assert 0 < sum(valid) <= len(scores)
     assert inputs["queries"] and inputs["store"].items()
+
+
+def test_train_grid_store_trains_and_its_codebook_indexes(workloads, train_grid_inputs):
+    """`embed.train` takes the set-up's `store`, what
+    `variants.VariantStore.from_mapping` gives, as the benchmark passes it;
+    and `index.build_index` and `index.retrieve` take what
+    `index.train_codebook` returns, as `run_localize_sfm` passes it. A short
+    multi_k run draws synthetic tuples, so the variants are read."""
+    inputs = train_grid_inputs
+    config = embed.TrainConfig(
+        mode="multi_k", sampling="geometry_aware", c_tau=workloads.C_TAU, seed=workloads.TRAIN_SEED,
+        **{**workloads.TRAIN_SIZES, "episodes": 1, "pairs_per_episode": 10},
+    )
+    world = inputs["world"]
+    model, trace = embed.train(world, inputs["store"], inputs["scores"], config)
+    assert model.projection.shape == (16, workloads.DESCRIPTOR_DIM)
+    assert trace[0].synth_fraction > 0
+    local = np.concatenate([v.descriptors() @ model.projection.T for v in world.map_views])
+    codebook = index.train_codebook(local, workloads.CODEBOOK_SIZE, 2, SEED)
+    db = index.build_index(world.map_views, model, codebook)
+    ranked = index.retrieve(inputs["queries"][0], db, model, "asmk", workloads.SFM_TOP)
+    assert len(ranked) == workloads.SFM_TOP

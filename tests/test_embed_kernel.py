@@ -8,13 +8,11 @@ import pytest
 from synthloc.embed import (
     EmbeddingModel,
     TrainingTuple,
-    ViewResolver,
     _Forwards,
     aggregate,
     aggregated_value_and_grad,
     multi_value_and_grad,
 )
-from synthloc.variants import VariantStore
 from synthloc.worldgen import ViewImage
 
 from conftest import make_view
@@ -61,13 +59,21 @@ def ref_pair_term(fq, fp):
     return float(np.dot(d, d))
 
 
-def ref_multi(tuples, resolver, model, margin):
+def ref_tuple_views(views, t):
+    """A tuple's query, positive and negatives from a (view id, prompt)
+    dict: the query and negatives under the tuple's prompt, the positive
+    original."""
+    q = views[(t.query_id, t.prompt)]
+    return q, views[(t.positive_id, None)], [views[(n, t.prompt)] for n in t.negative_ids]
+
+
+def ref_multi(tuples, views, model, margin):
     W = model.projection
     k = len(tuples)
     total = 0.0
     dW = np.zeros_like(W)
     for t in tuples:
-        q, p, ns = resolver.tuple_views(t)
+        q, p, ns = ref_tuple_views(views, t)
         cq = ref_forward(q.descriptors(), W)
         cp = ref_forward(p.descriptors(), W)
         fq, fp = cq["f"], cp["f"]
@@ -114,9 +120,9 @@ def ref_phi_backward(pc, g):
     return dW
 
 
-def ref_aggregated(family, resolver, model, margin):
+def ref_aggregated(family, views, model, margin):
     W = model.projection
-    members = [resolver.tuple_views(t) for t in family]
+    members = [ref_tuple_views(views, t) for t in family]
     pc_q = ref_phi_forward([ref_forward(q.descriptors(), W) for q, _, _ in members])
     pc_p = ref_phi_forward([ref_forward(p.descriptors(), W) for _, p, _ in members])
     phi_q, phi_p = pc_q["phi"], pc_p["phi"]
@@ -148,26 +154,23 @@ def assert_same_bits(got, want):
 
 
 def random_setup(rng, m, d=32, n_views=None):
-    """Original views 0..m+1 and one variant per view under each prompt."""
+    """Original views 0..m+1 and one variant per view under each prompt,
+    keyed by (view id, prompt)."""
     n_views = n_views or m + 2
     views = {
-        i: make_view(np.random.default_rng(int(rng.integers(1 << 30))), int(rng.integers(1, 100)), d, view_id=i)
+        (i, None): make_view(np.random.default_rng(int(rng.integers(1 << 30))), int(rng.integers(1, 100)), d, view_id=i)
         for i in range(n_views)
     }
-    variants = VariantStore()
     for i in range(n_views):
         for prompt in PROMPTS:
-            variants.add(
-                i,
-                make_view(
-                    np.random.default_rng(int(rng.integers(1 << 30))),
-                    int(rng.integers(1, 100)),
-                    d,
-                    view_id=i,
-                    condition=prompt,
-                ),
+            views[(i, prompt)] = make_view(
+                np.random.default_rng(int(rng.integers(1 << 30))),
+                int(rng.integers(1, 100)),
+                d,
+                view_id=i,
+                condition=prompt,
             )
-    return ViewResolver(views, variants)
+    return views
 
 
 def family_of(rng, k, m):
@@ -193,25 +196,25 @@ def view_of(view_id, descriptors, condition="original"):
 def test_kernel_matches_reference_on_random_families(k, m):
     rng = np.random.default_rng(1000 * k + m)
     for _ in range(12):
-        resolver = random_setup(rng, m)
+        views = random_setup(rng, m)
         family = family_of(rng, k, m)
         model = EmbeddingModel(rng.standard_normal((16, 32)) / np.sqrt(32))
         margin = float(rng.uniform(0.2, 2.0))  # mixes active and inactive hinges
         for kernel, reference in KERNELS:
             assert_same_bits(
-                kernel(family, resolver, model, margin), reference(family, resolver, model, margin)
+                kernel(family, views, model, margin), reference(family, views, model, margin)
             )
 
 
 def test_kernel_matches_reference_with_zero_projection():
     """S == 0 for every view: all descriptors are the first basis vector."""
     rng = np.random.default_rng(1)
-    resolver = random_setup(rng, 3)
+    views = random_setup(rng, 3)
     model = EmbeddingModel(np.zeros((16, 32)))
     for k in (1, 3):
         family = family_of(rng, k, 3)
         for kernel, reference in KERNELS:
-            assert_same_bits(kernel(family, resolver, model, 0.7), reference(family, resolver, model, 0.7))
+            assert_same_bits(kernel(family, views, model, 0.7), reference(family, views, model, 0.7))
 
 
 def test_kernel_matches_reference_with_zero_descriptor_feature():
@@ -219,15 +222,14 @@ def test_kernel_matches_reference_with_zero_descriptor_feature():
     rng = np.random.default_rng(2)
     d = 8
     views = {
-        i: view_of(i, [np.zeros(d)] + list(rng.standard_normal((4, d))))
+        (i, None): view_of(i, [np.zeros(d)] + list(rng.standard_normal((4, d))))
         for i in range(5)
     }
-    resolver = ViewResolver(views)
     model = EmbeddingModel(rng.standard_normal((4, d)))
     t = TrainingTuple(0, 1, [2, 3, 4])
     for kernel, reference in KERNELS:
         for margin in (0.3, 4.0):  # inactive and active hinges
-            assert_same_bits(kernel([t], resolver, model, margin), reference([t], resolver, model, margin))
+            assert_same_bits(kernel([t], views, model, margin), reference([t], views, model, margin))
 
 
 def test_kernel_matches_reference_with_cancelling_view():
@@ -235,14 +237,13 @@ def test_kernel_matches_reference_with_cancelling_view():
     rng = np.random.default_rng(3)
     d = 8
     x = rng.standard_normal(d)
-    views = {i: view_of(i, rng.standard_normal((3, d))) for i in range(4)}
-    views[0] = view_of(0, [x, -x])  # the query
-    views[2] = view_of(2, [x, -x])  # a negative
-    resolver = ViewResolver(views)
+    views = {(i, None): view_of(i, rng.standard_normal((3, d))) for i in range(4)}
+    views[(0, None)] = view_of(0, [x, -x])  # the query
+    views[(2, None)] = view_of(2, [x, -x])  # a negative
     model = EmbeddingModel(rng.standard_normal((4, d)))
     t = TrainingTuple(0, 1, [2, 3])
     for kernel, reference in KERNELS:
-        assert_same_bits(kernel([t], resolver, model, 4.0), reference([t], resolver, model, 4.0))
+        assert_same_bits(kernel([t], views, model, 4.0), reference([t], views, model, 4.0))
 
 
 def test_kernel_matches_reference_on_repeated_views():
@@ -250,27 +251,27 @@ def test_kernel_matches_reference_on_repeated_views():
     objects, and every family repeats its positive: each is projected once
     and back-propagated once per occurrence."""
     rng = np.random.default_rng(4)
-    resolver = random_setup(rng, 3)
+    views = random_setup(rng, 3)
     model = EmbeddingModel(rng.standard_normal((16, 32)) / np.sqrt(32))
     base = family_of(rng, 2, 3)
     for family in ([base[0], base[0]], [base[0], base[1], base[1]], [base[1], base[0], base[1]]):
         for kernel, reference in KERNELS:
-            assert_same_bits(kernel(family, resolver, model, 1.5), reference(family, resolver, model, 1.5))
+            assert_same_bits(kernel(family, views, model, 1.5), reference(family, views, model, 1.5))
 
 
 def test_prefilled_forwards_match_fresh_passes():
     """Training passes in the query's forward pass from mining; the step is
     the same as one that projects every view itself."""
     rng = np.random.default_rng(5)
-    resolver = random_setup(rng, 3)
+    views = random_setup(rng, 3)
     model = EmbeddingModel(rng.standard_normal((16, 32)) / np.sqrt(32))
     family = family_of(rng, 3, 3)
     for kernel, _ in KERNELS:
         forwards = _Forwards(model.projection)
-        fq = forwards(resolver.view(0)).f
-        assert fq.tobytes() == aggregate(resolver.view(0), model).tobytes()
+        fq = forwards(views[(0, None)]).f
+        assert fq.tobytes() == aggregate(views[(0, None)], model).tobytes()
         assert_same_bits(
-            kernel(family, resolver, model, 1.0, forwards), kernel(family, resolver, model, 1.0)
+            kernel(family, views, model, 1.0, forwards), kernel(family, views, model, 1.0)
         )
     with pytest.raises(ValueError):
-        multi_value_and_grad(family, resolver, model, 1.0, _Forwards(model.projection.copy()))
+        multi_value_and_grad(family, views, model, 1.0, _Forwards(model.projection.copy()))

@@ -4,14 +4,14 @@ import pytest
 from synthloc.embed import (
     EmbeddingModel,
     TrainingTuple,
-    ViewResolver,
+    _tuple_views,
     aggregate,
     aggregated_value_and_grad,
     average_models,
     multi_value_and_grad,
 )
 from synthloc.errors import EmptyTupleSetError, MismatchedTupleFamilyError
-from synthloc.variants import VariantStore, apply_variant, identity_shift
+from synthloc.variants import apply_variant, identity_shift
 from synthloc.worldgen import ViewImage
 
 from conftest import make_view
@@ -22,14 +22,14 @@ def unit(v):
 
 
 def make_store(rng, n_views, d, n_feats=5, with_variants=False, prompt="shiftA"):
-    views = {i: make_view(np.random.default_rng(rng.integers(1 << 30)), n_feats, d, view_id=i) for i in range(n_views)}
-    variants = None
+    """Training views keyed by (view id, prompt): n_views originals and, if
+    asked, one variant of each under `prompt`."""
+    views = {(i, None): make_view(np.random.default_rng(rng.integers(1 << 30)), n_feats, d, view_id=i) for i in range(n_views)}
     if with_variants:
-        variants = VariantStore()
         for i in range(n_views):
             v = make_view(np.random.default_rng(rng.integers(1 << 30)), n_feats, d, view_id=i, condition=prompt)
-            variants.add(i, v)
-    return ViewResolver(views, variants)
+            views[(i, prompt)] = v
+    return views
 
 
 # ---------------------------------------------------------------- aggregate
@@ -97,7 +97,7 @@ def test_aggregate_scale_invariance():
 def contrastive_oracle(t, res, model, margin):
     """The plain contrastive loss written out from `aggregate`, in the
     kernels' summation order, as an independent reference."""
-    q, p, ns = res.tuple_views(t)
+    q, p, *ns = _tuple_views(res, t)
     fq, fp = aggregate(q, model), aggregate(p, model)
     loss = float(np.dot(fq - fp, fq - fp))
     for n in ns:
@@ -106,21 +106,13 @@ def contrastive_oracle(t, res, model, margin):
     return loss
 
 
-class FixedEmbeddingResolver:
-    """Resolver stub producing views whose aggregate equals a fixed vector:
-    a single-feature view with descriptor = embedding and W = identity."""
-
-    def __init__(self, embeddings):
-        self.embeddings = embeddings
-
-    def tuple_views(self, t):
-        def view_for(vec, vid):
-            return ViewImage(vid, _POSE, _INTR, np.zeros((1, 2)), [np.asarray(vec, float)], [-1])
-
-        q = view_for(self.embeddings[t.query_id], t.query_id)
-        p = view_for(self.embeddings[t.positive_id], t.positive_id)
-        ns = [view_for(self.embeddings[n], n) for n in t.negative_ids]
-        return q, p, ns
+def fixed_embedding_views(embeddings):
+    """Original views whose aggregate equals a fixed vector: a
+    single-feature view with descriptor = embedding and W = identity."""
+    return {
+        (vid, None): ViewImage(vid, _POSE, _INTR, np.zeros((1, 2)), [np.asarray(vec, float)], [-1])
+        for vid, vec in embeddings.items()
+    }
 
 
 from synthloc.worldgen import CameraIntrinsics, CameraPose
@@ -132,7 +124,7 @@ _POSE = CameraPose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 def test_loss_contrastive_hand_value():
     """e=2: f(q)=(1,0), f(p)=(0,1), one negative (1,0), margin 0.7 -> 2.7."""
     emb = {0: [1.0, 0.0], 1: [0.0, 1.0], 2: [1.0, 0.0]}
-    res = FixedEmbeddingResolver(emb)
+    res = fixed_embedding_views(emb)
     t = TrainingTuple(0, 1, [2])
     model = EmbeddingModel(np.eye(2))
     for value_and_grad in (multi_value_and_grad, aggregated_value_and_grad):
@@ -142,7 +134,7 @@ def test_loss_contrastive_hand_value():
 
 def test_loss_contrastive_zero_when_satisfied():
     emb = {0: [1.0, 0.0], 1: [1.0, 0.0], 2: [-1.0, 0.0]}  # negative at distance^2=4
-    res = FixedEmbeddingResolver(emb)
+    res = fixed_embedding_views(emb)
     t = TrainingTuple(0, 1, [2])
     for value_and_grad in (multi_value_and_grad, aggregated_value_and_grad):
         assert value_and_grad([t], res, EmbeddingModel(np.eye(2)), 0.7)[0] == 0.0
@@ -171,7 +163,7 @@ def test_loss_multi_reduces_to_contrastive_bitwise():
 
 def test_loss_multi_zero_weight():
     emb = {0: [1.0, 0.0], 1: [0.0, 1.0], 2: [-1.0, 0.0]}
-    res = FixedEmbeddingResolver(emb)
+    res = fixed_embedding_views(emb)
     t = TrainingTuple(0, 1, [2], weight=0.0)
     t.weight = 0.0
     assert multi_value_and_grad([t], res, EmbeddingModel(np.eye(2)), 0.7)[0] == 0.0
@@ -179,7 +171,7 @@ def test_loss_multi_zero_weight():
 
 def test_loss_multi_hand_summed_k2():
     emb = {0: [1.0, 0.0], 1: [0.0, 1.0], 2: [1.0, 0.0], 3: [0.6, 0.8], 4: [1.0, 0.0]}
-    res = FixedEmbeddingResolver(emb)
+    res = fixed_embedding_views(emb)
     t1 = TrainingTuple(0, 1, [2], weight=1.0)
     t2 = TrainingTuple(3, 1, [4], weight=0.5)
     model = EmbeddingModel(np.eye(2))
@@ -208,11 +200,9 @@ def test_loss_aggregated_k0_reduces_bitwise():
 
 def test_loss_aggregated_identity_variants_equal_contrastive():
     rng = np.random.default_rng(9)
-    views = {i: make_view(np.random.default_rng(50 + i), 5, 8, view_id=i) for i in range(5)}
-    variants = VariantStore()
-    for i, v in views.items():
-        variants.add(i, apply_variant(v, identity_shift("same", 8), seed=0))
-    res = ViewResolver(views, variants)
+    res = {(i, None): make_view(np.random.default_rng(50 + i), 5, 8, view_id=i) for i in range(5)}
+    for i in range(5):
+        res[(i, "same")] = apply_variant(res[(i, None)], identity_shift("same", 8), seed=0)
     t0 = TrainingTuple(0, 1, [2, 3])
     t1 = TrainingTuple(0, 1, [2, 3], prompt="same", weight=1.0)
     model = EmbeddingModel(rng.standard_normal((4, 8)))
@@ -224,14 +214,9 @@ def test_loss_aggregated_identity_variants_equal_contrastive():
 def test_loss_aggregated_k1_hand_computed():
     emb = {0: [1.0, 0.0], 1: [0.0, 1.0], 2: [1.0, 0.0], 10: [0.0, 1.0], 12: [-1.0, 0.0]}
 
-    class TwoPromptResolver(FixedEmbeddingResolver):
-        def tuple_views(self, t):
-            if t.prompt is None:
-                return super().tuple_views(t)
-            shifted = TrainingTuple(t.query_id + 10, t.positive_id, [n + 10 for n in t.negative_ids])
-            return super().tuple_views(shifted)
-
-    res = TwoPromptResolver(emb)
+    res = fixed_embedding_views(emb)
+    # under prompt "t", view i looks like original view i + 10
+    res[(0, "t")], res[(2, "t")] = res[(10, None)], res[(12, None)]
     t0 = TrainingTuple(0, 1, [2])
     t1 = TrainingTuple(0, 1, [2], prompt="t")
     model = EmbeddingModel(np.eye(2))
@@ -326,7 +311,7 @@ def test_gradient_zero_when_loss_flat():
     q = make_view(rng, 4, 8, view_id=0)
     p = ViewImage(1, q.pose, q.intrinsics, q.kp, q.desc, q.lid)
     n = make_view(rng, 4, 8, view_id=2)
-    res = ViewResolver({0: q, 1: p, 2: n})
+    res = {(0, None): q, (1, None): p, (2, None): n}
     W = rng.standard_normal((4, 8))
     model = EmbeddingModel(W)
     t = TrainingTuple(0, 1, [2])

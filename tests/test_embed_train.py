@@ -5,7 +5,8 @@ from synthloc.embed import (
     TrainConfig,
     _draw,
     TrainingTuple,
-    ViewResolver,
+    _training_views,
+    _tuple_views,
     aggregate,
     build_synthetic_tuple,
     co_observers,
@@ -17,7 +18,7 @@ from synthloc.embed import (
 )
 from synthloc.errors import InsufficientNegativesError
 from synthloc.geometry import ConsistencyScore
-from synthloc.variants import VariantStore, apply_variant, identity_shift
+from synthloc.variants import apply_variant, identity_shift
 
 from conftest import make_view
 
@@ -98,12 +99,12 @@ def test_co_observers_equal_pairwise_intersections(small_world):
 
 
 def _toy_setup():
-    views = {i: make_view(np.random.default_rng(i), 5, 8, view_id=i) for i in range(6)}
-    variants = VariantStore()
-    for i, v in views.items():
-        variants.add(i, apply_variant(v, identity_shift("mild", 8), seed=i))
-    scores = {}
-    return views, variants, scores
+    """Six original views and a "mild" variant of each, keyed by (view id,
+    prompt), and empty scores."""
+    views = {(i, None): make_view(np.random.default_rng(i), 5, 8, view_id=i) for i in range(6)}
+    for i in range(6):
+        views[(i, "mild")] = apply_variant(views[(i, None)], identity_shift("mild", 8), seed=i)
+    return views, {}
 
 
 def test_build_synthetic_tuple():
@@ -116,50 +117,50 @@ def test_build_synthetic_tuple():
 
 
 def test_synthetic_family_rejects_invalid_score():
-    views, variants, scores = _toy_setup()
+    views, scores = _toy_setup()
     scores[(0, 1, "mild")] = ConsistencyScore(0.0, 0, 20)
     t = TrainingTuple(0, 1, [2, 3])
-    assert synthetic_families(variants, scores, c_tau=0.2)(t) == []
-    assert synthetic_families(variants, scores, c_tau=1, threshold_mode="absolute")(t) == []
-    assert synthetic_families(variants, scores, c_tau=0.0)(t) == [("mild", 0.0)]
+    assert synthetic_families(views, scores, c_tau=0.2)(t) == []
+    assert synthetic_families(views, scores, c_tau=1, threshold_mode="absolute")(t) == []
+    assert synthetic_families(views, scores, c_tau=0.0)(t) == [("mild", 0.0)]
 
 
 def test_synthetic_family_skips_missing_variant():
-    views, variants, scores = _toy_setup()
+    views, scores = _toy_setup()
     scores[(0, 1, "unknown prompt")] = ConsistencyScore(0.9, 18, 20)
     scores[(0, 1, "mild")] = ConsistencyScore(0.9, 18, 20)
     t = TrainingTuple(0, 1, [2, 3])
-    assert synthetic_families(variants, scores, c_tau=0.2)(t) == [("mild", 0.9)]
+    assert synthetic_families(views, scores, c_tau=0.2)(t) == [("mild", 0.9)]
     # a negative without a variant under the prompt drops the prompt too
-    partial = VariantStore({key: v for key, v in variants.items() if key != (3, "mild")})
+    partial = {key: v for key, v in views.items() if key != (3, "mild")}
     assert synthetic_families(partial, scores, c_tau=0.2)(t) == []
 
 
 def test_synthetic_family_filters_by_score():
-    views, variants, scores = _toy_setup()
-    for i, v in views.items():
-        variants.add(i, apply_variant(v, identity_shift("harsh", 8), seed=100 + i))
+    views, scores = _toy_setup()
+    for i in range(6):
+        views[(i, "harsh")] = apply_variant(views[(i, None)], identity_shift("harsh", 8), seed=100 + i)
     scores[(0, 1, "mild")] = ConsistencyScore(0.9, 18, 20)
     scores[(0, 1, "harsh")] = ConsistencyScore(0.1, 2, 20)
     t = TrainingTuple(0, 1, [2, 3])
-    fam = synthetic_families(variants, scores, c_tau=0.2)(t)
+    fam = synthetic_families(views, scores, c_tau=0.2)(t)
     assert fam == [("mild", 0.9)]
-    fam0 = synthetic_families(variants, scores, c_tau=0.0)(t)
+    fam0 = synthetic_families(views, scores, c_tau=0.0)(t)
     assert fam0 == [("harsh", 0.1), ("mild", 0.9)]
 
 
-def test_negative_variants_map_one_to_one(small_world, small_prompts, small_variant_store, small_scores):
+def test_negative_variants_map_one_to_one(small_world, small_prompts, small_variants, small_scores):
     """Synthetic tuple negatives resolve to their same-prompt variants."""
     a, b, _ = small_world.matching_pairs[0]
     others = [v.id for v in small_world.map_views if v.id not in (a, b)][:3]
     t = TrainingTuple(a, b, others)
     prompt = "in winter"
+    views = _training_views(small_world, small_variants)
     assert (prompt, small_scores[(a, b, prompt)].value) in synthetic_families(
-        small_variant_store, small_scores, c_tau=0.0
+        views, small_scores, c_tau=0.0
     )(t)
     out = build_synthetic_tuple(t, prompt, small_scores[(a, b, prompt)].value)
-    resolver = ViewResolver(_world_views(small_world), small_variant_store)
-    q, p, ns = resolver.tuple_views(out)
+    q, p, *ns = _tuple_views(views, out)
     assert q.condition == prompt
     assert p.condition == "original"
     for n, nid in zip(ns, others):
@@ -299,32 +300,32 @@ def test_train_loss_decreases_median(small_world):
     assert np.median(deltas) < 0.0
 
 
-def test_train_synth_fraction_tracked(small_world, small_variant_store, small_scores):
+def test_train_synth_fraction_tracked(small_world, small_variants, small_scores):
     cfg = TrainConfig(
         mode="swap_pi", swap_probability=0.5, episodes=3, pairs_per_episode=30,
         negative_pool_size=16, num_negatives=3, seed=2, c_tau=0.2,
     )
-    _, trace = train(small_world, small_variant_store, small_scores, cfg)
+    _, trace = train(small_world, small_variants, small_scores, cfg)
     fracs = [row.synth_fraction for row in trace]
     assert all(0.0 <= f <= 1.0 for f in fracs)
     assert np.mean(fracs) > 0.2  # pi = 0.5 with mostly valid families
 
 
-def test_train_multi_k_runs(small_world, small_variant_store, small_scores):
+def test_train_multi_k_runs(small_world, small_variants, small_scores):
     cfg = TrainConfig(
         mode="multi_k", num_variants=2, episodes=2, pairs_per_episode=10,
         negative_pool_size=16, num_negatives=2, seed=3, c_tau=0.2, sampling="geometry_aware",
     )
-    model, trace = train(small_world, small_variant_store, small_scores, cfg)
+    model, trace = train(small_world, small_variants, small_scores, cfg)
     assert np.all(np.isfinite(model.projection))
 
 
-def test_train_aggregated_runs(small_world, small_variant_store, small_scores):
+def test_train_aggregated_runs(small_world, small_variants, small_scores):
     cfg = TrainConfig(
         mode="aggregated_k", num_variants=2, episodes=2, pairs_per_episode=10,
         negative_pool_size=16, num_negatives=2, seed=4, c_tau=0.2,
     )
-    model, trace = train(small_world, small_variant_store, small_scores, cfg)
+    model, trace = train(small_world, small_variants, small_scores, cfg)
     assert np.all(np.isfinite(model.projection))
 
 

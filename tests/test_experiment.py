@@ -286,6 +286,75 @@ def test_cli_bad_model_is_data_error(pipeline, tmp_path, capsys, text):
     assert str(model) in capsys.readouterr().err
 
 
+def _insert_invalid_utf8(path):
+    """Put a 0xff byte, which no UTF-8 text holds, at the start of line 2."""
+    data = path.read_bytes()
+    cut = data.index(b"\n") + 1
+    path.write_bytes(data[:cut] + b"\xff" + data[cut:])
+
+
+def test_cli_model_directory_is_data_error(pipeline, tmp_path, capsys):
+    """`evaluate --model` naming a directory exits 3 naming it, where it
+    gave an IsADirectoryError traceback."""
+    rc = main(
+        ["evaluate", "--config", pipeline["cfg"], "--world", str(pipeline["world"]),
+         "--model", str(pipeline["models"]), "--out", str(tmp_path / "eval")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert str(pipeline["models"]) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["model_avg.csv", "pairs.csv"])
+def test_cli_input_that_is_not_utf8_is_data_error(pipeline, tmp_path, capsys, name):
+    """A model file or a world's pairs.csv holding a 0xff byte makes
+    `evaluate` exit 3 naming the file, where it gave a UnicodeDecodeError
+    traceback."""
+    world, models = tmp_path / "world", tmp_path / "models"
+    shutil.copytree(pipeline["world"], world)
+    shutil.copytree(pipeline["models"], models)
+    path = (models if name == "model_avg.csv" else world) / name
+    _insert_invalid_utf8(path)
+    rc = main(
+        ["evaluate", "--config", pipeline["cfg"], "--world", str(world),
+         "--model", str(models / "model_avg.csv"), "--out", str(tmp_path / "eval")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_cli_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    """A config file holding a 0xff byte exits 2 naming the file, where it
+    gave a UnicodeDecodeError traceback."""
+    cfg = Path(write_config(tmp_path))
+    cfg.write_text(json.dumps(TEST_CONFIG, indent=1))
+    _insert_invalid_utf8(cfg)
+    rc = main(["worldgen", "--config", str(cfg), "--out", str(tmp_path / "w")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert str(cfg) in err and "Traceback" not in err
+
+
+def test_cli_world_without_query_views_is_data_error(pipeline, tmp_path, capsys):
+    """A world whose meta.csv counts 22 map views and 0 query views (the six
+    query views become map views, which `load_world` accepts) makes
+    `evaluate` exit 3 and write nothing, where it exited 0 with a summary of
+    0.00% rows."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    _edit_line(world / "meta.csv", 4, lambda parts: [parts[0], "22"])
+    _edit_line(world / "meta.csv", 5, lambda parts: [parts[0], "0"])
+    out = tmp_path / "eval"
+    rc = main(
+        ["evaluate", "--config", pipeline["cfg"], "--world", str(world),
+         "--model", str(pipeline["models"] / "model_avg.csv"), "--out", str(out)]
+    )
+    assert rc == 3
+    assert "the world has no query views" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_variants_dimension_mismatch_is_data_error(pipeline, tmp_path, capsys):
     """A variants file whose descriptors are narrower than the world's exits
     3 naming the file, where `train` used to fail in a matmul."""

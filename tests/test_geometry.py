@@ -106,14 +106,14 @@ def brute_force_score(q, p, variant, params):
     landmark-bearing endpoints, and their p-keypoint-keyed intersection."""
 
     def aoi(pairs, a, b):
-        la, lb = a.landmark_ids(), b.landmark_ids()
+        la, lb = a.lid, b.lid
         return [(i, j) for (i, j) in pairs if la[i] >= 0 and lb[j] >= 0]
 
     c_qp = aoi(brute_force_mutual_nn(q, p, params.ratio), q, p)
     c_vp = aoi(brute_force_mutual_nn(variant, p, params.ratio), variant, p)
     if not c_qp:
         return ConsistencyScore(0.0, 0, 0)
-    kp = p.keypoints()
+    kp = p.kp
     kept = 0
     for (_, j) in c_qp:
         for (_, j2) in c_vp:

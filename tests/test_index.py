@@ -4,7 +4,6 @@ import pytest
 from synthloc.embed import EmbeddingModel, aggregate, init_model
 from synthloc.errors import CodebookMismatchError, TooFewVectorsError
 from synthloc.index import (
-    Codebook,
     _selectivity,
     asmk_score,
     asmk_signs,
@@ -24,14 +23,14 @@ def test_codebook_single_cluster_is_mean():
     rng = np.random.default_rng(0)
     vectors = rng.standard_normal((50, 4))
     cb = train_codebook(vectors, c=1, iters=5, seed=0)
-    assert np.allclose(cb.centroids[0], vectors.mean(axis=0), atol=1e-12)
+    assert np.allclose(cb[0], vectors.mean(axis=0), atol=1e-12)
 
 
 def test_codebook_c_equals_n_permutes_inputs():
     rng = np.random.default_rng(1)
     vectors = rng.standard_normal((8, 4))
     cb = train_codebook(vectors, c=8, iters=5, seed=3)
-    got = sorted(map(tuple, np.round(cb.centroids, 9)))
+    got = sorted(map(tuple, np.round(cb, 9)))
     want = sorted(map(tuple, np.round(vectors, 9)))
     assert got == want
 
@@ -44,9 +43,12 @@ def test_codebook_too_few_vectors():
 def test_codebook_sse_monotone_and_beats_random():
     rng = np.random.default_rng(2)
     vectors = rng.standard_normal((100, 6))
-    cb = train_codebook(vectors, c=4, iters=10, seed=0)
-    sse = cb.sse_trace
-    assert len(sse) == 10
+    # a run of i iterations continues the run of i - 1, so the runs of 1 to
+    # 10 iterations trace one run's SSE
+    sse = []
+    for iters in range(1, 11):
+        centroids = train_codebook(vectors, c=4, iters=iters, seed=0)
+        sse.append(float(((vectors[:, None, :] - centroids[None]) ** 2).sum(axis=2).min(axis=1).sum()))
     assert all(b <= a + 1e-9 for a, b in zip(sse, sse[1:]))
     # random assignment oracle: mean SSE over random 4-way partitions
     rand_sses = []
@@ -66,7 +68,7 @@ def test_codebook_deterministic():
     vectors = rng.standard_normal((60, 4))
     a = train_codebook(vectors, c=5, iters=8, seed=11)
     b = train_codebook(vectors, c=5, iters=8, seed=11)
-    assert np.array_equal(a.centroids, b.centroids)
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------- signatures
@@ -94,7 +96,7 @@ def test_asmk_single_feature_sign():
     rng = np.random.default_rng(4)
     view = make_view(rng, 1, 8)
     model = _model()
-    cb = Codebook(centroids=np.zeros((1, 4)))
+    cb = np.zeros((1, 4))
     sig = asmk_signs(view, model, cb)
     z = model.projection @ view.desc[0]
     assert sig.dtype == np.int8 and sig.shape == (1, 4)
@@ -107,7 +109,7 @@ def test_asmk_cancellation_drops_cell():
     desc[0] = 1.0
     view = make_view(np.random.default_rng(5), 1, 8)
     v = ViewImage(0, view.pose, view.intrinsics, np.zeros((2, 2)), np.stack([desc, -desc]), [-1, -1])
-    cb = Codebook(centroids=np.zeros((1, 4)))
+    cb = np.zeros((1, 4))
     sig = asmk_signs(v, model, cb)
     assert sig.shape == (1, 4) and not sig.any()
 
@@ -120,11 +122,11 @@ def test_asmk_signs_step_by_step_oracle():
     cb = train_codebook(vectors, c=3, iters=5, seed=0)
     sig = cells_of(asmk_signs(view, model, cb))
 
-    d2 = ((vectors[:, None, :] - cb.centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((vectors[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
     expected = {}
     for cell in sorted(set(labels)):
-        total = (vectors[labels == cell] - cb.centroids[cell]).sum(axis=0)
+        total = (vectors[labels == cell] - cb[cell]).sum(axis=0)
         n = np.linalg.norm(total)
         if n > 0:
             expected[int(cell)] = np.sign(total / n).astype(np.int8)
@@ -303,7 +305,6 @@ def ref_train_codebook(vectors, c, iters, seed):
             idx = min(int(np.searchsorted(np.cumsum(d2), r)), vectors.shape[0] - 1)
             centroids[i] = vectors[idx]
         d2 = np.minimum(d2, np.sum((vectors - centroids[i]) ** 2, axis=1))
-    sse_trace = []
     for _ in range(iters):
         labels = ref_assign(vectors, centroids)
         for k in range(c):
@@ -315,8 +316,7 @@ def ref_train_codebook(vectors, c, iters, seed):
                 labels[far] = k
             else:
                 centroids[k] = members.mean(axis=0)
-        sse_trace.append(float(np.sum((vectors - centroids[ref_assign(vectors, centroids)]) ** 2)))
-    return centroids, sse_trace
+    return centroids
 
 
 def ref_asmk_signs(view, model, centroids):
@@ -386,10 +386,8 @@ def test_train_codebook_matches_reference():
         # repeated rows leave clusters empty, which re-seeds them
         vectors[n // 2 :] = vectors[0]
         seed = int(rng.integers(100))
-        cb = train_codebook(vectors, c, iters, seed)
-        centroids, sse = ref_train_codebook(vectors, c, iters, seed)
-        assert cb.centroids.tobytes() == centroids.tobytes()
-        assert cb.sse_trace == sse
+        got = train_codebook(vectors, c, iters, seed)
+        assert got.tobytes() == ref_train_codebook(vectors, c, iters, seed).tobytes()
 
 
 def test_asmk_signs_matches_reference():
@@ -403,7 +401,7 @@ def test_asmk_signs_matches_reference():
         cb = train_codebook(vectors, c, iters=4, seed=0)
         for v in views:
             sig = asmk_signs(v, model, cb)
-            want = ref_asmk_signs(v, model, cb.centroids)
+            want = ref_asmk_signs(v, model, cb)
             assert sig.dtype == np.int8 and sig.shape == (c, e)
             assert sig.tobytes() == dense(want, c, e).tobytes()
 
@@ -417,8 +415,8 @@ def test_asmk_signs_matches_reference():
         np.vstack([desc, -desc, base.desc]),
         np.concatenate([[-1, -1], base.lid]),
     )
-    cb = Codebook(centroids=np.vstack([np.zeros(4), 10.0 * np.ones(4)]))
-    want = ref_asmk_signs(view, model, cb.centroids)
+    cb = np.vstack([np.zeros(4), 10.0 * np.ones(4)])
+    want = ref_asmk_signs(view, model, cb)
     assert asmk_signs(view, model, cb).tobytes() == dense(want, 2, 4).tobytes()
 
 
@@ -463,7 +461,7 @@ def test_retrieve_asmk_matches_reference(alpha, sel_threshold):
         queries = [views[5], make_view(rng, 25, d, view_id=500), make_view(rng, 1, d, view_id=501)]
         for q in queries:
             got = retrieve(q, index, model, "asmk", len(views), alpha, sel_threshold)
-            want = ref_retrieve(q, views, model, cb.centroids, len(views), alpha, sel_threshold)
+            want = ref_retrieve(q, views, model, cb, len(views), alpha, sel_threshold)
             assert bits(got) == bits(want)
     assert [vid for vid, _ in retrieve(views[5], index, model, "asmk", 3)] == [5, 95, 96]
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from synthloc.embed import (
     EmbeddingModel,
     TrainingTuple,
-    ViewResolver,
     aggregate,
     aggregated_value_and_grad,
     multi_value_and_grad,
@@ -30,7 +29,7 @@ def _views(seed, n_views=5, n_feats=4, d=6):
 @given(st.integers(0, 1 << 20))
 def test_losses_nonnegative(seed):
     views = _views(seed)
-    res = ViewResolver(views)
+    res = {(i, None): v for i, v in views.items()}
     t = TrainingTuple(0, 1, [2, 3])
     model = EmbeddingModel(np.random.default_rng(seed).standard_normal((3, 6)))
     assert multi_value_and_grad([t], res, model, 0.7)[0] >= 0.0

@@ -1,5 +1,5 @@
-"""Fuzzing the file readers with mutated copies of real files: whatever the
-mutation, a reader returns or raises a SynthlocError (the config reader a
+"""Fuzzing the file readers with mutated copies of real files, changed
+token by token and byte by byte: whatever the mutation, a reader returns or raises a SynthlocError (the config reader a
 ConfigError), never another exception.
 
 Each run draws new examples, and hypothesis replays the ones that failed
@@ -21,12 +21,19 @@ from synthloc.variants import PromptSet
 # no file holds, and text that is not a number.
 REPLACEMENTS = ["-1", "16", "1e19", "99999999999999999999", "1.5", "nan", "", "x", "at night"]
 
+# A mutation may also insert this byte, which no UTF-8 text holds. The
+# mutated text carries it as the surrogate that "surrogateescape" writes as
+# the byte itself.
+INVALID_BYTE = b"\xff".decode("utf-8", "surrogateescape")
+
 # Half the token picks fall in the first six columns, where the ids and
 # counts are.
 INDEX = st.one_of(st.integers(0, 5), st.integers(0, 1 << 16))
 
 MUTATION = st.tuples(
-    st.sampled_from(["drop", "duplicate", "swap", "replace", "truncate", "drop line", "repeat line"]),
+    st.sampled_from(
+        ["drop", "duplicate", "swap", "replace", "truncate", "invalid byte", "drop line", "repeat line"]
+    ),
     INDEX,
     INDEX,
     INDEX,
@@ -44,7 +51,8 @@ def mutate(text: str, mutations) -> str:
     """`text` with each mutation applied in turn. A mutation picks lines and
     tokens (comma-separated fields) by its integers modulo their counts:
     it drops or duplicates a token, swaps two tokens (of one line or of two),
-    replaces a token, truncates a line, or drops or repeats a line."""
+    replaces a token, truncates a line, inserts `INVALID_BYTE` into a line,
+    or drops or repeats a line."""
     lines = text.split("\n")[:-1]
     for kind, i, j, k, replacement in mutations:
         if not lines:
@@ -70,6 +78,10 @@ def mutate(text: str, mutations) -> str:
         elif kind == "truncate":
             lines[a] = lines[a][: k % (len(lines[a]) + 1)]
             continue
+        elif kind == "invalid byte":
+            at = k % (len(lines[a]) + 1)
+            lines[a] = lines[a][:at] + INVALID_BYTE + lines[a][at:]
+            continue
         elif kind == "drop line":
             del lines[a]
             continue
@@ -93,14 +105,14 @@ def load_mutated(path: Path, mutations, load, allowed: type[Exception] = Synthlo
     """Calls `load()` with `path` holding a mutated copy of its text;
     `allowed` is the one exception it may raise. The file is restored
     afterwards."""
-    original = path.read_text()
-    path.write_text(mutate(original, mutations))
+    original = path.read_bytes()
+    path.write_bytes(mutate(original.decode(), mutations).encode("utf-8", "surrogateescape"))
     try:
         load()
     except allowed:
         pass
     finally:
-        path.write_text(original)
+        path.write_bytes(original)
 
 
 @FUZZ
@@ -219,5 +231,7 @@ def test_mutate_applies_each_kind():
     assert mutate(text, [("swap", 1, 2, 0 + 3 * 1, "")]) == "a,b,c\n5,2,3\n4,1,6\n"
     assert mutate(text, [("replace", 1, 0, 2, "x")]) == "a,b,c\n1,2,x\n4,5,6\n"
     assert mutate(text, [("truncate", 2, 0, 3, "")]) == "a,b,c\n1,2,3\n4,5\n"
+    invalid = mutate(text, [("invalid byte", 1, 0, 1, "")]).encode("utf-8", "surrogateescape")
+    assert invalid == b"a,b,c\n1\xff,2,3\n4,5,6\n"
     assert mutate(text, [("drop line", 0, 0, 0, "")]) == "1,2,3\n4,5,6\n"
     assert mutate(text, [("repeat line", 1, 3, 0, "")]) == "a,b,c\n1,2,3\n4,5,6\n1,2,3\n"

@@ -23,8 +23,8 @@ def test_world_roundtrip(tmp_path, small_world):
         assert va.id == vb.id
         assert va.condition == vb.condition
         assert np.allclose(va.pose.position, vb.pose.position, atol=1e-8)
-        assert np.allclose(va.keypoints(), vb.keypoints(), atol=1e-6)
-        assert np.array_equal(va.landmark_ids(), vb.landmark_ids())
+        assert np.allclose(va.kp, vb.kp, atol=1e-6)
+        assert np.array_equal(va.lid, vb.lid)
 
 
 def test_world_save_is_idempotent_after_load(tmp_path, small_world):
@@ -69,9 +69,9 @@ def test_variants_roundtrip(tmp_path, small_world, small_prompts, small_variants
     for vid in loaded:
         for va, vb in zip(loaded[vid], small_variants[vid]):
             assert va.condition == vb.condition
-            assert va.keypoints().shape == vb.keypoints().shape
+            assert va.kp.shape == vb.kp.shape
             assert np.allclose(va.descriptors(), vb.descriptors(), atol=1e-8)
-            assert np.array_equal(va.landmark_ids(), vb.landmark_ids())
+            assert np.array_equal(va.lid, vb.lid)
 
 
 def test_scores_roundtrip(tmp_path, small_world, small_prompts, small_scores):

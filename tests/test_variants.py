@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from synthloc.errors import AlreadySyntheticError, MissingVariantError
+from synthloc.errors import AlreadySyntheticError
 from synthloc.geometry import MatchParams, consistency_score
 from synthloc.variants import (
     P11_NAMES,
@@ -146,7 +146,7 @@ def test_generate_all_variants_deterministic(small_world, small_prompts, small_v
     again = generate_all_variants(small_world, small_prompts, seed=0)
     for vid in small_variants:
         for a, b in zip(small_variants[vid], again[vid]):
-            assert np.array_equal(a.keypoints(), b.keypoints())
+            assert np.array_equal(a.kp, b.kp)
             assert np.array_equal(a.descriptors(), b.descriptors())
 
 
@@ -155,9 +155,9 @@ def test_landmark_survival_fraction(small_world, small_prompts, small_variants):
     for j, shift in enumerate(small_prompts.shifts):
         fracs = []
         for view in small_world.map_views:
-            n_orig = int(np.sum(view.landmark_ids() >= 0))
+            n_orig = int(np.sum(view.lid >= 0))
             variant = small_variants[view.id][j]
-            n_kept = int(np.sum(variant.landmark_ids() >= 0))
+            n_kept = int(np.sum(variant.lid >= 0))
             fracs.append(n_kept / n_orig)
         assert abs(np.mean(fracs) - (1.0 - shift.dropout_rate)) < 0.05
 
@@ -181,13 +181,6 @@ def test_severity_monotonicity_in_dropout():
             variant = apply_variant(q, shift, seed=trial)
             scores[name].append(consistency_score(q, p, variant, params).value)
     assert np.mean(scores["hi"]) <= np.mean(scores["lo"])
-
-
-def test_variant_store_lookup(small_variant_store):
-    with pytest.raises(MissingVariantError):
-        small_variant_store.get(0, "no such prompt")
-    view = small_variant_store.get(0, "at night")
-    assert view.condition == "at night"
 
 
 def test_shift_queries(small_world, small_prompts):

@@ -49,7 +49,7 @@ def ref_match(a, b, ratio):
 
 
 def ref_aoi(pairs, a, b):
-    la, lb = a.landmark_ids(), b.landmark_ids()
+    la, lb = a.lid, b.lid
     return [(i, j) for (i, j) in pairs if la[i] >= 0 and lb[j] >= 0]
 
 
@@ -61,7 +61,7 @@ def ref_consistency(q, p, variant, params):
     original = len(c_qp)
     if not c_vp:
         return ConsistencyScore(0.0, 0, original)
-    kp_p = p.keypoints()
+    kp_p = p.kp
     kp_qp = kp_p[[j for (_, j) in c_qp]]
     kp_vp = kp_p[[j for (_, j) in c_vp]]
     dist = np.linalg.norm(kp_vp[None, :, :] - kp_qp[:, None, :], axis=2)
@@ -145,7 +145,7 @@ def array_bytes(arrays):
 
 
 def view_bytes(view):
-    return array_bytes((view.keypoints(), view.descriptors(), view.landmark_ids()))
+    return array_bytes((view.kp, view.descriptors(), view.lid))
 
 
 def score_tuple(s):

@@ -65,9 +65,9 @@ def test_pose_invariants(small_world):
 
 def test_min_visible(default_world):
     for v in default_world.map_views:
-        assert int(np.sum(v.landmark_ids() >= 0)) >= WorldConfig().min_visible
+        assert int(np.sum(v.lid >= 0)) >= WorldConfig().min_visible
     for v in default_world.query_views:
-        assert int(np.sum(v.landmark_ids() >= 0)) >= 4
+        assert int(np.sum(v.lid >= 0)) >= 4
 
 
 def test_coobservation_counts_brute_force(default_world):
@@ -108,10 +108,10 @@ def test_zero_noise_exact_projection(small_world):
         small_world, view.pose, view.intrinsics, noise, seed=99, view_id=0,
         max_dist=SMALL_WORLD.visibility_radius,
     )
-    pts = small_world.landmarks.positions[clean.landmark_ids()]
+    pts = small_world.landmarks.positions[clean.lid]
     uv, z = project_points(pts, clean.pose, clean.intrinsics)
     assert np.all(z > 0)
-    assert np.max(np.abs(uv - clean.keypoints())) < 1e-9
+    assert np.max(np.abs(uv - clean.kp)) < 1e-9
 
 
 def test_zero_noise_descriptor_equals_base(small_world):
@@ -163,9 +163,9 @@ def test_keypoint_noise_statistics(default_world):
             default_world, view.pose, view.intrinsics, noise, seed=1000 + i,
             max_dist=WorldConfig().visibility_radius,
         )
-        pts = default_world.landmarks.positions[noisy.landmark_ids()]
+        pts = default_world.landmarks.positions[noisy.lid]
         uv, _ = project_points(pts, view.pose, view.intrinsics)
-        residuals.extend((noisy.keypoints() - uv).ravel())
+        residuals.extend((noisy.kp - uv).ravel())
     residuals = np.array(residuals)
     assert residuals.size >= 1000
     assert abs(residuals.std() - sigma) < 0.2 * sigma
