@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DegenerateWorldError, SynthlocError
+from .errors import ConfigError, SynthlocError
 from .experiment import (
     cmd_ablate,
     cmd_evaluate,
@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_evaluate(args.world, args.model, config, args.out)
         elif args.command == "ablate":
             cmd_ablate(config, args.out)
-    except (ConfigError, DegenerateWorldError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SynthlocError as exc:

@@ -28,10 +28,8 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DivergedError,
-    EmptyTupleSetError,
+    DataError,
     InsufficientNegativesError,
-    MismatchedTupleFamilyError,
     is_finite_number,
     require_integer,
     require_number,
@@ -288,11 +286,11 @@ def _family_views(family: list[TrainingTuple], views: Views, fwd: _Forwards) -> 
     family means of its queries, of its positives (one per tuple) and of
     each negative slot, in that order."""
     if not family:
-        raise EmptyTupleSetError("empty tuple set")
+        raise ValueError("empty tuple set")
     base = family[0]
     for t in family[1:]:
         if t.positive_id != base.positive_id or len(t.negative_ids) != len(base.negative_ids):
-            raise MismatchedTupleFamilyError("mismatched tuple family")
+            raise ValueError("mismatched tuple family")
     members = [[fwd(v) for v in _tuple_views(views, t)] for t in family]
     return [_phi_forward(role) for role in zip(*members)]
 
@@ -330,7 +328,7 @@ def multi_value_and_grad(
     Each tuple is a one-tuple family. `forwards` may carry passes already
     made under `model.projection`."""
     if not tuples:
-        raise EmptyTupleSetError("empty tuple set")
+        raise ValueError("empty tuple set")
     fwd = _Forwards.of(model, forwards)
     k = len(tuples)
     total = 0.0
@@ -512,7 +510,7 @@ def train(
     embeddings, build the configured tuples and take one gradient step.
     Deterministic for a fixed (world, config) including the seed."""
     if not world.matching_pairs:
-        raise ValueError("world has no matching pairs")
+        raise DataError("world has no matching pairs")
     if config.mode != "baseline" and (variants is None or scores is None):
         raise ValueError(f"mode {config.mode!r} needs variants and scores")
     d = world.landmarks.descriptors.shape[1]
@@ -565,7 +563,7 @@ def train(
 
             loss, dW = value_and_grad(chosen, views, model, config.margin, forwards)
             if not np.isfinite(loss):
-                raise DivergedError("diverged")
+                raise DataError("diverged")
             model.projection = (1.0 - lr * config.weight_decay) * model.projection - lr * dW
             losses.append(loss)
 

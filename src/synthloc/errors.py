@@ -33,60 +33,35 @@ def require_number(name: str, value, low: float | None = None, strict: bool = Fa
 
 
 class SynthlocError(Exception):
-    """Base class for all pipeline errors."""
+    """Base class for all pipeline errors. The CLI exits 2 on a ConfigError
+    and 3 on any other SynthlocError; a broken caller contract inside the
+    library is a ValueError."""
 
 
 class ConfigError(SynthlocError):
-    """Invalid or unparseable configuration (CLI exit code 2)."""
+    """Invalid or unparseable configuration, or a world config that cannot
+    support pose estimation (CLI exit code 2)."""
 
 
 class DataError(SynthlocError):
-    """Missing or malformed input data (CLI exit code 3)."""
-
-
-class DegenerateWorldError(SynthlocError):
-    """World generation produced (or would produce) views with too few landmarks."""
+    """Missing, malformed or unusable input data (CLI exit code 3)."""
 
 
 class NoVisibleLandmarksError(SynthlocError):
-    """A camera pose sees no landmark at all."""
-
-
-class AlreadySyntheticError(SynthlocError):
-    """A variant was requested of a view that is itself synthetic."""
+    """A camera pose sees no landmark at all; `generate_world` redraws such a
+    query pose."""
 
 
 class InsufficientNegativesError(SynthlocError):
-    """The mining pool has fewer eligible views than negatives requested."""
-
-
-class EmptyTupleSetError(SynthlocError):
-    """A multi-pair loss was evaluated on an empty tuple set."""
-
-
-class MismatchedTupleFamilyError(SynthlocError):
-    """Synthetic tuples do not share the original tuple's positive."""
-
-
-class DivergedError(SynthlocError):
-    """Training loss became non-finite."""
-
-
-class TooFewVectorsError(SynthlocError):
-    """k-means codebook training got fewer vectors than clusters."""
-
-
-class CodebookMismatchError(SynthlocError):
-    """Signatures being scored come from incompatible codebooks."""
+    """The mining pool has fewer eligible views than negatives requested;
+    `train` skips such a pair."""
 
 
 class InsufficientCorrespondencesError(SynthlocError):
-    """Pose estimation needs at least 6 correspondences."""
+    """Pose estimation needs at least 6 correspondences; a recorded
+    localization outcome."""
 
 
 class NoConsensusError(SynthlocError):
-    """RANSAC failed to find a consensus set of the required size."""
-
-
-class EmptyRankingError(SynthlocError):
-    """Pose approximation received an empty ranked list."""
+    """RANSAC failed to find a consensus set of the required size; a recorded
+    localization outcome."""

@@ -17,7 +17,8 @@ from .embed import EmbeddingModel, TrainConfig, average_models, train
 from .errors import (
     ConfigError,
     DataError,
-    SynthlocError,
+    InsufficientCorrespondencesError,
+    NoConsensusError,
     is_finite_number,
     is_integer,
     require_integer,
@@ -359,7 +360,7 @@ def evaluate_model(
                 est = sfm_localize(
                     q, ranked, map_views, world.landmarks, model, k, config.match, rp
                 )
-            except SynthlocError as exc:
+            except (InsufficientCorrespondencesError, NoConsensusError) as exc:
                 rows.append({"query_id": q.id, "protocol": "sfm", "k": k, "status": str(exc)})
                 continue
             rows.append(row("sfm", k, pose_error(est, q.pose)))

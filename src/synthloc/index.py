@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed import EmbeddingModel, aggregate
-from .errors import CodebookMismatchError, TooFewVectorsError
 from .worldgen import ViewImage
 
 RankedList = list[tuple[int, float]]  # (view_id, score), descending score
@@ -77,7 +76,7 @@ def train_codebook(vectors: np.ndarray, c: int, iters: int = 10, seed: int = 0) 
     if c < 1:
         raise ValueError("cluster count must be >= 1")
     if vectors.shape[0] < c:
-        raise TooFewVectorsError(f"too few vectors: {vectors.shape[0]} < {c}")
+        raise ValueError(f"too few vectors: {vectors.shape[0]} < {c}")
     rng = np.random.default_rng(seed)
 
     # k-means++ seeding
@@ -151,7 +150,7 @@ def _asmk_scores(
     cosine of the shared cells' sign vectors, normalized by the geometric
     mean of the occupied-cell counts."""
     if query.shape != db.signs.shape[1:]:
-        raise CodebookMismatchError("codebook mismatch")
+        raise ValueError("codebook mismatch")
     q_nnz = np.count_nonzero(query, axis=1)
     shared = (q_nnz > 0) & db.occupied
     # int64 dot products of at most e terms of +-1 cannot overflow

@@ -11,7 +11,6 @@ import numpy as np
 from . import quats
 from .embed import EmbeddingModel
 from .errors import (
-    EmptyRankingError,
     InsufficientCorrespondencesError,
     NoConsensusError,
     is_finite_number,
@@ -66,7 +65,7 @@ def ewb_pose(ranked: RankedList, poses: dict[int, CameraPose], k: int) -> Camera
     camera centers and a sign-aligned chordal mean of the rotations. k=1 is
     exactly the top-1 pose."""
     if not ranked:
-        raise EmptyRankingError("empty ranking")
+        raise ValueError("empty ranking")
     top = [poses[vid] for vid, _ in ranked[:k]]
     if len(top) == 1:
         return top[0]

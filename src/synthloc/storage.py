@@ -248,17 +248,23 @@ def load_world(in_dir: str | os.PathLike) -> World:
             f"{path}: {len(table)} views, meta.csv counts {n_map} map and {n_query} query views"
         )
     view_ids = table[:, 0].tolist()
-    _reject_rows(path, [(_repeated(view_ids), "the view id is repeated")])
+    _reject_rows(
+        path,
+        [
+            (_repeated(view_ids), "the view id is repeated"),
+            (np.array(conditions) != "original", "the view's condition is not original"),
+        ],
+    )
     map_views: list[ViewImage] = []
     query_views: list[ViewImage] = []
-    for row, (values, condition) in enumerate(zip(table, conditions)):
+    for row, values in enumerate(table):
         try:
             pose = CameraPose(rotation=values[1:5], position=values[5:8])
         except ValueError as exc:
             raise DataError(f"{path}:{row + 2}: {exc}") from None
         vid = int(values[0])
         feats = _load_features(src / "features" / f"{vid}.csv", landmarks)
-        view = ViewImage(vid, pose, intr, *feats, condition=condition)
+        view = ViewImage(vid, pose, intr, *feats)
         (map_views if row < n_map else query_views).append(view)
 
     path = src / "pairs.csv"

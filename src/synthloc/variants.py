@@ -5,11 +5,10 @@ geometry untouched (the property the downstream validation relies on)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AlreadySyntheticError
 from .worldgen import ViewImage, World, derive_seed, fill_clutter, unit_rows
 
 # The 11 weather / season / time-of-day prompts, with severity parameters
@@ -113,7 +112,7 @@ def apply_variant(view: ViewImage, shift: DomainShift, seed: int) -> ViewImage:
     bit-for-bit unless keypoint_corruption_sigma > 0.
     """
     if view.condition != "original":
-        raise AlreadySyntheticError("already synthetic")
+        raise ValueError("already synthetic")
     rng = np.random.default_rng(seed)
     n = view.lid.shape[0]
     keep = np.flatnonzero(rng.random(n) >= shift.dropout_rate)
@@ -174,7 +173,6 @@ def shift_queries(world: World, prompts: PromptSet, conditions: list[str], seed:
         tag = 5000 + prompts.names().index(cond)
         for q in world.query_views:
             variant = apply_variant(q, shift, derive_seed(seed, q.id, tag))
-            variant.id = next_id
-            out.append(variant)
+            out.append(replace(variant, id=next_id))
             next_id += 1
     return out

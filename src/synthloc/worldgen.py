@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quats
-from .errors import DegenerateWorldError, NoVisibleLandmarksError, require_integer, require_number
+from .errors import ConfigError, NoVisibleLandmarksError, require_integer, require_number
 
 
 @dataclass(frozen=True)
@@ -324,21 +324,21 @@ def _pose_at(config: WorldConfig, s: float, heading_offset_rad: float, height: f
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Deterministically generate landmarks, map views, query views and pairs.
 
-    Raises DegenerateWorldError for configs that cannot support pose
-    estimation (too few landmarks, views seeing fewer than 4 of them, ...).
+    Raises ConfigError for configs that cannot support pose estimation
+    (too few landmarks, views seeing fewer than 4 of them, ...).
     The landmark descriptors come from one (L, d) block of normals, whose
     row i is what a per-landmark loop would draw for landmark i, and each
     view is rendered by `render_view`, so the world is bit for bit the one a
     row-at-a-time generator makes.
     """
     if config.num_landmarks < 10:
-        raise DegenerateWorldError("degenerate world: num_landmarks < 10")
+        raise ConfigError("degenerate world: num_landmarks < 10")
     if config.descriptor_dim < 4:
-        raise DegenerateWorldError("degenerate world: descriptor_dim < 4")
+        raise ConfigError("degenerate world: descriptor_dim < 4")
     if config.num_map_views < 2:
-        raise DegenerateWorldError("degenerate world: trajectory needs >= 2 views")
+        raise ConfigError("degenerate world: trajectory needs >= 2 views")
     if config.visibility_radius <= 0:
-        raise DegenerateWorldError("degenerate world: visibility radius must be > 0")
+        raise ConfigError("degenerate world: visibility radius must be > 0")
 
     rng = np.random.default_rng(derive_seed(seed, 0))
     margin = 0.05 * config.street_length
@@ -361,20 +361,21 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         s = (i + 0.5) * config.street_length / config.num_map_views
         jitter = np.radians(config.heading_jitter_deg) * heading_rng.standard_normal()
         pose = _pose_at(config, s, jitter, config.camera_height)
-        view = render_view(
-            world,
-            pose,
-            intr,
-            config.noise,
-            derive_seed(seed, 2, i),
-            view_id=i,
-            max_dist=config.visibility_radius,
-        )
-        n_lm = int(np.sum(view.lid >= 0))
-        if n_lm < max(4, config.min_visible):
-            raise DegenerateWorldError(
-                f"degenerate world: map view {i} sees only {n_lm} landmarks"
+        try:
+            view = render_view(
+                world,
+                pose,
+                intr,
+                config.noise,
+                derive_seed(seed, 2, i),
+                view_id=i,
+                max_dist=config.visibility_radius,
             )
+            n_lm = int(np.sum(view.lid >= 0))
+        except NoVisibleLandmarksError:
+            n_lm = 0
+        if n_lm < max(4, config.min_visible):
+            raise ConfigError(f"degenerate world: map view {i} sees only {n_lm} landmarks")
         world.map_views.append(view)
 
     query_rng = np.random.default_rng(derive_seed(seed, 3))
@@ -403,7 +404,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
                 view = candidate
                 break
         if view is None:
-            raise DegenerateWorldError(f"degenerate world: query view {i} sees < 4 landmarks")
+            raise ConfigError(f"degenerate world: query view {i} sees < 4 landmarks")
         world.query_views.append(view)
         next_id += 1
 

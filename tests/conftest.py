@@ -1,9 +1,22 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 ACCEPTANCE_RESULTS: dict[str, bool] = {}
+
+# To report a failing hypothesis test, hypothesis's pytest plugin imports its
+# patch writer, and the libcst that the writer imports emits a
+# DeprecationWarning. Under `filterwarnings = error` that warning would end
+# the session with an INTERNALERROR in place of the falsifying example, so
+# the writer is imported here once, with the warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -22,6 +22,7 @@ from synthloc.embed import (
     sample_tuples,
     train,
 )
+from synthloc.fanout import _fan_out
 from synthloc.geometry import (
     ConsistencyScore,
     MatchParams,
@@ -377,7 +378,9 @@ def test_criterion_8_end_to_end_directional():
     """Training with validated synthetic variants beats the no-synthetic
     baseline on shifted queries (median over 5 seeds), geometry-aware
     filtering is at least as good as unfiltered synthetics, and clean-query
-    performance gives up at most 5 points. Full run under 10 minutes."""
+    performance gives up at most 5 points. Full run under 10 minutes. The 15
+    (method, seed) trainings are independent, so they fan out over the
+    CPUs."""
     t0 = time.time()
     world = generate_world(WorldConfig(), seed=7)  # 500 landmarks, 40+20 views
     prompts = default_prompt_set(32, 0)
@@ -401,29 +404,41 @@ def test_criterion_8_end_to_end_directional():
             out[name] = localization_rate(errs, thresholds)["low"]
         return out
 
-    def run_method(mode, c_tau, sampling):
-        clean, night = [], []
-        for seed in (1, 2, 3, 4, 5):
-            cfg = TrainConfig(
-                mode=mode, c_tau=c_tau, sampling=sampling, seed=seed,
-                episodes=16, pairs_per_episode=150, negative_pool_size=40,
-                num_variants=2, embedding_dim=16,
-            )
-            model, trace = train(
-                world,
-                vmap if mode != "baseline" else None,
-                scores if mode != "baseline" else None,
-                cfg,
-            )
-            assert all(np.isfinite(row.mean_loss) for row in trace)
-            rates = low_level_rates(model)
-            clean.append(rates["clean"])
-            night.append(rates["night"])
-        return float(np.median(clean)), float(np.median(night))
+    methods = {
+        "baseline": ("baseline", 0.2, "uniform"),
+        "uniform": ("multi_k", 0.0, "uniform"),
+        "geometry": ("multi_k", 0.2, "geometry_aware"),
+    }
+    # seed-major, so that each CPU's contiguous share mixes the cheaper
+    # baseline trainings with the synthetic ones
+    runs = [(method, seed) for seed in (1, 2, 3, 4, 5) for method in methods]
 
-    base_clean, base_night = run_method("baseline", 0.2, "uniform")
-    unif_clean, unif_night = run_method("multi_k", 0.0, "uniform")
-    geom_clean, geom_night = run_method("multi_k", 0.2, "geometry_aware")
+    def run(method_seed):
+        method, seed = method_seed
+        mode, c_tau, sampling = methods[method]
+        cfg = TrainConfig(
+            mode=mode, c_tau=c_tau, sampling=sampling, seed=seed,
+            episodes=16, pairs_per_episode=150, negative_pool_size=40,
+            num_variants=2, embedding_dim=16,
+        )
+        model, trace = train(
+            world,
+            vmap if mode != "baseline" else None,
+            scores if mode != "baseline" else None,
+            cfg,
+        )
+        assert all(np.isfinite(row.mean_loss) for row in trace)
+        return low_level_rates(model)
+
+    rates = list(zip(runs, _fan_out(run, runs)))
+
+    def medians(method):
+        per_seed = [r for (m, _), r in rates if m == method]
+        return tuple(float(np.median([r[name] for r in per_seed])) for name in ("clean", "night"))
+
+    base_clean, base_night = medians("baseline")
+    unif_clean, unif_night = medians("uniform")
+    geom_clean, geom_night = medians("geometry")
 
     assert geom_night >= unif_night, (geom_night, unif_night)
     assert unif_night >= base_night, (unif_night, base_night)

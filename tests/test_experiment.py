@@ -478,6 +478,15 @@ BAD_WORLD_IDS = {
         "evaluate", _set_line("views.csv", 5, lambda lines: _repeat_id(lines, 5)),
         "views.csv:5: the view id is repeated",
     ),
+    # line 20 is a query view's, which `train` reads but does not use
+    "view-synthetic-train": (
+        "train", _set_line("views.csv", 20, lambda lines: lines[19].rsplit(",", 1)[0] + ",at night"),
+        "views.csv:20: the view's condition is not original",
+    ),
+    "view-synthetic-evaluate": (
+        "evaluate", _set_line("views.csv", 20, lambda lines: lines[19].rsplit(",", 1)[0] + ",at night"),
+        "views.csv:20: the view's condition is not original",
+    ),
 }
 
 
@@ -485,9 +494,11 @@ BAD_WORLD_IDS = {
 def test_cli_bad_world_ids_is_data_error(pipeline, tmp_path, capsys, command, edit, reason):
     """Feature landmark ids missing from landmarks.csv, a pair that does not
     name two distinct map views, landmark ids that are not 0 to L - 1 in row
-    order and a repeated view id exit 3 naming the file and the first bad
-    line. They used to give a KeyError traceback in `sfm_localize` or
-    `train`, or to exit 0 having dropped a landmark or mixed up two views."""
+    order, a repeated view id and a view whose condition is not `original`
+    exit 3 naming the file and the first bad line. They used to give a
+    KeyError traceback in `sfm_localize` or `train`, to exit 3 with "already
+    synthetic", naming no file, or to exit 0 having dropped a landmark, mixed
+    up two views or trained on a world with a synthetic view."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
     edit(world)
@@ -512,6 +523,7 @@ MALFORMED_WORLD_TABLES = {
     "views-nan-tx": ("views.csv", 3, lambda parts: parts[:5] + ["nan"] + parts[6:], "views.csv:3: a value is not finite"),
     "views-not-unit": ("views.csv", 5, lambda parts: parts[:1] + ["0.5"] + parts[2:], "views.csv:5: rotation quaternion must have unit norm"),
     "views-no-condition": ("views.csv", 2, lambda parts: parts[:-1], "views.csv:2: 8 columns, header has 9"),
+    "views-synthetic": ("views.csv", 3, lambda parts: parts[:-1] + ["at night"], "views.csv:3: the view's condition is not original"),
     "pairs-two-columns": ("pairs.csv", 3, lambda parts: parts[:2], "pairs.csv:3: 2 columns, header has 3"),
     "pairs-fractional-id": ("pairs.csv", 2, lambda parts: ["0.5"] + parts[1:], "pairs.csv:2: a view id is not an integer"),
     # line 2 is the pair (0, 1)
@@ -527,11 +539,12 @@ MALFORMED_WORLD_TABLES = {
     "name,lineno,edit,reason", list(MALFORMED_WORLD_TABLES.values()), ids=list(MALFORMED_WORLD_TABLES)
 )
 def test_cli_malformed_world_table_is_data_error(pipeline, tmp_path, capsys, name, lineno, edit, reason):
-    """A views.csv row with a non-finite or non-unit pose or without its
-    condition, a short or repeated pairs.csv row, a meta.csv without focal,
-    a meta.csv whose view counts are not views.csv's and a negative world
-    seed exit 3 naming the file (and line), where they used to exit 0 or
-    give an IndexError, ValueError or KeyError."""
+    """A views.csv row with a non-finite or non-unit pose, without its
+    condition or with a condition other than `original`, a short or repeated
+    pairs.csv row, a meta.csv without focal, a meta.csv whose view counts are
+    not views.csv's and a negative world seed exit 3 naming the file (and
+    line), where they used to exit 0 or give an IndexError, ValueError or
+    KeyError."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
     _edit_line(world / name, lineno, edit)
@@ -916,6 +929,39 @@ def test_cli_degenerate_world_is_config_error(tmp_path):
     cfg.write_text(json.dumps({"world": {"num_landmarks": 0}}))
     rc = main(["worldgen", "--config", str(cfg), "--out", str(tmp_path / "w")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["worldgen", "ablate"])
+def test_cli_map_view_without_landmarks_is_config_error(tmp_path, capsys, command):
+    """A world config whose first map view sees no landmark at all exits 2,
+    as one whose map view sees 3 does, where it used to exit 3 with "no
+    visible landmarks"."""
+    cfg = tmp_path / "blind.json"
+    cfg.write_text(json.dumps({"world": {"visibility_radius": 0.5}}))
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: degenerate world: map view 0 sees only 0 landmarks\n"
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_cli_world_without_matching_pairs_is_data_error(tmp_path, capsys, command):
+    """A world in which no two map views share `min_coobs` landmarks has
+    nothing to train on: `train` and `ablate` exit 3, where they used to
+    exit 1 with a ValueError traceback."""
+    config = {**TEST_CONFIG, "world": {**TEST_CONFIG["world"], "min_coobs": 100000}, "seeds": [1]}
+    cfg = tmp_path / "no_pairs.json"
+    cfg.write_text(json.dumps(config))
+    if command == "train":
+        world, variants = tmp_path / "world", tmp_path / "variants"
+        assert main(["worldgen", "--config", str(cfg), "--out", str(world)]) == 0
+        assert main(["variants", "--config", str(cfg), "--world", str(world), "--out", str(variants)]) == 0
+        args = ["--world", str(world), "--variants", str(variants)]
+    else:
+        args = []
+    capsys.readouterr()
+    rc = main([command, "--config", str(cfg), *args, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == "data error: world has no matching pairs\n"
 
 
 def test_config_unknown_key_nested():

@@ -3,11 +3,7 @@ import pytest
 
 from synthloc import localize, quats
 from synthloc.embed import EmbeddingModel, init_model
-from synthloc.errors import (
-    EmptyRankingError,
-    InsufficientCorrespondencesError,
-    NoConsensusError,
-)
+from synthloc.errors import InsufficientCorrespondencesError, NoConsensusError
 from synthloc.geometry import MatchParams
 from synthloc.index import build_index, retrieve
 from synthloc.localize import (
@@ -87,7 +83,7 @@ def test_ewb_identical_poses_exact():
 
 
 def test_ewb_empty_ranking():
-    with pytest.raises(EmptyRankingError):
+    with pytest.raises(ValueError, match="empty ranking"):
         ewb_pose([], {}, k=1)
 
 

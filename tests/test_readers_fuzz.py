@@ -92,13 +92,27 @@ def mutate(text: str, mutations) -> str:
     return "".join(ln + "\n" for ln in lines)
 
 
+class Saved:
+    """A directory of saved prompts, variants and scores, with the world and
+    the prompts they belong to. Its repr is the directory alone: hypothesis
+    reprs a failing test's arguments in its report, and the world and prompts
+    run to hundreds of kB, enough for its "overly large repr" warning, an
+    error under `filterwarnings = error`, to take the report's place."""
+
+    def __init__(self, path: Path, world, prompts):
+        self.path, self.world, self.prompts = path, world, prompts
+
+    def __repr__(self) -> str:
+        return f"Saved({str(self.path)!r})"
+
+
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory, small_world, small_prompts, small_variants, small_scores):
     out = tmp_path_factory.mktemp("readers")
     storage.save_prompts(small_prompts, out)
     storage.save_variants(small_variants, out)
     storage.save_scores(small_scores, 0.2, "relative", out)
-    return out
+    return Saved(out, small_world, small_prompts)
 
 
 def load_mutated(path: Path, mutations, load, allowed: type[Exception] = SynthlocError) -> None:
@@ -117,29 +131,27 @@ def load_mutated(path: Path, mutations, load, allowed: type[Exception] = Synthlo
 
 @FUZZ
 @given(st.lists(MUTATION, min_size=1, max_size=3))
-def test_load_scores_raises_only_synthloc_errors(saved, small_world, small_prompts, mutations):
+def test_load_scores_raises_only_synthloc_errors(saved, mutations):
     load_mutated(
-        saved / "consistency.csv",
+        saved.path / "consistency.csv",
         mutations,
-        lambda: storage.load_scores(saved, small_world, small_prompts),
+        lambda: storage.load_scores(saved.path, saved.world, saved.prompts),
     )
 
 
 @FUZZ
 @given(st.integers(0, 1 << 16), INDEX, st.lists(MUTATION, min_size=1, max_size=3))
-def test_load_variants_raises_only_synthloc_errors(
-    saved, small_world, small_prompts, which_prompt, which_view, mutations
-):
+def test_load_variants_raises_only_synthloc_errors(saved, which_prompt, which_view, mutations):
     """One prompt's variant files, one of them mutated, read through
     `load_variants` with that prompt alone."""
-    shift = small_prompts.shifts[which_prompt % len(small_prompts.shifts)]
-    views = small_world.map_views
+    shift = saved.prompts.shifts[which_prompt % len(saved.prompts.shifts)]
+    views = saved.world.map_views
     path = (
-        saved / "features_variants" / storage.prompt_slug(shift.name)
+        saved.path / "features_variants" / storage.prompt_slug(shift.name)
         / f"{views[which_view % len(views)].id}.csv"
     )
     load_mutated(
-        path, mutations, lambda: storage.load_variants(saved, small_world, PromptSet([shift]))
+        path, mutations, lambda: storage.load_variants(saved.path, saved.world, PromptSet([shift]))
     )
 
 
@@ -167,7 +179,7 @@ def test_load_world_raises_only_synthloc_errors(world_dir, name, mutations):
 @FUZZ
 @given(st.lists(MUTATION, min_size=1, max_size=3))
 def test_load_prompts_raises_only_synthloc_errors(saved, mutations):
-    load_mutated(saved / "prompts.csv", mutations, lambda: storage.load_prompts(saved))
+    load_mutated(saved.path / "prompts.csv", mutations, lambda: storage.load_prompts(saved.path))
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from synthloc.errors import DegenerateWorldError, NoVisibleLandmarksError
+from synthloc.errors import ConfigError, NoVisibleLandmarksError
 from synthloc.worldgen import (
     CameraPose,
     RenderNoise,
@@ -36,12 +36,12 @@ def test_determinism_default_config_seed7(tmp_path, default_world):
 
 
 def test_zero_landmarks_degenerate():
-    with pytest.raises(DegenerateWorldError):
+    with pytest.raises(ConfigError, match="num_landmarks < 10"):
         generate_world(WorldConfig(num_landmarks=0), seed=1)
 
 
 def test_tiny_descriptor_degenerate():
-    with pytest.raises(DegenerateWorldError):
+    with pytest.raises(ConfigError, match="descriptor_dim < 4"):
         generate_world(WorldConfig(descriptor_dim=2), seed=1)
 
 
