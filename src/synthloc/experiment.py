@@ -36,7 +36,7 @@ from .localize import (
     pose_error,
     sfm_localize,
 )
-from .variants import default_prompt_set, generate_all_variants, shift_queries
+from .variants import P11_NAMES, default_prompt_set, generate_all_variants, shift_queries
 from .worldgen import RenderNoise, ViewImage, World, WorldConfig, derive_seed, generate_world
 
 
@@ -80,12 +80,18 @@ class ExperimentConfig:
             )
         if len(set(self.query_conditions)) != len(self.query_conditions):
             raise ValueError(f"query_conditions must be distinct, not {self.query_conditions!r}")
+        for cond in self.query_conditions:
+            if cond not in P11_NAMES:
+                raise ValueError(f"query_conditions: {cond!r} is not one of {', '.join(P11_NAMES)}")
         if not (
             isinstance(self.seeds, list)
             and self.seeds
             and all(is_integer(s) and s >= 0 for s in self.seeds)
+            and len(set(self.seeds)) == len(self.seeds)
         ):
-            raise ValueError(f"seeds must be a non-empty list of integers >= 0, not {self.seeds!r}")
+            raise ValueError(
+                f"seeds must be a non-empty list of distinct integers >= 0, not {self.seeds!r}"
+            )
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {', '.join(BACKENDS)}, not {self.backend!r}")
         for name, low in (("codebook_size", 1), ("codebook_iters", 1), ("codebook_seed", 0)):
@@ -96,8 +102,11 @@ class ExperimentConfig:
             isinstance(self.eval_ks, list)
             and self.eval_ks
             and all(is_integer(k) and k >= 1 for k in self.eval_ks)
+            and len(set(self.eval_ks)) == len(self.eval_ks)
         ):
-            raise ValueError(f"eval_ks must be a non-empty list of integers >= 1, not {self.eval_ks!r}")
+            raise ValueError(
+                f"eval_ks must be a non-empty list of distinct integers >= 1, not {self.eval_ks!r}"
+            )
         self.train_config(self.seeds[0])  # the train section must be valid with the root keys
         if not (
             isinstance(self.thresholds, dict)
@@ -301,15 +310,12 @@ def cmd_train(
 
 def _evaluation_queries(world: World, config: ExperimentConfig) -> list[ViewImage]:
     """The world's query views, then their shifts under each of the config's
-    `query_conditions`, which must name prompts of the default prompt set.
-    A world without query views has nothing to evaluate: DataError."""
+    `query_conditions`. A world without query views has nothing to evaluate:
+    DataError."""
     if not world.query_views:
         raise DataError("the world has no query views")
     d = world.landmarks.descriptors.shape[1]
     prompts = default_prompt_set(d, config.prompt_seed)
-    for cond in config.query_conditions:
-        if cond not in prompts.names():
-            raise ConfigError(f"unknown query condition {cond!r}")
     return shift_queries(world, prompts, config.query_conditions, config.variant_seed)
 
 
@@ -432,7 +438,7 @@ def _method_train_config(config: ExperimentConfig, method: str, seed: int) -> Tr
         return config.train_config(seed, mode=synth_mode, sampling="uniform")
     if method == "synth_geometry":
         return config.train_config(seed, mode=synth_mode, sampling="geometry_aware")
-    raise ConfigError(f"unknown ablation method {method!r}")
+    raise ValueError(f"unknown ablation method {method!r}")
 
 
 def cmd_ablate(
@@ -441,48 +447,37 @@ def cmd_ablate(
     methods: tuple[str, ...] = ABLATION_METHODS,
 ) -> list[dict]:
     """Run the method grid over all seeds, evaluating each trained model, and
-    tabulate per-condition medians with min/max across seeds. Completed runs
-    (marked by a `done` file) are reused. The world, variants, scores and
-    shifted queries are read or built once, and the runs left to do are
-    fanned out over the CPUs with `_fan_out`."""
+    tabulate per-condition medians with min/max across seeds. Every stage is
+    computed afresh into `out_dir`: the world, the variants and scores (when
+    a method needs them) are written and read back once, and the (method,
+    seed) runs are fanned out over the CPUs with `_fan_out`."""
     out = Path(out_dir)
     world_dir = out / "world"
     variants_dir = out / "variants"
-    if not (world_dir / "meta.csv").exists():
-        cmd_worldgen(config, world_dir)
+    cmd_worldgen(config, world_dir)
     world = storage.load_world(world_dir)
     config.check_eval_ks(world)
-    needs_variants = any(m != "baseline" for m in methods)
-    if needs_variants and not (variants_dir / "consistency.csv").exists():
+    variants, scores = None, None
+    if any(m != "baseline" for m in methods):
         cmd_variants(world_dir, config, variants_dir)
+        variants, scores = _load_variants_dir(variants_dir, world)
+    queries = _evaluation_queries(world, config)
+    jobs = [(method, seed) for method in methods for seed in config.seeds]
 
-    variants, scores = _load_variants_dir(variants_dir, world) if needs_variants else (None, None)
+    def run(job: tuple[str, int]) -> list[dict]:
+        method, seed = job
+        path = out / "runs" / method / f"seed_{seed}"
+        tc = _method_train_config(config, method, seed)
+        model = _train_and_save(world, variants, scores, tc, path, "")
+        return _save_evaluation(evaluate_model(world, queries, model, config), path)
 
-    def run_dir(method: str, seed: int) -> Path:
-        return out / "runs" / method / f"seed_{seed}"
-
-    pending = [
-        (run_dir(method, seed), _method_train_config(config, method, seed))
-        for method in methods
-        for seed in config.seeds
-        if not (run_dir(method, seed) / "done").exists()
+    # each percentage as summary.csv holds it, so that a median over an even
+    # number of seeds is the one the per-run files give
+    raw_rows = [
+        {"method": method, "seed": seed, **row, **{level: round(row[level], 2) for level in LEVELS}}
+        for (method, seed), summary in zip(jobs, _fan_out(run, jobs))
+        for row in summary
     ]
-    if pending:
-        queries = _evaluation_queries(world, config)
-
-        def run(job: tuple[Path, TrainConfig]) -> None:
-            path, tc = job
-            model = _train_and_save(world, variants, scores, tc, path, "")
-            _save_evaluation(evaluate_model(world, queries, model, config), path)
-            storage._write_lines(path / "done", ["ok"])
-
-        _fan_out(run, pending)
-
-    raw_rows = []
-    for method in methods:
-        for seed in config.seeds:
-            for row in storage.load_summary(run_dir(method, seed) / "summary.csv"):
-                raw_rows.append({"method": method, "seed": seed, **row})
 
     lines = ["method,seed,protocol,k,condition,pct_high,pct_mid,pct_low"]
     for r in raw_rows:

@@ -500,22 +500,3 @@ def save_summary(rows: list[dict], path: str | os.PathLike) -> None:
         )
     _write_lines(Path(path), lines)
 
-
-def load_summary(path: str | os.PathLike) -> list[dict]:
-    """The rows of a `save_summary` file, checked by `_parse_table`: k an
-    integer >= 1 and each percentage in [0, 100]."""
-    [protocols, conditions], table = _parse_table(
-        _read_lines(Path(path)), path, "summary row", 6, {0: "k"}, text_cols=(0, 2)
-    )
-    pct = table[:, 1:]
-    _reject_rows(
-        path,
-        [
-            (table[:, 0] < 1, "k is below 1"),
-            (((pct < 0) | (pct > 100)).any(axis=1), "a percentage is not in [0, 100]"),
-        ],
-    )
-    return [
-        {"protocol": protocol, "k": int(k), "condition": condition, "high": hi, "mid": mid, "low": lo}
-        for protocol, condition, (k, hi, mid, lo) in zip(protocols, conditions, table.tolist())
-    ]

@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import json
 import os
@@ -64,6 +65,20 @@ def dir_digest(root: Path) -> dict[str, str]:
         if p.is_file():
             out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return out
+
+
+def read_summary(path: Path) -> list[dict]:
+    """The rows of a summary.csv, with k an int and each percentage a float."""
+    with open(path, newline="") as f:
+        return [
+            {
+                "protocol": r["protocol"],
+                "k": int(r["k"]),
+                "condition": r["condition"],
+                **{level: float(r[f"pct@{level}"]) for level in ("high", "mid", "low")},
+            }
+            for r in csv.DictReader(f)
+        ]
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +148,7 @@ def test_evaluate_outputs_and_summary_consistency(pipeline):
     evald = pipeline["eval"]
     for name in ("rankings.csv", "localization.csv", "summary.csv"):
         assert (evald / name).exists()
-    rows = storage.load_summary(evald / "summary.csv")
+    rows = read_summary(evald / "summary.csv")
     seen = {(r["protocol"], r["k"], r["condition"]) for r in rows}
     for protocol in ("ewb", "sfm"):
         for k in TEST_CONFIG["eval_ks"]:
@@ -631,14 +646,14 @@ BAD_SCORE_KEYS = {
 }
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("command", ["train"])
 @pytest.mark.parametrize("edit,reason", list(BAD_SCORE_KEYS.values()), ids=list(BAD_SCORE_KEYS))
 def test_cli_bad_consistency_keys_is_data_error(pipeline, tmp_path, capsys, command, edit, reason):
     """A consistency.csv row that repeats an earlier row's (query, positive,
     prompt) key, names a view that is not a map view or a prompt that is not
-    in prompts.csv makes `train` and `ablate` exit 3 naming the file and
-    line, where the repeat used to replace the earlier score and the others
-    were kept as they stood."""
+    in prompts.csv makes each command that reads a variants directory it did
+    not write exit 3 naming the file and line, where the repeat used to
+    replace the earlier score and the others were kept as they stood."""
     variants = tmp_path / "variants"
     shutil.copytree(pipeline["world"], tmp_path / "world")
     shutil.copytree(pipeline["variants"], variants)
@@ -646,17 +661,15 @@ def test_cli_bad_consistency_keys_is_data_error(pipeline, tmp_path, capsys, comm
     lines = path.read_text().splitlines()
     lines[2] = edit(lines)
     path.write_text("\n".join(lines) + "\n")
-    if command == "train":
-        argv = ["train", "--config", pipeline["cfg"], "--world", str(tmp_path / "world"),
-                "--variants", str(variants), "--out", str(tmp_path / "m")]
-    else:
-        argv = ["ablate", "--config", pipeline["cfg"], "--out", str(tmp_path)]
-    rc = main(argv)
+    rc = main(
+        [command, "--config", pipeline["cfg"], "--world", str(tmp_path / "world"),
+         "--variants", str(variants), "--out", str(tmp_path / "m")]
+    )
     err = capsys.readouterr().err
     assert rc == 3
     assert f"{variants}/{reason}" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "m").exists()
 
 
 SCORES_HEADER = "query_id,positive_id,prompt,s,kept,original,valid@c_tau"
@@ -750,6 +763,7 @@ BAD_VALUES = {
     "root.c_tau-str": (None, "c_tau", "0.2"),
     "root.seeds-str": (None, "seeds", ["1"]),
     "root.seeds-empty": (None, "seeds", []),
+    "root.seeds-repeated": (None, "seeds", [1, 1]),
     "root.backend": (None, "backend", "bogus"),
     "root.codebook_size-str": (None, "codebook_size", "3"),
     "root.codebook_size-0": (None, "codebook_size", 0),
@@ -763,12 +777,14 @@ BAD_VALUES = {
     "root.eval_ks-0": (None, "eval_ks", [0]),
     "root.eval_ks-empty": (None, "eval_ks", []),
     "root.eval_ks-str": (None, "eval_ks", "1"),
+    "root.eval_ks-repeated": (None, "eval_ks", [1, 1]),
     "root.world_seed-negative": (None, "world_seed", -1),
     "root.world_seed-str": (None, "world_seed", "7"),
     "root.prompt_seed-float": (None, "prompt_seed", 1.5),
     "root.variant_seed-negative": (None, "variant_seed", -2),
     "root.query_conditions-str": (None, "query_conditions", "at night"),
     "root.query_conditions-repeated": (None, "query_conditions", ["at night", "at night"]),
+    "root.query_conditions-unknown": (None, "query_conditions", ["at brunch"]),
     "world.num_landmarks-str": ("world", "num_landmarks", "5"),
     "world.num_map_views-float": ("world", "num_map_views", 16.0),
     "world.image_width-0": ("world", "image_width", 0),
@@ -1000,12 +1016,13 @@ def test_ablate_small_grid(tmp_path):
     pinned = json.loads((Path(__file__).parent / "data" / "cli_ablate_sha256.json").read_text())
     got = {rel: digest for rel, digest in dir_digest(out).items() if Path(rel).name != "config.reference"}
     assert got == pinned
+    assert not any(Path(rel).name == "done" for rel in got)
     methods = {r["method"] for r in report}
     assert methods == {"baseline", "synth_geometry"}
 
     # a single-seed grid's report is the per-run summary reshaped:
     # median = min = max = the evaluate output
-    run_summary = storage.load_summary(out / "runs" / "baseline" / "seed_1" / "summary.csv")
+    run_summary = read_summary(out / "runs" / "baseline" / "seed_1" / "summary.csv")
     by_key = {(r["protocol"], r["k"], r["condition"]): r for r in run_summary}
     for r in report:
         if r["method"] != "baseline":
@@ -1014,11 +1031,12 @@ def test_ablate_small_grid(tmp_path):
         for level in ("high", "mid", "low"):
             assert r[f"{level}_median"] == r[f"{level}_min"] == r[f"{level}_max"] == src[level]
 
-    # regeneration from cached artifacts is byte-identical
-    before = (out / "ablation.csv").read_bytes()
-    (out / "ablation.csv").unlink()
-    cmd_ablate(cfg, out, methods=("baseline", "synth_geometry"))
-    assert (out / "ablation.csv").read_bytes() == before
+    # another config into the same directory reports what a fresh directory
+    # does: no stage of the first run is reused
+    other = replace(cfg, world_seed=5, c_tau=0.35)
+    cmd_ablate(other, out, methods=("baseline", "synth_geometry"))
+    cmd_ablate(other, tmp_path / "fresh", methods=("baseline", "synth_geometry"))
+    assert dir_digest(out) == dir_digest(tmp_path / "fresh")  # ablation.csv included
 
 
 @pytest.mark.parametrize("threshold_mode,c_tau", [("relative", 0.35), ("absolute", 4)])
@@ -1035,11 +1053,15 @@ def test_ablation_methods_train_with_root_keys(threshold_mode, c_tau):
         assert tc.seed == 5
 
 
-def test_evaluate_unknown_condition(tmp_path, pipeline):
-    cfg = config_from_dict(TEST_CONFIG)
-    cfg.query_conditions = ["at brunch"]
-    with pytest.raises(ConfigError):
-        cmd_evaluate(pipeline["world"], pipeline["models"] / "model_avg.csv", cfg, tmp_path / "x")
+def test_evaluate_unknown_condition():
+    with pytest.raises(ConfigError, match="'at brunch' is not one of at dawn"):
+        config_from_dict({**TEST_CONFIG, "query_conditions": ["at night", "at brunch"]})
+
+
+def test_ablation_unknown_method_is_value_error():
+    """An unknown method is a broken caller contract, not a config error."""
+    with pytest.raises(ValueError, match="unknown ablation method 'bogus'"):
+        _method_train_config(config_from_dict(TEST_CONFIG), "bogus", seed=1)
 
 
 def test_train_baseline_ignores_variants(tmp_path, pipeline):

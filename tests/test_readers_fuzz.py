@@ -184,19 +184,9 @@ def test_load_prompts_raises_only_synthloc_errors(saved, mutations):
 
 @pytest.fixture(scope="module")
 def other_files(tmp_path_factory):
-    """A model file, a summary file and a config file with a key of every
-    section."""
+    """A model file and a config file with a key of every section."""
     out = tmp_path_factory.mktemp("other")
     storage.save_model(init_model(16, 8, 0), out / "model.csv")
-    storage.save_summary(
-        [
-            {"protocol": protocol, "k": k, "condition": condition, "high": 12.5, "mid": 50.0, "low": 100.0}
-            for protocol in ("ewb", "sfm")
-            for k in (1, 5)
-            for condition in ("all", "original", "at night")
-        ],
-        out / "summary.csv",
-    )
     config = {
         "world": {"num_landmarks": 250, "descriptor_dim": 16, "noise": {"keypoint_sigma": 0.5}},
         "match": {"ratio": 0.8},
@@ -219,13 +209,6 @@ def other_files(tmp_path_factory):
 def test_load_model_raises_only_synthloc_errors(other_files, mutations):
     path = other_files / "model.csv"
     load_mutated(path, mutations, lambda: storage.load_model(path))
-
-
-@FUZZ
-@given(st.lists(MUTATION, min_size=1, max_size=3))
-def test_load_summary_raises_only_synthloc_errors(other_files, mutations):
-    path = other_files / "summary.csv"
-    load_mutated(path, mutations, lambda: storage.load_summary(path))
 
 
 @FUZZ

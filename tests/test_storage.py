@@ -119,52 +119,16 @@ def test_rankings_format(tmp_path):
 
 def test_summary_roundtrip(tmp_path):
     rows = [
-        {"protocol": "ewb", "k": 1, "condition": "original", "high": 12.345, "mid": 50.0, "low": 100.0}
+        {"protocol": "ewb", "k": 1, "condition": "original", "high": 12.345, "mid": 50.0, "low": 100.0},
+        {"protocol": "sfm", "k": 5, "condition": "at night", "high": 0.0, "mid": 2.5, "low": 1 / 3},
     ]
     storage.save_summary(rows, tmp_path / "summary.csv")
-    loaded = storage.load_summary(tmp_path / "summary.csv")
-    assert loaded[0]["protocol"] == "ewb"
-    assert loaded[0]["k"] == 1
-    assert loaded[0]["high"] == 12.35  # 2-decimal fixed point
-    assert loaded[0]["low"] == 100.0
-
-
-SUMMARY_HEADER = "protocol,k,condition,pct@high,pct@mid,pct@low"
-
-
-def test_load_summary_reads_both_text_columns(tmp_path):
-    path = tmp_path / "summary.csv"
-    path.write_text(f"{SUMMARY_HEADER}\newb,1,original,5.00,10.00,95.50\nsfm,5,at night,0.00,2.50,100.00\n")
-    assert storage.load_summary(path) == [
-        {"protocol": "ewb", "k": 1, "condition": "original", "high": 5.0, "mid": 10.0, "low": 95.5},
-        {"protocol": "sfm", "k": 5, "condition": "at night", "high": 0.0, "mid": 2.5, "low": 100.0},
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
+    assert lines == [
+        "protocol,k,condition,pct@high,pct@mid,pct@low",
+        "ewb,1,original,12.35,50.00,100.00",  # 2-decimal fixed point
+        "sfm,5,at night,0.00,2.50,0.33",
     ]
-
-
-@pytest.mark.parametrize(
-    "row, reason",
-    [
-        ("sfm,5", "3: 2 columns, header has 6"),
-        ("sfm,five,original,0.00,2.50,10.00", "3: 'five' is not a number"),
-        ("sfm,1.5,original,0.00,2.50,10.00", "3: k is not an integer"),
-        ("sfm,0,original,0.00,2.50,10.00", "3: k is below 1"),
-        ("sfm,5,original,0.00,nan,10.00", "3: a value is not finite"),
-        ("sfm,5,original,0.00,2.50,100.01", "3: a percentage is not in [0, 100]"),
-        ("sfm,5,original,-1.00,2.50,10.00", "3: a percentage is not in [0, 100]"),
-        (None, " no summary rows"),
-    ],
-    ids=["short-row", "str-k", "fractional-k", "k-0", "nan-pct", "pct-above-100", "negative-pct", "no-rows"],
-)
-def test_load_summary_rejects_malformed_rows(tmp_path, row, reason):
-    """Each fault raises DataError naming the file and line, where a short
-    row or a non-integer k used to raise ValueError and a nan or out-of-range
-    percentage was read as it stood."""
-    path = tmp_path / "summary.csv"
-    rows = [] if row is None else ["ewb,1,original,5.00,10.00,95.50", row]
-    path.write_text("\n".join([SUMMARY_HEADER, *rows]) + "\n")
-    with pytest.raises(DataError) as exc:
-        storage.load_summary(path)
-    assert str(exc.value) == f"{path}:{reason}"
 
 
 @pytest.mark.parametrize(
