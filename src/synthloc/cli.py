@@ -26,7 +26,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("worldgen", help="generate a world and write its CSV directory")
     p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("variants", help="generate domain-shift variants and consistency scores")
@@ -57,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "worldgen":
-            cmd_worldgen(config, args.out, seed=args.seed)
+            cmd_worldgen(config, args.out)
         elif args.command == "variants":
             cmd_variants(args.world, config, args.out)
         elif args.command == "train":

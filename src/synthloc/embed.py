@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -403,18 +403,6 @@ def mine_negatives(
     return [eligible[i][1] for i in order[:m]]
 
 
-def build_synthetic_tuple(t: TrainingTuple, prompt: str, weight: float) -> TrainingTuple:
-    """Same-prompt substitution of the query and every negative; the positive
-    is kept original and the tuple weight becomes the consistency score."""
-    return TrainingTuple(
-        query_id=t.query_id,
-        positive_id=t.positive_id,
-        negative_ids=list(t.negative_ids),
-        prompt=prompt,
-        weight=weight,
-    )
-
-
 def synthetic_families(
     views: Views, scores: Scores, c_tau: float, threshold_mode: str = "relative"
 ) -> Callable[[TrainingTuple], list[tuple[str, float]]]:
@@ -470,19 +458,24 @@ def sample_tuples(
     without replacement. geometry_aware sampling draws prompts with
     probability proportional to 1/score. Falls back to the original alone
     when no valid synthetic tuple exists. `family` is `synthetic_families`'s
-    (prompt, score) list; a tuple is built only for each prompt drawn.
+    (prompt, score) list; a tuple is built only for each prompt drawn, as
+    the original with that prompt and the score as its weight, so that
+    `_tuple_views` substitutes the query and every negative and keeps the
+    positive original.
     """
     if config.mode == "baseline" or not family:
         return [t]
     if config.mode == "swap_pi":
         if rng.random() < config.swap_probability:
-            return [build_synthetic_tuple(t, *family[_draw(rng, family, config.sampling)])]
+            prompt, weight = family[_draw(rng, family, config.sampling)]
+            return [replace(t, prompt=prompt, weight=weight)]
         return [t]
     chosen = [t]  # multi_k / aggregated_k
     remaining = list(family)
     for _ in range(min(config.num_variants, len(remaining))):
         idx = _draw(rng, remaining, config.sampling)
-        chosen.append(build_synthetic_tuple(t, *remaining.pop(idx)))
+        prompt, weight = remaining.pop(idx)
+        chosen.append(replace(t, prompt=prompt, weight=weight))
     return chosen
 
 

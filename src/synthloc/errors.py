@@ -23,6 +23,20 @@ def require_integer(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
+def require_distinct_integers(name: str, value, low: int) -> None:
+    """Raise ValueError naming `name` unless `value` is a non-empty list of
+    distinct integers >= low."""
+    if not (
+        isinstance(value, list)
+        and value
+        and all(is_integer(x) and x >= low for x in value)
+        and len(set(value)) == len(value)
+    ):
+        raise ValueError(
+            f"{name} must be a non-empty list of distinct integers >= {low}, not {value!r}"
+        )
+
+
 def require_number(name: str, value, low: float | None = None, strict: bool = False) -> None:
     """Raise ValueError naming `name` unless `value` is a finite number that
     is >= low (> low if `strict`), or any finite number if low is None."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,7 +21,7 @@ from .errors import (
     InsufficientCorrespondencesError,
     NoConsensusError,
     is_finite_number,
-    is_integer,
+    require_distinct_integers,
     require_integer,
     require_number,
 )
@@ -83,30 +84,14 @@ class ExperimentConfig:
         for cond in self.query_conditions:
             if cond not in P11_NAMES:
                 raise ValueError(f"query_conditions: {cond!r} is not one of {', '.join(P11_NAMES)}")
-        if not (
-            isinstance(self.seeds, list)
-            and self.seeds
-            and all(is_integer(s) and s >= 0 for s in self.seeds)
-            and len(set(self.seeds)) == len(self.seeds)
-        ):
-            raise ValueError(
-                f"seeds must be a non-empty list of distinct integers >= 0, not {self.seeds!r}"
-            )
+        require_distinct_integers("seeds", self.seeds, 0)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {', '.join(BACKENDS)}, not {self.backend!r}")
         for name, low in (("codebook_size", 1), ("codebook_iters", 1), ("codebook_seed", 0)):
             require_integer(name, getattr(self, name), low)
         require_number("asmk_alpha", self.asmk_alpha, 0, strict=True)
         require_number("asmk_sel_threshold", self.asmk_sel_threshold)
-        if not (
-            isinstance(self.eval_ks, list)
-            and self.eval_ks
-            and all(is_integer(k) and k >= 1 for k in self.eval_ks)
-            and len(set(self.eval_ks)) == len(self.eval_ks)
-        ):
-            raise ValueError(
-                f"eval_ks must be a non-empty list of distinct integers >= 1, not {self.eval_ks!r}"
-            )
+        require_distinct_integers("eval_ks", self.eval_ks, 1)
         self.train_config(self.seeds[0])  # the train section must be valid with the root keys
         if not (
             isinstance(self.thresholds, dict)
@@ -232,10 +217,8 @@ def write_config_reference(out_dir: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_worldgen(config: ExperimentConfig, out_dir: str | Path, seed: int | None = None) -> World:
-    if seed is not None and seed < 0:
-        raise ConfigError(f"--seed must be an integer >= 0, not {seed}")
-    world = generate_world(config.world, config.world_seed if seed is None else seed)
+def cmd_worldgen(config: ExperimentConfig, out_dir: str | Path) -> World:
+    world = generate_world(config.world, config.world_seed)
     storage.save_world(world, out_dir)
     write_config_reference(out_dir)
     return world
@@ -448,12 +431,16 @@ def cmd_ablate(
 ) -> list[dict]:
     """Run the method grid over all seeds, evaluating each trained model, and
     tabulate per-condition medians with min/max across seeds. Every stage is
-    computed afresh into `out_dir`: the world, the variants and scores (when
-    a method needs them) are written and read back once, and the (method,
-    seed) runs are fanned out over the CPUs with `_fan_out`."""
+    computed afresh into `out_dir`, whose `world`, `variants` and `runs` from
+    an earlier call are removed first: the world, the variants and scores
+    (when a method needs them) are written and read back once, and the
+    (method, seed) runs are fanned out over the CPUs with `_fan_out`."""
     out = Path(out_dir)
     world_dir = out / "world"
     variants_dir = out / "variants"
+    for stale in (world_dir, variants_dir, out / "runs"):
+        if stale.exists():
+            shutil.rmtree(stale)
     cmd_worldgen(config, world_dir)
     world = storage.load_world(world_dir)
     config.check_eval_ks(world)

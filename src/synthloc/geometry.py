@@ -78,8 +78,6 @@ def match_features(
     index.
     """
     da, db = a.desc, b.desc
-    if da.shape[0] == 0 or db.shape[0] == 0:
-        raise ValueError("cannot match an empty view")
     return _mutual_matches(
         da, np.sum(da * da, axis=1), db, np.sum(db * db, axis=1), params.ratio
     )

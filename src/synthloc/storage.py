@@ -69,15 +69,15 @@ def _parse_table(
     what: str,
     min_width: int,
     int_cols: dict[int, str] | None = None,
-    text_cols: tuple[int, ...] = (),
-) -> np.ndarray | tuple[list[list[str]], np.ndarray]:
+    text_col: int | None = None,
+) -> tuple[list[str], np.ndarray]:
     """The float table of a CSV file with a header line of at least
     `min_width` columns and one or more rows of `what`s. Every row must have
     the header's column count and finite values, and each column of
     `int_cols` (numbered in the float table; the value names it) must hold
-    integers; anything else raises DataError naming the file and line. With
-    `text_cols`, those columns are read as text and returned first, one list
-    per column in the order given, beside the table of the others."""
+    integers; anything else raises DataError naming the file and line.
+    Returns (text, table): `text_col`, if given, is read as text, one string
+    per row, and left out of the table; otherwise the text list is empty."""
     if not lines or lines[0].count(",") + 1 < min_width:
         raise DataError(f"{path}: missing or short {what} header")
     body = lines[1:]
@@ -88,9 +88,10 @@ def _parse_table(
         if ln.count(",") + 1 != width:
             raise DataError(f"{path}:{lineno}: {ln.count(',') + 1} columns, header has {width}")
     values = ",".join(body).split(",")
-    text = [values[c::width] for c in text_cols]
-    for c in sorted(text_cols, reverse=True):
-        del values[c::width]
+    text = []
+    if text_col is not None:
+        text = values[text_col::width]
+        del values[text_col::width]
         width -= 1
     # every row has `width` values, so value k sits on line k // width + 2
     try:
@@ -106,7 +107,7 @@ def _parse_table(
     for col, name in (int_cols or {}).items():
         checks.append((table[:, col] != np.round(table[:, col]), f"{name} is not an integer"))
     _reject_rows(path, checks)
-    return (text, table) if text_cols else table
+    return text, table
 
 
 def _reject_rows(path: str | os.PathLike, checks: list[tuple[np.ndarray, str]]) -> None:
@@ -136,7 +137,7 @@ def _parse_features(
     """Keypoints, descriptors and landmark ids (-1 for clutter, as is any
     negative id, and 2**62, which no world has, for any id past it) of one
     `_feature_lines` file, checked by `_parse_table`."""
-    table = _parse_table(lines, path, "feature", 4, {2: "the landmark id"})
+    _, table = _parse_table(lines, path, "feature", 4, {2: "the landmark id"})
     return table[:, :2], table[:, 3:], np.clip(table[:, 2], -1, 2**62).astype(int)
 
 
@@ -207,7 +208,7 @@ _META_INTS = ("seed", "num_map_views", "num_query_views", "width", "height")
 def _load_meta(path: Path) -> dict[str, float]:
     """meta.csv's values by key, each a finite number, and an integer >= 0
     where the key counts or seeds something."""
-    [keys], table = _parse_table(_read_lines(path), path, "meta entry", 2, text_cols=(0,))
+    keys, table = _parse_table(_read_lines(path), path, "meta entry", 2, text_col=0)
     meta = dict(zip(keys, table[:, 0].tolist()))
     for key in _META_KEYS:
         if key not in meta:
@@ -231,7 +232,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
         raise DataError(f"{path}: {exc}") from None
 
     path = src / "landmarks.csv"
-    table = _parse_table(_read_lines(path), path, "landmark", 5, {0: "the landmark id"})
+    _, table = _parse_table(_read_lines(path), path, "landmark", 5, {0: "the landmark id"})
     _reject_rows(
         path, [(table[:, 0] != np.arange(len(table)), "landmark ids must be 0 to L - 1 in row order")]
     )
@@ -239,8 +240,8 @@ def load_world(in_dir: str | os.PathLike) -> World:
 
     n_map = int(meta["num_map_views"])
     path = src / "views.csv"
-    [conditions], table = _parse_table(
-        _read_lines(path), path, "view", 9, {0: "the view id"}, text_cols=(8,)
+    conditions, table = _parse_table(
+        _read_lines(path), path, "view", 9, {0: "the view id"}, text_col=8
     )
     n_query = int(meta["num_query_views"])
     if len(table) != n_map + n_query:
@@ -271,7 +272,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
     lines = _read_lines(path)
     ints = {0: "a view id", 1: "a view id", 2: "the count"}
     # a world may have no matching pairs
-    table = _parse_table(lines, path, "pair", 3, ints) if len(lines) > 1 else np.empty((0, 3))
+    table = _parse_table(lines, path, "pair", 3, ints)[1] if len(lines) > 1 else np.empty((0, 3))
     ends = table[:, :2]
     map_ids = set(view_ids[:n_map])
     _reject_rows(
@@ -325,7 +326,7 @@ def save_prompts(prompts: PromptSet, out_dir: str | os.PathLike) -> None:
 
 def load_prompts(in_dir: str | os.PathLike) -> PromptSet:
     path = Path(in_dir) / "prompts.csv"
-    [names], table = _parse_table(_read_lines(path), path, "prompt", 7, text_cols=(0,))
+    names, table = _parse_table(_read_lines(path), path, "prompt", 7, text_col=0)
     shifts = []
     for lineno, (name, row) in enumerate(zip(names, table), start=2):
         try:
@@ -400,7 +401,7 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
     if len(lines) == 1 and not world.matching_pairs:
         return scores
     ints = {0: "the query id", 1: "the positive id", 3: "kept", 4: "original", 5: "valid@c_tau"}
-    [names], table = _parse_table(lines, path, "score", 7, ints, text_cols=(2,))
+    names, table = _parse_table(lines, path, "score", 7, ints, text_col=2)
     s, kept, original = table[:, 2], table[:, 3], table[:, 4]
     map_ids = {v.id for v in world.map_views}
     prompt_names = set(prompts.names())

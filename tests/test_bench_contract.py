@@ -85,3 +85,18 @@ def test_train_grid_store_trains_and_its_codebook_indexes(workloads, train_grid_
     db = index.build_index(world.map_views, model, codebook)
     ranked = index.retrieve(inputs["queries"][0], db, model, "asmk", workloads.SFM_TOP)
     assert len(ranked) == workloads.SFM_TOP
+
+
+def test_cli_pipeline_runs_without_failures(workloads, tmp_path, monkeypatch):
+    """worldgen, variants, train and evaluate through `synthloc.cli.main` as
+    the benchmark runs them, with training cut to one short episode, and the
+    outputs pass the benchmark's checks, over the default run's 320
+    localization attempts."""
+    sizes = {**workloads.TRAIN_SIZES, "episodes": 1, "pairs_per_episode": 10}
+    monkeypatch.setattr(workloads, "TRAIN_SIZES", sizes)
+    inputs = workloads.setup_cli_pipeline(SEED, WORLD_SEED, tmp_path)
+    out = workloads.Outcome()
+    root = workloads.run_cli_pipeline(inputs, out)
+    workloads.finish_cli_pipeline(inputs, out, root)
+    assert out.failures == []
+    assert out.tries == 320

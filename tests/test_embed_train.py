@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from synthloc.embed import (
     _training_views,
     _tuple_views,
     aggregate,
-    build_synthetic_tuple,
     co_observers,
     init_model,
     mine_negatives,
@@ -107,13 +108,16 @@ def _toy_setup():
     return views, {}
 
 
-def test_build_synthetic_tuple():
+def test_sample_tuples_builds_synthetic_tuple():
+    """A drawn synthetic tuple is the original with the prompt and its score
+    as weight; the original is left as it was."""
     t = TrainingTuple(0, 1, [2, 3])
-    out = build_synthetic_tuple(t, "mild", 0.85)
+    cfg = TrainConfig(mode="swap_pi", swap_probability=1.0, c_tau=0.2)
+    [out] = sample_tuples(t, [("mild", 0.85)], cfg, np.random.default_rng(0))
     assert out.prompt == "mild"
     assert out.weight == 0.85
     assert out.query_id == 0 and out.positive_id == 1 and out.negative_ids == [2, 3]
-    assert out.negative_ids is not t.negative_ids
+    assert t == TrainingTuple(0, 1, [2, 3])
 
 
 def test_synthetic_family_rejects_invalid_score():
@@ -159,7 +163,7 @@ def test_negative_variants_map_one_to_one(small_world, small_prompts, small_vari
     assert (prompt, small_scores[(a, b, prompt)].value) in synthetic_families(
         views, small_scores, c_tau=0.0
     )(t)
-    out = build_synthetic_tuple(t, prompt, small_scores[(a, b, prompt)].value)
+    out = replace(t, prompt=prompt, weight=small_scores[(a, b, prompt)].value)
     q, p, *ns = _tuple_views(views, out)
     assert q.condition == prompt
     assert p.condition == "original"

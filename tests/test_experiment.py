@@ -226,7 +226,7 @@ def test_cli_default_worldgen_bytes_are_pinned(tmp_path):
     recorded from the per-row renderer that the array-at-a-time one
     replaced."""
     out = tmp_path / "world"
-    assert main(["worldgen", "--seed", "7", "--out", str(out)]) == 0
+    assert main(["worldgen", "--out", str(out)]) == 0
     pinned = json.loads((Path(__file__).parent / "data" / "cli_worldgen_default_sha256.json").read_text())
     got = {rel: digest for rel, digest in dir_digest(out).items() if rel != "config.reference"}
     assert got == pinned
@@ -934,9 +934,12 @@ def test_cli_missing_world_is_data_error(tmp_path):
     assert rc == 3
 
 
-def test_cli_negative_worldgen_seed_is_config_error(tmp_path, capsys):
-    assert main(["worldgen", "--seed", "-1", "--out", str(tmp_path / "w")]) == 2
-    assert "--seed" in capsys.readouterr().err
+def test_cli_worldgen_has_no_seed_flag(tmp_path, capsys):
+    """The world seed has one source, the config's world_seed."""
+    with pytest.raises(SystemExit) as exc:
+        main(["worldgen", "--seed", "7", "--out", str(tmp_path / "w")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 
@@ -1037,6 +1040,22 @@ def test_ablate_small_grid(tmp_path):
     cmd_ablate(other, out, methods=("baseline", "synth_geometry"))
     cmd_ablate(other, tmp_path / "fresh", methods=("baseline", "synth_geometry"))
     assert dir_digest(out) == dir_digest(tmp_path / "fresh")  # ablation.csv included
+
+
+def test_ablate_rerun_with_a_smaller_grid_leaves_nothing_stale(tmp_path):
+    """A rerun with fewer seeds and methods into the same directory removes
+    the earlier runs and variants, so the directory is what a fresh run
+    writes; a file that `ablate` does not write stays."""
+    cfg = config_from_dict(TEST_CONFIG)
+    out = tmp_path / "ablation"
+    cmd_ablate(cfg, out, methods=("baseline", "synth_geometry"))
+    (out / "notes.txt").write_text("kept\n")
+    smaller = replace(cfg, seeds=[1])
+    cmd_ablate(smaller, out, methods=("baseline",))
+    cmd_ablate(smaller, tmp_path / "fresh", methods=("baseline",))
+    assert (out / "notes.txt").read_text() == "kept\n"
+    (out / "notes.txt").unlink()
+    assert dir_digest(out) == dir_digest(tmp_path / "fresh")
 
 
 @pytest.mark.parametrize("threshold_mode,c_tau", [("relative", 0.35), ("absolute", 4)])
