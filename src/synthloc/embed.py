@@ -500,8 +500,10 @@ def train(
     """Episodic training: per episode, sample matching pairs and a mining
     pool and embed the pool with the episode-start model. Per pair, embed the
     query with the current model, mine hard negatives against the pool
-    embeddings, build the configured tuples and take one gradient step.
-    Deterministic for a fixed (world, config) including the seed."""
+    embeddings, build the configured tuples and take one gradient step; a
+    pair with too few eligible negatives is skipped, and a run of one or more
+    episodes in which every pair is skipped is a ConfigError. Deterministic
+    for a fixed (world, config) including the seed."""
     if not world.matching_pairs:
         raise DataError("world has no matching pairs")
     if config.mode != "baseline" and (variants is None or scores is None):
@@ -525,6 +527,7 @@ def train(
     value_and_grad = multi_value_and_grad if config.mode == "multi_k" else aggregated_value_and_grad
 
     trace: list[TraceRow] = []
+    steps = 0
     for episode in range(config.episodes):
         lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * episode / max(config.episodes, 1)))
         pool_size = min(config.negative_pool_size, len(map_ids))
@@ -559,6 +562,7 @@ def train(
                 raise DataError("diverged")
             model.projection = (1.0 - lr * config.weight_decay) * model.projection - lr * dW
             losses.append(loss)
+        steps += len(losses)
 
         trace.append(
             TraceRow(
@@ -566,6 +570,11 @@ def train(
                 mean_loss=float(np.mean(losses)) if losses else 0.0,
                 synth_fraction=synth_used / tuples_used if tuples_used else 0.0,
             )
+        )
+    if config.episodes > 0 and steps == 0:
+        raise ConfigError(
+            f"train.num_negatives {config.num_negatives}: "
+            "no sampled training pair has that many eligible negatives"
         )
     return model, trace
 

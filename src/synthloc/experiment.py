@@ -29,7 +29,7 @@ from .fanout import _fan_out
 from .geometry import MatchParams, Scores, score_world_variants
 from .index import BACKENDS, build_index, retrieve, train_codebook
 from .localize import (
-    AccuracyThresholds,
+    LEVELS,
     PoseError,
     RansacParams,
     ewb_pose,
@@ -39,9 +39,6 @@ from .localize import (
 )
 from .variants import P11_NAMES, default_prompt_set, generate_all_variants, shift_queries
 from .worldgen import RenderNoise, ViewImage, World, WorldConfig, derive_seed, generate_world
-
-
-LEVELS = tuple(name for name, _, _ in AccuracyThresholds().levels)  # strict to loose
 
 
 @dataclass
@@ -66,7 +63,7 @@ class ExperimentConfig:
     query_conditions: list[str] = field(default_factory=lambda: ["at night"])
     # accuracy buckets: {level: [max translation m, max rotation deg]}
     thresholds: dict = field(
-        default_factory=lambda: {name: [t, r] for name, t, r in AccuracyThresholds().levels}
+        default_factory=lambda: {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
     )
 
     def __post_init__(self) -> None:
@@ -105,21 +102,15 @@ class ExperimentConfig:
                 "thresholds must map exactly high, mid and low to [max translation m, "
                 f"max rotation deg] pairs of finite numbers, not {self.thresholds!r}"
             )
-        self.accuracy_thresholds()  # raises unless strictly increasing
+        pairs = [self.thresholds[name] for name in LEVELS]
+        if not all(ta < tb and ra < rb for (ta, ra), (tb, rb) in zip(pairs, pairs[1:])):
+            raise ValueError("thresholds must be strictly increasing")
 
     def train_config(self, seed: int, **overrides) -> TrainConfig:
         """The train section with the root `c_tau` and `threshold_mode`, the
         given seed and `overrides`: every training run's config."""
         root = {"seed": seed, "c_tau": self.c_tau, "threshold_mode": self.threshold_mode}
         return replace(self.train, **{**root, **overrides})
-
-    def accuracy_thresholds(self) -> AccuracyThresholds:
-        return AccuracyThresholds(
-            levels=[
-                (name, float(self.thresholds[name][0]), float(self.thresholds[name][1]))
-                for name in LEVELS
-            ]
-        )
 
     def check_eval_ks(self, world: World) -> None:
         """eval_ks may not ask for more views than the map holds."""
@@ -155,7 +146,12 @@ def _build_dataclass(cls, data: dict, path: str):
             raise ConfigError(f"{path}{key} is not a config key: {_NOT_KEYS[path + key]}")
         if key not in known:
             raise ConfigError(f"unknown config key: {path}{key}")
-        if key in _NESTED and isinstance(value, dict):
+        if key in _NESTED:
+            if not isinstance(value, dict):
+                raise ConfigError(
+                    f"invalid config section {path or 'root'}: "
+                    f"{key} must be a section of {key} keys, not {value!r}"
+                )
             kwargs[key] = _build_dataclass(_NESTED[key], value, f"{path}{key}.")
         else:
             kwargs[key] = value
@@ -307,13 +303,13 @@ def evaluate_model(
 ) -> tuple[dict[int, list[tuple[int, float]]], list[dict], list[dict]]:
     """Retrieve each query's top max(eval_ks) map views with `model`, then
     estimate its pose at every k by the barycenter (ewb) and by PnP + RANSAC
-    (sfm). Returns the rankings by query id, the localization rows (a failed
-    sfm solve is a row whose status is the error) and the summary rows read
-    off them: the percentage localized at each accuracy level per protocol,
-    k and condition (all queries, then each condition, taken from the query
-    id), a failed row counting as not localized. Writes nothing. Each query
-    has its own RANSAC seed, so the queries are fanned out over the CPUs
-    with `_fan_out`."""
+    (sfm). Returns the rankings by query id, the localization rows (each
+    holds its `PoseError`, or None for a failed sfm solve, whose status is
+    the error) and the summary rows read off them: the percentage localized
+    at each accuracy level per protocol, k and condition (all queries, then
+    each condition, taken from the query id), a failed row counting as not
+    localized. Writes nothing. Each query has its own RANSAC seed, so the
+    queries are fanned out over the CPUs with `_fan_out`."""
     codebook = None
     if config.backend == "asmk":
         local_vectors = np.concatenate([v.desc @ model.projection.T for v in world.map_views])
@@ -332,15 +328,8 @@ def evaluate_model(
         )
         rows = []
 
-        def row(protocol: str, k: int, err: PoseError) -> dict:
-            return {
-                "query_id": q.id,
-                "protocol": protocol,
-                "k": k,
-                "tx_err": err.translation,
-                "rot_err": err.rotation,
-                "status": "ok",
-            }
+        def row(protocol: str, k: int, error: PoseError | None, status: str = "ok") -> dict:
+            return {"query_id": q.id, "protocol": protocol, "k": k, "error": error, "status": status}
 
         for k in config.eval_ks:
             rows.append(row("ewb", k, pose_error(ewb_pose(ranked, map_poses, k), q.pose)))
@@ -350,7 +339,7 @@ def evaluate_model(
                     q, ranked, map_views, world.landmarks, model, k, config.match, rp
                 )
             except (InsufficientCorrespondencesError, NoConsensusError) as exc:
-                rows.append({"query_id": q.id, "protocol": "sfm", "k": k, "status": str(exc)})
+                rows.append(row("sfm", k, None, str(exc)))
                 continue
             rows.append(row("sfm", k, pose_error(est, q.pose)))
         return ranked, rows
@@ -364,16 +353,14 @@ def evaluate_model(
     condition = {q.id: q.condition for q in queries}
     grouped: dict[tuple[str, int, str], list[PoseError | None]] = {}
     for r in rows:
-        err = PoseError(r["tx_err"], r["rot_err"]) if r["status"] == "ok" else None
         for cond in ("all", condition[r["query_id"]]):
-            grouped.setdefault((r["protocol"], r["k"], cond), []).append(err)
+            grouped.setdefault((r["protocol"], r["k"], cond), []).append(r["error"])
 
-    thresholds = config.accuracy_thresholds()
     summary = []
     for protocol in ("ewb", "sfm"):
         for k in config.eval_ks:
             for cond in ["all", "original", *config.query_conditions]:
-                rates = localization_rate(grouped.get((protocol, k, cond), []), thresholds)
+                rates = localization_rate(grouped.get((protocol, k, cond), []), config.thresholds)
                 summary.append({"protocol": protocol, "k": k, "condition": cond, **rates})
     return rankings, rows, summary
 
@@ -431,14 +418,15 @@ def cmd_ablate(
 ) -> list[dict]:
     """Run the method grid over all seeds, evaluating each trained model, and
     tabulate per-condition medians with min/max across seeds. Every stage is
-    computed afresh into `out_dir`, whose `world`, `variants` and `runs` from
-    an earlier call are removed first: the world, the variants and scores
+    computed afresh into `out_dir`: `world` is rewritten whole, and the
+    `variants` and `runs` of an earlier call are removed first, since a
+    baseline-only call writes no variants. The world, the variants and scores
     (when a method needs them) are written and read back once, and the
     (method, seed) runs are fanned out over the CPUs with `_fan_out`."""
     out = Path(out_dir)
     world_dir = out / "world"
     variants_dir = out / "variants"
-    for stale in (world_dir, variants_dir, out / "runs"):
+    for stale in (variants_dir, out / "runs"):
         if stale.exists():
             shutil.rmtree(stale)
     cmd_worldgen(config, world_dir)

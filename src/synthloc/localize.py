@@ -4,7 +4,7 @@ accuracy metrics."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,18 +28,7 @@ class PoseError:
     rotation: float  # degrees
 
 
-@dataclass
-class AccuracyThresholds:
-    # (name, max translation m, max rotation deg), strict to loose
-    levels: list[tuple[str, float, float]] = field(
-        default_factory=lambda: [("high", 0.25, 2.0), ("mid", 0.5, 5.0), ("low", 5.0, 10.0)]
-    )
-
-    def __post_init__(self) -> None:
-        for (na, ta, ra), (nb, tb, rb) in zip(self.levels, self.levels[1:]):
-            if not (ta < tb and ra < rb):
-                raise ValueError("thresholds must be strictly increasing")
-
+LEVELS = ("high", "mid", "low")  # the accuracy levels, strict to loose
 
 PLACE_RECOGNITION_RADIUS_M = 25.0
 
@@ -305,13 +294,15 @@ def pose_error(est: CameraPose, gt: CameraPose) -> PoseError:
 
 
 def localization_rate(
-    errors: list[PoseError | None], thresholds: AccuracyThresholds
+    errors: list[PoseError | None], thresholds: dict[str, list[float]]
 ) -> dict[str, float]:
-    """Percentage localized per accuracy level; None entries (queries the
-    protocol failed on) count as failures at every level."""
+    """Percentage localized per accuracy level, given as `{level: [max
+    translation m, max rotation deg]}`; None entries (queries the protocol
+    failed on) count as failures at every level."""
     n = len(errors)
     out = {}
-    for name, max_t, max_r in thresholds.levels:
+    for name in LEVELS:
+        max_t, max_r = thresholds[name]
         if n == 0:
             out[name] = 0.0
             continue

@@ -5,6 +5,7 @@ mandatory header lines."""
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,7 @@ def save_world(world: World, out_dir: str | os.PathLike) -> None:
         lines.append(_view_line(v))
     _write_lines(out / "views.csv", lines)
 
+    shutil.rmtree(out / "features", ignore_errors=True)  # no stale view files
     for v in list(world.map_views) + list(world.query_views):
         _write_lines(out / "features" / f"{v.id}.csv", _feature_lines(v))
 
@@ -345,6 +347,7 @@ def save_variants(
     variants: dict[int, list[ViewImage]], out_dir: str | os.PathLike
 ) -> None:
     out = Path(out_dir)
+    shutil.rmtree(out / "features_variants", ignore_errors=True)  # no stale view files
     for vid in sorted(variants):
         for view in variants[vid]:
             _write_lines(
@@ -484,8 +487,9 @@ def save_localization(rows: list[dict], path: str | os.PathLike) -> None:
     lines = ["query_id,protocol,k,tx_err_m,rot_err_deg,status"]
     for r in rows:
         if r["status"] == "ok":
+            e = r["error"]
             lines.append(
-                f"{r['query_id']},{r['protocol']},{r['k']},{fmt(r['tx_err'])},{fmt(r['rot_err'])},ok"
+                f"{r['query_id']},{r['protocol']},{r['k']},{fmt(e.translation)},{fmt(e.rotation)},ok"
             )
         else:
             lines.append(f"{r['query_id']},{r['protocol']},{r['k']},,,{r['status']}")

@@ -164,8 +164,6 @@ class WorldConfig:
         require_number("lateral_max", self.lateral_max, self.lateral_min)
         for name in ("bend_angle_deg", "camera_height", "visibility_radius"):
             require_number(name, getattr(self, name))
-        if not isinstance(self.noise, RenderNoise):
-            raise ValueError(f"noise must be a section of noise keys, not {self.noise!r}")
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics(

@@ -22,6 +22,7 @@ from synthloc.embed import (
     sample_tuples,
     train,
 )
+from synthloc.experiment import ExperimentConfig
 from synthloc.fanout import _fan_out
 from synthloc.geometry import (
     ConsistencyScore,
@@ -36,8 +37,8 @@ from synthloc.index import (
     train_codebook,
 )
 from synthloc.localize import (
+    LEVELS,
     PLACE_RECOGNITION_RADIUS_M,
-    AccuracyThresholds,
     RansacParams,
     ewb_pose,
     localization_rate,
@@ -281,8 +282,8 @@ def test_criterion_4_filtering_and_sampling_laws():
 
 def test_criterion_5_protocol_constants():
     """Accuracy buckets, EWB top-1 equivalence, place-recognition radius."""
-    thr = AccuracyThresholds()
-    assert thr.levels == [("high", 0.25, 2.0), ("mid", 0.5, 5.0), ("low", 5.0, 10.0)]
+    assert ExperimentConfig().thresholds == {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
+    assert LEVELS == ("high", "mid", "low")
 
     rng = np.random.default_rng(505)
     poses = {}
@@ -391,7 +392,7 @@ def test_criterion_8_end_to_end_directional():
     clean_q = [q for q in queries if q.condition == "original"]
     assert len(night_q) == 20 and len(clean_q) == 20
     map_poses = {v.id: v.pose for v in world.map_views}
-    thresholds = AccuracyThresholds()
+    thresholds = ExperimentConfig().thresholds
 
     def low_level_rates(model):
         index = build_index(world.map_views, model)

@@ -25,7 +25,7 @@ from synthloc.experiment import (
     load_config,
     write_config_reference,
 )
-from synthloc.localize import AccuracyThresholds, PoseError, localization_rate
+from synthloc.localize import PoseError, localization_rate
 
 from conftest import set_cpus
 
@@ -164,7 +164,7 @@ def test_evaluate_outputs_and_summary_consistency(pipeline):
         qid = int(ln.split(",")[0])
         # ids: clean queries come first, then the shifted block
         q_conditions[qid] = "original" if qid < world.map_views[-1].id + 1 + n_query else "at night"
-    thresholds = AccuracyThresholds()
+    thresholds = ExperimentConfig().thresholds
     for r in rows:
         if r["condition"] == "all":
             continue
@@ -204,6 +204,25 @@ def test_cli_reruns_are_byte_identical(pipeline, tmp_path):
         out = tmp_path / f"rerun_{stage}"
         assert main(args + ["--out", str(out)]) == 0
         assert dir_digest(out) == dir_digest(ref), f"stage {stage} not reproducible"
+
+
+def test_cli_rerun_into_a_used_out_leaves_nothing_stale(pipeline, tmp_path):
+    """`worldgen` of a smaller world, and `variants` of it, into directories
+    that hold the larger pipeline world and its variants give the bytes of
+    fresh directories: no feature file of a view the new world lacks stays."""
+    smaller = {**TEST_CONFIG, "world": {**TEST_CONFIG["world"], "num_map_views": 12, "num_query_views": 4}}
+    cfg = tmp_path / "smaller.json"
+    cfg.write_text(json.dumps(smaller))
+    used = {"world": tmp_path / "used_world", "variants": tmp_path / "used_variants"}
+    shutil.copytree(pipeline["world"], used["world"])
+    shutil.copytree(pipeline["variants"], used["variants"])
+    fresh = tmp_path / "fresh_world"
+    for out in (used["world"], fresh):
+        assert main(["worldgen", "--config", str(cfg), "--out", str(out)]) == 0
+    assert dir_digest(used["world"]) == dir_digest(fresh)
+    for out in (used["variants"], tmp_path / "fresh_variants"):
+        assert main(["variants", "--config", str(cfg), "--world", str(fresh), "--out", str(out)]) == 0
+    assert dir_digest(used["variants"]) == dir_digest(tmp_path / "fresh_variants")
 
 
 def test_cli_worldgen_and_variants_bytes_are_pinned(pipeline):
@@ -748,6 +767,7 @@ BAD_VALUES = {
     "train.num_negatives-0": ("train", "num_negatives", 0),
     "train.embedding_dim-0": ("train", "embedding_dim", 0),
     "train.embedding_dim-above-descriptor-dim": ("train", "embedding_dim", 64),
+    "train.num_negatives-above-eligible": ("train", "num_negatives", 16),
     "train.margin-0": ("train", "margin", 0.0),
     "train.learning_rate-str": ("train", "learning_rate", "nan"),
     "train.learning_rate-nan": ("train", "learning_rate", float("nan")),
@@ -794,6 +814,11 @@ BAD_VALUES = {
     "world.lateral_max-below-lateral_min": ("world", "lateral_max", 5.0),
     "world.heading_jitter_deg-negative": ("world", "heading_jitter_deg", -1.0),
     "world.noise-not-a-section": ("world", "noise", 3),
+    "root.world-not-a-section": (None, "world", 5),
+    "root.match-not-a-section": (None, "match", 3),
+    "root.train-not-a-section": (None, "train", []),
+    "root.ransac-not-a-section": (None, "ransac", "x"),
+    "root.world-null": (None, "world", None),
     "match.pixel_tol-negative": ("match", "pixel_tol", -1),
     "match.pixel_tol-str": ("match", "pixel_tol", "2"),
     "match.ratio-0": ("match", "ratio", 0),
@@ -998,13 +1023,12 @@ def test_load_config_defaults():
     assert isinstance(cfg, ExperimentConfig)
     assert cfg.c_tau == 0.2
     assert cfg.train.margin == 0.7
-    thr = cfg.accuracy_thresholds()
-    assert thr.levels == [("high", 0.25, 2.0), ("mid", 0.5, 5.0), ("low", 5.0, 10.0)]
+    assert cfg.thresholds == {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
 
 
 def test_config_custom_thresholds():
     cfg = config_from_dict({"thresholds": {"high": [0.1, 1.0], "mid": [1.0, 4.0], "low": [8.0, 20.0]}})
-    assert cfg.accuracy_thresholds().levels == [("high", 0.1, 1.0), ("mid", 1.0, 4.0), ("low", 8.0, 20.0)]
+    assert cfg.thresholds == {"high": [0.1, 1.0], "mid": [1.0, 4.0], "low": [8.0, 20.0]}
     with pytest.raises(ConfigError, match="thresholds"):
         config_from_dict({"thresholds": {"high": [0.1, 1.0]}})
 

@@ -12,7 +12,8 @@ from synthloc.embed import (
 )
 from synthloc.geometry import MatchParams
 from synthloc.index import asmk_score
-from synthloc.localize import AccuracyThresholds, PoseError, localization_rate
+from synthloc.experiment import ExperimentConfig
+from synthloc.localize import PoseError, localization_rate
 
 from conftest import make_view, match_pairs
 
@@ -82,5 +83,5 @@ def test_asmk_symmetry_random_signatures(seed):
 )
 def test_localization_rate_monotone_over_levels(pairs):
     errs = [PoseError(t, r) for t, r in pairs]
-    rates = localization_rate(errs, AccuracyThresholds())
+    rates = localization_rate(errs, ExperimentConfig().thresholds)
     assert rates["high"] <= rates["mid"] <= rates["low"]

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from synthloc import storage
-from synthloc.embed import init_model
+from synthloc.embed import TrainConfig, init_model
 from synthloc.errors import ConfigError, SynthlocError
 from synthloc.experiment import load_config
+from synthloc.geometry import MatchParams
+from synthloc.localize import RansacParams
 from synthloc.variants import PromptSet
+from synthloc.worldgen import RenderNoise, WorldConfig
 
 # What a mutation may write in place of a token: ids of other rows, numbers
 # no file holds, and text that is not a number.
@@ -214,8 +217,18 @@ def test_load_model_raises_only_synthloc_errors(other_files, mutations):
 @FUZZ
 @given(st.lists(MUTATION, min_size=1, max_size=3))
 def test_load_config_raises_only_config_errors(other_files, mutations):
+    """A config that loads has a section object in every section."""
     path = other_files / "config.json"
-    load_mutated(path, mutations, lambda: load_config(str(path)), ConfigError)
+
+    def load() -> None:
+        cfg = load_config(str(path))
+        assert isinstance(cfg.world, WorldConfig)
+        assert isinstance(cfg.world.noise, RenderNoise)
+        assert isinstance(cfg.match, MatchParams)
+        assert isinstance(cfg.train, TrainConfig)
+        assert isinstance(cfg.ransac, RansacParams)
+
+    load_mutated(path, mutations, load, ConfigError)
 
 
 def test_mutate_applies_each_kind():
