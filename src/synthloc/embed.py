@@ -34,7 +34,7 @@ from .errors import (
     require_integer,
     require_number,
 )
-from .geometry import THRESHOLD_MODES, Scores, validate_pair
+from .geometry import Scores, validate_pair
 from .worldgen import ViewImage, World, derive_seed
 
 
@@ -90,7 +90,6 @@ class TrainConfig:
     swap_probability: float = 0.5  # pi
     num_variants: int = 2  # K synthetic tuples alongside the original
     c_tau: float = 0.2
-    threshold_mode: str = "relative"
     sampling: str = "uniform"  # uniform | geometry_aware
     embedding_dim: int = 16
     seed: int = 0
@@ -104,16 +103,14 @@ class TrainConfig:
             require_number(name, getattr(self, name), 0, strict=True)
         require_number("weight_decay", self.weight_decay, 0)
         require_number("c_tau", self.c_tau)
-        for name, known in (
-            ("mode", MODES), ("sampling", SAMPLINGS), ("threshold_mode", THRESHOLD_MODES)
-        ):
+        for name, known in (("mode", MODES), ("sampling", SAMPLINGS)):
             if getattr(self, name) not in known:
                 raise ValueError(f"{name} must be one of {', '.join(known)}, not {getattr(self, name)!r}")
         if not (is_finite_number(self.swap_probability) and 0.0 <= self.swap_probability <= 1.0):
             raise ValueError(f"swap_probability must be a number in [0, 1], not {self.swap_probability!r}")
         if self.num_variants < 1 and self.mode in ("multi_k", "aggregated_k"):
             raise ValueError("K must be >= 1 for multi/aggregated modes")
-        if self.sampling == "geometry_aware" and self.c_tau <= 0 and self.threshold_mode == "relative":
+        if self.sampling == "geometry_aware" and self.c_tau <= 0:
             raise ValueError("geometry-aware sampling requires tuple filtering (c_tau > 0)")
 
 
@@ -404,7 +401,7 @@ def mine_negatives(
 
 
 def synthetic_families(
-    views: Views, scores: Scores, c_tau: float, threshold_mode: str = "relative"
+    views: Views, scores: Scores, c_tau: float
 ) -> Callable[[TrainingTuple], list[tuple[str, float]]]:
     """A function from an original tuple to its valid synthetic family: the
     prompts, with their score values and in prompt order, whose pair score
@@ -419,7 +416,7 @@ def synthetic_families(
             prompts_of.setdefault(view_id, set()).add(prompt)
     by_pair: dict[tuple[int, int], list[tuple[str, float]]] = {}
     for (q, p, prompt), score in sorted(scores.items()):
-        if prompt in prompts_of.get(q, ()) and validate_pair(score, c_tau, threshold_mode):
+        if prompt in prompts_of.get(q, ()) and validate_pair(score, c_tau):
             by_pair.setdefault((q, p), []).append((prompt, score.value))
 
     def family(t: TrainingTuple) -> list[tuple[str, float]]:
@@ -520,9 +517,7 @@ def train(
     rng = np.random.default_rng(derive_seed(config.seed, 202))
     map_ids = sorted(v.id for v in world.map_views)
     families = (
-        synthetic_families(views, scores, config.c_tau, config.threshold_mode)
-        if config.mode != "baseline"
-        else None
+        synthetic_families(views, scores, config.c_tau) if config.mode != "baseline" else None
     )
     value_and_grad = multi_value_and_grad if config.mode == "multi_k" else aggregated_value_and_grad
 

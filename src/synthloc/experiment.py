@@ -38,7 +38,7 @@ from .localize import (
     sfm_localize,
 )
 from .variants import P11_NAMES, default_prompt_set, generate_all_variants, shift_queries
-from .worldgen import RenderNoise, ViewImage, World, WorldConfig, derive_seed, generate_world
+from .worldgen import ViewImage, World, WorldConfig, derive_seed, generate_world
 
 
 @dataclass
@@ -51,7 +51,6 @@ class ExperimentConfig:
     prompt_seed: int = 0
     variant_seed: int = 0
     c_tau: float = 0.2
-    threshold_mode: str = "relative"
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     backend: str = "global_cosine"
     codebook_size: int = 64
@@ -107,9 +106,9 @@ class ExperimentConfig:
             raise ValueError("thresholds must be strictly increasing")
 
     def train_config(self, seed: int, **overrides) -> TrainConfig:
-        """The train section with the root `c_tau` and `threshold_mode`, the
-        given seed and `overrides`: every training run's config."""
-        root = {"seed": seed, "c_tau": self.c_tau, "threshold_mode": self.threshold_mode}
+        """The train section with the root `c_tau`, the given seed and
+        `overrides`: every training run's config."""
+        root = {"seed": seed, "c_tau": self.c_tau}
         return replace(self.train, **{**root, **overrides})
 
     def check_eval_ks(self, world: World) -> None:
@@ -119,46 +118,38 @@ class ExperimentConfig:
             raise ConfigError(f"eval_ks: k = {max(self.eval_ks)} exceeds the map's {n} views")
 
 
-_NESTED = {
-    "world": WorldConfig,
-    "match": MatchParams,
-    "train": TrainConfig,
-    "ransac": RansacParams,
-    "noise": RenderNoise,
-}
-
-
 # Fields of a section whose value has one source elsewhere; a config that
 # sets one is an error naming that source.
 _NOT_KEYS = {
     "train.seed": "each training run takes its seed from the root seeds",
     "train.c_tau": "training takes c_tau from the root c_tau",
-    "train.threshold_mode": "training takes threshold_mode from the root threshold_mode",
     "ransac.seed": "each query's RANSAC seed is derived from the world seed and the query id",
 }
 
 
 def _build_dataclass(cls, data: dict, path: str):
     known = {f.name: f for f in dataclasses.fields(cls)}
+    section = path[:-1] or "root"
     kwargs = {}
     for key, value in data.items():
         if path + key in _NOT_KEYS:
             raise ConfigError(f"{path}{key} is not a config key: {_NOT_KEYS[path + key]}")
         if key not in known:
             raise ConfigError(f"unknown config key: {path}{key}")
-        if key in _NESTED:
+        factory = known[key].default_factory
+        if dataclasses.is_dataclass(factory):  # a field made by a dataclass is a section
             if not isinstance(value, dict):
                 raise ConfigError(
-                    f"invalid config section {path or 'root'}: "
+                    f"invalid config section {section}: "
                     f"{key} must be a section of {key} keys, not {value!r}"
                 )
-            kwargs[key] = _build_dataclass(_NESTED[key], value, f"{path}{key}.")
+            kwargs[key] = _build_dataclass(factory, value, f"{path}{key}.")
         else:
             kwargs[key] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config section {path or 'root'}: {exc}") from exc
+        raise ConfigError(f"invalid config section {section}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -181,22 +172,17 @@ def load_config(path: str | None) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def _reference_lines(cls, path: str) -> list[str]:
+def _reference_lines(config, path: str) -> list[str]:
     lines = []
-    for f in dataclasses.fields(cls):
-        if f.name.startswith("_") or path + f.name in _NOT_KEYS:
+    for f in dataclasses.fields(config):
+        if path + f.name in _NOT_KEYS:
             continue
-        if f.name in _NESTED:
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(f.default_factory):
             lines.append(f"[{path}{f.name}]")
-            lines.extend(_reference_lines(_NESTED[f.name], f"{path}{f.name}."))
-            continue
-        if f.default is not dataclasses.MISSING:
-            default = f.default
-        elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-            default = f.default_factory()  # type: ignore[misc]
+            lines.extend(_reference_lines(value, f"{path}{f.name}."))
         else:
-            default = ""
-        lines.append(f"{path}{f.name} = {default!r}")
+            lines.append(f"{path}{f.name} = {value!r}")
     return lines
 
 
@@ -204,7 +190,7 @@ def write_config_reference(out_dir: str | Path) -> None:
     """Every configurable key with its default, for copy-paste into a JSON
     config (sections map to nested objects)."""
     lines = ["# configuration keys and defaults"]
-    lines.extend(_reference_lines(ExperimentConfig, ""))
+    lines.extend(_reference_lines(ExperimentConfig(), ""))
     storage._write_lines(Path(out_dir) / "config.reference", lines)
 
 
@@ -235,7 +221,7 @@ def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str |
             lambda: storage.save_variants(variants, out_dir),
         ],
     )
-    storage.save_scores(scores, config.c_tau, config.threshold_mode, out_dir)
+    storage.save_scores(scores, config.c_tau, out_dir)
     write_config_reference(out_dir)
 
 
@@ -428,7 +414,10 @@ def cmd_ablate(
     variants_dir = out / "variants"
     for stale in (variants_dir, out / "runs"):
         if stale.exists():
-            shutil.rmtree(stale)
+            try:
+                shutil.rmtree(stale)
+            except OSError as exc:
+                raise DataError(f"cannot write {stale}: {exc}") from None
     cmd_worldgen(config, world_dir)
     world = storage.load_world(world_dir)
     config.check_eval_ks(world)

@@ -144,19 +144,9 @@ def consistency_score(
     return score
 
 
-THRESHOLD_MODES = ("relative", "absolute")
-
-
-def validate_pair(score: ConsistencyScore, c_tau: float, mode: str = "relative") -> bool:
-    """Accept a synthetic pair when enough correspondences survive.
-
-    `relative` thresholds the survival ratio, `absolute` the surviving count.
-    """
-    if mode == "relative":
-        return score.value >= c_tau
-    if mode == "absolute":
-        return score.kept >= c_tau
-    raise ValueError(f"unknown threshold mode {mode!r}")
+def validate_pair(score: ConsistencyScore, c_tau: float) -> bool:
+    """Accept a synthetic pair when its survival ratio reaches `c_tau`."""
+    return score.value >= c_tau
 
 
 # Consistency scores keyed by (query id, positive id, prompt).

@@ -29,9 +29,15 @@ def prompt_slug(name: str) -> str:
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write `lines` to `path`, making its directory. A path that cannot be
+    made or written (its directory is a file, say) raises DataError naming
+    it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _read_lines(path: Path) -> list[str]:
@@ -209,7 +215,8 @@ _META_INTS = ("seed", "num_map_views", "num_query_views", "width", "height")
 
 def _load_meta(path: Path) -> dict[str, float]:
     """meta.csv's values by key, each a finite number, and an integer >= 0
-    where the key counts or seeds something."""
+    where the key counts or seeds something; a world has at least the 2 map
+    views of a trajectory."""
     keys, table = _parse_table(_read_lines(path), path, "meta entry", 2, text_col=0)
     meta = dict(zip(keys, table[:, 0].tolist()))
     for key in _META_KEYS:
@@ -217,6 +224,9 @@ def _load_meta(path: Path) -> dict[str, float]:
             raise DataError(f"{path}: no {key} entry")
         if key in _META_INTS and not (meta[key] == round(meta[key]) and meta[key] >= 0):
             raise DataError(f"{path}:{keys.index(key) + 2}: {key} is not an integer >= 0")
+    if meta["num_map_views"] < 2:
+        line = keys.index("num_map_views") + 2
+        raise DataError(f"{path}:{line}: num_map_views is below 2, a trajectory's fewest views")
     return meta
 
 
@@ -380,12 +390,10 @@ def load_variants(
 _SCORES_HEADER = "query_id,positive_id,prompt,s,kept,original,valid@c_tau"
 
 
-def save_scores(
-    scores: Scores, c_tau: float, threshold_mode: str, out_dir: str | os.PathLike
-) -> None:
+def save_scores(scores: Scores, c_tau: float, out_dir: str | os.PathLike) -> None:
     lines = [_SCORES_HEADER]
     for (q, p, prompt), s in sorted(scores.items()):
-        valid = int(validate_pair(s, c_tau, threshold_mode))
+        valid = int(validate_pair(s, c_tau))
         lines.append(f"{q},{p},{prompt},{s.value:.6f},{s.kept},{s.original},{valid}")
     _write_lines(Path(out_dir) / "consistency.csv", lines)
 

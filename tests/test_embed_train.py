@@ -125,7 +125,6 @@ def test_synthetic_family_rejects_invalid_score():
     scores[(0, 1, "mild")] = ConsistencyScore(0.0, 0, 20)
     t = TrainingTuple(0, 1, [2, 3])
     assert synthetic_families(views, scores, c_tau=0.2)(t) == []
-    assert synthetic_families(views, scores, c_tau=1, threshold_mode="absolute")(t) == []
     assert synthetic_families(views, scores, c_tau=0.0)(t) == [("mild", 0.0)]
 
 

@@ -389,6 +389,67 @@ def test_cli_world_without_query_views_is_data_error(pipeline, tmp_path, capsys)
     assert not out.exists()
 
 
+def _verb_inputs(pipeline, command: str) -> list[str]:
+    """The input arguments of `command` over the shared pipeline's outputs."""
+    world = ["--world", str(pipeline["world"])]
+    return {
+        "worldgen": [],
+        "variants": world,
+        "train": [*world, "--variants", str(pipeline["variants"])],
+        "evaluate": [*world, "--model", str(pipeline["models"] / "model_avg.csv")],
+        "ablate": [],
+    }[command]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["worldgen", "variants", "train", "evaluate", "ablate"])
+def test_cli_unwritable_out_is_data_error(pipeline, tmp_path, capsys, command, under):
+    """An --out that is a regular file, or lies under one, exits 3 naming
+    it, where it gave a FileExistsError or NotADirectoryError traceback."""
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / "file" / "sub" if under else tmp_path / "file"
+    rc = main([command, "--config", pipeline["cfg"], *_verb_inputs(pipeline, command), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"cannot write {out}/" in err and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_cli_ablate_over_a_runs_file_is_data_error(pipeline, tmp_path, capsys):
+    """`ablate` into a directory whose `runs` is a regular file exits 3
+    naming it, where removing the stale runs gave a NotADirectoryError
+    traceback."""
+    runs = tmp_path / "ablation" / "runs"
+    runs.parent.mkdir()
+    runs.write_text("")
+    rc = main(["ablate", "--config", pipeline["cfg"], "--out", str(runs.parent)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"cannot write {runs}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["variants", "evaluate"])
+def test_cli_world_with_fewer_than_two_map_views_is_data_error(pipeline, tmp_path, capsys, command):
+    """A world whose meta.csv counts 0 map views (its 22 views all queries,
+    pairs.csv without rows) exits 3 naming meta.csv and writes nothing, where
+    `variants` exited 0 with an empty consistency.csv and `evaluate` blamed
+    eval_ks, even at k = 1."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    _edit_line(world / "meta.csv", 4, lambda parts: [parts[0], "0"])
+    _edit_line(world / "meta.csv", 5, lambda parts: [parts[0], "22"])
+    (world / "pairs.csv").write_text("a,b,count\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**TEST_CONFIG, "eval_ks": [1]}))
+    out = tmp_path / "out"
+    model = ["--model", str(pipeline["models"] / "model_avg.csv")] if command == "evaluate" else []
+    rc = main([command, "--config", str(cfg), "--world", str(world), *model, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert f"{world}/meta.csv:4: num_map_views is below 2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_variants_dimension_mismatch_is_data_error(pipeline, tmp_path, capsys):
     """A variants file whose descriptors are narrower than the world's exits
     3 naming the file, where `train` used to fail in a matmul."""
@@ -775,11 +836,9 @@ BAD_VALUES = {
     "train.weight_decay-inf": ("train", "weight_decay", float("inf")),
     "train.mode": ("train", "mode", "bogus"),
     "train.sampling": ("train", "sampling", "bogus"),
-    "train.threshold_mode": ("train", "threshold_mode", "bogus"),
     "train.c_tau-str": ("train", "c_tau", "0.2"),
     "train.swap_probability-nan": ("train", "swap_probability", float("nan")),
     "train.seed-negative": ("train", "seed", -1),
-    "root.threshold_mode": (None, "threshold_mode", "bogus"),
     "root.c_tau-str": (None, "c_tau", "0.2"),
     "root.seeds-str": (None, "seeds", ["1"]),
     "root.seeds-empty": (None, "seeds", []),
@@ -850,10 +909,27 @@ BAD_NOISE = {
 }
 
 
-@pytest.mark.parametrize("section,key,value", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
-def test_cli_config_error_names_key(pipeline, tmp_path, capsys, section, key, value):
+# BAD_VALUES entries whose error does not come from a section's own value
+# checks: an unknown key, a key with another source, or what only `train`
+# can see
+NOT_SECTION_CHECKS = {
+    "world.nmu_landmarks",
+    "train.weight_negatives",
+    "ransac.seed",
+    "train.c_tau-str",
+    "train.seed-negative",
+    "train.embedding_dim-above-descriptor-dim",
+    "train.num_negatives-above-eligible",
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_VALUES))
+def test_cli_config_error_names_key(pipeline, tmp_path, capsys, name):
     """A bad config value exits 2 and names its key, also where only `train`
-    can see it (an embedding wider than the world's descriptors)."""
+    can see it (an embedding wider than the world's descriptors). A section's
+    own value checks name the section without a trailing dot, where they
+    used to report `train.`."""
+    section, key, value = BAD_VALUES[name]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
     rc = main(["train", "--config", str(bad), "--world", str(pipeline["world"]), "--out", str(tmp_path / "m")])
@@ -861,12 +937,13 @@ def test_cli_config_error_names_key(pipeline, tmp_path, capsys, section, key, va
     err = capsys.readouterr().err
     assert (section or "root") in err
     assert key in err
+    if name not in NOT_SECTION_CHECKS:
+        assert f"invalid config section {section or 'root'}:" in err
 
 
 ONE_SOURCE = {
     "train.seed": ("train", "seed", 1, "root seeds"),
     "train.c_tau": ("train", "c_tau", 0.2, "root c_tau"),
-    "train.threshold_mode": ("train", "threshold_mode", "relative", "root threshold_mode"),
     "ransac.seed": ("ransac", "seed", 0, "derived from the world seed and the query id"),
 }
 
@@ -882,6 +959,20 @@ def test_cli_key_with_another_source_is_config_error(tmp_path, capsys, section, 
     err = capsys.readouterr().err
     assert f"{section}.{key}" in err
     assert source in err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize(
+    "data", [{"threshold_mode": "relative"}, {"train": {"threshold_mode": "relative"}}], ids=["root", "train"]
+)
+def test_cli_threshold_mode_is_unknown_config_key(tmp_path, capsys, data):
+    """c_tau has one meaning, the least survival ratio a pair keeps:
+    `threshold_mode`, which could make it a surviving count, is an unknown
+    key at the root and in the train section, and nothing is written."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+    assert "unknown config key" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 
@@ -914,7 +1005,7 @@ def test_cli_noise_config_error_names_key(tmp_path, capsys, key, value):
     bad.write_text(json.dumps({"world": {"noise": {key: value}}}))
     assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
     err = capsys.readouterr().err
-    assert "world.noise" in err
+    assert "invalid config section world.noise:" in err
     assert key in err
     assert not (tmp_path / "w").exists()
 
@@ -1082,16 +1173,14 @@ def test_ablate_rerun_with_a_smaller_grid_leaves_nothing_stale(tmp_path):
     assert dir_digest(out) == dir_digest(tmp_path / "fresh")
 
 
-@pytest.mark.parametrize("threshold_mode,c_tau", [("relative", 0.35), ("absolute", 4)])
-def test_ablation_methods_train_with_root_keys(threshold_mode, c_tau):
-    """Every ablation method trains with the root threshold_mode and c_tau
-    (synth_uniform with the filter off) and the run's seed, the values that
-    `variants` writes valid@c_tau with; synth_filtered used to keep the
-    train section's threshold_mode."""
-    cfg = config_from_dict({**TEST_CONFIG, "threshold_mode": threshold_mode, "c_tau": c_tau})
+def test_ablation_methods_train_with_root_keys():
+    """Every ablation method trains with the root c_tau (synth_uniform with
+    the filter off) and the run's seed, the values that `variants` writes
+    valid@c_tau with."""
+    c_tau = 0.35
+    cfg = config_from_dict({**TEST_CONFIG, "c_tau": c_tau})
     for method in ABLATION_METHODS:
         tc = _method_train_config(cfg, method, seed=5)
-        assert tc.threshold_mode == threshold_mode, method
         assert tc.c_tau == (0.0 if method == "synth_uniform" else c_tau), method
         assert tc.seed == 5
 

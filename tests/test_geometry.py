@@ -143,10 +143,6 @@ def test_validate_pair_modes():
     assert validate_pair(ConsistencyScore(1.0, 30, 30), 0.2)
     assert not validate_pair(ConsistencyScore(0.0, 0, 30), 0.2)
     assert validate_pair(ConsistencyScore(0.05, 2, 40), 0.0)  # filter disabled
-    assert validate_pair(ConsistencyScore(0.1, 12, 120), 10, mode="absolute")
-    assert not validate_pair(ConsistencyScore(0.1, 8, 80), 10, mode="absolute")
-    with pytest.raises(ValueError):
-        validate_pair(ConsistencyScore(0.5, 5, 10), 0.2, mode="quantile")
 
 
 def test_score_bounds(small_world, small_scores):
