@@ -35,7 +35,7 @@ from .errors import (
     require_number,
 )
 from .geometry import Scores, validate_pair
-from .worldgen import ViewImage, World, derive_seed
+from .worldgen import ViewImage, World, derive_seed, shared_landmarks
 
 
 @dataclass
@@ -358,19 +358,6 @@ def aggregated_value_and_grad(
 # ---------------------------------------------------------------------------
 
 
-def co_observers(landmark_sets: dict[int, frozenset[int]]) -> dict[int, frozenset[int]]:
-    """For each view id, the ids of the views whose landmark set meets its
-    own: itself included when it sees any landmark."""
-    by_landmark: dict[int, list[int]] = {}
-    for vid, landmarks in landmark_sets.items():
-        for lm in landmarks:
-            by_landmark.setdefault(lm, []).append(vid)
-    return {
-        vid: frozenset(other for lm in landmarks for other in by_landmark[lm])
-        for vid, landmarks in landmark_sets.items()
-    }
-
-
 def mine_negatives(
     query_id: int,
     positive_id: int,
@@ -378,10 +365,12 @@ def mine_negatives(
     pool_embeddings: np.ndarray,
     query_embedding: np.ndarray,
     m: int,
-    observers: dict[int, frozenset[int]],
+    observers: dict[int, set[int]],
 ) -> list[int]:
     """The M pool views most similar to the query that share no landmark with
-    the query or the positive, per the `co_observers` lookup `observers`.
+    the query or the positive, per `observers`, which maps each view id to
+    the ids of the views that share a landmark with it, itself included when
+    it sees one.
     Similarity is the dot product of a row of `pool_embeddings` (one per
     pool id) with `query_embedding`. Ties break to the lower view id."""
     near_q = observers[query_id]
@@ -512,7 +501,10 @@ def train(
         )
 
     views = _training_views(world, variants)
-    observers = co_observers({v.id: v.visible_landmark_set() for v in world.map_views})
+    observers = {v.id: {v.id} if (v.lid >= 0).any() else set() for v in world.map_views}
+    for a, b in shared_landmarks(world.map_views):
+        observers[a].add(b)
+        observers[b].add(a)
     model = init_model(d, config.embedding_dim, derive_seed(config.seed, 201))
     rng = np.random.default_rng(derive_seed(config.seed, 202))
     map_ids = sorted(v.id for v in world.map_views)

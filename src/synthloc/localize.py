@@ -229,15 +229,12 @@ def pnp_ransac(
             if count > best_count:
                 best_count = count
                 best_mask = masks[h]
-                w = count / n
-                if w >= 1.0:
-                    needed = 0  # every correspondence agrees: stop
-                else:
-                    denom = np.log(max(1.0 - w**6, 1e-12))
-                    needed = min(
-                        params.iterations,
-                        int(np.ceil(np.log(max(1.0 - params.confidence, 1e-12)) / denom)),
-                    )
+                # all n agreeing gives needed 0 or 1, which stops the loop here
+                denom = np.log(max(1.0 - (count / n) ** 6, 1e-12))
+                needed = min(
+                    params.iterations,
+                    int(np.ceil(np.log(max(1.0 - params.confidence, 1e-12)) / denom)),
+                )
             if it >= needed:
                 break
     if best_mask is None or best_count < max(params.min_inliers, 6):

@@ -22,13 +22,6 @@ def canonical(q: np.ndarray) -> np.ndarray:
     return canonical_sign(q / n)
 
 
-def from_axis_angle(axis: np.ndarray, angle_rad: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    half = 0.5 * angle_rad
-    return canonical(np.concatenate(([np.cos(half)], np.sin(half) * axis)))
-
-
 def to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of a unit quaternion."""
     w, x, y, z = q

@@ -14,7 +14,7 @@ from .embed import EmbeddingModel, TraceRow
 from .errors import DataError
 from .geometry import ConsistencyScore, Scores, validate_pair
 from .variants import DomainShift, PromptSet
-from .worldgen import CameraIntrinsics, CameraPose, Landmarks, ViewImage, World
+from .worldgen import CameraIntrinsics, CameraPose, Landmarks, ViewImage, World, shared_landmarks
 
 F9 = "%.9g"  # world-level floats
 F17 = "%.17g"  # model weights, exact round-trip
@@ -287,6 +287,9 @@ def load_world(in_dir: str | os.PathLike) -> World:
     table = _parse_table(lines, path, "pair", 3, ints)[1] if len(lines) > 1 else np.empty((0, 3))
     ends = table[:, :2]
     map_ids = set(view_ids[:n_map])
+    # the table's float ids find the int keys: 3.0 == 3 and hash alike
+    shared = shared_landmarks(map_views)
+    counts = [shared.get((a, b), shared.get((b, a), 0)) for a, b in ends.tolist()]
     _reject_rows(
         path,
         [
@@ -294,6 +297,8 @@ def load_world(in_dir: str | os.PathLike) -> World:
              "a view id is not a map view's"),
             (ends[:, 0] == ends[:, 1], "the two view ids are equal"),
             (_repeated([frozenset(pair) for pair in ends.tolist()]), "the pair is repeated"),
+            (np.array(counts) != table[:, 2], "the count is not the number of landmarks both views see"),
+            (table[:, 2] < 1, "the two views see no landmark in common"),
         ],
     )
     pairs = [(int(a), int(b), int(c)) for a, b, c in table]

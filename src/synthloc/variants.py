@@ -70,18 +70,6 @@ class PromptSet:
         raise KeyError(name)
 
 
-def identity_shift(name: str, d: int) -> DomainShift:
-    """A shift that renames the condition and changes nothing else."""
-    return DomainShift(
-        name=name,
-        descriptor_bias=np.zeros(d),
-        bias_gain=0.0,
-        descriptor_noise_sigma=0.0,
-        dropout_rate=0.0,
-        clutter_rate=0.0,
-    )
-
-
 def default_prompt_set(d: int, seed: int) -> PromptSet:
     """The 11 named shifts with pseudo-random unit bias directions."""
     rng = np.random.default_rng(derive_seed(seed, 11))

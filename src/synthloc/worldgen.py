@@ -108,9 +108,6 @@ class ViewImage:
         reads; synthloc itself reads `desc`."""
         return self.desc
 
-    def visible_landmark_set(self) -> frozenset[int]:
-        return frozenset(self.lid[self.lid >= 0].tolist())
-
 
 @dataclass
 class RenderNoise:
@@ -124,6 +121,19 @@ class RenderNoise:
         require_integer("clutter_count", self.clutter_count, 0)
 
 
+# The street's shape and the camera placement are the same in every world:
+# only the scene's appearance varies between a map and its queries.
+BEND_ANGLE_DEG = 25.0
+LATERAL_MIN, LATERAL_MAX = 6.0, 14.0  # landmark distance from the street, m
+HEIGHT_MAX = 8.0  # m
+CAMERA_HEIGHT = 1.6  # m
+FOCAL = 400.0  # px
+MIN_VISIBLE = 8  # landmarks each map view must see
+HEADING_JITTER_DEG = 2.0
+QUERY_TRANSLATION_SIGMA = 0.7  # m
+QUERY_ROTATION_SIGMA_DEG = 2.0
+
+
 @dataclass
 class WorldConfig:
     num_landmarks: int = 500
@@ -131,43 +141,24 @@ class WorldConfig:
     num_map_views: int = 40
     num_query_views: int = 20
     street_length: float = 100.0
-    bend_angle_deg: float = 25.0
-    lateral_min: float = 6.0
-    lateral_max: float = 14.0
-    height_max: float = 8.0
-    camera_height: float = 1.6
-    focal: float = 400.0
     image_width: int = 640
     image_height: int = 480
     visibility_radius: float = 30.0
-    min_visible: int = 8
-    heading_jitter_deg: float = 2.0
-    query_translation_sigma: float = 0.7
-    query_rotation_sigma_deg: float = 2.0
     min_coobs: int = 10
     noise: RenderNoise = field(default_factory=RenderNoise)
 
     def __post_init__(self) -> None:
-        # sizes too small for a usable world are left to generate_world,
-        # which reports them as a degenerate world
-        for name in ("num_landmarks", "descriptor_dim", "num_map_views", "num_query_views", "min_visible"):
-            require_integer(name, getattr(self, name), 0)
-        for name in ("image_width", "image_height", "min_coobs"):
-            require_integer(name, getattr(self, name), 1)
-        for name in ("street_length", "focal"):
-            require_number(name, getattr(self, name), 0, strict=True)
-        for name in (
-            "lateral_min", "height_max", "heading_jitter_deg",
-            "query_translation_sigma", "query_rotation_sigma_deg",
+        for name, low in (
+            ("num_landmarks", 10), ("descriptor_dim", 4), ("num_map_views", 2), ("num_query_views", 0),
+            ("image_width", 1), ("image_height", 1), ("min_coobs", 1),
         ):
-            require_number(name, getattr(self, name), 0)
-        require_number("lateral_max", self.lateral_max, self.lateral_min)
-        for name in ("bend_angle_deg", "camera_height", "visibility_radius"):
-            require_number(name, getattr(self, name))
+            require_integer(name, getattr(self, name), low)
+        for name in ("street_length", "visibility_radius"):
+            require_number(name, getattr(self, name), 0, strict=True)
 
     def intrinsics(self) -> CameraIntrinsics:
         return CameraIntrinsics(
-            focal=self.focal,
+            focal=FOCAL,
             principal_point=np.array([self.image_width / 2.0, self.image_height / 2.0]),
             image_size=(self.image_width, self.image_height),
         )
@@ -248,10 +239,11 @@ def render_view(
     intrinsics: CameraIntrinsics,
     noise: RenderNoise,
     seed: int,
+    max_dist: float,
     view_id: int = -1,
-    max_dist: float | None = None,
 ) -> ViewImage:
-    """Render the landmarks visible from `pose` into a feature set.
+    """Render the landmarks visible from `pose`, up to `max_dist` away, into
+    a feature set.
 
     Keypoints are exact pinhole projections plus Gaussian pixel noise;
     descriptors are renormalized noisy copies of the landmark descriptors.
@@ -267,9 +259,7 @@ def render_view(
     """
     rng = np.random.default_rng(seed)
     points = world.landmarks.positions
-    radius = max_dist if max_dist is not None else np.inf
-    mask = visible_mask(points, pose, intrinsics, radius)
-    idx = np.nonzero(mask)[0]
+    idx = np.nonzero(visible_mask(points, pose, intrinsics, max_dist))[0]
     if idx.size == 0:
         raise NoVisibleLandmarksError("no visible landmarks")
 
@@ -293,7 +283,7 @@ def _street_frame(config: WorldConfig, s: np.ndarray) -> tuple[np.ndarray, np.nd
     """Position and left-normal of the two-segment street at arclength s."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     half = config.street_length / 2.0
-    ang = np.radians(config.bend_angle_deg)
+    ang = np.radians(BEND_ANGLE_DEG)
     d0 = np.array([1.0, 0.0])
     d1 = np.array([np.cos(ang), np.sin(ang)])
     corner = half * d0
@@ -307,7 +297,7 @@ def _street_frame(config: WorldConfig, s: np.ndarray) -> tuple[np.ndarray, np.nd
     return pos, left
 
 
-def _pose_at(config: WorldConfig, s: float, heading_offset_rad: float, height: float) -> CameraPose:
+def _pose_at(config: WorldConfig, s: float, heading_offset_rad: float) -> CameraPose:
     pos2, left = _street_frame(config, np.array([s]))
     look = left[0]
     c, sn = np.cos(heading_offset_rad), np.sin(heading_offset_rad)
@@ -315,38 +305,30 @@ def _pose_at(config: WorldConfig, s: float, heading_offset_rad: float, height: f
     fx, fy = look
     # rows of R: camera right, camera down, camera forward (world coords)
     R = np.array([[fy, -fx, 0.0], [0.0, 0.0, -1.0], [fx, fy, 0.0]])
-    center = np.array([pos2[0, 0], pos2[0, 1], height])
+    center = np.array([pos2[0, 0], pos2[0, 1], CAMERA_HEIGHT])
     return CameraPose(rotation=quats.from_matrix(R), position=center)
 
 
 def generate_world(config: WorldConfig, seed: int) -> World:
     """Deterministically generate landmarks, map views, query views and pairs.
 
-    Raises ConfigError for configs that cannot support pose estimation
-    (too few landmarks, views seeing fewer than 4 of them, ...).
+    Raises ConfigError when the street's geometry cannot support pose
+    estimation: a map view sees fewer than MIN_VISIBLE landmarks, or no
+    query pose among 100 draws sees 4. `WorldConfig` holds the size limits.
     The landmark descriptors come from one (L, d) block of normals, whose
     row i is what a per-landmark loop would draw for landmark i, and each
     view is rendered by `render_view`, so the world is bit for bit the one a
     row-at-a-time generator makes.
     """
-    if config.num_landmarks < 10:
-        raise ConfigError("degenerate world: num_landmarks < 10")
-    if config.descriptor_dim < 4:
-        raise ConfigError("degenerate world: descriptor_dim < 4")
-    if config.num_map_views < 2:
-        raise ConfigError("degenerate world: trajectory needs >= 2 views")
-    if config.visibility_radius <= 0:
-        raise ConfigError("degenerate world: visibility radius must be > 0")
-
     rng = np.random.default_rng(derive_seed(seed, 0))
     margin = 0.05 * config.street_length
     s_lm = rng.uniform(-margin, config.street_length + margin, config.num_landmarks)
     pos2, left = _street_frame(config, np.clip(s_lm, 0.0, config.street_length))
-    lateral = rng.uniform(config.lateral_min, config.lateral_max, config.num_landmarks)
+    lateral = rng.uniform(LATERAL_MIN, LATERAL_MAX, config.num_landmarks)
     along = s_lm - np.clip(s_lm, 0.0, config.street_length)  # overhang past the ends
     tangent = np.stack([left[:, 1], -left[:, 0]], axis=1)  # street direction
     xy = pos2 + lateral[:, None] * left + along[:, None] * tangent
-    z = rng.uniform(0.0, config.height_max, config.num_landmarks)
+    z = rng.uniform(0.0, HEIGHT_MAX, config.num_landmarks)
 
     descs = unit_rows(rng.standard_normal((config.num_landmarks, config.descriptor_dim)))
     landmarks = Landmarks(np.column_stack([xy, z]), descs)
@@ -357,22 +339,16 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     heading_rng = np.random.default_rng(derive_seed(seed, 1))
     for i in range(config.num_map_views):
         s = (i + 0.5) * config.street_length / config.num_map_views
-        jitter = np.radians(config.heading_jitter_deg) * heading_rng.standard_normal()
-        pose = _pose_at(config, s, jitter, config.camera_height)
+        jitter = np.radians(HEADING_JITTER_DEG) * heading_rng.standard_normal()
+        pose = _pose_at(config, s, jitter)
         try:
             view = render_view(
-                world,
-                pose,
-                intr,
-                config.noise,
-                derive_seed(seed, 2, i),
-                view_id=i,
-                max_dist=config.visibility_radius,
+                world, pose, intr, config.noise, derive_seed(seed, 2, i), config.visibility_radius, view_id=i
             )
             n_lm = int(np.sum(view.lid >= 0))
         except NoVisibleLandmarksError:
             n_lm = 0
-        if n_lm < max(4, config.min_visible):
+        if n_lm < MIN_VISIBLE:
             raise ConfigError(f"degenerate world: map view {i} sees only {n_lm} landmarks")
         world.map_views.append(view)
 
@@ -382,19 +358,14 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         view = None
         for _ in range(100):  # bounded redraw; deterministic given the rng stream
             s = query_rng.uniform(0.0, config.street_length)
-            jitter = np.radians(config.query_rotation_sigma_deg) * query_rng.standard_normal()
-            pose = _pose_at(config, s, jitter, config.camera_height)
-            offset = config.query_translation_sigma * query_rng.standard_normal(2)
+            jitter = np.radians(QUERY_ROTATION_SIGMA_DEG) * query_rng.standard_normal()
+            pose = _pose_at(config, s, jitter)
+            offset = QUERY_TRANSLATION_SIGMA * query_rng.standard_normal(2)
             pose = CameraPose(rotation=pose.rotation, position=pose.position + np.array([offset[0], offset[1], 0.0]))
             try:
                 candidate = render_view(
-                    world,
-                    pose,
-                    intr,
-                    config.noise,
-                    derive_seed(seed, 4, i),
+                    world, pose, intr, config.noise, derive_seed(seed, 4, i), config.visibility_radius,
                     view_id=next_id,
-                    max_dist=config.visibility_radius,
                 )
             except NoVisibleLandmarksError:
                 continue
@@ -410,16 +381,24 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     return world
 
 
+def shared_landmarks(views: list[ViewImage]) -> dict[tuple[int, int], int]:
+    """`{(a, b): n}` for every two views that see n >= 1 landmarks in common,
+    keyed by their ids, the one listed first in `views` first, in list order.
+    Each n is an entry of one integer product of 0/1 landmark rows."""
+    width = max([0] + [int(v.lid.max()) + 1 for v in views])
+    seen = np.zeros((len(views), width), dtype=np.int32)
+    for row, v in enumerate(views):
+        seen[row, v.lid[v.lid >= 0]] = 1
+    counts = seen @ seen.T
+    return {
+        (views[a].id, views[b].id): int(counts[a, b])
+        for a, b in zip(*np.nonzero(np.triu(counts, 1)))
+    }
+
+
 def make_matching_pairs(world: World, min_coobs: int) -> list[tuple[int, int, int]]:
     """All map-view pairs (i < j) sharing at least `min_coobs` landmark ids."""
     if min_coobs < 1:
         raise ValueError("min_coobs must be >= 1")
-    sets = [(v.id, v.visible_landmark_set()) for v in world.map_views]
-    pairs = []
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            count = len(sets[a][1] & sets[b][1])
-            if count >= min_coobs:
-                pairs.append((sets[a][0], sets[b][0], count))
-    return pairs
-
+    shared = shared_landmarks(world.map_views)
+    return [(a, b, n) for (a, b), n in shared.items() if n >= min_coobs]

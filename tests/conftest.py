@@ -36,8 +36,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if ACCEPTANCE_RESULTS[name] else "FAIL"
         terminalreporter.write_line(f"  {name}: {status}")
 
+from synthloc import quats
 from synthloc.geometry import MatchParams, match_features, score_world_variants
-from synthloc.variants import default_prompt_set, generate_all_variants
+from synthloc.variants import DomainShift, default_prompt_set, generate_all_variants
 from synthloc.worldgen import (
     CameraIntrinsics,
     CameraPose,
@@ -45,6 +46,32 @@ from synthloc.worldgen import (
     WorldConfig,
     generate_world,
 )
+
+
+def landmark_set(view: ViewImage) -> frozenset[int]:
+    """The ids of the landmarks `view` sees."""
+    return frozenset(view.lid[view.lid >= 0].tolist())
+
+
+def identity_shift(name: str, d: int) -> DomainShift:
+    """A shift that renames the condition and changes nothing else."""
+    return DomainShift(
+        name=name,
+        descriptor_bias=np.zeros(d),
+        bias_gain=0.0,
+        descriptor_noise_sigma=0.0,
+        dropout_rate=0.0,
+        clutter_rate=0.0,
+    )
+
+
+def from_axis_angle(axis, angle_rad: float) -> np.ndarray:
+    """The unit quaternion of a rotation by `angle_rad` about `axis`."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    half = 0.5 * angle_rad
+    return quats.canonical(np.concatenate(([np.cos(half)], np.sin(half) * axis)))
+
 
 SMALL_WORLD = WorldConfig(
     num_landmarks=250,

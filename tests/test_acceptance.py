@@ -50,7 +50,6 @@ from synthloc.variants import (
     apply_variant,
     default_prompt_set,
     generate_all_variants,
-    identity_shift,
     shift_queries,
 )
 from synthloc.worldgen import (
@@ -60,9 +59,8 @@ from synthloc.worldgen import (
     generate_world,
     project_points,
 )
-from synthloc import quats
 
-from conftest import make_view, perturbed
+from conftest import from_axis_angle, identity_shift, make_view, perturbed
 
 
 # ------------------------------------------------------------------ helpers
@@ -290,7 +288,7 @@ def test_criterion_5_protocol_constants():
     for i in range(6):
         axis = rng.standard_normal(3)
         poses[i] = CameraPose(
-            quats.from_axis_angle(axis, rng.uniform(0, 1.0)), rng.uniform(-5, 5, 3)
+            from_axis_angle(axis, rng.uniform(0, 1.0)), rng.uniform(-5, 5, 3)
         )
     ranked = [(4, 0.99), (2, 0.98), (0, 0.97)]
     est = ewb_pose(ranked, poses, k=1)
@@ -311,7 +309,7 @@ def test_criterion_6_pnp_recovery():
     rng = np.random.default_rng(606)
     for trial in range(100):
         axis = rng.standard_normal(3)
-        pose = CameraPose(quats.from_axis_angle(axis, rng.uniform(0, 0.5)), rng.uniform(-2, 2, 3))
+        pose = CameraPose(from_axis_angle(axis, rng.uniform(0, 0.5)), rng.uniform(-2, 2, 3))
         R = pose.matrix()
         cam = np.column_stack(
             [rng.uniform(-3, 3, 20), rng.uniform(-2, 2, 20), rng.uniform(5, 15, 20)]

@@ -36,3 +36,41 @@ def test_every_imported_name_is_used(path):
             imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+BENCH = SRC.parents[1] / "bench"
+# the acceptance oracles of criteria 3, 7 and 5, which only tests call
+ORACLES = {"consistency_score", "asmk_score", "recall_at_k"}
+
+
+def _names_read(node) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _defined(node) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """Every public top-level name of `src/synthloc` is read by another
+    top-level statement of `src` or named in `bench`, so that helpers only
+    the tests call live in the tests and the package's surface is what the
+    pipeline uses."""
+    defined: set[str] = set()
+    read: set[str] = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            own = _defined(node)
+            defined |= {name for name in own if not name.startswith("_")}
+            read |= _names_read(node) - own
+    for path in BENCH.glob("*.py"):
+        read |= _names_read(ast.parse(path.read_text(), filename=str(path)))
+    assert ORACLES <= defined
+    assert sorted(defined - read - ORACLES) == []

@@ -10,10 +10,10 @@ from synthloc.embed import (
     average_models,
     multi_value_and_grad,
 )
-from synthloc.variants import apply_variant, identity_shift
+from synthloc.variants import apply_variant
 from synthloc.worldgen import ViewImage
 
-from conftest import make_view
+from conftest import identity_shift, make_view
 
 
 def unit(v):

@@ -10,7 +10,6 @@ from synthloc.embed import (
     _training_views,
     _tuple_views,
     aggregate,
-    co_observers,
     init_model,
     mine_negatives,
     sample_tuples,
@@ -19,9 +18,9 @@ from synthloc.embed import (
 )
 from synthloc.errors import InsufficientNegativesError
 from synthloc.geometry import ConsistencyScore
-from synthloc.variants import apply_variant, identity_shift
+from synthloc.variants import apply_variant
 
-from conftest import make_view
+from conftest import identity_shift, landmark_set, make_view
 
 
 # ---------------------------------------------------------------- mining
@@ -35,15 +34,21 @@ def _embed(views, ids, model):
     return np.array([aggregate(views[vid], model) for vid in ids])
 
 
+def _observers(coobs):
+    """Each view's co-observers by brute force: the views whose landmark
+    sets meet its own, itself included when it sees a landmark."""
+    return {a: {b for b in coobs if coobs[a] & coobs[b]} for a in coobs}
+
+
 def test_mine_negatives_brute_force(small_world):
     views = _world_views(small_world)
-    coobs = {vid: v.visible_landmark_set() for vid, v in views.items()}
+    coobs = {vid: landmark_set(v) for vid, v in views.items()}
     model = init_model(16, 8, seed=0)
     q_id, p_id, _ = small_world.matching_pairs[0]  # pair at one street end
     pool = sorted(views)
     m = 3
     fq = aggregate(views[q_id], model)
-    got = mine_negatives(q_id, p_id, pool, _embed(views, pool, model), fq, m, co_observers(coobs))
+    got = mine_negatives(q_id, p_id, pool, _embed(views, pool, model), fq, m, _observers(coobs))
 
     eligible = [
         vid
@@ -57,13 +62,13 @@ def test_mine_negatives_brute_force(small_world):
 
 def test_mine_negatives_excludes_coobservers(small_world):
     views = _world_views(small_world)
-    coobs = {vid: v.visible_landmark_set() for vid, v in views.items()}
+    coobs = {vid: landmark_set(v) for vid, v in views.items()}
     model = init_model(16, 8, seed=0)
     q_id, p_id, _ = small_world.matching_pairs[0]
     pool = sorted(views)
     negs = mine_negatives(
         q_id, p_id, pool, _embed(views, pool, model), aggregate(views[q_id], model), 3,
-        co_observers(coobs),
+        _observers(coobs),
     )
     for n in negs:
         assert not (coobs[n] & coobs[q_id])
@@ -75,25 +80,13 @@ def test_mine_negatives_pool_exactly_m():
     views = {i: make_view(np.random.default_rng(i), 4, 8, view_id=i) for i in range(5)}
     # disjoint landmark sets via distinct id ranges
     coobs = {0: frozenset({0, 1}), 1: frozenset({2, 3}), 2: frozenset({10}), 3: frozenset({11}), 4: frozenset({12})}
-    observers = co_observers(coobs)
+    observers = _observers(coobs)
     model = init_model(8, 4, seed=1)
     pool_emb, fq = _embed(views, [2, 3, 4], model), aggregate(views[0], model)
     got = mine_negatives(0, 1, [2, 3, 4], pool_emb, fq, 3, observers)
     assert sorted(got) == [2, 3, 4]
     with pytest.raises(InsufficientNegativesError):
         mine_negatives(0, 1, [2, 3, 4], pool_emb, fq, 4, observers)
-
-
-def test_co_observers_equal_pairwise_intersections(small_world):
-    """The lookup holds exactly the views whose visible landmark sets meet."""
-    views = _world_views(small_world)
-    coobs = {vid: v.visible_landmark_set() for vid, v in views.items()}
-    observers = co_observers(coobs)
-    assert sorted(observers) == sorted(views)
-    for a in views:
-        assert observers[a] == frozenset(b for b in views if coobs[a] & coobs[b])
-    # a view without landmarks shares none, not even with itself
-    assert co_observers({0: frozenset(), 1: frozenset({5})}) == {0: frozenset(), 1: frozenset({1})}
 
 
 # ---------------------------------------------------------------- synthetic tuples

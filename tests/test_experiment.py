@@ -507,6 +507,22 @@ def _shift_feature_landmark_ids(world):
         path.write_text("\n".join(lines) + "\n")
 
 
+def _blind_view_0(world):
+    """Make every feature of map view 0 clutter, so that it sees no landmark."""
+    path = world / "features" / "0.csv"
+    lines = path.read_text().splitlines()
+    for i, ln in enumerate(lines[1:], start=1):
+        parts = ln.split(",")
+        lines[i] = ",".join(parts[:2] + ["-1"] + parts[3:])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _count_plus_one(lines):
+    """pairs.csv's line 3 with its count one higher."""
+    a, b, count = lines[2].split(",")
+    return f"{a},{b},{int(count) + 1}"
+
+
 def _set_line(name, lineno, text):
     def edit(world):
         path = world / name
@@ -557,6 +573,20 @@ BAD_WORLD_IDS = {
     "pair-same-view": (
         "train", _set_line("pairs.csv", 2, lambda lines: "3,3,12"), "pairs.csv:2: the two view ids are equal"
     ),
+    "pair-count-off-by-one": (
+        "train", _set_line("pairs.csv", 3, _count_plus_one),
+        "pairs.csv:3: the count is not the number of landmarks both views see",
+    ),
+    # views 0 and 15 of the 80 m street are 75 m apart
+    "pair-sharing-no-landmark": (
+        "train", _set_line("pairs.csv", 2, lambda lines: "0,15,0"),
+        "pairs.csv:2: the two views see no landmark in common",
+    ),
+    # line 2 is the pair (0, 1): view 0, now blind, used to be mined as its
+    # own negative, a ValueError traceback
+    "pair-of-blind-view": (
+        "train", _blind_view_0, "pairs.csv:2: the count is not the number of landmarks both views see"
+    ),
     "landmark-id-repeated": (
         "evaluate", _set_line("landmarks.csv", 4, lambda lines: _repeat_id(lines, 4)),
         "landmarks.csv:4: landmark ids must be 0 to L - 1 in row order",
@@ -588,12 +618,14 @@ BAD_WORLD_IDS = {
 @pytest.mark.parametrize("command,edit,reason", list(BAD_WORLD_IDS.values()), ids=list(BAD_WORLD_IDS))
 def test_cli_bad_world_ids_is_data_error(pipeline, tmp_path, capsys, command, edit, reason):
     """Feature landmark ids missing from landmarks.csv, a pair that does not
-    name two distinct map views, landmark ids that are not 0 to L - 1 in row
-    order, a repeated view id and a view whose condition is not `original`
-    exit 3 naming the file and the first bad line. They used to give a
-    KeyError traceback in `sfm_localize` or `train`, to exit 3 with "already
-    synthetic", naming no file, or to exit 0 having dropped a landmark, mixed
-    up two views or trained on a world with a synthetic view."""
+    name two distinct map views sharing a landmark or whose count is not the
+    number of landmarks both views see, landmark ids that are not 0 to L - 1
+    in row order, a repeated view id and a view whose condition is not
+    `original` exit 3 naming the file and the first bad line. They used to give a
+    KeyError or ValueError traceback in `sfm_localize` or `train`, to exit 3
+    with "already synthetic", naming no file, or to exit 0 having dropped a
+    landmark, mixed up two views, trained on a pair of views that share
+    nothing or trained on a world with a synthetic view."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
     edit(world)
@@ -868,10 +900,11 @@ BAD_VALUES = {
     "world.num_map_views-float": ("world", "num_map_views", 16.0),
     "world.image_width-0": ("world", "image_width", 0),
     "world.min_coobs-0": ("world", "min_coobs", 0),
-    "world.focal-0": ("world", "focal", 0.0),
     "world.street_length-nan": ("world", "street_length", float("nan")),
-    "world.lateral_max-below-lateral_min": ("world", "lateral_max", 5.0),
-    "world.heading_jitter_deg-negative": ("world", "heading_jitter_deg", -1.0),
+    "world.num_landmarks-9": ("world", "num_landmarks", 9),
+    "world.descriptor_dim-3": ("world", "descriptor_dim", 3),
+    "world.num_map_views-1": ("world", "num_map_views", 1),
+    "world.visibility_radius-0": ("world", "visibility_radius", 0.0),
     "world.noise-not-a-section": ("world", "noise", 3),
     "root.world-not-a-section": (None, "world", 5),
     "root.match-not-a-section": (None, "match", 3),
@@ -973,6 +1006,24 @@ def test_cli_threshold_mode_is_unknown_config_key(tmp_path, capsys, data):
     bad.write_text(json.dumps(data))
     assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+FIXED_WORLD_KEYS = [
+    "bend_angle_deg", "lateral_min", "lateral_max", "height_max", "camera_height", "focal",
+    "min_visible", "heading_jitter_deg", "query_translation_sigma", "query_rotation_sigma_deg",
+]
+
+
+@pytest.mark.parametrize("key", FIXED_WORLD_KEYS)
+def test_cli_fixed_world_key_is_unknown_config_key(tmp_path, capsys, key):
+    """The street's shape and the camera placement are module constants of
+    `worldgen`, the same in every world: setting one of them in the world
+    section exits 2 with an unknown key, and nothing is written."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"world": {key: 1.0}}))
+    assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+    assert f"unknown config key: world.{key}" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 

@@ -14,9 +14,9 @@ from synthloc.geometry import (
     score_world_variants,
     validate_pair,
 )
-from synthloc.variants import apply_variant, default_prompt_set, identity_shift
+from synthloc.variants import apply_variant, default_prompt_set
 
-from conftest import make_view, match_pairs, perturbed, set_cpus
+from conftest import identity_shift, make_view, match_pairs, perturbed, set_cpus
 
 
 def brute_force_mutual_nn(a, b, ratio):

@@ -21,13 +21,15 @@ from synthloc.localize import (
 from synthloc.variants import default_prompt_set, shift_queries
 from synthloc.worldgen import CameraIntrinsics, CameraPose, derive_seed, project_points
 
+from conftest import from_axis_angle, landmark_set
+
 INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
 
 
 def random_pose(rng, angle_max=0.5):
     axis = rng.standard_normal(3)
     return CameraPose(
-        rotation=quats.from_axis_angle(axis, rng.uniform(0.0, angle_max)),
+        rotation=from_axis_angle(axis, rng.uniform(0.0, angle_max)),
         position=rng.uniform(-2.0, 2.0, 3),
     )
 
@@ -68,7 +70,7 @@ def test_ewb_position_mean():
 def test_ewb_rotation_mean_45deg():
     poses = {
         0: CameraPose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3)),
-        1: CameraPose(quats.from_axis_angle([0, 0, 1], np.pi / 2), np.zeros(3)),
+        1: CameraPose(from_axis_angle([0, 0, 1], np.pi / 2), np.zeros(3)),
     }
     est = ewb_pose([(0, 1.0), (1, 0.9)], poses, k=2)
     angle = quats.rotation_angle_deg(est.matrix())
@@ -76,7 +78,7 @@ def test_ewb_rotation_mean_45deg():
 
 
 def test_ewb_identical_poses_exact():
-    pose = CameraPose(quats.from_axis_angle([1, 2, 3], 0.3), np.array([0.1, 0.2, 0.3]))
+    pose = CameraPose(from_axis_angle([1, 2, 3], 0.3), np.array([0.1, 0.2, 0.3]))
     poses = {i: pose for i in range(4)}
     est = ewb_pose([(i, 1.0 - 0.1 * i) for i in range(4)], poses, k=4)
     assert np.array_equal(est.position, pose.position)
@@ -290,7 +292,7 @@ def criterion_6_instances(count):
     rng = np.random.default_rng(606)
     for trial in range(count):
         pose = CameraPose(
-            quats.from_axis_angle(rng.standard_normal(3), rng.uniform(0, 0.5)),
+            from_axis_angle(rng.standard_normal(3), rng.uniform(0, 0.5)),
             rng.uniform(-2, 2, 3),
         )
         corr = synth_correspondences(rng, pose, 20)
@@ -492,7 +494,7 @@ def test_sfm_localize_self_view(small_world):
 def test_sfm_localize_no_shared_landmarks(small_world):
     model = init_model(16, 8, seed=0)
     query = small_world.map_views[0]
-    far = [v for v in small_world.map_views if not (v.visible_landmark_set() & query.visible_landmark_set())]
+    far = [v for v in small_world.map_views if not (landmark_set(v) & landmark_set(query))]
     assert far, "world should contain views disjoint from view 0"
     ranked = [(far[0].id, 1.0)]
     with pytest.raises((NoConsensusError, InsufficientCorrespondencesError)):
@@ -528,7 +530,7 @@ def test_sfm_beats_ewb_median(small_world):
 
 
 def test_pose_error_trivial():
-    pose = CameraPose(quats.from_axis_angle([0, 1, 0], 0.2), np.array([1.0, 2.0, 3.0]))
+    pose = CameraPose(from_axis_angle([0, 1, 0], 0.2), np.array([1.0, 2.0, 3.0]))
     err = pose_error(pose, pose)
     assert err.translation == 0.0
     assert err.rotation < 1e-7
@@ -537,7 +539,7 @@ def test_pose_error_trivial():
 def test_pose_error_constructed():
     gt = CameraPose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
     est = CameraPose(
-        quats.from_axis_angle([0.3, -1.0, 0.5], np.radians(3.0)),
+        from_axis_angle([0.3, -1.0, 0.5], np.radians(3.0)),
         np.array([0.3, 0.0, 0.0]),
     )
     err = pose_error(est, gt)
@@ -546,7 +548,7 @@ def test_pose_error_constructed():
 
 
 def test_pose_error_double_cover():
-    q = quats.from_axis_angle([1, 1, 1], 0.7)
+    q = from_axis_angle([1, 1, 1], 0.7)
     a = CameraPose(q, np.zeros(3))
     b = CameraPose(-q, np.zeros(3))
     assert pose_error(a, b).rotation < 1e-6

@@ -9,10 +9,9 @@ from synthloc.variants import (
     apply_variant,
     default_prompt_set,
     generate_all_variants,
-    identity_shift,
     shift_queries,
 )
-from conftest import make_view, perturbed
+from conftest import identity_shift, landmark_set, make_view, perturbed
 
 P11_EXPECTED = (
     "at dawn",
@@ -130,7 +129,7 @@ def test_label_preservation():
     view = make_view(rng, 25, 16, n_clutter=5)
     ps = default_prompt_set(16, seed=0)
     out = apply_variant(view, ps.by_name("with rain"), seed=12)
-    original_ids = view.visible_landmark_set()
+    original_ids = landmark_set(view)
     assert set(out.lid[out.lid >= 0].tolist()) <= original_ids
 
 

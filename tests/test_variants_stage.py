@@ -16,10 +16,10 @@ from synthloc.geometry import (
     consistency_score,
     score_world_variants,
 )
-from synthloc.variants import apply_variant, default_prompt_set, identity_shift
+from synthloc.variants import apply_variant, default_prompt_set
 from synthloc.worldgen import ViewImage
 
-from conftest import make_view, match_pairs, perturbed
+from conftest import identity_shift, make_view, match_pairs, perturbed
 
 # ---------------------------------------------------------------- reference
 

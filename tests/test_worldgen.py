@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from synthloc.errors import ConfigError, NoVisibleLandmarksError
+from synthloc.errors import NoVisibleLandmarksError
 from synthloc.worldgen import (
     CameraPose,
     RenderNoise,
+    ViewImage,
     WorldConfig,
     generate_world,
     make_matching_pairs,
     project_points,
     render_view,
+    shared_landmarks,
 )
-from synthloc import quats, storage
+from synthloc import quats, storage, worldgen
 
-from conftest import SMALL_WORLD
+from conftest import SMALL_WORLD, from_axis_angle, landmark_set
 
 
 def test_determinism_byte_identical(tmp_path, small_world):
@@ -36,13 +38,13 @@ def test_determinism_default_config_seed7(tmp_path, default_world):
 
 
 def test_zero_landmarks_degenerate():
-    with pytest.raises(ConfigError, match="num_landmarks < 10"):
-        generate_world(WorldConfig(num_landmarks=0), seed=1)
+    with pytest.raises(ValueError, match="num_landmarks must be an integer >= 10, not 0"):
+        WorldConfig(num_landmarks=0)
 
 
 def test_tiny_descriptor_degenerate():
-    with pytest.raises(ConfigError, match="descriptor_dim < 4"):
-        generate_world(WorldConfig(descriptor_dim=2), seed=1)
+    with pytest.raises(ValueError, match="descriptor_dim must be an integer >= 4, not 2"):
+        WorldConfig(descriptor_dim=2)
 
 
 def test_landmark_invariants(small_world):
@@ -65,14 +67,14 @@ def test_pose_invariants(small_world):
 
 def test_min_visible(default_world):
     for v in default_world.map_views:
-        assert int(np.sum(v.lid >= 0)) >= WorldConfig().min_visible
+        assert int(np.sum(v.lid >= 0)) >= worldgen.MIN_VISIBLE
     for v in default_world.query_views:
         assert int(np.sum(v.lid >= 0)) >= 4
 
 
 def test_coobservation_counts_brute_force(default_world):
     """Every matching pair's count equals brute-force set intersection."""
-    sets = {v.id: v.visible_landmark_set() for v in default_world.map_views}
+    sets = {v.id: landmark_set(v) for v in default_world.map_views}
     listed = {(a, b): c for a, b, c in default_world.matching_pairs}
     for a, b, c in default_world.matching_pairs:
         assert a < b
@@ -86,11 +88,29 @@ def test_coobservation_counts_brute_force(default_world):
                 assert listed[(a, b)] == n
 
 
+def test_shared_landmarks_equal_pairwise_intersections(small_world):
+    """Each two views that see a landmark in common are keyed in list order,
+    not id order, with the size of the intersection of their landmark sets;
+    a view that sees no landmark shares none, not even with itself."""
+    first = small_world.map_views[0]
+    blind = ViewImage(99, first.pose, first.intrinsics, first.kp, first.desc, np.full(first.lid.shape, -1))
+    views = small_world.map_views[::-1]
+    views.insert(5, blind)
+    sets = [landmark_set(v) for v in views]
+    want = {
+        (views[i].id, views[j].id): len(sets[i] & sets[j])
+        for i in range(len(views))
+        for j in range(i + 1, len(views))
+        if sets[i] & sets[j]
+    }
+    assert list(shared_landmarks(views).items()) == list(want.items())
+
+
 def test_make_matching_pairs_toy(small_world):
     pairs5 = make_matching_pairs(small_world, min_coobs=5)
     pairs20 = make_matching_pairs(small_world, min_coobs=20)
     assert set(pairs20) <= set(pairs5)
-    sets = {v.id: v.visible_landmark_set() for v in small_world.map_views}
+    sets = {v.id: landmark_set(v) for v in small_world.map_views}
     expected = []
     ids = sorted(sets)
     for i, a in enumerate(ids):
@@ -142,7 +162,7 @@ def test_facing_away_raises(small_world):
     pose = small_world.map_views[0].pose
     flipped = CameraPose(
         rotation=quats.from_matrix(
-            quats.to_matrix(quats.from_axis_angle([0, 0, 1], np.pi)) @ pose.matrix()
+            quats.to_matrix(from_axis_angle([0, 0, 1], np.pi)) @ pose.matrix()
         ),
         position=pose.position + np.array([0.0, -30.0, 0.0]),
     )

@@ -38,13 +38,12 @@ def ref_fill_clutter(rng, kp, desc, first, image_size):
         desc[row] = x / np.linalg.norm(x)
 
 
-def ref_render_view(world, pose, intrinsics, noise, seed, max_dist=None):
+def ref_render_view(world, pose, intrinsics, noise, seed, max_dist):
     """One visible row at a time: 2 keypoint normals, then d descriptor
     normals, then the clutter rows. Returns the arrays and the generator."""
     rng = ref_generator(seed)
     points = world.landmarks.positions
-    radius = max_dist if max_dist is not None else np.inf
-    idx = np.nonzero(visible_mask(points, pose, intrinsics, radius))[0]
+    idx = np.nonzero(visible_mask(points, pose, intrinsics, max_dist))[0]
     uv, _ = project_points(points[idx], pose, intrinsics)
     d = world.landmarks.descriptors.shape[1]
     n = idx.size + noise.clutter_count
@@ -66,11 +65,11 @@ def ref_landmarks(config, seed):
     margin = 0.05 * config.street_length
     s_lm = rng.uniform(-margin, config.street_length + margin, config.num_landmarks)
     pos2, left = worldgen._street_frame(config, np.clip(s_lm, 0.0, config.street_length))
-    lateral = rng.uniform(config.lateral_min, config.lateral_max, config.num_landmarks)
+    lateral = rng.uniform(worldgen.LATERAL_MIN, worldgen.LATERAL_MAX, config.num_landmarks)
     along = s_lm - np.clip(s_lm, 0.0, config.street_length)
     tangent = np.stack([left[:, 1], -left[:, 0]], axis=1)
     xy = pos2 + lateral[:, None] * left + along[:, None] * tangent
-    z = rng.uniform(0.0, config.height_max, config.num_landmarks)
+    z = rng.uniform(0.0, worldgen.HEIGHT_MAX, config.num_landmarks)
     positions, descs = [], []
     for i in range(config.num_landmarks):
         desc = rng.standard_normal(config.descriptor_dim)
@@ -176,8 +175,8 @@ def test_render_view_of_one_landmark_equals_reference(made, clutter):
     intr = CameraIntrinsics(focal=400.0, principal_point=np.array([160.5, 120.5]), image_size=(321, 241))
     noise = RenderNoise(0.3, 0.05, clutter)
     for seed in range(5):
-        got = render_view(world, pose, intr, noise, seed)
-        want, gen = ref_render_view(world, pose, intr, noise, seed)
+        got = render_view(world, pose, intr, noise, seed, max_dist=np.inf)
+        want, gen = ref_render_view(world, pose, intr, noise, seed, np.inf)
         assert got.lid.tolist() == [0] + [-1] * clutter
         assert array_bytes((got.kp, got.desc, got.lid)) == array_bytes(want)
         assert made[-1].bit_generator.state == gen.bit_generator.state
