@@ -4,6 +4,7 @@ accuracy metrics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ PLACE_RECOGNITION_RADIUS_M = 25.0
 
 @dataclass
 class RansacParams:
-    iterations: int = 1000  # upper bound; adaptive termination below
+    iterations: int = 1000  # upper bound; pnp_ransac may stop sooner, consensus or not
     inlier_px: float = 3.0
     min_inliers: int = 8
     seed: int = 0
@@ -189,9 +190,17 @@ def pnp_ransac(
 
     Returns the refit pose and the inlier indices under it. Raises
     InsufficientCorrespondencesError below 6 points and NoConsensusError when
-    no hypothesis reaches min_inliers, without drawing any when there are
-    fewer than min_inliers points. Deterministic per seed; iterations are an
-    upper bound, with standard adaptive early termination.
+    no hypothesis reaches least = max(min_inliers, 6) inliers, without drawing
+    any when there are fewer than least points. Deterministic per seed.
+
+    A solve draws at most start = bound(C(least, 6) / C(n, 6)) hypotheses,
+    bound(p) = min(iterations, max(1, ceil(log(1 - confidence) / log(1 - p))))
+    being the draws that take a sample of probability p with probability
+    confidence. Six distinct points lie inside a given least with probability
+    C(least, 6) / C(n, 6), so a solve without consensus ends once a consensus
+    of least inliers, had one existed, would have had a sample drawn from it
+    alone. Each new best count c sets the stop to
+    min(start, bound((c / n)**6)), the standard adaptive stop capped at start.
 
     Hypotheses are drawn and solved in chunks of at most _CHUNK, never more
     than the remaining budget, but the result is that of drawing, solving and
@@ -209,16 +218,26 @@ def pnp_ransac(
     n = len(corr_2d3d)
     if n < 6:
         raise InsufficientCorrespondencesError("insufficient correspondences")
-    if n < params.min_inliers:
-        raise NoConsensusError("no consensus")  # no mask can hold min_inliers
+    least = max(params.min_inliers, 6)  # the fewest inliers a consensus holds
+    if n < least:
+        raise NoConsensusError("no consensus")  # no mask can hold least
     pixels = np.array([c[0] for c in corr_2d3d], dtype=float)
     points = np.array([c[1] for c in corr_2d3d], dtype=float)
     norm_xy = (pixels - intrinsics.principal_point) / intrinsics.focal
 
+    log_miss = np.log(max(1.0 - params.confidence, 1e-12))
+
+    def bound(p: float) -> int:
+        denom = np.log(max(1.0 - p, 1e-12))
+        if denom == 0.0:  # p is below float resolution: no stop short of the budget
+            return params.iterations
+        return max(1, min(params.iterations, int(np.ceil(log_miss / denom))))
+
+    start = bound(math.comb(least, 6) / math.comb(n, 6))
     rng = np.random.default_rng(params.seed)
     best_count = 0
     best_mask: np.ndarray | None = None
-    needed = params.iterations
+    needed = start
     it = 0
     while it < needed:
         b = min(_CHUNK, needed - it)
@@ -229,15 +248,10 @@ def pnp_ransac(
             if count > best_count:
                 best_count = count
                 best_mask = masks[h]
-                # all n agreeing gives needed 0 or 1, which stops the loop here
-                denom = np.log(max(1.0 - (count / n) ** 6, 1e-12))
-                needed = min(
-                    params.iterations,
-                    int(np.ceil(np.log(max(1.0 - params.confidence, 1e-12)) / denom)),
-                )
+                needed = min(start, bound((count / n) ** 6))
             if it >= needed:
                 break
-    if best_mask is None or best_count < max(params.min_inliers, 6):
+    if best_mask is None or best_count < least:
         raise NoConsensusError("no consensus")
 
     idx = np.nonzero(best_mask)[0]
@@ -245,7 +259,7 @@ def pnp_ransac(
     pose = CameraPose(rotation=quats.from_matrix(R[0]), position=center[0])
     res = _residuals(pose.matrix()[None], pose.position[None], points, pixels, intrinsics)[0]
     final = np.nonzero(res <= params.inlier_px)[0]
-    if final.size < max(params.min_inliers, 6):
+    if final.size < least:
         raise NoConsensusError("no consensus")
     return pose, [int(i) for i in final]
 

@@ -151,12 +151,18 @@ def _parse_features(
 def _load_features(path: Path, landmarks: Landmarks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The feature arrays of one file, whose descriptors must be
     d-dimensional like the world's `landmarks`, and whose landmark ids must
-    be -1 or the id of one of them."""
+    be -1 or the id of one of them, each at most once."""
     kp, desc, lid = _parse_features(_read_lines(path), path)
     n, d = landmarks.descriptors.shape
     if desc.shape[1] != d:
         raise DataError(f"{path}: {desc.shape[1]}-dim descriptors, the world's have {d}")
-    _reject_rows(path, [(lid >= n, "the landmark id is not in landmarks.csv")])
+    _reject_rows(
+        path,
+        [
+            (lid >= n, "the landmark id is not in landmarks.csv"),
+            (_repeated(lid.tolist()) & (lid >= 0), "the landmark id is repeated"),
+        ],
+    )
     return kp, desc, lid
 
 

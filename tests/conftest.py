@@ -1,3 +1,4 @@
+import math
 import os
 import warnings
 
@@ -36,7 +37,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         status = "PASS" if ACCEPTANCE_RESULTS[name] else "FAIL"
         terminalreporter.write_line(f"  {name}: {status}")
 
-from synthloc import quats
+from synthloc import localize, quats
+from synthloc.errors import InsufficientCorrespondencesError, NoConsensusError
 from synthloc.geometry import MatchParams, match_features, score_world_variants
 from synthloc.variants import DomainShift, default_prompt_set, generate_all_variants
 from synthloc.worldgen import (
@@ -174,3 +176,119 @@ def match_pairs(a, b, params):
     """`match_features`' index arrays as a list of (index in a, index in b)."""
     ia, ib = match_features(a, b, params)
     return list(zip(ia.tolist(), ib.tolist()))
+
+
+INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
+
+
+# ---------------------------------------------------------------- pnp oracle
+#
+# localize.pnp_ransac solves its hypotheses in stacked chunks. The reference
+# below draws, solves and scores them one at a time, as a plain RANSAC loop
+# does; both must pick the same hypothesis and return the same bytes.
+
+
+def dlt_oracle(points3d, norm_xy):
+    n = points3d.shape[0]
+    centroid = points3d.mean(axis=0)
+    spread = float(np.mean(np.linalg.norm(points3d - centroid, axis=1)))
+    scale = np.sqrt(3.0) / spread if spread > 0 else 1.0
+    Xh = np.hstack([(points3d - centroid) * scale, np.ones((n, 1))])
+    A = np.zeros((2 * n, 12))
+    A[0::2, 0:4] = Xh
+    A[0::2, 8:12] = -norm_xy[:, 0:1] * Xh
+    A[1::2, 4:8] = Xh
+    A[1::2, 8:12] = -norm_xy[:, 1:2] * Xh
+    _, _, vt = np.linalg.svd(A, full_matrices=False)
+    P = vt[-1].reshape(3, 4)
+    T = np.eye(4)
+    T[:3, :3] *= scale
+    T[:3, 3] = -scale * centroid
+    P = P @ T
+    M = P[:, :3]
+    if np.linalg.det(M) < 0:
+        P = -P
+        M = -M
+    U, s, Vt = np.linalg.svd(M)
+    R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
+    t = P[:, 3] / float(np.mean(s))
+    return R, -R.T @ t
+
+
+def residuals_oracle(R, center, points3d, pixels, intr):
+    cam = (points3d - center) @ R.T
+    z = cam[:, 2]
+    res = np.full(points3d.shape[0], np.inf)
+    front = z > 0.1
+    if np.any(front):
+        u = intr.focal * cam[front, 0] / z[front] + intr.principal_point[0]
+        v = intr.focal * cam[front, 1] / z[front] + intr.principal_point[1]
+        res[front] = np.hypot(u - pixels[front, 0], v - pixels[front, 1])
+    return res
+
+
+def pnp_oracle(corr, intr, params):
+    n = len(corr)
+    if n < 6:
+        raise InsufficientCorrespondencesError("insufficient correspondences")
+    pixels = np.array([c[0] for c in corr], dtype=float)
+    points = np.array([c[1] for c in corr], dtype=float)
+    norm_xy = (pixels - intr.principal_point) / intr.focal
+    least = max(params.min_inliers, 6)
+    log_miss = np.log(max(1.0 - params.confidence, 1e-12))
+
+    def bound(p):
+        denom = np.log(max(1.0 - p, 1e-12))
+        if denom == 0.0:
+            return params.iterations
+        return max(1, min(params.iterations, int(np.ceil(log_miss / denom))))
+
+    start = bound(math.comb(least, 6) / math.comb(n, 6))
+    rng = np.random.default_rng(params.seed)
+    best_count, best_mask = 0, None
+    needed = start
+    it = 0
+    while it < needed:
+        it += 1
+        sample = rng.choice(n, size=6, replace=False)
+        try:
+            R, center = dlt_oracle(points[sample], norm_xy[sample])
+        except np.linalg.LinAlgError:
+            continue
+        mask = residuals_oracle(R, center, points, pixels, intr) <= params.inlier_px
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask = count, mask
+            needed = min(start, bound((count / n) ** 6))
+    if best_mask is None or best_count < least:
+        raise NoConsensusError("no consensus")
+    idx = np.nonzero(best_mask)[0]
+    R, center = dlt_oracle(points[idx], norm_xy[idx])
+    pose = CameraPose(rotation=quats.from_matrix(R), position=center)
+    res = residuals_oracle(pose.matrix(), pose.position, points, pixels, intr)
+    final = np.nonzero(res <= params.inlier_px)[0]
+    if final.size < least:
+        raise NoConsensusError("no consensus")
+    return pose, [int(i) for i in final]
+
+
+def outcome(solver, corr, params, intr=INTR):
+    try:
+        pose, inliers = solver(corr, intr, params)
+    except (InsufficientCorrespondencesError, NoConsensusError) as exc:
+        return type(exc)
+    return pose.rotation.tobytes(), pose.position.tobytes(), inliers
+
+
+def count_hypotheses(monkeypatch):
+    """Spy on `_hypothesis_masks`: the returned list gets the size of each
+    chunk pnp_ransac solves."""
+    chunks = []
+    masks = localize._hypothesis_masks
+
+    def spy(*args):
+        chunks.append(len(args[0]))
+        return masks(*args)
+
+    monkeypatch.setattr(localize, "_hypothesis_masks", spy)
+    return chunks

@@ -517,6 +517,16 @@ def _blind_view_0(world):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _one_landmark_in_view_16(world):
+    """Give every feature of view 16, the first query view, landmark id 2."""
+    path = world / "features" / "16.csv"
+    lines = path.read_text().splitlines()
+    for i, ln in enumerate(lines[1:], start=1):
+        parts = ln.split(",")
+        lines[i] = ",".join(parts[:2] + ["2"] + parts[3:])
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _count_plus_one(lines):
     """pairs.csv's line 3 with its count one higher."""
     a, b, count = lines[2].split(",")
@@ -562,6 +572,9 @@ def _repeat_id(lines, lineno):
 BAD_WORLD_IDS = {
     "feature-landmark-missing": (
         "evaluate", _shift_feature_landmark_ids, "features/0.csv:2: the landmark id is not in landmarks.csv"
+    ),
+    "feature-landmark-repeated": (
+        "evaluate", _one_landmark_in_view_16, "features/16.csv:3: the landmark id is repeated"
     ),
     "pair-view-missing": (
         "train", _set_line("pairs.csv", 2, lambda lines: "0,77,12"), "pairs.csv:2: a view id is not a map view's"
@@ -617,15 +630,16 @@ BAD_WORLD_IDS = {
 
 @pytest.mark.parametrize("command,edit,reason", list(BAD_WORLD_IDS.values()), ids=list(BAD_WORLD_IDS))
 def test_cli_bad_world_ids_is_data_error(pipeline, tmp_path, capsys, command, edit, reason):
-    """Feature landmark ids missing from landmarks.csv, a pair that does not
-    name two distinct map views sharing a landmark or whose count is not the
-    number of landmarks both views see, landmark ids that are not 0 to L - 1
-    in row order, a repeated view id and a view whose condition is not
-    `original` exit 3 naming the file and the first bad line. They used to give a
-    KeyError or ValueError traceback in `sfm_localize` or `train`, to exit 3
-    with "already synthetic", naming no file, or to exit 0 having dropped a
-    landmark, mixed up two views, trained on a pair of views that share
-    nothing or trained on a world with a synthetic view."""
+    """Feature landmark ids missing from landmarks.csv or repeated in one
+    feature file, a pair that does not name two distinct map views sharing a
+    landmark or whose count is not the number of landmarks both views see,
+    landmark ids that are not 0 to L - 1 in row order, a repeated view id and
+    a view whose condition is not `original` exit 3 naming the file and the
+    first bad line. They used to give a KeyError or ValueError traceback in
+    `sfm_localize` or `train`, to exit 3 with "already synthetic", naming no
+    file, or to exit 0 having dropped a landmark, mixed up two views, loaded
+    a view whose features all name one landmark, trained on a pair of views
+    that share nothing or trained on a world with a synthetic view."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
     edit(world)

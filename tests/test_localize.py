@@ -21,10 +21,7 @@ from synthloc.localize import (
 from synthloc.variants import default_prompt_set, shift_queries
 from synthloc.worldgen import CameraIntrinsics, CameraPose, derive_seed, project_points
 
-from conftest import from_axis_angle, landmark_set
-
-INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
-
+from conftest import INTR, count_hypotheses, from_axis_angle, landmark_set, outcome, pnp_oracle
 
 def random_pose(rng, angle_max=0.5):
     axis = rng.standard_normal(3)
@@ -192,101 +189,6 @@ def test_ransac_params_rejects_bad_values(field, value):
         RansacParams(**{field: value})
 
 
-# ---------------------------------------------------------------- pnp oracle
-#
-# pnp_ransac solves its hypotheses in stacked chunks. The reference below
-# draws, solves and scores them one at a time, as a plain RANSAC loop does;
-# both must pick the same hypothesis and return the same bytes.
-
-
-def dlt_oracle(points3d, norm_xy):
-    n = points3d.shape[0]
-    centroid = points3d.mean(axis=0)
-    spread = float(np.mean(np.linalg.norm(points3d - centroid, axis=1)))
-    scale = np.sqrt(3.0) / spread if spread > 0 else 1.0
-    Xh = np.hstack([(points3d - centroid) * scale, np.ones((n, 1))])
-    A = np.zeros((2 * n, 12))
-    A[0::2, 0:4] = Xh
-    A[0::2, 8:12] = -norm_xy[:, 0:1] * Xh
-    A[1::2, 4:8] = Xh
-    A[1::2, 8:12] = -norm_xy[:, 1:2] * Xh
-    _, _, vt = np.linalg.svd(A, full_matrices=False)
-    P = vt[-1].reshape(3, 4)
-    T = np.eye(4)
-    T[:3, :3] *= scale
-    T[:3, 3] = -scale * centroid
-    P = P @ T
-    M = P[:, :3]
-    if np.linalg.det(M) < 0:
-        P = -P
-        M = -M
-    U, s, Vt = np.linalg.svd(M)
-    R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
-    t = P[:, 3] / float(np.mean(s))
-    return R, -R.T @ t
-
-
-def residuals_oracle(R, center, points3d, pixels, intr):
-    cam = (points3d - center) @ R.T
-    z = cam[:, 2]
-    res = np.full(points3d.shape[0], np.inf)
-    front = z > 0.1
-    if np.any(front):
-        u = intr.focal * cam[front, 0] / z[front] + intr.principal_point[0]
-        v = intr.focal * cam[front, 1] / z[front] + intr.principal_point[1]
-        res[front] = np.hypot(u - pixels[front, 0], v - pixels[front, 1])
-    return res
-
-
-def pnp_oracle(corr, intr, params):
-    n = len(corr)
-    if n < 6:
-        raise InsufficientCorrespondencesError("insufficient correspondences")
-    pixels = np.array([c[0] for c in corr], dtype=float)
-    points = np.array([c[1] for c in corr], dtype=float)
-    norm_xy = (pixels - intr.principal_point) / intr.focal
-    rng = np.random.default_rng(params.seed)
-    best_count, best_mask = 0, None
-    needed = params.iterations
-    it = 0
-    while it < min(needed, params.iterations):
-        it += 1
-        sample = rng.choice(n, size=6, replace=False)
-        try:
-            R, center = dlt_oracle(points[sample], norm_xy[sample])
-        except np.linalg.LinAlgError:
-            continue
-        mask = residuals_oracle(R, center, points, pixels, intr) <= params.inlier_px
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_mask = count, mask
-            w = count / n
-            if w >= 1.0:
-                break
-            denom = np.log(max(1.0 - w**6, 1e-12))
-            needed = min(
-                params.iterations, int(np.ceil(np.log(max(1.0 - params.confidence, 1e-12)) / denom))
-            )
-    if best_mask is None or best_count < max(params.min_inliers, 6):
-        raise NoConsensusError("no consensus")
-    idx = np.nonzero(best_mask)[0]
-    R, center = dlt_oracle(points[idx], norm_xy[idx])
-    pose = CameraPose(rotation=quats.from_matrix(R), position=center)
-    res = residuals_oracle(pose.matrix(), pose.position, points, pixels, intr)
-    final = np.nonzero(res <= params.inlier_px)[0]
-    if final.size < max(params.min_inliers, 6):
-        raise NoConsensusError("no consensus")
-    return pose, [int(i) for i in final]
-
-
-def outcome(solver, corr, params, intr=INTR):
-    try:
-        pose, inliers = solver(corr, intr, params)
-    except (InsufficientCorrespondencesError, NoConsensusError) as exc:
-        return type(exc)
-    return pose.rotation.tobytes(), pose.position.tobytes(), inliers
-
-
 def criterion_6_instances(count):
     """The first `count` clean and 50%-outlier instances of criterion 6."""
     rng = np.random.default_rng(606)
@@ -314,13 +216,63 @@ def test_pnp_matches_oracle_on_criterion_6_instances():
             assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
 
 
-def test_pnp_matches_oracle_on_no_consensus():
+def no_consensus_instance():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-5, 5, (12, 3)) + np.array([0, 0, 10.0])
     uv = rng.uniform([0, 0], [640, 480], (12, 2))
     corr = [(uv[i], pts[i]) for i in range(12)]
-    params = RansacParams(inlier_px=0.5, min_inliers=8, iterations=200, seed=0)
+    return corr, RansacParams(inlier_px=0.5, min_inliers=8, iterations=200, seed=0)
+
+
+def test_pnp_matches_oracle_on_no_consensus():
+    corr, params = no_consensus_instance()
     assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params) == NoConsensusError
+
+
+def test_pnp_without_consensus_stops_at_the_consensus_bound(monkeypatch):
+    """No hypothesis of the 12 random points reaches 8 inliers, so the solve
+    ends once a consensus of 8, had one existed, would have had a sample drawn
+    from it alone with probability 0.99: six distinct points of 12 all fall
+    in a given 8 with probability C(8, 6) / C(12, 6) = 28 / 924, which takes
+    ceil(log(0.01) / log(1 - 28 / 924)) = 150 hypotheses, not the 200 of the
+    budget."""
+    corr, params = no_consensus_instance()
+    chunks = count_hypotheses(monkeypatch)
+    assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params) == NoConsensusError
+    assert sum(chunks) == 150
+
+
+@pytest.mark.parametrize("clean", [True, False])
+def test_pnp_on_thousands_of_correspondences(monkeypatch, clean):
+    """Six distinct points of 5,000 fall inside a given 8 with a probability
+    that 1 minus it rounds away, so the stop before a consensus is the budget.
+    A clean set agrees whole on the first hypothesis, so its first chunk is
+    its last; random pixels run the 40 of the budget and end without
+    consensus, although a best count of a few inliers gives (c / n)**6 below
+    float resolution too."""
+    rng = np.random.default_rng(5)
+    corr = synth_correspondences(rng, random_pose(rng), 5000)
+    if not clean:
+        corr = [(uv, pt) for uv, (_, pt) in zip(rng.uniform([0, 0], [640, 480], (5000, 2)), corr)]
+    params = RansacParams(iterations=40, inlier_px=10.0, seed=0)
+    chunks = count_hypotheses(monkeypatch)
+    got = outcome(pnp_ransac, corr, params)
+    assert got == outcome(pnp_oracle, corr, params)
+    if clean:
+        assert len(got[2]) == 5000 and chunks == [32]
+    else:
+        assert got == NoConsensusError and sum(chunks) == 40
+
+
+def test_pnp_with_a_tiny_confidence_draws_one_hypothesis(monkeypatch):
+    """Below about 1.1e-16, 1 - confidence rounds to 1 and the stop comes to
+    0 draws; the solve still draws one, and a clean instance localizes."""
+    _trial, clean, _noisy = next(criterion_6_instances(1))
+    params = RansacParams(confidence=1e-17, seed=0)
+    chunks = count_hypotheses(monkeypatch)
+    got = outcome(pnp_ransac, clean, params)
+    assert got == outcome(pnp_oracle, clean, params)
+    assert len(got[2]) == 20 and chunks == [1]
 
 
 @pytest.mark.parametrize("iterations", [1, 7, 33, 65])
@@ -334,16 +286,9 @@ def test_pnp_matches_oracle_on_odd_budgets(iterations):
 @pytest.mark.parametrize("min_inliers", [7, 8, 12])
 def test_pnp_below_min_inliers_solves_nothing(monkeypatch, min_inliers):
     """With one correspondence fewer than min_inliers no mask can reach
-    min_inliers, so the solve fails as the oracle's full loop does, without
+    min_inliers, so the solve fails as the oracle's loop does, without
     solving a hypothesis; with exactly min_inliers it runs as before."""
-    calls = []
-    masks = localize._hypothesis_masks
-
-    def spy(*args):
-        calls.append(len(args[0]))
-        return masks(*args)
-
-    monkeypatch.setattr(localize, "_hypothesis_masks", spy)
+    calls = count_hypotheses(monkeypatch)
     for trial, clean, _noisy in criterion_6_instances(3):
         for corr in (clean, jittered(clean, trial, sigma=1.0)):
             params = RansacParams(iterations=200, seed=trial, min_inliers=min_inliers)
@@ -427,12 +372,15 @@ class Recorded(Exception):
 
 def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, default_world):
     """Real solves: the correspondences sfm_localize hands to pnp_ransac for
-    the default world's 20 clean and 20 `at dawn` queries at k = 1 and 5,
-    after cosine top-5 retrieval, with the benchmark's RANSAC seeds for seed
-    7. Among them are solves that run to the 1000-iteration cap and end
-    without consensus."""
+    the default world's 20 clean, 20 `at dawn` and 20 `at sunset` queries at
+    k = 1 and 5, after cosine top-5 retrieval, with the benchmark's RANSAC
+    seeds for seed 7. Among them are solves that run to the 1000-iteration
+    cap and end without consensus. None of the 40 `at sunset` solves finds
+    one; the 10 of them with 10 to 15 correspondences end short of the cap
+    (150 hypotheses at 12 points), the 7 with 16 or more run to it."""
     d = default_world.landmarks.descriptors.shape[1]
-    queries = shift_queries(default_world, default_prompt_set(d, seed=0), ["at dawn"], seed=7)
+    prompts = default_prompt_set(d, seed=0)
+    queries = shift_queries(default_world, prompts, ["at dawn", "at sunset"], seed=7)
     model = EmbeddingModel(np.eye(d))
     index = build_index(default_world.map_views, model)
     map_views = {v.id: v for v in default_world.map_views}
@@ -453,21 +401,17 @@ def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, default_world):
                 )
     monkeypatch.undo()
 
-    hypotheses = []
-    masks = localize._hypothesis_masks
-
-    def spy(*args):
-        hypotheses[-1] += len(args[0])
-        return masks(*args)
-
-    monkeypatch.setattr(localize, "_hypothesis_masks", spy)
-    outcomes = []
+    chunks = count_hypotheses(monkeypatch)
+    outcomes, hypotheses = [], []
     for corr, intr, params in solves:
-        hypotheses.append(0)
+        chunks.clear()
         outcomes.append(outcome(pnp_ransac, corr, params, intr))
+        hypotheses.append(sum(chunks))
         assert outcomes[-1] == outcome(pnp_oracle, corr, params, intr)
-    assert len(solves) == 80
+    assert len(solves) == 120
     assert NoConsensusError in outcomes and 1000 in hypotheses
+    assert set(outcomes[80:]) == {NoConsensusError, InsufficientCorrespondencesError}
+    assert sum(hypotheses[80:]) == 11291
 
 
 # ---------------------------------------------------------------- sfm localization

@@ -1,6 +1,7 @@
 """Property tests over the core invariants, driven by hypothesis."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from synthloc.embed import (
@@ -13,9 +14,10 @@ from synthloc.embed import (
 from synthloc.geometry import MatchParams
 from synthloc.index import asmk_score
 from synthloc.experiment import ExperimentConfig
-from synthloc.localize import PoseError, localization_rate
+from synthloc.errors import NoConsensusError
+from synthloc.localize import PoseError, RansacParams, localization_rate, pnp_ransac
 
-from conftest import make_view, match_pairs
+from conftest import INTR, count_hypotheses, make_view, match_pairs, outcome, pnp_oracle
 
 
 def _views(seed, n_views=5, n_feats=4, d=6):
@@ -85,3 +87,35 @@ def test_localization_rate_monotone_over_levels(pairs):
     errs = [PoseError(t, r) for t, r in pairs]
     rates = localization_rate(errs, ExperimentConfig().thresholds)
     assert rates["high"] <= rates["mid"] <= rates["low"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 1 << 20),
+    st.integers(7, 20),
+    st.integers(0, 30),
+    st.integers(1, 300),
+    st.floats(1e-20, 0.999),
+)
+def test_pnp_without_consensus_solves_the_consensus_bound(seed, min_inliers, extra, iterations, confidence):
+    """Random pixels under a 1e-3 px inlier threshold leave every hypothesis
+    far below least = min_inliers inliers. The solve then ends after the
+    draws that take, with probability confidence, a sample of six distinct
+    points inside a given least of the n (probability p), never fewer than
+    one: min(iterations, max(1, ceil(log(1 - confidence) / log(1 - p)))),
+    without consensus and as the oracle does."""
+    n = min_inliers + extra
+    rng = np.random.default_rng(seed)
+    points = rng.uniform([-5, -5, 5], [5, 5, 15], (n, 3))
+    pixels = rng.uniform([0, 0], [640, 480], (n, 2))
+    corr = list(zip(pixels, points))
+    params = RansacParams(
+        iterations=iterations, inlier_px=1e-3, min_inliers=min_inliers, seed=seed, confidence=confidence
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        chunks = count_hypotheses(mp)
+        assert outcome(pnp_ransac, corr, params, INTR) == NoConsensusError
+    p = np.prod([(min_inliers - i) / (n - i) for i in range(6)])
+    draws = 1 if p == 1.0 else max(1, int(np.ceil(np.log1p(-confidence) / np.log1p(-p))))
+    assert sum(chunks) == min(iterations, draws)
+    assert outcome(pnp_oracle, corr, params, INTR) == NoConsensusError
