@@ -76,12 +76,14 @@ class TrainingTuple:
 MODES = ("baseline", "swap_pi", "multi_k", "aggregated_k")
 SAMPLINGS = ("uniform", "geometry_aware")
 
+# the loss margin and the step's rate and weight decay of every training run
+MARGIN = 0.7
+LEARNING_RATE = 1e-2
+WEIGHT_DECAY = 1e-4
+
 
 @dataclass
 class TrainConfig:
-    margin: float = 0.7
-    learning_rate: float = 1e-2
-    weight_decay: float = 1e-4
     episodes: int = 30
     pairs_per_episode: int = 200
     negative_pool_size: int = 2000
@@ -99,9 +101,11 @@ class TrainConfig:
             require_integer(name, getattr(self, name), 0)
         for name in ("pairs_per_episode", "negative_pool_size", "num_negatives", "embedding_dim"):
             require_integer(name, getattr(self, name), 1)
-        for name in ("margin", "learning_rate"):
-            require_number(name, getattr(self, name), 0, strict=True)
-        require_number("weight_decay", self.weight_decay, 0)
+        if self.num_negatives > self.negative_pool_size:
+            raise ValueError(
+                f"num_negatives {self.num_negatives} exceeds negative_pool_size "
+                f"{self.negative_pool_size}: a training pair mines its negatives from that pool"
+            )
         require_number("c_tau", self.c_tau)
         for name, known in (("mode", MODES), ("sampling", SAMPLINGS)):
             if getattr(self, name) not in known:
@@ -516,7 +520,7 @@ def train(
     trace: list[TraceRow] = []
     steps = 0
     for episode in range(config.episodes):
-        lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * episode / max(config.episodes, 1)))
+        lr = LEARNING_RATE * 0.5 * (1.0 + math.cos(math.pi * episode / max(config.episodes, 1)))
         pool_size = min(config.negative_pool_size, len(map_ids))
         pool_ids = sorted(int(i) for i in rng.choice(map_ids, size=pool_size, replace=False))
         pool_emb = np.array([aggregate(views[(vid, None)], model) for vid in pool_ids])
@@ -544,10 +548,10 @@ def train(
             synth_used += sum(1 for c in chosen if c.prompt is not None)
             tuples_used += len(chosen)
 
-            loss, dW = value_and_grad(chosen, views, model, config.margin, forwards)
+            loss, dW = value_and_grad(chosen, views, model, MARGIN, forwards)
             if not np.isfinite(loss):
                 raise DataError("diverged")
-            model.projection = (1.0 - lr * config.weight_decay) * model.projection - lr * dW
+            model.projection = (1.0 - lr * WEIGHT_DECAY) * model.projection - lr * dW
             losses.append(loss)
         steps += len(losses)
 

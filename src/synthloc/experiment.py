@@ -23,7 +23,6 @@ from .errors import (
     is_finite_number,
     require_distinct_integers,
     require_integer,
-    require_number,
 )
 from .fanout import _fan_out
 from .geometry import MatchParams, Scores, score_world_variants
@@ -54,10 +53,7 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     backend: str = "global_cosine"
     codebook_size: int = 64
-    codebook_iters: int = 10
     codebook_seed: int = 0
-    asmk_alpha: float = 3.0
-    asmk_sel_threshold: float = 0.0
     eval_ks: list[int] = field(default_factory=lambda: [1, 5])
     query_conditions: list[str] = field(default_factory=lambda: ["at night"])
     # accuracy buckets: {level: [max translation m, max rotation deg]}
@@ -83,10 +79,8 @@ class ExperimentConfig:
         require_distinct_integers("seeds", self.seeds, 0)
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {', '.join(BACKENDS)}, not {self.backend!r}")
-        for name, low in (("codebook_size", 1), ("codebook_iters", 1), ("codebook_seed", 0)):
+        for name, low in (("codebook_size", 1), ("codebook_seed", 0)):
             require_integer(name, getattr(self, name), low)
-        require_number("asmk_alpha", self.asmk_alpha, 0, strict=True)
-        require_number("asmk_sel_threshold", self.asmk_sel_threshold)
         require_distinct_integers("eval_ks", self.eval_ks, 1)
         self.train_config(self.seeds[0])  # the train section must be valid with the root keys
         if not (
@@ -300,18 +294,14 @@ def evaluate_model(
     if config.backend == "asmk":
         local_vectors = np.concatenate([v.desc @ model.projection.T for v in world.map_views])
         cb_size = min(config.codebook_size, local_vectors.shape[0])
-        codebook = train_codebook(
-            local_vectors, cb_size, config.codebook_iters, config.codebook_seed
-        )
+        codebook = train_codebook(local_vectors, cb_size, seed=config.codebook_seed)
     index = build_index(world.map_views, model, codebook)
     map_poses = {v.id: v.pose for v in world.map_views}
     map_views = {v.id: v for v in world.map_views}
     k_max = max(config.eval_ks)
 
     def localize_query(q: ViewImage) -> tuple[list, list[dict]]:
-        ranked = retrieve(
-            q, index, model, config.backend, k_max, config.asmk_alpha, config.asmk_sel_threshold
-        )
+        ranked = retrieve(q, index, model, config.backend, k_max)
         rows = []
 
         def row(protocol: str, k: int, error: PoseError | None, status: str = "ok") -> dict:
@@ -401,10 +391,11 @@ def cmd_ablate(
     config: ExperimentConfig,
     out_dir: str | Path,
     methods: tuple[str, ...] = ABLATION_METHODS,
-) -> list[dict]:
+) -> None:
     """Run the method grid over all seeds, evaluating each trained model, and
-    tabulate per-condition medians with min/max across seeds. Every stage is
-    computed afresh into `out_dir`: `world` is rewritten whole, and the
+    write every run's summary rows (`ablation_raw.csv`) and their
+    per-condition medians with min/max across seeds (`ablation.csv`). Every
+    stage is computed afresh into `out_dir`: `world` is rewritten whole, and the
     `variants` and `runs` of an earlier call are removed first, since a
     baseline-only call writes no variants. The world, the variants and scores
     (when a method needs them) are written and read back once, and the
@@ -435,49 +426,27 @@ def cmd_ablate(
         model = _train_and_save(world, variants, scores, tc, path, "")
         return _save_evaluation(evaluate_model(world, queries, model, config), path)
 
-    # each percentage as summary.csv holds it, so that a median over an even
-    # number of seeds is the one the per-run files give
-    raw_rows = [
-        {"method": method, "seed": seed, **row, **{level: round(row[level], 2) for level in LEVELS}}
+    # one row per (method, seed, protocol, k, condition), each percentage as
+    # summary.csv holds it, so that a median over an even number of seeds is
+    # the one the per-run files give
+    rows = [
+        ((method, seed, r["protocol"], r["k"], r["condition"]), [round(r[level], 2) for level in LEVELS])
         for (method, seed), summary in zip(jobs, _fan_out(run, jobs))
-        for row in summary
+        for r in summary
     ]
-
     lines = ["method,seed,protocol,k,condition,pct_high,pct_mid,pct_low"]
-    for r in raw_rows:
-        lines.append(
-            f"{r['method']},{r['seed']},{r['protocol']},{r['k']},{r['condition']},"
-            f"{r['high']:.2f},{r['mid']:.2f},{r['low']:.2f}"
-        )
+    lines += [",".join(map(str, key)) + "".join(f",{x:.2f}" for x in pcts) for key, pcts in rows]
     storage._write_lines(out / "ablation_raw.csv", lines)
 
-    groups: dict[tuple, list[dict]] = {}
-    for r in raw_rows:
-        groups.setdefault((r["method"], r["protocol"], r["k"], r["condition"]), []).append(r)
-    report = []
-    for (method, protocol, k, condition), group in sorted(
-        groups.items(), key=lambda item: (methods.index(item[0][0]), *item[0][1:])
-    ):
-        entry = {"method": method, "protocol": protocol, "k": k, "condition": condition}
-        for level in LEVELS:
-            vals = [g[level] for g in group]
-            entry[f"{level}_median"] = statistics.median(vals)
-            entry[f"{level}_min"] = min(vals)
-            entry[f"{level}_max"] = max(vals)
-        report.append(entry)
-
+    groups: dict[tuple, list[list[float]]] = {}
+    for (method, _, *rest), pcts in rows:
+        groups.setdefault((method, *rest), []).append(pcts)
     lines = [
         "method,protocol,k,condition,"
         "high_median,high_min,high_max,mid_median,mid_min,mid_max,low_median,low_min,low_max"
     ]
-    for r in report:
-        lines.append(
-            f"{r['method']},{r['protocol']},{r['k']},{r['condition']},"
-            + ",".join(
-                f"{r[f'{level}_{stat}']:.2f}"
-                for level in LEVELS
-                for stat in ("median", "min", "max")
-            )
-        )
+    for key in sorted(groups, key=lambda g: (methods.index(g[0]), *g[1:])):
+        # zip gives each level's percentages over the seeds
+        stats = [f(pcts) for pcts in zip(*groups[key]) for f in (statistics.median, min, max)]
+        lines.append(",".join(map(str, key)) + "".join(f",{x:.2f}" for x in stats))
     storage._write_lines(out / "ablation.csv", lines)
-    return report

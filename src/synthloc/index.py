@@ -9,7 +9,10 @@ views into an `(n, C, e)` sign tensor with an `(n, C)` occupancy mask, the
 `(n, C)` non-zero counts per cell and the `(n,)` occupied-cell counts.
 `retrieve` then scores a query against all n views in one call of
 `_asmk_scores`. `asmk_signs` gives a view's `(C, e)` signature, and
-`asmk_score(a, b)` is the same kernel on one pair of such arrays.
+`asmk_score(a, b)` is the same kernel on one pair of such arrays. The
+pipeline runs on the defaults: 10 k-means iterations, and the selective
+match kernel's published alpha = 3 and sel_threshold = 0 (Tolias, Avrithis
+& Jegou, ICCV 2013).
 
 Invariant: every score is bit-identical to the per-cell sequential sum
 

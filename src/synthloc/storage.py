@@ -4,6 +4,7 @@ mandatory header lines."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 from pathlib import Path
@@ -222,9 +223,17 @@ _META_INTS = ("seed", "num_map_views", "num_query_views", "width", "height")
 def _load_meta(path: Path) -> dict[str, float]:
     """meta.csv's values by key, each a finite number, and an integer >= 0
     where the key counts or seeds something; a world has at least the 2 map
-    views of a trajectory."""
-    keys, table = _parse_table(_read_lines(path), path, "meta entry", 2, text_col=0)
+    views of a trajectory, and no key is repeated. An integer entry is read
+    from its text where `int` takes it, so exactly also past 2**53."""
+    lines = _read_lines(path)
+    keys, table = _parse_table(lines, path, "meta entry", 2, text_col=0)
+    _reject_rows(path, [(_repeated(keys), "the key is repeated")])
     meta = dict(zip(keys, table[:, 0].tolist()))
+    for key, line in zip(keys, lines[1:]):
+        if key in _META_INTS:
+            # "7.0", or digits past int's length limit, keep the float checked below
+            with contextlib.suppress(ValueError):
+                meta[key] = int(line.split(",")[1])
     for key in _META_KEYS:
         if key not in meta:
             raise DataError(f"{path}: no {key} entry")

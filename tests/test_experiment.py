@@ -875,11 +875,6 @@ BAD_VALUES = {
     "train.embedding_dim-0": ("train", "embedding_dim", 0),
     "train.embedding_dim-above-descriptor-dim": ("train", "embedding_dim", 64),
     "train.num_negatives-above-eligible": ("train", "num_negatives", 16),
-    "train.margin-0": ("train", "margin", 0.0),
-    "train.learning_rate-str": ("train", "learning_rate", "nan"),
-    "train.learning_rate-nan": ("train", "learning_rate", float("nan")),
-    "train.weight_decay-negative": ("train", "weight_decay", -1e-4),
-    "train.weight_decay-inf": ("train", "weight_decay", float("inf")),
     "train.mode": ("train", "mode", "bogus"),
     "train.sampling": ("train", "sampling", "bogus"),
     "train.c_tau-str": ("train", "c_tau", "0.2"),
@@ -892,13 +887,7 @@ BAD_VALUES = {
     "root.backend": (None, "backend", "bogus"),
     "root.codebook_size-str": (None, "codebook_size", "3"),
     "root.codebook_size-0": (None, "codebook_size", 0),
-    "root.codebook_iters-negative": (None, "codebook_iters", -1),
     "root.codebook_seed-negative": (None, "codebook_seed", -1),
-    "root.asmk_alpha-negative": (None, "asmk_alpha", -1.0),
-    "root.asmk_alpha-0": (None, "asmk_alpha", 0),
-    "root.asmk_alpha-nan": (None, "asmk_alpha", float("nan")),
-    "root.asmk_sel_threshold-str": (None, "asmk_sel_threshold", "x"),
-    "root.asmk_sel_threshold-inf": (None, "asmk_sel_threshold", float("inf")),
     "root.eval_ks-0": (None, "eval_ks", [0]),
     "root.eval_ks-empty": (None, "eval_ks", []),
     "root.eval_ks-str": (None, "eval_ks", "1"),
@@ -1041,6 +1030,77 @@ def test_cli_fixed_world_key_is_unknown_config_key(tmp_path, capsys, key):
     assert not (tmp_path / "w").exists()
 
 
+FIXED_TUNING_KEYS = [
+    "codebook_iters", "asmk_alpha", "asmk_sel_threshold",
+    "train.margin", "train.learning_rate", "train.weight_decay",
+]
+
+
+@pytest.mark.parametrize("key", FIXED_TUNING_KEYS)
+def test_cli_fixed_tuning_key_is_unknown_config_key(tmp_path, capsys, key):
+    """The k-means iteration count, the match kernel's selectivity and
+    threshold and training's margin, rate and weight decay are constants of
+    the code that reads them: setting one exits 2 with an unknown key, at the
+    root or in the train section, and nothing is written."""
+    *section, name = key.split(".")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({section[0]: {name: 1}} if section else {name: 1}))
+    assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+    assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_cli_num_negatives_above_the_pool_is_config_error(pipeline, tmp_path, capsys, command):
+    """A training pair mines its M negatives from a pool of
+    `negative_pool_size` views, so M above the pool can never take a step:
+    the config is refused naming both keys, before any file is written,
+    where `train` used to exit 2 only after training and `ablate` after
+    writing its world and variants."""
+    config = {**TEST_CONFIG, "train": {**TEST_CONFIG["train"], "negative_pool_size": 2, "num_negatives": 3}}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    args = ["--world", str(pipeline["world"]), "--variants", str(pipeline["variants"])] if command == "train" else []
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid config section train: num_negatives 3 exceeds negative_pool_size 2: "
+        "a training pair mines its negatives from that pool\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_meta_integers_load_as_written(tmp_path):
+    """A world seed past 2**53 is written exactly and read back exactly, so
+    `evaluate` derives its RANSAC seeds from the configured seed; a float
+    read of meta.csv gave 2**53 for 2**53 + 1. An integer entry written as a
+    float without a fraction, or with more leading zeros than `int` reads,
+    still loads."""
+    seed = 2**53 + 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TEST_CONFIG, "world_seed": seed}))
+    world = tmp_path / "world"
+    assert main(["worldgen", "--config", str(cfg), "--out", str(world)]) == 0
+    assert f"seed,{seed}" in (world / "meta.csv").read_text().splitlines()
+    assert storage.load_world(world).seed == seed
+    for text in ("7.0", "0" * 5000 + "7"):
+        _edit_line(world / "meta.csv", 2, lambda parts: [parts[0], text])
+        assert storage.load_world(world).seed == 7
+
+
+def test_cli_repeated_meta_key_is_data_error(pipeline, tmp_path, capsys):
+    """A second entry for a meta.csv key exits 3 naming its line, where the
+    later value used to replace the earlier one without a word."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    with open(world / "meta.csv", "a") as fh:
+        fh.write("seed,11\n")
+    rc = main(["variants", "--config", pipeline["cfg"], "--world", str(world), "--out", str(tmp_path / "v")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"data error: {world}/meta.csv:11: the key is repeated\n"
+    assert not (tmp_path / "v").exists()
+
+
 def test_config_reference_lists_every_key_with_its_default(tmp_path):
     """A nested config built from every line of config.reference loads and
     equals the default config, and no key with another source is listed."""
@@ -1178,7 +1238,7 @@ def test_load_config_defaults():
     cfg = load_config(None)
     assert isinstance(cfg, ExperimentConfig)
     assert cfg.c_tau == 0.2
-    assert cfg.train.margin == 0.7
+    assert cfg.train.num_negatives == 5
     assert cfg.thresholds == {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
 
 
@@ -1193,13 +1253,15 @@ def test_ablate_small_grid(tmp_path):
     cfg = config_from_dict(TEST_CONFIG)
     cfg.seeds = [1]
     out = tmp_path / "ablation"
-    report = cmd_ablate(cfg, out, methods=("baseline", "synth_geometry"))
+    cmd_ablate(cfg, out, methods=("baseline", "synth_geometry"))
     # every output but config.reference, against digests recorded before
     # the train configs came from one source
     pinned = json.loads((Path(__file__).parent / "data" / "cli_ablate_sha256.json").read_text())
     got = {rel: digest for rel, digest in dir_digest(out).items() if Path(rel).name != "config.reference"}
     assert got == pinned
     assert not any(Path(rel).name == "done" for rel in got)
+    with open(out / "ablation.csv", newline="") as f:
+        report = list(csv.DictReader(f))
     methods = {r["method"] for r in report}
     assert methods == {"baseline", "synth_geometry"}
 
@@ -1210,9 +1272,10 @@ def test_ablate_small_grid(tmp_path):
     for r in report:
         if r["method"] != "baseline":
             continue
-        src = by_key[(r["protocol"], r["k"], r["condition"])]
+        src = by_key[(r["protocol"], int(r["k"]), r["condition"])]
         for level in ("high", "mid", "low"):
-            assert r[f"{level}_median"] == r[f"{level}_min"] == r[f"{level}_max"] == src[level]
+            stats = [float(r[f"{level}_{stat}"]) for stat in ("median", "min", "max")]
+            assert stats == [src[level]] * 3
 
     # another config into the same directory reports what a fresh directory
     # does: no stage of the first run is reused
