@@ -119,17 +119,14 @@ def asmk_signs(view: ViewImage, model: EmbeddingModel, codebook: np.ndarray) -> 
     row."""
     z = view.desc @ model.projection.T
     labels = _assign(z, codebook)
+    # np.add.at adds each cell's rows in row order, at every e
+    totals = np.zeros(codebook.shape)
+    np.add.at(totals, labels, z - codebook[labels])
+    # one dot product per row, the same as np.linalg.norm of each row on its own
+    norms = np.sqrt(totals[:, None, :] @ totals[:, :, None])[:, 0]
+    kept = norms[:, 0] > 0.0
     signs = np.zeros(codebook.shape, dtype=np.int8)
-    # one residual sum per cell, over its rows in order: a vectorised sum
-    # adds in another order where e == 1, since numpy sums an (m, 1) column
-    # pairwise
-    for cell in sorted(set(int(l) for l in labels)):
-        residuals = z[labels == cell] - codebook[cell]
-        total = residuals.sum(axis=0)
-        norm = float(np.linalg.norm(total))
-        if norm == 0.0:
-            continue  # degenerate cancellation
-        signs[cell] = np.sign(total / norm)
+    signs[kept] = np.sign(totals[kept] / norms[kept])
     return signs
 
 

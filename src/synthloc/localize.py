@@ -69,14 +69,14 @@ def ewb_pose(ranked: RankedList, poses: dict[int, CameraPose], k: int) -> Camera
     return CameraPose(rotation=rotation, position=position)
 
 
-def _dlt_rt(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked direct linear transform for [R|t]: `b` problems of `m >= 6`
-    points each, as (b, m, 3) points and (b, m, 2) normalized image
-    coordinates, each followed by projection to the nearest rotation. Returns
-    the (b, 3, 3) world-to-camera rotations and the (b, 3) camera centers.
+def _dlt_system(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked, normalized direct linear transform for [R|t]: `b`
+    problems of `m >= 6` points each, as (b, m, 3) points and (b, m, 2)
+    normalized image coordinates. Returns the (b, 2m, 12) systems A, whose
+    null vectors are the projections of the normalized points, and the
+    (b, 4, 4) transforms T that undo the normalization: P = null(A) @ T.
     Each problem gets the same floating-point operations as a solve of its
-    own, so a result does not depend on the other problems in the stack.
-    Raises LinAlgError if any SVD in the stack fails."""
+    own, so a result does not depend on the other problems in the stack."""
     b, m, _ = points3d.shape
     centroid = points3d.mean(axis=1)
     spread = np.mean(np.linalg.norm(points3d - centroid[:, None], axis=2), axis=1)
@@ -91,16 +91,22 @@ def _dlt_rt(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, np.n
     A[:, 0::2, 8:12] = -norm_xy[:, :, 0:1] * Xh
     A[:, 1::2, 4:8] = Xh
     A[:, 1::2, 8:12] = -norm_xy[:, :, 1:2] * Xh
-    _, _, vt = np.linalg.svd(A, full_matrices=False)
-    P = vt[:, -1].reshape(b, 3, 4)
 
     # undo the 3D normalization: X' = scale * (X - centroid)
     T = np.zeros((b, 4, 4))
     T[:, [0, 1, 2], [0, 1, 2]] = scale[:, None]
     T[:, :3, 3] = -scale[:, None] * centroid
     T[:, 3, 3] = 1.0
-    P = P @ T
+    return A, T
 
+
+def _rt_from_projection(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[R|C] from (b, 3, 4) projections P ~ [R|t], of either sign and any
+    scale: P's sign is flipped where det(P[:, :3]) < 0, and its left block is
+    projected to the nearest rotation by an SVD. Returns the (b, 3, 3)
+    world-to-camera rotations and the (b, 3) camera centers. Raises
+    LinAlgError if any SVD in the stack fails."""
+    b = P.shape[0]
     P = np.where((np.linalg.det(P[:, :, :3]) < 0)[:, None, None], -P, P)
     U, s, Vt = np.linalg.svd(P[:, :, :3])
     D = np.zeros((b, 3, 3))
@@ -167,9 +173,18 @@ def _hypothesis_masks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (b, n) inlier masks of the (b, 6) sampled hypotheses, in order, and
     their (b,) inlier counts; a hypothesis whose DLT fails counts -1. A failing
-    stack is redone one at a time."""
+    stack is redone one at a time.
+
+    A hypothesis's DLT null vector is the eigenvector of AᵀA with the
+    smallest eigenvalue, which is the right singular vector of A's smallest
+    singular value (Hartley & Zisserman, Multiple View Geometry, 2nd ed.,
+    §4.1 and A5.3); a 12×12 `eigh` is cheaper than A's SVD. The stacked AᵀA
+    products and `eigh` run once per matrix, so a hypothesis's mask does not
+    depend on the others in its stack."""
     try:
-        R, center = _dlt_rt(points[samples], norm_xy[samples])
+        A, T = _dlt_system(points[samples], norm_xy[samples])
+        _, V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)
+        R, center = _rt_from_projection(V[:, :, 0].reshape(-1, 3, 4) @ T)
     except np.linalg.LinAlgError:
         if len(samples) == 1:
             return np.zeros((1, len(points)), dtype=bool), np.array([-1])
@@ -203,17 +218,27 @@ def pnp_ransac(
     min(start, bound((c / n)**6)), the standard adaptive stop capped at start.
 
     Hypotheses are drawn and solved in chunks of at most _CHUNK, never more
-    than the remaining budget, but the result is that of drawing, solving and
-    scoring them one at a time with `rng.choice(n, 6, replace=False)`. A
-    chunk's samples come from one `rng.integers` call (`_draw_samples`): each
-    `choice` call is eleven bounded draws (Floyd's sampling, then a shuffle),
-    and one call over the chunk's bounds takes the same draws in the same
-    order, so the samples and the generator's state equal those of the serial
-    calls. The chunk is walked in draw order with the strict best-count
-    update and the adaptive stop. Hypotheses drawn past the stopping point are
-    discarded; the generator is local to the call. If a chunk's stacked SVD
-    fails, its hypotheses are solved one at a time, and each one that fails
-    still counts as an iteration.
+    than the remaining budget, but the result is that of drawing them one at
+    a time with `rng.choice(n, 6, replace=False)`. A chunk's samples come
+    from one `rng.integers` call (`_draw_samples`): each `choice` call is
+    eleven bounded draws (Floyd's sampling, then a shuffle), and one call over
+    the chunk's bounds takes the same draws in the same order, so the samples
+    and the generator's state equal those of the serial calls. The chunk is
+    walked in draw order with the strict best-count update and the adaptive
+    stop. Hypotheses drawn past the stopping point are discarded; the
+    generator is local to the call. If a chunk's stacked solve fails, its
+    hypotheses are solved one at a time, and each one that fails still
+    counts as an iteration.
+
+    A hypothesis only feeds an inlier mask, so it takes its DLT null vector
+    from `eigh(AᵀA)` (`_hypothesis_masks`); the all-inlier refit, whose pose
+    is returned, takes it from the SVD of its tall A, whose condition number
+    the normal equations would square. On every tested instance the outcome
+    equals that of a serial loop solving each hypothesis through the SVD.
+    Where A's two smallest singular values nearly coincide, the two solvers
+    can give a hypothesis different masks (both poses are then junk), and an
+    outcome would differ only if such a hypothesis set or lost the best
+    count.
     """
     n = len(corr_2d3d)
     if n < 6:
@@ -255,7 +280,9 @@ def pnp_ransac(
         raise NoConsensusError("no consensus")
 
     idx = np.nonzero(best_mask)[0]
-    R, center = _dlt_rt(points[idx][None], norm_xy[idx][None])
+    A, T = _dlt_system(points[idx][None], norm_xy[idx][None])
+    _, _, vt = np.linalg.svd(A, full_matrices=False)
+    R, center = _rt_from_projection(vt[:, -1].reshape(1, 3, 4) @ T)
     pose = CameraPose(rotation=quats.from_matrix(R[0]), position=center[0])
     res = _residuals(pose.matrix()[None], pose.position[None], points, pixels, intrinsics)[0]
     final = np.nonzero(res <= params.inlier_px)[0]

@@ -177,6 +177,13 @@ def _view_line(view: ViewImage) -> str:
     )
 
 
+# meta.csv's keys, in the order save_world writes them
+_META_KEYS = (
+    "seed", "descriptor_dim", "num_map_views", "num_query_views", "focal", "cx", "cy", "width", "height"
+)
+_META_INTS = ("seed", "descriptor_dim", "num_map_views", "num_query_views", "width", "height")
+
+
 def save_world(world: World, out_dir: str | os.PathLike) -> None:
     out = Path(out_dir)
     d = world.landmarks.descriptors.shape[1]
@@ -201,30 +208,27 @@ def save_world(world: World, out_dir: str | os.PathLike) -> None:
     _write_lines(out / "pairs.csv", lines)
 
     intr = world.map_views[0].intrinsics
-    meta = [
-        "key,value",
-        f"seed,{world.seed}",
-        f"descriptor_dim,{d}",
-        f"num_map_views,{len(world.map_views)}",
-        f"num_query_views,{len(world.query_views)}",
-        f"focal,{fmt(intr.focal)}",
-        f"cx,{fmt(intr.principal_point[0])}",
-        f"cy,{fmt(intr.principal_point[1])}",
-        f"width,{intr.image_size[0]}",
-        f"height,{intr.image_size[1]}",
-    ]
-    _write_lines(out / "meta.csv", meta)
+    values = dict(
+        seed=world.seed,
+        descriptor_dim=d,
+        num_map_views=len(world.map_views),
+        num_query_views=len(world.query_views),
+        focal=fmt(intr.focal),
+        cx=fmt(intr.principal_point[0]),
+        cy=fmt(intr.principal_point[1]),
+        width=intr.image_size[0],
+        height=intr.image_size[1],
+    )
+    _write_lines(out / "meta.csv", ["key,value"] + [f"{key},{values[key]}" for key in _META_KEYS])
 
 
-_META_KEYS = ("seed", "num_map_views", "num_query_views", "focal", "cx", "cy", "width", "height")
-_META_INTS = ("seed", "num_map_views", "num_query_views", "width", "height")
-
-
-def _load_meta(path: Path) -> dict[str, float]:
-    """meta.csv's values by key, each a finite number, and an integer >= 0
-    where the key counts or seeds something; a world has at least the 2 map
-    views of a trajectory, and no key is repeated. An integer entry is read
-    from its text where `int` takes it, so exactly also past 2**53."""
+def _load_meta(path: Path, descriptor_dim: int) -> dict[str, float]:
+    """meta.csv's values by key: exactly the keys save_world writes, each
+    once, each a finite number, and an integer >= 0 where the key counts or
+    seeds something; a world has at least the 2 map views of a trajectory,
+    and `descriptor_dim` must be the landmarks' descriptor width. An integer
+    entry is read from its text where `int` takes it, so exactly also past
+    2**53."""
     lines = _read_lines(path)
     keys, table = _parse_table(lines, path, "meta entry", 2, text_col=0)
     _reject_rows(path, [(_repeated(keys), "the key is repeated")])
@@ -239,16 +243,31 @@ def _load_meta(path: Path) -> dict[str, float]:
             raise DataError(f"{path}: no {key} entry")
         if key in _META_INTS and not (meta[key] == round(meta[key]) and meta[key] >= 0):
             raise DataError(f"{path}:{keys.index(key) + 2}: {key} is not an integer >= 0")
+    unknown = np.array([key not in _META_KEYS for key in keys])
+    _reject_rows(path, [(unknown, "the key is not one save_world writes")])
     if meta["num_map_views"] < 2:
         line = keys.index("num_map_views") + 2
         raise DataError(f"{path}:{line}: num_map_views is below 2, a trajectory's fewest views")
+    if meta["descriptor_dim"] != descriptor_dim:
+        line = keys.index("descriptor_dim") + 2
+        raise DataError(
+            f"{path}:{line}: descriptor_dim is {meta['descriptor_dim']}, "
+            f"landmarks.csv's descriptors are {descriptor_dim}-dim"
+        )
     return meta
 
 
 def load_world(in_dir: str | os.PathLike) -> World:
     src = Path(in_dir)
+    path = src / "landmarks.csv"
+    _, table = _parse_table(_read_lines(path), path, "landmark", 5, {0: "the landmark id"})
+    _reject_rows(
+        path, [(table[:, 0] != np.arange(len(table)), "landmark ids must be 0 to L - 1 in row order")]
+    )
+    landmarks = Landmarks(table[:, 1:4], table[:, 4:])
+
     path = src / "meta.csv"
-    meta = _load_meta(path)
+    meta = _load_meta(path, landmarks.descriptors.shape[1])
     try:
         intr = CameraIntrinsics(
             focal=meta["focal"],
@@ -257,13 +276,6 @@ def load_world(in_dir: str | os.PathLike) -> World:
         )
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-
-    path = src / "landmarks.csv"
-    _, table = _parse_table(_read_lines(path), path, "landmark", 5, {0: "the landmark id"})
-    _reject_rows(
-        path, [(table[:, 0] != np.arange(len(table)), "landmark ids must be 0 to L - 1 in row order")]
-    )
-    landmarks = Landmarks(table[:, 1:4], table[:, 4:])
 
     n_map = int(meta["num_map_views"])
     path = src / "views.csv"

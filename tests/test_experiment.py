@@ -673,6 +673,10 @@ MALFORMED_WORLD_TABLES = {
     "meta-str-width": ("meta.csv", 9, lambda parts: [parts[0], "wide"], "meta.csv:9: 'wide' is not a number"),
     "meta-view-count": ("meta.csv", 4, lambda parts: [parts[0], "15"], "views.csv: 22 views, meta.csv counts 15 map and 6"),
     "meta-negative-seed": ("meta.csv", 2, lambda parts: [parts[0], "-1"], "meta.csv:2: seed is not an integer >= 0"),
+    "meta-descriptor-dim": (
+        "meta.csv", 3, lambda parts: [parts[0], "99"],
+        "meta.csv:3: descriptor_dim is 99, landmarks.csv's descriptors are 16-dim",
+    ),
 }
 
 
@@ -683,9 +687,9 @@ def test_cli_malformed_world_table_is_data_error(pipeline, tmp_path, capsys, nam
     """A views.csv row with a non-finite or non-unit pose, without its
     condition or with a condition other than `original`, a short or repeated
     pairs.csv row, a meta.csv without focal, a meta.csv whose view counts are
-    not views.csv's and a negative world seed exit 3 naming the file (and
-    line), where they used to exit 0 or give an IndexError, ValueError or
-    KeyError."""
+    not views.csv's, a negative world seed and a descriptor_dim other than
+    landmarks.csv's width exit 3 naming the file (and line), where they used
+    to exit 0 or give an IndexError, ValueError or KeyError."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
     _edit_line(world / name, lineno, edit)
@@ -1098,6 +1102,21 @@ def test_cli_repeated_meta_key_is_data_error(pipeline, tmp_path, capsys):
     rc = main(["variants", "--config", pipeline["cfg"], "--world", str(world), "--out", str(tmp_path / "v")])
     assert rc == 3
     assert capsys.readouterr().err == f"data error: {world}/meta.csv:11: the key is repeated\n"
+    assert not (tmp_path / "v").exists()
+
+
+def test_cli_unknown_meta_key_is_data_error(pipeline, tmp_path, capsys):
+    """A meta.csv key that save_world does not write exits 3 naming its
+    line, where it used to be ignored."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    with open(world / "meta.csv", "a") as fh:
+        fh.write("bogus_key,5\n")
+    rc = main(["variants", "--config", pipeline["cfg"], "--world", str(world), "--out", str(tmp_path / "v")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"data error: {world}/meta.csv:11: the key is not one save_world writes\n"
+    )
     assert not (tmp_path / "v").exists()
 
 

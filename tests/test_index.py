@@ -113,25 +113,48 @@ def test_asmk_cancellation_drops_cell():
     assert sig.shape == (1, 4) and not sig.any()
 
 
-def test_asmk_signs_step_by_step_oracle():
-    rng = np.random.default_rng(6)
-    view = make_view(rng, 12, 8)
-    model = _model(seed=2)
-    vectors = view.descriptors() @ model.projection.T
-    cb = train_codebook(vectors, c=3, iters=5, seed=0)
-    sig = cells_of(asmk_signs(view, model, cb))
+def row_order_sum(rows):
+    """The sum of `rows`, added one row after the other."""
+    total = np.zeros(rows.shape[1])
+    for row in rows:
+        total = total + row
+    return total
 
-    d2 = ((vectors[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    expected = {}
-    for cell in sorted(set(labels)):
-        total = (vectors[labels == cell] - cb[cell]).sum(axis=0)
-        n = np.linalg.norm(total)
-        if n > 0:
-            expected[int(cell)] = np.sign(total / n).astype(np.int8)
-    assert set(sig) == set(expected)
-    for cell in expected:
-        assert np.array_equal(sig[cell], expected[cell])
+
+def test_asmk_signs_step_by_step_oracle():
+    """At e = 1 the 12 features share one cell, whose residual sum is taken
+    in row order too, not as numpy's pairwise sum of a column."""
+    for e, c in ((4, 3), (1, 1)):
+        rng = np.random.default_rng(6)
+        view = make_view(rng, 12, 8)
+        model = _model(e=e, seed=2)
+        vectors = view.descriptors() @ model.projection.T
+        cb = train_codebook(vectors, c=c, iters=5, seed=0)
+        sig = cells_of(asmk_signs(view, model, cb))
+
+        d2 = ((vectors[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        expected = {}
+        for cell in sorted(set(labels)):
+            total = row_order_sum(vectors[labels == cell] - cb[cell])
+            n = np.linalg.norm(total)
+            if n > 0:
+                expected[int(cell)] = np.sign(total / n).astype(np.int8)
+        assert set(sig) == set(expected)
+        for cell in expected:
+            assert np.array_equal(sig[cell], expected[cell])
+
+
+def test_asmk_signs_sum_a_column_in_row_order():
+    """Eight residuals 1e16, 1, -1e16, 1, 0, ...: added in row order they
+    leave 1, but numpy's pairwise sum of the column cancels them to 0."""
+    model = EmbeddingModel(np.eye(1, 8))
+    desc = np.zeros((8, 8))
+    desc[:4, 0] = [1e16, 1.0, -1e16, 1.0]
+    view = make_view(np.random.default_rng(5), 1, 8)
+    v = ViewImage(0, view.pose, view.intrinsics, np.zeros((8, 2)), desc, [-1] * 8)
+    assert desc[:, 0].sum() == 0.0 and row_order_sum(desc[:, :1]) == 1.0
+    assert asmk_signs(v, model, np.zeros((1, 1))).tolist() == [[1]]
 
 
 def test_asmk_self_score_is_one():

@@ -21,7 +21,16 @@ from synthloc.localize import (
 from synthloc.variants import default_prompt_set, shift_queries
 from synthloc.worldgen import CameraIntrinsics, CameraPose, derive_seed, project_points
 
-from conftest import INTR, count_hypotheses, from_axis_angle, landmark_set, outcome, pnp_oracle
+from conftest import (
+    INTR,
+    count_hypotheses,
+    dlt_oracle,
+    from_axis_angle,
+    landmark_set,
+    outcome,
+    pnp_oracle,
+    residuals_oracle,
+)
 
 def random_pose(rng, angle_max=0.5):
     axis = rng.standard_normal(3)
@@ -320,18 +329,18 @@ def test_pnp_matches_oracle_when_stopping_mid_chunk():
         assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
 
 
-def test_pnp_matches_oracle_when_svd_fails(monkeypatch):
-    """A NaN pixel makes every sample that draws it fail in the SVD. The
-    stacked chunk then fails as a whole and is redone one at a time; the
-    failing hypotheses count as iterations but never win."""
+def test_pnp_matches_oracle_when_the_solve_fails(monkeypatch):
+    """A NaN pixel makes every sample that draws it fail in the hypothesis
+    solve's `eigh`. The stacked chunk then fails as a whole and is redone one
+    at a time; the failing hypotheses count as iterations but never win."""
     stacks = []
-    dlt = localize._dlt_rt
+    system = localize._dlt_system
 
     def spy(points3d, norm_xy):
         stacks.append(points3d.shape[0])
-        return dlt(points3d, norm_xy)
+        return system(points3d, norm_xy)
 
-    monkeypatch.setattr(localize, "_dlt_rt", spy)
+    monkeypatch.setattr(localize, "_dlt_system", spy)
     nan = (np.array([np.nan, 240.0]), np.array([0.0, 0.0, 10.0]))
     for trial, clean, _noisy in criterion_6_instances(10):
         for corr, params in (
@@ -342,6 +351,31 @@ def test_pnp_matches_oracle_when_svd_fails(monkeypatch):
             assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
             assert stacks[0] > 1 and stacks[1] == 1  # the first chunk fell back
         assert outcome(pnp_ransac, clean + [nan], RansacParams(seed=trial))[2] == list(range(20))
+
+
+def solve_arrays(corr):
+    """pnp_ransac's pixel, point and normalized-coordinate arrays of `corr`."""
+    pixels = np.array([c[0] for c in corr], dtype=float)
+    points = np.array([c[1] for c in corr], dtype=float)
+    return pixels, points, (pixels - INTR.principal_point) / INTR.focal
+
+
+def test_hypothesis_masks_do_not_depend_on_the_chunk():
+    """A chunk's masks and counts equal those of its hypotheses solved one at
+    a time: the stacked AᵀA products and `eigh` run once per matrix, so a
+    hypothesis's pose does not depend on the others in its chunk. Clean
+    points with 1 px of pixel noise against a 1 px threshold put many
+    residuals near it, where a pose that moved would flip a mask."""
+    rng = np.random.default_rng(24)
+    for trial, clean, _noisy in criterion_6_instances(5):
+        pixels, points, norm_xy = solve_arrays(jittered(clean, trial, sigma=1.0))
+        args = (points, norm_xy, pixels, INTR, 1.0)
+        for _ in range(40):
+            samples = localize._draw_samples(rng, len(points), localize._CHUNK)
+            masks, counts = localize._hypothesis_masks(samples, *args)
+            alone = [localize._hypothesis_masks(sample[None], *args) for sample in samples]
+            assert np.array_equal(masks, np.concatenate([m for m, _ in alone]))
+            assert np.array_equal(counts, np.concatenate([c for _, c in alone]))
 
 
 def assert_draw_is_choice(serial, chunked, n, b):
@@ -377,7 +411,8 @@ def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, default_world):
     seeds for seed 7. Among them are solves that run to the 1000-iteration
     cap and end without consensus. None of the 40 `at sunset` solves finds
     one; the 10 of them with 10 to 15 correspondences end short of the cap
-    (150 hypotheses at 12 points), the 7 with 16 or more run to it."""
+    (150 hypotheses at 12 points), the 7 with 16 or more run to it. Each
+    hypothesis's inlier mask equals the SVD oracle's on the same sample."""
     d = default_world.landmarks.descriptors.shape[1]
     prompts = default_prompt_set(d, seed=0)
     queries = shift_queries(default_world, prompts, ["at dawn", "at sunset"], seed=7)
@@ -401,12 +436,25 @@ def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, default_world):
                 )
     monkeypatch.undo()
 
-    chunks = count_hypotheses(monkeypatch)
+    chunks, differ = [], []
+    solve = localize._hypothesis_masks
+
+    def spy(samples, points, norm_xy, pixels, intr, inlier_px):
+        masks, counts = solve(samples, points, norm_xy, pixels, intr, inlier_px)
+        chunks.append(len(samples))
+        for sample, mask in zip(samples, masks):
+            R, center = dlt_oracle(points[sample], norm_xy[sample])
+            if not np.array_equal(mask, residuals_oracle(R, center, points, pixels, intr) <= inlier_px):
+                differ.append(sample.tolist())
+        return masks, counts
+
+    monkeypatch.setattr(localize, "_hypothesis_masks", spy)
     outcomes, hypotheses = [], []
     for corr, intr, params in solves:
         chunks.clear()
         outcomes.append(outcome(pnp_ransac, corr, params, intr))
         hypotheses.append(sum(chunks))
+        assert differ == [], "hypothesis masks differ from the SVD oracle's on these samples"
         assert outcomes[-1] == outcome(pnp_oracle, corr, params, intr)
     assert len(solves) == 120
     assert NoConsensusError in outcomes and 1000 in hypotheses
