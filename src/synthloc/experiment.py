@@ -58,7 +58,7 @@ class ExperimentConfig:
     query_conditions: list[str] = field(default_factory=lambda: ["at night"])
     # accuracy buckets: {level: [max translation m, max rotation deg]}
     thresholds: dict = field(
-        default_factory=lambda: {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
+        default_factory=lambda: dict(zip(LEVELS, ([0.25, 2.0], [0.5, 5.0], [5.0, 10.0])))
     )
 
     def __post_init__(self) -> None:
@@ -92,7 +92,7 @@ class ExperimentConfig:
             )
         ):
             raise ValueError(
-                "thresholds must map exactly high, mid and low to [max translation m, "
+                f"thresholds must map exactly {', '.join(LEVELS)} to [max translation m, "
                 f"max rotation deg] pairs of finite numbers, not {self.thresholds!r}"
             )
         pairs = [self.thresholds[name] for name in LEVELS]
@@ -434,19 +434,18 @@ def cmd_ablate(
         for (method, seed), summary in zip(jobs, _fan_out(run, jobs))
         for r in summary
     ]
-    lines = ["method,seed,protocol,k,condition,pct_high,pct_mid,pct_low"]
+    lines = ["method,seed,protocol,k,condition," + ",".join(f"pct_{level}" for level in LEVELS)]
     lines += [",".join(map(str, key)) + "".join(f",{x:.2f}" for x in pcts) for key, pcts in rows]
     storage._write_lines(out / "ablation_raw.csv", lines)
 
     groups: dict[tuple, list[list[float]]] = {}
     for (method, _, *rest), pcts in rows:
         groups.setdefault((method, *rest), []).append(pcts)
-    lines = [
-        "method,protocol,k,condition,"
-        "high_median,high_min,high_max,mid_median,mid_min,mid_max,low_median,low_min,low_max"
-    ]
+    stats = {"median": statistics.median, "min": min, "max": max}
+    header = ",".join(f"{level}_{stat}" for level in LEVELS for stat in stats)
+    lines = [f"method,protocol,k,condition,{header}"]
     for key in sorted(groups, key=lambda g: (methods.index(g[0]), *g[1:])):
         # zip gives each level's percentages over the seeds
-        stats = [f(pcts) for pcts in zip(*groups[key]) for f in (statistics.median, min, max)]
-        lines.append(",".join(map(str, key)) + "".join(f",{x:.2f}" for x in stats))
+        values = [f(pcts) for pcts in zip(*groups[key]) for f in stats.values()]
+        lines.append(",".join(map(str, key)) + "".join(f",{x:.2f}" for x in values))
     storage._write_lines(out / "ablation.csv", lines)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import is_finite_number, require_number
 from .fanout import _fan_out
-from .worldgen import ViewImage, World
+from .worldgen import ViewImage, World, sq_distances
 
 
 @dataclass
@@ -40,14 +40,29 @@ class ConsistencyScore:
     original: int
 
 
-def _mutual_matches(
-    da: np.ndarray, sa: np.ndarray, db: np.ndarray, sb: np.ndarray, ratio: float
-) -> tuple[np.ndarray, np.ndarray]:
+class _Side(NamedTuple):
+    """What matching reads from a view: descriptors, their squared norms,
+    the area-of-interest (landmark) mask and, for the scorer's `p` view, the
+    neighbourhood matrix, whose entry (j, k) is True when keypoints j
+    and k lie within `pixel_tol` of each other."""
+
+    desc: np.ndarray
+    sq: np.ndarray
+    aoi: np.ndarray
+    near: np.ndarray | None = None
+
+
+def _side(view: ViewImage) -> _Side:
+    desc = view.desc
+    return _Side(desc, np.sum(desc * desc, axis=1), view.lid >= 0)
+
+
+def _mutual_matches(a: _Side, b: _Side, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (ia, ib) of the mutual-nearest-neighbour matches between
-    descriptor rows `da` and `db` that pass the two-sided ratio test; `sa`
-    and `sb` are the rows' squared norms. ia is ascending."""
+    the descriptor rows of `a` and `b` that pass the two-sided ratio test.
+    ia is ascending."""
     # squared distances are enough for ordering; ratio test uses true distances
-    dist = np.sqrt(np.maximum(sa[:, None] + sb[None, :] - 2.0 * (da @ db.T), 0.0))
+    dist = np.sqrt(np.maximum(sq_distances(a.desc, a.sq, b.desc, b.sq), 0.0))
     na, nb = dist.shape
     nn_ab = dist.argmin(axis=1)
     ia = np.flatnonzero(dist.argmin(axis=0)[nn_ab] == np.arange(na))
@@ -77,27 +92,7 @@ def match_features(
     (a, b) are those of (b, a) transposed. Ties break to the lowest feature
     index.
     """
-    da, db = a.desc, b.desc
-    return _mutual_matches(
-        da, np.sum(da * da, axis=1), db, np.sum(db * db, axis=1), params.ratio
-    )
-
-
-class _Side(NamedTuple):
-    """What the scorer reads from a view it matches: descriptors, their
-    squared norms, the area-of-interest (landmark) mask and, for a `p` view,
-    the neighbourhood matrix, whose entry (j, k) is True when keypoints j
-    and k lie within `pixel_tol` of each other."""
-
-    desc: np.ndarray
-    sq: np.ndarray
-    aoi: np.ndarray
-    near: np.ndarray | None = None
-
-
-def _side(view: ViewImage) -> _Side:
-    desc = view.desc
-    return _Side(desc, np.sum(desc * desc, axis=1), view.lid >= 0)
+    return _mutual_matches(_side(a), _side(b), params.ratio)
 
 
 def _p_side(view: ViewImage, pixel_tol: float) -> _Side:
@@ -108,7 +103,7 @@ def _p_side(view: ViewImage, pixel_tol: float) -> _Side:
 
 def _aoi_targets(a: _Side, b: _Side, ratio: float) -> np.ndarray:
     """b-side indices of the (a, b) matches with a landmark at both ends."""
-    ia, ib = _mutual_matches(a.desc, a.sq, b.desc, b.sq, ratio)
+    ia, ib = _mutual_matches(a, b, ratio)
     return ib[a.aoi[ia] & b.aoi[ib]]
 
 

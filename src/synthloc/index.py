@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embed import EmbeddingModel, aggregate
-from .worldgen import ViewImage
+from .worldgen import ViewImage, row_norms, sq_distances
 
 RankedList = list[tuple[int, float]]  # (view_id, score), descending score
 BACKENDS = ("global_cosine", "asmk")
@@ -59,10 +59,8 @@ class DenseSignatures:
 
 
 def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(vectors * vectors, axis=1)[:, None]
-        + np.sum(centroids * centroids, axis=1)[None, :]
-        - 2.0 * (vectors @ centroids.T)
+    d2 = sq_distances(
+        vectors, np.sum(vectors * vectors, axis=1), centroids, np.sum(centroids * centroids, axis=1)
     )
     return np.argmin(d2, axis=1)
 
@@ -122,8 +120,7 @@ def asmk_signs(view: ViewImage, model: EmbeddingModel, codebook: np.ndarray) -> 
     # np.add.at adds each cell's rows in row order, at every e
     totals = np.zeros(codebook.shape)
     np.add.at(totals, labels, z - codebook[labels])
-    # one dot product per row, the same as np.linalg.norm of each row on its own
-    norms = np.sqrt(totals[:, None, :] @ totals[:, :, None])[:, 0]
+    norms = row_norms(totals)
     kept = norms[:, 0] > 0.0
     signs = np.zeros(codebook.shape, dtype=np.int8)
     signs[kept] = np.sign(totals[kept] / norms[kept])

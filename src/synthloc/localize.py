@@ -20,7 +20,7 @@ from .errors import (
 )
 from .geometry import MatchParams, match_features
 from .index import RankedList
-from .worldgen import NEAR_PLANE, CameraIntrinsics, CameraPose, Landmarks, ViewImage
+from .worldgen import NEAR_PLANE, CameraIntrinsics, CameraPose, Landmarks, ViewImage, project, row_norms
 
 
 @dataclass
@@ -123,15 +123,13 @@ def _residuals(
 ) -> np.ndarray:
     """Reprojection errors in pixels of all n correspondences under each of
     `b` poses, given as (b, 3, 3) rotations and (b, 3) centers: a (b, n)
-    array, inf where a point is not in front of the near plane."""
-    cam = (points3d - center[:, None]) @ R.transpose(0, 2, 1)
-    z = cam[:, :, 2]
-    front = z > NEAR_PLANE
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.focal * cam[:, :, 0] / z + intr.principal_point[0]
-        v = intr.focal * cam[:, :, 1] / z + intr.principal_point[1]
+    array, inf where a point is not in front of the near plane. Called by
+    `_hypothesis_masks` for a chunk of hypotheses and by `pnp_ransac` for
+    its refit pose."""
+    u, v, z = project(points3d, R, center, intr)
+    with np.errstate(invalid="ignore"):
         res = np.hypot(u - pixels[:, 0], v - pixels[:, 1])
-    return np.where(front, res, np.inf)
+    return np.where(z > NEAR_PLANE, res, np.inf)
 
 
 # Hypotheses solved per stacked DLT: large enough to amortize numpy's
@@ -313,10 +311,7 @@ def sfm_localize(
         lids = view.lid[iv]
         mapped = lids >= 0
         iq, iv, lids = iq[mapped], iv[mapped], lids[mapped]
-        diff = dq[iq] - view.desc[iv]
-        # one dot product per row, the same as np.linalg.norm of each row on
-        # its own; a reduction over axis 1 can differ in the last bit
-        dists = np.sqrt(diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        dists = row_norms(dq[iq] - view.desc[iv])[:, 0]
         for q, lid, dist in zip(iq.tolist(), lids.tolist(), dists.tolist()):
             if lid not in corr or dist < corr[lid][0]:
                 corr[lid] = (dist, kq[q], landmarks.positions[lid])

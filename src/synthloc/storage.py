@@ -5,6 +5,7 @@ mandatory header lines."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import os
 import shutil
 from pathlib import Path
@@ -14,15 +15,13 @@ import numpy as np
 from .embed import EmbeddingModel, TraceRow
 from .errors import DataError
 from .geometry import ConsistencyScore, Scores, validate_pair
+from .localize import LEVELS
 from .variants import DomainShift, PromptSet
 from .worldgen import CameraIntrinsics, CameraPose, Landmarks, ViewImage, World, shared_landmarks
 
+# Every float is written by one `%` row string per line, with these specs
 F9 = "%.9g"  # world-level floats
 F17 = "%.17g"  # model weights, exact round-trip
-
-
-def fmt(x: float, spec: str = F9) -> str:
-    return spec % float(x)
 
 
 def prompt_slug(name: str) -> str:
@@ -61,7 +60,6 @@ def _read_lines(path: Path) -> list[str]:
 
 def _feature_lines(view: ViewImage) -> list[str]:
     d = view.desc.shape[1]
-    # one `%` per row: the same "%.9g" and int conversions as `fmt` and `str`
     row = f"{F9},{F9},%d," + ",".join([F9] * d)
     lines = ["u,v,landmark_id," + ",".join(f"desc{i}" for i in range(d))]
     for (u, v), lid, desc in zip(
@@ -167,16 +165,6 @@ def _load_features(path: Path, landmarks: Landmarks) -> tuple[np.ndarray, np.nda
     return kp, desc, lid
 
 
-def _view_line(view: ViewImage) -> str:
-    q = view.pose.rotation
-    p = view.pose.position
-    return ",".join(
-        [str(view.id)]
-        + [fmt(x) for x in (q[0], q[1], q[2], q[3], p[0], p[1], p[2])]
-        + [view.condition]
-    )
-
-
 # meta.csv's keys, in the order save_world writes them
 _META_KEYS = (
     "seed", "descriptor_dim", "num_map_views", "num_query_views", "focal", "cx", "cy", "width", "height"
@@ -189,13 +177,15 @@ def save_world(world: World, out_dir: str | os.PathLike) -> None:
     d = world.landmarks.descriptors.shape[1]
 
     lines = ["id,x,y,z," + ",".join(f"desc{i}" for i in range(d))]
-    for i, (position, desc) in enumerate(zip(world.landmarks.positions, world.landmarks.descriptors)):
-        lines.append(",".join([str(i)] + [fmt(x) for x in position] + [fmt(x) for x in desc]))
+    row = "%d," + ",".join([F9] * (3 + d))
+    table = np.column_stack([world.landmarks.positions, world.landmarks.descriptors])
+    lines += [row % (i, *values) for i, values in enumerate(table.tolist())]
     _write_lines(out / "landmarks.csv", lines)
 
     lines = ["id,qw,qx,qy,qz,tx,ty,tz,condition"]
+    row = "%s," + ",".join([F9] * 7) + ",%s"
     for v in list(world.map_views) + list(world.query_views):
-        lines.append(_view_line(v))
+        lines.append(row % (v.id, *v.pose.rotation.tolist(), *v.pose.position.tolist(), v.condition))
     _write_lines(out / "views.csv", lines)
 
     shutil.rmtree(out / "features", ignore_errors=True)  # no stale view files
@@ -213,9 +203,9 @@ def save_world(world: World, out_dir: str | os.PathLike) -> None:
         descriptor_dim=d,
         num_map_views=len(world.map_views),
         num_query_views=len(world.query_views),
-        focal=fmt(intr.focal),
-        cx=fmt(intr.principal_point[0]),
-        cy=fmt(intr.principal_point[1]),
+        focal=F9 % intr.focal,
+        cx=F9 % intr.principal_point[0],
+        cy=F9 % intr.principal_point[1],
         width=intr.image_size[0],
         height=intr.image_size[1],
     )
@@ -347,24 +337,12 @@ def load_world(in_dir: str | os.PathLike) -> World:
 def save_prompts(prompts: PromptSet, out_dir: str | os.PathLike) -> None:
     out = Path(out_dir)
     d = prompts.shifts[0].descriptor_bias.shape[0] if prompts.shifts else 0
-    lines = [
-        "name,bias_gain,descriptor_noise_sigma,dropout_rate,clutter_rate,keypoint_corruption_sigma,"
-        + ",".join(f"bias{i}" for i in range(d))
-    ]
+    # the name, DomainShift's fields after descriptor_bias, in order, and then the bias
+    scalars = [f.name for f in dataclasses.fields(DomainShift)[2:]]
+    lines = [",".join(["name", *scalars]) + "," + ",".join(f"bias{i}" for i in range(d))]
+    row = "%s," + ",".join([F9] * (len(scalars) + d))
     for s in prompts.shifts:
-        lines.append(
-            ",".join(
-                [
-                    s.name,
-                    fmt(s.bias_gain),
-                    fmt(s.descriptor_noise_sigma),
-                    fmt(s.dropout_rate),
-                    fmt(s.clutter_rate),
-                    fmt(s.keypoint_corruption_sigma),
-                ]
-                + [fmt(x) for x in s.descriptor_bias]
-            )
-        )
+        lines.append(row % (s.name, *(getattr(s, name) for name in scalars), *s.descriptor_bias.tolist()))
     _write_lines(out / "prompts.csv", lines)
 
 
@@ -481,8 +459,9 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
 
 def save_model(model: EmbeddingModel, path: str | os.PathLike) -> None:
     lines = [f"{model.e},{model.d}"]
-    for row in model.projection:
-        lines.append(",".join(fmt(x, F17) for x in row))
+    row = ",".join([F17] * model.d)
+    for weights in model.projection.tolist():
+        lines.append(row % tuple(weights))
     _write_lines(Path(path), lines)
 
 
@@ -505,8 +484,8 @@ def load_model(path: str | os.PathLike) -> EmbeddingModel:
 
 def save_trace(trace: list[TraceRow], path: str | os.PathLike) -> None:
     lines = ["episode,mean_loss,synth_fraction"]
-    for row in trace:
-        lines.append(f"{row.episode},{fmt(row.mean_loss)},{fmt(row.synth_fraction)}")
+    for r in trace:
+        lines.append(f"%s,{F9},{F9}" % (r.episode, r.mean_loss, r.synth_fraction))
     _write_lines(Path(path), lines)
 
 
@@ -526,22 +505,17 @@ def save_rankings(rankings: dict[int, list[tuple[int, float]]], path: str | os.P
 def save_localization(rows: list[dict], path: str | os.PathLike) -> None:
     lines = ["query_id,protocol,k,tx_err_m,rot_err_deg,status"]
     for r in rows:
-        if r["status"] == "ok":
-            e = r["error"]
-            lines.append(
-                f"{r['query_id']},{r['protocol']},{r['k']},{fmt(e.translation)},{fmt(e.rotation)},ok"
-            )
-        else:
-            lines.append(f"{r['query_id']},{r['protocol']},{r['k']},,,{r['status']}")
+        e = r["error"]
+        errors = f"{F9},{F9}" % (e.translation, e.rotation) if r["status"] == "ok" else ","
+        lines.append(f"{r['query_id']},{r['protocol']},{r['k']},{errors},{r['status']}")
     _write_lines(Path(path), lines)
 
 
 def save_summary(rows: list[dict], path: str | os.PathLike) -> None:
-    lines = ["protocol,k,condition,pct@high,pct@mid,pct@low"]
+    lines = ["protocol,k,condition," + ",".join(f"pct@{level}" for level in LEVELS)]
     for r in rows:
         lines.append(
-            f"{r['protocol']},{r['k']},{r['condition']},"
-            f"{r['high']:.2f},{r['mid']:.2f},{r['low']:.2f}"
+            f"{r['protocol']},{r['k']},{r['condition']}" + "".join(f",{r[level]:.2f}" for level in LEVELS)
         )
     _write_lines(Path(path), lines)
 

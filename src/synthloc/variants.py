@@ -71,24 +71,15 @@ class PromptSet:
 
 
 def default_prompt_set(d: int, seed: int) -> PromptSet:
-    """The 11 named shifts with pseudo-random unit bias directions."""
+    """The 11 named shifts with pseudo-random unit bias directions. The
+    biases are the rows of one (11, d) block of normals, filled in the order
+    that 11 draws of d normals take them."""
     rng = np.random.default_rng(derive_seed(seed, 11))
-    shifts = []
-    for name in P11_NAMES:
-        gain, noise, dropout, clutter = P11_SEVERITY[name]
-        bias = rng.standard_normal(d)
-        bias = bias / np.linalg.norm(bias)
-        shifts.append(
-            DomainShift(
-                name=name,
-                descriptor_bias=bias,
-                bias_gain=gain,
-                descriptor_noise_sigma=noise,
-                dropout_rate=dropout,
-                clutter_rate=clutter,
-            )
-        )
-    return PromptSet(shifts=shifts)
+    biases = unit_rows(rng.standard_normal((len(P11_NAMES), d)))
+    # a severity tuple holds DomainShift's fields after descriptor_bias, in order
+    return PromptSet(
+        [DomainShift(name, bias, *P11_SEVERITY[name]) for name, bias in zip(P11_NAMES, biases)]
+    )
 
 
 def apply_variant(view: ViewImage, shift: DomainShift, seed: int) -> ViewImage:

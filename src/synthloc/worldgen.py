@@ -182,15 +182,26 @@ def derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def project_points(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
-    """Pinhole projection. Returns (uv array, depth array); callers mask by depth."""
-    R = pose.matrix()
-    cam = (np.atleast_2d(points) - pose.position) @ R.T
-    z = cam[:, 2]
+def project(
+    points: np.ndarray, R: np.ndarray, centers: np.ndarray, intr: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pinhole projection of the (n, 3) `points` under each of b poses, given
+    as (b, 3, 3) world-to-camera rotations and (b, 3) centers: the (b, n)
+    pixel coordinates u and v and depths z; callers mask by depth. Each pose
+    gets the operations of a projection of its own. `project_points` calls
+    it for one pose and `localize._residuals` for a stack of RANSAC poses."""
+    cam = (points - centers[:, None]) @ R.transpose(0, 2, 1)
+    z = cam[:, :, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.focal * cam[:, 0] / z + intr.principal_point[0]
-        v = intr.focal * cam[:, 1] / z + intr.principal_point[1]
-    return np.stack([u, v], axis=1), z
+        u = intr.focal * cam[:, :, 0] / z + intr.principal_point[0]
+        v = intr.focal * cam[:, :, 1] / z + intr.principal_point[1]
+    return u, v, z
+
+
+def project_points(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Pinhole projection under one pose. Returns (uv array, depth array)."""
+    u, v, z = project(np.atleast_2d(points), pose.matrix()[None], pose.position[None], intr)
+    return np.stack([u[0], v[0]], axis=1), z[0]
 
 
 def visible_mask(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics, max_dist: float) -> np.ndarray:
@@ -202,12 +213,24 @@ def visible_mask(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics, m
     return ok
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The (m, 1) lengths of the rows of the (m, d) array `x`, one dot
+    product per row. The stacked row dot products round like the 1-D
+    `np.linalg.norm` of each row (`sqrt(x.dot(x))`), bit for bit; a
+    reduction over axis 1 can differ in the last bit."""
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+
+
 def unit_rows(x: np.ndarray) -> np.ndarray:
-    """The rows of the (m, d) array `x`, each divided by its length. The
-    stacked row dot products round like the 1-D `np.linalg.norm` of each row
-    (`sqrt(x.dot(x))`), so every row equals the per-row normalisation bit for
-    bit."""
-    return x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    """The rows of the (m, d) array `x`, each divided by its length."""
+    return x / row_norms(x)
+
+
+def sq_distances(a: np.ndarray, sa: np.ndarray, b: np.ndarray, sb: np.ndarray) -> np.ndarray:
+    """The (m, n) squared distances between the rows of `a` (m, d) and `b`
+    (n, d), given their squared norms `sa` and `sb`, by one matrix product;
+    rounding can leave an entry slightly below 0."""
+    return sa[:, None] + sb[None, :] - 2.0 * (a @ b.T)
 
 
 def fill_clutter(

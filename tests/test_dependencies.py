@@ -58,19 +58,36 @@ def _defined(node) -> set[str]:
     return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
+def _methods(node) -> set[str]:
+    """The public methods (properties included) of a top-level class."""
+    if not isinstance(node, ast.ClassDef):
+        return set()
+    return {
+        item.name for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    }
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     """Every public top-level name of `src/synthloc` is read by another
-    top-level statement of `src` or named in `bench`, so that helpers only
+    top-level statement of `src` or named in `bench`, and every public
+    method is read as an attribute in `src` or `bench`, so that helpers only
     the tests call live in the tests and the package's surface is what the
-    pipeline uses."""
+    pipeline uses. Methods go by name: a read of any `x.stack` keeps every
+    `stack` method."""
     defined: set[str] = set()
+    methods: set[str] = set()
     read: set[str] = set()
-    for path in SRC.glob("*.py"):
-        for node in ast.parse(path.read_text(), filename=str(path)).body:
-            own = _defined(node)
-            defined |= {name for name in own if not name.startswith("_")}
-            read |= _names_read(node) - own
-    for path in BENCH.glob("*.py"):
-        read |= _names_read(ast.parse(path.read_text(), filename=str(path)))
+    src = [ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")]
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in BENCH.glob("*.py")]
+    for node in (node for tree in src for node in tree.body):
+        own = _defined(node)
+        defined |= {name for name in own if not name.startswith("_")}
+        methods |= _methods(node)
+        read |= _names_read(node) - own
+    for tree in bench:
+        read |= _names_read(tree)
+    attributes = {n.attr for tree in src + bench for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert ORACLES <= defined
+    assert {"matrix", "names"} <= methods
     assert sorted(defined - read - ORACLES) == []
+    assert sorted(methods - attributes) == []

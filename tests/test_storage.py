@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from synthloc import storage
-from synthloc.embed import TraceRow, init_model
+from synthloc.embed import EmbeddingModel, TraceRow, init_model
 from synthloc.errors import DataError
 from synthloc.geometry import ConsistencyScore
+from synthloc.localize import PoseError
+from synthloc.variants import DomainShift, PromptSet
+from synthloc.worldgen import CameraIntrinsics, CameraPose, Landmarks
 
 
 def test_world_roundtrip(tmp_path, small_world):
@@ -200,3 +203,131 @@ def test_parse_features_reads_clutter_and_integral_ids():
     assert lid.tolist() == [-1, 7, -1]
     assert kp[1].tolist() == [3.0, 4.0]
     assert desc[0].tobytes() == np.array([0.5, -0.0]).tobytes()
+
+
+# ---------------------------------------------------------------- writers against per-value references
+
+# a signed zero, a %.9g exponent form below and above, a subnormal, and
+# values that %.9g and %.17g round
+AWKWARD = [-0.0, 1e-7, 1e16, 5e-324, 1.2345678912e6, -7.77e15, 1 / 3, 0.1]
+
+
+def ref_fmt(x, spec="%.9g"):
+    return spec % float(x)
+
+
+def _written(path):
+    return path.read_text().splitlines()
+
+
+def test_save_world_equals_per_value_reference(tmp_path, small_world):
+    positions = small_world.landmarks.positions.copy()
+    descriptors = small_world.landmarks.descriptors.copy()
+    positions[0] = AWKWARD[:3]
+    positions[1] = AWKWARD[3:6]
+    descriptors[2, : len(AWKWARD)] = AWKWARD
+    first = small_world.map_views[0]
+    pose = CameraPose(rotation=[1.0, -0.0, 1e-7, 5e-324], position=[1e16, -0.0, 5e-324])
+    intr = CameraIntrinsics(1e-7, [5e-324, -0.0], first.intrinsics.image_size)
+    world = replace(
+        small_world,
+        landmarks=Landmarks(positions, descriptors),
+        map_views=[replace(first, pose=pose, intrinsics=intr), *small_world.map_views[1:]],
+    )
+    storage.save_world(world, tmp_path)
+
+    d = descriptors.shape[1]
+    want = ["id,x,y,z," + ",".join(f"desc{i}" for i in range(d))] + [
+        ",".join([str(i)] + [ref_fmt(x) for x in position] + [ref_fmt(x) for x in desc])
+        for i, (position, desc) in enumerate(zip(positions, descriptors))
+    ]
+    assert _written(tmp_path / "landmarks.csv") == want
+    assert want[1].startswith("0,-0,1e-07,1e+16,") and want[2].startswith("1,4.94065646e-324,")
+    views = list(world.map_views) + list(world.query_views)
+    want = ["id,qw,qx,qy,qz,tx,ty,tz,condition"] + [
+        ",".join([str(v.id)] + [ref_fmt(x) for x in (*v.pose.rotation, *v.pose.position)] + [v.condition])
+        for v in views
+    ]
+    assert _written(tmp_path / "views.csv") == want
+    assert want[1] == "0,1,-0,1e-07,4.94065646e-324,1e+16,-0,4.94065646e-324,original"
+    want = [
+        "key,value",
+        f"seed,{world.seed}",
+        f"descriptor_dim,{d}",
+        f"num_map_views,{len(world.map_views)}",
+        f"num_query_views,{len(world.query_views)}",
+        f"focal,{ref_fmt(1e-7)}",
+        f"cx,{ref_fmt(5e-324)}",
+        f"cy,{ref_fmt(-0.0)}",
+        f"width,{intr.image_size[0]}",
+        f"height,{intr.image_size[1]}",
+    ]
+    assert _written(tmp_path / "meta.csv") == want
+
+
+def test_save_prompts_equals_per_value_reference(tmp_path):
+    shifts = [
+        DomainShift("odd one", np.array(AWKWARD), -0.0, 1e16, 5e-324, 1e-7, 1.2345678912e6),
+        DomainShift("plain", np.array(AWKWARD[::-1]), 0.5, 1 / 3, 0.1, 0.0),
+    ]
+    storage.save_prompts(PromptSet(shifts), tmp_path)
+    want = [
+        "name,bias_gain,descriptor_noise_sigma,dropout_rate,clutter_rate,keypoint_corruption_sigma,"
+        + ",".join(f"bias{i}" for i in range(len(AWKWARD)))
+    ] + [
+        ",".join(
+            [s.name]
+            + [
+                ref_fmt(x)
+                for x in (
+                    s.bias_gain,
+                    s.descriptor_noise_sigma,
+                    s.dropout_rate,
+                    s.clutter_rate,
+                    s.keypoint_corruption_sigma,
+                )
+            ]
+            + [ref_fmt(x) for x in s.descriptor_bias]
+        )
+        for s in shifts
+    ]
+    assert _written(tmp_path / "prompts.csv") == want
+    assert want[1].startswith("odd one,-0,1e+16,4.94065646e-324,1e-07,1234567.89,-0,1e-07,")
+
+
+def test_save_model_equals_per_value_reference(tmp_path):
+    W = np.array([AWKWARD, AWKWARD[::-1], [2.0 ** -1074 * k for k in range(1, 9)]])
+    storage.save_model(EmbeddingModel(W), tmp_path / "model.csv")
+    want = ["3,8"] + [",".join(ref_fmt(x, "%.17g") for x in row) for row in W]
+    assert _written(tmp_path / "model.csv") == want
+    assert want[1] == (
+        "-0,9.9999999999999995e-08,10000000000000000,4.9406564584124654e-324,1234567.8912,"
+        "-7770000000000000,0.33333333333333331,0.10000000000000001"
+    )
+
+
+def test_save_trace_equals_per_value_reference(tmp_path):
+    trace = [TraceRow(0, -0.0, 5e-324), TraceRow(1, 1e16, 1e-7), TraceRow(2, 1 / 3, 0.1)]
+    storage.save_trace(trace, tmp_path / "trace.csv")
+    want = ["episode,mean_loss,synth_fraction"] + [
+        f"{r.episode},{ref_fmt(r.mean_loss)},{ref_fmt(r.synth_fraction)}" for r in trace
+    ]
+    assert _written(tmp_path / "trace.csv") == want
+    assert want[1:3] == ["0,-0,4.94065646e-324", "1,1e+16,1e-07"]
+
+
+def test_save_localization_equals_per_value_reference(tmp_path):
+    rows = [
+        {"query_id": 40, "protocol": "ewb", "k": 1, "error": PoseError(-0.0, 5e-324), "status": "ok"},
+        {"query_id": 41, "protocol": "sfm", "k": 5, "error": None, "status": "no consensus"},
+        {"query_id": 42, "protocol": "sfm", "k": 1, "error": PoseError(1e16, 1e-7), "status": "ok"},
+        {"query_id": 43, "protocol": "ewb", "k": 5, "error": PoseError(1 / 3, 1e6 / 7), "status": "ok"},
+    ]
+    storage.save_localization(rows, tmp_path / "localization.csv")
+    want = ["query_id,protocol,k,tx_err_m,rot_err_deg,status"]
+    for r in rows:
+        e = r["error"]
+        errors = f"{ref_fmt(e.translation)},{ref_fmt(e.rotation)}" if e else ","
+        want.append(f"{r['query_id']},{r['protocol']},{r['k']},{errors},{r['status']}")
+    assert _written(tmp_path / "localization.csv") == want
+    assert want[1:3] == ["40,ewb,1,-0,4.94065646e-324,ok", "41,sfm,5,,,no consensus"]

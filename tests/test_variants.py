@@ -6,11 +6,13 @@ import pytest
 from synthloc.geometry import MatchParams, consistency_score
 from synthloc.variants import (
     P11_NAMES,
+    P11_SEVERITY,
     apply_variant,
     default_prompt_set,
     generate_all_variants,
     shift_queries,
 )
+from synthloc.worldgen import derive_seed
 from conftest import identity_shift, landmark_set, make_view, perturbed
 
 P11_EXPECTED = (
@@ -195,3 +197,22 @@ def test_shift_queries(small_world, small_prompts):
     shifted = [v for v in out if v.condition == "at night"]
     for sv, qv in zip(shifted, small_world.query_views):
         assert np.array_equal(sv.pose.position, qv.pose.position)
+
+
+@pytest.mark.parametrize("d", [4, 16, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2718])
+def test_default_prompt_set_equals_per_prompt_draws(d, seed):
+    """The biases equal a loop drawing d normals per prompt and dividing by
+    their norm, bit for bit; the severities are the table's."""
+    rng = np.random.default_rng(derive_seed(seed, 11))
+    want = []
+    for _ in P11_NAMES:
+        bias = rng.standard_normal(d)
+        want.append(bias / np.linalg.norm(bias))
+    ps = default_prompt_set(d, seed)
+    assert ps.names() == list(P11_NAMES)
+    for shift, bias in zip(ps.shifts, want):
+        assert shift.descriptor_bias.tobytes() == bias.tobytes()
+        severity = (shift.bias_gain, shift.descriptor_noise_sigma, shift.dropout_rate, shift.clutter_rate)
+        assert severity == P11_SEVERITY[shift.name]
+        assert shift.keypoint_corruption_sigma == 0.0

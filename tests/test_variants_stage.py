@@ -118,14 +118,18 @@ def ref_apply_variant(view, shift, seed):
     )
 
 
+def ref_fmt(x):
+    return "%.9g" % float(x)
+
+
 def ref_feature_lines(view):
     d = view.desc.shape[1]
     lines = ["u,v,landmark_id," + ",".join(f"desc{i}" for i in range(d))]
     for i in range(len(view.lid)):
         lines.append(
             ",".join(
-                [storage.fmt(view.kp[i][0]), storage.fmt(view.kp[i][1]), str(int(view.lid[i]))]
-                + [storage.fmt(x) for x in view.desc[i]]
+                [ref_fmt(view.kp[i][0]), ref_fmt(view.kp[i][1]), str(int(view.lid[i]))]
+                + [ref_fmt(x) for x in view.desc[i]]
             )
         )
     return lines

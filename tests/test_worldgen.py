@@ -231,3 +231,57 @@ def test_clutter_has_no_landmark_id(small_world):
 def test_min_coobs_validation(small_world):
     with pytest.raises(ValueError):
         make_matching_pairs(small_world, min_coobs=0)
+
+
+# ---------------------------------------------------------------- shared kernels
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 130])
+def test_row_norms_equal_the_norm_of_each_row(d):
+    """`row_norms` is the 1-D `np.linalg.norm` of each row, bit for bit, at
+    any width and magnitude, a zero row included."""
+    rng = np.random.default_rng(d)
+    scale = rng.choice([1e-150, 1e-3, 1.0, 1e3, 1e150], size=(60, 1))
+    x = rng.standard_normal((60, d)) * scale
+    x[7] = 0.0
+    got = worldgen.row_norms(x)
+    want = np.array([[np.linalg.norm(row)] for row in x])
+    assert got.shape == (60, 1)
+    assert got.tobytes() == want.tobytes()
+    unit = np.array([row / np.linalg.norm(row) for row in x[8:]])
+    assert worldgen.unit_rows(x[8:]).tobytes() == unit.tobytes()
+
+
+def ref_project_points(points, pose, intr):
+    """The pinhole projection under one pose, written out."""
+    R = pose.matrix()
+    cam = (points - pose.position) @ R.T
+    z = cam[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intr.focal * cam[:, 0] / z + intr.principal_point[0]
+        v = intr.focal * cam[:, 1] / z + intr.principal_point[1]
+    return np.stack([u, v], axis=1), z
+
+
+def test_projection_over_stacked_poses_equals_each_pose_alone():
+    """`project` over b stacked poses gives each pose the bits of
+    `project_points` under that pose alone, which are those of the projection
+    written out; points behind a camera included."""
+    rng = np.random.default_rng(5)
+    intr = WorldConfig().intrinsics()
+    points = rng.uniform(-20.0, 20.0, (80, 3))
+    poses = [
+        CameraPose(from_axis_angle(rng.standard_normal(3), rng.uniform(-3.0, 3.0)), rng.uniform(-5, 5, 3))
+        for _ in range(7)
+    ]
+    R = np.stack([pose.matrix() for pose in poses])
+    centers = np.stack([pose.position for pose in poses])
+    u, v, z = worldgen.project(points, R, centers, intr)
+    assert u.shape == v.shape == z.shape == (7, 80)
+    assert (z < 0).any() and (z > 0).any()
+    for i, pose in enumerate(poses):
+        uv, depth = project_points(points, pose, intr)
+        assert np.stack([u[i], v[i]], axis=1).tobytes() == uv.tobytes()
+        assert z[i].tobytes() == depth.tobytes()
+        ref_uv, ref_z = ref_project_points(points, pose, intr)
+        assert uv.tobytes() == ref_uv.tobytes() and depth.tobytes() == ref_z.tobytes()
