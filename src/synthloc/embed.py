@@ -379,18 +379,15 @@ def mine_negatives(
     pool id) with `query_embedding`. Ties break to the lower view id."""
     near_q = observers[query_id]
     near_p = observers[positive_id]
-    eligible = [
-        (idx, vid)
-        for idx, vid in enumerate(pool_ids)
-        if vid not in near_q and vid not in near_p
-    ]
-    if len(eligible) < m:
+    idx = [i for i, vid in enumerate(pool_ids) if vid not in near_q and vid not in near_p]
+    if len(idx) < m:
         raise InsufficientNegativesError(
-            f"insufficient negatives: {len(eligible)} eligible, {m} requested"
+            f"insufficient negatives: {len(idx)} eligible, {m} requested"
         )
-    sims = [float(pool_embeddings[idx].dot(query_embedding)) for idx, _ in eligible]
-    order = sorted(range(len(eligible)), key=lambda i: (-sims[i], eligible[i][1]))
-    return [eligible[i][1] for i in order[:m]]
+    vids = np.array(pool_ids)[idx]
+    # one dot product per row, each rounding as `row.dot(query_embedding)`
+    sims = (pool_embeddings[idx][:, None, :] @ query_embedding[:, None])[:, 0, 0]
+    return vids[np.lexsort((vids, -sims))[:m]].tolist()
 
 
 def synthetic_families(

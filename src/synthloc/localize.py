@@ -78,13 +78,13 @@ def _dlt_system(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, 
     Each problem gets the same floating-point operations as a solve of its
     own, so a result does not depend on the other problems in the stack."""
     b, m, _ = points3d.shape
-    centroid = points3d.mean(axis=1)
-    spread = np.mean(np.linalg.norm(points3d - centroid[:, None], axis=2), axis=1)
-    with np.errstate(divide="ignore"):
-        scale = np.where(spread > 0, np.sqrt(3.0) / spread, 1.0)
-    Xh = np.concatenate(
-        [(points3d - centroid[:, None]) * scale[:, None, None], np.ones((b, m, 1))], axis=2
-    )
+    # np.mean and np.linalg.norm without their wrappers: the same reductions
+    centroid = np.add.reduce(points3d, axis=1) / m
+    d = points3d - centroid[:, None]
+    spread = np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=2)), axis=1) / m
+    # sqrt(3) / spread, and 1 where the points coincide (x / x is exactly 1)
+    scale = np.sqrt(3.0) / np.where(spread > 0, spread, np.sqrt(3.0))
+    Xh = np.concatenate([d * scale[:, None, None], np.ones((b, m, 1))], axis=2)
 
     A = np.zeros((b, 2 * m, 12))
     A[:, 0::2, 0:4] = Xh
@@ -161,6 +161,33 @@ def _draw_samples(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
     return picks.T
 
 
+# How far below a hypothesis's smallest eigenvalue `_null_vectors` shifts,
+# as a fraction of its largest: 64 ulps of ‖AᵀA‖.
+_SHIFT = 64 * np.finfo(float).eps
+
+
+def _null_vectors(M: np.ndarray) -> np.ndarray:
+    """Eigenvectors of the smallest eigenvalues λ₁ of the (b, 12, 12)
+    matrices M = AᵀA, each of arbitrary sign and scale, as (b, 12, 1).
+
+    They are found the way LAPACK's xSTEIN finds an eigenvector: from the
+    eigenvalues alone (`eigvalsh`, cheaper than `eigh` and than A's SVD),
+    by one step of inverse iteration, one solve of (M - σI) x = 1 (Golub &
+    Van Loan, Matrix Computations, §8.2.2). The shift σ = λ₁ - _SHIFT·λ₁₂
+    lies a few ulps of ‖M‖ = λ₁₂ below λ₁, past the rounding of the computed
+    λ₁, so M - σI stays positive definite; at σ = λ₁ itself the solve meets
+    exactly singular matrices. The step leaves x off the eigenvector v by
+    about _SHIFT·‖M‖ / (λ₂ - λ₁) · ‖1‖ / |1·v| in direction: the order of
+    `eigh`'s own error, unless 1 is nearly orthogonal to v. Where λ₁ and λ₂
+    nearly coincide v is ill-defined for both solvers. Each matrix gets its
+    own `eigvalsh` and solve, so a result does not depend on the others in
+    the stack. Raises LinAlgError as `eigh` does, on a NaN entry."""
+    w = np.linalg.eigvalsh(M)
+    shift = w[:, 0] - _SHIFT * w[:, -1]
+    # a (b, 12, 1) right-hand side: a stack of columns in every numpy
+    return np.linalg.solve(M - shift[:, None, None] * np.eye(12), np.ones((len(M), 12, 1)))
+
+
 def _hypothesis_masks(
     samples: np.ndarray,
     points: np.ndarray,
@@ -176,13 +203,17 @@ def _hypothesis_masks(
     A hypothesis's DLT null vector is the eigenvector of AᵀA with the
     smallest eigenvalue, which is the right singular vector of A's smallest
     singular value (Hartley & Zisserman, Multiple View Geometry, 2nd ed.,
-    §4.1 and A5.3); a 12×12 `eigh` is cheaper than A's SVD. The stacked AᵀA
-    products and `eigh` run once per matrix, so a hypothesis's mask does not
-    depend on the others in its stack."""
+    §4.1 and A5.3); `_null_vectors` takes it by one shifted inverse-iteration
+    step from `eigvalsh`, and `_rt_from_projection` ignores its sign and
+    scale. Every step runs once per matrix, so a hypothesis's mask does not
+    depend on the others in its stack. On every tested hypothesis the mask
+    equals that of the null vector from A's SVD; only one whose two smallest
+    eigenvalues nearly coincide, so that no null vector is well defined,
+    could get another."""
     try:
         A, T = _dlt_system(points[samples], norm_xy[samples])
-        _, V = np.linalg.eigh(A.transpose(0, 2, 1) @ A)
-        R, center = _rt_from_projection(V[:, :, 0].reshape(-1, 3, 4) @ T)
+        x = _null_vectors(A.transpose(0, 2, 1) @ A)
+        R, center = _rt_from_projection(x.reshape(-1, 3, 4) @ T)
     except np.linalg.LinAlgError:
         if len(samples) == 1:
             return np.zeros((1, len(points)), dtype=bool), np.array([-1])
@@ -229,14 +260,16 @@ def pnp_ransac(
     counts as an iteration.
 
     A hypothesis only feeds an inlier mask, so it takes its DLT null vector
-    from `eigh(AᵀA)` (`_hypothesis_masks`); the all-inlier refit, whose pose
-    is returned, takes it from the SVD of its tall A, whose condition number
-    the normal equations would square. On every tested instance the outcome
-    equals that of a serial loop solving each hypothesis through the SVD.
-    Where A's two smallest singular values nearly coincide, the two solvers
-    can give a hypothesis different masks (both poses are then junk), and an
-    outcome would differ only if such a hypothesis set or lost the best
-    count.
+    from AᵀA: its smallest eigenvalue from `eigvalsh`, then one step of
+    inverse iteration shifted a few ulps of ‖AᵀA‖ below it, which keeps the
+    solve's matrix positive definite (`_null_vectors`). The all-inlier refit,
+    whose pose is returned, takes its null vector from the SVD of its tall
+    A, whose condition number the normal equations would square. On every
+    tested instance the outcome equals that of a serial loop solving each
+    hypothesis through the SVD. Where A's two smallest singular values nearly
+    coincide, the null vector is ill-defined and the solvers can give a
+    hypothesis different masks (its poses are then junk); an outcome would
+    differ only if such a hypothesis set or lost the best count.
     """
     n = len(corr_2d3d)
     if n < 6:

@@ -89,6 +89,44 @@ def test_mine_negatives_pool_exactly_m():
         mine_negatives(0, 1, [2, 3, 4], pool_emb, fq, 4, observers)
 
 
+def sorted_key_negatives(query_id, positive_id, pool_ids, pool_embeddings, query_embedding, m, observers):
+    """The mining written as a keyed sort over each eligible row's `.dot`."""
+    near = observers[query_id] | observers[positive_id]
+    eligible = [(i, vid) for i, vid in enumerate(pool_ids) if vid not in near]
+    sims = [float(pool_embeddings[i].dot(query_embedding)) for i, _ in eligible]
+    order = sorted(range(len(eligible)), key=lambda j: (-sims[j], eligible[j][1]))
+    return [eligible[j][1] for j in order[:m]]
+
+
+def test_mine_negatives_breaks_ties_to_the_lower_id():
+    """Tied similarities and pool ids out of order: the negatives are those
+    of the keyed sort on (-similarity, id)."""
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        size = int(rng.integers(1, 30))
+        pool_ids = [int(i) for i in rng.permutation(100)[:size]]
+        rows = rng.integers(-2, 3, (4, 3)).astype(float)  # few distinct rows: many ties
+        pool_emb = rows[rng.integers(0, 4, size)]
+        fq = rng.integers(-2, 3, 3).astype(float)
+        banned = set(pool_ids[: int(rng.integers(0, 3))])
+        observers = {-1: banned | {-1}, -2: {-2}}
+        m = int(rng.integers(0, size - len(banned) + 1))
+        args = (-1, -2, pool_ids, pool_emb, fq, m, observers)
+        assert mine_negatives(*args) == sorted_key_negatives(*args)
+
+
+@pytest.mark.parametrize("e", [1, 2, 16, 32])
+def test_stacked_similarities_equal_each_row_dot(e):
+    """The (k, 1, e) @ (e, 1) products `mine_negatives` ranks by round as
+    each row's `.dot` with the query, byte for byte."""
+    rng = np.random.default_rng(e)
+    for scale in (1e-150, 1.0, 1e150):
+        pool_emb = rng.standard_normal((40, e)) * scale
+        fq = rng.standard_normal(e)
+        stacked = (pool_emb[:, None, :] @ fq[:, None])[:, 0, 0]
+        assert stacked.tobytes() == np.array([row.dot(fq) for row in pool_emb]).tobytes()
+
+
 # ---------------------------------------------------------------- synthetic tuples
 
 

@@ -331,8 +331,8 @@ def test_pnp_matches_oracle_when_stopping_mid_chunk():
 
 def test_pnp_matches_oracle_when_the_solve_fails(monkeypatch):
     """A NaN pixel makes every sample that draws it fail in the hypothesis
-    solve's `eigh`. The stacked chunk then fails as a whole and is redone one
-    at a time; the failing hypotheses count as iterations but never win."""
+    solve's `eigvalsh`. The stacked chunk then fails as a whole and is redone
+    one at a time; the failing hypotheses count as iterations but never win."""
     stacks = []
     system = localize._dlt_system
 
@@ -362,10 +362,10 @@ def solve_arrays(corr):
 
 def test_hypothesis_masks_do_not_depend_on_the_chunk():
     """A chunk's masks and counts equal those of its hypotheses solved one at
-    a time: the stacked AᵀA products and `eigh` run once per matrix, so a
-    hypothesis's pose does not depend on the others in its chunk. Clean
-    points with 1 px of pixel noise against a 1 px threshold put many
-    residuals near it, where a pose that moved would flip a mask."""
+    a time: the stacked AᵀA products, `eigvalsh` and solve run once per
+    matrix, so a hypothesis's pose does not depend on the others in its
+    chunk. Clean points with 1 px of pixel noise against a 1 px threshold put
+    many residuals near it, where a pose that moved would flip a mask."""
     rng = np.random.default_rng(24)
     for trial, clean, _noisy in criterion_6_instances(5):
         pixels, points, norm_xy = solve_arrays(jittered(clean, trial, sigma=1.0))
@@ -376,6 +376,62 @@ def test_hypothesis_masks_do_not_depend_on_the_chunk():
             alone = [localize._hypothesis_masks(sample[None], *args) for sample in samples]
             assert np.array_equal(masks, np.concatenate([m for m, _ in alone]))
             assert np.array_equal(counts, np.concatenate([c for _, c in alone]))
+
+
+def test_hypothesis_solve_never_falls_back(monkeypatch):
+    """The shift keeps each M - σI positive definite, so a chunk of finite
+    hypotheses is solved in one stack and never redone one at a time: not on
+    noise-free samples, whose smallest eigenvalue is about 0 and often rounds
+    below it, nor with the outliers of the criterion-6 instances. With σ at
+    the computed smallest eigenvalue itself, `solve` meets exactly singular
+    matrices on these chunks."""
+    stacks = []
+    system = localize._dlt_system
+
+    def spy(points3d, norm_xy):
+        stacks.append(points3d.shape[0])
+        return system(points3d, norm_xy)
+
+    monkeypatch.setattr(localize, "_dlt_system", spy)
+    rng = np.random.default_rng(27)
+    below_zero = 0
+    for _trial, clean, noisy in criterion_6_instances(20):
+        for corr in (clean, noisy):
+            pixels, points, norm_xy = solve_arrays(corr)
+            for _ in range(5):
+                samples = localize._draw_samples(rng, len(points), localize._CHUNK)
+                stacks.clear()
+                _, counts = localize._hypothesis_masks(samples, points, norm_xy, pixels, INTR, 2.0)
+                assert stacks == [localize._CHUNK] and (counts >= 0).all()
+                if corr is clean:
+                    A, _ = system(points[samples], norm_xy[samples])
+                    below_zero += np.count_nonzero(np.linalg.eigvalsh(A.transpose(0, 2, 1) @ A)[:, 0] < 0)
+    assert below_zero > 0
+
+
+def test_null_vectors_equal_eigh_where_the_smallest_eigenvalue_is_isolated():
+    """One shifted inverse-iteration step gives the eigenvector v that `eigh`
+    gives for the smallest eigenvalue λ₁, up to sign, within the error the
+    step leaves: _SHIFT·‖M‖ / (λ₂ - λ₁) times ‖1‖ / |1·v| for the start
+    vector 1. On well-conditioned stacks (the other eleven eigenvalues in
+    [1, 10]) where 1 is not nearly orthogonal to v (|1·v| >= 1), that is
+    within 1e-12. Random symmetric stacks with λ₁ at 0 or 1e-3."""
+    rng = np.random.default_rng(12)
+    for top in (2.0, 10.0, 100.0, 1e4):
+        for lowest in (0.0, 1e-3):
+            Q = np.linalg.qr(rng.standard_normal((256, 12, 12)))[0]
+            spectrum = np.concatenate([np.full((256, 1), lowest), rng.uniform(1.0, top, (256, 11))], axis=1)
+            M = (Q * spectrum[:, None, :]) @ Q.transpose(0, 2, 1)
+            M = (M + M.transpose(0, 2, 1)) / 2
+            x = localize._null_vectors(M)[:, :, 0]
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            v = np.linalg.eigh(M)[1][:, :, 0]
+            error = np.abs(x * np.sign(np.sum(x * v, axis=1))[:, None] - v).max(axis=1)
+            start = np.abs(v.sum(axis=1))  # |1·v|
+            gap = spectrum[:, 1:].min(axis=1) - lowest
+            assert np.all(error <= localize._SHIFT * spectrum.max(axis=1) / gap * np.sqrt(12) / start)
+            if top <= 10.0:
+                assert np.all(error[start >= 1.0] < 1e-12) and np.count_nonzero(start >= 1.0) > 64
 
 
 def assert_draw_is_choice(serial, chunked, n, b):
