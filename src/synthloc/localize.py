@@ -20,7 +20,7 @@ from .errors import (
 )
 from .geometry import MatchParams, match_features
 from .index import RankedList
-from .worldgen import NEAR_PLANE, CameraIntrinsics, CameraPose, Landmarks, ViewImage, project, row_norms
+from .worldgen import NEAR_PLANE, CameraIntrinsics, CameraPose, Landmarks, ViewImage, project, row_norms, unit_rows
 
 
 @dataclass
@@ -70,13 +70,10 @@ def ewb_pose(ranked: RankedList, poses: dict[int, CameraPose], k: int) -> Camera
 
 
 def _dlt_system(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked, normalized direct linear transform for [R|t]: `b`
-    problems of `m >= 6` points each, as (b, m, 3) points and (b, m, 2)
-    normalized image coordinates. Returns the (b, 2m, 12) systems A, whose
-    null vectors are the projections of the normalized points, and the
-    (b, 4, 4) transforms T that undo the normalization: P = null(A) @ T.
-    Each problem gets the same floating-point operations as a solve of its
-    own, so a result does not depend on the other problems in the stack."""
+    """The normalized direct linear transform for [R|t] of `b` stacked
+    problems of `m >= 6` points, (b, m, 3) points and (b, m, 2) normalized
+    image coordinates: the (b, 2m, 12) systems A and the (b, 4, 4) transforms
+    T that undo the normalization, P = null(A) @ T."""
     b, m, _ = points3d.shape
     # np.mean and np.linalg.norm without their wrappers: the same reductions
     centroid = np.add.reduce(points3d, axis=1) / m
@@ -85,13 +82,11 @@ def _dlt_system(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, 
     # sqrt(3) / spread, and 1 where the points coincide (x / x is exactly 1)
     scale = np.sqrt(3.0) / np.where(spread > 0, spread, np.sqrt(3.0))
     Xh = np.concatenate([d * scale[:, None, None], np.ones((b, m, 1))], axis=2)
-
     A = np.zeros((b, 2 * m, 12))
     A[:, 0::2, 0:4] = Xh
     A[:, 0::2, 8:12] = -norm_xy[:, :, 0:1] * Xh
     A[:, 1::2, 4:8] = Xh
     A[:, 1::2, 8:12] = -norm_xy[:, :, 1:2] * Xh
-
     # undo the 3D normalization: X' = scale * (X - centroid)
     T = np.zeros((b, 4, 4))
     T[:, [0, 1, 2], [0, 1, 2]] = scale[:, None]
@@ -101,11 +96,9 @@ def _dlt_system(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _rt_from_projection(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[R|C] from (b, 3, 4) projections P ~ [R|t], of either sign and any
-    scale: P's sign is flipped where det(P[:, :3]) < 0, and its left block is
-    projected to the nearest rotation by an SVD. Returns the (b, 3, 3)
-    world-to-camera rotations and the (b, 3) camera centers. Raises
-    LinAlgError if any SVD in the stack fails."""
+    """The (b, 3, 3) world-to-camera rotations and (b, 3) centers of (b, 3, 4)
+    projections P ~ [R|t] of either sign and any scale: P's sign is flipped
+    where det(P[:, :3]) < 0, and its left block projected to a rotation by SVD."""
     b = P.shape[0]
     P = np.where((np.linalg.det(P[:, :, :3]) < 0)[:, None, None], -P, P)
     U, s, Vt = np.linalg.svd(P[:, :, :3])
@@ -122,107 +115,132 @@ def _residuals(
     R: np.ndarray, center: np.ndarray, points3d: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics
 ) -> np.ndarray:
     """Reprojection errors in pixels of all n correspondences under each of
-    `b` poses, given as (b, 3, 3) rotations and (b, 3) centers: a (b, n)
-    array, inf where a point is not in front of the near plane. Called by
-    `_hypothesis_masks` for a chunk of hypotheses and by `pnp_ransac` for
-    its refit pose."""
+    `b` poses, (b, 3, 3) rotations and (b, 3) centers: a (b, n) array, inf
+    where a point is not in front of the near plane or a pose is NaN."""
     u, v, z = project(points3d, R, center, intr)
     with np.errstate(invalid="ignore"):
         res = np.hypot(u - pixels[:, 0], v - pixels[:, 1])
     return np.where(z > NEAR_PLANE, res, np.inf)
 
 
-# Hypotheses solved per stacked DLT: large enough to amortize numpy's
-# per-call overhead, small enough that a solve stopping early wastes little.
-_CHUNK = 32
+# Samples per chunk. Most solves stop within 16 samples: chunks of 32 ran
+# about 9% slower, solving samples they discard, and 8 ran as fast as 16.
+_CHUNK = 16
 
 
 def _draw_samples(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
-    """The (b, 6) array that b calls of `rng.choice(n, 6, replace=False)`
+    """The (b, 3) array that b calls of `rng.choice(n, 3, replace=False)`
     stack to, from one `rng.integers` call that leaves `rng` in the same state.
 
-    numpy's `choice` leaves Floyd's sampling (Bentley & Floyd, CACM 1987) only
-    above n = 10,000 and for more than n/50 values, so for six it is Floyd's
-    at every n: column k takes a draw in [0, n-6+k], or n-6+k if an earlier
-    column already holds that draw. A shuffle then swaps column i with
-    a draw in [0, i] for i = 5, ..., 1. Each of those eleven steps takes one
-    bounded draw from the generator, and `integers` over an array of bounds
-    takes the same bounded draws in array order, so one call over b rows of
-    the eleven bounds gives every draw of the b calls. Both steps then run on
-    the columns of all b rows at once."""
-    highs = np.array([*range(n - 6, n), 5, 4, 3, 2, 1])
-    draws = rng.integers(0, highs, size=(b, 11), endpoint=True).T
-    picks = draws[:6].copy()
-    for k in range(1, 6):
-        picks[k][(picks[:k] == picks[k]).any(axis=0)] = n - 6 + k
+    For three values `choice` is Floyd's sampling (Bentley & Floyd, CACM 1987)
+    at every n, column k taking a draw in [0, n-3+k] or n-3+k if an earlier
+    column holds it, then a shuffle swapping column i with a draw in [0, i]
+    for i = 2, 1: five bounded draws, which `integers` takes in array order."""
+    highs = np.array([n - 3, n - 2, n - 1, 2, 1])
+    draws = rng.integers(0, highs, size=(b, 5), endpoint=True).T
+    picks = draws[:3].copy()
+    for k in (1, 2):
+        picks[k][(picks[:k] == picks[k]).any(axis=0)] = n - 3 + k
     rows = np.arange(b)
-    for i, j in zip(range(5, 0, -1), draws[6:]):
+    for i, j in zip((2, 1), draws[3:]):
         picks[i], picks[j, rows] = picks[j, rows], picks[i].copy()
     return picks.T
 
 
-# How far below a hypothesis's smallest eigenvalue `_null_vectors` shifts,
-# as a fraction of its largest: 64 ulps of ‖AᵀA‖.
-_SHIFT = 64 * np.finfo(float).eps
+# How far off side a, relative to the squared depths, a second depth may be:
+# far above a near-double root's error, far below a wrong intersection's.
+_ON_SIDE = 1e-6
 
 
-def _null_vectors(M: np.ndarray) -> np.ndarray:
-    """Eigenvectors of the smallest eigenvalues λ₁ of the (b, 12, 12)
-    matrices M = AᵀA, each of arbitrary sign and scale, as (b, 12, 1).
+def _squared_sides(p: np.ndarray) -> np.ndarray:
+    """The (k, 3) squared sides a, b, c opposite the k triangles' (k, 3, 3) points."""
+    gap = p[:, [1, 0, 0]] - p[:, [2, 2, 1]]
+    return np.add.reduce(gap * gap, axis=2)
 
-    They are found the way LAPACK's xSTEIN finds an eigenvector: from the
-    eigenvalues alone (`eigvalsh`, cheaper than `eigh` and than A's SVD),
-    by one step of inverse iteration, one solve of (M - σI) x = 1 (Golub &
-    Van Loan, Matrix Computations, §8.2.2). The shift σ = λ₁ - _SHIFT·λ₁₂
-    lies a few ulps of ‖M‖ = λ₁₂ below λ₁, past the rounding of the computed
-    λ₁, so M - σI stays positive definite; at σ = λ₁ itself the solve meets
-    exactly singular matrices. The step leaves x off the eigenvector v by
-    about _SHIFT·‖M‖ / (λ₂ - λ₁) · ‖1‖ / |1·v| in direction: the order of
-    `eigh`'s own error, unless 1 is nearly orthogonal to v. Where λ₁ and λ₂
-    nearly coincide v is ill-defined for both solvers. Each matrix gets its
-    own `eigvalsh` and solve, so a result does not depend on the others in
-    the stack. Raises LinAlgError as `eigh` does, on a NaN entry."""
-    w = np.linalg.eigvalsh(M)
-    shift = w[:, 0] - _SHIFT * w[:, -1]
-    # a (b, 12, 1) right-hand side: a stack of columns in every numpy
-    return np.linalg.solve(M - shift[:, None, None] * np.eye(12), np.ones((len(M), 12, 1)))
+
+def _frames(p: np.ndarray) -> np.ndarray:
+    """The (k, 3, 3) orthonormal frames of the k triangles p (k, 3, 3), axes
+    in columns: p₁→p₂, towards p₃ in-plane, their cross; NaN if degenerate."""
+    e1 = unit_rows(p[:, 1] - p[:, 0])
+    e2 = p[:, 2] - p[:, 0]
+    e2 = unit_rows(e2 - (e2[:, None] @ e1[:, :, None])[:, 0] * e1)
+    e3 = e1[:, [1, 2, 0]] * e2[:, [2, 0, 1]] - e1[:, [2, 0, 1]] * e2[:, [1, 2, 0]]  # np.cross, less overhead
+    return np.stack([e1, e2, e3], axis=2)
+
+
+def _p3p(X: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The poses that see the b triangles X (b, 3, 3) of world points along
+    the unit bearings f (b, 3, 3), by Grunert's quartic in v = d₃/d₁ for the
+    depths d (Haralick et al., IJCV 1994, §2.1), its roots the eigenvalues of
+    its companion matrix as in `np.roots`. Each real (zero imaginary part)
+    positive root gives d₁ and d₃ by side b, and each positive depth on ray 2
+    at side c from point 1 that lies at side a from point 3 (`_ON_SIDE`) is a
+    solution; Grunert's linear d₂ is 0/0 where both do. Two Newton steps on
+    the squared sides polish the depths, as in Lambda Twist (Persson &
+    Nordberg, ECCV 2018), and a pose aligns the two triangles' frames.
+    Returns the solutions' samples (k,), in order, roots (k,), rotations
+    (k, 3, 3) and centers (k, 3); a non-finite quartic gives none and a
+    degenerate triangle NaN poses. Each sample is solved as if alone."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sides = _squared_sides(X)
+        a2, b2, c2 = sides.T
+        ca, cb, cg = np.add.reduce(f[:, [1, 0, 0]] * f[:, [2, 2, 1]], axis=2).T
+        k1, k2, cc, aa = (a2 - c2) / b2, (a2 + c2) / b2, c2 / b2, a2 / b2
+        quartic = [
+            (k1 - 1) ** 2 - 4 * cc * ca**2,
+            4 * (k1 * (1 - k1) * cb - (1 - k2) * ca * cg + 2 * cc * ca**2 * cb),
+            2 * (k1**2 - 1 + 2 * k1**2 * cb**2 + 2 * (1 - cc) * ca**2 - 4 * k2 * ca * cb * cg + 2 * (1 - aa) * cg**2),
+            4 * (-k1 * (1 + k1) * cb + 2 * aa * cg**2 * cb - (1 - k2) * ca * cg),
+            (1 + k1) ** 2 - 4 * aa * cg**2,
+        ]
+        companion = np.zeros((len(X), 4, 4))
+        companion[:, 0] = -np.stack(quartic[1:], axis=1) / quartic[0][:, None]
+        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+        finite = np.isfinite(companion[:, 0]).all(axis=1)
+        companion[~finite, 0] = 0.0  # eigvals refuses a stack that holds a NaN
+        w = np.linalg.eigvals(companion)
+        s, i = np.nonzero(finite[:, None] & (w.imag == 0) & (w.real > 0))
+        v, g = w.real[s, i], np.column_stack([sides, ca, cb, cg])[s]
+        a2, b2, c2, ca, cb, cg = g.T
+        d1 = np.sqrt(b2 / (1 + v * (v - 2 * cb)))
+        d3 = v * d1
+        d2 = (d1 * cg)[:, None] + np.sqrt(np.maximum(c2 - d1 * d1 * (1 - cg * cg), 0.0))[:, None] * [1.0, -1.0]
+        off = d2 * (d2 - (2 * d3 * ca)[:, None]) + (d3 * d3 - a2)[:, None]
+        j, side = np.nonzero((d2 > 0) & (np.abs(off) <= _ON_SIDE * (d2 * d2 + (d3 * d3)[:, None])))
+        s, v, g, f = s[j], v[j], g[j], f[s[j]]
+        d = np.stack([d1[j], d2[j, side], d3[j]], axis=1)
+        ca, cb, cg = g[:, 3:].T
+        for _ in range(2):
+            F3, F2, F1 = (_squared_sides(d[:, :, None] * f) - g[:, :3]).T
+            d1, d2, d3 = d.T
+            # the Jacobian over 2 is [[p, q, 0], [r, 0, t], [0, x, y]]; Cramer's rule
+            p, q, r, t, x, y = d1 - d2 * cg, d2 - d1 * cg, d1 - d3 * cb, d3 - d1 * cb, d2 - d3 * ca, d3 - d2 * ca
+            step = [q * t * F3 - F1 * t * x - q * F2 * y, p * F2 * y - p * t * F3 - F1 * r * y,
+                    F1 * r * x - p * F2 * x - q * r * F3]
+            d = d + np.stack(step, axis=1) / (2 * (p * t * x + q * r * y))[:, None]
+        cam = d[:, :, None] * f
+        R = _frames(cam) @ _frames(X)[s].transpose(0, 2, 1)
+        center = X[s, 0] - (R.transpose(0, 2, 1) @ cam[:, 0, :, None])[:, :, 0]
+    return s, v, R, center
 
 
 def _hypothesis_masks(
-    samples: np.ndarray,
-    points: np.ndarray,
-    norm_xy: np.ndarray,
-    pixels: np.ndarray,
-    intr: CameraIntrinsics,
+    samples: np.ndarray, points: np.ndarray, rays: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics,
     inlier_px: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The (b, n) inlier masks of the (b, 6) sampled hypotheses, in order, and
-    their (b,) inlier counts; a hypothesis whose DLT fails counts -1. A failing
-    stack is redone one at a time.
-
-    A hypothesis's DLT null vector is the eigenvector of AᵀA with the
-    smallest eigenvalue, which is the right singular vector of A's smallest
-    singular value (Hartley & Zisserman, Multiple View Geometry, 2nd ed.,
-    §4.1 and A5.3); `_null_vectors` takes it by one shifted inverse-iteration
-    step from `eigvalsh`, and `_rt_from_projection` ignores its sign and
-    scale. Every step runs once per matrix, so a hypothesis's mask does not
-    depend on the others in its stack. On every tested hypothesis the mask
-    equals that of the null vector from A's SVD; only one whose two smallest
-    eigenvalues nearly coincide, so that no null vector is well defined,
-    could get another."""
-    try:
-        A, T = _dlt_system(points[samples], norm_xy[samples])
-        x = _null_vectors(A.transpose(0, 2, 1) @ A)
-        R, center = _rt_from_projection(x.reshape(-1, 3, 4) @ T)
-    except np.linalg.LinAlgError:
-        if len(samples) == 1:
-            return np.zeros((1, len(points)), dtype=bool), np.array([-1])
-        parts = [
-            _hypothesis_masks(sample[None], points, norm_xy, pixels, intr, inlier_px) for sample in samples
-        ]
-        return np.concatenate([m for m, _ in parts]), np.concatenate([c for _, c in parts])
+    """The (b, n) inlier masks of the (b, 3) samples, in order, and their (b,)
+    inlier counts, given unit bearings `rays`: a sample's best P3P pose, the
+    smaller root winning a tie, or 0 and an empty mask if it has none."""
+    s, roots, R, center = _p3p(points[samples], rays[samples])
     masks = _residuals(R, center, points, pixels, intr) <= inlier_px
-    return masks, np.count_nonzero(masks, axis=1)
+    counts = np.count_nonzero(masks, axis=1)
+    order = np.lexsort((roots, -counts, s))  # by sample, then best count, then smaller root
+    best = order[np.diff(s[order], prepend=-1) != 0]
+    out = np.zeros((len(samples), len(points)), dtype=bool)
+    out[s[best]] = masks[best]
+    total = np.zeros(len(samples), dtype=int)
+    total[s[best]] = counts[best]
+    return out, total
 
 
 def pnp_ransac(
@@ -230,46 +248,27 @@ def pnp_ransac(
     intrinsics: CameraIntrinsics,
     params: RansacParams,
 ) -> tuple[CameraPose, list[int]]:
-    """RANSAC over 6-point DLT pose hypotheses with a full-inlier DLT refit.
+    """RANSAC over P3P pose hypotheses with a full-inlier DLT refit.
 
     Returns the refit pose and the inlier indices under it. Raises
     InsufficientCorrespondencesError below 6 points and NoConsensusError when
     no hypothesis reaches least = max(min_inliers, 6) inliers, without drawing
     any when there are fewer than least points. Deterministic per seed.
 
-    A solve draws at most start = bound(C(least, 6) / C(n, 6)) hypotheses,
-    bound(p) = min(iterations, max(1, ceil(log(1 - confidence) / log(1 - p))))
-    being the draws that take a sample of probability p with probability
-    confidence. Six distinct points lie inside a given least with probability
-    C(least, 6) / C(n, 6), so a solve without consensus ends once a consensus
-    of least inliers, had one existed, would have had a sample drawn from it
-    alone. Each new best count c sets the stop to
-    min(start, bound((c / n)**6)), the standard adaptive stop capped at start.
+    A hypothesis is a sample of three points; it counts the most inliers any
+    of its P3P poses gets, and 0 with no real, finite pose. A solve draws at
+    most start = bound(C(least, 3) / C(n, 3)) samples, bound(p) =
+    min(iterations, max(1, ceil(log(1 - confidence) / log(1 - p)))) being the
+    draws that take a sample of probability p with probability confidence:
+    a solve without consensus ends once a consensus of least inliers, had
+    one existed, would have had a sample drawn from it alone. Each new best
+    count c sets the stop to min(start, bound((c / n)**3)).
 
-    Hypotheses are drawn and solved in chunks of at most _CHUNK, never more
-    than the remaining budget, but the result is that of drawing them one at
-    a time with `rng.choice(n, 6, replace=False)`. A chunk's samples come
-    from one `rng.integers` call (`_draw_samples`): each `choice` call is
-    eleven bounded draws (Floyd's sampling, then a shuffle), and one call over
-    the chunk's bounds takes the same draws in the same order, so the samples
-    and the generator's state equal those of the serial calls. The chunk is
-    walked in draw order with the strict best-count update and the adaptive
-    stop. Hypotheses drawn past the stopping point are discarded; the
-    generator is local to the call. If a chunk's stacked solve fails, its
-    hypotheses are solved one at a time, and each one that fails still
-    counts as an iteration.
-
-    A hypothesis only feeds an inlier mask, so it takes its DLT null vector
-    from AᵀA: its smallest eigenvalue from `eigvalsh`, then one step of
-    inverse iteration shifted a few ulps of ‖AᵀA‖ below it, which keeps the
-    solve's matrix positive definite (`_null_vectors`). The all-inlier refit,
-    whose pose is returned, takes its null vector from the SVD of its tall
-    A, whose condition number the normal equations would square. On every
-    tested instance the outcome equals that of a serial loop solving each
-    hypothesis through the SVD. Where A's two smallest singular values nearly
-    coincide, the null vector is ill-defined and the solvers can give a
-    hypothesis different masks (its poses are then junk); an outcome would
-    differ only if such a hypothesis set or lost the best count.
+    Samples are solved in chunks of at most _CHUNK, never more than the
+    remaining budget, with the result of drawing them one at a time with
+    `rng.choice(n, 3, replace=False)`: a chunk is walked in draw order with
+    the strict best-count update and the stop, and later samples discarded.
+    The refit, whose pose is returned, takes the SVD of all inliers' DLT.
     """
     n = len(corr_2d3d)
     if n < 6:
@@ -280,6 +279,7 @@ def pnp_ransac(
     pixels = np.array([c[0] for c in corr_2d3d], dtype=float)
     points = np.array([c[1] for c in corr_2d3d], dtype=float)
     norm_xy = (pixels - intrinsics.principal_point) / intrinsics.focal
+    rays = unit_rows(np.column_stack([norm_xy, np.ones(n)]))
 
     log_miss = np.log(max(1.0 - params.confidence, 1e-12))
 
@@ -289,7 +289,7 @@ def pnp_ransac(
             return params.iterations
         return max(1, min(params.iterations, int(np.ceil(log_miss / denom))))
 
-    start = bound(math.comb(least, 6) / math.comb(n, 6))
+    start = bound(math.comb(least, 3) / math.comb(n, 3))
     rng = np.random.default_rng(params.seed)
     best_count = 0
     best_mask: np.ndarray | None = None
@@ -298,13 +298,13 @@ def pnp_ransac(
     while it < needed:
         b = min(_CHUNK, needed - it)
         samples = _draw_samples(rng, n, b)
-        masks, counts = _hypothesis_masks(samples, points, norm_xy, pixels, intrinsics, params.inlier_px)
+        masks, counts = _hypothesis_masks(samples, points, rays, pixels, intrinsics, params.inlier_px)
         for h, count in enumerate(counts.tolist()):
             it += 1
             if count > best_count:
                 best_count = count
                 best_mask = masks[h]
-                needed = min(start, bound((count / n) ** 6))
+                needed = min(start, bound((count / n) ** 3))
             if it >= needed:
                 break
     if best_mask is None or best_count < least:

@@ -185,7 +185,9 @@ INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
 #
 # localize.pnp_ransac solves its hypotheses in stacked chunks. The reference
 # below draws, solves and scores them one at a time, as a plain RANSAC loop
-# does; both must pick the same hypothesis and return the same bytes.
+# does; both must pick the same hypothesis and return the same bytes. Its
+# P3P solve is written per sample with np.roots, a linear solve for the
+# Newton steps and a Kabsch SVD for the pose; the refit is a plain DLT.
 
 
 def dlt_oracle(points3d, norm_xy):
@@ -227,6 +229,76 @@ def residuals_oracle(R, center, points3d, pixels, intr):
     return res
 
 
+def p3p_oracle(X, f):
+    """The (root, R, center) solutions of one P3P sample, three world points
+    X (3, 3) seen along unit bearings f (3, 3), ordered by root. Grunert's
+    quartic in v = d3 / d1 (Haralick et al., IJCV 1994), solved by np.roots;
+    a real positive root fixes d1 and d3 by side b, and each positive depth
+    d2 at side c from point 1 that lies at side a from point 3 (to the
+    solver's `_ON_SIDE`) is a solution. Two Newton steps on the three
+    squared sides, then the pose that maps X onto the camera points (Kabsch's
+    SVD)."""
+    a2, b2, c2 = (np.sum((X[i] - X[j]) ** 2) for i, j in ((1, 2), (0, 2), (0, 1)))
+    ca, cb, cg = (float(f[i] @ f[j]) for i, j in ((1, 2), (0, 2), (0, 1)))
+    k1, k2 = (a2 - c2) / b2, (a2 + c2) / b2
+    quartic = [
+        (k1 - 1) ** 2 - 4 * c2 / b2 * ca**2,
+        4 * (k1 * (1 - k1) * cb - (1 - k2) * ca * cg + 2 * c2 / b2 * ca**2 * cb),
+        2 * (k1**2 - 1 + 2 * k1**2 * cb**2 + 2 * (b2 - c2) / b2 * ca**2
+             - 4 * k2 * ca * cb * cg + 2 * (b2 - a2) / b2 * cg**2),
+        4 * (-k1 * (1 + k1) * cb + 2 * a2 / b2 * cg**2 * cb - (1 - k2) * ca * cg),
+        (1 + k1) ** 2 - 4 * a2 / b2 * cg**2,
+    ]
+    roots = np.roots(quartic)
+    solutions = []
+    for v in sorted(r.real for r in roots if r.imag == 0 and r.real > 0):
+        d1 = np.sqrt(b2 / (1 + v * v - 2 * v * cb))
+        d3 = v * d1
+        half = np.sqrt(max(c2 - d1 * d1 * (1 - cg * cg), 0.0))
+        for d2 in (d1 * cg + half, d1 * cg - half):
+            off = d2 * d2 + d3 * d3 - 2 * d2 * d3 * ca - a2
+            if not (d2 > 0 and abs(off) <= localize._ON_SIDE * (d2 * d2 + d3 * d3)):
+                continue
+            d = np.array([d1, d2, d3])
+            for _ in range(2):
+                cam = d[:, None] * f
+                F = [np.sum((cam[i] - cam[j]) ** 2) - s for (i, j), s in zip(((1, 2), (0, 2), (0, 1)), (a2, b2, c2))]
+                J = 2 * np.array([
+                    [0.0, d[1] - d[2] * ca, d[2] - d[1] * ca],
+                    [d[0] - d[2] * cb, 0.0, d[2] - d[0] * cb],
+                    [d[0] - d[1] * cg, d[1] - d[0] * cg, 0.0],
+                ])
+                d = d - np.linalg.solve(J, F)
+            cam = d[:, None] * f
+            H = (X - X.mean(axis=0)).T @ (cam - cam.mean(axis=0))
+            U, _, Vt = np.linalg.svd(H)
+            R = Vt.T @ np.diag([1.0, 1.0, np.linalg.det(Vt.T @ U.T)]) @ U.T
+            solutions.append((v, R, X.mean(axis=0) - R.T @ cam.mean(axis=0)))
+    return solutions
+
+
+def sample_oracle(sample, points, rays, pixels, intr, inlier_px):
+    """The inlier mask and count of one sample: its first P3P solution with
+    the most inliers, or an empty mask and 0 if it has none."""
+    best_mask, best_count = np.zeros(len(points), dtype=bool), 0
+    with np.errstate(all="ignore"):
+        try:
+            solutions = p3p_oracle(points[sample], rays[sample])
+        except np.linalg.LinAlgError:  # np.roots on a non-finite quartic
+            solutions = []
+    for _v, R, center in solutions:
+        with np.errstate(invalid="ignore"):
+            mask = residuals_oracle(R, center, points, pixels, intr) <= inlier_px
+        if mask.sum() > best_count:
+            best_mask, best_count = mask, int(mask.sum())
+    return best_mask, best_count
+
+
+def bearings(norm_xy):
+    rays = np.hstack([norm_xy, np.ones((len(norm_xy), 1))])
+    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+
+
 def pnp_oracle(corr, intr, params):
     n = len(corr)
     if n < 6:
@@ -234,6 +306,7 @@ def pnp_oracle(corr, intr, params):
     pixels = np.array([c[0] for c in corr], dtype=float)
     points = np.array([c[1] for c in corr], dtype=float)
     norm_xy = (pixels - intr.principal_point) / intr.focal
+    rays = bearings(norm_xy)
     least = max(params.min_inliers, 6)
     log_miss = np.log(max(1.0 - params.confidence, 1e-12))
 
@@ -243,23 +316,18 @@ def pnp_oracle(corr, intr, params):
             return params.iterations
         return max(1, min(params.iterations, int(np.ceil(log_miss / denom))))
 
-    start = bound(math.comb(least, 6) / math.comb(n, 6))
+    start = bound(math.comb(least, 3) / math.comb(n, 3))
     rng = np.random.default_rng(params.seed)
     best_count, best_mask = 0, None
     needed = start
     it = 0
     while it < needed:
         it += 1
-        sample = rng.choice(n, size=6, replace=False)
-        try:
-            R, center = dlt_oracle(points[sample], norm_xy[sample])
-        except np.linalg.LinAlgError:
-            continue
-        mask = residuals_oracle(R, center, points, pixels, intr) <= params.inlier_px
-        count = int(mask.sum())
+        sample = rng.choice(n, size=3, replace=False)
+        mask, count = sample_oracle(sample, points, rays, pixels, intr, params.inlier_px)
         if count > best_count:
             best_count, best_mask = count, mask
-            needed = min(start, bound((count / n) ** 6))
+            needed = min(start, bound((count / n) ** 3))
     if best_mask is None or best_count < least:
         raise NoConsensusError("no consensus")
     idx = np.nonzero(best_mask)[0]

@@ -100,7 +100,7 @@ def test_localization_rate_monotone_over_levels(pairs):
 def test_pnp_without_consensus_solves_the_consensus_bound(seed, min_inliers, extra, iterations, confidence):
     """Random pixels under a 1e-3 px inlier threshold leave every hypothesis
     far below least = min_inliers inliers. The solve then ends after the
-    draws that take, with probability confidence, a sample of six distinct
+    draws that take, with probability confidence, a sample of three distinct
     points inside a given least of the n (probability p), never fewer than
     one: min(iterations, max(1, ceil(log(1 - confidence) / log(1 - p)))),
     without consensus and as the oracle does."""
@@ -115,7 +115,7 @@ def test_pnp_without_consensus_solves_the_consensus_bound(seed, min_inliers, ext
     with pytest.MonkeyPatch.context() as mp:
         chunks = count_hypotheses(mp)
         assert outcome(pnp_ransac, corr, params, INTR) == NoConsensusError
-    p = np.prod([(min_inliers - i) / (n - i) for i in range(6)])
+    p = np.prod([(min_inliers - i) / (n - i) for i in range(3)])
     draws = 1 if p == 1.0 else max(1, int(np.ceil(np.log1p(-confidence) / np.log1p(-p))))
     assert sum(chunks) == min(iterations, draws)
     assert outcome(pnp_oracle, corr, params, INTR) == NoConsensusError
