@@ -70,45 +70,38 @@ def ewb_pose(ranked: RankedList, poses: dict[int, CameraPose], k: int) -> Camera
 
 
 def _dlt_system(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The normalized direct linear transform for [R|t] of `b` stacked
-    problems of `m >= 6` points, (b, m, 3) points and (b, m, 2) normalized
-    image coordinates: the (b, 2m, 12) systems A and the (b, 4, 4) transforms
-    T that undo the normalization, P = null(A) @ T."""
-    b, m, _ = points3d.shape
+    """The normalized direct linear transform for [R|t] of m >= 6 points, (m, 3) points
+    and (m, 2) normalized image coordinates: the (2m, 12) system A and the
+    (4, 4) transform T that undoes the normalization, P = null(A) @ T."""
+    m = len(points3d)
     # np.mean and np.linalg.norm without their wrappers: the same reductions
-    centroid = np.add.reduce(points3d, axis=1) / m
-    d = points3d - centroid[:, None]
-    spread = np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=2)), axis=1) / m
+    centroid = np.add.reduce(points3d, axis=0) / m
+    d = points3d - centroid
+    spread = np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=1))) / m
     # sqrt(3) / spread, and 1 where the points coincide (x / x is exactly 1)
-    scale = np.sqrt(3.0) / np.where(spread > 0, spread, np.sqrt(3.0))
-    Xh = np.concatenate([d * scale[:, None, None], np.ones((b, m, 1))], axis=2)
-    A = np.zeros((b, 2 * m, 12))
-    A[:, 0::2, 0:4] = Xh
-    A[:, 0::2, 8:12] = -norm_xy[:, :, 0:1] * Xh
-    A[:, 1::2, 4:8] = Xh
-    A[:, 1::2, 8:12] = -norm_xy[:, :, 1:2] * Xh
+    scale = np.sqrt(3.0) / (spread if spread > 0 else np.sqrt(3.0))
+    Xh = np.concatenate([d * scale, np.ones((m, 1))], axis=1)
+    A = np.zeros((2 * m, 12))
+    A[0::2, 0:4] = Xh
+    A[0::2, 8:12] = -norm_xy[:, 0:1] * Xh
+    A[1::2, 4:8] = Xh
+    A[1::2, 8:12] = -norm_xy[:, 1:2] * Xh
     # undo the 3D normalization: X' = scale * (X - centroid)
-    T = np.zeros((b, 4, 4))
-    T[:, [0, 1, 2], [0, 1, 2]] = scale[:, None]
-    T[:, :3, 3] = -scale[:, None] * centroid
-    T[:, 3, 3] = 1.0
+    T = np.diag([scale, scale, scale, 1.0])
+    T[:3, 3] = -scale * centroid
     return A, T
 
 
 def _rt_from_projection(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (b, 3, 3) world-to-camera rotations and (b, 3) centers of (b, 3, 4)
-    projections P ~ [R|t] of either sign and any scale: P's sign is flipped
-    where det(P[:, :3]) < 0, and its left block projected to a rotation by SVD."""
-    b = P.shape[0]
-    P = np.where((np.linalg.det(P[:, :, :3]) < 0)[:, None, None], -P, P)
-    U, s, Vt = np.linalg.svd(P[:, :, :3])
-    D = np.zeros((b, 3, 3))
-    D[:, 0, 0] = D[:, 1, 1] = 1.0
-    D[:, 2, 2] = np.linalg.det(U @ Vt)
-    R = U @ D @ Vt
-    sigma = np.mean(s, axis=1)
-    t = P[:, :, 3] / sigma[:, None]
-    return R, (-R.transpose(0, 2, 1) @ t[:, :, None])[:, :, 0]
+    """The world-to-camera rotation (3, 3) and center (3,) of a projection
+    P ~ [R|t] (3, 4) of either sign and any scale: P's sign is flipped where
+    det(P[:, :3]) < 0, and its left block projected to a rotation by SVD."""
+    if np.linalg.det(P[:, :3]) < 0:
+        P = -P
+    U, s, Vt = np.linalg.svd(P[:, :3])
+    R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
+    t = P[:, 3] / np.mean(s)
+    return R, -R.T @ t
 
 
 def _residuals(
@@ -123,8 +116,7 @@ def _residuals(
     return np.where(z > NEAR_PLANE, res, np.inf)
 
 
-# Samples per chunk. Most solves stop within 16 samples: chunks of 32 ran
-# about 9% slower, solving samples they discard, and 8 ran as fast as 16.
+# Samples per `rng.integers` call; a sample is solved only when the walk reaches it.
 _CHUNK = 16
 
 
@@ -150,97 +142,111 @@ def _draw_samples(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
 # How far off side a, relative to the squared depths, a second depth may be:
 # far above a near-double root's error, far below a wrong intersection's.
 _ON_SIDE = 1e-6
-
-
-def _squared_sides(p: np.ndarray) -> np.ndarray:
-    """The (k, 3) squared sides a, b, c opposite the k triangles' (k, 3, 3) points."""
-    gap = p[:, [1, 0, 0]] - p[:, [2, 2, 1]]
-    return np.add.reduce(gap * gap, axis=2)
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # the index cycles of a cross product
 
 
 def _frames(p: np.ndarray) -> np.ndarray:
     """The (k, 3, 3) orthonormal frames of the k triangles p (k, 3, 3), axes
     in columns: p₁→p₂, towards p₃ in-plane, their cross; NaN if degenerate."""
-    e1 = unit_rows(p[:, 1] - p[:, 0])
+    e = np.empty(p.shape)
+    e[:, :, 0] = e1 = unit_rows(p[:, 1] - p[:, 0])
     e2 = p[:, 2] - p[:, 0]
-    e2 = unit_rows(e2 - (e2[:, None] @ e1[:, :, None])[:, 0] * e1)
-    e3 = e1[:, [1, 2, 0]] * e2[:, [2, 0, 1]] - e1[:, [2, 0, 1]] * e2[:, [1, 2, 0]]  # np.cross, less overhead
-    return np.stack([e1, e2, e3], axis=2)
+    e[:, :, 1] = e2 = unit_rows(e2 - (e2[:, None] @ e1[:, :, None])[:, 0] * e1)
+    e[:, :, 2] = e1[:, _NEXT] * e2[:, _LAST] - e1[:, _LAST] * e2[:, _NEXT]  # np.cross, less overhead
+    return e
 
 
-def _p3p(X: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The poses that see the b triangles X (b, 3, 3) of world points along
-    the unit bearings f (b, 3, 3), by Grunert's quartic in v = d₃/d₁ for the
-    depths d (Haralick et al., IJCV 1994, §2.1), its roots the eigenvalues of
-    its companion matrix as in `np.roots`. Each real (zero imaginary part)
-    positive root gives d₁ and d₃ by side b, and each positive depth on ray 2
-    at side c from point 1 that lies at side a from point 3 (`_ON_SIDE`) is a
-    solution; Grunert's linear d₂ is 0/0 where both do. Two Newton steps on
-    the squared sides polish the depths, as in Lambda Twist (Persson &
-    Nordberg, ECCV 2018), and a pose aligns the two triangles' frames.
-    Returns the solutions' samples (k,), in order, roots (k,), rotations
-    (k, 3, 3) and centers (k, 3); a non-finite quartic gives none and a
-    degenerate triangle NaN poses. Each sample is solved as if alone."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sides = _squared_sides(X)
-        a2, b2, c2 = sides.T
-        ca, cb, cg = np.add.reduce(f[:, [1, 0, 0]] * f[:, [2, 2, 1]], axis=2).T
-        k1, k2, cc, aa = (a2 - c2) / b2, (a2 + c2) / b2, c2 / b2, a2 / b2
-        quartic = [
-            (k1 - 1) ** 2 - 4 * cc * ca**2,
-            4 * (k1 * (1 - k1) * cb - (1 - k2) * ca * cg + 2 * cc * ca**2 * cb),
-            2 * (k1**2 - 1 + 2 * k1**2 * cb**2 + 2 * (1 - cc) * ca**2 - 4 * k2 * ca * cb * cg + 2 * (1 - aa) * cg**2),
-            4 * (-k1 * (1 + k1) * cb + 2 * aa * cg**2 * cb - (1 - k2) * ca * cg),
-            (1 + k1) ** 2 - 4 * aa * cg**2,
-        ]
-        companion = np.zeros((len(X), 4, 4))
-        companion[:, 0] = -np.stack(quartic[1:], axis=1) / quartic[0][:, None]
-        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-        finite = np.isfinite(companion[:, 0]).all(axis=1)
-        companion[~finite, 0] = 0.0  # eigvals refuses a stack that holds a NaN
-        w = np.linalg.eigvals(companion)
-        s, i = np.nonzero(finite[:, None] & (w.imag == 0) & (w.real > 0))
-        v, g = w.real[s, i], np.column_stack([sides, ca, cb, cg])[s]
-        a2, b2, c2, ca, cb, cg = g.T
-        d1 = np.sqrt(b2 / (1 + v * (v - 2 * cb)))
+def _quartic(sides: list[float], cosines: list[float]) -> list[float] | None:
+    """The first row of the companion matrix of Grunert's quartic in v = d₃/d₁ for
+    the depths d (Haralick et al., IJCV 1994, §2.1), as `np.roots` builds it, from the
+    squared sides and the cosines of the bearings spanning them; None if not finite."""
+    (a2, b2, c2), (ca, cb, cg) = sides, cosines
+    b2 = b2 or math.nan  # a zero side b gives NaN coefficients, as a NaN side does
+    k1, k2, cc, aa = (a2 - c2) / b2, (a2 + c2) / b2, c2 / b2, a2 / b2
+    ca2, cb2, cg2 = ca * ca, cb * cb, cg * cg
+    q0 = (k1 - 1) * (k1 - 1) - 4 * cc * ca2 or math.nan  # 0: a NaN row in place of an infinite one
+    q1 = 4 * (k1 * (1 - k1) * cb - (1 - k2) * ca * cg + 2 * cc * ca2 * cb)
+    q2 = 2 * (k1 * k1 - 1 + 2 * (k1 * k1) * cb2 + 2 * (1 - cc) * ca2 - 4 * k2 * ca * cb * cg + 2 * (1 - aa) * cg2)
+    q3 = 4 * (-k1 * (1 + k1) * cb + 2 * aa * cg2 * cb - (1 - k2) * ca * cg)
+    q4 = (1 + k1) * (1 + k1) - 4 * aa * cg2
+    row = [-q / q0 for q in (q1, q2, q3, q4)]
+    return row if all(map(math.isfinite, row)) else None
+
+
+def _newton(d: tuple, f: list[list[float]], sides: list[float], cosines: list[float]) -> tuple:
+    """The depths d after a Newton step on the squared sides, as in Lambda Twist (Persson &
+    Nordberg, ECCV 2018); NaN where it would divide by zero, as the pose would be NaN and score 0."""
+    (d1, d2, d3), (a2, b2, c2), (ca, cb, cg) = d, sides, cosines
+    (u1, v1, w1), (u2, v2, w2), (u3, v3, w3) = f
+    # the squared sides of the camera points d_i f_i less the world's, summed as in `_p3p`
+    x, y, z = d2 * u2 - d3 * u3, d2 * v2 - d3 * v3, d2 * w2 - d3 * w3
+    F3 = x * x + y * y + z * z - a2
+    x, y, z = d1 * u1 - d3 * u3, d1 * v1 - d3 * v3, d1 * w1 - d3 * w3
+    F2 = x * x + y * y + z * z - b2
+    x, y, z = d1 * u1 - d2 * u2, d1 * v1 - d2 * v2, d1 * w1 - d2 * w2
+    F1 = x * x + y * y + z * z - c2
+    # the Jacobian over 2 is [[p, q, 0], [r, 0, t], [0, x, y]]; Cramer's rule
+    p, q, r, t, x, y = d1 - d2 * cg, d2 - d1 * cg, d1 - d3 * cb, d3 - d1 * cb, d2 - d3 * ca, d3 - d2 * ca
+    det = 2 * (p * t * x + q * r * y) or math.nan  # 0: NaN depths in place of infinite ones
+    return (d1 + (q * t * F3 - F1 * t * x - q * F2 * y) / det, d2 + (p * F2 * y - p * t * F3 - F1 * r * y) / det,
+            d3 + (F1 * r * x - p * F2 * x - q * r * F3) / det)
+
+
+def _p3p(X: np.ndarray, f: np.ndarray) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """The poses that see the triangle X (3, 3) of world points along the unit bearings f (3, 3).
+    Each real (zero imaginary part), positive root v of `_quartic`, by `np.linalg.eigvals`,
+    gives d₁ and d₃ by side b, and each positive depth on ray 2 at side c from point 1 that
+    lies at side a from point 3 (`_ON_SIDE`) is a solution; Grunert's linear d₂ is 0/0 where
+    both do. Two `_newton` steps refine the depths, and a pose aligns the two triangles'
+    frames. Returns the roots, in root-then-side order, rotations (k, 3, 3) and centers
+    (k, 3); a degenerate triangle gives NaN poses. The scalar steps are Python float operations
+    in numpy's order, rounding as numpy's elementwise ones; the frames and poses take their dot
+    products in numpy, where BLAS rounds them."""
+    p, f = X.tolist(), f.tolist()
+    # the squared sides a, b, c and the cosines of the bearings spanning them, summed in index order
+    sides = [(x - u) * (x - u) + (y - v) * (y - v) + (z - w) * (z - w)
+             for (x, y, z), (u, v, w) in ((p[1], p[2]), (p[0], p[2]), (p[0], p[1]))]
+    cosines = [x * u + y * v + z * w for (x, y, z), (u, v, w) in ((f[1], f[2]), (f[0], f[2]), (f[0], f[1]))]
+    (a2, b2, c2), (ca, cb, cg) = sides, cosines
+    row = _quartic(sides, cosines)
+    roots, cams = [], []
+    companion = [row, [1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0]]
+    for w in np.linalg.eigvals(np.array(companion)).tolist() if row else []:
+        v = w.real
+        den = 1 + v * (v - 2 * cb)
+        if w.imag != 0 or not (v > 0 and den > 0):  # den <= 0 would give a NaN or infinite d₁
+            continue
+        d1 = math.sqrt(b2 / den)
         d3 = v * d1
-        d2 = (d1 * cg)[:, None] + np.sqrt(np.maximum(c2 - d1 * d1 * (1 - cg * cg), 0.0))[:, None] * [1.0, -1.0]
-        off = d2 * (d2 - (2 * d3 * ca)[:, None]) + (d3 * d3 - a2)[:, None]
-        j, side = np.nonzero((d2 > 0) & (np.abs(off) <= _ON_SIDE * (d2 * d2 + (d3 * d3)[:, None])))
-        s, v, g, f = s[j], v[j], g[j], f[s[j]]
-        d = np.stack([d1[j], d2[j, side], d3[j]], axis=1)
-        ca, cb, cg = g[:, 3:].T
-        for _ in range(2):
-            F3, F2, F1 = (_squared_sides(d[:, :, None] * f) - g[:, :3]).T
-            d1, d2, d3 = d.T
-            # the Jacobian over 2 is [[p, q, 0], [r, 0, t], [0, x, y]]; Cramer's rule
-            p, q, r, t, x, y = d1 - d2 * cg, d2 - d1 * cg, d1 - d3 * cb, d3 - d1 * cb, d2 - d3 * ca, d3 - d2 * ca
-            step = [q * t * F3 - F1 * t * x - q * F2 * y, p * F2 * y - p * t * F3 - F1 * r * y,
-                    F1 * r * x - p * F2 * x - q * r * F3]
-            d = d + np.stack(step, axis=1) / (2 * (p * t * x + q * r * y))[:, None]
-        cam = d[:, :, None] * f
-        R = _frames(cam) @ _frames(X)[s].transpose(0, 2, 1)
-        center = X[s, 0] - (R.transpose(0, 2, 1) @ cam[:, 0, :, None])[:, :, 0]
-    return s, v, R, center
+        half = math.sqrt(max(c2 - d1 * d1 * (1 - cg * cg), 0.0))
+        for d2 in (d1 * cg + half, d1 * cg - half):
+            off = d2 * (d2 - 2 * d3 * ca) + (d3 * d3 - a2)
+            if d2 > 0 and abs(off) <= _ON_SIDE * (d2 * d2 + d3 * d3):
+                d = _newton(_newton((d1, d2, d3), f, sides, cosines), f, sides, cosines)
+                if all(map(math.isfinite, d)):  # a non-finite depth would give a NaN pose
+                    roots.append(v)
+                    cams.append([[e * x for x in g] for e, g in zip(d, f)])
+    if not cams:
+        return roots, np.zeros((0, 3, 3)), np.zeros((0, 3))
+    cam = np.array(cams)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frames = _frames(np.concatenate([cam, X[None]]))
+    R = frames[:-1] @ frames[-1].T
+    return roots, R, X[0] - (R.transpose(0, 2, 1) @ cam[:, 0, :, None])[:, :, 0]
 
 
-def _hypothesis_masks(
-    samples: np.ndarray, points: np.ndarray, rays: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics,
-    inlier_px: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (b, n) inlier masks of the (b, 3) samples, in order, and their (b,)
-    inlier counts, given unit bearings `rays`: a sample's best P3P pose, the
-    smaller root winning a tie, or 0 and an empty mask if it has none."""
-    s, roots, R, center = _p3p(points[samples], rays[samples])
+def _hypothesis(sample: np.ndarray, points: np.ndarray, rays: np.ndarray, pixels: np.ndarray,
+                intr: CameraIntrinsics, inlier_px: float) -> tuple[int, np.ndarray]:
+    """The inlier count and (n,) mask of the sample's P3P pose with the most inliers
+    (the smaller root, then the first in root-then-side order, winning a tie),
+    given unit bearings `rays`; 0 and an empty mask if it has no pose."""
+    roots, R, center = _p3p(points[sample], rays[sample])
+    if not roots:
+        return 0, np.zeros(len(points), dtype=bool)
     masks = _residuals(R, center, points, pixels, intr) <= inlier_px
-    counts = np.count_nonzero(masks, axis=1)
-    order = np.lexsort((roots, -counts, s))  # by sample, then best count, then smaller root
-    best = order[np.diff(s[order], prepend=-1) != 0]
-    out = np.zeros((len(samples), len(points)), dtype=bool)
-    out[s[best]] = masks[best]
-    total = np.zeros(len(samples), dtype=int)
-    total[s[best]] = counts[best]
-    return out, total
+    counts = np.count_nonzero(masks, axis=1).tolist()
+    best = min(range(len(roots)), key=lambda j: (-counts[j], roots[j]))
+    return counts[best], masks[best]
 
 
 def pnp_ransac(
@@ -255,20 +261,15 @@ def pnp_ransac(
     no hypothesis reaches least = max(min_inliers, 6) inliers, without drawing
     any when there are fewer than least points. Deterministic per seed.
 
-    A hypothesis is a sample of three points; it counts the most inliers any
-    of its P3P poses gets, and 0 with no real, finite pose. A solve draws at
-    most start = bound(C(least, 3) / C(n, 3)) samples, bound(p) =
-    min(iterations, max(1, ceil(log(1 - confidence) / log(1 - p)))) being the
-    draws that take a sample of probability p with probability confidence:
-    a solve without consensus ends once a consensus of least inliers, had
-    one existed, would have had a sample drawn from it alone. Each new best
-    count c sets the stop to min(start, bound((c / n)**3)).
-
-    Samples are solved in chunks of at most _CHUNK, never more than the
-    remaining budget, with the result of drawing them one at a time with
-    `rng.choice(n, 3, replace=False)`: a chunk is walked in draw order with
-    the strict best-count update and the stop, and later samples discarded.
-    The refit, whose pose is returned, takes the SVD of all inliers' DLT.
+    Samples of three points are drawn as by `rng.choice(n, 3, replace=False)`,
+    _CHUNK to a generator call, and solved one at a time in draw order; each
+    counts the most inliers any of its P3P poses gets, and 0 with none. The
+    stop starts at bound(C(least, 3) / C(n, 3)), bound(p) = min(iterations,
+    max(1, ceil(log(1 - confidence) / log(1 - p)))) being the draws that take
+    a sample of probability p with probability confidence: a solve without
+    consensus ends once a consensus of least inliers, had one existed, would
+    have had a sample drawn from it alone. Each best count c, strictly above the
+    last, moves the stop to min(start, bound((c / n)**3)). No draw past it is solved.
     """
     n = len(corr_2d3d)
     if n < 6:
@@ -291,19 +292,14 @@ def pnp_ransac(
 
     start = bound(math.comb(least, 3) / math.comb(n, 3))
     rng = np.random.default_rng(params.seed)
-    best_count = 0
-    best_mask: np.ndarray | None = None
-    needed = start
-    it = 0
+    best_count, best_mask = 0, None
+    needed, it = start, 0
     while it < needed:
-        b = min(_CHUNK, needed - it)
-        samples = _draw_samples(rng, n, b)
-        masks, counts = _hypothesis_masks(samples, points, rays, pixels, intrinsics, params.inlier_px)
-        for h, count in enumerate(counts.tolist()):
+        for sample in _draw_samples(rng, n, min(_CHUNK, needed - it)):
             it += 1
+            count, mask = _hypothesis(sample, points, rays, pixels, intrinsics, params.inlier_px)
             if count > best_count:
-                best_count = count
-                best_mask = masks[h]
+                best_count, best_mask = count, mask
                 needed = min(start, bound((count / n) ** 3))
             if it >= needed:
                 break
@@ -311,10 +307,10 @@ def pnp_ransac(
         raise NoConsensusError("no consensus")
 
     idx = np.nonzero(best_mask)[0]
-    A, T = _dlt_system(points[idx][None], norm_xy[idx][None])
+    A, T = _dlt_system(points[idx], norm_xy[idx])
     _, _, vt = np.linalg.svd(A, full_matrices=False)
-    R, center = _rt_from_projection(vt[:, -1].reshape(1, 3, 4) @ T)
-    pose = CameraPose(rotation=quats.from_matrix(R[0]), position=center[0])
+    R, center = _rt_from_projection(vt[-1].reshape(3, 4) @ T)
+    pose = CameraPose(rotation=quats.from_matrix(R), position=center)
     res = _residuals(pose.matrix()[None], pose.position[None], points, pixels, intrinsics)[0]
     final = np.nonzero(res <= params.inlier_px)[0]
     if final.size < least:
@@ -335,22 +331,20 @@ def sfm_localize(
     """Match the query against the top-k map views, lift matched map features
     to their landmarks' 3D positions (deduplicated per landmark by descriptor
     distance), and solve PnP+RANSAC."""
-    corr: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
-    dq = query.desc
-    kq = query.kp
+    found = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]  # query feature, landmark, distance
     for vid, _score in ranked[:k]:
         view = map_views[vid]
         iq, iv = match_features(query, view, match_params)
-        lids = view.lid[iv]
-        mapped = lids >= 0
-        iq, iv, lids = iq[mapped], iv[mapped], lids[mapped]
-        dists = row_norms(dq[iq] - view.desc[iv])[:, 0]
-        for q, lid, dist in zip(iq.tolist(), lids.tolist(), dists.tolist()):
-            if lid not in corr or dist < corr[lid][0]:
-                corr[lid] = (dist, kq[q], landmarks.positions[lid])
-    corr_2d3d = [(corr[lid][1], corr[lid][2]) for lid in sorted(corr)]
-    pose, _ = pnp_ransac(corr_2d3d, query.intrinsics, ransac_params)
-    return pose
+        mapped = view.lid[iv] >= 0
+        iq, iv = iq[mapped], iv[mapped]
+        found.append((iq, view.lid[iv], row_norms(query.desc[iq] - view.desc[iv])[:, 0]))
+    iq, lid, dist = (np.concatenate(x) for x in zip(*found))
+    # each landmark's closest match, in id order; on a tie the first in rank,
+    # then query-feature order, as lexsort is stable
+    order = np.lexsort((dist, lid))
+    first = order[np.diff(lid[order], prepend=-1) != 0]
+    corr_2d3d = list(zip(query.kp[iq[first]], landmarks.positions[lid[first]]))
+    return pnp_ransac(corr_2d3d, query.intrinsics, ransac_params)[0]
 
 
 def pose_error(est: CameraPose, gt: CameraPose) -> PoseError:

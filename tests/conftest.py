@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -183,8 +184,9 @@ INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
 
 # ---------------------------------------------------------------- pnp oracle
 #
-# localize.pnp_ransac solves its hypotheses in stacked chunks. The reference
-# below draws, solves and scores them one at a time, as a plain RANSAC loop
+# localize.pnp_ransac draws its samples a chunk per generator call and solves
+# them one at a time in Python floats. The reference below draws,
+# solves and scores them one at a time with numpy, as a plain RANSAC loop
 # does; both must pick the same hypothesis and return the same bytes. Its
 # P3P solve is written per sample with np.roots, a linear solve for the
 # Newton steps and a Kabsch SVD for the pose; the refit is a plain DLT.
@@ -349,14 +351,28 @@ def outcome(solver, corr, params, intr=INTR):
 
 
 def count_hypotheses(monkeypatch):
-    """Spy on `_hypothesis_masks`: the returned list gets the size of each
-    chunk pnp_ransac solves."""
-    chunks = []
-    masks = localize._hypothesis_masks
+    """Spy on `_hypothesis`: the returned list gets a 1 for each sample
+    pnp_ransac solves."""
+    solved = []
+    solve = localize._hypothesis
 
     def spy(*args):
-        chunks.append(len(args[0]))
-        return masks(*args)
+        solved.append(1)
+        return solve(*args)
 
-    monkeypatch.setattr(localize, "_hypothesis_masks", spy)
-    return chunks
+    monkeypatch.setattr(localize, "_hypothesis", spy)
+    return solved
+
+
+def count_oracle_iterations(monkeypatch):
+    """Spy on `sample_oracle`: the returned list gets a 1 for each sample
+    pnp_oracle solves, one per iteration of its loop."""
+    solved = []
+    solve = sample_oracle
+
+    def spy(*args):
+        solved.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(sys.modules[__name__], "sample_oracle", spy)
+    return solved

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,12 +23,13 @@ from synthloc.localize import (
     sfm_localize,
 )
 from synthloc.variants import default_prompt_set, shift_queries
-from synthloc.worldgen import CameraIntrinsics, CameraPose, derive_seed, project_points
+from synthloc.worldgen import CameraPose, Landmarks, ViewImage, derive_seed, project_points
 
 from conftest import (
     INTR,
     bearings,
     count_hypotheses,
+    count_oracle_iterations,
     from_axis_angle,
     landmark_set,
     outcome,
@@ -247,30 +252,30 @@ def test_pnp_without_consensus_stops_at_the_consensus_bound(monkeypatch):
     ceil(log(0.01) / log(1 - 56 / 220)) = 16 hypotheses, not the 200 of the
     budget."""
     corr, params = no_consensus_instance()
-    chunks = count_hypotheses(monkeypatch)
+    solved = count_hypotheses(monkeypatch)
     assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params) == NoConsensusError
-    assert sum(chunks) == 16
+    assert sum(solved) == 16
 
 
 @pytest.mark.parametrize("clean", [True, False])
 def test_pnp_on_thousands_of_correspondences(monkeypatch, clean):
     """Three distinct points of 5,000 fall inside a given 8 with probability
     C(8, 3) / C(5000, 3), about 2.7e-9, so the stop before a consensus is the
-    budget. A clean set agrees whole on the first hypothesis, so its first
-    chunk is its last; random pixels run the 40 of the budget and end without
+    budget. A clean set agrees whole on the first hypothesis, so it is the
+    only sample solved; random pixels run the 40 of the budget and end without
     consensus, as a best count of a few inliers gives a stop past it too."""
     rng = np.random.default_rng(5)
     corr = synth_correspondences(rng, random_pose(rng), 5000)
     if not clean:
         corr = [(uv, pt) for uv, (_, pt) in zip(rng.uniform([0, 0], [640, 480], (5000, 2)), corr)]
     params = RansacParams(iterations=40, inlier_px=10.0, seed=0)
-    chunks = count_hypotheses(monkeypatch)
+    solved = count_hypotheses(monkeypatch)
     got = outcome(pnp_ransac, corr, params)
     assert got == outcome(pnp_oracle, corr, params)
     if clean:
-        assert len(got[2]) == 5000 and chunks == [min(localize._CHUNK, 40)]
+        assert len(got[2]) == 5000 and solved == [1]
     else:
-        assert got == NoConsensusError and sum(chunks) == 40
+        assert got == NoConsensusError and sum(solved) == 40
 
 
 def test_pnp_with_a_tiny_confidence_draws_one_hypothesis(monkeypatch):
@@ -278,10 +283,10 @@ def test_pnp_with_a_tiny_confidence_draws_one_hypothesis(monkeypatch):
     0 draws; the solve still draws one, and a clean instance localizes."""
     _trial, clean, _noisy = next(criterion_6_instances(1))
     params = RansacParams(confidence=1e-17, seed=0)
-    chunks = count_hypotheses(monkeypatch)
+    solved = count_hypotheses(monkeypatch)
     got = outcome(pnp_ransac, clean, params)
     assert got == outcome(pnp_oracle, clean, params)
-    assert len(got[2]) == 20 and chunks == [1]
+    assert len(got[2]) == 20 and solved == [1]
 
 
 @pytest.mark.parametrize("iterations", [1, 7, 33, 65])
@@ -318,7 +323,7 @@ def jittered(corr, seed, sigma=0.05):
 
 # Pixel noise spreads the inlier counts, and a low confidence stops the loop
 # after a few hypotheses: later draws of the same chunk, which may count more
-# inliers, must then be discarded.
+# inliers, must then go unsolved.
 STOPS_EARLY = dict(inlier_px=1.0, min_inliers=6, confidence=0.5)
 
 
@@ -333,15 +338,15 @@ def test_pnp_matches_oracle_when_the_solve_fails(monkeypatch):
     """A NaN point makes every sample that holds it give a non-finite quartic
     and so no pose: such a sample counts 0 with an empty mask, counts as an
     iteration and never wins, without an exception or a warning."""
-    chunks = []
-    solve = localize._hypothesis_masks
+    solved = []
+    solve = localize._hypothesis
 
-    def spy(samples, *args):
-        masks, counts = solve(samples, *args)
-        chunks.append((samples, masks, counts))
-        return masks, counts
+    def spy(sample, *args):
+        count, mask = solve(sample, *args)
+        solved.append((sample, mask, count))
+        return count, mask
 
-    monkeypatch.setattr(localize, "_hypothesis_masks", spy)
+    monkeypatch.setattr(localize, "_hypothesis", spy)
     nan = (np.array([320.0, 240.0]), np.array([np.nan, 0.0, 10.0]))
     for trial, clean, _noisy in criterion_6_instances(10):
         for corr, params in (
@@ -350,33 +355,30 @@ def test_pnp_matches_oracle_when_the_solve_fails(monkeypatch):
         ):
             assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
         assert outcome(pnp_ransac, clean + [nan], RansacParams(seed=trial))[2] == list(range(20))
-    held = [(m, c) for s, ms, cs in chunks for row, m, c in zip(s, ms, cs) if 20 in row]
+    held = [(m, c) for s, m, c in solved if 20 in s]
     assert len(held) > 10 and all(c == 0 and not m.any() for m, c in held)
 
 
-def solve_arrays(corr):
-    """pnp_ransac's pixel, point and unit-bearing arrays of `corr`."""
-    pixels = np.array([c[0] for c in corr], dtype=float)
-    points = np.array([c[1] for c in corr], dtype=float)
-    return pixels, points, bearings((pixels - INTR.principal_point) / INTR.focal)
-
-
-def test_hypothesis_masks_do_not_depend_on_the_chunk():
-    """A chunk's masks and counts equal those of its samples solved one at a
-    time: every step of the P3P solve and of the scoring runs per sample, so
-    a sample's poses do not depend on the others in its chunk. Clean points
-    with 1 px of pixel noise against a 1 px threshold put many residuals near
-    it, where a pose that moved would flip a mask."""
-    rng = np.random.default_rng(24)
-    for trial, clean, _noisy in criterion_6_instances(5):
-        pixels, points, rays = solve_arrays(jittered(clean, trial, sigma=1.0))
-        args = (points, rays, pixels, INTR, 1.0)
-        for _ in range(40):
-            samples = localize._draw_samples(rng, len(points), 32)
-            masks, counts = localize._hypothesis_masks(samples, *args)
-            alone = [localize._hypothesis_masks(sample[None], *args) for sample in samples]
-            assert np.array_equal(masks, np.concatenate([m for m, _ in alone]))
-            assert np.array_equal(counts, np.concatenate([c for _, c in alone]))
+def test_solves_the_samples_the_oracle_draws(monkeypatch, sfm_solves):
+    """pnp_ransac solves a sample only when its walk reaches it: the samples
+    it solves are as many as the iterations of the oracle's one-at-a-time
+    loop, on criterion 6's clean and 50%-outlier instances, on jittered ones
+    that stop after a few samples, and on the recorded sfm solves. Below
+    max(min_inliers, 6) points it solves none, where the oracle's loop runs
+    (test_pnp_below_min_inliers_solves_nothing)."""
+    solves = [(corr, params, INTR) for trial, clean, noisy in criterion_6_instances(20) for corr, params in (
+        (clean, RansacParams(seed=trial)),
+        (noisy, RansacParams(inlier_px=2.0, seed=trial)),
+        (jittered(clean, trial), RansacParams(seed=trial, **STOPS_EARLY)),
+    )]
+    solves += [(corr, params, intr) for corr, intr, params in sfm_solves]
+    solved, iterations = count_hypotheses(monkeypatch), count_oracle_iterations(monkeypatch)
+    for corr, params, intr in solves:
+        solved.clear()
+        iterations.clear()
+        assert outcome(pnp_ransac, corr, params, intr) == outcome(pnp_oracle, corr, params, intr)
+        assert len(solved) == (len(iterations) if len(corr) >= max(params.min_inliers, 6) else 0)
+    assert len(solves) == 180
 
 
 def planted_triangles(rng, count):
@@ -400,12 +402,12 @@ def test_p3p_finds_the_planted_pose():
     for the second depth, 0/0 where two solutions share a root v, had left
     errors up to 3e-4, and one Newton step up to 8e-8 at near-double roots."""
     X, f, R, C = planted_triangles(np.random.default_rng(28), 1000)
-    s, roots, Rs, Cs = localize._p3p(X, f)
-    error = np.maximum(np.abs(Rs - R[s]).max(axis=(1, 2)), np.abs(Cs - C[s]).max(axis=1))
-    best = np.full(1000, np.inf)
-    np.minimum.at(best, s, error)
-    assert best.max() < 1e-9
-    assert np.all(np.diff(s) >= 0) and np.all(roots > 0)
+    best = []
+    for i in range(1000):
+        roots, Rs, Cs = localize._p3p(X[i], f[i])
+        assert len(roots) == len(Rs) == len(Cs) and all(v > 0 for v in roots)
+        best.append(np.maximum(np.abs(Rs - R[i]).max(axis=(1, 2)), np.abs(Cs - C[i]).max(axis=1)).min())
+    assert max(best) < 1e-9
 
 
 def test_p3p_matches_the_oracle_on_planted_triangles():
@@ -413,12 +415,11 @@ def test_p3p_matches_the_oracle_on_planted_triangles():
     the same roots to 1e-9 (the two round the quartic's coefficients
     differently) and, after the Newton steps, the same poses to 1e-9."""
     X, f, _R, _C = planted_triangles(np.random.default_rng(29), 200)
-    s, roots, Rs, Cs = localize._p3p(X, f)
     for i in range(200):
-        mine = np.nonzero(s == i)[0]
-        mine = mine[np.argsort(roots[mine], kind="stable")]
+        roots, Rs, Cs = localize._p3p(X[i], f[i])
+        mine = np.argsort(roots, kind="stable")
         want = p3p_oracle(X[i], f[i])
-        assert np.allclose(roots[mine], [v for v, _, _ in want], rtol=1e-9, atol=0)
+        assert np.allclose(np.array(roots)[mine], [v for v, _, _ in want], rtol=1e-9, atol=0)
         for j, (_v, R, C) in zip(mine, want):
             assert np.abs(Rs[j] - R).max() < 1e-9 and np.abs(Cs[j] - C).max() < 1e-9
 
@@ -446,14 +447,14 @@ def test_degenerate_samples_give_no_pose():
 
     X, f = degenerate_samples()
     pixels = INTR.principal_point + INTR.focal * X[:, :, :2].reshape(-1, 2) / X[:, :, 2:].reshape(-1, 1)
+    points = X.reshape(-1, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s, _roots, R, C = localize._p3p(X, f)
-        assert not np.any(np.isfinite(R).all(axis=(1, 2)) & np.isfinite(C).all(axis=1))
-        points = X.reshape(-1, 3)
-        samples = np.arange(len(points)).reshape(-1, 3)
-        masks, counts = localize._hypothesis_masks(samples, points, f.reshape(-1, 3), pixels, INTR, 3.0)
-    assert not masks.any() and np.array_equal(counts, np.zeros(len(samples)))
+        for i, sample in enumerate(np.arange(len(points)).reshape(-1, 3)):
+            _roots, R, C = localize._p3p(X[i], f[i])
+            assert not np.any(np.isfinite(R).all(axis=(1, 2)) & np.isfinite(C).all(axis=1))
+            count, mask = localize._hypothesis(sample, points, f.reshape(-1, 3), pixels, INTR, 3.0)
+            assert count == 0 and not mask.any()
 
 
 def assert_draw_is_choice(serial, chunked, n, b):
@@ -482,60 +483,107 @@ class Recorded(Exception):
     """Raised in place of a solve once its inputs are recorded."""
 
 
-def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, default_world):
-    """Real solves: the correspondences sfm_localize hands to pnp_ransac for
-    the default world's 20 clean, 20 `at dawn` and 20 `at sunset` queries at
-    k = 1 and 5, after cosine top-5 retrieval, with the benchmark's RANSAC
-    seeds for seed 7. None of the 40 `at sunset` solves finds a consensus;
-    the 18 of them with 10 to 24 correspondences each draw the consensus
-    bound's samples (16 at 12 points, 165 at 24), none near the 1000 cap.
-    Each sample's inlier mask and count equal the P3P oracle's."""
-    d = default_world.landmarks.descriptors.shape[1]
+def recorded_sfm_solves(world):
+    """The (correspondences, intrinsics, params) that sfm_localize hands to
+    pnp_ransac for the world's 20 clean, 20 `at dawn` and 20 `at sunset`
+    queries at k = 1 and 5, after cosine top-5 retrieval, with the
+    benchmark's RANSAC seeds for seed 7."""
+    d = world.landmarks.descriptors.shape[1]
     prompts = default_prompt_set(d, seed=0)
-    queries = shift_queries(default_world, prompts, ["at dawn", "at sunset"], seed=7)
+    queries = shift_queries(world, prompts, ["at dawn", "at sunset"], seed=7)
     model = EmbeddingModel(np.eye(d))
-    index = build_index(default_world.map_views, model)
-    map_views = {v.id: v for v in default_world.map_views}
+    index = build_index(world.map_views, model)
+    map_views = {v.id: v for v in world.map_views}
     solves = []
 
     def record(corr, intr, params):
         solves.append((corr, intr, params))
         raise Recorded
 
-    monkeypatch.setattr(localize, "pnp_ransac", record)
-    for q in queries:
-        ranked = retrieve(q, index, model, "global_cosine", k=5)
-        for k in (1, 5):
-            with pytest.raises(Recorded):
-                sfm_localize(
-                    q, ranked, map_views, default_world.landmarks, model, k, MatchParams(),
-                    RansacParams(seed=derive_seed(7, q.id)),
-                )
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(localize, "pnp_ransac", record)
+        for q in queries:
+            ranked = retrieve(q, index, model, "global_cosine", k=5)
+            for k in (1, 5):
+                with pytest.raises(Recorded):
+                    sfm_localize(
+                        q, ranked, map_views, world.landmarks, model, k, MatchParams(),
+                        RansacParams(seed=derive_seed(7, q.id)),
+                    )
+    return solves
 
-    chunks, differ = [], []
-    solve = localize._hypothesis_masks
 
-    def spy(samples, points, rays, pixels, intr, inlier_px):
-        masks, counts = solve(samples, points, rays, pixels, intr, inlier_px)
-        chunks.append(len(samples))
-        for sample, mask, count in zip(samples, masks, counts):
-            want, want_count = sample_oracle(sample, points, rays, pixels, intr, inlier_px)
+def test_hypotheses_match_the_oracle_on_drawn_samples(sfm_solves):
+    """32 samples drawn for each recorded solve, solved by `_hypothesis` and
+    by the oracle, most of them never reached by a solve's walk: each mask
+    and count is the oracle's. Some of these samples have poses that tie on
+    the count with different masks, where the smaller root's mask wins."""
+    rng = np.random.default_rng(30)
+    differ = []
+    for corr, intr, params in sfm_solves:
+        if len(corr) < 6:
+            continue
+        pixels = np.array([c[0] for c in corr], dtype=float)
+        points = np.array([c[1] for c in corr], dtype=float)
+        rays = bearings((pixels - intr.principal_point) / intr.focal)
+        for sample in localize._draw_samples(rng, len(corr), 32):
+            count, mask = localize._hypothesis(sample, points, rays, pixels, intr, params.inlier_px)
+            want, want_count = sample_oracle(sample, points, rays, pixels, intr, params.inlier_px)
             if not (np.array_equal(mask, want) and count == want_count):
                 differ.append(sample.tolist())
-        return masks, counts
+    assert differ == []
 
-    monkeypatch.setattr(localize, "_hypothesis_masks", spy)
+
+def outcomes_sha256(outcomes):
+    """The sha256 of `outcome` results, one line each: the error type's name,
+    or the pose's rotation and position bytes in hex and the inlier indices."""
+    lines = []
+    for got in outcomes:
+        if isinstance(got, type):
+            lines.append(got.__name__)
+        else:
+            rotation, position, inliers = got
+            lines.append(f"{rotation.hex()} {position.hex()} {' '.join(map(str, inliers))}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sfm_solves(default_world):
+    return recorded_sfm_solves(default_world)
+
+
+def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, sfm_solves):
+    """Real solves: the default world's 120 recorded solves. None of the 40
+    `at sunset` solves finds a consensus; the 18 of them with 10 to 24
+    correspondences each draw the consensus bound's samples (16 at 12
+    points, 165 at 24), none near the 1000 cap. Each sample's inlier mask
+    and count equal the P3P oracle's, and the outcomes' digest equals the
+    one in tests/data/sfm_solves_sha256.json."""
+    solves = sfm_solves
+    solved, differ = [], []
+    solve = localize._hypothesis
+
+    def spy(sample, points, rays, pixels, intr, inlier_px):
+        count, mask = solve(sample, points, rays, pixels, intr, inlier_px)
+        solved.append(1)
+        want, want_count = sample_oracle(sample, points, rays, pixels, intr, inlier_px)
+        if not (np.array_equal(mask, want) and count == want_count):
+            differ.append(sample.tolist())
+        return count, mask
+
+    monkeypatch.setattr(localize, "_hypothesis", spy)
     outcomes, hypotheses = [], []
     for corr, intr, params in solves:
-        chunks.clear()
+        solved.clear()
         outcomes.append(outcome(pnp_ransac, corr, params, intr))
-        hypotheses.append(sum(chunks))
+        hypotheses.append(sum(solved))
         assert differ == [], "hypothesis masks differ from the P3P oracle's on these samples"
         assert outcomes[-1] == outcome(pnp_oracle, corr, params, intr)
     assert len(solves) == 120
     assert set(outcomes[80:]) == {NoConsensusError, InsufficientCorrespondencesError}
     assert sum(hypotheses[80:]) == 971 and max(hypotheses) == 165
+    pinned = json.loads((Path(__file__).parent / "data" / "sfm_solves_sha256.json").read_text())
+    assert outcomes_sha256(outcomes) == pinned["outcomes"]
 
 
 # ---------------------------------------------------------------- sfm localization
@@ -570,6 +618,42 @@ def test_sfm_localize_no_shared_landmarks(small_world):
             query, ranked, {v.id: v for v in small_world.map_views}, small_world.landmarks,
             model, k=1, match_params=MatchParams(), ransac_params=RansacParams(seed=0),
         )
+
+
+def test_sfm_localize_keeps_each_landmarks_closest_match(monkeypatch):
+    """sfm_localize hands pnp_ransac one (query keypoint, landmark position)
+    per matched landmark, in landmark id order: its match at the smallest
+    descriptor distance, and on an exact tie the first in rank, then in the
+    order match_features gives; clutter (landmark -1) is dropped. Offsets of
+    0.5 and 0.25 along one axis make the distances exact."""
+    eye = np.eye(6, 4)  # query descriptors; rows 4 and 5 are 0
+    query = ViewImage(100, CameraPose(np.array([1.0, 0, 0, 0]), np.zeros(3)), INTR,
+                      np.arange(12.0).reshape(6, 2), eye, np.full(6, -1))
+    half, quarter = np.array([0.5, 0, 0, 0]), np.array([0, 0, 0.25, 0])
+    views = {
+        # rank 1: landmark 5 at 0.5 from query 2, 9 at 0.5 from queries 0 and 4, 7 at 0.5 from query 3
+        1: ([2, 0, 1, 3, 4], [5, 9, -1, 7, 9], eye[[2, 0, 1, 3, 4]] + half),
+        # rank 2: landmark 7 ties from query 1; landmark 5 is closer from query 5
+        2: ([1, 5], [7, 5], np.array([eye[1] + [0, 0.5, 0, 0], eye[5] + quarter])),
+    }
+    map_views = {vid: ViewImage(vid, query.pose, INTR, np.zeros((len(iq), 2)), desc, lid)
+                 for vid, (iq, lid, desc) in views.items()}
+    landmarks = Landmarks(np.arange(30.0).reshape(10, 3), np.zeros((10, 4)))
+    got = []
+
+    def record(corr, intr, params):
+        got.extend(corr)
+        raise Recorded
+
+    monkeypatch.setattr(localize, "match_features", lambda q, view, params: (
+        np.array(views[view.id][0]), np.arange(len(views[view.id][0]))))
+    monkeypatch.setattr(localize, "pnp_ransac", record)
+    with pytest.raises(Recorded):
+        sfm_localize(query, [(1, 0.9), (2, 0.8)], map_views, landmarks, None, 2, MatchParams(), RansacParams())
+    want = [(5, 5), (7, 3), (9, 0)]  # (landmark, query feature)
+    assert len(got) == len(want)
+    for (kp, xyz), (lid, iq) in zip(got, want):
+        assert np.array_equal(kp, query.kp[iq]) and np.array_equal(xyz, landmarks.positions[lid])
 
 
 def test_sfm_beats_ewb_median(small_world):

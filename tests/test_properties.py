@@ -113,9 +113,9 @@ def test_pnp_without_consensus_solves_the_consensus_bound(seed, min_inliers, ext
         iterations=iterations, inlier_px=1e-3, min_inliers=min_inliers, seed=seed, confidence=confidence
     )
     with pytest.MonkeyPatch.context() as mp:
-        chunks = count_hypotheses(mp)
+        solved = count_hypotheses(mp)
         assert outcome(pnp_ransac, corr, params, INTR) == NoConsensusError
     p = np.prod([(min_inliers - i) / (n - i) for i in range(3)])
     draws = 1 if p == 1.0 else max(1, int(np.ceil(np.log1p(-confidence) / np.log1p(-p))))
-    assert sum(chunks) == min(iterations, draws)
+    assert sum(solved) == min(iterations, draws)
     assert outcome(pnp_oracle, corr, params, INTR) == NoConsensusError
