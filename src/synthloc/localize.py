@@ -69,41 +69,6 @@ def ewb_pose(ranked: RankedList, poses: dict[int, CameraPose], k: int) -> Camera
     return CameraPose(rotation=rotation, position=position)
 
 
-def _dlt_system(points3d: np.ndarray, norm_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The normalized direct linear transform for [R|t] of m >= 6 points, (m, 3) points
-    and (m, 2) normalized image coordinates: the (2m, 12) system A and the
-    (4, 4) transform T that undoes the normalization, P = null(A) @ T."""
-    m = len(points3d)
-    # np.mean and np.linalg.norm without their wrappers: the same reductions
-    centroid = np.add.reduce(points3d, axis=0) / m
-    d = points3d - centroid
-    spread = np.add.reduce(np.sqrt(np.add.reduce(d * d, axis=1))) / m
-    # sqrt(3) / spread, and 1 where the points coincide (x / x is exactly 1)
-    scale = np.sqrt(3.0) / (spread if spread > 0 else np.sqrt(3.0))
-    Xh = np.concatenate([d * scale, np.ones((m, 1))], axis=1)
-    A = np.zeros((2 * m, 12))
-    A[0::2, 0:4] = Xh
-    A[0::2, 8:12] = -norm_xy[:, 0:1] * Xh
-    A[1::2, 4:8] = Xh
-    A[1::2, 8:12] = -norm_xy[:, 1:2] * Xh
-    # undo the 3D normalization: X' = scale * (X - centroid)
-    T = np.diag([scale, scale, scale, 1.0])
-    T[:3, 3] = -scale * centroid
-    return A, T
-
-
-def _rt_from_projection(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The world-to-camera rotation (3, 3) and center (3,) of a projection
-    P ~ [R|t] (3, 4) of either sign and any scale: P's sign is flipped where
-    det(P[:, :3]) < 0, and its left block projected to a rotation by SVD."""
-    if np.linalg.det(P[:, :3]) < 0:
-        P = -P
-    U, s, Vt = np.linalg.svd(P[:, :3])
-    R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
-    t = P[:, 3] / np.mean(s)
-    return R, -R.T @ t
-
-
 def _residuals(
     R: np.ndarray, center: np.ndarray, points3d: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics
 ) -> np.ndarray:
@@ -236,17 +201,33 @@ def _p3p(X: np.ndarray, f: np.ndarray) -> tuple[list[float], np.ndarray, np.ndar
 
 
 def _hypothesis(sample: np.ndarray, points: np.ndarray, rays: np.ndarray, pixels: np.ndarray,
-                intr: CameraIntrinsics, inlier_px: float) -> tuple[int, np.ndarray]:
-    """The inlier count and (n,) mask of the sample's P3P pose with the most inliers
-    (the smaller root, then the first in root-then-side order, winning a tie),
-    given unit bearings `rays`; 0 and an empty mask if it has no pose."""
+                intr: CameraIntrinsics, inlier_px: float) -> tuple[int, np.ndarray, tuple | None]:
+    """The inlier count, (n,) mask and (rotation, center) of the sample's P3P pose
+    with the most inliers (the smaller root, then the first in root-then-side order,
+    winning a tie), given unit bearings `rays`; 0, an empty mask and None if it has no pose."""
     roots, R, center = _p3p(points[sample], rays[sample])
     if not roots:
-        return 0, np.zeros(len(points), dtype=bool)
+        return 0, np.zeros(len(points), dtype=bool), None
     masks = _residuals(R, center, points, pixels, intr) <= inlier_px
     counts = np.count_nonzero(masks, axis=1).tolist()
     best = min(range(len(roots)), key=lambda j: (-counts[j], roots[j]))
-    return counts[best], masks[best]
+    return counts[best], masks[best], (R[best], center[best])
+
+
+def _refine(R: np.ndarray, center: np.ndarray, points: np.ndarray,
+            norm_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Gauss-Newton step from the pose (R, center) on the u, v reprojection errors,
+    in normalized image coordinates, of the (m, 3) `points` seen at `norm_xy` (m, 2).
+    The step moves each camera point c to c + w × c + t, solved by least squares; the
+    rotation turns by the normalized quaternion (1, w/2), and the center moves by -Rᵀt.
+    The camera points and Jacobian rows are elementwise, rounding as a loop over points does."""
+    d = points - center
+    x, y, z = (d[:, :1] * R[:, 0] + d[:, 1:2] * R[:, 1] + d[:, 2:] * R[:, 2]).T
+    u, v, zero = x / z, y / z, np.zeros_like(z)
+    J = np.stack([-u * v, 1 + u * u, -v, 1 / z, zero, -u / z, -1 - v * v, u * v, u, zero, 1 / z, -v / z], 1)
+    step = np.linalg.lstsq(J.reshape(-1, 6), (norm_xy - np.stack([u, v], 1)).ravel(), rcond=None)[0]
+    R = quats.to_matrix(quats.canonical(np.concatenate([[1.0], step[:3] / 2]))) @ R
+    return R, center - R.T @ step[3:]
 
 
 def pnp_ransac(
@@ -254,9 +235,10 @@ def pnp_ransac(
     intrinsics: CameraIntrinsics,
     params: RansacParams,
 ) -> tuple[CameraPose, list[int]]:
-    """RANSAC over P3P pose hypotheses with a full-inlier DLT refit.
+    """RANSAC over P3P pose hypotheses, the best refined by one Gauss-Newton step
+    on the reprojection errors of its inliers (`_refine`).
 
-    Returns the refit pose and the inlier indices under it. Raises
+    Returns the refined pose and the inlier indices under it. Raises
     InsufficientCorrespondencesError below 6 points and NoConsensusError when
     no hypothesis reaches least = max(min_inliers, 6) inliers, without drawing
     any when there are fewer than least points. Deterministic per seed.
@@ -292,24 +274,21 @@ def pnp_ransac(
 
     start = bound(math.comb(least, 3) / math.comb(n, 3))
     rng = np.random.default_rng(params.seed)
-    best_count, best_mask = 0, None
+    best_count = 0
     needed, it = start, 0
     while it < needed:
         for sample in _draw_samples(rng, n, min(_CHUNK, needed - it)):
             it += 1
-            count, mask = _hypothesis(sample, points, rays, pixels, intrinsics, params.inlier_px)
+            count, mask, rt = _hypothesis(sample, points, rays, pixels, intrinsics, params.inlier_px)
             if count > best_count:
-                best_count, best_mask = count, mask
+                best_count, best_mask, best_rt = count, mask, rt
                 needed = min(start, bound((count / n) ** 3))
             if it >= needed:
                 break
-    if best_mask is None or best_count < least:
+    if best_count < least:
         raise NoConsensusError("no consensus")
 
-    idx = np.nonzero(best_mask)[0]
-    A, T = _dlt_system(points[idx], norm_xy[idx])
-    _, _, vt = np.linalg.svd(A, full_matrices=False)
-    R, center = _rt_from_projection(vt[-1].reshape(3, 4) @ T)
+    R, center = _refine(*best_rt, points[best_mask], norm_xy[best_mask])
     pose = CameraPose(rotation=quats.from_matrix(R), position=center)
     res = _residuals(pose.matrix()[None], pose.position[None], points, pixels, intrinsics)[0]
     final = np.nonzero(res <= params.inlier_px)[0]

@@ -189,34 +189,34 @@ INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
 # solves and scores them one at a time with numpy, as a plain RANSAC loop
 # does; both must pick the same hypothesis and return the same bytes. Its
 # P3P solve is written per sample with np.roots, a linear solve for the
-# Newton steps and a Kabsch SVD for the pose; the refit is a plain DLT.
+# Newton steps and a Kabsch SVD for the pose. The refit is one Gauss-Newton
+# step on the reprojection errors, its Jacobian built point by point. It
+# starts from the solver's own `_p3p` pose of the winning sample, and the
+# bearings take one norm per row as the solver's do: the two P3P solves
+# agree to rounding, not to the byte, and the step would carry such a
+# difference into the pose it returns.
 
 
-def dlt_oracle(points3d, norm_xy):
-    n = points3d.shape[0]
-    centroid = points3d.mean(axis=0)
-    spread = float(np.mean(np.linalg.norm(points3d - centroid, axis=1)))
-    scale = np.sqrt(3.0) / spread if spread > 0 else 1.0
-    Xh = np.hstack([(points3d - centroid) * scale, np.ones((n, 1))])
-    A = np.zeros((2 * n, 12))
-    A[0::2, 0:4] = Xh
-    A[0::2, 8:12] = -norm_xy[:, 0:1] * Xh
-    A[1::2, 4:8] = Xh
-    A[1::2, 8:12] = -norm_xy[:, 1:2] * Xh
-    _, _, vt = np.linalg.svd(A, full_matrices=False)
-    P = vt[-1].reshape(3, 4)
-    T = np.eye(4)
-    T[:3, :3] *= scale
-    T[:3, 3] = -scale * centroid
-    P = P @ T
-    M = P[:, :3]
-    if np.linalg.det(M) < 0:
-        P = -P
-        M = -M
-    U, s, Vt = np.linalg.svd(M)
-    R = U @ np.diag([1.0, 1.0, np.linalg.det(U @ Vt)]) @ Vt
-    t = P[:, 3] / float(np.mean(s))
-    return R, -R.T @ t
+def gauss_newton_oracle(R, center, points3d, norm_xy):
+    """One Gauss-Newton step from the pose (R, center) on the normalized
+    image errors of the points: each point's camera coordinates c and two
+    rows of the Jacobian of (x/z, y/z) in the rotation w and translation t
+    of c -> c + w x c + t, then one least-squares solve. The rotation turns
+    by the normalized quaternion (1, w/2), and the center keeps the camera
+    points where the step put them."""
+    rows, errors = [], []
+    Rl, (cx, cy, cz) = R.tolist(), center.tolist()
+    for (X, Y, Z), (xo, yo) in zip(points3d.tolist(), norm_xy.tolist()):
+        dx, dy, dz = X - cx, Y - cy, Z - cz
+        x, y, z = (r0 * dx + r1 * dy + r2 * dz for r0, r1, r2 in Rl)
+        u, v = x / z, y / z
+        rows.append([-u * v, 1 + u * u, -v, 1 / z, 0.0, -u / z])
+        rows.append([-1 - v * v, u * v, u, 0.0, 1 / z, -v / z])
+        errors += [xo - u, yo - v]
+    step = np.linalg.lstsq(np.array(rows), np.array(errors), rcond=None)[0]
+    w, t = step[:3], step[3:]
+    R = quats.to_matrix(quats.canonical(np.array([1.0, w[0] / 2, w[1] / 2, w[2] / 2]))) @ R
+    return R, center - R.T @ t
 
 
 def residuals_oracle(R, center, points3d, pixels, intr):
@@ -279,26 +279,35 @@ def p3p_oracle(X, f):
     return solutions
 
 
+def best_solution(solutions, points, pixels, intr, inlier_px):
+    """The inlier mask, count and (R, center) of the first of the (root, R,
+    center) solutions with the most inliers, or an empty mask, 0 and None
+    if none has an inlier."""
+    best = np.zeros(len(points), dtype=bool), 0, None
+    for _v, R, center in solutions:
+        with np.errstate(invalid="ignore"):
+            mask = residuals_oracle(R, center, points, pixels, intr) <= inlier_px
+        if mask.sum() > best[1]:
+            best = mask, int(mask.sum()), (R, center)
+    return best
+
+
 def sample_oracle(sample, points, rays, pixels, intr, inlier_px):
     """The inlier mask and count of one sample: its first P3P solution with
     the most inliers, or an empty mask and 0 if it has none."""
-    best_mask, best_count = np.zeros(len(points), dtype=bool), 0
     with np.errstate(all="ignore"):
         try:
             solutions = p3p_oracle(points[sample], rays[sample])
         except np.linalg.LinAlgError:  # np.roots on a non-finite quartic
             solutions = []
-    for _v, R, center in solutions:
-        with np.errstate(invalid="ignore"):
-            mask = residuals_oracle(R, center, points, pixels, intr) <= inlier_px
-        if mask.sum() > best_count:
-            best_mask, best_count = mask, int(mask.sum())
-    return best_mask, best_count
+    mask, count, _pose = best_solution(solutions, points, pixels, intr, inlier_px)
+    return mask, count
 
 
 def bearings(norm_xy):
+    """The unit rays through the normalized image points, one norm per row."""
     rays = np.hstack([norm_xy, np.ones((len(norm_xy), 1))])
-    return rays / np.linalg.norm(rays, axis=1, keepdims=True)
+    return np.array([ray / np.linalg.norm(ray) for ray in rays]).reshape(rays.shape)
 
 
 def pnp_oracle(corr, intr, params):
@@ -328,12 +337,15 @@ def pnp_oracle(corr, intr, params):
         sample = rng.choice(n, size=3, replace=False)
         mask, count = sample_oracle(sample, points, rays, pixels, intr, params.inlier_px)
         if count > best_count:
-            best_count, best_mask = count, mask
+            best_count, best_mask, best_sample = count, mask, sample
             needed = min(start, bound((count / n) ** 3))
     if best_mask is None or best_count < least:
         raise NoConsensusError("no consensus")
-    idx = np.nonzero(best_mask)[0]
-    R, center = dlt_oracle(points[idx], norm_xy[idx])
+    roots, Rs, Cs = localize._p3p(points[best_sample], rays[best_sample])
+    solutions = sorted(zip(roots, Rs, Cs), key=lambda s: s[0])
+    mask, _count, (R, center) = best_solution(solutions, points, pixels, intr, params.inlier_px)
+    assert np.array_equal(mask, best_mask)
+    R, center = gauss_newton_oracle(R, center, points[best_mask], norm_xy[best_mask])
     pose = CameraPose(rotation=quats.from_matrix(R), position=center)
     res = residuals_oracle(pose.matrix(), pose.position, points, pixels, intr)
     final = np.nonzero(res <= params.inlier_px)[0]

@@ -262,8 +262,10 @@ def test_pnp_on_thousands_of_correspondences(monkeypatch, clean):
     """Three distinct points of 5,000 fall inside a given 8 with probability
     C(8, 3) / C(5000, 3), about 2.7e-9, so the stop before a consensus is the
     budget. A clean set agrees whole on the first hypothesis, so it is the
-    only sample solved; random pixels run the 40 of the budget and end without
-    consensus, as a best count of a few inliers gives a stop past it too."""
+    only sample solved; random pixels run the 40 of the budget, as a best count
+    of a few inliers gives a stop past it too. Within 10 px a pose catches
+    about 5 of 5,000 random pixels by chance, and the best of the 40 catches 11:
+    a chance consensus over the 8 required, which the refined pose keeps."""
     rng = np.random.default_rng(5)
     corr = synth_correspondences(rng, random_pose(rng), 5000)
     if not clean:
@@ -275,7 +277,7 @@ def test_pnp_on_thousands_of_correspondences(monkeypatch, clean):
     if clean:
         assert len(got[2]) == 5000 and solved == [1]
     else:
-        assert got == NoConsensusError and sum(solved) == 40
+        assert len(got[2]) == 12 and sum(solved) == 40
 
 
 def test_pnp_with_a_tiny_confidence_draws_one_hypothesis(monkeypatch):
@@ -342,9 +344,9 @@ def test_pnp_matches_oracle_when_the_solve_fails(monkeypatch):
     solve = localize._hypothesis
 
     def spy(sample, *args):
-        count, mask = solve(sample, *args)
+        count, mask, pose = solve(sample, *args)
         solved.append((sample, mask, count))
-        return count, mask
+        return count, mask, pose
 
     monkeypatch.setattr(localize, "_hypothesis", spy)
     nan = (np.array([320.0, 240.0]), np.array([np.nan, 0.0, 10.0]))
@@ -379,6 +381,35 @@ def test_solves_the_samples_the_oracle_draws(monkeypatch, sfm_solves):
         assert outcome(pnp_ransac, corr, params, intr) == outcome(pnp_oracle, corr, params, intr)
         assert len(solved) == (len(iterations) if len(corr) >= max(params.min_inliers, 6) else 0)
     assert len(solves) == 180
+
+
+@pytest.mark.parametrize("angle_deg,offset_m", [(1.0, 0.05), (0.0, 0.0)])
+def test_refine_steps_toward_a_planted_pose(angle_deg, offset_m):
+    """`_refine` on 20 noiseless correspondences of each of 20 planted poses,
+    from the pose turned by `angle_deg` and moved by `offset_m`. Measured as
+    the largest change of a rotation entry or center coordinate, the error e
+    of a perturbed start falls to under 10 e² per step, as a Newton step's
+    does (at most 4.9 e² over 200 poses), and to under 1e-4 of the start in
+    two steps: one step from 0.05 leaves about 2e-3, a second about 1e-6.
+    From the exact pose the step stays within 1e-12."""
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        pose = random_pose(rng)
+        corr = synth_correspondences(rng, pose, 20)
+        pixels, points = (np.array([c[i] for c in corr]) for i in (0, 1))
+        norm_xy = (pixels - INTR.principal_point) / INTR.focal
+        R = quats.to_matrix(from_axis_angle(rng.standard_normal(3), np.radians(angle_deg))) @ pose.matrix()
+        shift = rng.standard_normal(3)
+        C = pose.position + offset_m * shift / np.linalg.norm(shift)
+        errors = [max(np.abs(R - pose.matrix()).max(), np.abs(C - pose.position).max())]
+        for _step in range(2):
+            R, C = localize._refine(R, C, points, norm_xy)
+            errors.append(max(np.abs(R - pose.matrix()).max(), np.abs(C - pose.position).max()))
+        if offset_m:
+            assert errors[1] < 10 * errors[0] ** 2 and errors[2] < 10 * errors[1] ** 2
+            assert errors[2] < 1e-4 * errors[0]
+        else:
+            assert errors[1] < 1e-12
 
 
 def planted_triangles(rng, count):
@@ -453,8 +484,8 @@ def test_degenerate_samples_give_no_pose():
         for i, sample in enumerate(np.arange(len(points)).reshape(-1, 3)):
             _roots, R, C = localize._p3p(X[i], f[i])
             assert not np.any(np.isfinite(R).all(axis=(1, 2)) & np.isfinite(C).all(axis=1))
-            count, mask = localize._hypothesis(sample, points, f.reshape(-1, 3), pixels, INTR, 3.0)
-            assert count == 0 and not mask.any()
+            count, mask, pose = localize._hypothesis(sample, points, f.reshape(-1, 3), pixels, INTR, 3.0)
+            assert count == 0 and not mask.any() and pose is None
 
 
 def assert_draw_is_choice(serial, chunked, n, b):
@@ -527,7 +558,7 @@ def test_hypotheses_match_the_oracle_on_drawn_samples(sfm_solves):
         points = np.array([c[1] for c in corr], dtype=float)
         rays = bearings((pixels - intr.principal_point) / intr.focal)
         for sample in localize._draw_samples(rng, len(corr), 32):
-            count, mask = localize._hypothesis(sample, points, rays, pixels, intr, params.inlier_px)
+            count, mask, _pose = localize._hypothesis(sample, points, rays, pixels, intr, params.inlier_px)
             want, want_count = sample_oracle(sample, points, rays, pixels, intr, params.inlier_px)
             if not (np.array_equal(mask, want) and count == want_count):
                 differ.append(sample.tolist())
@@ -564,12 +595,12 @@ def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, sfm_solves):
     solve = localize._hypothesis
 
     def spy(sample, points, rays, pixels, intr, inlier_px):
-        count, mask = solve(sample, points, rays, pixels, intr, inlier_px)
+        count, mask, pose = solve(sample, points, rays, pixels, intr, inlier_px)
         solved.append(1)
         want, want_count = sample_oracle(sample, points, rays, pixels, intr, inlier_px)
         if not (np.array_equal(mask, want) and count == want_count):
             differ.append(sample.tolist())
-        return count, mask
+        return count, mask, pose
 
     monkeypatch.setattr(localize, "_hypothesis", spy)
     outcomes, hypotheses = [], []
@@ -584,6 +615,31 @@ def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, sfm_solves):
     assert sum(hypotheses[80:]) == 971 and max(hypotheses) == 165
     pinned = json.loads((Path(__file__).parent / "data" / "sfm_solves_sha256.json").read_text())
     assert outcomes_sha256(outcomes) == pinned["outcomes"]
+
+
+def test_refit_keeps_the_walks_consensus(monkeypatch, sfm_solves):
+    """On each of the default world's 120 recorded solves whose walk finds a
+    sample with at least max(min_inliers, 6) inliers, the refined pose keeps
+    at least as many. An all-inlier DLT refit, an algebraic fit forced onto a
+    rotation, lost part of that consensus in 15 of these solves and failed the
+    final check in 4 of them, where the P3P pose kept 8, 9, 10 and 24."""
+    counts = []
+    solve = localize._hypothesis
+
+    def spy(*args):
+        found = solve(*args)
+        counts.append(found[0])
+        return found
+
+    monkeypatch.setattr(localize, "_hypothesis", spy)
+    lost = []
+    for i, (corr, intr, params) in enumerate(sfm_solves):
+        counts.clear()
+        got = outcome(pnp_ransac, corr, params, intr)
+        best = max(counts, default=0)
+        if best >= max(params.min_inliers, 6) and (isinstance(got, type) or len(got[2]) < best):
+            lost.append((i, best, got if isinstance(got, type) else len(got[2])))
+    assert lost == []
 
 
 # ---------------------------------------------------------------- sfm localization
