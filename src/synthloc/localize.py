@@ -81,29 +81,6 @@ def _residuals(
     return np.where(z > NEAR_PLANE, res, np.inf)
 
 
-# Samples per `rng.integers` call; a sample is solved only when the walk reaches it.
-_CHUNK = 16
-
-
-def _draw_samples(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
-    """The (b, 3) array that b calls of `rng.choice(n, 3, replace=False)`
-    stack to, from one `rng.integers` call that leaves `rng` in the same state.
-
-    For three values `choice` is Floyd's sampling (Bentley & Floyd, CACM 1987)
-    at every n, column k taking a draw in [0, n-3+k] or n-3+k if an earlier
-    column holds it, then a shuffle swapping column i with a draw in [0, i]
-    for i = 2, 1: five bounded draws, which `integers` takes in array order."""
-    highs = np.array([n - 3, n - 2, n - 1, 2, 1])
-    draws = rng.integers(0, highs, size=(b, 5), endpoint=True).T
-    picks = draws[:3].copy()
-    for k in (1, 2):
-        picks[k][(picks[:k] == picks[k]).any(axis=0)] = n - 3 + k
-    rows = np.arange(b)
-    for i, j in zip((2, 1), draws[3:]):
-        picks[i], picks[j, rows] = picks[j, rows], picks[i].copy()
-    return picks.T
-
-
 # How far off side a, relative to the squared depths, a second depth may be:
 # far above a near-double root's error, far below a wrong intersection's.
 _ON_SIDE = 1e-6
@@ -243,15 +220,15 @@ def pnp_ransac(
     no hypothesis reaches least = max(min_inliers, 6) inliers, without drawing
     any when there are fewer than least points. Deterministic per seed.
 
-    Samples of three points are drawn as by `rng.choice(n, 3, replace=False)`,
-    _CHUNK to a generator call, and solved one at a time in draw order; each
-    counts the most inliers any of its P3P poses gets, and 0 with none. The
-    stop starts at bound(C(least, 3) / C(n, 3)), bound(p) = min(iterations,
-    max(1, ceil(log(1 - confidence) / log(1 - p)))) being the draws that take
-    a sample of probability p with probability confidence: a solve without
-    consensus ends once a consensus of least inliers, had one existed, would
-    have had a sample drawn from it alone. Each best count c, strictly above the
-    last, moves the stop to min(start, bound((c / n)**3)). No draw past it is solved.
+    Each sample of three points is drawn by `rng.choice(n, 3, replace=False)`
+    when the walk reaches it, and counts the most inliers any of its P3P poses
+    gets, 0 with none. The stop starts at bound(C(least, 3) / C(n, 3)),
+    bound(p) = min(iterations, max(1, ceil(log(1 - confidence) / log(1 - p))))
+    being the draws that take a sample of probability p with probability
+    confidence: a solve without consensus ends once a consensus of least
+    inliers, had one existed, would have had a sample drawn from it alone. Each
+    best count c, strictly above the last, moves the stop to
+    min(start, bound((c / n)**3)). No sample past it is drawn.
     """
     n = len(corr_2d3d)
     if n < 6:
@@ -277,14 +254,12 @@ def pnp_ransac(
     best_count = 0
     needed, it = start, 0
     while it < needed:
-        for sample in _draw_samples(rng, n, min(_CHUNK, needed - it)):
-            it += 1
-            count, mask, rt = _hypothesis(sample, points, rays, pixels, intrinsics, params.inlier_px)
-            if count > best_count:
-                best_count, best_mask, best_rt = count, mask, rt
-                needed = min(start, bound((count / n) ** 3))
-            if it >= needed:
-                break
+        it += 1
+        sample = rng.choice(n, 3, replace=False)
+        count, mask, rt = _hypothesis(sample, points, rays, pixels, intrinsics, params.inlier_px)
+        if count > best_count:
+            best_count, best_mask, best_rt = count, mask, rt
+            needed = min(start, bound((count / n) ** 3))
     if best_count < least:
         raise NoConsensusError("no consensus")
 

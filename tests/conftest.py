@@ -184,8 +184,8 @@ INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
 
 # ---------------------------------------------------------------- pnp oracle
 #
-# localize.pnp_ransac draws its samples a chunk per generator call and solves
-# them one at a time in Python floats. The reference below draws,
+# localize.pnp_ransac draws each sample when its walk reaches it and solves it
+# in Python floats. The reference below draws its samples the same way, and
 # solves and scores them one at a time with numpy, as a plain RANSAC loop
 # does; both must pick the same hypothesis and return the same bytes. Its
 # P3P solve is written per sample with np.roots, a linear solve for the

@@ -293,7 +293,7 @@ def test_pnp_with_a_tiny_confidence_draws_one_hypothesis(monkeypatch):
 
 @pytest.mark.parametrize("iterations", [1, 7, 33, 65])
 def test_pnp_matches_oracle_on_odd_budgets(iterations):
-    """Budgets that are not a multiple of the chunk size end mid-chunk."""
+    """Small and odd budgets: the walk stops at the budget, as the oracle's loop does."""
     for trial, _clean, noisy in criterion_6_instances(5):
         params = RansacParams(iterations=iterations, inlier_px=2.0, seed=trial)
         assert outcome(pnp_ransac, noisy, params) == outcome(pnp_oracle, noisy, params)
@@ -324,12 +324,12 @@ def jittered(corr, seed, sigma=0.05):
 
 
 # Pixel noise spreads the inlier counts, and a low confidence stops the loop
-# after a few hypotheses: later draws of the same chunk, which may count more
-# inliers, must then go unsolved.
+# after a few hypotheses: later samples, which may count more inliers, must
+# then go undrawn.
 STOPS_EARLY = dict(inlier_px=1.0, min_inliers=6, confidence=0.5)
 
 
-def test_pnp_matches_oracle_when_stopping_mid_chunk():
+def test_pnp_matches_oracle_when_stopping_early():
     for trial, clean, _noisy in criterion_6_instances(10):
         corr = jittered(clean, trial)
         params = RansacParams(seed=trial, **STOPS_EARLY)
@@ -488,28 +488,6 @@ def test_degenerate_samples_give_no_pose():
             assert count == 0 and not mask.any() and pose is None
 
 
-def assert_draw_is_choice(serial, chunked, n, b):
-    expected = np.array([serial.choice(n, size=3, replace=False) for _ in range(b)])
-    got = localize._draw_samples(chunked, n, b)
-    assert got.dtype == expected.dtype and np.array_equal(got, expected), (n, b)
-    assert chunked.bit_generator.state == serial.bit_generator.state, (n, b)
-
-
-def test_draw_samples_equals_serial_choice():
-    """One chunk's draw gives the samples and the generator state of b
-    stacked `rng.choice(n, 3, replace=False)` calls: chunk after chunk from
-    one generator, as pnp_ransac draws them, and from fresh generators. If a
-    numpy release changes `choice`, this test names the cause before the
-    pinned digests fail."""
-    for n in [*range(3, 131), 9_999, 10_000, 10_001, 20_000]:
-        serial, chunked = np.random.default_rng(n), np.random.default_rng(n)
-        for b in range(1, 33):
-            assert_draw_is_choice(serial, chunked, n, b)
-    for n in (3, 6, 7, 40, 130, 20_000):
-        for b in range(1, 33):
-            assert_draw_is_choice(np.random.default_rng([n, b]), np.random.default_rng([n, b]), n, b)
-
-
 class Recorded(Exception):
     """Raised in place of a solve once its inputs are recorded."""
 
@@ -557,7 +535,8 @@ def test_hypotheses_match_the_oracle_on_drawn_samples(sfm_solves):
         pixels = np.array([c[0] for c in corr], dtype=float)
         points = np.array([c[1] for c in corr], dtype=float)
         rays = bearings((pixels - intr.principal_point) / intr.focal)
-        for sample in localize._draw_samples(rng, len(corr), 32):
+        for _ in range(32):
+            sample = rng.choice(len(corr), 3, replace=False)
             count, mask, _pose = localize._hypothesis(sample, points, rays, pixels, intr, params.inlier_px)
             want, want_count = sample_oracle(sample, points, rays, pixels, intr, params.inlier_px)
             if not (np.array_equal(mask, want) and count == want_count):
