@@ -30,6 +30,7 @@ a non-empty signature is exactly 1 for any `sel_threshold <= 1`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +131,12 @@ def asmk_signs(view: ViewImage, model: EmbeddingModel, codebook: np.ndarray) -> 
 def _selectivity(u: np.ndarray, alpha: float, sel_threshold: float) -> np.ndarray:
     """sign(u)·|u|^alpha where u >= sel_threshold, else 0, elementwise.
     Python's float `**` runs once per distinct u: `np.power` rounds some
-    |u|^alpha differently."""
+    |u|^alpha differently. `copysign` gives the bits of sign(u)·|u|^alpha,
+    a zero of u's sign where |u|^alpha underflows; u = ±0 weighs +0.0, as
+    sign(u) = 0 makes it."""
     values, inverse = np.unique(u, return_inverse=True)
     table = [
-        0.0 if x < sel_threshold else float(np.sign(x) * abs(x) ** alpha)
+        0.0 if x < sel_threshold or x == 0.0 else math.copysign(abs(x) ** alpha, x)
         for x in values.tolist()
     ]
     return np.array(table, dtype=float)[inverse]

@@ -208,14 +208,18 @@ def _refine(R: np.ndarray, center: np.ndarray, points: np.ndarray,
 
 
 def pnp_ransac(
-    corr_2d3d: list[tuple[np.ndarray, np.ndarray]],
+    pixels: np.ndarray,
+    points: np.ndarray,
     intrinsics: CameraIntrinsics,
     params: RansacParams,
-) -> tuple[CameraPose, list[int]]:
+) -> tuple[CameraPose, np.ndarray]:
     """RANSAC over P3P pose hypotheses, the best refined by one Gauss-Newton step
     on the reprojection errors of its inliers (`_refine`).
 
-    Returns the refined pose and the inlier indices under it. Raises
+    Correspondence i is the keypoint `pixels[i]` of the float (n, 2) array
+    seeing the landmark at `points[i]` of the float (n, 3) array; other
+    shapes raise ValueError. Returns the refined pose and the indices of the
+    inliers under it, ascending, as the int array `np.nonzero` gives. Raises
     InsufficientCorrespondencesError below 6 points and NoConsensusError when
     no hypothesis reaches least = max(min_inliers, 6) inliers, without drawing
     any when there are fewer than least points. Deterministic per seed.
@@ -230,14 +234,14 @@ def pnp_ransac(
     best count c, strictly above the last, moves the stop to
     min(start, bound((c / n)**3)). No sample past it is drawn.
     """
-    n = len(corr_2d3d)
+    if pixels.shape != (len(points), 2) or points.shape != (len(pixels), 3):
+        raise ValueError(f"pixels {pixels.shape} and points {points.shape} must be (n, 2) and (n, 3)")
+    n = len(pixels)
     if n < 6:
         raise InsufficientCorrespondencesError("insufficient correspondences")
     least = max(params.min_inliers, 6)  # the fewest inliers a consensus holds
     if n < least:
         raise NoConsensusError("no consensus")  # no mask can hold least
-    pixels = np.array([c[0] for c in corr_2d3d], dtype=float)
-    points = np.array([c[1] for c in corr_2d3d], dtype=float)
     norm_xy = (pixels - intrinsics.principal_point) / intrinsics.focal
     rays = unit_rows(np.column_stack([norm_xy, np.ones(n)]))
 
@@ -269,7 +273,7 @@ def pnp_ransac(
     final = np.nonzero(res <= params.inlier_px)[0]
     if final.size < least:
         raise NoConsensusError("no consensus")
-    return pose, [int(i) for i in final]
+    return pose, final
 
 
 def sfm_localize(
@@ -284,7 +288,10 @@ def sfm_localize(
 ) -> CameraPose:
     """Match the query against the top-k map views, lift matched map features
     to their landmarks' 3D positions (deduplicated per landmark by descriptor
-    distance), and solve PnP+RANSAC."""
+    distance), and solve PnP+RANSAC on the lifted pairs: the query keypoints
+    (n, 2) and their landmarks' positions (n, 3), row by row in landmark id
+    order, as `pnp_ransac` takes them. `model` is unused; it stays only
+    because the benchmark's workloads pass it."""
     found = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]  # query feature, landmark, distance
     for vid, _score in ranked[:k]:
         view = map_views[vid]
@@ -297,8 +304,8 @@ def sfm_localize(
     # then query-feature order, as lexsort is stable
     order = np.lexsort((dist, lid))
     first = order[np.diff(lid[order], prepend=-1) != 0]
-    corr_2d3d = list(zip(query.kp[iq[first]], landmarks.positions[lid[first]]))
-    return pnp_ransac(corr_2d3d, query.intrinsics, ransac_params)[0]
+    pixels, points = query.kp[iq[first]], landmarks.positions[lid[first]]
+    return pnp_ransac(pixels, points, query.intrinsics, ransac_params)[0]
 
 
 def pose_error(est: CameraPose, gt: CameraPose) -> PoseError:

@@ -23,8 +23,9 @@ def canonical(q: np.ndarray) -> np.ndarray:
 
 
 def to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion."""
-    w, x, y, z = q
+    """Rotation matrix of a unit quaternion, computed in Python floats, which
+    round as numpy's float64 scalars do at a fraction of their cost."""
+    w, x, y, z = q.tolist()
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],

@@ -310,12 +310,10 @@ def bearings(norm_xy):
     return np.array([ray / np.linalg.norm(ray) for ray in rays]).reshape(rays.shape)
 
 
-def pnp_oracle(corr, intr, params):
-    n = len(corr)
+def pnp_oracle(pixels, points, intr, params):
+    n = len(pixels)
     if n < 6:
         raise InsufficientCorrespondencesError("insufficient correspondences")
-    pixels = np.array([c[0] for c in corr], dtype=float)
-    points = np.array([c[1] for c in corr], dtype=float)
     norm_xy = (pixels - intr.principal_point) / intr.focal
     rays = bearings(norm_xy)
     least = max(params.min_inliers, 6)
@@ -351,15 +349,17 @@ def pnp_oracle(corr, intr, params):
     final = np.nonzero(res <= params.inlier_px)[0]
     if final.size < least:
         raise NoConsensusError("no consensus")
-    return pose, [int(i) for i in final]
+    return pose, final
 
 
-def outcome(solver, corr, params, intr=INTR):
+def outcome(solver, pixels, points, params, intr=INTR):
+    """The error type a solve raises, or its pose's rotation and position
+    bytes and its inlier indices as a list."""
     try:
-        pose, inliers = solver(corr, intr, params)
+        pose, inliers = solver(pixels, points, intr, params)
     except (InsufficientCorrespondencesError, NoConsensusError) as exc:
         return type(exc)
-    return pose.rotation.tobytes(), pose.position.tobytes(), inliers
+    return pose.rotation.tobytes(), pose.position.tobytes(), inliers.tolist()
 
 
 def count_hypotheses(monkeypatch):

@@ -316,8 +316,7 @@ def test_criterion_6_pnp_recovery():
         )
         pts = cam @ R + pose.position
         uv, _ = project_points(pts, pose, intr)
-        corr = [(uv[i], pts[i]) for i in range(20)]
-        est, _ = pnp_ransac(corr, intr, RansacParams(seed=trial))
+        est, _ = pnp_ransac(uv, pts, intr, RansacParams(seed=trial))
         err = pose_error(est, pose)
         assert err.translation < 1e-6
         assert err.rotation < 1e-5
@@ -327,10 +326,10 @@ def test_criterion_6_pnp_recovery():
         )
         bad_pts = bad_cam @ R + pose.position
         bad_uv = rng.uniform([0, 0], [640, 480], (20, 2))
-        noisy = corr + [(bad_uv[i], bad_pts[i]) for i in range(20)]
-        est, inliers = pnp_ransac(noisy, intr, RansacParams(inlier_px=2.0, seed=trial))
+        noisy = np.concatenate([uv, bad_uv]), np.concatenate([pts, bad_pts])
+        est, inliers = pnp_ransac(*noisy, intr, RansacParams(inlier_px=2.0, seed=trial))
         assert pose_error(est, pose).translation < 1e-3
-        assert inliers == list(range(20))
+        assert inliers.tolist() == list(range(20))
     assert time.time() - t0 < 10.0
 
 

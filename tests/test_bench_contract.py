@@ -14,7 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synthloc import embed, geometry, index
+from synthloc import embed, geometry, index, localize
+from synthloc.worldgen import CameraPose, project_points
+
+from conftest import INTR
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = WORLD_SEED = 7  # the benchmark's default workload and world seeds
@@ -43,6 +46,21 @@ def test_traced_targets_are_callables():
         module = importlib.import_module(f"synthloc.{module_name}")
         for name in names:
             assert callable(getattr(module, name, None)), f"synthloc.{module_name}.{name}"
+
+
+def test_pnp_hooks_read_the_correspondences_and_the_inliers():
+    """The tracer's hooks on `localize.pnp_ransac`, run around a real solve,
+    read n from its arguments and the inlier count from its result, as
+    `localize.pnp_corr_mean` and `localize.pnp_inlier_ratio` need: 20
+    correspondences, the last 5 moved 50 px off their projections."""
+    before, after = _load("spans").HOOKS["localize.pnp_ransac"]
+    points = np.random.default_rng(0).uniform([-3, -2, 5], [3, 2, 15], (20, 3))
+    pixels = project_points(points, CameraPose(np.array([1.0, 0, 0, 0]), np.zeros(3)), INTR)[0]
+    pixels[15:] += 50.0
+    args = (pixels, points, INTR, localize.RansacParams(seed=0))
+    info = before(args, {})
+    after(info, localize.pnp_ransac(*args))
+    assert info == {"corr": 20, "inliers": 15}
 
 
 def test_localize_sfm_runs_without_failures(workloads, tmp_path):

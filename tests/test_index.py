@@ -504,3 +504,14 @@ def test_selectivity_equals_python_pow_exhaustively(e):
             [ref_selectivity(x / float(np.sqrt(n)), alpha, -1.0) for x, n in zip(dot.tolist(), nnz.tolist())]
         )
         assert got.tobytes() == want.tobytes()
+
+
+def test_selectivity_of_signed_zeros_and_underflow():
+    """u = -0.0 and +0.0 weigh +0.0 at every alpha, as sign(u) = 0 makes
+    them, and a |u|^alpha that underflows keeps u's sign."""
+    u = np.array([-0.0, 0.0, -1 / 3, 1 / 3, -5e-324])
+    for alpha in (0.0, 1.0, 3.0, 1000.0):
+        for sel_threshold in (-1.0, 0.0):
+            got = _selectivity(u, alpha, sel_threshold)
+            want = np.array([ref_selectivity(x, alpha, sel_threshold) for x in u.tolist()])
+            assert got.tobytes() == want.tobytes()

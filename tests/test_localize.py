@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,8 @@ def random_pose(rng, angle_max=0.5):
 
 
 def synth_correspondences(rng, pose, n, depth=(5.0, 15.0)):
+    """The (n, 2) pixels and (n, 3) points of n points at the given depths,
+    seen from `pose` without noise."""
     R = pose.matrix()
     cam = np.column_stack(
         [rng.uniform(-3, 3, n), rng.uniform(-2, 2, n), rng.uniform(*depth, n)]
@@ -54,7 +57,17 @@ def synth_correspondences(rng, pose, n, depth=(5.0, 15.0)):
     pts = cam @ R + pose.position
     uv, z = project_points(pts, pose, INTR)
     assert np.all(z > 0)
-    return [(uv[i], pts[i]) for i in range(n)]
+    return uv, pts
+
+
+def joined(*corrs):
+    """The (pixels, points) correspondences of each pair, one after another."""
+    return tuple(np.concatenate(arrays) for arrays in zip(*corrs))
+
+
+def leading(corr, m):
+    """The first m of the (pixels, points) correspondences."""
+    return tuple(a[:m] for a in corr)
 
 
 # ---------------------------------------------------------------- ewb
@@ -109,11 +122,11 @@ def test_pnp_exact_recovery():
     rng = np.random.default_rng(1)
     pose = random_pose(rng)
     corr = synth_correspondences(rng, pose, 20)
-    est, inliers = pnp_ransac(corr, INTR, RansacParams(seed=0))
+    est, inliers = pnp_ransac(*corr, INTR, RansacParams(seed=0))
     err = pose_error(est, pose)
     assert err.translation < 1e-6
     assert err.rotation < 1e-5
-    assert inliers == list(range(20))
+    assert inliers.tolist() == list(range(20))
 
 
 def test_pnp_insufficient():
@@ -121,7 +134,19 @@ def test_pnp_insufficient():
     pose = random_pose(rng)
     corr = synth_correspondences(rng, pose, 5)
     with pytest.raises(InsufficientCorrespondencesError):
-        pnp_ransac(corr, INTR, RansacParams())
+        pnp_ransac(*corr, INTR, RansacParams())
+
+
+@pytest.mark.parametrize(
+    "pixels_shape,points_shape",
+    [((20, 3), (20, 3)), ((20, 2), (20, 2)), ((20, 2), (19, 3)), ((40,), (20, 3))],
+    ids=["pixels not (n, 2)", "points not (n, 3)", "n differs", "flat pixels"],
+)
+def test_pnp_rejects_arrays_of_the_wrong_shape(pixels_shape, points_shape):
+    """A caller's pixels must be (n, 2) and its points (n, 3), with one n;
+    the error names both shapes."""
+    with pytest.raises(ValueError, match=re.escape(f"pixels {pixels_shape} and points {points_shape}")):
+        pnp_ransac(np.zeros(pixels_shape), np.zeros(points_shape), INTR, RansacParams())
 
 
 def test_pnp_planted_outliers():
@@ -135,19 +160,17 @@ def test_pnp_planted_outliers():
         + pose.position
     )
     bad_uv = rng.uniform([0, 0], [640, 480], (20, 2))
-    corr = corr + [(bad_uv[i], bad_pts[i]) for i in range(20)]
-    est, inliers = pnp_ransac(corr, INTR, RansacParams(inlier_px=2.0, seed=7))
+    est, inliers = pnp_ransac(*joined(corr, (bad_uv, bad_pts)), INTR, RansacParams(inlier_px=2.0, seed=7))
     assert pose_error(est, pose).translation < 1e-3
-    assert inliers == list(range(20))
+    assert inliers.tolist() == list(range(20))
 
 
 def test_pnp_no_consensus():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-5, 5, (12, 3)) + np.array([0, 0, 10.0])
     uv = rng.uniform([0, 0], [640, 480], (12, 2))
-    corr = [(uv[i], pts[i]) for i in range(12)]
     with pytest.raises(NoConsensusError):
-        pnp_ransac(corr, INTR, RansacParams(inlier_px=0.5, min_inliers=8, iterations=200, seed=0))
+        pnp_ransac(uv, pts, INTR, RansacParams(inlier_px=0.5, min_inliers=8, iterations=200, seed=0))
 
 
 def test_pnp_seed_invariant_on_clean_input():
@@ -155,7 +178,7 @@ def test_pnp_seed_invariant_on_clean_input():
     pose = random_pose(rng)
     corr = synth_correspondences(rng, pose, 30)
     for seed in (0, 1, 42, 1234):
-        est, _ = pnp_ransac(corr, INTR, RansacParams(seed=seed))
+        est, _ = pnp_ransac(*corr, INTR, RansacParams(seed=seed))
         assert pose_error(est, pose).translation < 1e-6
 
 
@@ -170,15 +193,12 @@ def test_pnp_recovers_render_pose_from_view_features(small_world):
         small_world, view.pose, view.intrinsics, RenderNoise(0.0, 0.0, 0), seed=0,
         max_dist=30.0,
     )
-    corr = [
-        (kp, small_world.landmarks.positions[lid])
-        for kp, lid in zip(clean.kp, clean.lid.tolist())
-    ]
-    est, inliers = pnp_ransac(corr, clean.intrinsics, RansacParams(seed=0))
+    points = small_world.landmarks.positions[clean.lid]
+    est, inliers = pnp_ransac(clean.kp, points, clean.intrinsics, RansacParams(seed=0))
     err = pose_error(est, view.pose)
     assert err.translation < 1e-6
     assert err.rotation < 1e-5
-    assert len(inliers) == len(corr)
+    assert len(inliers) == len(points)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +239,7 @@ def criterion_6_instances(count):
             + pose.position
         )
         bad_uv = rng.uniform([0, 0], [640, 480], (20, 2))
-        yield trial, corr, corr + [(bad_uv[i], bad_pts[i]) for i in range(20)]
+        yield trial, corr, joined(corr, (bad_uv, bad_pts))
 
 
 def test_pnp_matches_oracle_on_criterion_6_instances():
@@ -228,20 +248,19 @@ def test_pnp_matches_oracle_on_criterion_6_instances():
             (clean, RansacParams(seed=trial)),
             (noisy, RansacParams(inlier_px=2.0, seed=trial)),
         ):
-            assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
+            assert outcome(pnp_ransac, *corr, params) == outcome(pnp_oracle, *corr, params)
 
 
 def no_consensus_instance():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-5, 5, (12, 3)) + np.array([0, 0, 10.0])
     uv = rng.uniform([0, 0], [640, 480], (12, 2))
-    corr = [(uv[i], pts[i]) for i in range(12)]
-    return corr, RansacParams(inlier_px=0.5, min_inliers=8, iterations=200, seed=0)
+    return (uv, pts), RansacParams(inlier_px=0.5, min_inliers=8, iterations=200, seed=0)
 
 
 def test_pnp_matches_oracle_on_no_consensus():
     corr, params = no_consensus_instance()
-    assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params) == NoConsensusError
+    assert outcome(pnp_ransac, *corr, params) == outcome(pnp_oracle, *corr, params) == NoConsensusError
 
 
 def test_pnp_without_consensus_stops_at_the_consensus_bound(monkeypatch):
@@ -253,7 +272,7 @@ def test_pnp_without_consensus_stops_at_the_consensus_bound(monkeypatch):
     budget."""
     corr, params = no_consensus_instance()
     solved = count_hypotheses(monkeypatch)
-    assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params) == NoConsensusError
+    assert outcome(pnp_ransac, *corr, params) == outcome(pnp_oracle, *corr, params) == NoConsensusError
     assert sum(solved) == 16
 
 
@@ -269,11 +288,11 @@ def test_pnp_on_thousands_of_correspondences(monkeypatch, clean):
     rng = np.random.default_rng(5)
     corr = synth_correspondences(rng, random_pose(rng), 5000)
     if not clean:
-        corr = [(uv, pt) for uv, (_, pt) in zip(rng.uniform([0, 0], [640, 480], (5000, 2)), corr)]
+        corr = rng.uniform([0, 0], [640, 480], (5000, 2)), corr[1]
     params = RansacParams(iterations=40, inlier_px=10.0, seed=0)
     solved = count_hypotheses(monkeypatch)
-    got = outcome(pnp_ransac, corr, params)
-    assert got == outcome(pnp_oracle, corr, params)
+    got = outcome(pnp_ransac, *corr, params)
+    assert got == outcome(pnp_oracle, *corr, params)
     if clean:
         assert len(got[2]) == 5000 and solved == [1]
     else:
@@ -286,8 +305,8 @@ def test_pnp_with_a_tiny_confidence_draws_one_hypothesis(monkeypatch):
     _trial, clean, _noisy = next(criterion_6_instances(1))
     params = RansacParams(confidence=1e-17, seed=0)
     solved = count_hypotheses(monkeypatch)
-    got = outcome(pnp_ransac, clean, params)
-    assert got == outcome(pnp_oracle, clean, params)
+    got = outcome(pnp_ransac, *clean, params)
+    assert got == outcome(pnp_oracle, *clean, params)
     assert len(got[2]) == 20 and solved == [1]
 
 
@@ -296,7 +315,7 @@ def test_pnp_matches_oracle_on_odd_budgets(iterations):
     """Small and odd budgets: the walk stops at the budget, as the oracle's loop does."""
     for trial, _clean, noisy in criterion_6_instances(5):
         params = RansacParams(iterations=iterations, inlier_px=2.0, seed=trial)
-        assert outcome(pnp_ransac, noisy, params) == outcome(pnp_oracle, noisy, params)
+        assert outcome(pnp_ransac, *noisy, params) == outcome(pnp_oracle, *noisy, params)
 
 
 @pytest.mark.parametrize("min_inliers", [7, 8, 12])
@@ -309,18 +328,20 @@ def test_pnp_below_min_inliers_solves_nothing(monkeypatch, min_inliers):
         for corr in (clean, jittered(clean, trial, sigma=1.0)):
             params = RansacParams(iterations=200, seed=trial, min_inliers=min_inliers)
             calls.clear()
-            hopeless = outcome(pnp_ransac, corr[: min_inliers - 1], params)
-            assert hopeless == outcome(pnp_oracle, corr[: min_inliers - 1], params)
+            hopeless = outcome(pnp_ransac, *leading(corr, min_inliers - 1), params)
+            assert hopeless == outcome(pnp_oracle, *leading(corr, min_inliers - 1), params)
             assert hopeless == NoConsensusError and calls == []
-            exact = outcome(pnp_ransac, corr[:min_inliers], params)
-            assert exact == outcome(pnp_oracle, corr[:min_inliers], params)
+            exact = outcome(pnp_ransac, *leading(corr, min_inliers), params)
+            assert exact == outcome(pnp_oracle, *leading(corr, min_inliers), params)
             assert calls
-        assert outcome(pnp_ransac, clean[:min_inliers], params)[2] == list(range(min_inliers))
+        assert outcome(pnp_ransac, *leading(clean, min_inliers), params)[2] == list(range(min_inliers))
 
 
 def jittered(corr, seed, sigma=0.05):
+    """The pixels plus N(0, sigma^2) noise, drawn row by row; the points as they are."""
     rng = np.random.default_rng(seed)
-    return [(uv + rng.normal(0.0, sigma, 2), xyz) for uv, xyz in corr]
+    pixels, points = corr
+    return pixels + rng.normal(0.0, sigma, pixels.shape), points
 
 
 # Pixel noise spreads the inlier counts, and a low confidence stops the loop
@@ -333,7 +354,7 @@ def test_pnp_matches_oracle_when_stopping_early():
     for trial, clean, _noisy in criterion_6_instances(10):
         corr = jittered(clean, trial)
         params = RansacParams(seed=trial, **STOPS_EARLY)
-        assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
+        assert outcome(pnp_ransac, *corr, params) == outcome(pnp_oracle, *corr, params)
 
 
 def test_pnp_matches_oracle_when_the_solve_fails(monkeypatch):
@@ -349,14 +370,14 @@ def test_pnp_matches_oracle_when_the_solve_fails(monkeypatch):
         return count, mask, pose
 
     monkeypatch.setattr(localize, "_hypothesis", spy)
-    nan = (np.array([320.0, 240.0]), np.array([np.nan, 0.0, 10.0]))
+    nan = (np.array([[320.0, 240.0]]), np.array([[np.nan, 0.0, 10.0]]))
     for trial, clean, _noisy in criterion_6_instances(10):
         for corr, params in (
-            (clean + [nan], RansacParams(seed=trial)),
-            (jittered(clean, trial) + [nan], RansacParams(seed=trial, **STOPS_EARLY)),
+            (joined(clean, nan), RansacParams(seed=trial)),
+            (joined(jittered(clean, trial), nan), RansacParams(seed=trial, **STOPS_EARLY)),
         ):
-            assert outcome(pnp_ransac, corr, params) == outcome(pnp_oracle, corr, params)
-        assert outcome(pnp_ransac, clean + [nan], RansacParams(seed=trial))[2] == list(range(20))
+            assert outcome(pnp_ransac, *corr, params) == outcome(pnp_oracle, *corr, params)
+        assert outcome(pnp_ransac, *joined(clean, nan), RansacParams(seed=trial))[2] == list(range(20))
     held = [(m, c) for s, m, c in solved if 20 in s]
     assert len(held) > 10 and all(c == 0 and not m.any() for m, c in held)
 
@@ -373,13 +394,13 @@ def test_solves_the_samples_the_oracle_draws(monkeypatch, sfm_solves):
         (noisy, RansacParams(inlier_px=2.0, seed=trial)),
         (jittered(clean, trial), RansacParams(seed=trial, **STOPS_EARLY)),
     )]
-    solves += [(corr, params, intr) for corr, intr, params in sfm_solves]
+    solves += [((pixels, points), params, intr) for pixels, points, intr, params in sfm_solves]
     solved, iterations = count_hypotheses(monkeypatch), count_oracle_iterations(monkeypatch)
     for corr, params, intr in solves:
         solved.clear()
         iterations.clear()
-        assert outcome(pnp_ransac, corr, params, intr) == outcome(pnp_oracle, corr, params, intr)
-        assert len(solved) == (len(iterations) if len(corr) >= max(params.min_inliers, 6) else 0)
+        assert outcome(pnp_ransac, *corr, params, intr) == outcome(pnp_oracle, *corr, params, intr)
+        assert len(solved) == (len(iterations) if len(corr[0]) >= max(params.min_inliers, 6) else 0)
     assert len(solves) == 180
 
 
@@ -395,8 +416,7 @@ def test_refine_steps_toward_a_planted_pose(angle_deg, offset_m):
     rng = np.random.default_rng(31)
     for _ in range(20):
         pose = random_pose(rng)
-        corr = synth_correspondences(rng, pose, 20)
-        pixels, points = (np.array([c[i] for c in corr]) for i in (0, 1))
+        pixels, points = synth_correspondences(rng, pose, 20)
         norm_xy = (pixels - INTR.principal_point) / INTR.focal
         R = quats.to_matrix(from_axis_angle(rng.standard_normal(3), np.radians(angle_deg))) @ pose.matrix()
         shift = rng.standard_normal(3)
@@ -493,7 +513,7 @@ class Recorded(Exception):
 
 
 def recorded_sfm_solves(world):
-    """The (correspondences, intrinsics, params) that sfm_localize hands to
+    """The (pixels, points, intrinsics, params) that sfm_localize hands to
     pnp_ransac for the world's 20 clean, 20 `at dawn` and 20 `at sunset`
     queries at k = 1 and 5, after cosine top-5 retrieval, with the
     benchmark's RANSAC seeds for seed 7."""
@@ -505,8 +525,8 @@ def recorded_sfm_solves(world):
     map_views = {v.id: v for v in world.map_views}
     solves = []
 
-    def record(corr, intr, params):
-        solves.append((corr, intr, params))
+    def record(pixels, points, intr, params):
+        solves.append((pixels, points, intr, params))
         raise Recorded
 
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -529,14 +549,12 @@ def test_hypotheses_match_the_oracle_on_drawn_samples(sfm_solves):
     the count with different masks, where the smaller root's mask wins."""
     rng = np.random.default_rng(30)
     differ = []
-    for corr, intr, params in sfm_solves:
-        if len(corr) < 6:
+    for pixels, points, intr, params in sfm_solves:
+        if len(pixels) < 6:
             continue
-        pixels = np.array([c[0] for c in corr], dtype=float)
-        points = np.array([c[1] for c in corr], dtype=float)
         rays = bearings((pixels - intr.principal_point) / intr.focal)
         for _ in range(32):
-            sample = rng.choice(len(corr), 3, replace=False)
+            sample = rng.choice(len(pixels), 3, replace=False)
             count, mask, _pose = localize._hypothesis(sample, points, rays, pixels, intr, params.inlier_px)
             want, want_count = sample_oracle(sample, points, rays, pixels, intr, params.inlier_px)
             if not (np.array_equal(mask, want) and count == want_count):
@@ -583,12 +601,12 @@ def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, sfm_solves):
 
     monkeypatch.setattr(localize, "_hypothesis", spy)
     outcomes, hypotheses = [], []
-    for corr, intr, params in solves:
+    for pixels, points, intr, params in solves:
         solved.clear()
-        outcomes.append(outcome(pnp_ransac, corr, params, intr))
+        outcomes.append(outcome(pnp_ransac, pixels, points, params, intr))
         hypotheses.append(sum(solved))
         assert differ == [], "hypothesis masks differ from the P3P oracle's on these samples"
-        assert outcomes[-1] == outcome(pnp_oracle, corr, params, intr)
+        assert outcomes[-1] == outcome(pnp_oracle, pixels, points, params, intr)
     assert len(solves) == 120
     assert set(outcomes[80:]) == {NoConsensusError, InsufficientCorrespondencesError}
     assert sum(hypotheses[80:]) == 971 and max(hypotheses) == 165
@@ -612,9 +630,9 @@ def test_refit_keeps_the_walks_consensus(monkeypatch, sfm_solves):
 
     monkeypatch.setattr(localize, "_hypothesis", spy)
     lost = []
-    for i, (corr, intr, params) in enumerate(sfm_solves):
+    for i, (pixels, points, intr, params) in enumerate(sfm_solves):
         counts.clear()
-        got = outcome(pnp_ransac, corr, params, intr)
+        got = outcome(pnp_ransac, pixels, points, params, intr)
         best = max(counts, default=0)
         if best >= max(params.min_inliers, 6) and (isinstance(got, type) or len(got[2]) < best):
             lost.append((i, best, got if isinstance(got, type) else len(got[2])))
@@ -656,8 +674,8 @@ def test_sfm_localize_no_shared_landmarks(small_world):
 
 
 def test_sfm_localize_keeps_each_landmarks_closest_match(monkeypatch):
-    """sfm_localize hands pnp_ransac one (query keypoint, landmark position)
-    per matched landmark, in landmark id order: its match at the smallest
+    """sfm_localize hands pnp_ransac one row of query keypoint and one of
+    landmark position per matched landmark, in landmark id order: its match at the smallest
     descriptor distance, and on an exact tie the first in rank, then in the
     order match_features gives; clutter (landmark -1) is dropped. Offsets of
     0.5 and 0.25 along one axis make the distances exact."""
@@ -676,8 +694,8 @@ def test_sfm_localize_keeps_each_landmarks_closest_match(monkeypatch):
     landmarks = Landmarks(np.arange(30.0).reshape(10, 3), np.zeros((10, 4)))
     got = []
 
-    def record(corr, intr, params):
-        got.extend(corr)
+    def record(pixels, points, intr, params):
+        got.append((pixels, points))
         raise Recorded
 
     monkeypatch.setattr(localize, "match_features", lambda q, view, params: (
@@ -685,10 +703,9 @@ def test_sfm_localize_keeps_each_landmarks_closest_match(monkeypatch):
     monkeypatch.setattr(localize, "pnp_ransac", record)
     with pytest.raises(Recorded):
         sfm_localize(query, [(1, 0.9), (2, 0.8)], map_views, landmarks, None, 2, MatchParams(), RansacParams())
-    want = [(5, 5), (7, 3), (9, 0)]  # (landmark, query feature)
-    assert len(got) == len(want)
-    for (kp, xyz), (lid, iq) in zip(got, want):
-        assert np.array_equal(kp, query.kp[iq]) and np.array_equal(xyz, landmarks.positions[lid])
+    [(pixels, points)] = got
+    want_lid, want_iq = [5, 7, 9], [5, 3, 0]  # each landmark and its query feature
+    assert np.array_equal(pixels, query.kp[want_iq]) and np.array_equal(points, landmarks.positions[want_lid])
 
 
 def test_sfm_beats_ewb_median(small_world):

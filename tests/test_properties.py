@@ -108,14 +108,13 @@ def test_pnp_without_consensus_solves_the_consensus_bound(seed, min_inliers, ext
     rng = np.random.default_rng(seed)
     points = rng.uniform([-5, -5, 5], [5, 5, 15], (n, 3))
     pixels = rng.uniform([0, 0], [640, 480], (n, 2))
-    corr = list(zip(pixels, points))
     params = RansacParams(
         iterations=iterations, inlier_px=1e-3, min_inliers=min_inliers, seed=seed, confidence=confidence
     )
     with pytest.MonkeyPatch.context() as mp:
         solved = count_hypotheses(mp)
-        assert outcome(pnp_ransac, corr, params, INTR) == NoConsensusError
+        assert outcome(pnp_ransac, pixels, points, params, INTR) == NoConsensusError
     p = np.prod([(min_inliers - i) / (n - i) for i in range(3)])
     draws = 1 if p == 1.0 else max(1, int(np.ceil(np.log1p(-confidence) / np.log1p(-p))))
     assert sum(solved) == min(iterations, draws)
-    assert outcome(pnp_oracle, corr, params, INTR) == NoConsensusError
+    assert outcome(pnp_oracle, pixels, points, params, INTR) == NoConsensusError
