@@ -11,26 +11,25 @@ views into an `(n, C, e)` sign tensor with an `(n, C)` occupancy mask, the
 `_asmk_scores`. `asmk_signs` gives a view's `(C, e)` signature, and
 `asmk_score(a, b)` is the same kernel on one pair of such arrays. The
 pipeline runs on the defaults: 10 k-means iterations, and the selective
-match kernel's published alpha = 3 and sel_threshold = 0 (Tolias, Avrithis
-& Jegou, ICCV 2013).
+match kernel at its published setting, exponent 3 and threshold 0 (Tolias,
+Avrithis & Jegou, ICCV 2013).
 
 Invariant: every score is bit-identical to the per-cell sequential sum
 
     total = 0.0
     for each cell c occupied in both, in ascending order:
         u = dot_c / sqrt(nnz_a,c * nnz_b,c)
-        total += sign(u) * |u| ** alpha   if u >= sel_threshold, else 0.0
+        total += u ** 3   for u > 0
     score = total / sqrt(|A| * |B|)
 
 with integer dot products and counts, and Python's float `**`. The dot
 products and counts are exact, and `sqrt` and float64 division are
 correctly rounded. So the score is exactly symmetric, and the self-score of
-a non-empty signature is exactly 1 for any `sel_threshold <= 1`.
+a non-empty signature is exactly 1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +39,7 @@ from .worldgen import ViewImage, row_norms, sq_distances
 
 RankedList = list[tuple[int, float]]  # (view_id, score), descending score
 BACKENDS = ("global_cosine", "asmk")
+_EXPONENT = 3.0  # the match kernel's selectivity exponent
 
 
 @dataclass(frozen=True)
@@ -128,23 +128,15 @@ def asmk_signs(view: ViewImage, model: EmbeddingModel, codebook: np.ndarray) -> 
     return signs
 
 
-def _selectivity(u: np.ndarray, alpha: float, sel_threshold: float) -> np.ndarray:
-    """sign(u)·|u|^alpha where u >= sel_threshold, else 0, elementwise.
-    Python's float `**` runs once per distinct u: `np.power` rounds some
-    |u|^alpha differently. `copysign` gives the bits of sign(u)·|u|^alpha,
-    a zero of u's sign where |u|^alpha underflows; u = ±0 weighs +0.0, as
-    sign(u) = 0 makes it."""
+def _selectivity(u: np.ndarray) -> np.ndarray:
+    """u ** 3 where u > 0, else +0.0, elementwise. Python's float `**` runs
+    once per distinct u: `np.power` rounds some u ** 3 differently."""
     values, inverse = np.unique(u, return_inverse=True)
-    table = [
-        0.0 if x < sel_threshold or x == 0.0 else math.copysign(abs(x) ** alpha, x)
-        for x in values.tolist()
-    ]
+    table = [x ** _EXPONENT if x > 0.0 else 0.0 for x in values.tolist()]
     return np.array(table, dtype=float)[inverse]
 
 
-def _asmk_scores(
-    query: np.ndarray, db: DenseSignatures, alpha: float, sel_threshold: float
-) -> np.ndarray:
+def _asmk_scores(query: np.ndarray, db: DenseSignatures) -> np.ndarray:
     """Scores of one `(C, e)` query signature against each signature of
     `db`: the sum, in ascending cell order, of the selectivity-weighted
     cosine of the shared cells' sign vectors, normalized by the geometric
@@ -156,22 +148,20 @@ def _asmk_scores(
     # int64 dot products of at most e terms of +-1 cannot overflow
     dot = np.einsum("ce,nce->nc", query, db.signs, dtype=np.int64)[shared]
     u = dot / np.sqrt((q_nnz * db.nnz)[shared])
-    # column 0 is the 0.0 the sum starts from; cells not shared add an exact
-    # 0.0, and cumsum adds left to right
-    terms = np.zeros((len(db.cells), query.shape[0] + 1))
-    terms[:, 1:][shared] = _selectivity(u, alpha, sel_threshold)
+    # every term is >= +0.0, so the sum may start from the first; cells not
+    # shared add an exact +0.0, and cumsum adds left to right
+    terms = np.zeros((len(db.cells), query.shape[0]))
+    terms[shared] = _selectivity(u)
     total = np.cumsum(terms, axis=1)[:, -1]
     norm = np.sqrt(np.count_nonzero(q_nnz) * db.cells)
     return np.divide(total, norm, out=np.zeros_like(total), where=norm > 0)
 
 
-def asmk_score(
-    a: np.ndarray, b: np.ndarray, alpha: float = 3.0, sel_threshold: float = 0.0
-) -> float:
+def asmk_score(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of the selectivity-weighted cosine of the shared-cell sign vectors
     of two `(C, e)` signatures, normalized by the geometric mean of the
     occupied-cell counts."""
-    return float(_asmk_scores(a, DenseSignatures.stack([b]), alpha, sel_threshold)[0])
+    return float(_asmk_scores(a, DenseSignatures.stack([b]))[0])
 
 
 @dataclass
@@ -194,16 +184,11 @@ def build_index(
 
 
 def retrieve(
-    query: ViewImage,
-    index: RetrievalIndex,
-    model: EmbeddingModel,
-    backend: str = "global_cosine",
-    k: int = 10,
-    alpha: float = 3.0,
-    sel_threshold: float = 0.0,
+    query: ViewImage, index: RetrievalIndex, model: EmbeddingModel, backend: str, k: int
 ) -> RankedList:
-    """Top-k database views by the chosen backend; exhaustive scan with ties
-    broken by ascending view id."""
+    """Top-k database views by `backend`, one of `BACKENDS`: the cosine of
+    aggregated descriptors, or the match kernel at its published setting.
+    An exhaustive scan, with ties broken by ascending view id."""
     if not index.view_ids:
         raise ValueError("empty database")
     if k < 1:
@@ -215,7 +200,7 @@ def retrieve(
         if index.signatures is None or index.codebook is None:
             raise ValueError("index has no match-kernel signatures")
         signs = asmk_signs(query, model, index.codebook)
-        scores = _asmk_scores(signs, index.signatures, alpha, sel_threshold)
+        scores = _asmk_scores(signs, index.signatures)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     order = sorted(range(len(index.view_ids)), key=lambda i: (-float(scores[i]), index.view_ids[i]))

@@ -410,10 +410,11 @@ def save_scores(scores: Scores, c_tau: float, out_dir: str | os.PathLike) -> Non
 
 def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> Scores:
     """The scores of a `save_scores` file, checked by `_parse_table`: its
-    exact header, integer ids, counts and validity, 0 <= s <= 1 and
-    0 <= kept <= original, ids of `world`'s map views and prompts of
-    `prompts`, and one row for each (query id, positive id, prompt) key of
-    the world's matching pairs, in both orientations, and the prompts."""
+    exact header, integer ids and counts, 0 <= kept <= original, s in [0, 1]
+    and kept / original to 6 decimals (0 when original is 0), validity 0 or
+    1, ids of `world`'s map views and prompts of `prompts`, and one row for
+    each (query id, positive id, prompt) key of the world's matching pairs,
+    in both orientations, and the prompts."""
     path = Path(in_dir) / "consistency.csv"
     lines = _read_lines(path)
     scores: Scores = {}
@@ -423,7 +424,8 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
         return scores
     ints = {0: "the query id", 1: "the positive id", 3: "kept", 4: "original", 5: "valid@c_tau"}
     names, table = _parse_table(lines, path, "score", 7, ints, text_col=2)
-    s, kept, original = table[:, 2], table[:, 3], table[:, 4]
+    s, kept, original, valid = table[:, 2], table[:, 3], table[:, 4], table[:, 5]
+    written = [float(f"{k / o:.6f}") if o else 0.0 for k, o in zip(kept.tolist(), original.tolist())]
     map_ids = {v.id for v in world.map_views}
     prompt_names = set(prompts.names())
     oriented = {pair for a, b, _ in world.matching_pairs for pair in ((a, b), (b, a))}
@@ -433,6 +435,8 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
         [
             ((s < 0) | (s > 1), "s is not in [0, 1]"),
             ((kept < 0) | (kept > original), "kept is not in [0, original]"),
+            (s != np.array(written), "s is not kept / original to 6 decimals"),
+            ((valid != 0) & (valid != 1), "valid@c_tau is not 0 or 1"),
             (np.array([q not in map_ids or p not in map_ids for q, p, _ in keys], dtype=bool),
              "a view id is not a map view's"),
             (np.array([name not in prompt_names for name in names], dtype=bool),

@@ -204,15 +204,6 @@ def project_points(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics)
     return np.stack([u[0], v[0]], axis=1), z[0]
 
 
-def visible_mask(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics, max_dist: float) -> np.ndarray:
-    uv, z = project_points(points, pose, intr)
-    w, h = intr.image_size
-    dist = np.linalg.norm(points - pose.position, axis=1)
-    ok = (z > NEAR_PLANE) & (dist <= max_dist)
-    ok &= (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)
-    return ok
-
-
 def row_norms(x: np.ndarray) -> np.ndarray:
     """The (m, 1) lengths of the rows of the (m, d) array `x`, one dot
     product per row. The stacked row dot products round like the 1-D
@@ -272,6 +263,7 @@ def render_view(
     descriptors are renormalized noisy copies of the landmark descriptors.
     `clutter_count` extra features carry random unit descriptors and no
     landmark id. Raises NoVisibleLandmarksError when the frustum is empty.
+    Each landmark is projected once, for its visibility and its keypoint.
 
     The visible rows are rendered array-at-a-time from one (m, 2 + d) block
     of normals. A block is filled in row-major order, so its row i holds the
@@ -282,11 +274,15 @@ def render_view(
     """
     rng = np.random.default_rng(seed)
     points = world.landmarks.positions
-    idx = np.nonzero(visible_mask(points, pose, intrinsics, max_dist))[0]
+    uv, z = project_points(points, pose, intrinsics)
+    w, h = intrinsics.image_size
+    dist = np.linalg.norm(points - pose.position, axis=1)
+    ok = (z > NEAR_PLANE) & (dist <= max_dist)
+    ok &= (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)
+    idx = np.nonzero(ok)[0]
     if idx.size == 0:
         raise NoVisibleLandmarksError("no visible landmarks")
 
-    uv, _ = project_points(points[idx], pose, intrinsics)
     d = world.landmarks.descriptors.shape[1]
     n = idx.size + noise.clutter_count
     kp = np.empty((n, 2))
@@ -294,7 +290,7 @@ def render_view(
     lid = np.full(n, -1)
     lid[: idx.size] = idx
     block = rng.standard_normal((idx.size, 2 + d))
-    kp[: idx.size] = uv + noise.keypoint_sigma * block[:, :2]
+    kp[: idx.size] = uv[idx] + noise.keypoint_sigma * block[:, :2]
     base = world.landmarks.descriptors[idx]
     desc[: idx.size] = unit_rows(base + noise.descriptor_sigma * block[:, 2:])
 

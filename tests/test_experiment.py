@@ -738,15 +738,23 @@ def test_cli_malformed_prompts_csv_is_data_error(pipeline, tmp_path, capsys, edi
             "consistency.csv:3: kept is not in [0, original]",
         ),
         (lambda parts: parts[:4] + ["-1"] + parts[5:], "consistency.csv:3: kept is not in [0, original]"),
+        (
+            lambda parts: parts[:3] + [f"{abs(float(parts[3]) - 1e-6):.6f}"] + parts[4:],
+            "consistency.csv:3: s is not kept / original to 6 decimals",
+        ),
+        (lambda parts: parts[:6] + ["7"], "consistency.csv:3: valid@c_tau is not 0 or 1"),
     ],
     ids=["short-row", "str-kept", "nan-s", "fractional-kept", "fractional-id", "s-above-1",
-         "kept-above-original", "negative-kept"],
+         "kept-above-original", "negative-kept", "s-not-kept-over-original", "valid-not-0-or-1"],
 )
 def test_cli_malformed_consistency_csv_is_data_error(pipeline, tmp_path, capsys, edit, reason):
     """A consistency.csv row with a missing, non-numeric, non-finite,
     fractional or out-of-range value makes `train` exit 3 naming the file and
     line, where a short row or a non-numeric kept used to give a ValueError
-    and a nan s or kept above original was read as it stood."""
+    and a nan s or kept above original was read as it stood. So does an s
+    that is not kept / original as `save_scores` writes it, or a validity
+    other than 0 or 1: s weighs and samples training tuples, and both used
+    to be read as they stood."""
     variants = tmp_path / "variants"
     shutil.copytree(pipeline["variants"], variants)
     path = variants / "consistency.csv"

@@ -174,12 +174,12 @@ def test_asmk_disjoint_cells_score_zero():
 
 
 def test_asmk_score_brute_force_oracle():
-    """Hand-evaluated kernel on two toy signatures, alpha=3, threshold=0."""
+    """Hand-evaluated kernel on two toy signatures."""
     a = dense({0: [1, 1, -1], 1: [1, -1, 1]}, 3, 3)
     b = dense({0: [1, -1, -1], 2: [1, 1, 1]}, 3, 3)
     # shared cell 0: u = (1 -1 +1)/3 = 1/3 ; sigma = (1/3)^3
     expected = ((1.0 / 3.0) ** 3) / np.sqrt(2 * 2)
-    assert abs(asmk_score(a, b, alpha=3.0, sel_threshold=0.0) - expected) < 1e-12
+    assert abs(asmk_score(a, b) - expected) < 1e-12
 
 
 def test_asmk_score_symmetric_and_self_maximal():
@@ -196,23 +196,6 @@ def test_asmk_score_symmetric_and_self_maximal():
             assert sij == sji
             if i != j:
                 assert asmk_score(sigs[i], sigs[i]) >= sij - 1e-12
-
-
-def test_asmk_threshold_monotone():
-    rng = np.random.default_rng(9)
-    model = _model(seed=5)
-    a = make_view(np.random.default_rng(30), 12, 8)
-    b = make_view(np.random.default_rng(31), 12, 8)
-    vectors = np.concatenate([a.descriptors() @ model.projection.T, b.descriptors() @ model.projection.T])
-    cb = train_codebook(vectors, c=4, iters=5, seed=0)
-    sa, sb = asmk_signs(a, model, cb), asmk_signs(b, model, cb)
-    # with non-negative thresholds every retained term is >= 0, so raising
-    # the threshold can only drop mass
-    prev = asmk_score(sa, sb, sel_threshold=0.0)
-    for thr in (0.1, 0.25, 0.5, 0.75, 1.01):
-        cur = asmk_score(sa, sb, sel_threshold=thr)
-        assert cur <= prev + 1e-12
-        prev = cur
 
 
 def test_asmk_dim_mismatch():
@@ -397,10 +380,6 @@ def random_cells(rng, n_cells, e, max_occupied, p_zero):
     return cells
 
 
-# alpha 1000 underflows |u|^alpha to a signed zero for every |u| < 1
-KERNEL_PARAMS = [(3.0, 0.0), (1.0, 0.0), (3.0, 0.3), (1.0, -0.4), (3.0, -1.0), (1000.0, -1.0)]
-
-
 def test_train_codebook_matches_reference():
     rng = np.random.default_rng(20)
     for n, e, c, iters in ((60, 4, 5, 6), (40, 8, 12, 4), (9, 3, 9, 3), (30, 1, 4, 5)):
@@ -442,12 +421,12 @@ def test_asmk_signs_matches_reference():
     assert asmk_signs(view, model, cb).tobytes() == dense(want, 2, 4).tobytes()
 
 
-@pytest.mark.parametrize("alpha,sel_threshold", KERNEL_PARAMS)
-def test_asmk_score_matches_reference(alpha, sel_threshold):
-    """Score bits equal the per-cell sequential sum on random signatures:
-    empty, disjoint and overlapping cell sets, zero sign entries, and widths
-    up to e = 130, where an int8 dot product would wrap (an int8 product of
-    the non-zero counts already wraps from e = 12)."""
+def test_asmk_score_matches_reference():
+    """Score bits equal the per-cell sequential sum at the published setting
+    on random signatures: empty, disjoint and overlapping cell sets, zero
+    sign entries, and widths up to e = 130, where an int8 dot product would
+    wrap (an int8 product of the non-zero counts already wraps from
+    e = 12)."""
     rng = np.random.default_rng(22)
     for e in (1, 2, 8, 33, 64, 130):
         for trial in range(40):
@@ -456,19 +435,19 @@ def test_asmk_score_matches_reference(alpha, sel_threshold):
             b = random_cells(rng, 24, e, 20, p_zero)
             disjoint = {cell + 24: vec for cell, vec in b.items()}
             for x, y in ((a, b), (a, a), (b, a), (a, disjoint), (a, {}), ({}, {})):
-                got = asmk_score(dense(x, 48, e), dense(y, 48, e), alpha, sel_threshold)
-                want = ref_asmk_score(x, y, alpha, sel_threshold)
+                got = asmk_score(dense(x, 48, e), dense(y, 48, e))
+                want = ref_asmk_score(x, y, 3.0, 0.0)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # every shared cell's u is negative, so each weighs +0.0 and so does the sum
     one = np.ones(3, np.int8)
-    # u = -1/3 weighs -0.0 at alpha 1000, and the sum starts from +0.0
     a, b = dense({0: one, 5: one}, 6, 3), dense({5: [-1, -1, 1]}, 6, 3)
-    assert np.float64(asmk_score(a, b, 1000.0, -1.0)).tobytes() == np.float64(0.0).tobytes()
+    assert np.float64(asmk_score(a, b)).tobytes() == np.float64(0.0).tobytes()
 
 
-@pytest.mark.parametrize("alpha,sel_threshold", KERNEL_PARAMS)
-def test_retrieve_asmk_matches_reference(alpha, sel_threshold):
-    """Full rankings and score bits equal the per-pair loop's, with tied
-    scores from duplicated views broken by ascending view id."""
+def test_retrieve_asmk_matches_reference():
+    """Full rankings and score bits equal the per-pair loop's at the
+    published setting, with tied scores from duplicated views broken by
+    ascending view id."""
     import dataclasses
 
     rng = np.random.default_rng(23)
@@ -482,8 +461,8 @@ def test_retrieve_asmk_matches_reference(alpha, sel_threshold):
         index = build_index(views, model, cb)
         queries = [views[5], make_view(rng, 25, d, view_id=500), make_view(rng, 1, d, view_id=501)]
         for q in queries:
-            got = retrieve(q, index, model, "asmk", len(views), alpha, sel_threshold)
-            want = ref_retrieve(q, views, model, cb, len(views), alpha, sel_threshold)
+            got = retrieve(q, index, model, "asmk", len(views))
+            want = ref_retrieve(q, views, model, cb, len(views), 3.0, 0.0)
             assert bits(got) == bits(want)
     assert [vid for vid, _ in retrieve(views[5], index, model, "asmk", 3)] == [5, 95, 96]
 
@@ -492,26 +471,21 @@ def test_retrieve_asmk_matches_reference(alpha, sel_threshold):
 def test_selectivity_equals_python_pow_exhaustively(e):
     """Every cosine u = dot / sqrt(nnz_a * nnz_b) that e-dim sign vectors can
     give, computed array-wise as the kernel does, weighted as Python's scalar
-    `**` weights it."""
+    `u ** 3.0` where u > 0 and as +0.0 elsewhere."""
     dot, nnz_a, nnz_b = np.meshgrid(
         np.arange(-e, e + 1), np.arange(1, e + 1), np.arange(1, e + 1), indexing="ij"
     )
     dot, nnz = dot.ravel(), (nnz_a * nnz_b).ravel()
     u = dot / np.sqrt(nnz)
-    for alpha in (1.0, 3.0):
-        got = _selectivity(u, alpha, -1.0)
-        want = np.array(
-            [ref_selectivity(x / float(np.sqrt(n)), alpha, -1.0) for x, n in zip(dot.tolist(), nnz.tolist())]
-        )
-        assert got.tobytes() == want.tobytes()
+    scalar_u = [x / float(np.sqrt(n)) for x, n in zip(dot.tolist(), nnz.tolist())]
+    want = np.array([x ** 3.0 if x > 0 else 0.0 for x in scalar_u])
+    assert _selectivity(u).tobytes() == want.tobytes()
 
 
 def test_selectivity_of_signed_zeros_and_underflow():
-    """u = -0.0 and +0.0 weigh +0.0 at every alpha, as sign(u) = 0 makes
-    them, and a |u|^alpha that underflows keeps u's sign."""
-    u = np.array([-0.0, 0.0, -1 / 3, 1 / 3, -5e-324])
-    for alpha in (0.0, 1.0, 3.0, 1000.0):
-        for sel_threshold in (-1.0, 0.0):
-            got = _selectivity(u, alpha, sel_threshold)
-            want = np.array([ref_selectivity(x, alpha, sel_threshold) for x in u.tolist()])
-            assert got.tobytes() == want.tobytes()
+    """u = -0.0, +0.0 and every negative u weigh +0.0, as does a positive u
+    whose cube underflows; no sign vectors give such a u, since a positive u
+    is at least 1/e."""
+    u = np.array([-0.0, 0.0, -1 / 3, -5e-324, 5e-324, 1 / 3])
+    want = np.array([0.0, 0.0, 0.0, 0.0, 0.0, (1 / 3) ** 3.0])
+    assert _selectivity(u).tobytes() == want.tobytes()

@@ -19,7 +19,6 @@ from synthloc.worldgen import (
     generate_world,
     project_points,
     render_view,
-    visible_mask,
 )
 
 # ---------------------------------------------------------------- reference
@@ -40,10 +39,17 @@ def ref_fill_clutter(rng, kp, desc, first, image_size):
 
 def ref_render_view(world, pose, intrinsics, noise, seed, max_dist):
     """One visible row at a time: 2 keypoint normals, then d descriptor
-    normals, then the clutter rows. Returns the arrays and the generator."""
+    normals, then the clutter rows. The visible landmarks are projected
+    twice, once for the mask and once for their keypoints. Returns the
+    arrays and the generator."""
     rng = ref_generator(seed)
     points = world.landmarks.positions
-    idx = np.nonzero(visible_mask(points, pose, intrinsics, max_dist))[0]
+    uv, z = project_points(points, pose, intrinsics)
+    w, h = intrinsics.image_size
+    dist = np.linalg.norm(points - pose.position, axis=1)
+    ok = (z > worldgen.NEAR_PLANE) & (dist <= max_dist)
+    ok &= (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)
+    idx = np.nonzero(ok)[0]
     uv, _ = project_points(points[idx], pose, intrinsics)
     d = world.landmarks.descriptors.shape[1]
     n = idx.size + noise.clutter_count
