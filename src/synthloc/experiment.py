@@ -20,7 +20,6 @@ from .errors import (
     DataError,
     InsufficientCorrespondencesError,
     NoConsensusError,
-    is_finite_number,
     require_distinct_integers,
     require_integer,
 )
@@ -56,10 +55,6 @@ class ExperimentConfig:
     codebook_seed: int = 0
     eval_ks: list[int] = field(default_factory=lambda: [1, 5])
     query_conditions: list[str] = field(default_factory=lambda: ["at night"])
-    # accuracy buckets: {level: [max translation m, max rotation deg]}
-    thresholds: dict = field(
-        default_factory=lambda: dict(zip(LEVELS, ([0.25, 2.0], [0.5, 5.0], [5.0, 10.0])))
-    )
 
     def __post_init__(self) -> None:
         for name in ("world_seed", "prompt_seed", "variant_seed"):
@@ -83,21 +78,6 @@ class ExperimentConfig:
             require_integer(name, getattr(self, name), low)
         require_distinct_integers("eval_ks", self.eval_ks, 1)
         self.train_config(self.seeds[0])  # the train section must be valid with the root keys
-        if not (
-            isinstance(self.thresholds, dict)
-            and sorted(self.thresholds) == sorted(LEVELS)
-            and all(
-                isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_finite_number, pair))
-                for pair in self.thresholds.values()
-            )
-        ):
-            raise ValueError(
-                f"thresholds must map exactly {', '.join(LEVELS)} to [max translation m, "
-                f"max rotation deg] pairs of finite numbers, not {self.thresholds!r}"
-            )
-        pairs = [self.thresholds[name] for name in LEVELS]
-        if not all(ta < tb and ra < rb for (ta, ra), (tb, rb) in zip(pairs, pairs[1:])):
-            raise ValueError("thresholds must be strictly increasing")
 
     def train_config(self, seed: int, **overrides) -> TrainConfig:
         """The train section with the root `c_tau`, the given seed and
@@ -307,9 +287,9 @@ def evaluate_model(
         def row(protocol: str, k: int, error: PoseError | None, status: str = "ok") -> dict:
             return {"query_id": q.id, "protocol": protocol, "k": k, "error": error, "status": status}
 
+        rp = replace(config.ransac, seed=derive_seed(world.seed, q.id))
         for k in config.eval_ks:
             rows.append(row("ewb", k, pose_error(ewb_pose(ranked, map_poses, k), q.pose)))
-            rp = replace(config.ransac, seed=derive_seed(world.seed, q.id))
             try:
                 est = sfm_localize(
                     q, ranked, map_views, world.landmarks, model, k, config.match, rp
@@ -336,7 +316,7 @@ def evaluate_model(
     for protocol in ("ewb", "sfm"):
         for k in config.eval_ks:
             for cond in ["all", "original", *config.query_conditions]:
-                rates = localization_rate(grouped.get((protocol, k, cond), []), config.thresholds)
+                rates = localization_rate(grouped.get((protocol, k, cond), []))
                 summary.append({"protocol": protocol, "k": k, "condition": cond, **rates})
     return rankings, rows, summary
 

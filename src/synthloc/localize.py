@@ -29,7 +29,8 @@ class PoseError:
     rotation: float  # degrees
 
 
-LEVELS = ("high", "mid", "low")  # the accuracy levels, strict to loose
+# the accuracy levels, strict to loose: {level: (max translation m, max rotation deg)}
+LEVELS = {"high": (0.25, 2.0), "mid": (0.5, 5.0), "low": (5.0, 10.0)}
 
 PLACE_RECOGNITION_RADIUS_M = 25.0
 
@@ -314,16 +315,12 @@ def pose_error(est: CameraPose, gt: CameraPose) -> PoseError:
     return PoseError(translation=translation, rotation=rotation)
 
 
-def localization_rate(
-    errors: list[PoseError | None], thresholds: dict[str, list[float]]
-) -> dict[str, float]:
-    """Percentage localized per accuracy level, given as `{level: [max
-    translation m, max rotation deg]}`; None entries (queries the protocol
-    failed on) count as failures at every level."""
+def localization_rate(errors: list[PoseError | None]) -> dict[str, float]:
+    """Percentage localized at each of the `LEVELS`; None entries (queries
+    the protocol failed on) count as failures at every level."""
     n = len(errors)
     out = {}
-    for name in LEVELS:
-        max_t, max_r = thresholds[name]
+    for name, (max_t, max_r) in LEVELS.items():
         if n == 0:
             out[name] = 0.0
             continue

@@ -358,9 +358,17 @@ def load_prompts(in_dir: str | os.PathLike) -> PromptSet:
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     try:
-        return PromptSet(shifts=shifts)
+        prompts = PromptSet(shifts=shifts)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
+    # each prompt's variants are read from the directory its slug names
+    slugs = set()
+    for lineno, name in enumerate(names, start=2):
+        slug = prompt_slug(name)
+        if slug in slugs or "/" in slug:
+            raise DataError(f"{path}:{lineno}: prompt {name!r} does not name a directory of its own")
+        slugs.add(slug)
+    return prompts
 
 
 def save_variants(

@@ -22,7 +22,6 @@ from synthloc.embed import (
     sample_tuples,
     train,
 )
-from synthloc.experiment import ExperimentConfig
 from synthloc.fanout import _fan_out
 from synthloc.geometry import (
     ConsistencyScore,
@@ -280,8 +279,8 @@ def test_criterion_4_filtering_and_sampling_laws():
 
 def test_criterion_5_protocol_constants():
     """Accuracy buckets, EWB top-1 equivalence, place-recognition radius."""
-    assert ExperimentConfig().thresholds == {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
-    assert LEVELS == ("high", "mid", "low")
+    assert LEVELS == {"high": (0.25, 2.0), "mid": (0.5, 5.0), "low": (5.0, 10.0)}
+    assert list(LEVELS) == ["high", "mid", "low"]
 
     rng = np.random.default_rng(505)
     poses = {}
@@ -389,7 +388,6 @@ def test_criterion_8_end_to_end_directional():
     clean_q = [q for q in queries if q.condition == "original"]
     assert len(night_q) == 20 and len(clean_q) == 20
     map_poses = {v.id: v.pose for v in world.map_views}
-    thresholds = ExperimentConfig().thresholds
 
     def low_level_rates(model):
         index = build_index(world.map_views, model)
@@ -399,7 +397,7 @@ def test_criterion_8_end_to_end_directional():
             for q in qs:
                 ranked = retrieve(q, index, model, "global_cosine", k=1)
                 errs.append(pose_error(ewb_pose(ranked, map_poses, 1), q.pose))
-            out[name] = localization_rate(errs, thresholds)["low"]
+            out[name] = localization_rate(errs)["low"]
         return out
 
     methods = {

@@ -164,7 +164,6 @@ def test_evaluate_outputs_and_summary_consistency(pipeline):
         qid = int(ln.split(",")[0])
         # ids: clean queries come first, then the shifted block
         q_conditions[qid] = "original" if qid < world.map_views[-1].id + 1 + n_query else "at night"
-    thresholds = ExperimentConfig().thresholds
     for r in rows:
         if r["condition"] == "all":
             continue
@@ -177,7 +176,7 @@ def test_evaluate_outputs_and_summary_consistency(pipeline):
             errs.append(
                 PoseError(float(parts[3]), float(parts[4])) if parts[5] == "ok" else None
             )
-        rates = localization_rate(errs, thresholds)
+        rates = localization_rate(errs)
         assert round(rates["high"], 2) == r["high"]
         assert round(rates["mid"], 2) == r["mid"]
         assert round(rates["low"], 2) == r["low"]
@@ -705,13 +704,26 @@ def test_cli_malformed_world_table_is_data_error(pipeline, tmp_path, capsys, nam
         (lambda parts: parts[:3] + ["1.5"] + parts[4:], "prompts.csv:3: dropout_rate must be in [0, 1]"),
         (lambda parts: parts[:-1], "prompts.csv:3: "),
         (lambda parts: ["at dawn"] + parts[1:], "prompts.csv: prompt names must be distinct"),
+        (
+            lambda parts: ["at_dawn"] + parts[1:],
+            "prompts.csv:3: prompt 'at_dawn' does not name a directory of its own",
+        ),
+        (
+            lambda parts: ["at/dawn"] + parts[1:],
+            "prompts.csv:3: prompt 'at/dawn' does not name a directory of its own",
+        ),
     ],
-    ids=["str-bias_gain", "dropout-above-1", "short-row", "duplicate-name"],
+    ids=[
+        "str-bias_gain", "dropout-above-1", "short-row", "duplicate-name",
+        "shared-directory", "slash-in-name",
+    ],
 )
 def test_cli_malformed_prompts_csv_is_data_error(pipeline, tmp_path, capsys, edit, reason):
-    """A prompts.csv row with a non-numeric, out-of-range or missing value
+    """A prompts.csv row with a non-numeric, out-of-range or missing value,
+    or with a name whose variants directory is an earlier prompt's or nested,
     makes `train` exit 3 naming the file and line, where a non-numeric
-    bias_gain used to give a ValueError."""
+    bias_gain used to give a ValueError and `at_dawn` beside `at dawn` read
+    the same variant files twice."""
     variants = tmp_path / "variants"
     shutil.copytree(pipeline["variants"], variants)
     path = variants / "prompts.csv"
@@ -931,22 +943,6 @@ BAD_VALUES = {
     "match.ratio-0": ("match", "ratio", 0),
     "match.ratio-above-1": ("match", "ratio", 1.5),
     "match.ratio-nan": ("match", "ratio", float("nan")),
-    "root.thresholds-short-pair": (
-        None, "thresholds", {"high": [0.25], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
-    ),
-    "root.thresholds-missing-level": (None, "thresholds", {"high": [0.1, 1.0]}),
-    "root.thresholds-extra-level": (
-        None, "thresholds", {"high": [0.25, 2], "mid": [0.5, 5], "low": [5, 10], "top": [1, 1]}
-    ),
-    "root.thresholds-not-finite": (
-        None, "thresholds", {"high": [0.25, float("inf")], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
-    ),
-    "root.thresholds-str": (
-        None, "thresholds", {"high": ["0.25", 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
-    ),
-    "root.thresholds-not-increasing": (
-        None, "thresholds", {"high": [0.25, 2.0], "mid": [0.25, 5.0], "low": [5.0, 10.0]}
-    ),
 }
 
 BAD_NOISE = {
@@ -1044,16 +1040,17 @@ def test_cli_fixed_world_key_is_unknown_config_key(tmp_path, capsys, key):
 
 FIXED_TUNING_KEYS = [
     "codebook_iters", "asmk_alpha", "asmk_sel_threshold",
-    "train.margin", "train.learning_rate", "train.weight_decay",
+    "train.margin", "train.learning_rate", "train.weight_decay", "thresholds",
 ]
 
 
 @pytest.mark.parametrize("key", FIXED_TUNING_KEYS)
 def test_cli_fixed_tuning_key_is_unknown_config_key(tmp_path, capsys, key):
     """The k-means iteration count, the match kernel's selectivity and
-    threshold and training's margin, rate and weight decay are constants of
-    the code that reads them: setting one exits 2 with an unknown key, at the
-    root or in the train section, and nothing is written."""
+    threshold, training's margin, rate and weight decay and the accuracy
+    levels are constants of the code that reads them: setting one exits 2
+    with an unknown key, at the root or in the train section, and nothing is
+    written."""
     *section, name = key.split(".")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({section[0]: {name: 1}} if section else {name: 1}))
@@ -1151,6 +1148,19 @@ def test_config_reference_lists_every_key_with_its_default(tmp_path):
     assert listed.isdisjoint((s, k) for s, k, _, _ in ONE_SOURCE.values())
 
 
+def test_readme_names_every_config_key(tmp_path):
+    """README.md documents each key that config.reference lists under its
+    dotted name, in backquotes as its key tables write it."""
+    write_config_reference(tmp_path)
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    keys = [
+        line.split(" = ", 1)[0]
+        for line in (tmp_path / "config.reference").read_text().splitlines()
+        if not line.startswith(("#", "["))
+    ]
+    assert [key for key in keys if f"`{key}`" not in readme] == []
+
+
 @pytest.mark.parametrize("key,value", list(BAD_NOISE.values()), ids=list(BAD_NOISE))
 def test_cli_noise_config_error_names_key(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.json"
@@ -1171,10 +1181,10 @@ def test_cli_noise_config_error_names_key(tmp_path, capsys, key, value):
     ids=["eval_ks-above-map-size", "thresholds-short-pair"],
 )
 def test_cli_evaluate_config_error_writes_nothing(pipeline, tmp_path, capsys, override):
-    """`evaluate` with k larger than the 16-view map, or with a malformed
-    accuracy threshold, exits 2 naming the key before it writes any file
-    (it used to exit 0 with k=40 rows, or fail with an IndexError after
-    writing rankings.csv)."""
+    """`evaluate` with k larger than the 16-view map, or with a
+    `thresholds` key (the accuracy levels are `localize.LEVELS`), exits 2
+    naming the key before it writes any file (it used to exit 0 with k=40
+    rows, or fail with an IndexError after writing rankings.csv)."""
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**TEST_CONFIG, **override}))
     out = tmp_path / "eval"
@@ -1266,14 +1276,6 @@ def test_load_config_defaults():
     assert isinstance(cfg, ExperimentConfig)
     assert cfg.c_tau == 0.2
     assert cfg.train.num_negatives == 5
-    assert cfg.thresholds == {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
-
-
-def test_config_custom_thresholds():
-    cfg = config_from_dict({"thresholds": {"high": [0.1, 1.0], "mid": [1.0, 4.0], "low": [8.0, 20.0]}})
-    assert cfg.thresholds == {"high": [0.1, 1.0], "mid": [1.0, 4.0], "low": [8.0, 20.0]}
-    with pytest.raises(ConfigError, match="thresholds"):
-        config_from_dict({"thresholds": {"high": [0.1, 1.0]}})
 
 
 def test_ablate_small_grid(tmp_path):

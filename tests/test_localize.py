@@ -9,7 +9,7 @@ import pytest
 from synthloc import localize, quats
 from synthloc.embed import EmbeddingModel, init_model
 from synthloc.errors import ConfigError, InsufficientCorrespondencesError, NoConsensusError
-from synthloc.experiment import ExperimentConfig, config_from_dict
+from synthloc.experiment import config_from_dict
 from synthloc.geometry import MatchParams
 from synthloc.index import build_index, retrieve
 from synthloc.localize import (
@@ -764,24 +764,22 @@ def test_pose_error_symmetry():
     assert abs(pose_error(a, b).rotation - pose_error(b, a).rotation) < 1e-9
 
 
-THRESHOLDS = ExperimentConfig().thresholds
-
-
 def test_thresholds_default_constants():
-    assert LEVELS == ("high", "mid", "low")
-    assert THRESHOLDS == {"high": [0.25, 2.0], "mid": [0.5, 5.0], "low": [5.0, 10.0]}
-    with pytest.raises(ConfigError, match="strictly increasing"):
+    """The accuracy levels are constants, strict to loose, and no config key."""
+    assert LEVELS == {"high": (0.25, 2.0), "mid": (0.5, 5.0), "low": (5.0, 10.0)}
+    assert list(LEVELS) == ["high", "mid", "low"]
+    with pytest.raises(ConfigError, match="unknown config key: thresholds"):
         config_from_dict({"thresholds": {"high": [1.0, 5.0], "mid": [0.5, 10.0], "low": [5.0, 20.0]}})
 
 
 def test_localization_rate_all_perfect():
     errs = [PoseError(0.0, 0.0)] * 7
-    rates = localization_rate(errs, THRESHOLDS)
+    rates = localization_rate(errs)
     assert rates == {"high": 100.0, "mid": 100.0, "low": 100.0}
 
 
 def test_localization_rate_mid_only():
-    rates = localization_rate([PoseError(0.3, 3.0)], THRESHOLDS)
+    rates = localization_rate([PoseError(0.3, 3.0)])
     assert rates["high"] == 0.0
     assert rates["mid"] == 100.0
     assert rates["low"] == 100.0
@@ -791,9 +789,8 @@ def test_localization_rate_counting_oracle():
     rng = np.random.default_rng(7)
     errs = [PoseError(float(t), float(r)) for t, r in rng.uniform(0, [6, 12], (10, 2))]
     errs[3] = None  # protocol failure counts as a miss everywhere
-    rates = localization_rate(errs, THRESHOLDS)
-    for name in LEVELS:
-        mt, mr = THRESHOLDS[name]
+    rates = localization_rate(errs)
+    for name, (mt, mr) in LEVELS.items():
         want = 100.0 * sum(
             1 for e in errs if e is not None and e.translation <= mt and e.rotation <= mr
         ) / len(errs)
@@ -803,7 +800,7 @@ def test_localization_rate_counting_oracle():
 def test_localization_rate_monotone():
     rng = np.random.default_rng(8)
     errs = [PoseError(float(t), float(r)) for t, r in rng.uniform(0, [6, 12], (40, 2))]
-    rates = localization_rate(errs, THRESHOLDS)
+    rates = localization_rate(errs)
     assert rates["high"] <= rates["mid"] <= rates["low"]
 
 

@@ -13,7 +13,6 @@ from synthloc.embed import (
 )
 from synthloc.geometry import MatchParams
 from synthloc.index import asmk_score
-from synthloc.experiment import ExperimentConfig
 from synthloc.errors import NoConsensusError
 from synthloc.localize import PoseError, RansacParams, localization_rate, pnp_ransac
 
@@ -85,7 +84,7 @@ def test_asmk_symmetry_random_signatures(seed):
 )
 def test_localization_rate_monotone_over_levels(pairs):
     errs = [PoseError(t, r) for t, r in pairs]
-    rates = localization_rate(errs, ExperimentConfig().thresholds)
+    rates = localization_rate(errs)
     assert rates["high"] <= rates["mid"] <= rates["low"]
 
 

@@ -201,7 +201,6 @@ def other_files(tmp_path_factory):
         "backend": "asmk",
         "eval_ks": [1, 5],
         "query_conditions": ["at night", "with rain"],
-        "thresholds": {"high": [0.25, 2], "mid": [0.5, 5], "low": [5, 10]},
     }
     (out / "config.json").write_text(json.dumps(config, indent=1) + "\n")
     return out
