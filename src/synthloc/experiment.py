@@ -42,9 +42,7 @@ from .worldgen import ViewImage, World, WorldConfig, derive_seed, generate_world
 @dataclass
 class ExperimentConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
-    match: MatchParams = field(default_factory=MatchParams)
     train: TrainConfig = field(default_factory=TrainConfig)
-    ransac: RansacParams = field(default_factory=RansacParams)
     world_seed: int = 7
     prompt_seed: int = 0
     variant_seed: int = 0
@@ -85,9 +83,8 @@ class ExperimentConfig:
         root = {"seed": seed, "c_tau": self.c_tau}
         return replace(self.train, **{**root, **overrides})
 
-    def check_eval_ks(self, world: World) -> None:
-        """eval_ks may not ask for more views than the map holds."""
-        n = len(world.map_views)
+    def check_eval_ks(self, n: int) -> None:
+        """eval_ks may not ask for more views than the map's `n` hold."""
         if max(self.eval_ks) > n:
             raise ConfigError(f"eval_ks: k = {max(self.eval_ks)} exceeds the map's {n} views")
 
@@ -97,7 +94,6 @@ class ExperimentConfig:
 _NOT_KEYS = {
     "train.seed": "each training run takes its seed from the root seeds",
     "train.c_tau": "training takes c_tau from the root c_tau",
-    "ransac.seed": "each query's RANSAC seed is derived from the world seed and the query id",
 }
 
 
@@ -191,7 +187,7 @@ def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str |
     scores, _ = _fan_out(
         lambda task: task(),
         [
-            lambda: score_world_variants(world, variants, config.match),
+            lambda: score_world_variants(world, variants, MatchParams()),
             lambda: storage.save_variants(variants, out_dir),
         ],
     )
@@ -287,13 +283,11 @@ def evaluate_model(
         def row(protocol: str, k: int, error: PoseError | None, status: str = "ok") -> dict:
             return {"query_id": q.id, "protocol": protocol, "k": k, "error": error, "status": status}
 
-        rp = replace(config.ransac, seed=derive_seed(world.seed, q.id))
+        rp = RansacParams(seed=derive_seed(world.seed, q.id))
         for k in config.eval_ks:
             rows.append(row("ewb", k, pose_error(ewb_pose(ranked, map_poses, k), q.pose)))
             try:
-                est = sfm_localize(
-                    q, ranked, map_views, world.landmarks, model, k, config.match, rp
-                )
+                est = sfm_localize(q, ranked, map_views, world.landmarks, model, k, MatchParams(), rp)
             except (InsufficientCorrespondencesError, NoConsensusError) as exc:
                 rows.append(row("sfm", k, None, str(exc)))
                 continue
@@ -341,7 +335,7 @@ def cmd_evaluate(
 ) -> list[dict]:
     world = storage.load_world(world_dir)
     model = storage.load_model(model_path)
-    config.check_eval_ks(world)
+    config.check_eval_ks(len(world.map_views))
     d = world.landmarks.descriptors.shape[1]
     if model.d != d:
         raise DataError(
@@ -355,16 +349,20 @@ ABLATION_METHODS = ("baseline", "synth_uniform", "synth_filtered", "synth_geomet
 
 
 def _method_train_config(config: ExperimentConfig, method: str, seed: int) -> TrainConfig:
+    """One ablation run's train config; one the root keys cannot train with is a ConfigError."""
     synth_mode = config.train.mode if config.train.mode != "baseline" else "swap_pi"
-    if method == "baseline":
-        return config.train_config(seed, mode="baseline")
-    if method == "synth_uniform":
-        return config.train_config(seed, mode=synth_mode, sampling="uniform", c_tau=0.0)
-    if method == "synth_filtered":
-        return config.train_config(seed, mode=synth_mode, sampling="uniform")
-    if method == "synth_geometry":
-        return config.train_config(seed, mode=synth_mode, sampling="geometry_aware")
-    raise ValueError(f"unknown ablation method {method!r}")
+    overrides = {
+        "baseline": {"mode": "baseline"},
+        "synth_uniform": {"mode": synth_mode, "sampling": "uniform", "c_tau": 0.0},
+        "synth_filtered": {"mode": synth_mode, "sampling": "uniform"},
+        "synth_geometry": {"mode": synth_mode, "sampling": "geometry_aware"},
+    }.get(method)
+    if overrides is None:
+        raise ValueError(f"unknown ablation method {method!r}")
+    try:
+        return config.train_config(seed, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"ablation method {method} with c_tau = {config.c_tau}: {exc}") from exc
 
 
 def cmd_ablate(
@@ -379,7 +377,11 @@ def cmd_ablate(
     `variants` and `runs` of an earlier call are removed first, since a
     baseline-only call writes no variants. The world, the variants and scores
     (when a method needs them) are written and read back once, and the
-    (method, seed) runs are fanned out over the CPUs with `_fan_out`."""
+    (method, seed) runs are fanned out over the CPUs with `_fan_out`. A config
+    a run cannot train or evaluate with is refused before `out_dir` is touched."""
+    config.check_eval_ks(config.world.num_map_views)
+    jobs = [(method, seed) for method in methods for seed in config.seeds]
+    train_configs = {job: _method_train_config(config, *job) for job in jobs}
     out = Path(out_dir)
     world_dir = out / "world"
     variants_dir = out / "variants"
@@ -391,19 +393,16 @@ def cmd_ablate(
                 raise DataError(f"cannot write {stale}: {exc}") from None
     cmd_worldgen(config, world_dir)
     world = storage.load_world(world_dir)
-    config.check_eval_ks(world)
     variants, scores = None, None
     if any(m != "baseline" for m in methods):
         cmd_variants(world_dir, config, variants_dir)
         variants, scores = _load_variants_dir(variants_dir, world)
     queries = _evaluation_queries(world, config)
-    jobs = [(method, seed) for method in methods for seed in config.seeds]
 
     def run(job: tuple[str, int]) -> list[dict]:
         method, seed = job
         path = out / "runs" / method / f"seed_{seed}"
-        tc = _method_train_config(config, method, seed)
-        model = _train_and_save(world, variants, scores, tc, path, "")
+        model = _train_and_save(world, variants, scores, train_configs[job], path, "")
         return _save_evaluation(evaluate_model(world, queries, model, config), path)
 
     # one row per (method, seed, protocol, k, condition), each percentage as

@@ -887,9 +887,6 @@ def test_cli_nan_landmark_is_data_error(pipeline, tmp_path, capsys, command):
 BAD_VALUES = {
     "world.nmu_landmarks": ("world", "nmu_landmarks", 10),
     "train.weight_negatives": ("train", "weight_negatives", True),
-    "ransac.iterations-str": ("ransac", "iterations", "1000"),
-    "ransac.iterations-0": ("ransac", "iterations", 0),
-    "ransac.seed": ("ransac", "seed", 3),
     "train.episodes-str": ("train", "episodes", "2"),
     "train.episodes-bool": ("train", "episodes", True),
     "train.episodes-negative": ("train", "episodes", -1),
@@ -934,15 +931,8 @@ BAD_VALUES = {
     "world.visibility_radius-0": ("world", "visibility_radius", 0.0),
     "world.noise-not-a-section": ("world", "noise", 3),
     "root.world-not-a-section": (None, "world", 5),
-    "root.match-not-a-section": (None, "match", 3),
     "root.train-not-a-section": (None, "train", []),
-    "root.ransac-not-a-section": (None, "ransac", "x"),
     "root.world-null": (None, "world", None),
-    "match.pixel_tol-negative": ("match", "pixel_tol", -1),
-    "match.pixel_tol-str": ("match", "pixel_tol", "2"),
-    "match.ratio-0": ("match", "ratio", 0),
-    "match.ratio-above-1": ("match", "ratio", 1.5),
-    "match.ratio-nan": ("match", "ratio", float("nan")),
 }
 
 BAD_NOISE = {
@@ -959,7 +949,6 @@ BAD_NOISE = {
 NOT_SECTION_CHECKS = {
     "world.nmu_landmarks",
     "train.weight_negatives",
-    "ransac.seed",
     "train.c_tau-str",
     "train.seed-negative",
     "train.embedding_dim-above-descriptor-dim",
@@ -988,7 +977,6 @@ def test_cli_config_error_names_key(pipeline, tmp_path, capsys, name):
 ONE_SOURCE = {
     "train.seed": ("train", "seed", 1, "root seeds"),
     "train.c_tau": ("train", "c_tau", 0.2, "root c_tau"),
-    "ransac.seed": ("ransac", "seed", 0, "derived from the world seed and the query id"),
 }
 
 
@@ -1040,22 +1028,29 @@ def test_cli_fixed_world_key_is_unknown_config_key(tmp_path, capsys, key):
 
 FIXED_TUNING_KEYS = [
     "codebook_iters", "asmk_alpha", "asmk_sel_threshold",
-    "train.margin", "train.learning_rate", "train.weight_decay", "thresholds",
+    "train.margin", "train.learning_rate", "train.weight_decay", "thresholds", "match", "ransac",
 ]
+
+# the value each key is set to: 1, or for the former `match` and `ransac`
+# sections a section holding their default
+FIXED_TUNING_VALUES = {"match": {"ratio": 0.9}, "ransac": {"iterations": 1000}}
 
 
 @pytest.mark.parametrize("key", FIXED_TUNING_KEYS)
 def test_cli_fixed_tuning_key_is_unknown_config_key(tmp_path, capsys, key):
     """The k-means iteration count, the match kernel's selectivity and
-    threshold, training's margin, rate and weight decay and the accuracy
-    levels are constants of the code that reads them: setting one exits 2
-    with an unknown key, at the root or in the train section, and nothing is
-    written."""
+    threshold, training's margin, rate and weight decay, the accuracy levels,
+    the 2D matcher's ratio and pixel tolerance and the RANSAC solver's budget
+    and bounds are constants of the code that reads them: setting one exits
+    2 with an unknown key, at the root or in the train section, and nothing
+    is written. The former sections are named as a whole, not by a dotted
+    key."""
     *section, name = key.split(".")
+    value = FIXED_TUNING_VALUES.get(key, 1)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({section[0]: {name: 1}} if section else {name: 1}))
+    bad.write_text(json.dumps({section[0]: {name: value}} if section else {name: value}))
     assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
-    assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: unknown config key: {key}\n"
     assert not (tmp_path / "w").exists()
 
 
@@ -1198,6 +1193,34 @@ def test_cli_evaluate_config_error_writes_nothing(pipeline, tmp_path, capsys, ov
     if "eval_ks" in override:
         assert "16 views" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override,message",
+    [
+        ({"c_tau": 0.0}, "ablation method synth_geometry with c_tau = 0.0: geometry-aware sampling"),
+        ({"c_tau": -1}, "ablation method synth_geometry with c_tau = -1: geometry-aware sampling"),
+        ({"eval_ks": [1, 40]}, "eval_ks: k = 40 exceeds the map's 16 views"),
+    ],
+    ids=["c_tau-0", "c_tau-negative", "eval_ks-above-map-size"],
+)
+def test_cli_ablate_config_error_writes_nothing(tmp_path, capsys, override, message):
+    """`ablate` with a root c_tau that geometry-aware sampling cannot train
+    with, or with k larger than the 16-view map the config makes, exits 2
+    before it touches `--out`: an earlier run there stays byte for byte.
+    It used to remove the earlier variants and runs and write a new world
+    first, and a c_tau <= 0 ended in a ValueError traceback."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**TEST_CONFIG, **override}))
+    out = tmp_path / "ablation"
+    for rel in ("world/meta.csv", "variants/prompts.csv", "runs/baseline/seed_1/summary.csv", "ablation.csv"):
+        (out / rel).parent.mkdir(parents=True, exist_ok=True)
+        (out / rel).write_text(f"{rel} of an earlier run\n")
+    before = dir_digest(out)
+    assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert dir_digest(out) == before
 
 
 def test_cli_parse_error(tmp_path):

@@ -40,6 +40,21 @@ def brute_force_mutual_nn(a, b, ratio):
     return pairs
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("pixel_tol", -1),
+        ("pixel_tol", "2"),
+        ("ratio", 0),
+        ("ratio", 1.5),
+        ("ratio", float("nan")),
+    ],
+)
+def test_match_params_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        MatchParams(**{field: value})
+
+
 def test_self_match_identity():
     rng = np.random.default_rng(0)
     view = make_view(rng, 30, 16)

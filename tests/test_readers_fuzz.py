@@ -15,8 +15,6 @@ from synthloc import storage
 from synthloc.embed import TrainConfig, init_model
 from synthloc.errors import ConfigError, SynthlocError
 from synthloc.experiment import load_config
-from synthloc.geometry import MatchParams
-from synthloc.localize import RansacParams
 from synthloc.variants import PromptSet
 from synthloc.worldgen import RenderNoise, WorldConfig
 
@@ -192,9 +190,7 @@ def other_files(tmp_path_factory):
     storage.save_model(init_model(16, 8, 0), out / "model.csv")
     config = {
         "world": {"num_landmarks": 250, "descriptor_dim": 16, "noise": {"keypoint_sigma": 0.5}},
-        "match": {"ratio": 0.8},
         "train": {"mode": "multi_k", "episodes": 2, "embedding_dim": 8, "sampling": "geometry_aware"},
-        "ransac": {"iterations": 100, "min_inliers": 8},
         "world_seed": 3,
         "c_tau": 0.2,
         "seeds": [1, 2],
@@ -223,9 +219,7 @@ def test_load_config_raises_only_config_errors(other_files, mutations):
         cfg = load_config(str(path))
         assert isinstance(cfg.world, WorldConfig)
         assert isinstance(cfg.world.noise, RenderNoise)
-        assert isinstance(cfg.match, MatchParams)
         assert isinstance(cfg.train, TrainConfig)
-        assert isinstance(cfg.ransac, RansacParams)
 
     load_mutated(path, mutations, load, ConfigError)
 
