@@ -422,7 +422,7 @@ def synthetic_families(
 
 def _draw(rng: np.random.Generator, family: list[tuple[str, float]], sampling: str) -> int:
     if sampling == "geometry_aware":
-        inv = np.array([1.0 / max(s, 1e-12) for _, s in family])
+        inv = np.array([1.0 / s for _, s in family])
         probs = inv / inv.sum()
         # `rng.choice(len(family), p=probs)`'s own steps without its checks:
         # the same one uniform draw and the same index, bit for bit.

@@ -380,6 +380,8 @@ def cmd_ablate(
     (method, seed) runs are fanned out over the CPUs with `_fan_out`. A config
     a run cannot train or evaluate with is refused before `out_dir` is touched."""
     config.check_eval_ks(config.world.num_map_views)
+    if config.world.num_query_views == 0:
+        raise ConfigError("world.num_query_views: 0 query views leave ablate nothing to evaluate")
     jobs = [(method, seed) for method in methods for seed in config.seeds]
     train_configs = {job: _method_train_config(config, *job) for job in jobs}
     out = Path(out_dir)

@@ -35,9 +35,15 @@ class MatchParams:
 
 @dataclass
 class ConsistencyScore:
-    value: float
+    """`kept` of the `original` (q, p) area-of-interest correspondences
+    survive the variant; the score is their ratio."""
+
     kept: int
     original: int
+
+    @property
+    def value(self) -> float:
+        return self.kept / self.original if self.original else 0.0
 
 
 class _Side(NamedTuple):
@@ -117,12 +123,12 @@ def _pair_scores(q: _Side, p: _Side, q_variants: list[_Side], ratio: float) -> l
     targets = _aoi_targets(q, p, ratio)
     original = targets.size
     if original == 0:
-        return [ConsistencyScore(value=0.0, kept=0, original=0) for _ in q_variants]
+        return [ConsistencyScore(0, 0) for _ in q_variants]
     near = p.near[targets]
     scores = []
     for v in q_variants:
         kept = int(np.count_nonzero(near[:, _aoi_targets(v, p, ratio)].any(axis=1)))
-        scores.append(ConsistencyScore(value=kept / original, kept=kept, original=original))
+        scores.append(ConsistencyScore(kept, original))
     return scores
 
 

@@ -417,12 +417,13 @@ def save_scores(scores: Scores, c_tau: float, out_dir: str | os.PathLike) -> Non
 
 
 def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> Scores:
-    """The scores of a `save_scores` file, checked by `_parse_table`: its
-    exact header, integer ids and counts, 0 <= kept <= original, s in [0, 1]
-    and kept / original to 6 decimals (0 when original is 0), validity 0 or
-    1, ids of `world`'s map views and prompts of `prompts`, and one row for
-    each (query id, positive id, prompt) key of the world's matching pairs,
-    in both orientations, and the prompts."""
+    """The scores of a `save_scores` file, each built from its `kept` and
+    `original` counts, checked by `_parse_table`: its exact header, integer
+    ids and counts, 0 <= kept <= original, s in [0, 1] and kept / original
+    to 6 decimals (0 when original is 0), validity 0 or 1, ids of `world`'s
+    map views and prompts of `prompts`, and one row for each (query id,
+    positive id, prompt) key of the world's matching pairs, in both
+    orientations, and the prompts."""
     path = Path(in_dir) / "consistency.csv"
     lines = _read_lines(path)
     scores: Scores = {}
@@ -458,9 +459,8 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
     expected = len(oriented) * len(prompt_names)
     if len(keys) != expected:
         raise DataError(f"{path}: {len(keys)} scores, the world has {expected} keys")
-    for row, prompt in zip(table, names):
-        q, p, value, k, o, _valid = row.tolist()
-        scores[(int(q), int(p), prompt)] = ConsistencyScore(value, int(k), int(o))
+    for (q, p, prompt), k, o in zip(keys, kept.tolist(), original.tolist()):
+        scores[(int(q), int(p), prompt)] = ConsistencyScore(int(k), int(o))
     return scores
 
 

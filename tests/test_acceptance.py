@@ -224,14 +224,14 @@ def test_criterion_3_consistency_extremes_and_oracle():
         c_qp = aoi(mutual_nn(q, p), q, p)
         c_vp = aoi(mutual_nn(variant, p), variant, p)
         if not c_qp:
-            return ConsistencyScore(0.0, 0, 0)
+            return ConsistencyScore(0, 0)
         kp = p.kp
         kept = sum(
             1
             for (_, j) in c_qp
             if any(np.linalg.norm(kp[j] - kp[j2]) <= params.pixel_tol for (_, j2) in c_vp)
         )
-        return ConsistencyScore(kept / len(c_qp), kept, len(c_qp))
+        return ConsistencyScore(kept, len(c_qp))
 
     shift = default_prompt_set(16, 0).by_name("in winter")
     for trial in range(20):

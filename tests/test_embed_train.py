@@ -153,7 +153,7 @@ def test_sample_tuples_builds_synthetic_tuple():
 
 def test_synthetic_family_rejects_invalid_score():
     views, scores = _toy_setup()
-    scores[(0, 1, "mild")] = ConsistencyScore(0.0, 0, 20)
+    scores[(0, 1, "mild")] = ConsistencyScore(0, 20)
     t = TrainingTuple(0, 1, [2, 3])
     assert synthetic_families(views, scores, c_tau=0.2)(t) == []
     assert synthetic_families(views, scores, c_tau=0.0)(t) == [("mild", 0.0)]
@@ -161,8 +161,8 @@ def test_synthetic_family_rejects_invalid_score():
 
 def test_synthetic_family_skips_missing_variant():
     views, scores = _toy_setup()
-    scores[(0, 1, "unknown prompt")] = ConsistencyScore(0.9, 18, 20)
-    scores[(0, 1, "mild")] = ConsistencyScore(0.9, 18, 20)
+    scores[(0, 1, "unknown prompt")] = ConsistencyScore(18, 20)
+    scores[(0, 1, "mild")] = ConsistencyScore(18, 20)
     t = TrainingTuple(0, 1, [2, 3])
     assert synthetic_families(views, scores, c_tau=0.2)(t) == [("mild", 0.9)]
     # a negative without a variant under the prompt drops the prompt too
@@ -174,8 +174,8 @@ def test_synthetic_family_filters_by_score():
     views, scores = _toy_setup()
     for i in range(6):
         views[(i, "harsh")] = apply_variant(views[(i, None)], identity_shift("harsh", 8), seed=100 + i)
-    scores[(0, 1, "mild")] = ConsistencyScore(0.9, 18, 20)
-    scores[(0, 1, "harsh")] = ConsistencyScore(0.1, 2, 20)
+    scores[(0, 1, "mild")] = ConsistencyScore(18, 20)
+    scores[(0, 1, "harsh")] = ConsistencyScore(2, 20)
     t = TrainingTuple(0, 1, [2, 3])
     fam = synthetic_families(views, scores, c_tau=0.2)(t)
     assert fam == [("mild", 0.9)]
@@ -227,14 +227,15 @@ def test_sample_geometry_aware_probabilities():
 def test_geometry_aware_draw_equals_rng_choice():
     """`_draw` takes `rng.choice(len(family), p=probs)`'s steps itself: the
     same index and the same generator state after every draw, over family
-    sizes 1-12, scores down to the 1e-12 clamp and 300 generator seeds."""
+    sizes 1-12, scores down to 1e-13 and 300 generator seeds. A family holds
+    only scores >= c_tau > 0, so no score is 0."""
     scores_rng = np.random.default_rng(11)
     for seed in range(300):
         size = 1 + seed % 12
         values = scores_rng.uniform(0.0, 1.0, size)
-        values[seed % size] = [0.0, 1e-13, 1.0, 0.2][seed % 4]
+        values[seed % size] = [1 / 997, 1e-13, 1.0, 0.2][seed % 4]
         fam = _family_with_scores(values)
-        inv = np.array([1.0 / max(s, 1e-12) for s in values])
+        inv = 1.0 / values
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(5):
             got = _draw(got_rng, fam, "geometry_aware")

@@ -13,6 +13,7 @@ import pytest
 
 from synthloc import experiment, storage
 from synthloc.cli import main
+from synthloc.embed import train
 from synthloc.errors import ConfigError, DataError
 from synthloc.experiment import (
     ABLATION_METHODS,
@@ -25,7 +26,10 @@ from synthloc.experiment import (
     load_config,
     write_config_reference,
 )
+from synthloc.geometry import MatchParams, score_world_variants
 from synthloc.localize import PoseError, localization_rate
+from synthloc.variants import default_prompt_set, generate_all_variants
+from synthloc.worldgen import generate_world
 
 from conftest import set_cpus
 
@@ -291,6 +295,27 @@ def test_cli_train_and_cosine_evaluate_bytes_are_pinned(pipeline, tmp_path):
             if rel != "config.reference":
                 got[f"{name}/{rel}"] = digest
     assert got == pinned
+
+
+def test_scores_read_back_train_as_in_memory(tmp_path):
+    """The scores `load_scores` reads back from `save_scores`' file equal the
+    scorer's, and `multi_k` geometry-aware training on them writes the same
+    projection bytes as on the scorer's own. The reader used to take each
+    score from the 6-decimal `s` column, so the sampling weights and the
+    positive weights moved in the 7th decimal."""
+    train_keys = {**TEST_CONFIG["train"], "mode": "multi_k", "sampling": "geometry_aware"}
+    config = config_from_dict({**TEST_CONFIG, "train": train_keys})
+    world = generate_world(config.world, config.world_seed)
+    prompts = default_prompt_set(config.world.descriptor_dim, config.prompt_seed)
+    variants = generate_all_variants(world, prompts, config.variant_seed)
+    scores = score_world_variants(world, variants, MatchParams())
+    storage.save_scores(scores, config.c_tau, tmp_path)
+    loaded = storage.load_scores(tmp_path, world, prompts)
+    assert loaded == scores
+    tc = config.train_config(1)
+    in_memory, _ = train(world, variants, scores, tc)
+    read_back, _ = train(world, variants, loaded, tc)
+    assert read_back.projection.tobytes() == in_memory.projection.tobytes()
 
 
 BAD_MODELS = {
@@ -1201,15 +1226,20 @@ def test_cli_evaluate_config_error_writes_nothing(pipeline, tmp_path, capsys, ov
         ({"c_tau": 0.0}, "ablation method synth_geometry with c_tau = 0.0: geometry-aware sampling"),
         ({"c_tau": -1}, "ablation method synth_geometry with c_tau = -1: geometry-aware sampling"),
         ({"eval_ks": [1, 40]}, "eval_ks: k = 40 exceeds the map's 16 views"),
+        (
+            {"world": {**TEST_CONFIG["world"], "num_query_views": 0}},
+            "world.num_query_views: 0 query views leave ablate nothing to evaluate",
+        ),
     ],
-    ids=["c_tau-0", "c_tau-negative", "eval_ks-above-map-size"],
+    ids=["c_tau-0", "c_tau-negative", "eval_ks-above-map-size", "no-query-views"],
 )
 def test_cli_ablate_config_error_writes_nothing(tmp_path, capsys, override, message):
     """`ablate` with a root c_tau that geometry-aware sampling cannot train
-    with, or with k larger than the 16-view map the config makes, exits 2
-    before it touches `--out`: an earlier run there stays byte for byte.
-    It used to remove the earlier variants and runs and write a new world
-    first, and a c_tau <= 0 ended in a ValueError traceback."""
+    with, with k larger than the 16-view map the config makes, or with no
+    query views to evaluate on, exits 2 before it touches `--out`: an earlier
+    run there stays byte for byte. It used to remove the earlier variants and
+    runs and write a new world first; a c_tau <= 0 then ended in a ValueError
+    traceback, and no query views in a data error (exit 3)."""
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({**TEST_CONFIG, **override}))
     out = tmp_path / "ablation"

@@ -127,7 +127,7 @@ def brute_force_score(q, p, variant, params):
     c_qp = aoi(brute_force_mutual_nn(q, p, params.ratio), q, p)
     c_vp = aoi(brute_force_mutual_nn(variant, p, params.ratio), variant, p)
     if not c_qp:
-        return ConsistencyScore(0.0, 0, 0)
+        return ConsistencyScore(0, 0)
     kp = p.kp
     kept = 0
     for (_, j) in c_qp:
@@ -135,7 +135,7 @@ def brute_force_score(q, p, variant, params):
             if np.linalg.norm(kp[j] - kp[j2]) <= params.pixel_tol:
                 kept += 1
                 break
-    return ConsistencyScore(kept / len(c_qp), kept, len(c_qp))
+    return ConsistencyScore(kept, len(c_qp))
 
 
 def test_consistency_equals_brute_force_oracle():
@@ -155,9 +155,9 @@ def test_consistency_equals_brute_force_oracle():
 
 
 def test_validate_pair_modes():
-    assert validate_pair(ConsistencyScore(1.0, 30, 30), 0.2)
-    assert not validate_pair(ConsistencyScore(0.0, 0, 30), 0.2)
-    assert validate_pair(ConsistencyScore(0.05, 2, 40), 0.0)  # filter disabled
+    assert validate_pair(ConsistencyScore(30, 30), 0.2)
+    assert not validate_pair(ConsistencyScore(0, 30), 0.2)
+    assert validate_pair(ConsistencyScore(2, 40), 0.0)  # filter disabled
 
 
 def test_score_bounds(small_world, small_scores):

@@ -98,7 +98,7 @@ def test_load_scores_takes_a_lone_header_only_for_a_world_without_pairs(
 
 
 def test_scores_csv_validity_column(tmp_path):
-    scores = {(0, 1, "a"): ConsistencyScore(0.5, 10, 20), (0, 1, "b"): ConsistencyScore(0.1, 2, 20)}
+    scores = {(0, 1, "a"): ConsistencyScore(10, 20), (0, 1, "b"): ConsistencyScore(2, 20)}
     storage.save_scores(scores, 0.2, tmp_path)
     lines = (tmp_path / "consistency.csv").read_text().splitlines()
     assert lines[0] == "query_id,positive_id,prompt,s,kept,original,valid@c_tau"

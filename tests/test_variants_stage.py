@@ -56,17 +56,17 @@ def ref_aoi(pairs, a, b):
 def ref_consistency(q, p, variant, params):
     c_qp = ref_aoi(ref_match(q, p, params.ratio), q, p)
     if not c_qp:
-        return ConsistencyScore(0.0, 0, 0)
+        return ConsistencyScore(0, 0)
     c_vp = ref_aoi(ref_match(variant, p, params.ratio), variant, p)
     original = len(c_qp)
     if not c_vp:
-        return ConsistencyScore(0.0, 0, original)
+        return ConsistencyScore(0, original)
     kp_p = p.kp
     kp_qp = kp_p[[j for (_, j) in c_qp]]
     kp_vp = kp_p[[j for (_, j) in c_vp]]
     dist = np.linalg.norm(kp_vp[None, :, :] - kp_qp[:, None, :], axis=2)
     kept = int(np.count_nonzero(dist.min(axis=1) <= params.pixel_tol))
-    return ConsistencyScore(kept / original, kept, original)
+    return ConsistencyScore(kept, original)
 
 
 def ref_score_world(world, variants, params):
