@@ -478,6 +478,19 @@ class TraceRow:
     synth_fraction: float
 
 
+def check_trainable(world: World, config: TrainConfig) -> None:
+    """A world without matching pairs leaves nothing to train on
+    (DataError), and the projection may not be wider than the world's
+    descriptors (ConfigError)."""
+    if not world.matching_pairs:
+        raise DataError("world has no matching pairs")
+    d = world.landmarks.descriptors.shape[1]
+    if config.embedding_dim > d:
+        raise ConfigError(
+            f"train.embedding_dim {config.embedding_dim} exceeds the descriptor dim {d}"
+        )
+
+
 def train(
     world: World,
     variants: dict[int, list[ViewImage]] | None,
@@ -491,15 +504,10 @@ def train(
     pair with too few eligible negatives is skipped, and a run of one or more
     episodes in which every pair is skipped is a ConfigError. Deterministic
     for a fixed (world, config) including the seed."""
-    if not world.matching_pairs:
-        raise DataError("world has no matching pairs")
+    check_trainable(world, config)
     if config.mode != "baseline" and (variants is None or scores is None):
         raise ValueError(f"mode {config.mode!r} needs variants and scores")
     d = world.landmarks.descriptors.shape[1]
-    if config.embedding_dim > d:
-        raise ConfigError(
-            f"train.embedding_dim {config.embedding_dim} exceeds the descriptor dim {d}"
-        )
 
     views = _training_views(world, variants)
     observers = {v.id: {v.id} if (v.lid >= 0).any() else set() for v in world.map_views}

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import storage
-from .embed import EmbeddingModel, TrainConfig, average_models, train
+from .embed import EmbeddingModel, TrainConfig, average_models, check_trainable, train
 from .errors import (
     ConfigError,
     DataError,
@@ -35,7 +35,7 @@ from .localize import (
     pose_error,
     sfm_localize,
 )
-from .variants import P11_NAMES, default_prompt_set, generate_all_variants, shift_queries
+from .variants import P11_NAMES, PROMPT_SEED, default_prompt_set, generate_all_variants, shift_queries
 from .worldgen import ViewImage, World, WorldConfig, derive_seed, generate_world
 
 
@@ -44,7 +44,6 @@ class ExperimentConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     world_seed: int = 7
-    prompt_seed: int = 0
     variant_seed: int = 0
     c_tau: float = 0.2
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
@@ -55,7 +54,7 @@ class ExperimentConfig:
     query_conditions: list[str] = field(default_factory=lambda: ["at night"])
 
     def __post_init__(self) -> None:
-        for name in ("world_seed", "prompt_seed", "variant_seed"):
+        for name in ("world_seed", "variant_seed"):
             require_integer(name, getattr(self, name), 0)
         if not (
             isinstance(self.query_conditions, list)
@@ -126,6 +125,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return _build_dataclass(ExperimentConfig, data, "")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a key set twice is a ConfigError,
+    where `json` would keep the later value alone."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"config key {key} is set twice in one object")
+        data[key] = value
+    return data
+
+
 def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
@@ -134,34 +144,12 @@ def load_config(path: str | None) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be an object: {path}")
     return config_from_dict(data)
-
-
-def _reference_lines(config, path: str) -> list[str]:
-    lines = []
-    for f in dataclasses.fields(config):
-        if path + f.name in _NOT_KEYS:
-            continue
-        value = getattr(config, f.name)
-        if dataclasses.is_dataclass(f.default_factory):
-            lines.append(f"[{path}{f.name}]")
-            lines.extend(_reference_lines(value, f"{path}{f.name}."))
-        else:
-            lines.append(f"{path}{f.name} = {value!r}")
-    return lines
-
-
-def write_config_reference(out_dir: str | Path) -> None:
-    """Every configurable key with its default, for copy-paste into a JSON
-    config (sections map to nested objects)."""
-    lines = ["# configuration keys and defaults"]
-    lines.extend(_reference_lines(ExperimentConfig(), ""))
-    storage._write_lines(Path(out_dir) / "config.reference", lines)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +160,6 @@ def write_config_reference(out_dir: str | Path) -> None:
 def cmd_worldgen(config: ExperimentConfig, out_dir: str | Path) -> World:
     world = generate_world(config.world, config.world_seed)
     storage.save_world(world, out_dir)
-    write_config_reference(out_dir)
     return world
 
 
@@ -181,7 +168,7 @@ def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str |
     so `_fan_out` runs them side by side."""
     world = storage.load_world(world_dir)
     d = world.landmarks.descriptors.shape[1]
-    prompts = default_prompt_set(d, config.prompt_seed)
+    prompts = default_prompt_set(d, PROMPT_SEED)
     variants = generate_all_variants(world, prompts, config.variant_seed)
     storage.save_prompts(prompts, out_dir)
     scores, _ = _fan_out(
@@ -192,7 +179,6 @@ def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str |
         ],
     )
     storage.save_scores(scores, config.c_tau, out_dir)
-    write_config_reference(out_dir)
 
 
 def _load_variants_dir(variants_dir: str | Path, world: World) -> tuple[dict[int, list[ViewImage]], Scores]:
@@ -239,7 +225,6 @@ def cmd_train(
 
     averaged = average_models(_fan_out(run, config.seeds))
     storage.save_model(averaged, out / "model_avg.csv")
-    write_config_reference(out_dir)
     return averaged
 
 
@@ -250,7 +235,7 @@ def _evaluation_queries(world: World, config: ExperimentConfig) -> list[ViewImag
     if not world.query_views:
         raise DataError("the world has no query views")
     d = world.landmarks.descriptors.shape[1]
-    prompts = default_prompt_set(d, config.prompt_seed)
+    prompts = default_prompt_set(d, PROMPT_SEED)
     return shift_queries(world, prompts, config.query_conditions, config.variant_seed)
 
 
@@ -323,7 +308,6 @@ def _save_evaluation(
     storage.save_rankings(rankings, out / "rankings.csv")
     storage.save_localization(rows, out / "localization.csv")
     storage.save_summary(summary, out / "summary.csv")
-    write_config_reference(out_dir)
     return summary
 
 
@@ -378,12 +362,16 @@ def cmd_ablate(
     baseline-only call writes no variants. The world, the variants and scores
     (when a method needs them) are written and read back once, and the
     (method, seed) runs are fanned out over the CPUs with `_fan_out`. A config
-    a run cannot train or evaluate with is refused before `out_dir` is touched."""
+    a run cannot train or evaluate with, or whose world cannot be made or
+    trained on, is refused before `out_dir` is touched: the world is
+    generated and checked in memory first."""
     config.check_eval_ks(config.world.num_map_views)
     if config.world.num_query_views == 0:
         raise ConfigError("world.num_query_views: 0 query views leave ablate nothing to evaluate")
     jobs = [(method, seed) for method in methods for seed in config.seeds]
     train_configs = {job: _method_train_config(config, *job) for job in jobs}
+    world = generate_world(config.world, config.world_seed)
+    check_trainable(world, config.train)
     out = Path(out_dir)
     world_dir = out / "world"
     variants_dir = out / "variants"
@@ -393,7 +381,7 @@ def cmd_ablate(
                 shutil.rmtree(stale)
             except OSError as exc:
                 raise DataError(f"cannot write {stale}: {exc}") from None
-    cmd_worldgen(config, world_dir)
+    storage.save_world(world, world_dir)
     world = storage.load_world(world_dir)
     variants, scores = None, None
     if any(m != "baseline" for m in methods):

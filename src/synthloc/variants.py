@@ -32,6 +32,10 @@ P11_SEVERITY: dict[str, tuple[float, float, float, float]] = {
 
 P11_NAMES = tuple(P11_SEVERITY)
 
+# The seed of the 11 prompts' bias directions: `variants` edits the map with,
+# and `evaluate` shifts the queries by, the same prompt set.
+PROMPT_SEED = 0
+
 
 @dataclass
 class DomainShift:

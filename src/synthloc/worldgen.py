@@ -128,6 +128,7 @@ LATERAL_MIN, LATERAL_MAX = 6.0, 14.0  # landmark distance from the street, m
 HEIGHT_MAX = 8.0  # m
 CAMERA_HEIGHT = 1.6  # m
 FOCAL = 400.0  # px
+IMAGE_SIZE = (640, 480)  # px, width and height; the principal point is the centre
 MIN_VISIBLE = 8  # landmarks each map view must see
 HEADING_JITTER_DEG = 2.0
 QUERY_TRANSLATION_SIGMA = 0.7  # m
@@ -141,8 +142,6 @@ class WorldConfig:
     num_map_views: int = 40
     num_query_views: int = 20
     street_length: float = 100.0
-    image_width: int = 640
-    image_height: int = 480
     visibility_radius: float = 30.0
     min_coobs: int = 10
     noise: RenderNoise = field(default_factory=RenderNoise)
@@ -150,18 +149,11 @@ class WorldConfig:
     def __post_init__(self) -> None:
         for name, low in (
             ("num_landmarks", 10), ("descriptor_dim", 4), ("num_map_views", 2), ("num_query_views", 0),
-            ("image_width", 1), ("image_height", 1), ("min_coobs", 1),
+            ("min_coobs", 1),
         ):
             require_integer(name, getattr(self, name), low)
         for name in ("street_length", "visibility_radius"):
             require_number(name, getattr(self, name), 0, strict=True)
-
-    def intrinsics(self) -> CameraIntrinsics:
-        return CameraIntrinsics(
-            focal=FOCAL,
-            principal_point=np.array([self.image_width / 2.0, self.image_height / 2.0]),
-            image_size=(self.image_width, self.image_height),
-        )
 
 
 @dataclass
@@ -353,7 +345,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     landmarks = Landmarks(np.column_stack([xy, z]), descs)
 
     world = World(landmarks=landmarks, map_views=[], query_views=[], matching_pairs=[], seed=seed)
-    intr = config.intrinsics()
+    intr = CameraIntrinsics(FOCAL, np.array(IMAGE_SIZE) / 2.0, IMAGE_SIZE)
 
     heading_rng = np.random.default_rng(derive_seed(seed, 1))
     for i in range(config.num_map_views):

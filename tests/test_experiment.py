@@ -1,11 +1,10 @@
-import ast
 import csv
 import hashlib
 import json
 import os
 import shutil
 import time
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +23,10 @@ from synthloc.experiment import (
     cmd_evaluate,
     config_from_dict,
     load_config,
-    write_config_reference,
 )
 from synthloc.geometry import MatchParams, score_world_variants
 from synthloc.localize import PoseError, localization_rate
-from synthloc.variants import default_prompt_set, generate_all_variants
+from synthloc.variants import PROMPT_SEED, default_prompt_set, generate_all_variants
 from synthloc.worldgen import generate_world
 
 from conftest import set_cpus
@@ -106,12 +104,13 @@ def pipeline(tmp_path_factory):
 
 
 def test_worldgen_outputs(pipeline):
-    world = pipeline["world"]
-    for name in ("landmarks.csv", "views.csv", "pairs.csv", "meta.csv", "config.reference"):
-        assert (world / name).exists()
-    assert (world / "features").is_dir()
+    """`worldgen` writes the four tables and one feature file per view,
+    and nothing else."""
     n_views = TEST_CONFIG["world"]["num_map_views"] + TEST_CONFIG["world"]["num_query_views"]
-    assert len(list((world / "features").iterdir())) == n_views
+    assert set(dir_digest(pipeline["world"])) == {
+        "landmarks.csv", "views.csv", "pairs.csv", "meta.csv",
+        *(f"features/{vid}.csv" for vid in range(n_views)),
+    }
 
 
 def test_variants_outputs(pipeline):
@@ -229,29 +228,27 @@ def test_cli_rerun_into_a_used_out_leaves_nothing_stale(pipeline, tmp_path):
 
 
 def test_cli_worldgen_and_variants_bytes_are_pinned(pipeline):
-    """Every file `worldgen` and `variants` write for TEST_CONFIG, except
-    config.reference, against sha256 digests recorded from the per-feature
-    implementation of the variants stage (generation, scoring, CSV codec)
-    that the array-at-a-time one replaced."""
+    """Every file `worldgen` and `variants` write for TEST_CONFIG against
+    sha256 digests recorded from the per-feature implementation of the
+    variants stage (generation, scoring, CSV codec) that the array-at-a-time
+    one replaced."""
     pinned = json.loads((Path(__file__).parent / "data" / "cli_variants_sha256.json").read_text())
-    got = {}
-    for stage in ("world", "variants"):
-        for rel, digest in dir_digest(pipeline[stage]).items():
-            if Path(rel).name != "config.reference":
-                got[f"{stage}/{rel}"] = digest
+    got = {
+        f"{stage}/{rel}": digest
+        for stage in ("world", "variants")
+        for rel, digest in dir_digest(pipeline[stage]).items()
+    }
     assert got == pinned
 
 
 def test_cli_default_worldgen_bytes_are_pinned(tmp_path):
     """Every file `worldgen` writes for the default config at world seed 7
-    (the benchmark's world), except config.reference, against sha256 digests
-    recorded from the per-row renderer that the array-at-a-time one
-    replaced."""
+    (the benchmark's world) against sha256 digests recorded from the per-row
+    renderer that the array-at-a-time one replaced."""
     out = tmp_path / "world"
     assert main(["worldgen", "--out", str(out)]) == 0
     pinned = json.loads((Path(__file__).parent / "data" / "cli_worldgen_default_sha256.json").read_text())
-    got = {rel: digest for rel, digest in dir_digest(out).items() if rel != "config.reference"}
-    assert got == pinned
+    assert dir_digest(out) == pinned
 
 
 def test_cli_evaluate_asmk_bytes_are_pinned(pipeline, tmp_path):
@@ -266,8 +263,7 @@ def test_cli_evaluate_asmk_bytes_are_pinned(pipeline, tmp_path):
          "--model", str(pipeline["models"] / "model_avg.csv"), "--out", str(out)]
     ) == 0
     pinned = json.loads((Path(__file__).parent / "data" / "cli_evaluate_asmk_sha256.json").read_text())
-    got = {rel: digest for rel, digest in dir_digest(out).items() if rel != "config.reference"}
-    assert got == pinned
+    assert dir_digest(out) == pinned
 
 
 def test_cli_train_and_cosine_evaluate_bytes_are_pinned(pipeline, tmp_path):
@@ -285,15 +281,15 @@ def test_cli_train_and_cosine_evaluate_bytes_are_pinned(pipeline, tmp_path):
          "--variants", str(pipeline["variants"]), "--out", str(models)]
     ) == 0
     pinned = json.loads((Path(__file__).parent / "data" / "cli_train_evaluate_sha256.json").read_text())
-    got = {}
-    for name, root in (
-        ("train", pipeline["models"]),
-        ("train_multi_k_geometry_aware", models),
-        ("evaluate", pipeline["eval"]),
-    ):
-        for rel, digest in dir_digest(root).items():
-            if rel != "config.reference":
-                got[f"{name}/{rel}"] = digest
+    got = {
+        f"{name}/{rel}": digest
+        for name, root in (
+            ("train", pipeline["models"]),
+            ("train_multi_k_geometry_aware", models),
+            ("evaluate", pipeline["eval"]),
+        )
+        for rel, digest in dir_digest(root).items()
+    }
     assert got == pinned
 
 
@@ -306,7 +302,7 @@ def test_scores_read_back_train_as_in_memory(tmp_path):
     train_keys = {**TEST_CONFIG["train"], "mode": "multi_k", "sampling": "geometry_aware"}
     config = config_from_dict({**TEST_CONFIG, "train": train_keys})
     world = generate_world(config.world, config.world_seed)
-    prompts = default_prompt_set(config.world.descriptor_dim, config.prompt_seed)
+    prompts = default_prompt_set(config.world.descriptor_dim, PROMPT_SEED)
     variants = generate_all_variants(world, prompts, config.variant_seed)
     scores = score_world_variants(world, variants, MatchParams())
     storage.save_scores(scores, config.c_tau, tmp_path)
@@ -940,14 +936,12 @@ BAD_VALUES = {
     "root.eval_ks-repeated": (None, "eval_ks", [1, 1]),
     "root.world_seed-negative": (None, "world_seed", -1),
     "root.world_seed-str": (None, "world_seed", "7"),
-    "root.prompt_seed-float": (None, "prompt_seed", 1.5),
     "root.variant_seed-negative": (None, "variant_seed", -2),
     "root.query_conditions-str": (None, "query_conditions", "at night"),
     "root.query_conditions-repeated": (None, "query_conditions", ["at night", "at night"]),
     "root.query_conditions-unknown": (None, "query_conditions", ["at brunch"]),
     "world.num_landmarks-str": ("world", "num_landmarks", "5"),
     "world.num_map_views-float": ("world", "num_map_views", 16.0),
-    "world.image_width-0": ("world", "image_width", 0),
     "world.min_coobs-0": ("world", "min_coobs", 0),
     "world.street_length-nan": ("world", "street_length", float("nan")),
     "world.num_landmarks-9": ("world", "num_landmarks", 9),
@@ -1036,14 +1030,16 @@ def test_cli_threshold_mode_is_unknown_config_key(tmp_path, capsys, data):
 FIXED_WORLD_KEYS = [
     "bend_angle_deg", "lateral_min", "lateral_max", "height_max", "camera_height", "focal",
     "min_visible", "heading_jitter_deg", "query_translation_sigma", "query_rotation_sigma_deg",
+    "image_width", "image_height",
 ]
 
 
 @pytest.mark.parametrize("key", FIXED_WORLD_KEYS)
 def test_cli_fixed_world_key_is_unknown_config_key(tmp_path, capsys, key):
-    """The street's shape and the camera placement are module constants of
-    `worldgen`, the same in every world: setting one of them in the world
-    section exits 2 with an unknown key, and nothing is written."""
+    """The street's shape and the camera (placement, focal length and image
+    size) are module constants of `worldgen`, the same in every world:
+    setting one of them in the world section exits 2 with an unknown key,
+    and nothing is written."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"world": {key: 1.0}}))
     assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
@@ -1054,6 +1050,7 @@ def test_cli_fixed_world_key_is_unknown_config_key(tmp_path, capsys, key):
 FIXED_TUNING_KEYS = [
     "codebook_iters", "asmk_alpha", "asmk_sel_threshold",
     "train.margin", "train.learning_rate", "train.weight_decay", "thresholds", "match", "ransac",
+    "prompt_seed",
 ]
 
 # the value each key is set to: 1, or for the former `match` and `ransac`
@@ -1065,8 +1062,10 @@ FIXED_TUNING_VALUES = {"match": {"ratio": 0.9}, "ransac": {"iterations": 1000}}
 def test_cli_fixed_tuning_key_is_unknown_config_key(tmp_path, capsys, key):
     """The k-means iteration count, the match kernel's selectivity and
     threshold, training's margin, rate and weight decay, the accuracy levels,
-    the 2D matcher's ratio and pixel tolerance and the RANSAC solver's budget
-    and bounds are constants of the code that reads them: setting one exits
+    the 2D matcher's ratio and pixel tolerance, the RANSAC solver's budget
+    and bounds and the prompts' seed (`variants.PROMPT_SEED`, which
+    `variants` and `evaluate` both read) are constants of the code that
+    reads them: setting one exits
     2 with an unknown key, at the root or in the train section, and nothing
     is written. The former sections are named as a whole, not by a dotted
     key."""
@@ -1145,40 +1144,54 @@ def test_cli_unknown_meta_key_is_data_error(pipeline, tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
-def test_config_reference_lists_every_key_with_its_default(tmp_path):
-    """A nested config built from every line of config.reference loads and
-    equals the default config, and no key with another source is listed."""
-    write_config_reference(tmp_path)
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_key_rows() -> list[tuple[str, str]]:
+    """(dotted key, JSON default) of each row of README's key tables, the
+    rows whose first two cells are backquoted."""
+    rows = []
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.split("|")[1:-1]]
+        if len(cells) == 3 and all(c.startswith("`") and c.endswith("`") for c in cells[:2]):
+            rows.append((cells[0][1:-1], cells[1][1:-1]))
+    return rows
+
+
+def settable_keys(cls=ExperimentConfig, path: str = "") -> list[str]:
+    """The dotted name of each field a config file may set: every field of
+    the config's dataclasses but the sections and the keys whose value comes
+    from elsewhere."""
+    keys = []
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            keys += settable_keys(f.default_factory, f"{path}{f.name}.")
+        elif path + f.name not in experiment._NOT_KEYS:
+            keys.append(path + f.name)
+    return keys
+
+
+def test_config_reference_lists_every_key_with_its_default():
+    """README's key tables are the config reference: a nested config built
+    from each row's key and JSON default loads and equals the default
+    config."""
     data: dict = {}
-    for line in (tmp_path / "config.reference").read_text().splitlines():
-        if line.startswith(("#", "[")):
-            continue
-        dotted, value = line.split(" = ", 1)
+    for dotted, default in readme_key_rows():
         *sections, key = dotted.split(".")
         node = data
         for section in sections:
             node = node.setdefault(section, {})
-        node[key] = ast.literal_eval(value)
+        node[key] = json.loads(default)
     assert config_from_dict(data) == ExperimentConfig()
-    listed = {
-        (section, key)
-        for section, sub in data.items() if isinstance(sub, dict)
-        for key in sub
-    }
-    assert listed.isdisjoint((s, k) for s, k, _, _ in ONE_SOURCE.values())
 
 
-def test_readme_names_every_config_key(tmp_path):
-    """README.md documents each key that config.reference lists under its
-    dotted name, in backquotes as its key tables write it."""
-    write_config_reference(tmp_path)
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    keys = [
-        line.split(" = ", 1)[0]
-        for line in (tmp_path / "config.reference").read_text().splitlines()
-        if not line.startswith(("#", "["))
-    ]
-    assert [key for key in keys if f"`{key}`" not in readme] == []
+def test_readme_names_every_config_key():
+    """README's key tables list each settable key once and no other: no
+    section, no key with another source (`train.seed`, `train.c_tau`) and no
+    constant."""
+    keys = [key for key, _ in readme_key_rows()]
+    assert len(keys) == len(set(keys)) == 28
+    assert set(keys) == set(settable_keys())
 
 
 @pytest.mark.parametrize("key,value", list(BAD_NOISE.values()), ids=list(BAD_NOISE))
@@ -1230,33 +1243,79 @@ def test_cli_evaluate_config_error_writes_nothing(pipeline, tmp_path, capsys, ov
             {"world": {**TEST_CONFIG["world"], "num_query_views": 0}},
             "world.num_query_views: 0 query views leave ablate nothing to evaluate",
         ),
+        (
+            {"world": {**TEST_CONFIG["world"], "visibility_radius": 0.5}},
+            "degenerate world: map view 0 sees only 0 landmarks",
+        ),
+        (
+            {"train": {**TEST_CONFIG["train"], "embedding_dim": 20}},
+            "train.embedding_dim 20 exceeds the descriptor dim 16",
+        ),
     ],
-    ids=["c_tau-0", "c_tau-negative", "eval_ks-above-map-size", "no-query-views"],
+    ids=[
+        "c_tau-0", "c_tau-negative", "eval_ks-above-map-size", "no-query-views",
+        "degenerate-world", "embedding_dim-above-descriptor-dim",
+    ],
 )
 def test_cli_ablate_config_error_writes_nothing(tmp_path, capsys, override, message):
     """`ablate` with a root c_tau that geometry-aware sampling cannot train
-    with, with k larger than the 16-view map the config makes, or with no
-    query views to evaluate on, exits 2 before it touches `--out`: an earlier
-    run there stays byte for byte. It used to remove the earlier variants and
-    runs and write a new world first; a c_tau <= 0 then ended in a ValueError
-    traceback, and no query views in a data error (exit 3)."""
+    with, with k larger than the 16-view map the config makes, with no
+    query views to evaluate on, with a world whose map views see too few
+    landmarks or with an embedding wider than that world's descriptors,
+    exits 2 before it touches `--out`: an earlier run there stays byte for
+    byte. It used to remove the earlier variants and runs and write a new
+    world first; a c_tau <= 0 then ended in a ValueError traceback, and no
+    query views in a data error (exit 3)."""
+    assert ablate_over_an_earlier_run(tmp_path, {**TEST_CONFIG, **override}) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_cli_ablate_data_error_writes_nothing(tmp_path, capsys):
+    """`ablate` of a world without matching pairs exits 3 before it touches
+    `--out`, where it used to remove the earlier variants and runs and write
+    the new world first."""
+    config = {**TEST_CONFIG, "world": {**TEST_CONFIG["world"], "min_coobs": 1000}}
+    assert ablate_over_an_earlier_run(tmp_path, config) == 3
+    assert capsys.readouterr().err == "data error: world has no matching pairs\n"
+
+
+def ablate_over_an_earlier_run(tmp_path, config: dict) -> int:
+    """`ablate`'s exit code for `config` into an `--out` that holds an
+    earlier run, which it must leave byte for byte."""
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({**TEST_CONFIG, **override}))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "ablation"
     for rel in ("world/meta.csv", "variants/prompts.csv", "runs/baseline/seed_1/summary.csv", "ablation.csv"):
         (out / rel).parent.mkdir(parents=True, exist_ok=True)
         (out / rel).write_text(f"{rel} of an earlier run\n")
     before = dir_digest(out)
-    assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}")
+    rc = main(["ablate", "--config", str(cfg), "--out", str(out)])
     assert dir_digest(out) == before
+    return rc
 
 
 def test_cli_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"world": {"num_map_views": 16}, "world": {"num_landmarks": 250}}', "world"),
+        ('{"world": {"num_map_views": 16, "num_map_views": 12}}', "num_map_views"),
+    ],
+    ids=["root", "world"],
+)
+def test_cli_key_set_twice_is_config_error(tmp_path, capsys, text, key):
+    """A key set twice in one JSON object exits 2 naming it, and nothing is
+    written; the later value used to replace the earlier without a word."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+    assert capsys.readouterr().err == f"config error: config key {key} is set twice in one object\n"
+    assert not (tmp_path / "w").exists()
 
 
 def test_cli_missing_world_is_data_error(tmp_path):
@@ -1336,11 +1395,10 @@ def test_ablate_small_grid(tmp_path):
     cfg.seeds = [1]
     out = tmp_path / "ablation"
     cmd_ablate(cfg, out, methods=("baseline", "synth_geometry"))
-    # every output but config.reference, against digests recorded before
-    # the train configs came from one source
-    pinned = json.loads((Path(__file__).parent / "data" / "cli_ablate_sha256.json").read_text())
-    got = {rel: digest for rel, digest in dir_digest(out).items() if Path(rel).name != "config.reference"}
-    assert got == pinned
+    # every output, against digests recorded before the train configs came
+    # from one source
+    got = dir_digest(out)
+    assert got == json.loads((Path(__file__).parent / "data" / "cli_ablate_sha256.json").read_text())
     assert not any(Path(rel).name == "done" for rel in got)
     with open(out / "ablation.csv", newline="") as f:
         report = list(csv.DictReader(f))
@@ -1469,9 +1527,7 @@ def test_cli_bytes_do_not_depend_on_cpu_count(pipeline, tmp_path, monkeypatch, f
     assert main(["variants", "--config", cfg, "--world", world, "--out", str(variants)]) == 0
     got = {f"world/{rel}": d for rel, d in dir_digest(pipeline["world"]).items()}
     got |= {f"variants/{rel}": d for rel, d in dir_digest(variants).items()}
-    assert {k: v for k, v in got.items() if Path(k).name != "config.reference"} == json.loads(
-        (data / "cli_variants_sha256.json").read_text()
-    )
+    assert got == json.loads((data / "cli_variants_sha256.json").read_text())
 
     multi_k = tmp_path / "multi_k.json"
     train = {**TEST_CONFIG["train"], "mode": "multi_k", "sampling": "geometry_aware"}
@@ -1495,16 +1551,14 @@ def test_cli_bytes_do_not_depend_on_cpu_count(pipeline, tmp_path, monkeypatch, f
         ("train_multi_k_geometry_aware", dirs["train_multi_k"]),
         ("evaluate", dirs["evaluate"]),
     ):
-        got |= {f"{name}/{rel}": d for rel, d in dir_digest(root).items() if rel != "config.reference"}
+        got |= {f"{name}/{rel}": d for rel, d in dir_digest(root).items()}
     assert got == json.loads((data / "cli_train_evaluate_sha256.json").read_text())
-    got = {rel: d for rel, d in dir_digest(dirs["asmk"]).items() if rel != "config.reference"}
-    assert got == json.loads((data / "cli_evaluate_asmk_sha256.json").read_text())
+    assert dir_digest(dirs["asmk"]) == json.loads((data / "cli_evaluate_asmk_sha256.json").read_text())
 
     ablate_cfg = config_from_dict({**TEST_CONFIG, "seeds": [1]})
     out = tmp_path / "ablation"
     cmd_ablate(ablate_cfg, out, methods=("baseline", "synth_geometry"))
-    got = {rel: d for rel, d in dir_digest(out).items() if Path(rel).name != "config.reference"}
-    assert got == json.loads((data / "cli_ablate_sha256.json").read_text())
+    assert dir_digest(out) == json.loads((data / "cli_ablate_sha256.json").read_text())
 
     assert (len(forks) > 0) == (cpus > 1)
 

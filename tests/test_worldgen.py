@@ -15,7 +15,7 @@ from synthloc.worldgen import (
 )
 from synthloc import quats, storage, worldgen
 
-from conftest import SMALL_WORLD, from_axis_angle, landmark_set
+from conftest import INTR, SMALL_WORLD, from_axis_angle, landmark_set
 
 
 def test_determinism_byte_identical(tmp_path, small_world):
@@ -268,7 +268,7 @@ def test_projection_over_stacked_poses_equals_each_pose_alone():
     `project_points` under that pose alone, which are those of the projection
     written out; points behind a camera included."""
     rng = np.random.default_rng(5)
-    intr = WorldConfig().intrinsics()
+    intr = INTR
     points = rng.uniform(-20.0, 20.0, (80, 3))
     poses = [
         CameraPose(from_axis_angle(rng.standard_normal(3), rng.uniform(-3.0, 3.0)), rng.uniform(-5, 5, 3))

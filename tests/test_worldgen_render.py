@@ -105,31 +105,35 @@ def made(monkeypatch):
 # ---------------------------------------------------------------- worlds
 
 
-def _config(d, clutter, width=640, height=480, noise=None):
+def _config(d, clutter, noise=None):
     return WorldConfig(
         num_landmarks=150,
         descriptor_dim=d,
         num_map_views=6,
         num_query_views=3,
         street_length=60.0,
-        image_width=width,
-        image_height=height,
         noise=noise or RenderNoise(clutter_count=clutter),
     )
 
 
+# every world's camera: focal length 400 px, a 640 x 480 image and the
+# principal point at its centre
+INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
+
+# each world with the image size its views are rendered into again: the
+# world's own, or one of odd width and height
 WORLDS = {
-    "d32-clutter5": _config(32, 5),
-    "d4-clutter0": _config(4, 0),
-    "d32-clutter7-odd-image": _config(32, 7, width=641, height=479),
-    "d4-clutter7-odd-image": _config(4, 7, width=481, height=359),
-    "zero-noise": _config(16, 7, noise=RenderNoise(0.0, 0.0, 7)),
+    "d32-clutter5": (_config(32, 5), INTR.image_size),
+    "d4-clutter0": (_config(4, 0), INTR.image_size),
+    "d32-clutter7-odd-image": (_config(32, 7), (641, 479)),
+    "d4-clutter7-odd-image": (_config(4, 7), (481, 359)),
+    "zero-noise": (_config(16, 7, noise=RenderNoise(0.0, 0.0, 7)), INTR.image_size),
 }
 
 
 @pytest.mark.parametrize("seed", [7, 11, 3])
-@pytest.mark.parametrize("config", list(WORLDS.values()), ids=list(WORLDS))
-def test_generate_world_equals_reference(made, config, seed):
+@pytest.mark.parametrize("config,size", list(WORLDS.values()), ids=list(WORLDS))
+def test_generate_world_equals_reference(made, config, size, seed):
     world = generate_world(config, seed)
     (positions, descs), rng = ref_landmarks(config, seed)
     got = (world.landmarks.positions, world.landmarks.descriptors)
@@ -137,17 +141,27 @@ def test_generate_world_equals_reference(made, config, seed):
     assert made[0].bit_generator.state == rng.bit_generator.state
 
     # every view of the world, rendered again per row from its own pose
-    intr = config.intrinsics()
-    for i, view in enumerate(world.map_views):
-        want, _ = ref_render_view(
-            world, view.pose, intr, config.noise, derive_seed(seed, 2, i), config.visibility_radius
-        )
+    for view, view_seed in _view_seeds(world, seed):
+        assert view.intrinsics.image_size == INTR.image_size
+        assert view.intrinsics.principal_point.tobytes() == INTR.principal_point.tobytes()
+        want, _ = ref_render_view(world, view.pose, INTR, config.noise, view_seed, config.visibility_radius)
         assert array_bytes((view.kp, view.desc, view.lid)) == array_bytes(want)
-    for i, view in enumerate(world.query_views):
-        want, _ = ref_render_view(
-            world, view.pose, intr, config.noise, derive_seed(seed, 4, i), config.visibility_radius
-        )
-        assert array_bytes((view.kp, view.desc, view.lid)) == array_bytes(want)
+
+    # and rendered again into an image of `size`, its principal point at the
+    # centre: keypoints off its edge are dropped and clutter spans it
+    intr = CameraIntrinsics(400.0, np.array(size) / 2.0, size)
+    for view, view_seed in _view_seeds(world, seed):
+        got = render_view(world, view.pose, intr, config.noise, view_seed, config.visibility_radius)
+        want, rng = ref_render_view(world, view.pose, intr, config.noise, view_seed, config.visibility_radius)
+        assert array_bytes((got.kp, got.desc, got.lid)) == array_bytes(want)
+        assert made[-1].bit_generator.state == rng.bit_generator.state
+
+
+def _view_seeds(world, seed):
+    """Each view of `world` with the seed `generate_world` rendered it with."""
+    return [(v, derive_seed(seed, 2, i)) for i, v in enumerate(world.map_views)] + [
+        (v, derive_seed(seed, 4, i)) for i, v in enumerate(world.query_views)
+    ]
 
 
 NOISES = {
