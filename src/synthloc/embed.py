@@ -478,10 +478,12 @@ class TraceRow:
     synth_fraction: float
 
 
-def check_trainable(world: World, config: TrainConfig) -> None:
+def check_trainable(world: World, config: TrainConfig) -> dict[int, set[int]]:
     """A world without matching pairs leaves nothing to train on
-    (DataError), and the projection may not be wider than the world's
-    descriptors (ConfigError)."""
+    (DataError). The projection may not be wider than the world's
+    descriptors, and some matching pair must have `num_negatives` map views
+    that share no landmark with either of its views, or no step can be
+    taken (ConfigError). Returns the observer sets `mine_negatives` reads."""
     if not world.matching_pairs:
         raise DataError("world has no matching pairs")
     d = world.landmarks.descriptors.shape[1]
@@ -489,6 +491,17 @@ def check_trainable(world: World, config: TrainConfig) -> None:
         raise ConfigError(
             f"train.embedding_dim {config.embedding_dim} exceeds the descriptor dim {d}"
         )
+    observers = {v.id: {v.id} if (v.lid >= 0).any() else set() for v in world.map_views}
+    for a, b in shared_landmarks(world.map_views):
+        observers[a].add(b)
+        observers[b].add(a)
+    n = len(world.map_views)
+    if all(n - len(observers[a] | observers[b]) < config.num_negatives for a, b, _ in world.matching_pairs):
+        raise ConfigError(
+            f"train.num_negatives {config.num_negatives}: no matching pair has that many "
+            "map views that share no landmark with either of its views"
+        )
+    return observers
 
 
 def train(
@@ -504,16 +517,12 @@ def train(
     pair with too few eligible negatives is skipped, and a run of one or more
     episodes in which every pair is skipped is a ConfigError. Deterministic
     for a fixed (world, config) including the seed."""
-    check_trainable(world, config)
+    observers = check_trainable(world, config)
     if config.mode != "baseline" and (variants is None or scores is None):
         raise ValueError(f"mode {config.mode!r} needs variants and scores")
     d = world.landmarks.descriptors.shape[1]
 
     views = _training_views(world, variants)
-    observers = {v.id: {v.id} if (v.lid >= 0).any() else set() for v in world.map_views}
-    for a, b in shared_landmarks(world.map_views):
-        observers[a].add(b)
-        observers[b].add(a)
     model = init_model(d, config.embedding_dim, derive_seed(config.seed, 201))
     rng = np.random.default_rng(derive_seed(config.seed, 202))
     map_ids = sorted(v.id for v in world.map_views)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import storage
-from .embed import EmbeddingModel, TrainConfig, average_models, check_trainable, train
+from .embed import EmbeddingModel, TrainConfig, aggregate, average_models, check_trainable, train
 from .errors import (
     ConfigError,
     DataError,
@@ -178,7 +178,7 @@ def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str |
             lambda: storage.save_variants(variants, out_dir),
         ],
     )
-    storage.save_scores(scores, config.c_tau, out_dir)
+    storage.save_scores(scores, out_dir)
 
 
 def _load_variants_dir(variants_dir: str | Path, world: World) -> tuple[dict[int, list[ViewImage]], Scores]:
@@ -326,6 +326,11 @@ def cmd_evaluate(
             f"{model_path}: the model projects {model.d}-dim descriptors, the world's have {d}"
         )
     queries = _evaluation_queries(world, config)
+    # weights so large that a projection overflows give NaN scores
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.isfinite(aggregate(v, model)).all() for v in [*world.map_views, *queries])
+    if not finite:
+        raise DataError(f"{model_path}: the model gives global descriptors that are not finite")
     return _save_evaluation(evaluate_model(world, queries, model, config), out_dir)
 
 

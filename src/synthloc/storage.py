@@ -14,7 +14,7 @@ import numpy as np
 
 from .embed import EmbeddingModel, TraceRow
 from .errors import DataError
-from .geometry import ConsistencyScore, Scores, validate_pair
+from .geometry import ConsistencyScore, Scores
 from .localize import LEVELS
 from .variants import DomainShift, PromptSet
 from .worldgen import CameraIntrinsics, CameraPose, Landmarks, ViewImage, World, shared_landmarks
@@ -405,14 +405,13 @@ def load_variants(
 # ---------------------------------------------------------------------------
 
 
-_SCORES_HEADER = "query_id,positive_id,prompt,s,kept,original,valid@c_tau"
+_SCORES_HEADER = "query_id,positive_id,prompt,s,kept,original"
 
 
-def save_scores(scores: Scores, c_tau: float, out_dir: str | os.PathLike) -> None:
+def save_scores(scores: Scores, out_dir: str | os.PathLike) -> None:
     lines = [_SCORES_HEADER]
     for (q, p, prompt), s in sorted(scores.items()):
-        valid = int(validate_pair(s, c_tau))
-        lines.append(f"{q},{p},{prompt},{s.value:.6f},{s.kept},{s.original},{valid}")
+        lines.append(f"{q},{p},{prompt},{s.value:.6f},{s.kept},{s.original}")
     _write_lines(Path(out_dir) / "consistency.csv", lines)
 
 
@@ -420,10 +419,10 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
     """The scores of a `save_scores` file, each built from its `kept` and
     `original` counts, checked by `_parse_table`: its exact header, integer
     ids and counts, 0 <= kept <= original, s in [0, 1] and kept / original
-    to 6 decimals (0 when original is 0), validity 0 or 1, ids of `world`'s
-    map views and prompts of `prompts`, and one row for each (query id,
-    positive id, prompt) key of the world's matching pairs, in both
-    orientations, and the prompts."""
+    to 6 decimals (0 when original is 0), ids of `world`'s map views and
+    prompts of `prompts`, and one row for each (query id, positive id,
+    prompt) key of the world's matching pairs, in both orientations, and
+    the prompts."""
     path = Path(in_dir) / "consistency.csv"
     lines = _read_lines(path)
     scores: Scores = {}
@@ -431,9 +430,9 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
         raise DataError(f"{path}:1: the header is not {_SCORES_HEADER}")
     if len(lines) == 1 and not world.matching_pairs:
         return scores
-    ints = {0: "the query id", 1: "the positive id", 3: "kept", 4: "original", 5: "valid@c_tau"}
-    names, table = _parse_table(lines, path, "score", 7, ints, text_col=2)
-    s, kept, original, valid = table[:, 2], table[:, 3], table[:, 4], table[:, 5]
+    ints = {0: "the query id", 1: "the positive id", 3: "kept", 4: "original"}
+    names, table = _parse_table(lines, path, "score", 6, ints, text_col=2)
+    s, kept, original = table[:, 2], table[:, 3], table[:, 4]
     written = [float(f"{k / o:.6f}") if o else 0.0 for k, o in zip(kept.tolist(), original.tolist())]
     map_ids = {v.id for v in world.map_views}
     prompt_names = set(prompts.names())
@@ -445,7 +444,6 @@ def load_scores(in_dir: str | os.PathLike, world: World, prompts: PromptSet) -> 
             ((s < 0) | (s > 1), "s is not in [0, 1]"),
             ((kept < 0) | (kept > original), "kept is not in [0, original]"),
             (s != np.array(written), "s is not kept / original to 6 decimals"),
-            ((valid != 0) & (valid != 1), "valid@c_tau is not 0 or 1"),
             (np.array([q not in map_ids or p not in map_ids for q, p, _ in keys], dtype=bool),
              "a view id is not a map view's"),
             (np.array([name not in prompt_names for name in names], dtype=bool),

@@ -282,9 +282,12 @@ def render_view(
     lid = np.full(n, -1)
     lid[: idx.size] = idx
     block = rng.standard_normal((idx.size, 2 + d))
-    kp[: idx.size] = uv[idx] + noise.keypoint_sigma * block[:, :2]
     base = world.landmarks.descriptors[idx]
-    desc[: idx.size] = unit_rows(base + noise.descriptor_sigma * block[:, 2:])
+    # a noise past float range gives keypoints or descriptors that are not
+    # finite or not unit length, which `generate_world` refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        kp[: idx.size] = uv[idx] + noise.keypoint_sigma * block[:, :2]
+        desc[: idx.size] = unit_rows(base + noise.descriptor_sigma * block[:, 2:])
 
     fill_clutter(rng, kp, desc, idx.size, intrinsics.image_size)
     return ViewImage(view_id, pose, intrinsics, kp, desc, lid)
@@ -325,7 +328,9 @@ def generate_world(config: WorldConfig, seed: int) -> World:
 
     Raises ConfigError when the street's geometry cannot support pose
     estimation: a map view sees fewer than MIN_VISIBLE landmarks, or no
-    query pose among 100 draws sees 4. `WorldConfig` holds the size limits.
+    query pose among 100 draws sees 4; and when the noise is so large that
+    a view's keypoints are not finite or its descriptor rows not of unit
+    length (within 1e-9). `WorldConfig` holds the size limits.
     The landmark descriptors come from one (L, d) block of normals, whose
     row i is what a per-landmark loop would draw for landmark i, and each
     view is rendered by `render_view`, so the world is bit for bit the one a
@@ -388,6 +393,11 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         world.query_views.append(view)
         next_id += 1
 
+    for view in world.map_views + world.query_views:
+        if not np.isfinite(view.kp).all():
+            raise ConfigError(f"world.noise: view {view.id}'s keypoints are not finite")
+        if not (np.abs(row_norms(view.desc) - 1.0) <= 1e-9).all():
+            raise ConfigError(f"world.noise: view {view.id}'s descriptors are not unit length")
     world.matching_pairs = make_matching_pairs(world, config.min_coobs)
     return world
 

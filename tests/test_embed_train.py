@@ -10,13 +10,14 @@ from synthloc.embed import (
     _training_views,
     _tuple_views,
     aggregate,
+    check_trainable,
     init_model,
     mine_negatives,
     sample_tuples,
     synthetic_families,
     train,
 )
-from synthloc.errors import InsufficientNegativesError
+from synthloc.errors import ConfigError, InsufficientNegativesError
 from synthloc.geometry import ConsistencyScore
 from synthloc.variants import apply_variant
 
@@ -362,6 +363,29 @@ def test_train_aggregated_runs(small_world, small_variants, small_scores):
     )
     model, trace = train(small_world, small_variants, small_scores, cfg)
     assert np.all(np.isfinite(model.projection))
+
+
+def test_check_trainable_observers_and_negatives(small_world):
+    """`check_trainable` returns each map view's co-observers, and refuses a
+    `num_negatives` that no matching pair has enough views sharing no
+    landmark with it for; as many as the best pair has are accepted."""
+    observers = check_trainable(small_world, TrainConfig(num_negatives=1))
+    assert observers == _observers({v.id: landmark_set(v) for v in small_world.map_views})
+    n = len(small_world.map_views)
+    most = max(n - len(observers[a] | observers[b]) for a, b, _ in small_world.matching_pairs)
+    check_trainable(small_world, TrainConfig(num_negatives=most))
+    with pytest.raises(ConfigError, match=f"train.num_negatives {most + 1}: no matching pair"):
+        check_trainable(small_world, TrainConfig(num_negatives=most + 1))
+
+
+def test_train_refuses_a_run_without_a_step(small_world):
+    """A run in which every sampled pair finds too few negatives in its
+    pool takes no step: a ConfigError once the episodes are done. Here
+    each 3-view pool must miss every co-observer of the one sampled pair."""
+    cfg = TrainConfig(episodes=1, pairs_per_episode=1, negative_pool_size=3, num_negatives=3)
+    check_trainable(small_world, cfg)
+    with pytest.raises(ConfigError, match="no sampled training pair has that many eligible negatives"):
+        train(small_world, None, None, cfg)
 
 
 def test_train_synth_mode_requires_stores(small_world):

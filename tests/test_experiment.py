@@ -25,6 +25,7 @@ from synthloc.experiment import (
     load_config,
 )
 from synthloc.geometry import MatchParams, score_world_variants
+from synthloc.index import BACKENDS
 from synthloc.localize import PoseError, localization_rate
 from synthloc.variants import PROMPT_SEED, default_prompt_set, generate_all_variants
 from synthloc.worldgen import generate_world
@@ -121,6 +122,21 @@ def test_variants_outputs(pipeline):
     assert len(prompt_dirs) == 11
     for d in prompt_dirs:
         assert len(list(d.iterdir())) == TEST_CONFIG["world"]["num_map_views"]
+
+
+def test_variants_bytes_do_not_depend_on_c_tau(tmp_path, pipeline):
+    """`variants` reads only `variant_seed` from the config: at c_tau 0.2
+    and 0.5 it writes the same bytes. It used to write a valid@c_tau
+    column, which went stale when another training config reused the
+    directory."""
+    digests = []
+    for c_tau in (0.2, 0.5):
+        cfg = tmp_path / f"c_tau_{c_tau}.json"
+        cfg.write_text(json.dumps({**TEST_CONFIG, "c_tau": c_tau}))
+        out = tmp_path / f"variants_{c_tau}"
+        assert main(["variants", "--config", str(cfg), "--world", str(pipeline["world"]), "--out", str(out)]) == 0
+        digests.append(dir_digest(out))
+    assert digests[0] == digests[1]
 
 
 def test_variants_validity_monotone_in_tau(pipeline):
@@ -305,7 +321,7 @@ def test_scores_read_back_train_as_in_memory(tmp_path):
     prompts = default_prompt_set(config.world.descriptor_dim, PROMPT_SEED)
     variants = generate_all_variants(world, prompts, config.variant_seed)
     scores = score_world_variants(world, variants, MatchParams())
-    storage.save_scores(scores, config.c_tau, tmp_path)
+    storage.save_scores(scores, tmp_path)
     loaded = storage.load_scores(tmp_path, world, prompts)
     assert loaded == scores
     tc = config.train_config(1)
@@ -760,7 +776,7 @@ def test_cli_malformed_prompts_csv_is_data_error(pipeline, tmp_path, capsys, edi
 @pytest.mark.parametrize(
     "edit,reason",
     [
-        (lambda parts: parts[:2], "consistency.csv:3: 2 columns, header has 7"),
+        (lambda parts: parts[:2], "consistency.csv:3: 2 columns, header has 6"),
         (lambda parts: parts[:4] + ["x"] + parts[5:], "consistency.csv:3: 'x' is not a number"),
         (lambda parts: parts[:3] + ["nan"] + parts[4:], "consistency.csv:3: a value is not finite"),
         (lambda parts: parts[:4] + ["1.5"] + parts[5:], "consistency.csv:3: kept is not an integer"),
@@ -775,19 +791,17 @@ def test_cli_malformed_prompts_csv_is_data_error(pipeline, tmp_path, capsys, edi
             lambda parts: parts[:3] + [f"{abs(float(parts[3]) - 1e-6):.6f}"] + parts[4:],
             "consistency.csv:3: s is not kept / original to 6 decimals",
         ),
-        (lambda parts: parts[:6] + ["7"], "consistency.csv:3: valid@c_tau is not 0 or 1"),
     ],
     ids=["short-row", "str-kept", "nan-s", "fractional-kept", "fractional-id", "s-above-1",
-         "kept-above-original", "negative-kept", "s-not-kept-over-original", "valid-not-0-or-1"],
+         "kept-above-original", "negative-kept", "s-not-kept-over-original"],
 )
 def test_cli_malformed_consistency_csv_is_data_error(pipeline, tmp_path, capsys, edit, reason):
     """A consistency.csv row with a missing, non-numeric, non-finite,
     fractional or out-of-range value makes `train` exit 3 naming the file and
     line, where a short row or a non-numeric kept used to give a ValueError
     and a nan s or kept above original was read as it stood. So does an s
-    that is not kept / original as `save_scores` writes it, or a validity
-    other than 0 or 1: s weighs and samples training tuples, and both used
-    to be read as they stood."""
+    that is not kept / original as `save_scores` writes it: s weighs and
+    samples training tuples, and it used to be read as it stood."""
     variants = tmp_path / "variants"
     shutil.copytree(pipeline["variants"], variants)
     path = variants / "consistency.csv"
@@ -843,7 +857,7 @@ def test_cli_bad_consistency_keys_is_data_error(pipeline, tmp_path, capsys, comm
     assert not (tmp_path / "m").exists()
 
 
-SCORES_HEADER = "query_id,positive_id,prompt,s,kept,original,valid@c_tau"
+SCORES_HEADER = "query_id,positive_id,prompt,s,kept,original"
 
 NOT_THE_WORLDS_SCORES = {
     "lone-line": (lambda lines: ["x"], f"consistency.csv:1: the header is not {SCORES_HEADER}"),
@@ -851,10 +865,15 @@ NOT_THE_WORLDS_SCORES = {
         lambda lines: [lines[0].replace("kept", "kapt")] + lines[1:],
         f"consistency.csv:1: the header is not {SCORES_HEADER}",
     ),
+    # the format before `c_tau` moved to training alone; no second format is read
+    "seven-column": (
+        lambda lines: [lines[0] + ",valid@c_tau"] + [ln + ",1" for ln in lines[1:]],
+        f"consistency.csv:1: the header is not {SCORES_HEADER}\n",
+    ),
     "header-alone": (lambda lines: lines[:1], "consistency.csv: no scores"),
     # views 0 and 6 are map views of TEST_CONFIG's world, but not a matching pair
     "foreign-pair": (
-        lambda lines: lines[:1] + ["0,6,at night,0.5,1,2,1"],
+        lambda lines: lines[:1] + ["0,6,at night,0.5,1,2"],
         "consistency.csv:2: the (query, positive) pair is not in pairs.csv",
     ),
     "row-dropped": (lambda lines: lines[:-1], "scores, the world has"),
@@ -1194,6 +1213,27 @@ def test_readme_names_every_config_key():
     assert set(keys) == set(settable_keys())
 
 
+# a keypoint or descriptor noise past float range
+OVERFLOWING_NOISE = {
+    "keypoint_sigma": (1e308, "world.noise: view 0's keypoints are not finite"),
+    "descriptor_sigma": (1e200, "world.noise: view 0's descriptors are not unit length"),
+}
+
+
+@pytest.mark.parametrize("key", list(OVERFLOWING_NOISE))
+def test_cli_worldgen_overflowing_noise_is_config_error(tmp_path, capsys, key):
+    """A noise that overflows exits 2 naming world.noise and writes nothing.
+    Keypoints of 1e308 px noise used to be written as inf, on which
+    `variants` exited 3, and descriptors of 1e200 noise as all zeros, which
+    every verb took; both printed numpy RuntimeWarnings."""
+    value, message = OVERFLOWING_NOISE[key]
+    cfg = tmp_path / "noisy.json"
+    cfg.write_text(json.dumps({**TEST_CONFIG, "world": {**TEST_CONFIG["world"], "noise": {key: value}}}))
+    assert main(["worldgen", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "w").exists()
+
+
 @pytest.mark.parametrize("key,value", list(BAD_NOISE.values()), ids=list(BAD_NOISE))
 def test_cli_noise_config_error_names_key(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.json"
@@ -1251,23 +1291,56 @@ def test_cli_evaluate_config_error_writes_nothing(pipeline, tmp_path, capsys, ov
             {"train": {**TEST_CONFIG["train"], "embedding_dim": 20}},
             "train.embedding_dim 20 exceeds the descriptor dim 16",
         ),
+        (
+            {"train": {**TEST_CONFIG["train"], "num_negatives": 16}},
+            "train.num_negatives 16: no matching pair has that many map views",
+        ),
+        *(
+            ({"world": {**TEST_CONFIG["world"], "noise": {key: value}}}, message)
+            for key, (value, message) in OVERFLOWING_NOISE.items()
+        ),
     ],
     ids=[
         "c_tau-0", "c_tau-negative", "eval_ks-above-map-size", "no-query-views",
-        "degenerate-world", "embedding_dim-above-descriptor-dim",
+        "degenerate-world", "embedding_dim-above-descriptor-dim", "num_negatives-16",
+        *(f"{key}-overflows" for key in OVERFLOWING_NOISE),
     ],
 )
 def test_cli_ablate_config_error_writes_nothing(tmp_path, capsys, override, message):
     """`ablate` with a root c_tau that geometry-aware sampling cannot train
     with, with k larger than the 16-view map the config makes, with no
     query views to evaluate on, with a world whose map views see too few
-    landmarks or with an embedding wider than that world's descriptors,
-    exits 2 before it touches `--out`: an earlier run there stays byte for
-    byte. It used to remove the earlier variants and runs and write a new
-    world first; a c_tau <= 0 then ended in a ValueError traceback, and no
-    query views in a data error (exit 3)."""
+    landmarks, with an embedding wider than that world's descriptors, with
+    more negatives than any matching pair has views sharing no landmark
+    with it, or with a noise that overflows, exits 2 before it touches
+    `--out`: an earlier run there stays byte for byte. It used to remove the
+    earlier variants and runs and write a new world first; a c_tau <= 0
+    then ended in a ValueError traceback, no query views in a data error
+    (exit 3), 16 negatives in a config error found while training, and
+    keypoints of 1e308 px noise in a data error."""
     assert ablate_over_an_earlier_run(tmp_path, {**TEST_CONFIG, **override}) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cli_evaluate_overflowing_model_is_data_error(pipeline, tmp_path, capsys, backend):
+    """A model whose projections overflow exits 3 naming its file before
+    `evaluate` writes anything. With every weight 1e300 it used to exit 0
+    with NaN scores in rankings.csv and print numpy RuntimeWarnings."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TEST_CONFIG, "backend": backend}))
+    model = tmp_path / "huge.csv"
+    model.write_text("8,16\n" + "\n".join([",".join(["1e300"] * 16)] * 8) + "\n")
+    out = tmp_path / "eval"
+    rc = main(
+        ["evaluate", "--config", str(cfg), "--world", str(pipeline["world"]), "--model", str(model),
+         "--out", str(out)]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"data error: {model}: the model gives global descriptors that are not finite\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_ablate_data_error_writes_nothing(tmp_path, capsys):
@@ -1443,8 +1516,7 @@ def test_ablate_rerun_with_a_smaller_grid_leaves_nothing_stale(tmp_path):
 
 def test_ablation_methods_train_with_root_keys():
     """Every ablation method trains with the root c_tau (synth_uniform with
-    the filter off) and the run's seed, the values that `variants` writes
-    valid@c_tau with."""
+    the filter off) and the run's seed."""
     c_tau = 0.35
     cfg = config_from_dict({**TEST_CONFIG, "c_tau": c_tau})
     for method in ABLATION_METHODS:

@@ -112,7 +112,7 @@ def saved(tmp_path_factory, small_world, small_prompts, small_variants, small_sc
     out = tmp_path_factory.mktemp("readers")
     storage.save_prompts(small_prompts, out)
     storage.save_variants(small_variants, out)
-    storage.save_scores(small_scores, 0.2, out)
+    storage.save_scores(small_scores, out)
     return Saved(out, small_world, small_prompts)
 
 

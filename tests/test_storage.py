@@ -78,7 +78,7 @@ def test_variants_roundtrip(tmp_path, small_world, small_prompts, small_variants
 
 
 def test_scores_roundtrip(tmp_path, small_world, small_prompts, small_scores):
-    storage.save_scores(small_scores, 0.2, tmp_path)
+    storage.save_scores(small_scores, tmp_path)
     loaded = storage.load_scores(tmp_path, small_world, small_prompts)
     assert len(loaded) == len(small_scores)
     for key, s in small_scores.items():
@@ -91,7 +91,7 @@ def test_scores_roundtrip(tmp_path, small_world, small_prompts, small_scores):
 def test_load_scores_takes_a_lone_header_only_for_a_world_without_pairs(
     tmp_path, small_world, small_prompts
 ):
-    storage.save_scores({}, 0.2, tmp_path)
+    storage.save_scores({}, tmp_path)
     assert storage.load_scores(tmp_path, replace(small_world, matching_pairs=[]), small_prompts) == {}
     with pytest.raises(DataError, match="no scores"):
         storage.load_scores(tmp_path, small_world, small_prompts)
@@ -99,12 +99,12 @@ def test_load_scores_takes_a_lone_header_only_for_a_world_without_pairs(
 
 def test_scores_csv_validity_column(tmp_path):
     scores = {(0, 1, "a"): ConsistencyScore(10, 20), (0, 1, "b"): ConsistencyScore(2, 20)}
-    storage.save_scores(scores, 0.2, tmp_path)
+    storage.save_scores(scores, tmp_path)
     lines = (tmp_path / "consistency.csv").read_text().splitlines()
-    assert lines[0] == "query_id,positive_id,prompt,s,kept,original,valid@c_tau"
+    assert lines[0] == "query_id,positive_id,prompt,s,kept,original"
     rows = {ln.split(",")[2]: ln.split(",") for ln in lines[1:]}
-    assert rows["a"][3] == "0.500000" and rows["a"][6] == "1"
-    assert rows["b"][3] == "0.100000" and rows["b"][6] == "0"
+    assert rows["a"][3] == "0.500000"
+    assert rows["b"][3] == "0.100000"
 
 
 def test_trace_format(tmp_path):
