@@ -250,19 +250,23 @@ def evaluate_model(
     at each accuracy level per protocol, k and condition (all queries, then
     each condition, taken from the query id), a failed row counting as not
     localized. Writes nothing. Each query has its own RANSAC seed, so the
-    queries are fanned out over the CPUs with `_fan_out`."""
+    queries are fanned out over the CPUs with `_fan_out`. A model whose
+    projected descriptors overflow the codebook's k-means or a retrieval
+    raises FloatingPointError."""
     codebook = None
-    if config.backend == "asmk":
-        local_vectors = np.concatenate([v.desc @ model.projection.T for v in world.map_views])
-        cb_size = min(config.codebook_size, local_vectors.shape[0])
-        codebook = train_codebook(local_vectors, cb_size, seed=config.codebook_seed)
-    index = build_index(world.map_views, model, codebook)
+    with np.errstate(over="raise", invalid="raise"):
+        if config.backend == "asmk":
+            local_vectors = np.concatenate([v.desc @ model.projection.T for v in world.map_views])
+            cb_size = min(config.codebook_size, local_vectors.shape[0])
+            codebook = train_codebook(local_vectors, cb_size, seed=config.codebook_seed)
+        index = build_index(world.map_views, model, codebook)
     map_poses = {v.id: v.pose for v in world.map_views}
     map_views = {v.id: v for v in world.map_views}
     k_max = max(config.eval_ks)
 
     def localize_query(q: ViewImage) -> tuple[list, list[dict]]:
-        ranked = retrieve(q, index, model, config.backend, k_max)
+        with np.errstate(over="raise", invalid="raise"):
+            ranked = retrieve(q, index, model, config.backend, k_max)
         rows = []
 
         def row(protocol: str, k: int, error: PoseError | None, status: str = "ok") -> dict:
@@ -331,7 +335,11 @@ def cmd_evaluate(
         finite = all(np.isfinite(aggregate(v, model)).all() for v in [*world.map_views, *queries])
     if not finite:
         raise DataError(f"{model_path}: the model gives global descriptors that are not finite")
-    return _save_evaluation(evaluate_model(world, queries, model, config), out_dir)
+    try:
+        evaluation = evaluate_model(world, queries, model, config)
+    except FloatingPointError:
+        raise DataError(f"{model_path}: the model's projected descriptors overflow retrieval") from None
+    return _save_evaluation(evaluation, out_dir)
 
 
 ABLATION_METHODS = ("baseline", "synth_uniform", "synth_filtered", "synth_geometry")

@@ -17,7 +17,7 @@ from .errors import DataError
 from .geometry import ConsistencyScore, Scores
 from .localize import LEVELS
 from .variants import DomainShift, PromptSet
-from .worldgen import CameraIntrinsics, CameraPose, Landmarks, ViewImage, World, shared_landmarks
+from .worldgen import CAMERA, CameraPose, Landmarks, ViewImage, World, row_norms, shared_landmarks
 
 # Every float is written by one `%` row string per line, with these specs
 F9 = "%.9g"  # world-level floats
@@ -147,10 +147,17 @@ def _parse_features(
     return table[:, :2], table[:, 3:], np.clip(table[:, 2], -1, 2**62).astype(int)
 
 
+def _not_unit(desc: np.ndarray) -> tuple[np.ndarray, str]:
+    """The check of descriptor rows whose length is not 1 within 1e-6: rows
+    written with `F9` read back within about 1e-9 of it."""
+    with np.errstate(over="ignore"):  # a row past float range has length inf
+        return np.abs(row_norms(desc)[:, 0] - 1.0) > 1e-6, "the descriptor is not unit length"
+
+
 def _load_features(path: Path, landmarks: Landmarks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The feature arrays of one file, whose descriptors must be
-    d-dimensional like the world's `landmarks`, and whose landmark ids must
-    be -1 or the id of one of them, each at most once."""
+    """The feature arrays of one file, whose descriptors must be unit
+    length and d-dimensional like the world's `landmarks`, and whose
+    landmark ids must be -1 or the id of one of them, each at most once."""
     kp, desc, lid = _parse_features(_read_lines(path), path)
     n, d = landmarks.descriptors.shape
     if desc.shape[1] != d:
@@ -158,6 +165,7 @@ def _load_features(path: Path, landmarks: Landmarks) -> tuple[np.ndarray, np.nda
     _reject_rows(
         path,
         [
+            _not_unit(desc),
             (lid >= n, "the landmark id is not in landmarks.csv"),
             (_repeated(lid.tolist()) & (lid >= 0), "the landmark id is repeated"),
         ],
@@ -165,11 +173,9 @@ def _load_features(path: Path, landmarks: Landmarks) -> tuple[np.ndarray, np.nda
     return kp, desc, lid
 
 
-# meta.csv's keys, in the order save_world writes them
-_META_KEYS = (
-    "seed", "descriptor_dim", "num_map_views", "num_query_views", "focal", "cx", "cy", "width", "height"
-)
-_META_INTS = ("seed", "descriptor_dim", "num_map_views", "num_query_views", "width", "height")
+# meta.csv's keys, in the order save_world writes them; no world file holds
+# the camera, which is `worldgen.CAMERA` for every view
+_META_KEYS = ("seed", "num_map_views", "num_query_views")
 
 
 def save_world(world: World, out_dir: str | os.PathLike) -> None:
@@ -182,10 +188,10 @@ def save_world(world: World, out_dir: str | os.PathLike) -> None:
     lines += [row % (i, *values) for i, values in enumerate(table.tolist())]
     _write_lines(out / "landmarks.csv", lines)
 
-    lines = ["id,qw,qx,qy,qz,tx,ty,tz,condition"]
-    row = "%s," + ",".join([F9] * 7) + ",%s"
+    lines = ["id,qw,qx,qy,qz,tx,ty,tz"]
+    row = "%s," + ",".join([F9] * 7)
     for v in list(world.map_views) + list(world.query_views):
-        lines.append(row % (v.id, *v.pose.rotation.tolist(), *v.pose.position.tolist(), v.condition))
+        lines.append(row % (v.id, *v.pose.rotation.tolist(), *v.pose.position.tolist()))
     _write_lines(out / "views.csv", lines)
 
     shutil.rmtree(out / "features", ignore_errors=True)  # no stale view files
@@ -197,53 +203,33 @@ def save_world(world: World, out_dir: str | os.PathLike) -> None:
         lines.append(f"{a},{b},{c}")
     _write_lines(out / "pairs.csv", lines)
 
-    intr = world.map_views[0].intrinsics
-    values = dict(
-        seed=world.seed,
-        descriptor_dim=d,
-        num_map_views=len(world.map_views),
-        num_query_views=len(world.query_views),
-        focal=F9 % intr.focal,
-        cx=F9 % intr.principal_point[0],
-        cy=F9 % intr.principal_point[1],
-        width=intr.image_size[0],
-        height=intr.image_size[1],
-    )
-    _write_lines(out / "meta.csv", ["key,value"] + [f"{key},{values[key]}" for key in _META_KEYS])
+    values = (world.seed, len(world.map_views), len(world.query_views))
+    _write_lines(out / "meta.csv", ["key,value"] + [f"{k},{v}" for k, v in zip(_META_KEYS, values)])
 
 
-def _load_meta(path: Path, descriptor_dim: int) -> dict[str, float]:
+def _load_meta(path: Path) -> dict[str, float]:
     """meta.csv's values by key: exactly the keys save_world writes, each
-    once, each a finite number, and an integer >= 0 where the key counts or
-    seeds something; a world has at least the 2 map views of a trajectory,
-    and `descriptor_dim` must be the landmarks' descriptor width. An integer
-    entry is read from its text where `int` takes it, so exactly also past
-    2**53."""
+    once, each an integer >= 0; a world has at least the 2 map views of a
+    trajectory. An entry is read from its text where `int` takes it, so
+    exactly also past 2**53."""
     lines = _read_lines(path)
     keys, table = _parse_table(lines, path, "meta entry", 2, text_col=0)
     _reject_rows(path, [(_repeated(keys), "the key is repeated")])
     meta = dict(zip(keys, table[:, 0].tolist()))
     for key, line in zip(keys, lines[1:]):
-        if key in _META_INTS:
-            # "7.0", or digits past int's length limit, keep the float checked below
-            with contextlib.suppress(ValueError):
-                meta[key] = int(line.split(",")[1])
+        # "7.0", or digits past int's length limit, keep the float checked below
+        with contextlib.suppress(ValueError):
+            meta[key] = int(line.split(",")[1])
     for key in _META_KEYS:
         if key not in meta:
             raise DataError(f"{path}: no {key} entry")
-        if key in _META_INTS and not (meta[key] == round(meta[key]) and meta[key] >= 0):
+        if not (meta[key] == round(meta[key]) and meta[key] >= 0):
             raise DataError(f"{path}:{keys.index(key) + 2}: {key} is not an integer >= 0")
     unknown = np.array([key not in _META_KEYS for key in keys])
     _reject_rows(path, [(unknown, "the key is not one save_world writes")])
     if meta["num_map_views"] < 2:
         line = keys.index("num_map_views") + 2
         raise DataError(f"{path}:{line}: num_map_views is below 2, a trajectory's fewest views")
-    if meta["descriptor_dim"] != descriptor_dim:
-        line = keys.index("descriptor_dim") + 2
-        raise DataError(
-            f"{path}:{line}: descriptor_dim is {meta['descriptor_dim']}, "
-            f"landmarks.csv's descriptors are {descriptor_dim}-dim"
-        )
     return meta
 
 
@@ -252,39 +238,25 @@ def load_world(in_dir: str | os.PathLike) -> World:
     path = src / "landmarks.csv"
     _, table = _parse_table(_read_lines(path), path, "landmark", 5, {0: "the landmark id"})
     _reject_rows(
-        path, [(table[:, 0] != np.arange(len(table)), "landmark ids must be 0 to L - 1 in row order")]
+        path,
+        [
+            (table[:, 0] != np.arange(len(table)), "landmark ids must be 0 to L - 1 in row order"),
+            _not_unit(table[:, 4:]),
+        ],
     )
     landmarks = Landmarks(table[:, 1:4], table[:, 4:])
 
-    path = src / "meta.csv"
-    meta = _load_meta(path, landmarks.descriptors.shape[1])
-    try:
-        intr = CameraIntrinsics(
-            focal=meta["focal"],
-            principal_point=np.array([meta["cx"], meta["cy"]]),
-            image_size=(int(meta["width"]), int(meta["height"])),
-        )
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
+    meta = _load_meta(src / "meta.csv")
     n_map = int(meta["num_map_views"])
     path = src / "views.csv"
-    conditions, table = _parse_table(
-        _read_lines(path), path, "view", 9, {0: "the view id"}, text_col=8
-    )
+    _, table = _parse_table(_read_lines(path), path, "view", 8, {0: "the view id"})
     n_query = int(meta["num_query_views"])
     if len(table) != n_map + n_query:
         raise DataError(
             f"{path}: {len(table)} views, meta.csv counts {n_map} map and {n_query} query views"
         )
     view_ids = table[:, 0].tolist()
-    _reject_rows(
-        path,
-        [
-            (_repeated(view_ids), "the view id is repeated"),
-            (np.array(conditions) != "original", "the view's condition is not original"),
-        ],
-    )
+    _reject_rows(path, [(_repeated(view_ids), "the view id is repeated")])
     map_views: list[ViewImage] = []
     query_views: list[ViewImage] = []
     for row, values in enumerate(table):
@@ -294,7 +266,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
             raise DataError(f"{path}:{row + 2}: {exc}") from None
         vid = int(values[0])
         feats = _load_features(src / "features" / f"{vid}.csv", landmarks)
-        view = ViewImage(vid, pose, intr, *feats)
+        view = ViewImage(vid, pose, CAMERA, *feats)
         (map_views if row < n_map else query_views).append(view)
 
     path = src / "pairs.csv"

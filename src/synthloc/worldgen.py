@@ -129,6 +129,8 @@ HEIGHT_MAX = 8.0  # m
 CAMERA_HEIGHT = 1.6  # m
 FOCAL = 400.0  # px
 IMAGE_SIZE = (640, 480)  # px, width and height; the principal point is the centre
+# the one camera every view is rendered with and every world is loaded with
+CAMERA = CameraIntrinsics(FOCAL, np.array(IMAGE_SIZE) / 2.0, IMAGE_SIZE)
 MIN_VISIBLE = 8  # landmarks each map view must see
 HEADING_JITTER_DEG = 2.0
 QUERY_TRANSLATION_SIGMA = 0.7  # m
@@ -350,7 +352,6 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     landmarks = Landmarks(np.column_stack([xy, z]), descs)
 
     world = World(landmarks=landmarks, map_views=[], query_views=[], matching_pairs=[], seed=seed)
-    intr = CameraIntrinsics(FOCAL, np.array(IMAGE_SIZE) / 2.0, IMAGE_SIZE)
 
     heading_rng = np.random.default_rng(derive_seed(seed, 1))
     for i in range(config.num_map_views):
@@ -359,7 +360,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         pose = _pose_at(config, s, jitter)
         try:
             view = render_view(
-                world, pose, intr, config.noise, derive_seed(seed, 2, i), config.visibility_radius, view_id=i
+                world, pose, CAMERA, config.noise, derive_seed(seed, 2, i), config.visibility_radius, view_id=i
             )
             n_lm = int(np.sum(view.lid >= 0))
         except NoVisibleLandmarksError:
@@ -380,7 +381,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
             pose = CameraPose(rotation=pose.rotation, position=pose.position + np.array([offset[0], offset[1], 0.0]))
             try:
                 candidate = render_view(
-                    world, pose, intr, config.noise, derive_seed(seed, 4, i), config.visibility_radius,
+                    world, pose, CAMERA, config.noise, derive_seed(seed, 4, i), config.visibility_radius,
                     view_id=next_id,
                 )
             except NoVisibleLandmarksError:

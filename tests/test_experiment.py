@@ -413,8 +413,8 @@ def test_cli_world_without_query_views_is_data_error(pipeline, tmp_path, capsys)
     0.00% rows."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
-    _edit_line(world / "meta.csv", 4, lambda parts: [parts[0], "22"])
-    _edit_line(world / "meta.csv", 5, lambda parts: [parts[0], "0"])
+    _edit_line(world / "meta.csv", 3, lambda parts: [parts[0], "22"])
+    _edit_line(world / "meta.csv", 4, lambda parts: [parts[0], "0"])
     out = tmp_path / "eval"
     rc = main(
         ["evaluate", "--config", pipeline["cfg"], "--world", str(world),
@@ -472,8 +472,8 @@ def test_cli_world_with_fewer_than_two_map_views_is_data_error(pipeline, tmp_pat
     eval_ks, even at k = 1."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
-    _edit_line(world / "meta.csv", 4, lambda parts: [parts[0], "0"])
-    _edit_line(world / "meta.csv", 5, lambda parts: [parts[0], "22"])
+    _edit_line(world / "meta.csv", 3, lambda parts: [parts[0], "0"])
+    _edit_line(world / "meta.csv", 4, lambda parts: [parts[0], "22"])
     (world / "pairs.csv").write_text("a,b,count\n")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**TEST_CONFIG, "eval_ks": [1]}))
@@ -482,7 +482,7 @@ def test_cli_world_with_fewer_than_two_map_views_is_data_error(pipeline, tmp_pat
     rc = main([command, "--config", str(cfg), "--world", str(world), *model, "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 3
-    assert f"{world}/meta.csv:4: num_map_views is below 2" in err and "Traceback" not in err
+    assert f"{world}/meta.csv:3: num_map_views is below 2" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -652,15 +652,6 @@ BAD_WORLD_IDS = {
         "evaluate", _set_line("views.csv", 5, lambda lines: _repeat_id(lines, 5)),
         "views.csv:5: the view id is repeated",
     ),
-    # line 20 is a query view's, which `train` reads but does not use
-    "view-synthetic-train": (
-        "train", _set_line("views.csv", 20, lambda lines: lines[19].rsplit(",", 1)[0] + ",at night"),
-        "views.csv:20: the view's condition is not original",
-    ),
-    "view-synthetic-evaluate": (
-        "evaluate", _set_line("views.csv", 20, lambda lines: lines[19].rsplit(",", 1)[0] + ",at night"),
-        "views.csv:20: the view's condition is not original",
-    ),
 }
 
 
@@ -669,13 +660,12 @@ def test_cli_bad_world_ids_is_data_error(pipeline, tmp_path, capsys, command, ed
     """Feature landmark ids missing from landmarks.csv or repeated in one
     feature file, a pair that does not name two distinct map views sharing a
     landmark or whose count is not the number of landmarks both views see,
-    landmark ids that are not 0 to L - 1 in row order, a repeated view id and
-    a view whose condition is not `original` exit 3 naming the file and the
-    first bad line. They used to give a KeyError or ValueError traceback in
-    `sfm_localize` or `train`, to exit 3 with "already synthetic", naming no
-    file, or to exit 0 having dropped a landmark, mixed up two views, loaded
-    a view whose features all name one landmark, trained on a pair of views
-    that share nothing or trained on a world with a synthetic view."""
+    landmark ids that are not 0 to L - 1 in row order and a repeated view id
+    exit 3 naming the file and the first bad line. They used to give a
+    KeyError or ValueError traceback in `sfm_localize` or `train`, or to exit
+    0 having dropped a landmark, mixed up two views, loaded a view whose
+    features all name one landmark or trained on a pair of views that share
+    nothing."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
     edit(world)
@@ -699,19 +689,20 @@ MALFORMED_WORLD_TABLES = {
     "views-nan-qw": ("views.csv", 4, lambda parts: parts[:1] + ["nan"] + parts[2:], "views.csv:4: a value is not finite"),
     "views-nan-tx": ("views.csv", 3, lambda parts: parts[:5] + ["nan"] + parts[6:], "views.csv:3: a value is not finite"),
     "views-not-unit": ("views.csv", 5, lambda parts: parts[:1] + ["0.5"] + parts[2:], "views.csv:5: rotation quaternion must have unit norm"),
-    "views-no-condition": ("views.csv", 2, lambda parts: parts[:-1], "views.csv:2: 8 columns, header has 9"),
-    "views-synthetic": ("views.csv", 3, lambda parts: parts[:-1] + ["at night"], "views.csv:3: the view's condition is not original"),
     "pairs-two-columns": ("pairs.csv", 3, lambda parts: parts[:2], "pairs.csv:3: 2 columns, header has 3"),
     "pairs-fractional-id": ("pairs.csv", 2, lambda parts: ["0.5"] + parts[1:], "pairs.csv:2: a view id is not an integer"),
     # line 2 is the pair (0, 1)
     "pairs-repeated": ("pairs.csv", 3, lambda parts: ["1", "0", parts[2]], "pairs.csv:3: the pair is repeated"),
-    "meta-no-focal": ("meta.csv", 6, lambda parts: ["f"] + parts[1:], "meta.csv: no focal entry"),
-    "meta-str-width": ("meta.csv", 9, lambda parts: [parts[0], "wide"], "meta.csv:9: 'wide' is not a number"),
-    "meta-view-count": ("meta.csv", 4, lambda parts: [parts[0], "15"], "views.csv: 22 views, meta.csv counts 15 map and 6"),
+    # the next two ids keep the names of the camera keys they edited when
+    # meta.csv held the camera
+    "meta-no-focal": ("meta.csv", 4, lambda parts: ["n"] + parts[1:], "meta.csv: no num_query_views entry"),
+    "meta-str-width": ("meta.csv", 4, lambda parts: [parts[0], "wide"], "meta.csv:4: 'wide' is not a number"),
+    "meta-view-count": ("meta.csv", 3, lambda parts: [parts[0], "15"], "views.csv: 22 views, meta.csv counts 15 map and 6"),
     "meta-negative-seed": ("meta.csv", 2, lambda parts: [parts[0], "-1"], "meta.csv:2: seed is not an integer >= 0"),
+    # a descriptor_dim line after the seed's, as meta.csv used to have
     "meta-descriptor-dim": (
-        "meta.csv", 3, lambda parts: [parts[0], "99"],
-        "meta.csv:3: descriptor_dim is 99, landmarks.csv's descriptors are 16-dim",
+        "meta.csv", 2, lambda parts: [parts[0], parts[1] + "\ndescriptor_dim", "16"],
+        "meta.csv:3: the key is not one save_world writes",
     ),
 }
 
@@ -720,12 +711,12 @@ MALFORMED_WORLD_TABLES = {
     "name,lineno,edit,reason", list(MALFORMED_WORLD_TABLES.values()), ids=list(MALFORMED_WORLD_TABLES)
 )
 def test_cli_malformed_world_table_is_data_error(pipeline, tmp_path, capsys, name, lineno, edit, reason):
-    """A views.csv row with a non-finite or non-unit pose, without its
-    condition or with a condition other than `original`, a short or repeated
-    pairs.csv row, a meta.csv without focal, a meta.csv whose view counts are
-    not views.csv's, a negative world seed and a descriptor_dim other than
-    landmarks.csv's width exit 3 naming the file (and line), where they used
-    to exit 0 or give an IndexError, ValueError or KeyError."""
+    """A views.csv row with a non-finite or non-unit pose, a short or
+    repeated pairs.csv row, a meta.csv without one of its keys or with a
+    value that is not a number, a meta.csv whose view counts are not
+    views.csv's, a negative world seed and a descriptor_dim entry exit 3
+    naming the file (and line), where they used to exit 0 or give an
+    IndexError, ValueError or KeyError."""
     world = tmp_path / "world"
     shutil.copytree(pipeline["world"], world)
     _edit_line(world / name, lineno, edit)
@@ -1144,7 +1135,7 @@ def test_cli_repeated_meta_key_is_data_error(pipeline, tmp_path, capsys):
         fh.write("seed,11\n")
     rc = main(["variants", "--config", pipeline["cfg"], "--world", str(world), "--out", str(tmp_path / "v")])
     assert rc == 3
-    assert capsys.readouterr().err == f"data error: {world}/meta.csv:11: the key is repeated\n"
+    assert capsys.readouterr().err == f"data error: {world}/meta.csv:5: the key is repeated\n"
     assert not (tmp_path / "v").exists()
 
 
@@ -1158,9 +1149,95 @@ def test_cli_unknown_meta_key_is_data_error(pipeline, tmp_path, capsys):
     rc = main(["variants", "--config", pipeline["cfg"], "--world", str(world), "--out", str(tmp_path / "v")])
     assert rc == 3
     assert capsys.readouterr().err == (
-        f"data error: {world}/meta.csv:11: the key is not one save_world writes\n"
+        f"data error: {world}/meta.csv:5: the key is not one save_world writes\n"
     )
     assert not (tmp_path / "v").exists()
+
+
+def _data_error_keeps_out(tmp_path, capsys, args: list[str]) -> str:
+    """The stderr of `main(args)` into an `--out` that holds an earlier
+    run's file: it must exit 3 and leave that `--out` byte for byte."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.csv").write_text("an earlier run\n")
+    before = dir_digest(out)
+    rc = main([*args, "--out", str(out)])
+    assert dir_digest(out) == before
+    assert rc == 3
+    return capsys.readouterr().err
+
+
+def _verb_over(pipeline, command: str, world, variants=None) -> list[str]:
+    """The arguments of `command` over `world` (and `variants`, for `train`)
+    and the shared pipeline's other inputs."""
+    extra = {
+        "variants": [],
+        "train": ["--variants", str(variants or pipeline["variants"])],
+        "evaluate": ["--model", str(pipeline["models"] / "model_avg.csv")],
+    }[command]
+    return [command, "--config", pipeline["cfg"], "--world", str(world), *extra]
+
+
+@pytest.mark.parametrize("command", ["variants", "train", "evaluate"])
+def test_cli_meta_camera_entry_is_data_error(pipeline, tmp_path, capsys, command):
+    """A meta.csv `focal` entry exits 3 naming its line: no world file holds
+    the camera, which is worldgen's for every view. A default world that
+    recorded a focal length of 500 px used to be loaded with that camera:
+    with an identity model SfM localized no query at the high level, where
+    it localized all of them at 400 px."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    with open(world / "meta.csv", "a") as fh:
+        fh.write("focal,500\n")
+    err = _data_error_keeps_out(tmp_path, capsys, _verb_over(pipeline, command, world))
+    assert err == f"data error: {world}/meta.csv:5: the key is not one save_world writes\n"
+
+
+def test_cli_world_in_the_format_with_the_camera_is_data_error(pipeline, tmp_path, capsys):
+    """A world directory as save_world wrote it when meta.csv held the
+    descriptor width and the camera and views.csv each view's condition
+    exits 3 at meta.csv's first key that save_world no longer writes: no
+    second format is read, so such a world is made again by `worldgen`."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    seed, n_map, n_query = (ln.split(",")[1] for ln in (world / "meta.csv").read_text().splitlines()[1:])
+    meta = [
+        "key,value", f"seed,{seed}", "descriptor_dim,16", f"num_map_views,{n_map}",
+        f"num_query_views,{n_query}", "focal,400", "cx,320", "cy,240", "width,640", "height,480",
+    ]
+    (world / "meta.csv").write_text("\n".join(meta) + "\n")
+    lines = (world / "views.csv").read_text().splitlines()
+    views = [lines[0] + ",condition"] + [ln + ",original" for ln in lines[1:]]
+    (world / "views.csv").write_text("\n".join(views) + "\n")
+    err = _data_error_keeps_out(tmp_path, capsys, _verb_over(pipeline, "variants", world))
+    assert err == f"data error: {world}/meta.csv:3: the key is not one save_world writes\n"
+
+
+# (the stage whose files hold it, the file, its first descriptor column)
+DESCRIPTOR_FILES = {
+    "features": ("world", "features/0.csv", 3),
+    "landmarks": ("world", "landmarks.csv", 4),
+    "features_variants": ("variants", "features_variants/at_night/2.csv", 3),
+}
+
+
+@pytest.mark.parametrize("factor", [0.0, 2.0], ids=["zero", "doubled"])
+@pytest.mark.parametrize("stage,name,first", list(DESCRIPTOR_FILES.values()), ids=list(DESCRIPTOR_FILES))
+def test_cli_descriptor_not_unit_length_is_data_error(pipeline, tmp_path, capsys, stage, name, first, factor):
+    """A descriptor row of a view's features, of a variant's features or of
+    landmarks.csv that is all zeros or twice unit length exits 3 naming the
+    file and line, where `variants` and `train` used to run on it and exit
+    0. Rows written to 9 digits read back within about 1e-9 of unit length,
+    under the 1e-6 that the check allows."""
+    root = tmp_path / stage
+    shutil.copytree(pipeline[stage], root)
+    _edit_line(root / name, 4, lambda parts: parts[:first] + [repr(float(x) * factor) for x in parts[first:]])
+    if stage == "world":
+        args = _verb_over(pipeline, "variants", root)
+    else:
+        args = _verb_over(pipeline, "train", pipeline["world"], root)
+    err = _data_error_keeps_out(tmp_path, capsys, args)
+    assert err == f"data error: {root}/{name}:4: the descriptor is not unit length\n"
 
 
 README = Path(__file__).parent.parent / "README.md"
@@ -1341,6 +1418,22 @@ def test_cli_evaluate_overflowing_model_is_data_error(pipeline, tmp_path, capsys
         f"data error: {model}: the model gives global descriptors that are not finite\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", ["1e152", "1e153"])
+def test_cli_evaluate_model_overflowing_the_codebook_is_data_error(pipeline, tmp_path, capsys, weight):
+    """A model whose global descriptors are finite but whose projected local
+    descriptors square past float range exits 3 naming its file before
+    `evaluate` writes anything, where the match kernel's k-means used to
+    overflow (1e152) or take NaN distances (1e153) and exit 0 printing
+    RuntimeWarnings."""
+    cfg = tmp_path / "asmk.json"
+    cfg.write_text(json.dumps({**TEST_CONFIG, "backend": "asmk", "query_conditions": []}))
+    model = tmp_path / "huge.csv"
+    model.write_text("8,16\n" + "\n".join([",".join([weight] * 16)] * 8) + "\n")
+    args = ["evaluate", "--config", str(cfg), "--world", str(pipeline["world"]), "--model", str(model)]
+    err = _data_error_keeps_out(tmp_path, capsys, args)
+    assert err == f"data error: {model}: the model's projected descriptors overflow retrieval\n"
 
 
 def test_cli_ablate_data_error_writes_nothing(tmp_path, capsys):

@@ -9,7 +9,7 @@ from synthloc.errors import DataError
 from synthloc.geometry import ConsistencyScore
 from synthloc.localize import PoseError
 from synthloc.variants import DomainShift, PromptSet
-from synthloc.worldgen import CameraIntrinsics, CameraPose, Landmarks
+from synthloc.worldgen import CameraPose, Landmarks
 
 
 def test_world_roundtrip(tmp_path, small_world):
@@ -228,11 +228,10 @@ def test_save_world_equals_per_value_reference(tmp_path, small_world):
     descriptors[2, : len(AWKWARD)] = AWKWARD
     first = small_world.map_views[0]
     pose = CameraPose(rotation=[1.0, -0.0, 1e-7, 5e-324], position=[1e16, -0.0, 5e-324])
-    intr = CameraIntrinsics(1e-7, [5e-324, -0.0], first.intrinsics.image_size)
     world = replace(
         small_world,
         landmarks=Landmarks(positions, descriptors),
-        map_views=[replace(first, pose=pose, intrinsics=intr), *small_world.map_views[1:]],
+        map_views=[replace(first, pose=pose), *small_world.map_views[1:]],
     )
     storage.save_world(world, tmp_path)
 
@@ -244,25 +243,30 @@ def test_save_world_equals_per_value_reference(tmp_path, small_world):
     assert _written(tmp_path / "landmarks.csv") == want
     assert want[1].startswith("0,-0,1e-07,1e+16,") and want[2].startswith("1,4.94065646e-324,")
     views = list(world.map_views) + list(world.query_views)
-    want = ["id,qw,qx,qy,qz,tx,ty,tz,condition"] + [
-        ",".join([str(v.id)] + [ref_fmt(x) for x in (*v.pose.rotation, *v.pose.position)] + [v.condition])
+    want = ["id,qw,qx,qy,qz,tx,ty,tz"] + [
+        ",".join([str(v.id)] + [ref_fmt(x) for x in (*v.pose.rotation, *v.pose.position)])
         for v in views
     ]
     assert _written(tmp_path / "views.csv") == want
-    assert want[1] == "0,1,-0,1e-07,4.94065646e-324,1e+16,-0,4.94065646e-324,original"
+    assert want[1] == "0,1,-0,1e-07,4.94065646e-324,1e+16,-0,4.94065646e-324"
     want = [
         "key,value",
         f"seed,{world.seed}",
-        f"descriptor_dim,{d}",
         f"num_map_views,{len(world.map_views)}",
         f"num_query_views,{len(world.query_views)}",
-        f"focal,{ref_fmt(1e-7)}",
-        f"cx,{ref_fmt(5e-324)}",
-        f"cy,{ref_fmt(-0.0)}",
-        f"width,{intr.image_size[0]}",
-        f"height,{intr.image_size[1]}",
     ]
     assert _written(tmp_path / "meta.csv") == want
+
+    # no file holds the camera: every loaded view has the one it was rendered with
+    storage.save_world(small_world, tmp_path / "plain")
+    loaded = storage.load_world(tmp_path / "plain")
+    for got, rendered in zip(
+        [*loaded.map_views, *loaded.query_views], [*small_world.map_views, *small_world.query_views], strict=True
+    ):
+        a, b = got.intrinsics, rendered.intrinsics
+        assert (a.focal, a.image_size, a.principal_point.tobytes()) == (
+            b.focal, b.image_size, b.principal_point.tobytes()
+        )
 
 
 def test_save_prompts_equals_per_value_reference(tmp_path):
