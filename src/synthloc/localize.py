@@ -20,7 +20,9 @@ from .errors import (
 )
 from .geometry import MatchParams, match_features
 from .index import RankedList
-from .worldgen import NEAR_PLANE, CameraIntrinsics, CameraPose, Landmarks, ViewImage, project, row_norms, unit_rows
+from .worldgen import (
+    FOCAL, NEAR_PLANE, PRINCIPAL_POINT, CameraPose, Landmarks, ViewImage, project, row_norms, unit_rows,
+)
 
 
 @dataclass
@@ -70,13 +72,11 @@ def ewb_pose(ranked: RankedList, poses: dict[int, CameraPose], k: int) -> Camera
     return CameraPose(rotation=rotation, position=position)
 
 
-def _residuals(
-    R: np.ndarray, center: np.ndarray, points3d: np.ndarray, pixels: np.ndarray, intr: CameraIntrinsics
-) -> np.ndarray:
+def _residuals(R: np.ndarray, center: np.ndarray, points3d: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     """Reprojection errors in pixels of all n correspondences under each of
     `b` poses, (b, 3, 3) rotations and (b, 3) centers: a (b, n) array, inf
     where a point is not in front of the near plane or a pose is NaN."""
-    u, v, z = project(points3d, R, center, intr)
+    u, v, z = project(points3d, R, center)
     with np.errstate(invalid="ignore"):
         res = np.hypot(u - pixels[:, 0], v - pixels[:, 1])
     return np.where(z > NEAR_PLANE, res, np.inf)
@@ -179,14 +179,14 @@ def _p3p(X: np.ndarray, f: np.ndarray) -> tuple[list[float], np.ndarray, np.ndar
 
 
 def _hypothesis(sample: np.ndarray, points: np.ndarray, rays: np.ndarray, pixels: np.ndarray,
-                intr: CameraIntrinsics, inlier_px: float) -> tuple[int, np.ndarray, tuple | None]:
+                inlier_px: float) -> tuple[int, np.ndarray, tuple | None]:
     """The inlier count, (n,) mask and (rotation, center) of the sample's P3P pose
     with the most inliers (the smaller root, then the first in root-then-side order,
     winning a tie), given unit bearings `rays`; 0, an empty mask and None if it has no pose."""
     roots, R, center = _p3p(points[sample], rays[sample])
     if not roots:
         return 0, np.zeros(len(points), dtype=bool), None
-    masks = _residuals(R, center, points, pixels, intr) <= inlier_px
+    masks = _residuals(R, center, points, pixels) <= inlier_px
     counts = np.count_nonzero(masks, axis=1).tolist()
     best = min(range(len(roots)), key=lambda j: (-counts[j], roots[j]))
     return counts[best], masks[best], (R[best], center[best])
@@ -208,19 +208,15 @@ def _refine(R: np.ndarray, center: np.ndarray, points: np.ndarray,
     return R, center - R.T @ step[3:]
 
 
-def pnp_ransac(
-    pixels: np.ndarray,
-    points: np.ndarray,
-    intrinsics: CameraIntrinsics,
-    params: RansacParams,
-) -> tuple[CameraPose, np.ndarray]:
+def pnp_ransac(pixels: np.ndarray, points: np.ndarray, params: RansacParams) -> tuple[CameraPose, np.ndarray]:
     """RANSAC over P3P pose hypotheses, the best refined by one Gauss-Newton step
     on the reprojection errors of its inliers (`_refine`).
 
     Correspondence i is the keypoint `pixels[i]` of the float (n, 2) array
-    seeing the landmark at `points[i]` of the float (n, 3) array; other
-    shapes raise ValueError. Returns the refined pose and the indices of the
-    inliers under it, ascending, as the int array `np.nonzero` gives. Raises
+    seeing the landmark at `points[i]` of the float (n, 3) array, through
+    `worldgen`'s one camera (`FOCAL`, `PRINCIPAL_POINT`); other shapes raise
+    ValueError. Returns the refined pose and the indices of the inliers under
+    it, ascending, as the int array `np.nonzero` gives. Raises
     InsufficientCorrespondencesError below 6 points and NoConsensusError when
     no hypothesis reaches least = max(min_inliers, 6) inliers, without drawing
     any when there are fewer than least points. Deterministic per seed.
@@ -243,7 +239,7 @@ def pnp_ransac(
     least = max(params.min_inliers, 6)  # the fewest inliers a consensus holds
     if n < least:
         raise NoConsensusError("no consensus")  # no mask can hold least
-    norm_xy = (pixels - intrinsics.principal_point) / intrinsics.focal
+    norm_xy = (pixels - PRINCIPAL_POINT) / FOCAL
     rays = unit_rows(np.column_stack([norm_xy, np.ones(n)]))
 
     log_miss = np.log(max(1.0 - params.confidence, 1e-12))
@@ -261,7 +257,7 @@ def pnp_ransac(
     while it < needed:
         it += 1
         sample = rng.choice(n, 3, replace=False)
-        count, mask, rt = _hypothesis(sample, points, rays, pixels, intrinsics, params.inlier_px)
+        count, mask, rt = _hypothesis(sample, points, rays, pixels, params.inlier_px)
         if count > best_count:
             best_count, best_mask, best_rt = count, mask, rt
             needed = min(start, bound((count / n) ** 3))
@@ -270,7 +266,7 @@ def pnp_ransac(
 
     R, center = _refine(*best_rt, points[best_mask], norm_xy[best_mask])
     pose = CameraPose(rotation=quats.from_matrix(R), position=center)
-    res = _residuals(pose.matrix()[None], pose.position[None], points, pixels, intrinsics)[0]
+    res = _residuals(pose.matrix()[None], pose.position[None], points, pixels)[0]
     final = np.nonzero(res <= params.inlier_px)[0]
     if final.size < least:
         raise NoConsensusError("no consensus")
@@ -306,7 +302,7 @@ def sfm_localize(
     order = np.lexsort((dist, lid))
     first = order[np.diff(lid[order], prepend=-1) != 0]
     pixels, points = query.kp[iq[first]], landmarks.positions[lid[first]]
-    return pnp_ransac(pixels, points, query.intrinsics, ransac_params)[0]
+    return pnp_ransac(pixels, points, ransac_params)[0]
 
 
 def pose_error(est: CameraPose, gt: CameraPose) -> PoseError:

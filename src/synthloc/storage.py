@@ -17,7 +17,7 @@ from .errors import DataError
 from .geometry import ConsistencyScore, Scores
 from .localize import LEVELS
 from .variants import DomainShift, PromptSet
-from .worldgen import CAMERA, CameraPose, Landmarks, ViewImage, World, row_norms, shared_landmarks
+from .worldgen import CameraPose, Landmarks, ViewImage, World, row_norms, shared_landmarks
 
 # Every float is written by one `%` row string per line, with these specs
 F9 = "%.9g"  # world-level floats
@@ -174,7 +174,7 @@ def _load_features(path: Path, landmarks: Landmarks) -> tuple[np.ndarray, np.nda
 
 
 # meta.csv's keys, in the order save_world writes them; no world file holds
-# the camera, which is `worldgen.CAMERA` for every view
+# a camera, as every view is seen by `worldgen`'s one camera
 _META_KEYS = ("seed", "num_map_views", "num_query_views")
 
 
@@ -266,7 +266,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
             raise DataError(f"{path}:{row + 2}: {exc}") from None
         vid = int(values[0])
         feats = _load_features(src / "features" / f"{vid}.csv", landmarks)
-        view = ViewImage(vid, pose, CAMERA, *feats)
+        view = ViewImage(vid, pose, *feats)
         (map_views if row < n_map else query_views).append(view)
 
     path = src / "pairs.csv"
@@ -367,7 +367,7 @@ def load_variants(
         for shift in prompts.shifts:
             feats = _load_features(src / prompt_slug(shift.name) / f"{vid}.csv", world.landmarks)
             base = by_id[vid]
-            row.append(ViewImage(vid, base.pose, base.intrinsics, *feats, condition=shift.name))
+            row.append(ViewImage(vid, base.pose, *feats, condition=shift.name))
         out[vid] = row
     return out
 

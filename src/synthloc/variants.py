@@ -120,8 +120,8 @@ def apply_variant(view: ViewImage, shift: DomainShift, seed: int) -> ViewImage:
     )
     desc[:m] = unit_rows(x)
     lid[:m] = view.lid[keep]
-    fill_clutter(rng, kp, desc, m, view.intrinsics.image_size)
-    return ViewImage(view.id, view.pose, view.intrinsics, kp, desc, lid, condition=shift.name)
+    fill_clutter(rng, kp, desc, m)
+    return ViewImage(view.id, view.pose, kp, desc, lid, condition=shift.name)
 
 
 class VariantStore:

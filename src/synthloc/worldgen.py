@@ -55,25 +55,11 @@ class CameraPose:
 
 
 @dataclass
-class CameraIntrinsics:
-    focal: float
-    principal_point: np.ndarray  # (2,) pixels
-    image_size: tuple[int, int]  # (width, height)
-
-    def __post_init__(self) -> None:
-        self.principal_point = np.asarray(self.principal_point, dtype=float)
-        w, h = self.image_size
-        if self.focal <= 0:
-            raise ValueError("focal must be positive")
-        if not (0 <= self.principal_point[0] < w and 0 <= self.principal_point[1] < h):
-            raise ValueError("principal point outside image bounds")
-
-
-@dataclass
 class ViewImage:
     """One image as three row-aligned arrays over its n >= 1 features:
     `kp` (n, 2) float pixel keypoints, `desc` (n, d) float descriptors and
-    `lid` (n,) int landmark ids, -1 for clutter.
+    `lid` (n,) int landmark ids, -1 for clutter. Every view is seen by the
+    one camera of `FOCAL`, `IMAGE_SIZE` and `PRINCIPAL_POINT`.
 
     Views are immutable once built: the arrays are made read-only, and
     producers (rendering, variants, the CSV reader) write them once, so a
@@ -81,7 +67,6 @@ class ViewImage:
 
     id: int
     pose: CameraPose
-    intrinsics: CameraIntrinsics
     kp: np.ndarray
     desc: np.ndarray
     lid: np.ndarray
@@ -127,10 +112,11 @@ BEND_ANGLE_DEG = 25.0
 LATERAL_MIN, LATERAL_MAX = 6.0, 14.0  # landmark distance from the street, m
 HEIGHT_MAX = 8.0  # m
 CAMERA_HEIGHT = 1.6  # m
+# the one pinhole camera: every view is rendered, projected and solved with it
 FOCAL = 400.0  # px
-IMAGE_SIZE = (640, 480)  # px, width and height; the principal point is the centre
-# the one camera every view is rendered with and every world is loaded with
-CAMERA = CameraIntrinsics(FOCAL, np.array(IMAGE_SIZE) / 2.0, IMAGE_SIZE)
+IMAGE_SIZE = (640, 480)  # px, width and height
+PRINCIPAL_POINT = np.array(IMAGE_SIZE) / 2.0  # px, the image centre
+PRINCIPAL_POINT.flags.writeable = False
 MIN_VISIBLE = 8  # landmarks each map view must see
 HEADING_JITTER_DEG = 2.0
 QUERY_TRANSLATION_SIGMA = 0.7  # m
@@ -176,25 +162,24 @@ def derive_seed(*parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def project(
-    points: np.ndarray, R: np.ndarray, centers: np.ndarray, intr: CameraIntrinsics
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pinhole projection of the (n, 3) `points` under each of b poses, given
-    as (b, 3, 3) world-to-camera rotations and (b, 3) centers: the (b, n)
-    pixel coordinates u and v and depths z; callers mask by depth. Each pose
+def project(points: np.ndarray, R: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pinhole projection by the one camera (`FOCAL`, `PRINCIPAL_POINT`) of
+    the (n, 3) `points` under each of b poses, given as (b, 3, 3)
+    world-to-camera rotations and (b, 3) centers: the (b, n) pixel
+    coordinates u and v and depths z; callers mask by depth. Each pose
     gets the operations of a projection of its own. `project_points` calls
     it for one pose and `localize._residuals` for a stack of RANSAC poses."""
     cam = (points - centers[:, None]) @ R.transpose(0, 2, 1)
     z = cam[:, :, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.focal * cam[:, :, 0] / z + intr.principal_point[0]
-        v = intr.focal * cam[:, :, 1] / z + intr.principal_point[1]
+        u = FOCAL * cam[:, :, 0] / z + PRINCIPAL_POINT[0]
+        v = FOCAL * cam[:, :, 1] / z + PRINCIPAL_POINT[1]
     return u, v, z
 
 
-def project_points(points: np.ndarray, pose: CameraPose, intr: CameraIntrinsics) -> tuple[np.ndarray, np.ndarray]:
+def project_points(points: np.ndarray, pose: CameraPose) -> tuple[np.ndarray, np.ndarray]:
     """Pinhole projection under one pose. Returns (uv array, depth array)."""
-    u, v, z = project(np.atleast_2d(points), pose.matrix()[None], pose.position[None], intr)
+    u, v, z = project(np.atleast_2d(points), pose.matrix()[None], pose.position[None])
     return np.stack([u[0], v[0]], axis=1), z[0]
 
 
@@ -218,23 +203,17 @@ def sq_distances(a: np.ndarray, sa: np.ndarray, b: np.ndarray, sb: np.ndarray) -
     return sa[:, None] + sb[None, :] - 2.0 * (a @ b.T)
 
 
-def fill_clutter(
-    rng: np.random.Generator,
-    kp: np.ndarray,
-    desc: np.ndarray,
-    first: int,
-    image_size: tuple[int, int],
-) -> None:
+def fill_clutter(rng: np.random.Generator, kp: np.ndarray, desc: np.ndarray, first: int) -> None:
     """Fill rows `first`.. of `kp` and `desc` with clutter, one row at a time:
-    a uniform keypoint in the image, then a random unit descriptor.
+    a uniform keypoint in the `IMAGE_SIZE` image, then a random unit descriptor.
 
     The rows cannot share one draw: each standard normal is a ziggurat draw
     that takes a variable number of raw 64-bit values, so the uniforms and
     normals of later rows sit at stream offsets known only after the earlier
-    draws. `rng.random(2) * high` is what `rng.uniform(0.0, image_size)`
+    draws. `rng.random(2) * high` is what `rng.uniform(0.0, IMAGE_SIZE)`
     computes (`0.0 + high * U`), and `x / sqrt(x.dot(x))` is the 1-D
     `np.linalg.norm` normalisation, both without numpy's per-call overhead."""
-    high = np.array(image_size, dtype=float)
+    high = np.array(IMAGE_SIZE, dtype=float)
     for row in range(first, kp.shape[0]):
         kp[row] = rng.random(2) * high
         x = rng.standard_normal(desc.shape[1])
@@ -244,14 +223,13 @@ def fill_clutter(
 def render_view(
     world: World,
     pose: CameraPose,
-    intrinsics: CameraIntrinsics,
     noise: RenderNoise,
     seed: int,
     max_dist: float,
     view_id: int = -1,
 ) -> ViewImage:
-    """Render the landmarks visible from `pose`, up to `max_dist` away, into
-    a feature set.
+    """Render the landmarks the one camera sees from `pose`, up to `max_dist`
+    away and inside the `IMAGE_SIZE` image, into a feature set.
 
     Keypoints are exact pinhole projections plus Gaussian pixel noise;
     descriptors are renormalized noisy copies of the landmark descriptors.
@@ -268,8 +246,8 @@ def render_view(
     """
     rng = np.random.default_rng(seed)
     points = world.landmarks.positions
-    uv, z = project_points(points, pose, intrinsics)
-    w, h = intrinsics.image_size
+    uv, z = project_points(points, pose)
+    w, h = IMAGE_SIZE
     dist = np.linalg.norm(points - pose.position, axis=1)
     ok = (z > NEAR_PLANE) & (dist <= max_dist)
     ok &= (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)
@@ -291,8 +269,8 @@ def render_view(
         kp[: idx.size] = uv[idx] + noise.keypoint_sigma * block[:, :2]
         desc[: idx.size] = unit_rows(base + noise.descriptor_sigma * block[:, 2:])
 
-    fill_clutter(rng, kp, desc, idx.size, intrinsics.image_size)
-    return ViewImage(view_id, pose, intrinsics, kp, desc, lid)
+    fill_clutter(rng, kp, desc, idx.size)
+    return ViewImage(view_id, pose, kp, desc, lid)
 
 
 def _street_frame(config: WorldConfig, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +338,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         pose = _pose_at(config, s, jitter)
         try:
             view = render_view(
-                world, pose, CAMERA, config.noise, derive_seed(seed, 2, i), config.visibility_radius, view_id=i
+                world, pose, config.noise, derive_seed(seed, 2, i), config.visibility_radius, view_id=i
             )
             n_lm = int(np.sum(view.lid >= 0))
         except NoVisibleLandmarksError:
@@ -381,8 +359,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
             pose = CameraPose(rotation=pose.rotation, position=pose.position + np.array([offset[0], offset[1], 0.0]))
             try:
                 candidate = render_view(
-                    world, pose, CAMERA, config.noise, derive_seed(seed, 4, i), config.visibility_radius,
-                    view_id=next_id,
+                    world, pose, config.noise, derive_seed(seed, 4, i), config.visibility_radius, view_id=next_id
                 )
             except NoVisibleLandmarksError:
                 continue

@@ -43,7 +43,9 @@ from synthloc.errors import InsufficientCorrespondencesError, NoConsensusError
 from synthloc.geometry import MatchParams, match_features, score_world_variants
 from synthloc.variants import DomainShift, default_prompt_set, generate_all_variants
 from synthloc.worldgen import (
-    CameraIntrinsics,
+    FOCAL,
+    IMAGE_SIZE,
+    PRINCIPAL_POINT,
     CameraPose,
     ViewImage,
     WorldConfig,
@@ -144,23 +146,18 @@ def small_scores(small_world, small_variants):
     return score_world_variants(small_world, small_variants, MatchParams())
 
 
-def make_view(rng, n_features, d, view_id=0, condition="original", n_clutter=0, image_size=(640, 480)):
+def make_view(rng, n_features, d, view_id=0, condition="original", n_clutter=0):
     """Free-standing view with random unit descriptors and distinct landmark ids."""
-    intr = CameraIntrinsics(
-        focal=400.0,
-        principal_point=np.array([image_size[0] / 2, image_size[1] / 2]),
-        image_size=image_size,
-    )
     pose = CameraPose(rotation=np.array([1.0, 0.0, 0.0, 0.0]), position=np.zeros(3))
     n = n_features + n_clutter
     kp = np.empty((n, 2))
     desc = np.empty((n, d))
     for i in range(n):
         x = rng.standard_normal(d)
-        kp[i] = rng.uniform([0, 0], image_size)
+        kp[i] = rng.uniform([0, 0], IMAGE_SIZE)
         desc[i] = x / np.linalg.norm(x)
     lid = np.where(np.arange(n) < n_features, np.arange(n), -1)
-    return ViewImage(view_id, pose, intr, kp, desc, lid, condition=condition)
+    return ViewImage(view_id, pose, kp, desc, lid, condition=condition)
 
 
 def perturbed(rng, desc, sigma):
@@ -177,9 +174,6 @@ def match_pairs(a, b, params):
     """`match_features`' index arrays as a list of (index in a, index in b)."""
     ia, ib = match_features(a, b, params)
     return list(zip(ia.tolist(), ib.tolist()))
-
-
-INTR = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
 
 
 # ---------------------------------------------------------------- pnp oracle
@@ -219,14 +213,14 @@ def gauss_newton_oracle(R, center, points3d, norm_xy):
     return R, center - R.T @ t
 
 
-def residuals_oracle(R, center, points3d, pixels, intr):
+def residuals_oracle(R, center, points3d, pixels):
     cam = (points3d - center) @ R.T
     z = cam[:, 2]
     res = np.full(points3d.shape[0], np.inf)
     front = z > 0.1
     if np.any(front):
-        u = intr.focal * cam[front, 0] / z[front] + intr.principal_point[0]
-        v = intr.focal * cam[front, 1] / z[front] + intr.principal_point[1]
+        u = FOCAL * cam[front, 0] / z[front] + PRINCIPAL_POINT[0]
+        v = FOCAL * cam[front, 1] / z[front] + PRINCIPAL_POINT[1]
         res[front] = np.hypot(u - pixels[front, 0], v - pixels[front, 1])
     return res
 
@@ -279,20 +273,20 @@ def p3p_oracle(X, f):
     return solutions
 
 
-def best_solution(solutions, points, pixels, intr, inlier_px):
+def best_solution(solutions, points, pixels, inlier_px):
     """The inlier mask, count and (R, center) of the first of the (root, R,
     center) solutions with the most inliers, or an empty mask, 0 and None
     if none has an inlier."""
     best = np.zeros(len(points), dtype=bool), 0, None
     for _v, R, center in solutions:
         with np.errstate(invalid="ignore"):
-            mask = residuals_oracle(R, center, points, pixels, intr) <= inlier_px
+            mask = residuals_oracle(R, center, points, pixels) <= inlier_px
         if mask.sum() > best[1]:
             best = mask, int(mask.sum()), (R, center)
     return best
 
 
-def sample_oracle(sample, points, rays, pixels, intr, inlier_px):
+def sample_oracle(sample, points, rays, pixels, inlier_px):
     """The inlier mask and count of one sample: its first P3P solution with
     the most inliers, or an empty mask and 0 if it has none."""
     with np.errstate(all="ignore"):
@@ -300,7 +294,7 @@ def sample_oracle(sample, points, rays, pixels, intr, inlier_px):
             solutions = p3p_oracle(points[sample], rays[sample])
         except np.linalg.LinAlgError:  # np.roots on a non-finite quartic
             solutions = []
-    mask, count, _pose = best_solution(solutions, points, pixels, intr, inlier_px)
+    mask, count, _pose = best_solution(solutions, points, pixels, inlier_px)
     return mask, count
 
 
@@ -310,11 +304,11 @@ def bearings(norm_xy):
     return np.array([ray / np.linalg.norm(ray) for ray in rays]).reshape(rays.shape)
 
 
-def pnp_oracle(pixels, points, intr, params):
+def pnp_oracle(pixels, points, params):
     n = len(pixels)
     if n < 6:
         raise InsufficientCorrespondencesError("insufficient correspondences")
-    norm_xy = (pixels - intr.principal_point) / intr.focal
+    norm_xy = (pixels - PRINCIPAL_POINT) / FOCAL
     rays = bearings(norm_xy)
     least = max(params.min_inliers, 6)
     log_miss = np.log(max(1.0 - params.confidence, 1e-12))
@@ -333,7 +327,7 @@ def pnp_oracle(pixels, points, intr, params):
     while it < needed:
         it += 1
         sample = rng.choice(n, size=3, replace=False)
-        mask, count = sample_oracle(sample, points, rays, pixels, intr, params.inlier_px)
+        mask, count = sample_oracle(sample, points, rays, pixels, params.inlier_px)
         if count > best_count:
             best_count, best_mask, best_sample = count, mask, sample
             needed = min(start, bound((count / n) ** 3))
@@ -341,22 +335,22 @@ def pnp_oracle(pixels, points, intr, params):
         raise NoConsensusError("no consensus")
     roots, Rs, Cs = localize._p3p(points[best_sample], rays[best_sample])
     solutions = sorted(zip(roots, Rs, Cs), key=lambda s: s[0])
-    mask, _count, (R, center) = best_solution(solutions, points, pixels, intr, params.inlier_px)
+    mask, _count, (R, center) = best_solution(solutions, points, pixels, params.inlier_px)
     assert np.array_equal(mask, best_mask)
     R, center = gauss_newton_oracle(R, center, points[best_mask], norm_xy[best_mask])
     pose = CameraPose(rotation=quats.from_matrix(R), position=center)
-    res = residuals_oracle(pose.matrix(), pose.position, points, pixels, intr)
+    res = residuals_oracle(pose.matrix(), pose.position, points, pixels)
     final = np.nonzero(res <= params.inlier_px)[0]
     if final.size < least:
         raise NoConsensusError("no consensus")
     return pose, final
 
 
-def outcome(solver, pixels, points, params, intr=INTR):
+def outcome(solver, pixels, points, params):
     """The error type a solve raises, or its pose's rotation and position
     bytes and its inlier indices as a list."""
     try:
-        pose, inliers = solver(pixels, points, intr, params)
+        pose, inliers = solver(pixels, points, params)
     except (InsufficientCorrespondencesError, NoConsensusError) as exc:
         return type(exc)
     return pose.rotation.tobytes(), pose.position.tobytes(), inliers.tolist()

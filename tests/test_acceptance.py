@@ -52,7 +52,6 @@ from synthloc.variants import (
     shift_queries,
 )
 from synthloc.worldgen import (
-    CameraIntrinsics,
     CameraPose,
     WorldConfig,
     generate_world,
@@ -304,7 +303,6 @@ def test_criterion_6_pnp_recovery():
     """Planted-pose recovery: 1e-6 m / 1e-5 deg exact, 1e-3 m with 50%
     outliers, 100 seeds each, under 10 s."""
     t0 = time.time()
-    intr = CameraIntrinsics(400.0, np.array([320.0, 240.0]), (640, 480))
     rng = np.random.default_rng(606)
     for trial in range(100):
         axis = rng.standard_normal(3)
@@ -314,8 +312,8 @@ def test_criterion_6_pnp_recovery():
             [rng.uniform(-3, 3, 20), rng.uniform(-2, 2, 20), rng.uniform(5, 15, 20)]
         )
         pts = cam @ R + pose.position
-        uv, _ = project_points(pts, pose, intr)
-        est, _ = pnp_ransac(uv, pts, intr, RansacParams(seed=trial))
+        uv, _ = project_points(pts, pose)
+        est, _ = pnp_ransac(uv, pts, RansacParams(seed=trial))
         err = pose_error(est, pose)
         assert err.translation < 1e-6
         assert err.rotation < 1e-5
@@ -326,7 +324,7 @@ def test_criterion_6_pnp_recovery():
         bad_pts = bad_cam @ R + pose.position
         bad_uv = rng.uniform([0, 0], [640, 480], (20, 2))
         noisy = np.concatenate([uv, bad_uv]), np.concatenate([pts, bad_pts])
-        est, inliers = pnp_ransac(*noisy, intr, RansacParams(inlier_px=2.0, seed=trial))
+        est, inliers = pnp_ransac(*noisy, RansacParams(inlier_px=2.0, seed=trial))
         assert pose_error(est, pose).translation < 1e-3
         assert inliers.tolist() == list(range(20))
     assert time.time() - t0 < 10.0

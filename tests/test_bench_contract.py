@@ -17,8 +17,6 @@ import pytest
 from synthloc import embed, geometry, index, localize
 from synthloc.worldgen import CameraPose, project_points
 
-from conftest import INTR
-
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = WORLD_SEED = 7  # the benchmark's default workload and world seeds
 
@@ -55,9 +53,9 @@ def test_pnp_hooks_read_the_correspondences_and_the_inliers():
     correspondences, the last 5 moved 50 px off their projections."""
     before, after = _load("spans").HOOKS["localize.pnp_ransac"]
     points = np.random.default_rng(0).uniform([-3, -2, 5], [3, 2, 15], (20, 3))
-    pixels = project_points(points, CameraPose(np.array([1.0, 0, 0, 0]), np.zeros(3)), INTR)[0]
+    pixels = project_points(points, CameraPose(np.array([1.0, 0, 0, 0]), np.zeros(3)))[0]
     pixels[15:] += 50.0
-    args = (pixels, points, INTR, localize.RansacParams(seed=0))
+    args = (pixels, points, localize.RansacParams(seed=0))
     info = before(args, {})
     after(info, localize.pnp_ransac(*args))
     assert info == {"corr": 20, "inliers": 15}

@@ -185,7 +185,7 @@ def family_of(rng, k, m):
 
 def view_of(view_id, descriptors, condition="original"):
     n = len(descriptors)
-    return ViewImage(view_id, None, None, np.zeros((n, 2)), descriptors, np.full(n, -1), condition=condition)
+    return ViewImage(view_id, None, np.zeros((n, 2)), descriptors, np.full(n, -1), condition=condition)
 
 
 # ---------------------------------------------------------------- tests

@@ -46,7 +46,7 @@ def test_aggregate_single_feature():
 def test_aggregate_duplicate_features_idempotent():
     rng = np.random.default_rng(1)
     view = make_view(rng, 1, 8)
-    twice = ViewImage(9, view.pose, view.intrinsics, view.kp[[0, 0]], view.desc[[0, 0]], view.lid[[0, 0]])
+    twice = ViewImage(9, view.pose, view.kp[[0, 0]], view.desc[[0, 0]], view.lid[[0, 0]])
     W = rng.standard_normal((4, 8))
     model = EmbeddingModel(W)
     assert np.allclose(aggregate(view, model), aggregate(twice, model), atol=1e-12)
@@ -75,7 +75,7 @@ def test_aggregate_degenerate_zero_matrix():
 def test_aggregate_feature_order_invariance():
     rng = np.random.default_rng(4)
     view = make_view(rng, 8, 8)
-    shuffled = ViewImage(10, view.pose, view.intrinsics, view.kp[::-1], view.desc[::-1], view.lid[::-1])
+    shuffled = ViewImage(10, view.pose, view.kp[::-1], view.desc[::-1], view.lid[::-1])
     W = rng.standard_normal((4, 8))
     model = EmbeddingModel(W)
     assert np.allclose(aggregate(view, model), aggregate(shuffled, model), atol=1e-12)
@@ -109,14 +109,13 @@ def fixed_embedding_views(embeddings):
     """Original views whose aggregate equals a fixed vector: a
     single-feature view with descriptor = embedding and W = identity."""
     return {
-        (vid, None): ViewImage(vid, _POSE, _INTR, np.zeros((1, 2)), [np.asarray(vec, float)], [-1])
+        (vid, None): ViewImage(vid, _POSE, np.zeros((1, 2)), [np.asarray(vec, float)], [-1])
         for vid, vec in embeddings.items()
     }
 
 
-from synthloc.worldgen import CameraIntrinsics, CameraPose
+from synthloc.worldgen import CameraPose
 
-_INTR = CameraIntrinsics(100.0, np.array([50.0, 50.0]), (100, 100))
 _POSE = CameraPose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
 
@@ -308,7 +307,7 @@ def test_gradient_zero_when_loss_flat():
     cancels and hinge contributes nothing."""
     rng = np.random.default_rng(14)
     q = make_view(rng, 4, 8, view_id=0)
-    p = ViewImage(1, q.pose, q.intrinsics, q.kp, q.desc, q.lid)
+    p = ViewImage(1, q.pose, q.kp, q.desc, q.lid)
     n = make_view(rng, 4, 8, view_id=2)
     res = {(0, None): q, (1, None): p, (2, None): n}
     W = rng.standard_normal((4, 8))

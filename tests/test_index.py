@@ -107,7 +107,7 @@ def test_asmk_cancellation_drops_cell():
     desc = np.zeros(8)
     desc[0] = 1.0
     view = make_view(np.random.default_rng(5), 1, 8)
-    v = ViewImage(0, view.pose, view.intrinsics, np.zeros((2, 2)), np.stack([desc, -desc]), [-1, -1])
+    v = ViewImage(0, view.pose, np.zeros((2, 2)), np.stack([desc, -desc]), [-1, -1])
     cb = np.zeros((1, 4))
     sig = asmk_signs(v, model, cb)
     assert sig.shape == (1, 4) and not sig.any()
@@ -152,7 +152,7 @@ def test_asmk_signs_sum_a_column_in_row_order():
     desc = np.zeros((8, 8))
     desc[:4, 0] = [1e16, 1.0, -1e16, 1.0]
     view = make_view(np.random.default_rng(5), 1, 8)
-    v = ViewImage(0, view.pose, view.intrinsics, np.zeros((8, 2)), desc, [-1] * 8)
+    v = ViewImage(0, view.pose, np.zeros((8, 2)), desc, [-1] * 8)
     assert desc[:, 0].sum() == 0.0 and row_order_sum(desc[:, :1]) == 1.0
     assert asmk_signs(v, model, np.zeros((1, 1))).tolist() == [[1]]
 
@@ -411,7 +411,7 @@ def test_asmk_signs_matches_reference():
     desc[0] = 1.0
     base = make_view(rng, 3, 8)
     view = ViewImage(
-        0, base.pose, base.intrinsics,
+        0, base.pose,
         np.vstack([np.zeros((2, 2)), base.kp]),
         np.vstack([desc, -desc, base.desc]),
         np.concatenate([[-1, -1], base.lid]),

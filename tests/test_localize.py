@@ -24,10 +24,9 @@ from synthloc.localize import (
     sfm_localize,
 )
 from synthloc.variants import default_prompt_set, shift_queries
-from synthloc.worldgen import CameraPose, Landmarks, ViewImage, derive_seed, project_points
+from synthloc.worldgen import FOCAL, PRINCIPAL_POINT, CameraPose, Landmarks, ViewImage, derive_seed, project_points
 
 from conftest import (
-    INTR,
     bearings,
     count_hypotheses,
     count_oracle_iterations,
@@ -55,7 +54,7 @@ def synth_correspondences(rng, pose, n, depth=(5.0, 15.0)):
         [rng.uniform(-3, 3, n), rng.uniform(-2, 2, n), rng.uniform(*depth, n)]
     )
     pts = cam @ R + pose.position
-    uv, z = project_points(pts, pose, INTR)
+    uv, z = project_points(pts, pose)
     assert np.all(z > 0)
     return uv, pts
 
@@ -122,7 +121,7 @@ def test_pnp_exact_recovery():
     rng = np.random.default_rng(1)
     pose = random_pose(rng)
     corr = synth_correspondences(rng, pose, 20)
-    est, inliers = pnp_ransac(*corr, INTR, RansacParams(seed=0))
+    est, inliers = pnp_ransac(*corr, RansacParams(seed=0))
     err = pose_error(est, pose)
     assert err.translation < 1e-6
     assert err.rotation < 1e-5
@@ -134,7 +133,7 @@ def test_pnp_insufficient():
     pose = random_pose(rng)
     corr = synth_correspondences(rng, pose, 5)
     with pytest.raises(InsufficientCorrespondencesError):
-        pnp_ransac(*corr, INTR, RansacParams())
+        pnp_ransac(*corr, RansacParams())
 
 
 @pytest.mark.parametrize(
@@ -146,7 +145,7 @@ def test_pnp_rejects_arrays_of_the_wrong_shape(pixels_shape, points_shape):
     """A caller's pixels must be (n, 2) and its points (n, 3), with one n;
     the error names both shapes."""
     with pytest.raises(ValueError, match=re.escape(f"pixels {pixels_shape} and points {points_shape}")):
-        pnp_ransac(np.zeros(pixels_shape), np.zeros(points_shape), INTR, RansacParams())
+        pnp_ransac(np.zeros(pixels_shape), np.zeros(points_shape), RansacParams())
 
 
 def test_pnp_planted_outliers():
@@ -160,7 +159,7 @@ def test_pnp_planted_outliers():
         + pose.position
     )
     bad_uv = rng.uniform([0, 0], [640, 480], (20, 2))
-    est, inliers = pnp_ransac(*joined(corr, (bad_uv, bad_pts)), INTR, RansacParams(inlier_px=2.0, seed=7))
+    est, inliers = pnp_ransac(*joined(corr, (bad_uv, bad_pts)), RansacParams(inlier_px=2.0, seed=7))
     assert pose_error(est, pose).translation < 1e-3
     assert inliers.tolist() == list(range(20))
 
@@ -170,7 +169,7 @@ def test_pnp_no_consensus():
     pts = rng.uniform(-5, 5, (12, 3)) + np.array([0, 0, 10.0])
     uv = rng.uniform([0, 0], [640, 480], (12, 2))
     with pytest.raises(NoConsensusError):
-        pnp_ransac(uv, pts, INTR, RansacParams(inlier_px=0.5, min_inliers=8, iterations=200, seed=0))
+        pnp_ransac(uv, pts, RansacParams(inlier_px=0.5, min_inliers=8, iterations=200, seed=0))
 
 
 def test_pnp_seed_invariant_on_clean_input():
@@ -178,7 +177,7 @@ def test_pnp_seed_invariant_on_clean_input():
     pose = random_pose(rng)
     corr = synth_correspondences(rng, pose, 30)
     for seed in (0, 1, 42, 1234):
-        est, _ = pnp_ransac(*corr, INTR, RansacParams(seed=seed))
+        est, _ = pnp_ransac(*corr, RansacParams(seed=seed))
         assert pose_error(est, pose).translation < 1e-6
 
 
@@ -190,11 +189,11 @@ def test_pnp_recovers_render_pose_from_view_features(small_world):
 
     view = small_world.map_views[5]
     clean = render_view(
-        small_world, view.pose, view.intrinsics, RenderNoise(0.0, 0.0, 0), seed=0,
+        small_world, view.pose, RenderNoise(0.0, 0.0, 0), seed=0,
         max_dist=30.0,
     )
     points = small_world.landmarks.positions[clean.lid]
-    est, inliers = pnp_ransac(clean.kp, points, clean.intrinsics, RansacParams(seed=0))
+    est, inliers = pnp_ransac(clean.kp, points, RansacParams(seed=0))
     err = pose_error(est, view.pose)
     assert err.translation < 1e-6
     assert err.rotation < 1e-5
@@ -389,17 +388,17 @@ def test_solves_the_samples_the_oracle_draws(monkeypatch, sfm_solves):
     that stop after a few samples, and on the recorded sfm solves. Below
     max(min_inliers, 6) points it solves none, where the oracle's loop runs
     (test_pnp_below_min_inliers_solves_nothing)."""
-    solves = [(corr, params, INTR) for trial, clean, noisy in criterion_6_instances(20) for corr, params in (
+    solves = [(corr, params) for trial, clean, noisy in criterion_6_instances(20) for corr, params in (
         (clean, RansacParams(seed=trial)),
         (noisy, RansacParams(inlier_px=2.0, seed=trial)),
         (jittered(clean, trial), RansacParams(seed=trial, **STOPS_EARLY)),
     )]
-    solves += [((pixels, points), params, intr) for pixels, points, intr, params in sfm_solves]
+    solves += [((pixels, points), params) for pixels, points, params in sfm_solves]
     solved, iterations = count_hypotheses(monkeypatch), count_oracle_iterations(monkeypatch)
-    for corr, params, intr in solves:
+    for corr, params in solves:
         solved.clear()
         iterations.clear()
-        assert outcome(pnp_ransac, *corr, params, intr) == outcome(pnp_oracle, *corr, params, intr)
+        assert outcome(pnp_ransac, *corr, params) == outcome(pnp_oracle, *corr, params)
         assert len(solved) == (len(iterations) if len(corr[0]) >= max(params.min_inliers, 6) else 0)
     assert len(solves) == 180
 
@@ -417,7 +416,7 @@ def test_refine_steps_toward_a_planted_pose(angle_deg, offset_m):
     for _ in range(20):
         pose = random_pose(rng)
         pixels, points = synth_correspondences(rng, pose, 20)
-        norm_xy = (pixels - INTR.principal_point) / INTR.focal
+        norm_xy = (pixels - PRINCIPAL_POINT) / FOCAL
         R = quats.to_matrix(from_axis_angle(rng.standard_normal(3), np.radians(angle_deg))) @ pose.matrix()
         shift = rng.standard_normal(3)
         C = pose.position + offset_m * shift / np.linalg.norm(shift)
@@ -497,14 +496,14 @@ def test_degenerate_samples_give_no_pose():
     import warnings
 
     X, f = degenerate_samples()
-    pixels = INTR.principal_point + INTR.focal * X[:, :, :2].reshape(-1, 2) / X[:, :, 2:].reshape(-1, 1)
+    pixels = PRINCIPAL_POINT + FOCAL * X[:, :, :2].reshape(-1, 2) / X[:, :, 2:].reshape(-1, 1)
     points = X.reshape(-1, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for i, sample in enumerate(np.arange(len(points)).reshape(-1, 3)):
             _roots, R, C = localize._p3p(X[i], f[i])
             assert not np.any(np.isfinite(R).all(axis=(1, 2)) & np.isfinite(C).all(axis=1))
-            count, mask, pose = localize._hypothesis(sample, points, f.reshape(-1, 3), pixels, INTR, 3.0)
+            count, mask, pose = localize._hypothesis(sample, points, f.reshape(-1, 3), pixels, 3.0)
             assert count == 0 and not mask.any() and pose is None
 
 
@@ -513,7 +512,7 @@ class Recorded(Exception):
 
 
 def recorded_sfm_solves(world):
-    """The (pixels, points, intrinsics, params) that sfm_localize hands to
+    """The (pixels, points, params) that sfm_localize hands to
     pnp_ransac for the world's 20 clean, 20 `at dawn` and 20 `at sunset`
     queries at k = 1 and 5, after cosine top-5 retrieval, with the
     benchmark's RANSAC seeds for seed 7."""
@@ -525,8 +524,8 @@ def recorded_sfm_solves(world):
     map_views = {v.id: v for v in world.map_views}
     solves = []
 
-    def record(pixels, points, intr, params):
-        solves.append((pixels, points, intr, params))
+    def record(pixels, points, params):
+        solves.append((pixels, points, params))
         raise Recorded
 
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -549,14 +548,14 @@ def test_hypotheses_match_the_oracle_on_drawn_samples(sfm_solves):
     the count with different masks, where the smaller root's mask wins."""
     rng = np.random.default_rng(30)
     differ = []
-    for pixels, points, intr, params in sfm_solves:
+    for pixels, points, params in sfm_solves:
         if len(pixels) < 6:
             continue
-        rays = bearings((pixels - intr.principal_point) / intr.focal)
+        rays = bearings((pixels - PRINCIPAL_POINT) / FOCAL)
         for _ in range(32):
             sample = rng.choice(len(pixels), 3, replace=False)
-            count, mask, _pose = localize._hypothesis(sample, points, rays, pixels, intr, params.inlier_px)
-            want, want_count = sample_oracle(sample, points, rays, pixels, intr, params.inlier_px)
+            count, mask, _pose = localize._hypothesis(sample, points, rays, pixels, params.inlier_px)
+            want, want_count = sample_oracle(sample, points, rays, pixels, params.inlier_px)
             if not (np.array_equal(mask, want) and count == want_count):
                 differ.append(sample.tolist())
     assert differ == []
@@ -591,22 +590,22 @@ def test_pnp_matches_oracle_on_recorded_sfm_solves(monkeypatch, sfm_solves):
     solved, differ = [], []
     solve = localize._hypothesis
 
-    def spy(sample, points, rays, pixels, intr, inlier_px):
-        count, mask, pose = solve(sample, points, rays, pixels, intr, inlier_px)
+    def spy(sample, points, rays, pixels, inlier_px):
+        count, mask, pose = solve(sample, points, rays, pixels, inlier_px)
         solved.append(1)
-        want, want_count = sample_oracle(sample, points, rays, pixels, intr, inlier_px)
+        want, want_count = sample_oracle(sample, points, rays, pixels, inlier_px)
         if not (np.array_equal(mask, want) and count == want_count):
             differ.append(sample.tolist())
         return count, mask, pose
 
     monkeypatch.setattr(localize, "_hypothesis", spy)
     outcomes, hypotheses = [], []
-    for pixels, points, intr, params in solves:
+    for pixels, points, params in solves:
         solved.clear()
-        outcomes.append(outcome(pnp_ransac, pixels, points, params, intr))
+        outcomes.append(outcome(pnp_ransac, pixels, points, params))
         hypotheses.append(sum(solved))
         assert differ == [], "hypothesis masks differ from the P3P oracle's on these samples"
-        assert outcomes[-1] == outcome(pnp_oracle, pixels, points, params, intr)
+        assert outcomes[-1] == outcome(pnp_oracle, pixels, points, params)
     assert len(solves) == 120
     assert set(outcomes[80:]) == {NoConsensusError, InsufficientCorrespondencesError}
     assert sum(hypotheses[80:]) == 971 and max(hypotheses) == 165
@@ -630,9 +629,9 @@ def test_refit_keeps_the_walks_consensus(monkeypatch, sfm_solves):
 
     monkeypatch.setattr(localize, "_hypothesis", spy)
     lost = []
-    for i, (pixels, points, intr, params) in enumerate(sfm_solves):
+    for i, (pixels, points, params) in enumerate(sfm_solves):
         counts.clear()
-        got = outcome(pnp_ransac, pixels, points, params, intr)
+        got = outcome(pnp_ransac, pixels, points, params)
         best = max(counts, default=0)
         if best >= max(params.min_inliers, 6) and (isinstance(got, type) or len(got[2]) < best):
             lost.append((i, best, got if isinstance(got, type) else len(got[2])))
@@ -680,7 +679,7 @@ def test_sfm_localize_keeps_each_landmarks_closest_match(monkeypatch):
     order match_features gives; clutter (landmark -1) is dropped. Offsets of
     0.5 and 0.25 along one axis make the distances exact."""
     eye = np.eye(6, 4)  # query descriptors; rows 4 and 5 are 0
-    query = ViewImage(100, CameraPose(np.array([1.0, 0, 0, 0]), np.zeros(3)), INTR,
+    query = ViewImage(100, CameraPose(np.array([1.0, 0, 0, 0]), np.zeros(3)),
                       np.arange(12.0).reshape(6, 2), eye, np.full(6, -1))
     half, quarter = np.array([0.5, 0, 0, 0]), np.array([0, 0, 0.25, 0])
     views = {
@@ -689,12 +688,12 @@ def test_sfm_localize_keeps_each_landmarks_closest_match(monkeypatch):
         # rank 2: landmark 7 ties from query 1; landmark 5 is closer from query 5
         2: ([1, 5], [7, 5], np.array([eye[1] + [0, 0.5, 0, 0], eye[5] + quarter])),
     }
-    map_views = {vid: ViewImage(vid, query.pose, INTR, np.zeros((len(iq), 2)), desc, lid)
+    map_views = {vid: ViewImage(vid, query.pose, np.zeros((len(iq), 2)), desc, lid)
                  for vid, (iq, lid, desc) in views.items()}
     landmarks = Landmarks(np.arange(30.0).reshape(10, 3), np.zeros((10, 4)))
     got = []
 
-    def record(pixels, points, intr, params):
+    def record(pixels, points, params):
         got.append((pixels, points))
         raise Recorded
 

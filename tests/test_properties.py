@@ -16,7 +16,7 @@ from synthloc.index import asmk_score
 from synthloc.errors import NoConsensusError
 from synthloc.localize import PoseError, RansacParams, localization_rate, pnp_ransac
 
-from conftest import INTR, count_hypotheses, make_view, match_pairs, outcome, pnp_oracle
+from conftest import count_hypotheses, make_view, match_pairs, outcome, pnp_oracle
 
 
 def _views(seed, n_views=5, n_feats=4, d=6):
@@ -112,8 +112,8 @@ def test_pnp_without_consensus_solves_the_consensus_bound(seed, min_inliers, ext
     )
     with pytest.MonkeyPatch.context() as mp:
         solved = count_hypotheses(mp)
-        assert outcome(pnp_ransac, pixels, points, params, INTR) == NoConsensusError
+        assert outcome(pnp_ransac, pixels, points, params) == NoConsensusError
     p = np.prod([(min_inliers - i) / (n - i) for i in range(3)])
     draws = 1 if p == 1.0 else max(1, int(np.ceil(np.log1p(-confidence) / np.log1p(-p))))
     assert sum(solved) == min(iterations, draws)
-    assert outcome(pnp_oracle, pixels, points, params, INTR) == NoConsensusError
+    assert outcome(pnp_oracle, pixels, points, params) == NoConsensusError

@@ -257,17 +257,6 @@ def test_save_world_equals_per_value_reference(tmp_path, small_world):
     ]
     assert _written(tmp_path / "meta.csv") == want
 
-    # no file holds the camera: every loaded view has the one it was rendered with
-    storage.save_world(small_world, tmp_path / "plain")
-    loaded = storage.load_world(tmp_path / "plain")
-    for got, rendered in zip(
-        [*loaded.map_views, *loaded.query_views], [*small_world.map_views, *small_world.query_views], strict=True
-    ):
-        a, b = got.intrinsics, rendered.intrinsics
-        assert (a.focal, a.image_size, a.principal_point.tobytes()) == (
-            b.focal, b.image_size, b.principal_point.tobytes()
-        )
-
 
 def test_save_prompts_equals_per_value_reference(tmp_path):
     shifts = [

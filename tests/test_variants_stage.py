@@ -17,7 +17,7 @@ from synthloc.geometry import (
     score_world_variants,
 )
 from synthloc.variants import apply_variant, default_prompt_set
-from synthloc.worldgen import ViewImage
+from synthloc.worldgen import IMAGE_SIZE, ViewImage
 
 from conftest import identity_shift, make_view, match_pairs, perturbed
 
@@ -103,16 +103,15 @@ def ref_apply_variant(view, shift, seed):
         kps.append(kp)
         descs.append(desc)
         lids.append(int(view.lid[i]))
-    w, h = view.intrinsics.image_size
     for _ in range(math.ceil(shift.clutter_rate * n)):
-        kp = rng.uniform(0.0, [w, h])
+        kp = rng.uniform(0.0, IMAGE_SIZE)
         desc = rng.standard_normal(d)
         desc = desc / np.linalg.norm(desc)
         kps.append(kp)
         descs.append(desc)
         lids.append(-1)
     return ViewImage(
-        view.id, view.pose, view.intrinsics,
+        view.id, view.pose,
         np.array(kps, dtype=float).reshape(-1, 2), np.array(descs, dtype=float).reshape(-1, d),
         np.array(lids, dtype=int), condition=shift.name,
     )
@@ -270,7 +269,7 @@ def test_scorer_pixel_tol_boundary_equal_reference():
     other feature still keeps each correspondence through its neighbour."""
     q, p = _pair(np.random.default_rng(46), 6)
     p = dataclasses.replace(p, kp=[[10.0 + 2.0 * j, 50.0] for j in range(6)])
-    odd = ViewImage(q.id, q.pose, q.intrinsics, q.kp[1::2], q.desc[1::2], q.lid[1::2], condition="odd")
+    odd = ViewImage(q.id, q.pose, q.kp[1::2], q.desc[1::2], q.lid[1::2], condition="odd")
     s = _check(q, p, odd, MatchParams(pixel_tol=2.0))
     assert (s.kept, s.original) == (6, 6)
     s = _check(q, p, odd, MatchParams(pixel_tol=1.999))

@@ -15,7 +15,7 @@ from synthloc.worldgen import (
 )
 from synthloc import quats, storage, worldgen
 
-from conftest import INTR, SMALL_WORLD, from_axis_angle, landmark_set
+from conftest import SMALL_WORLD, from_axis_angle, landmark_set
 
 
 def test_determinism_byte_identical(tmp_path, small_world):
@@ -93,7 +93,7 @@ def test_shared_landmarks_equal_pairwise_intersections(small_world):
     not id order, with the size of the intersection of their landmark sets;
     a view that sees no landmark shares none, not even with itself."""
     first = small_world.map_views[0]
-    blind = ViewImage(99, first.pose, first.intrinsics, first.kp, first.desc, np.full(first.lid.shape, -1))
+    blind = ViewImage(99, first.pose, first.kp, first.desc, np.full(first.lid.shape, -1))
     views = small_world.map_views[::-1]
     views.insert(5, blind)
     sets = [landmark_set(v) for v in views]
@@ -125,11 +125,11 @@ def test_zero_noise_exact_projection(small_world):
     view = small_world.map_views[0]
     noise = RenderNoise(keypoint_sigma=0.0, descriptor_sigma=0.0, clutter_count=0)
     clean = render_view(
-        small_world, view.pose, view.intrinsics, noise, seed=99, view_id=0,
+        small_world, view.pose, noise, seed=99, view_id=0,
         max_dist=SMALL_WORLD.visibility_radius,
     )
     pts = small_world.landmarks.positions[clean.lid]
-    uv, z = project_points(pts, clean.pose, clean.intrinsics)
+    uv, z = project_points(pts, clean.pose)
     assert np.all(z > 0)
     assert np.max(np.abs(uv - clean.kp)) < 1e-9
 
@@ -138,7 +138,7 @@ def test_zero_noise_descriptor_equals_base(small_world):
     view = small_world.map_views[0]
     noise = RenderNoise(keypoint_sigma=0.0, descriptor_sigma=0.0, clutter_count=0)
     clean = render_view(
-        small_world, view.pose, view.intrinsics, noise, seed=99,
+        small_world, view.pose, noise, seed=99,
         max_dist=SMALL_WORLD.visibility_radius,
     )
     for lid, desc in zip(clean.lid.tolist(), clean.desc):
@@ -168,8 +168,7 @@ def test_facing_away_raises(small_world):
     )
     with pytest.raises(NoVisibleLandmarksError):
         render_view(
-            small_world, flipped, small_world.map_views[0].intrinsics,
-            RenderNoise(0.0, 0.0, 0), seed=0, max_dist=SMALL_WORLD.visibility_radius,
+            small_world, flipped, RenderNoise(0.0, 0.0, 0), seed=0, max_dist=SMALL_WORLD.visibility_radius,
         )
 
 
@@ -180,11 +179,11 @@ def test_keypoint_noise_statistics(default_world):
     residuals = []
     for i, view in enumerate(default_world.map_views):
         noisy = render_view(
-            default_world, view.pose, view.intrinsics, noise, seed=1000 + i,
+            default_world, view.pose, noise, seed=1000 + i,
             max_dist=WorldConfig().visibility_radius,
         )
         pts = default_world.landmarks.positions[noisy.lid]
-        uv, _ = project_points(pts, view.pose, view.intrinsics)
+        uv, _ = project_points(pts, view.pose)
         residuals.extend((noisy.kp - uv).ravel())
     residuals = np.array(residuals)
     assert residuals.size >= 1000
@@ -197,16 +196,15 @@ def test_projection_roundtrip_ray(small_world):
     view = small_world.map_views[3]
     noise = RenderNoise(0.0, 0.0, 0)
     clean = render_view(
-        small_world, view.pose, view.intrinsics, noise, seed=5,
+        small_world, view.pose, noise, seed=5,
         max_dist=SMALL_WORLD.visibility_radius,
     )
     R = clean.pose.matrix()
-    intr = clean.intrinsics
     for kp, lid in zip(clean.kp[:25], clean.lid[:25].tolist()):
         ray_cam = np.array(
             [
-                (kp[0] - intr.principal_point[0]) / intr.focal,
-                (kp[1] - intr.principal_point[1]) / intr.focal,
+                (kp[0] - worldgen.PRINCIPAL_POINT[0]) / worldgen.FOCAL,
+                (kp[1] - worldgen.PRINCIPAL_POINT[1]) / worldgen.FOCAL,
                 1.0,
             ]
         )
@@ -221,7 +219,7 @@ def test_projection_roundtrip_ray(small_world):
 def test_clutter_has_no_landmark_id(small_world):
     view = small_world.map_views[0]
     noisy = render_view(
-        small_world, view.pose, view.intrinsics,
+        small_world, view.pose,
         RenderNoise(0.0, 0.0, clutter_count=7), seed=2,
         max_dist=SMALL_WORLD.visibility_radius,
     )
@@ -252,14 +250,22 @@ def test_row_norms_equal_the_norm_of_each_row(d):
     assert worldgen.unit_rows(x[8:]).tobytes() == unit.tobytes()
 
 
-def ref_project_points(points, pose, intr):
+def test_the_principal_point_is_read_only():
+    """Every render, projection and PnP solve reads the one principal point,
+    so no write may move it."""
+    with pytest.raises(ValueError, match="read-only"):
+        worldgen.PRINCIPAL_POINT[0] = 0.0
+    assert worldgen.PRINCIPAL_POINT.tolist() == [320.0, 240.0]
+
+
+def ref_project_points(points, pose):
     """The pinhole projection under one pose, written out."""
     R = pose.matrix()
     cam = (points - pose.position) @ R.T
     z = cam[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.focal * cam[:, 0] / z + intr.principal_point[0]
-        v = intr.focal * cam[:, 1] / z + intr.principal_point[1]
+        u = worldgen.FOCAL * cam[:, 0] / z + worldgen.PRINCIPAL_POINT[0]
+        v = worldgen.FOCAL * cam[:, 1] / z + worldgen.PRINCIPAL_POINT[1]
     return np.stack([u, v], axis=1), z
 
 
@@ -268,7 +274,6 @@ def test_projection_over_stacked_poses_equals_each_pose_alone():
     `project_points` under that pose alone, which are those of the projection
     written out; points behind a camera included."""
     rng = np.random.default_rng(5)
-    intr = INTR
     points = rng.uniform(-20.0, 20.0, (80, 3))
     poses = [
         CameraPose(from_axis_angle(rng.standard_normal(3), rng.uniform(-3.0, 3.0)), rng.uniform(-5, 5, 3))
@@ -276,12 +281,12 @@ def test_projection_over_stacked_poses_equals_each_pose_alone():
     ]
     R = np.stack([pose.matrix() for pose in poses])
     centers = np.stack([pose.position for pose in poses])
-    u, v, z = worldgen.project(points, R, centers, intr)
+    u, v, z = worldgen.project(points, R, centers)
     assert u.shape == v.shape == z.shape == (7, 80)
     assert (z < 0).any() and (z > 0).any()
     for i, pose in enumerate(poses):
-        uv, depth = project_points(points, pose, intr)
+        uv, depth = project_points(points, pose)
         assert np.stack([u[i], v[i]], axis=1).tobytes() == uv.tobytes()
         assert z[i].tobytes() == depth.tobytes()
-        ref_uv, ref_z = ref_project_points(points, pose, intr)
+        ref_uv, ref_z = ref_project_points(points, pose)
         assert uv.tobytes() == ref_uv.tobytes() and depth.tobytes() == ref_z.tobytes()
