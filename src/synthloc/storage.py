@@ -320,13 +320,14 @@ def save_prompts(prompts: PromptSet, out_dir: str | os.PathLike) -> None:
 
 def load_prompts(in_dir: str | os.PathLike) -> PromptSet:
     path = Path(in_dir) / "prompts.csv"
-    names, table = _parse_table(_read_lines(path), path, "prompt", 7, text_col=0)
+    names, table = _parse_table(_read_lines(path), path, "prompt", 6, text_col=0)
+    # the columns after the name hold DomainShift's fields after
+    # descriptor_bias, in order, and then the bias
+    _reject_rows(path, [(_not_unit(table[:, 4:])[0], "the bias is not unit length")])
     shifts = []
     for lineno, (name, row) in enumerate(zip(names, table), start=2):
         try:
-            # the columns after the name hold DomainShift's fields after
-            # descriptor_bias, in order, and then the bias
-            shifts.append(DomainShift(name, row[5:], *row[:5].tolist()))
+            shifts.append(DomainShift(name, row[4:], *row[:4].tolist()))
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     try:

@@ -45,7 +45,6 @@ class DomainShift:
     descriptor_noise_sigma: float
     dropout_rate: float
     clutter_rate: float
-    keypoint_corruption_sigma: float = 0.0  # px; nonzero only for failure injection
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.dropout_rate <= 1.0:
@@ -92,7 +91,7 @@ def apply_variant(view: ViewImage, shift: DomainShift, seed: int) -> ViewImage:
     Features survive independently with probability 1 - dropout_rate;
     surviving descriptors are translated along the shift's bias direction,
     perturbed, and renormalized. Keypoints and landmark ids are preserved
-    bit-for-bit unless keypoint_corruption_sigma > 0.
+    bit-for-bit.
     """
     if view.condition != "original":
         raise ValueError("already synthetic")
@@ -103,21 +102,14 @@ def apply_variant(view: ViewImage, shift: DomainShift, seed: int) -> ViewImage:
     n_out = m + math.ceil(shift.clutter_rate * n)
 
     d = view.desc.shape[1]
-    # one block holds every kept feature's draws in the order a per-feature
-    # loop would take them: d descriptor normals, then 2 keypoint normals
-    corrupt = shift.keypoint_corruption_sigma > 0.0
-    noise = rng.standard_normal((m, d + 2 if corrupt else d))
+    # one block holds every kept feature's d descriptor normals in the order
+    # a per-feature loop would take them
+    noise = rng.standard_normal((m, d))
     kp = np.empty((n_out, 2))
     desc = np.empty((n_out, d))
     lid = np.full(n_out, -1)
     kp[:m] = view.kp[keep]
-    if corrupt:
-        kp[:m] += shift.keypoint_corruption_sigma * noise[:, d:]
-    x = (
-        view.desc[keep]
-        + shift.bias_gain * shift.descriptor_bias
-        + shift.descriptor_noise_sigma * noise[:, :d]
-    )
+    x = view.desc[keep] + shift.bias_gain * shift.descriptor_bias + shift.descriptor_noise_sigma * noise
     desc[:m] = unit_rows(x)
     lid[:m] = view.lid[keep]
     fill_clutter(rng, kp, desc, m)

@@ -171,7 +171,7 @@ def project(points: np.ndarray, R: np.ndarray, centers: np.ndarray) -> tuple[np.
     it for one pose and `localize._residuals` for a stack of RANSAC poses."""
     cam = (points - centers[:, None]) @ R.transpose(0, 2, 1)
     z = cam[:, :, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = FOCAL * cam[:, :, 0] / z + PRINCIPAL_POINT[0]
         v = FOCAL * cam[:, :, 1] / z + PRINCIPAL_POINT[1]
     return u, v, z
@@ -248,7 +248,8 @@ def render_view(
     points = world.landmarks.positions
     uv, z = project_points(points, pose)
     w, h = IMAGE_SIZE
-    dist = np.linalg.norm(points - pose.position, axis=1)
+    with np.errstate(over="ignore"):  # a far pose's distance is inf
+        dist = np.linalg.norm(points - pose.position, axis=1)
     ok = (z > NEAR_PLANE) & (dist <= max_dist)
     ok &= (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)
     idx = np.nonzero(ok)[0]

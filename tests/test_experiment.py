@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 import time
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -764,6 +765,40 @@ def test_cli_malformed_prompts_csv_is_data_error(pipeline, tmp_path, capsys, edi
     assert f"{path.parent}/{reason}" in capsys.readouterr().err
 
 
+# edits of each line of prompts.csv (numbered from 1, the header) whose
+# biases `train` refuses, and the reason after the file's path
+BAD_PROMPT_BIASES = {
+    "five-more-bias-columns": (
+        lambda lineno, parts: parts + ([f"bias{i}" for i in range(16, 21)] if lineno == 1 else ["0"] * 5),
+        ": the biases are 21-dim, the world's descriptors have 16",
+    ),
+    # the format written before DomainShift lost keypoint_corruption_sigma
+    "keypoint-corruption-column": (
+        lambda lineno, parts: parts[:5] + ["keypoint_corruption_sigma" if lineno == 1 else "0"] + parts[5:],
+        ": the biases are 17-dim, the world's descriptors have 16",
+    ),
+    "bias-doubled": (
+        lambda lineno, parts: parts[:5] + [repr(2 * float(x)) for x in parts[5:]] if lineno == 2 else parts,
+        ":2: the bias is not unit length",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit,reason", list(BAD_PROMPT_BIASES.values()), ids=list(BAD_PROMPT_BIASES))
+def test_cli_prompt_bias_not_unit_or_not_descriptor_wide_is_data_error(pipeline, tmp_path, capsys, edit, reason):
+    """A prompts.csv whose biases are wider than the world's 16-dim
+    descriptors, as five more bias columns or the earlier
+    keypoint_corruption_sigma column leave them, or whose bias is twice unit
+    length, makes `train` exit 3 naming the file, where it used to exit 0."""
+    variants = tmp_path / "variants"
+    shutil.copytree(pipeline["variants"], variants)
+    path = variants / "prompts.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("".join(",".join(edit(i, ln.split(","))) + "\n" for i, ln in enumerate(lines, start=1)))
+    err = _data_error_keeps_out(tmp_path, capsys, _verb_over(pipeline, "train", pipeline["world"], variants))
+    assert err == f"data error: {path}{reason}\n"
+
+
 @pytest.mark.parametrize(
     "edit,reason",
     [
@@ -1376,11 +1411,17 @@ def test_cli_evaluate_config_error_writes_nothing(pipeline, tmp_path, capsys, ov
             ({"world": {**TEST_CONFIG["world"], "noise": {key: value}}}, message)
             for key, (value, message) in OVERFLOWING_NOISE.items()
         ),
+        *(
+            ({"world": {**TEST_CONFIG["world"], "street_length": length}},
+             "degenerate world: map view 0 sees only 0 landmarks")
+            for length in (1e160, 1e308)
+        ),
     ],
     ids=[
         "c_tau-0", "c_tau-negative", "eval_ks-above-map-size", "no-query-views",
         "degenerate-world", "embedding_dim-above-descriptor-dim", "num_negatives-16",
         *(f"{key}-overflows" for key in OVERFLOWING_NOISE),
+        "street_length-1e160", "street_length-1e308",
     ],
 )
 def test_cli_ablate_config_error_writes_nothing(tmp_path, capsys, override, message):
@@ -1389,35 +1430,64 @@ def test_cli_ablate_config_error_writes_nothing(tmp_path, capsys, override, mess
     query views to evaluate on, with a world whose map views see too few
     landmarks, with an embedding wider than that world's descriptors, with
     more negatives than any matching pair has views sharing no landmark
-    with it, or with a noise that overflows, exits 2 before it touches
-    `--out`: an earlier run there stays byte for byte. It used to remove the
-    earlier variants and runs and write a new world first; a c_tau <= 0
-    then ended in a ValueError traceback, no query views in a data error
-    (exit 3), 16 negatives in a config error found while training, and
-    keypoints of 1e308 px noise in a data error."""
+    with it, with a noise that overflows, or with a street so long that its
+    distances overflow, exits 2 before it touches `--out`: an earlier run
+    there stays byte for byte. It used to remove the earlier variants and
+    runs and write a new world first; a c_tau <= 0 then ended in a
+    ValueError traceback, no query views in a data error (exit 3), 16
+    negatives in a config error found while training, and keypoints of
+    1e308 px noise in a data error. A street of 1e160 or 1e308 used to
+    print numpy overflow warnings before its refusal."""
     assert ablate_over_an_earlier_run(tmp_path, {**TEST_CONFIG, **override}) == 2
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+def _model_csv(rows: list[list[str]]) -> str:
+    """The text of an 8 x 16 model file of `rows`' weights."""
+    return "8,16\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+# 8 x 16 models whose projected descriptors overflow both retrieval backends
+OVERFLOWING_MODELS = {
+    **{w: [[w] * 16] * 8 for w in ("1e154", "1e300", "1.7e308", "-1e300")},
+    "alternating-1e300": [["1e300", "-1e300"] * 8] * 8,
+    "one-row-1e300": [["1e300"] * 16] + [["0.1"] * 16] * 7,
+}
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_cli_evaluate_overflowing_model_is_data_error(pipeline, tmp_path, capsys, backend):
-    """A model whose projections overflow exits 3 naming its file before
+    """Each model of `OVERFLOWING_MODELS` exits 3 naming its file before
     `evaluate` writes anything. With every weight 1e300 it used to exit 0
     with NaN scores in rankings.csv and print numpy RuntimeWarnings."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**TEST_CONFIG, "backend": backend}))
-    model = tmp_path / "huge.csv"
-    model.write_text("8,16\n" + "\n".join([",".join(["1e300"] * 16)] * 8) + "\n")
-    out = tmp_path / "eval"
+    for name, rows in OVERFLOWING_MODELS.items():
+        model = tmp_path / f"{name}.csv"
+        model.write_text(_model_csv(rows))
+        out = tmp_path / f"eval-{name}"
+        rc = main(
+            ["evaluate", "--config", str(cfg), "--world", str(pipeline["world"]), "--model", str(model),
+             "--out", str(out)]
+        )
+        assert rc == 3, name
+        assert capsys.readouterr().err == (
+            f"data error: {model}: the model's projected descriptors overflow retrieval\n"
+        )
+        assert not out.exists()
+
+
+def test_cli_evaluate_cosine_accepts_a_model_of_weights_1e153(pipeline, tmp_path, capsys):
+    """Weights of 1e153 keep every cosine retrieval finite: `evaluate` exits
+    0 and prints nothing."""
+    model = tmp_path / "large.csv"
+    model.write_text(_model_csv([["1e153"] * 16] * 8))
     rc = main(
-        ["evaluate", "--config", str(cfg), "--world", str(pipeline["world"]), "--model", str(model),
-         "--out", str(out)]
+        ["evaluate", "--config", pipeline["cfg"], "--world", str(pipeline["world"]), "--model", str(model),
+         "--out", str(tmp_path / "eval")]
     )
-    assert rc == 3
-    assert capsys.readouterr().err == (
-        f"data error: {model}: the model gives global descriptors that are not finite\n"
-    )
-    assert not out.exists()
+    assert rc == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("weight", ["1e152", "1e153"])
@@ -1430,7 +1500,7 @@ def test_cli_evaluate_model_overflowing_the_codebook_is_data_error(pipeline, tmp
     cfg = tmp_path / "asmk.json"
     cfg.write_text(json.dumps({**TEST_CONFIG, "backend": "asmk", "query_conditions": []}))
     model = tmp_path / "huge.csv"
-    model.write_text("8,16\n" + "\n".join([",".join([weight] * 16)] * 8) + "\n")
+    model.write_text(_model_csv([[weight] * 16] * 8))
     args = ["evaluate", "--config", str(cfg), "--world", str(pipeline["world"]), "--model", str(model)]
     err = _data_error_keeps_out(tmp_path, capsys, args)
     assert err == f"data error: {model}: the model's projected descriptors overflow retrieval\n"
@@ -1464,6 +1534,31 @@ def test_cli_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["worldgen", "--config", str(bad), "--out", str(tmp_path / "w")]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200000 + "]" * 200000, '{"train": {"swap_probability": ' + "9" * 5000 + "}}"],
+    ids=["arrays-nested-200000-deep", "number-of-5000-digits"],
+)
+def test_cli_config_json_cannot_read_is_config_error(tmp_path, capsys, text):
+    """A config nested too deep for the JSON parser, or holding a number of
+    more digits than the interpreter converts, exits 2 with one line and
+    leaves `--out` byte for byte, where both used to exit 1 with a
+    RecursionError or ValueError traceback. Where the interpreter has no
+    digit limit, the long number is a swap probability above 1."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "w"
+    out.mkdir()
+    (out / "earlier.csv").write_text("an earlier run\n")
+    before = dir_digest(out)
+    assert main(["worldgen", "--config", str(bad), "--out", str(out)]) == 2
+    assert dir_digest(out) == before
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    if text.startswith("[") or getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert err.startswith(f"config error: config parse error in {bad}: ")
 
 
 @pytest.mark.parametrize(
@@ -1560,7 +1655,7 @@ def test_ablate_small_grid(tmp_path):
     cfg = config_from_dict(TEST_CONFIG)
     cfg.seeds = [1]
     out = tmp_path / "ablation"
-    cmd_ablate(cfg, out, methods=("baseline", "synth_geometry"))
+    cmd_ablate(cfg, out)
     # every output, against digests recorded before the train configs came
     # from one source
     got = dir_digest(out)
@@ -1569,7 +1664,7 @@ def test_ablate_small_grid(tmp_path):
     with open(out / "ablation.csv", newline="") as f:
         report = list(csv.DictReader(f))
     methods = {r["method"] for r in report}
-    assert methods == {"baseline", "synth_geometry"}
+    assert methods == set(ABLATION_METHODS)
 
     # a single-seed grid's report is the per-run summary reshaped:
     # median = min = max = the evaluate output
@@ -1586,22 +1681,22 @@ def test_ablate_small_grid(tmp_path):
     # another config into the same directory reports what a fresh directory
     # does: no stage of the first run is reused
     other = replace(cfg, world_seed=5, c_tau=0.35)
-    cmd_ablate(other, out, methods=("baseline", "synth_geometry"))
-    cmd_ablate(other, tmp_path / "fresh", methods=("baseline", "synth_geometry"))
+    cmd_ablate(other, out)
+    cmd_ablate(other, tmp_path / "fresh")
     assert dir_digest(out) == dir_digest(tmp_path / "fresh")  # ablation.csv included
 
 
 def test_ablate_rerun_with_a_smaller_grid_leaves_nothing_stale(tmp_path):
-    """A rerun with fewer seeds and methods into the same directory removes
-    the earlier runs and variants, so the directory is what a fresh run
-    writes; a file that `ablate` does not write stays."""
+    """A rerun with fewer seeds into the same directory removes the earlier
+    runs, so the directory is what a fresh run writes; a file that `ablate`
+    does not write stays."""
     cfg = config_from_dict(TEST_CONFIG)
     out = tmp_path / "ablation"
-    cmd_ablate(cfg, out, methods=("baseline", "synth_geometry"))
+    cmd_ablate(cfg, out)
     (out / "notes.txt").write_text("kept\n")
     smaller = replace(cfg, seeds=[1])
-    cmd_ablate(smaller, out, methods=("baseline",))
-    cmd_ablate(smaller, tmp_path / "fresh", methods=("baseline",))
+    cmd_ablate(smaller, out)
+    cmd_ablate(smaller, tmp_path / "fresh")
     assert (out / "notes.txt").read_text() == "kept\n"
     (out / "notes.txt").unlink()
     assert dir_digest(out) == dir_digest(tmp_path / "fresh")
@@ -1722,7 +1817,7 @@ def test_cli_bytes_do_not_depend_on_cpu_count(pipeline, tmp_path, monkeypatch, f
 
     ablate_cfg = config_from_dict({**TEST_CONFIG, "seeds": [1]})
     out = tmp_path / "ablation"
-    cmd_ablate(ablate_cfg, out, methods=("baseline", "synth_geometry"))
+    cmd_ablate(ablate_cfg, out)
     assert dir_digest(out) == json.loads((data / "cli_ablate_sha256.json").read_text())
 
     assert (len(forks) > 0) == (cpus > 1)

@@ -237,12 +237,12 @@ def test_consistency_of_pair_with_itself_relabeled():
 
 
 def test_keypoint_corruption_caught_by_identity_check():
-    """Failure injection: moving keypoints while keeping descriptors intact.
-    The pair score keys its intersection on the unaltered p side, so it stays
-    high: the score `s` does not catch keypoints that a generator moves."""
+    """Failure injection: moving a variant's keypoints by 50 px while keeping
+    its descriptors intact. The pair score keys its intersection on the
+    unaltered p side, so it stays high: the score `s` does not catch
+    keypoints that a generator moves."""
     rng = np.random.default_rng(11)
     q, p = _paired_views(rng, 40, 16)
-    broken = identity_shift("broken", 16)
-    broken.keypoint_corruption_sigma = 50.0
-    variant = apply_variant(q, broken, seed=3)
+    v = apply_variant(q, identity_shift("broken", 16), seed=3)
+    variant = dataclasses.replace(v, kp=v.kp + 50 * rng.standard_normal(v.kp.shape))
     assert consistency_score(q, p, variant, MatchParams()).value > 0.8

@@ -260,32 +260,26 @@ def test_save_world_equals_per_value_reference(tmp_path, small_world):
 
 def test_save_prompts_equals_per_value_reference(tmp_path):
     shifts = [
-        DomainShift("odd one", np.array(AWKWARD), -0.0, 1e16, 5e-324, 1e-7, 1.2345678912e6),
+        DomainShift("odd one", np.array(AWKWARD), -0.0, 1e16, 5e-324, 1.2345678912e6),
         DomainShift("plain", np.array(AWKWARD[::-1]), 0.5, 1 / 3, 0.1, 0.0),
     ]
     storage.save_prompts(PromptSet(shifts), tmp_path)
     want = [
-        "name,bias_gain,descriptor_noise_sigma,dropout_rate,clutter_rate,keypoint_corruption_sigma,"
+        "name,bias_gain,descriptor_noise_sigma,dropout_rate,clutter_rate,"
         + ",".join(f"bias{i}" for i in range(len(AWKWARD)))
     ] + [
         ",".join(
             [s.name]
             + [
                 ref_fmt(x)
-                for x in (
-                    s.bias_gain,
-                    s.descriptor_noise_sigma,
-                    s.dropout_rate,
-                    s.clutter_rate,
-                    s.keypoint_corruption_sigma,
-                )
+                for x in (s.bias_gain, s.descriptor_noise_sigma, s.dropout_rate, s.clutter_rate)
             ]
             + [ref_fmt(x) for x in s.descriptor_bias]
         )
         for s in shifts
     ]
     assert _written(tmp_path / "prompts.csv") == want
-    assert want[1].startswith("odd one,-0,1e+16,4.94065646e-324,1e-07,1234567.89,-0,1e-07,")
+    assert want[1].startswith("odd one,-0,1e+16,4.94065646e-324,1234567.89,-0,1e-07,")
 
 
 def test_save_model_equals_per_value_reference(tmp_path):

@@ -215,4 +215,3 @@ def test_default_prompt_set_equals_per_prompt_draws(d, seed):
         assert shift.descriptor_bias.tobytes() == bias.tobytes()
         severity = (shift.bias_gain, shift.descriptor_noise_sigma, shift.dropout_rate, shift.clutter_rate)
         assert severity == P11_SEVERITY[shift.name]
-        assert shift.keypoint_corruption_sigma == 0.0
