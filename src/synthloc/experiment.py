@@ -163,33 +163,38 @@ def cmd_worldgen(config: ExperimentConfig, out_dir: str | Path) -> World:
     return world
 
 
-def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str | Path) -> None:
-    """Scoring and writing the variant files do not depend on each other,
-    so `_fan_out` runs them side by side."""
-    world = storage.load_world(world_dir)
+def _write_variants(
+    world: World, config: ExperimentConfig, out_dir: str | Path
+) -> tuple[dict[int, list[ViewImage]], Scores]:
+    """Generate the variants of `world`'s map views, score them (on every
+    CPU, through `score_world_variants`) and write the prompts, the editor
+    record and the scores to `out_dir`. Returns the variants and scores."""
     d = world.landmarks.descriptors.shape[1]
     prompts = default_prompt_set(d, PROMPT_SEED)
     variants = generate_all_variants(world, prompts, config.variant_seed)
+    scores = score_world_variants(world, variants, MatchParams())
     storage.save_prompts(prompts, out_dir)
-    scores, _ = _fan_out(
-        lambda task: task(),
-        [
-            lambda: score_world_variants(world, variants, MatchParams()),
-            lambda: storage.save_variants(variants, out_dir),
-        ],
-    )
+    storage.save_variants(config.variant_seed, out_dir)
     storage.save_scores(scores, out_dir)
+    return variants, scores
+
+
+def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str | Path) -> None:
+    _write_variants(storage.load_world(world_dir), config, out_dir)
 
 
 def _load_variants_dir(variants_dir: str | Path, world: World) -> tuple[dict[int, list[ViewImage]], Scores]:
-    """The variants and scores of a `variants` output directory, read with its
-    prompts, whose biases must be as wide as the world's descriptors."""
-    prompts = storage.load_prompts(variants_dir)
+    """The variants and scores of a `variants` output directory. Its
+    prompts.csv is read first, so that a malformed row is named by its line,
+    and its biases must be as wide as the world's descriptors; then
+    `load_variants` regenerates the variants from `world` with the prompt
+    set `variants` draws with, which prompts.csv must hold."""
     d = world.landmarks.descriptors.shape[1]
-    width = prompts.shifts[0].descriptor_bias.shape[0]
+    width = storage.load_prompts(variants_dir).shifts[0].descriptor_bias.shape[0]
     if width != d:
         path = Path(variants_dir) / "prompts.csv"
         raise DataError(f"{path}: the biases are {width}-dim, the world's descriptors have {d}")
+    prompts = default_prompt_set(d, PROMPT_SEED)
     variants = storage.load_variants(variants_dir, world, prompts)
     return variants, storage.load_scores(variants_dir, world, prompts)
 
@@ -353,9 +358,7 @@ def _method_train_config(config: ExperimentConfig, method: str, seed: int) -> Tr
         "synth_uniform": {"mode": synth_mode, "sampling": "uniform", "c_tau": 0.0},
         "synth_filtered": {"mode": synth_mode, "sampling": "uniform"},
         "synth_geometry": {"mode": synth_mode, "sampling": "geometry_aware"},
-    }.get(method)
-    if overrides is None:
-        raise ValueError(f"unknown ablation method {method!r}")
+    }[method]
     try:
         return config.train_config(seed, **overrides)
     except ValueError as exc:
@@ -368,8 +371,9 @@ def cmd_ablate(config: ExperimentConfig, out_dir: str | Path) -> None:
     per-condition medians with min/max across seeds (`ablation.csv`). Every
     stage is computed afresh into `out_dir`: `world` and `variants` are
     rewritten whole, and the `runs` of an earlier call are removed first.
-    The world, the variants and scores are written and read back once, and
-    the (method, seed) runs are fanned out over the CPUs with `_fan_out`. A
+    The world is written and read back once, as `variants` and `train` read
+    it; the variants and scores made from it are written and kept, and the
+    (method, seed) runs are fanned out over the CPUs with `_fan_out`. A
     config a run cannot train or evaluate with, or whose world cannot be
     made or trained on, is refused before `out_dir` is touched: the world
     is generated and checked in memory first."""
@@ -391,8 +395,7 @@ def cmd_ablate(config: ExperimentConfig, out_dir: str | Path) -> None:
             raise DataError(f"cannot write {runs_dir}: {exc}") from None
     storage.save_world(world, world_dir)
     world = storage.load_world(world_dir)
-    cmd_variants(world_dir, config, variants_dir)
-    variants, scores = _load_variants_dir(variants_dir, world)
+    variants, scores = _write_variants(world, config, variants_dir)
     queries = _evaluation_queries(world, config)
 
     def run(job: tuple[str, int]) -> list[dict]:

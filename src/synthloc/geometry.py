@@ -103,7 +103,9 @@ def match_features(
 
 def _p_side(view: ViewImage, pixel_tol: float) -> _Side:
     kp = view.kp
-    near = np.linalg.norm(kp[None, :, :] - kp[:, None, :], axis=2) <= pixel_tol
+    # keypoints far apart may overflow to a distance of inf, which is not near
+    with np.errstate(over="ignore"):
+        near = np.linalg.norm(kp[None, :, :] - kp[:, None, :], axis=2) <= pixel_tol
     return _side(view)._replace(near=near)
 
 
@@ -165,8 +167,8 @@ def score_world_variants(
     process computes the variant arrays of the query views in its own share
     once, and the (q, p) correspondences once per oriented pair. The dict
     is built in the serial loop's order, so its items do not depend on the
-    CPU count. Called from inside another `_fan_out` share (the `variants`
-    verb scores beside the variant writer), it runs serially."""
+    CPU count. Called from inside a share of another `_fan_out` call, it
+    runs serially."""
     sides = {v.id: _p_side(v, params.pixel_tol) for v in world.map_views}
     chosen: dict[int, list[_Side]] = {}
 

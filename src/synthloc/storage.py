@@ -16,16 +16,12 @@ from .embed import EmbeddingModel, TraceRow
 from .errors import DataError
 from .geometry import ConsistencyScore, Scores
 from .localize import LEVELS
-from .variants import DomainShift, PromptSet
+from .variants import DomainShift, PromptSet, generate_all_variants
 from .worldgen import CameraPose, Landmarks, ViewImage, World, row_norms, shared_landmarks
 
 # Every float is written by one `%` row string per line, with these specs
 F9 = "%.9g"  # world-level floats
 F17 = "%.17g"  # model weights, exact round-trip
-
-
-def prompt_slug(name: str) -> str:
-    return name.replace(" ", "_")
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -178,6 +174,10 @@ def _load_features(path: Path, landmarks: Landmarks) -> tuple[np.ndarray, np.nda
 _META_KEYS = ("seed", "num_map_views", "num_query_views")
 
 
+def _write_entries(path: Path, entries: dict[str, int]) -> None:
+    _write_lines(path, ["key,value"] + [f"{k},{v}" for k, v in entries.items()])
+
+
 def save_world(world: World, out_dir: str | os.PathLike) -> None:
     out = Path(out_dir)
     d = world.landmarks.descriptors.shape[1]
@@ -204,31 +204,38 @@ def save_world(world: World, out_dir: str | os.PathLike) -> None:
     _write_lines(out / "pairs.csv", lines)
 
     values = (world.seed, len(world.map_views), len(world.query_views))
-    _write_lines(out / "meta.csv", ["key,value"] + [f"{k},{v}" for k, v in zip(_META_KEYS, values)])
+    _write_entries(out / "meta.csv", dict(zip(_META_KEYS, values)))
 
 
-def _load_meta(path: Path) -> dict[str, float]:
-    """meta.csv's values by key: exactly the keys save_world writes, each
-    once, each an integer >= 0; a world has at least the 2 map views of a
-    trajectory. An entry is read from its text where `int` takes it, so
-    exactly also past 2**53."""
+def _load_entries(path: Path, keys: tuple[str, ...], writer: str) -> dict[str, int | float]:
+    """The values by key, in file order, of a `_write_entries` file that
+    `writer` writes: exactly `keys`, each once, each an integer >= 0;
+    anything else raises DataError naming the file (and line). An entry is
+    read from its text where `int` takes it, so exactly also past 2**53."""
     lines = _read_lines(path)
-    keys, table = _parse_table(lines, path, "meta entry", 2, text_col=0)
-    _reject_rows(path, [(_repeated(keys), "the key is repeated")])
-    meta = dict(zip(keys, table[:, 0].tolist()))
-    for key, line in zip(keys, lines[1:]):
+    names, table = _parse_table(lines, path, f"{path.stem} entry", 2, text_col=0)
+    _reject_rows(path, [(_repeated(names), "the key is repeated")])
+    entries = dict(zip(names, table[:, 0].tolist()))
+    for name, line in zip(names, lines[1:]):
         # "7.0", or digits past int's length limit, keep the float checked below
         with contextlib.suppress(ValueError):
-            meta[key] = int(line.split(",")[1])
-    for key in _META_KEYS:
-        if key not in meta:
+            entries[name] = int(line.split(",")[1])
+    for key in keys:
+        if key not in entries:
             raise DataError(f"{path}: no {key} entry")
-        if not (meta[key] == round(meta[key]) and meta[key] >= 0):
-            raise DataError(f"{path}:{keys.index(key) + 2}: {key} is not an integer >= 0")
-    unknown = np.array([key not in _META_KEYS for key in keys])
-    _reject_rows(path, [(unknown, "the key is not one save_world writes")])
+        if not (entries[key] == round(entries[key]) and entries[key] >= 0):
+            raise DataError(f"{path}:{names.index(key) + 2}: {key} is not an integer >= 0")
+    unknown = np.array([name not in keys for name in names])
+    _reject_rows(path, [(unknown, f"the key is not one {writer} writes")])
+    return entries
+
+
+def _load_meta(path: Path) -> dict[str, int | float]:
+    """meta.csv's entries, read by `_load_entries`; a world has at least the
+    2 map views of a trajectory."""
+    meta = _load_entries(path, _META_KEYS, "save_world")
     if meta["num_map_views"] < 2:
-        line = keys.index("num_map_views") + 2
+        line = list(meta).index("num_map_views") + 2
         raise DataError(f"{path}:{line}: num_map_views is below 2, a trajectory's fewest views")
     return meta
 
@@ -306,8 +313,7 @@ def load_world(in_dir: str | os.PathLike) -> World:
 # ---------------------------------------------------------------------------
 
 
-def save_prompts(prompts: PromptSet, out_dir: str | os.PathLike) -> None:
-    out = Path(out_dir)
+def _prompt_lines(prompts: PromptSet) -> list[str]:
     d = prompts.shifts[0].descriptor_bias.shape[0] if prompts.shifts else 0
     # the name, DomainShift's fields after descriptor_bias, in order, and then the bias
     scalars = [f.name for f in dataclasses.fields(DomainShift)[2:]]
@@ -315,7 +321,11 @@ def save_prompts(prompts: PromptSet, out_dir: str | os.PathLike) -> None:
     row = "%s," + ",".join([F9] * (len(scalars) + d))
     for s in prompts.shifts:
         lines.append(row % (s.name, *(getattr(s, name) for name in scalars), *s.descriptor_bias.tolist()))
-    _write_lines(out / "prompts.csv", lines)
+    return lines
+
+
+def save_prompts(prompts: PromptSet, out_dir: str | os.PathLike) -> None:
+    _write_lines(Path(out_dir) / "prompts.csv", _prompt_lines(prompts))
 
 
 def load_prompts(in_dir: str | os.PathLike) -> PromptSet:
@@ -331,46 +341,40 @@ def load_prompts(in_dir: str | os.PathLike) -> PromptSet:
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     try:
-        prompts = PromptSet(shifts=shifts)
+        return PromptSet(shifts=shifts)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
-    # each prompt's variants are read from the directory its slug names
-    slugs = set()
-    for lineno, name in enumerate(names, start=2):
-        slug = prompt_slug(name)
-        if slug in slugs or "/" in slug:
-            raise DataError(f"{path}:{lineno}: prompt {name!r} does not name a directory of its own")
-        slugs.add(slug)
-    return prompts
 
 
-def save_variants(
-    variants: dict[int, list[ViewImage]], out_dir: str | os.PathLike
-) -> None:
+# The variants are a function of the world, the prompt set and the editor's
+# keys, so a variants directory records the keys, not the variants:
+# editor.csv holds the keys that `generate_all_variants` draws with, in this order.
+_EDITOR_KEYS = ("variant_seed",)
+
+
+def save_variants(seed: int, out_dir: str | os.PathLike) -> None:
+    """Record `seed`, the variant seed the directory's variants were drawn
+    with, in editor.csv."""
     out = Path(out_dir)
-    shutil.rmtree(out / "features_variants", ignore_errors=True)  # no stale view files
-    for vid in sorted(variants):
-        for view in variants[vid]:
-            _write_lines(
-                out / "features_variants" / prompt_slug(view.condition) / f"{vid}.csv",
-                _feature_lines(view),
-            )
+    # no stale files: a directory written before editor.csv held the variants themselves
+    shutil.rmtree(out / "features_variants", ignore_errors=True)
+    _write_entries(out / "editor.csv", dict(zip(_EDITOR_KEYS, (seed,))))
 
 
 def load_variants(
     in_dir: str | os.PathLike, world: World, prompts: PromptSet
 ) -> dict[int, list[ViewImage]]:
-    src = Path(in_dir) / "features_variants"
-    by_id = {v.id: v for v in world.map_views}
-    out: dict[int, list[ViewImage]] = {}
-    for vid in sorted(by_id):
-        row = []
-        for shift in prompts.shifts:
-            feats = _load_features(src / prompt_slug(shift.name) / f"{vid}.csv", world.landmarks)
-            base = by_id[vid]
-            row.append(ViewImage(vid, base.pose, *feats, condition=shift.name))
-        out[vid] = row
-    return out
+    """The variants of a `variants` directory: `generate_all_variants` of
+    `world` with `prompts` and editor.csv's seed. The directory's
+    prompts.csv must hold what `save_prompts` writes for `prompts`, so that
+    these are the variants its scores were computed on; editor.csv is read
+    by `_load_entries`. Either fault raises DataError naming the file."""
+    src = Path(in_dir)
+    path = src / "prompts.csv"
+    if _read_lines(path) != _prompt_lines(prompts):
+        raise DataError(f"{path}: not the prompt set that variants draws with")
+    editor = _load_entries(src / "editor.csv", _EDITOR_KEYS, "save_variants")
+    return generate_all_variants(world, prompts, int(editor["variant_seed"]))
 
 
 # ---------------------------------------------------------------------------

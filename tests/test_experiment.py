@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
@@ -116,13 +117,105 @@ def test_worldgen_outputs(pipeline):
 
 
 def test_variants_outputs(pipeline):
-    vdir = pipeline["variants"]
-    assert (vdir / "prompts.csv").exists()
-    assert (vdir / "consistency.csv").exists()
-    prompt_dirs = list((vdir / "features_variants").iterdir())
-    assert len(prompt_dirs) == 11
-    for d in prompt_dirs:
-        assert len(list(d.iterdir())) == TEST_CONFIG["world"]["num_map_views"]
+    """`variants` writes the prompts, the editor record and the scores, and
+    no variant file: the record's seed and the world make the variants."""
+    assert set(dir_digest(pipeline["variants"])) == {"prompts.csv", "editor.csv", "consistency.csv"}
+    assert (pipeline["variants"] / "editor.csv").read_text() == "key,value\nvariant_seed,0\n"
+
+
+def test_train_regenerates_the_variants_that_variants_scored(pipeline):
+    """What `train` reads back of a variants directory is what `variants`
+    scored: `load_variants` gives `generate_all_variants` of the loaded
+    world bit for bit, `score_world_variants` of it gives consistency.csv's
+    counts, and `train`'s model bytes are `save_model` of `embed.train` on
+    it."""
+    config = config_from_dict(TEST_CONFIG)
+    world = storage.load_world(pipeline["world"])
+    prompts = default_prompt_set(config.world.descriptor_dim, PROMPT_SEED)
+    loaded = storage.load_variants(pipeline["variants"], world, prompts)
+    generated = generate_all_variants(world, prompts, config.variant_seed)
+    assert list(loaded) == list(generated)
+    for vid in generated:
+        for a, b in zip(loaded[vid], generated[vid], strict=True):
+            assert a.condition == b.condition
+            for name in ("kp", "desc", "lid"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    scores = score_world_variants(world, loaded, MatchParams())
+    assert scores == storage.load_scores(pipeline["variants"], world, prompts)
+    for seed in config.seeds:
+        model, _ = train(world, loaded, scores, config.train_config(seed))
+        storage.save_model(model, pipeline["tmp"] / "model.csv")
+        path = pipeline["models"] / f"model_{seed}.csv"
+        assert (pipeline["tmp"] / "model.csv").read_bytes() == path.read_bytes()
+
+
+def _bump_ninth_digit(parts: list[str]) -> list[str]:
+    """A prompts.csv row whose first bias value moves by one in its 9th
+    significant digit."""
+    x = float(parts[5])
+    step = 10.0 ** (math.floor(math.log10(abs(x))) - 8)
+    return parts[:5] + ["%.9g" % (x + step)] + parts[6:]
+
+
+# edits of a variants directory that `train` refuses: (file, edit of its
+# lines, or None to delete it, the reason after the file's path)
+BAD_VARIANTS_DIRS = {
+    "no-record": ("editor.csv", None, "missing file: {path}"),
+    "negative-seed": ("editor.csv", lambda lines: [lines[0], "variant_seed,-1"], "{path}:2: variant_seed is not an integer >= 0"),
+    "fractional-seed": ("editor.csv", lambda lines: [lines[0], "variant_seed,0.5"], "{path}:2: variant_seed is not an integer >= 0"),
+    "seed-not-a-number": ("editor.csv", lambda lines: [lines[0], "variant_seed,zero"], "{path}:2: 'zero' is not a number"),
+    "seed-set-twice": ("editor.csv", lambda lines: [*lines, "variant_seed,0"], "{path}:3: the key is repeated"),
+    "unknown-key": ("editor.csv", lambda lines: [*lines, "edit_failure_rate,0"], "{path}:3: the key is not one save_variants writes"),
+    "bias-ninth-digit": (
+        "prompts.csv",
+        lambda lines: [lines[0], ",".join(_bump_ninth_digit(lines[1].split(","))), *lines[2:]],
+        "{path}: not the prompt set that variants draws with",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,edit,reason", list(BAD_VARIANTS_DIRS.values()), ids=list(BAD_VARIANTS_DIRS))
+def test_cli_train_refuses_a_variants_dir_it_cannot_regenerate(pipeline, tmp_path, capsys, name, edit, reason):
+    """A variants directory without its editor record, with a seed that is
+    negative, fractional, not a number or set twice, with a key
+    `save_variants` does not write, or whose prompts.csv is not the prompt
+    set `variants` draws with (one bias moved in its 9th digit) makes
+    `train` exit 3 naming the file (and line) and write nothing."""
+    variants = tmp_path / "variants"
+    shutil.copytree(pipeline["variants"], variants)
+    path = variants / name
+    if edit is None:
+        path.unlink()
+    else:
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    err = _data_error_keeps_out(tmp_path, capsys, _verb_over(pipeline, "train", pipeline["world"], variants))
+    assert err == f"data error: {reason.format(path=path)}\n"
+
+
+def test_cli_variants_over_variant_files_leaves_none(pipeline, tmp_path):
+    """`variants` into a directory that holds the `features_variants/` files
+    of the format that stored each variant removes them: it writes what a
+    fresh directory holds."""
+    out = tmp_path / "variants"
+    stale = out / "features_variants" / "at_night"
+    stale.mkdir(parents=True)
+    (stale / "0.csv").write_text("u,v,landmark_id,desc0\n")
+    assert main(["variants", "--config", pipeline["cfg"], "--world", str(pipeline["world"]), "--out", str(out)]) == 0
+    assert dir_digest(out) == dir_digest(pipeline["variants"])
+    assert not (out / "features_variants").exists()
+
+
+def test_cli_variants_with_a_keypoint_past_float_squares_is_quiet(pipeline, tmp_path, capsys):
+    """A map view keypoint of 1e300, whose squared distances overflow, is
+    at an infinite distance from every other keypoint: `variants` exits 0
+    with nothing on stderr, where it printed `RuntimeWarning: overflow`
+    (an error under pytest's warning filter)."""
+    world = tmp_path / "world"
+    shutil.copytree(pipeline["world"], world)
+    _edit_line(world / "features" / "0.csv", 2, lambda parts: ["1e300", *parts[1:]])
+    rc = main(["variants", "--config", pipeline["cfg"], "--world", str(world), "--out", str(tmp_path / "v")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_variants_bytes_do_not_depend_on_c_tau(tmp_path, pipeline):
@@ -488,21 +581,21 @@ def test_cli_world_with_fewer_than_two_map_views_is_data_error(pipeline, tmp_pat
 
 
 def test_cli_variants_dimension_mismatch_is_data_error(pipeline, tmp_path, capsys):
-    """A variants file whose descriptors are narrower than the world's exits
-    3 naming the file, where `train` used to fail in a matmul."""
+    """A prompts.csv whose biases are narrower than the world's descriptors
+    (its last bias column cut, each bias renormalised to unit length) makes
+    `train` exit 3 naming the file, where it used to fail in a matmul."""
     variants = tmp_path / "variants"
     shutil.copytree(pipeline["variants"], variants)
-    path = variants / "features_variants" / "at_night" / "2.csv"
-    lines = [ln.rsplit(",", 1)[0] for ln in path.read_text().splitlines()]
+    path = variants / "prompts.csv"
+    header, *rows = path.read_text().splitlines()
+    lines = [header.rsplit(",", 1)[0]]
+    for row in rows:
+        parts = row.split(",")[:-1]
+        bias = np.array([float(x) for x in parts[5:]])
+        lines.append(",".join(parts[:5] + [repr(x) for x in (bias / np.linalg.norm(bias)).tolist()]))
     path.write_text("\n".join(lines) + "\n")
-    rc = main(
-        ["train", "--config", pipeline["cfg"], "--world", str(pipeline["world"]),
-         "--variants", str(variants), "--out", str(tmp_path / "m")]
-    )
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert str(path) in err
-    assert "15-dim" in err
+    err = _data_error_keeps_out(tmp_path, capsys, _verb_over(pipeline, "train", pipeline["world"], variants))
+    assert err == f"data error: {path}: the biases are 15-dim, the world's descriptors have 16\n"
 
 
 MALFORMED_ROWS = {
@@ -733,14 +826,8 @@ def test_cli_malformed_world_table_is_data_error(pipeline, tmp_path, capsys, nam
         (lambda parts: parts[:3] + ["1.5"] + parts[4:], "prompts.csv:3: dropout_rate must be in [0, 1]"),
         (lambda parts: parts[:-1], "prompts.csv:3: "),
         (lambda parts: ["at dawn"] + parts[1:], "prompts.csv: prompt names must be distinct"),
-        (
-            lambda parts: ["at_dawn"] + parts[1:],
-            "prompts.csv:3: prompt 'at_dawn' does not name a directory of its own",
-        ),
-        (
-            lambda parts: ["at/dawn"] + parts[1:],
-            "prompts.csv:3: prompt 'at/dawn' does not name a directory of its own",
-        ),
+        (lambda parts: ["at_dawn"] + parts[1:], "prompts.csv: not the prompt set that variants draws with"),
+        (lambda parts: ["at/dawn"] + parts[1:], "prompts.csv: not the prompt set that variants draws with"),
     ],
     ids=[
         "str-bias_gain", "dropout-above-1", "short-row", "duplicate-name",
@@ -748,11 +835,11 @@ def test_cli_malformed_world_table_is_data_error(pipeline, tmp_path, capsys, nam
     ],
 )
 def test_cli_malformed_prompts_csv_is_data_error(pipeline, tmp_path, capsys, edit, reason):
-    """A prompts.csv row with a non-numeric, out-of-range or missing value,
-    or with a name whose variants directory is an earlier prompt's or nested,
+    """A prompts.csv row with a non-numeric, out-of-range or missing value
     makes `train` exit 3 naming the file and line, where a non-numeric
-    bias_gain used to give a ValueError and `at_dawn` beside `at dawn` read
-    the same variant files twice."""
+    bias_gain used to give a ValueError; a well-formed row renamed to
+    `at_dawn` or `at/dawn` is not the prompt set `variants` draws with, and
+    exits 3 naming the file."""
     variants = tmp_path / "variants"
     shutil.copytree(pipeline["variants"], variants)
     path = variants / "prompts.csv"
@@ -1248,30 +1335,25 @@ def test_cli_world_in_the_format_with_the_camera_is_data_error(pipeline, tmp_pat
     assert err == f"data error: {world}/meta.csv:3: the key is not one save_world writes\n"
 
 
-# (the stage whose files hold it, the file, its first descriptor column)
+# (the file of a world that holds it, its first descriptor column)
 DESCRIPTOR_FILES = {
-    "features": ("world", "features/0.csv", 3),
-    "landmarks": ("world", "landmarks.csv", 4),
-    "features_variants": ("variants", "features_variants/at_night/2.csv", 3),
+    "features": ("features/0.csv", 3),
+    "landmarks": ("landmarks.csv", 4),
 }
 
 
 @pytest.mark.parametrize("factor", [0.0, 2.0], ids=["zero", "doubled"])
-@pytest.mark.parametrize("stage,name,first", list(DESCRIPTOR_FILES.values()), ids=list(DESCRIPTOR_FILES))
-def test_cli_descriptor_not_unit_length_is_data_error(pipeline, tmp_path, capsys, stage, name, first, factor):
-    """A descriptor row of a view's features, of a variant's features or of
-    landmarks.csv that is all zeros or twice unit length exits 3 naming the
-    file and line, where `variants` and `train` used to run on it and exit
-    0. Rows written to 9 digits read back within about 1e-9 of unit length,
-    under the 1e-6 that the check allows."""
-    root = tmp_path / stage
-    shutil.copytree(pipeline[stage], root)
+@pytest.mark.parametrize("name,first", list(DESCRIPTOR_FILES.values()), ids=list(DESCRIPTOR_FILES))
+def test_cli_descriptor_not_unit_length_is_data_error(pipeline, tmp_path, capsys, name, first, factor):
+    """A descriptor row of a view's features or of landmarks.csv that is
+    all zeros or twice unit length exits 3 naming the file and line, where
+    `variants` used to run on it and exit 0. Rows written to 9 digits read
+    back within about 1e-9 of unit length, under the 1e-6 that the check
+    allows."""
+    root = tmp_path / "world"
+    shutil.copytree(pipeline["world"], root)
     _edit_line(root / name, 4, lambda parts: parts[:first] + [repr(float(x) * factor) for x in parts[first:]])
-    if stage == "world":
-        args = _verb_over(pipeline, "variants", root)
-    else:
-        args = _verb_over(pipeline, "train", pipeline["world"], root)
-    err = _data_error_keeps_out(tmp_path, capsys, args)
+    err = _data_error_keeps_out(tmp_path, capsys, _verb_over(pipeline, "variants", root))
     assert err == f"data error: {root}/{name}:4: the descriptor is not unit length\n"
 
 
@@ -1716,12 +1798,6 @@ def test_ablation_methods_train_with_root_keys():
 def test_evaluate_unknown_condition():
     with pytest.raises(ConfigError, match="'at brunch' is not one of at dawn"):
         config_from_dict({**TEST_CONFIG, "query_conditions": ["at night", "at brunch"]})
-
-
-def test_ablation_unknown_method_is_value_error():
-    """An unknown method is a broken caller contract, not a config error."""
-    with pytest.raises(ValueError, match="unknown ablation method 'bogus'"):
-        _method_train_config(config_from_dict(TEST_CONFIG), "bogus", seed=1)
 
 
 def test_train_baseline_ignores_variants(tmp_path, pipeline):

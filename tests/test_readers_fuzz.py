@@ -15,7 +15,6 @@ from synthloc import storage
 from synthloc.embed import TrainConfig, init_model
 from synthloc.errors import ConfigError, SynthlocError
 from synthloc.experiment import load_config
-from synthloc.variants import PromptSet
 from synthloc.worldgen import RenderNoise, WorldConfig
 
 # What a mutation may write in place of a token: ids of other rows, numbers
@@ -94,7 +93,7 @@ def mutate(text: str, mutations) -> str:
 
 
 class Saved:
-    """A directory of saved prompts, variants and scores, with the world and
+    """A directory of saved prompts, editor record and scores, with the world and
     the prompts they belong to. Its repr is the directory alone: hypothesis
     reprs a failing test's arguments in its report, and the world and prompts
     run to hundreds of kB, enough for its "overly large repr" warning, an
@@ -108,10 +107,10 @@ class Saved:
 
 
 @pytest.fixture(scope="module")
-def saved(tmp_path_factory, small_world, small_prompts, small_variants, small_scores):
+def saved(tmp_path_factory, small_world, small_prompts, small_scores):
     out = tmp_path_factory.mktemp("readers")
     storage.save_prompts(small_prompts, out)
-    storage.save_variants(small_variants, out)
+    storage.save_variants(0, out)
     storage.save_scores(small_scores, out)
     return Saved(out, small_world, small_prompts)
 
@@ -141,18 +140,13 @@ def test_load_scores_raises_only_synthloc_errors(saved, mutations):
 
 
 @FUZZ
-@given(st.integers(0, 1 << 16), INDEX, st.lists(MUTATION, min_size=1, max_size=3))
-def test_load_variants_raises_only_synthloc_errors(saved, which_prompt, which_view, mutations):
-    """One prompt's variant files, one of them mutated, read through
-    `load_variants` with that prompt alone."""
-    shift = saved.prompts.shifts[which_prompt % len(saved.prompts.shifts)]
-    views = saved.world.map_views
-    path = (
-        saved.path / "features_variants" / storage.prompt_slug(shift.name)
-        / f"{views[which_view % len(views)].id}.csv"
-    )
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_load_variants_raises_only_synthloc_errors(saved, mutations):
+    """The editor record, mutated, read through `load_variants`."""
     load_mutated(
-        path, mutations, lambda: storage.load_variants(saved.path, saved.world, PromptSet([shift]))
+        saved.path / "editor.csv",
+        mutations,
+        lambda: storage.load_variants(saved.path, saved.world, saved.prompts),
     )
 
 
