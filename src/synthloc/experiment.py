@@ -185,16 +185,11 @@ def cmd_variants(world_dir: str | Path, config: ExperimentConfig, out_dir: str |
 
 def _load_variants_dir(variants_dir: str | Path, world: World) -> tuple[dict[int, list[ViewImage]], Scores]:
     """The variants and scores of a `variants` output directory. Its
-    prompts.csv is read first, so that a malformed row is named by its line,
-    and its biases must be as wide as the world's descriptors; then
-    `load_variants` regenerates the variants from `world` with the prompt
-    set `variants` draws with, which prompts.csv must hold."""
-    d = world.landmarks.descriptors.shape[1]
-    width = storage.load_prompts(variants_dir).shifts[0].descriptor_bias.shape[0]
-    if width != d:
-        path = Path(variants_dir) / "prompts.csv"
-        raise DataError(f"{path}: the biases are {width}-dim, the world's descriptors have {d}")
-    prompts = default_prompt_set(d, PROMPT_SEED)
+    prompts.csv is parsed first, so that a malformed row is named by its
+    line; then `load_variants` regenerates the variants from `world` with
+    the prompt set `variants` draws with, which prompts.csv must hold."""
+    storage.load_prompts(variants_dir)
+    prompts = default_prompt_set(world.landmarks.descriptors.shape[1], PROMPT_SEED)
     variants = storage.load_variants(variants_dir, world, prompts)
     return variants, storage.load_scores(variants_dir, world, prompts)
 

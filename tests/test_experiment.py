@@ -582,8 +582,9 @@ def test_cli_world_with_fewer_than_two_map_views_is_data_error(pipeline, tmp_pat
 
 def test_cli_variants_dimension_mismatch_is_data_error(pipeline, tmp_path, capsys):
     """A prompts.csv whose biases are narrower than the world's descriptors
-    (its last bias column cut, each bias renormalised to unit length) makes
-    `train` exit 3 naming the file, where it used to fail in a matmul."""
+    (its last bias column cut, each bias renormalised to unit length) is not
+    the prompt set `variants` draws with: `train` exits 3 naming the file,
+    where it used to fail in a matmul."""
     variants = tmp_path / "variants"
     shutil.copytree(pipeline["variants"], variants)
     path = variants / "prompts.csv"
@@ -595,7 +596,7 @@ def test_cli_variants_dimension_mismatch_is_data_error(pipeline, tmp_path, capsy
         lines.append(",".join(parts[:5] + [repr(x) for x in (bias / np.linalg.norm(bias)).tolist()]))
     path.write_text("\n".join(lines) + "\n")
     err = _data_error_keeps_out(tmp_path, capsys, _verb_over(pipeline, "train", pipeline["world"], variants))
-    assert err == f"data error: {path}: the biases are 15-dim, the world's descriptors have 16\n"
+    assert err == f"data error: {path}: not the prompt set that variants draws with\n"
 
 
 MALFORMED_ROWS = {
@@ -857,12 +858,12 @@ def test_cli_malformed_prompts_csv_is_data_error(pipeline, tmp_path, capsys, edi
 BAD_PROMPT_BIASES = {
     "five-more-bias-columns": (
         lambda lineno, parts: parts + ([f"bias{i}" for i in range(16, 21)] if lineno == 1 else ["0"] * 5),
-        ": the biases are 21-dim, the world's descriptors have 16",
+        ": not the prompt set that variants draws with",
     ),
     # the format written before DomainShift lost keypoint_corruption_sigma
     "keypoint-corruption-column": (
         lambda lineno, parts: parts[:5] + ["keypoint_corruption_sigma" if lineno == 1 else "0"] + parts[5:],
-        ": the biases are 17-dim, the world's descriptors have 16",
+        ": not the prompt set that variants draws with",
     ),
     "bias-doubled": (
         lambda lineno, parts: parts[:5] + [repr(2 * float(x)) for x in parts[5:]] if lineno == 2 else parts,
@@ -876,7 +877,8 @@ def test_cli_prompt_bias_not_unit_or_not_descriptor_wide_is_data_error(pipeline,
     """A prompts.csv whose biases are wider than the world's 16-dim
     descriptors, as five more bias columns or the earlier
     keypoint_corruption_sigma column leave them, or whose bias is twice unit
-    length, makes `train` exit 3 naming the file, where it used to exit 0."""
+    length, makes `train` exit 3 naming the file (the wider biases are not
+    the prompt set `variants` draws with), where it used to exit 0."""
     variants = tmp_path / "variants"
     shutil.copytree(pipeline["variants"], variants)
     path = variants / "prompts.csv"
